@@ -485,6 +485,19 @@ let cmd_profiles () =
 
 open Cmdliner
 
+(* --domains outside the pool's range is a usage error naming the
+   range, not a backtrace from Parallel or a silent clamp. *)
+let domains_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= Numeric.Parallel.max_domains -> Ok n
+    | _ ->
+      Error
+        (Printf.sprintf "invalid value '%s', expected an integer in 1..%d" s
+           Numeric.Parallel.max_domains)
+  in
+  Arg.conv' ~docv:"N" (parse, Format.pp_print_int)
+
 let profile_arg =
   Arg.(value & opt (some string) None & info [ "profile" ] ~doc:"Benchmark profile name.")
 
@@ -573,7 +586,7 @@ let run_cmd =
     Arg.(value & opt (some string) None & info [ "svg" ] ~doc:"Render the placement to an SVG file.")
   in
   let domains =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some domains_conv) None
          & info [ "domains" ]
              ~doc:"Domain-pool size for parallel kernels (1 = exact \
                    sequential reproducibility; default: KRAFTWERK_DOMAINS \
@@ -602,7 +615,7 @@ let concurrency_arg =
            ~doc:"Jobs interleaved at once (transformation granularity).")
 
 let engine_domains_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some domains_conv) None
        & info [ "domains" ]
            ~doc:"Domain-pool lanes split between concurrent jobs \
                  (default: KRAFTWERK_DOMAINS or the hardware core count).")

@@ -224,7 +224,10 @@ let spec_of_json v =
   in
   let* () =
     match domains with
-    | Some d when d < 1 -> Error "job: domains must be >= 1"
+    | Some d when d < 1 || d > Numeric.Parallel.max_domains ->
+      Error
+        (Printf.sprintf "job: domains must be in 1..%d"
+           Numeric.Parallel.max_domains)
     | _ -> Ok ()
   in
   let* trace = field_opt_str v "trace" in

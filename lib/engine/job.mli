@@ -47,8 +47,9 @@ type spec = {
           returns its best-so-far placement, greedily legalised, with
           status [Cancelled] — never an error *)
   domains : int option;
-      (** domain-pool lanes while this job's transformations run;
-          [None] accepts the scheduler's partition of the pool *)
+      (** domain-pool lanes while this job's transformations run, in
+          [1..Numeric.Parallel.max_domains]; [None] accepts the
+          scheduler's partition of the pool *)
   max_steps : int option;
       (** cap on the {e total} placer iteration counter (so a resumed
           job counts steps done before its checkpoint); [None] defers

@@ -46,7 +46,9 @@ let lane_override : int option Domain.DLS.key =
 
 (* The OCaml runtime supports at most ~128 domains; clamp rather than
    crash on absurd KRAFTWERK_DOMAINS values. *)
-let clamp_domains n = if n < 1 then 1 else if n > 128 then 128 else n
+let max_domains = 128
+
+let clamp_domains n = if n < 1 then 1 else if n > max_domains then max_domains else n
 
 let env_domains () =
   match Sys.getenv_opt "KRAFTWERK_DOMAINS" with

@@ -35,6 +35,10 @@ val num_domains : unit -> int
     Raises [Invalid_argument] when [n < 1]. *)
 val with_lanes : int -> (unit -> 'a) -> 'a
 
+(** Largest pool size or lane budget honoured (128); larger requests
+    are clamped to it. *)
+val max_domains : int
+
 (** [set_num_domains n] fixes the pool size to [n] (clamped to
     [1..128]), overriding [KRAFTWERK_DOMAINS].  Tears down a live pool
     of a different size; the next parallel call respawns lazily.  Must

@@ -13,7 +13,13 @@ type result = {
 
 (* Edge-indexed routing state.  Horizontal edge (ix, iy) joins bins
    (ix, iy) and (ix+1, iy); vertical edge (ix, iy) joins (ix, iy) and
-   (ix, iy+1). *)
+   (ix, iy+1).  An edge is named by the packed int [idx * 2 + 1] when
+   horizontal and [idx * 2] when vertical; a route is an array of them.
+
+   The maze scratch (Dijkstra labels, predecessors and the heap) is
+   sized once per [route] call and reused by every search in it.  It
+   lives here rather than in module globals because worker domains of
+   the sharded scheduler route concurrently. *)
 type state = {
   nx : int;
   ny : int;
@@ -22,119 +28,181 @@ type state = {
   use_h : float array; (* (nx-1) * ny *)
   use_v : float array; (* nx * (ny-1) *)
   cfg : config;
+  dist : float array; (* nx * ny: tentative distance per bin *)
+  prev_node : int array; (* bin the best path arrived from *)
+  prev_edge : int array; (* packed edge it arrived over *)
+  heap_d : float array; (* binary min-heap: distance key *)
+  heap_seq : int array; (* push sequence, larger pops first on ties *)
+  heap_v : int array; (* bin *)
+  mutable heap_len : int;
+  mutable pushes : int;
 }
 
 let h_index st ix iy = (iy * (st.nx - 1)) + ix
 
 let v_index st ix iy = (iy * st.nx) + ix
 
-(* A route is a list of (is_horizontal, edge_index). *)
-let edge_cost st horizontal idx =
-  let use, cap = if horizontal then (st.use_h.(idx), st.cap_h) else (st.use_v.(idx), st.cap_v) in
+let h_edge st ix iy = (h_index st ix iy * 2) + 1
+
+let v_edge st ix iy = v_index st ix iy * 2
+
+let is_over st e =
+  let idx = e lsr 1 in
+  if e land 1 = 1 then st.use_h.(idx) >= st.cap_h else st.use_v.(idx) >= st.cap_v
+
+let[@inline] cost st use cap =
   1. +. (if use >= cap then st.cfg.overflow_penalty *. (1. +. use -. cap) else 0.)
 
+let[@inline] edge_cost st e =
+  let idx = e lsr 1 in
+  if e land 1 = 1 then cost st st.use_h.(idx) st.cap_h
+  else cost st st.use_v.(idx) st.cap_v
+
 let apply st delta route =
-  List.iter
-    (fun (horizontal, idx) ->
-      if horizontal then st.use_h.(idx) <- st.use_h.(idx) +. delta
+  Array.iter
+    (fun e ->
+      let idx = e lsr 1 in
+      if e land 1 = 1 then st.use_h.(idx) <- st.use_h.(idx) +. delta
       else st.use_v.(idx) <- st.use_v.(idx) +. delta)
     route
 
-(* Straight segment helpers building edge lists. *)
-let h_segment st ~iy ~ix0 ~ix1 =
-  let lo = min ix0 ix1 and hi = max ix0 ix1 in
-  List.init (hi - lo) (fun k -> (true, h_index st (lo + k) iy))
+let overflowed st route = Array.exists (is_over st) route
 
-let v_segment st ~ix ~iy0 ~iy1 =
-  let lo = min iy0 iy1 and hi = max iy0 iy1 in
-  List.init (hi - lo) (fun k -> (false, v_index st ix (lo + k)))
+(* The two L-shapes between bins a and b: [h_first] runs along a's row
+   then b's column, otherwise a's column then b's row.  Each leg lists
+   its edges in increasing coordinate order. *)
+let l_shape st ~h_first (ax, ay) (bx, by) =
+  let nh = abs (bx - ax) and nv = abs (by - ay) in
+  let hx = min ax bx and vy = min ay by in
+  let row = if h_first then ay else by and col = if h_first then bx else ax in
+  let h k = h_edge st (hx + k) row and v k = v_edge st col (vy + k) in
+  Array.init (nh + nv) (fun k ->
+      if h_first then if k < nh then h k else v (k - nh)
+      else if k < nv then v k
+      else h (k - nv))
 
-let route_cost st route =
-  List.fold_left (fun acc (h, i) -> acc +. edge_cost st h i) 0. route
+(* Binary min-heap over (distance, -push sequence) in parallel arrays:
+   among equal distances the most recent push pops first.  Sifts move a
+   hole and write the moving entry once, at its final slot. *)
+let[@inline] heap_set st i d q v =
+  st.heap_d.(i) <- d;
+  st.heap_seq.(i) <- q;
+  st.heap_v.(i) <- v
 
-let overflowed st route =
-  List.exists
-    (fun (h, i) ->
-      if h then st.use_h.(i) >= st.cap_h else st.use_v.(i) >= st.cap_v)
-    route
+let[@inline] heap_move st ~src ~dst =
+  heap_set st dst st.heap_d.(src) st.heap_seq.(src) st.heap_v.(src)
 
-(* L-shaped candidates between two bins. *)
-let l_shapes st (ax, ay) (bx, by) =
-  let l1 = h_segment st ~iy:ay ~ix0:ax ~ix1:bx @ v_segment st ~ix:bx ~iy0:ay ~iy1:by in
-  let l2 = v_segment st ~ix:ax ~iy0:ay ~iy1:by @ h_segment st ~iy:by ~ix0:ax ~ix1:bx in
-  if ax = bx || ay = by then [ l1 ] else [ l1; l2 ]
+(* Whether slot [i] pops before the entry (d, q). *)
+let[@inline] heap_before st i d q =
+  let di = st.heap_d.(i) in
+  di < d || (di = d && st.heap_seq.(i) > q)
 
-(* Congestion-aware maze route (Dijkstra over bins). *)
+(* Push bin [v] keyed by its current [dist] (read here rather than
+   passed, which would box it). *)
+let heap_push st v =
+  let d = st.dist.(v) in
+  let q = st.pushes in
+  st.pushes <- q + 1;
+  let i = ref st.heap_len in
+  st.heap_len <- st.heap_len + 1;
+  while !i > 0 && not (heap_before st ((!i - 1) / 2) d q) do
+    let parent = (!i - 1) / 2 in
+    heap_move st ~src:parent ~dst:!i;
+    i := parent
+  done;
+  heap_set st !i d q v
+
+(* Remove the root (the caller has read it): the last entry fills the
+   hole, sifted down from the root. *)
+let heap_drop_min st =
+  let n = st.heap_len - 1 in
+  st.heap_len <- n;
+  let d = st.heap_d.(n) and q = st.heap_seq.(n) and v = st.heap_v.(n) in
+  let i = ref 0 and sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    let c =
+      if l + 1 < n && heap_before st (l + 1) st.heap_d.(l) st.heap_seq.(l)
+      then l + 1
+      else l
+    in
+    if c < n && heap_before st c d q then begin
+      heap_move st ~src:c ~dst:!i;
+      i := c
+    end
+    else sifting := false
+  done;
+  heap_set st !i d q v
+
+(* Offer bin v the path through u (at distance d) and edge e. *)
+let[@inline] relax st d u e v =
+  let nd = d +. edge_cost st e in
+  if nd < st.dist.(v) then begin
+    st.dist.(v) <- nd;
+    st.prev_node.(v) <- u;
+    st.prev_edge.(v) <- e;
+    heap_push st v
+  end
+
+(* Congestion-aware maze route (Dijkstra over bins).  The pop order —
+   least distance, latest push among ties — decides which of several
+   equal-cost paths is taken, so it is part of the router's output:
+   test_grouter.ml pins the resulting bits.  Edge costs are at least 1,
+   so each bin is expanded at most once and at most 4 pushes follow
+   each expansion: the heap holds at most 4 * nx * ny + 1 entries. *)
 let maze st (ax, ay) (bx, by) =
-  let n = st.nx * st.ny in
-  let dist = Array.make n Float.infinity in
-  let prev = Array.make n (-1, false, -1) in
-  (* (from node, was_horizontal, edge index) *)
   let node ix iy = (iy * st.nx) + ix in
-  let heap = ref [] in
-  let push d v = heap := (d, v) :: !heap in
-  let pop () =
-    match !heap with
-    | [] -> None
-    | _ ->
-      let best =
-        List.fold_left (fun acc x -> if fst x < fst acc then x else acc)
-          (List.hd !heap) (List.tl !heap)
-      in
-      heap := List.filter (fun x -> x != best) !heap;
-      Some best
-  in
-  dist.(node ax ay) <- 0.;
-  push 0. (node ax ay);
-  let target = node bx by in
+  let source = node ax ay and target = node bx by in
+  Array.fill st.dist 0 (Array.length st.dist) Float.infinity;
+  st.heap_len <- 0;
+  st.pushes <- 0;
+  st.dist.(source) <- 0.;
+  heap_push st source;
   let finished = ref false in
   while not !finished do
-    match pop () with
-    | None -> finished := true
-    | Some (d, u) ->
+    if st.heap_len = 0 then finished := true
+    else begin
+      let d = st.heap_d.(0) and u = st.heap_v.(0) in
+      heap_drop_min st;
       if u = target then finished := true
-      else if d <= dist.(u) then begin
-        let ux = u mod st.nx and uy = u / st.nx in
-        let consider h idx v =
-          let nd = d +. edge_cost st h idx in
-          if nd < dist.(v) then begin
-            dist.(v) <- nd;
-            prev.(v) <- (u, h, idx);
-            push nd v
-          end
-        in
-        if ux > 0 then consider true (h_index st (ux - 1) uy) (node (ux - 1) uy);
-        if ux < st.nx - 1 then consider true (h_index st ux uy) (node (ux + 1) uy);
-        if uy > 0 then consider false (v_index st ux (uy - 1)) (node ux (uy - 1));
-        if uy < st.ny - 1 then consider false (v_index st ux uy) (node ux (uy + 1))
+      else if d <= st.dist.(u) then begin
+        let uy = u / st.nx in
+        let ux = u - (uy * st.nx) in
+        if ux > 0 then relax st d u (h_edge st (ux - 1) uy) (u - 1);
+        if ux < st.nx - 1 then relax st d u (h_edge st ux uy) (u + 1);
+        if uy > 0 then relax st d u (v_edge st ux (uy - 1)) (u - st.nx);
+        if uy < st.ny - 1 then relax st d u (v_edge st ux uy) (u + st.nx)
       end
+    end
   done;
-  if dist.(target) = Float.infinity then None
+  if st.dist.(target) = Float.infinity then None
   else begin
-    let route = ref [] in
-    let v = ref target in
-    while !v <> node ax ay do
-      let u, h, idx = prev.(!v) in
-      route := (h, idx) :: !route;
-      v := u
+    let len = ref 0 and v = ref target in
+    while !v <> source do
+      incr len;
+      v := st.prev_node.(!v)
     done;
-    Some !route
+    let route = Array.make !len 0 in
+    v := target;
+    for k = !len - 1 downto 0 do
+      route.(k) <- st.prev_edge.(!v);
+      v := st.prev_node.(!v)
+    done;
+    Some route
   end
 
-let connect st a b =
-  if a = b then Some []
-  else begin
-    let candidates = l_shapes st a b in
-    let viable = List.filter (fun r -> not (overflowed st r)) candidates in
-    match viable with
-    | _ :: _ ->
-      (* Cheapest clean pattern route. *)
-      Some
-        (List.fold_left
-           (fun best r -> if route_cost st r < route_cost st best then r else best)
-           (List.hd viable) (List.tl viable))
-    | [] -> maze st a b
-  end
+(* The first L-shape clear of full edges, else the maze.  Both L-shapes
+   have the Manhattan length and a clear edge costs exactly 1, so the
+   first clear one is also the cheapest. *)
+let connect st ((ax, ay) as a) ((bx, by) as b) =
+  if a = b then Some [||]
+  else
+    let l1 = l_shape st ~h_first:true a b in
+    if not (overflowed st l1) then Some l1
+    else if ax = bx || ay = by then maze st a b
+    else
+      let l2 = l_shape st ~h_first:false a b in
+      if not (overflowed st l2) then Some l2 else maze st a b
 
 let route_unchecked ~config (c : Netlist.Circuit.t) (p : Netlist.Placement.t)
     (spec : Grid_spec.t) =
@@ -142,6 +210,8 @@ let route_unchecked ~config (c : Netlist.Circuit.t) (p : Netlist.Placement.t)
   let nx = spec.Grid_spec.nx and ny = spec.Grid_spec.ny in
   let ref_grid = Geometry.Grid2.create region ~nx ~ny in
   let dx = Geometry.Grid2.dx ref_grid and dy = Geometry.Grid2.dy ref_grid in
+  let bins = nx * ny in
+  let heap_cap = (4 * bins) + 1 in
   let st =
     {
       nx;
@@ -151,6 +221,14 @@ let route_unchecked ~config (c : Netlist.Circuit.t) (p : Netlist.Placement.t)
       use_h = Array.make (max 1 ((nx - 1) * ny)) 0.;
       use_v = Array.make (max 1 (nx * (ny - 1))) 0.;
       cfg = config;
+      dist = Array.make bins Float.infinity;
+      prev_node = Array.make bins 0;
+      prev_edge = Array.make bins 0;
+      heap_d = Array.make heap_cap 0.;
+      heap_seq = Array.make heap_cap 0;
+      heap_v = Array.make heap_cap 0;
+      heap_len = 0;
+      pushes = 0;
     }
   in
   let bin_of cell_pin =
@@ -194,17 +272,7 @@ let route_unchecked ~config (c : Netlist.Circuit.t) (p : Netlist.Placement.t)
         let id = net.Netlist.Net.id in
         if List.exists (overflowed st) routes.(id) then begin
           List.iter (apply st (-1.)) routes.(id);
-          let drv, sinks = net_connections net in
-          let segs = ref [] in
-          List.iter
-            (fun sink ->
-              match connect st drv sink with
-              | Some r ->
-                apply st 1. r;
-                segs := r :: !segs
-              | None -> incr failed)
-            sinks;
-          routes.(id) <- !segs
+          route_net net
         end)
       c.Netlist.Circuit.nets
   done;

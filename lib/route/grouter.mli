@@ -4,9 +4,11 @@
     before each placement transformation"; {!Congest} provides the cheap
     probabilistic estimate used inside the loop, and this module provides
     an actual router for validating placements after the fact: every net
-    is routed on a coarse capacitated grid with L-shaped / Z-shaped
-    pattern routes falling back to a maze (BFS with congestion-aware
-    costs), followed by rip-up-and-reroute passes on overflowing nets.
+    is routed on a coarse capacitated grid with L-shaped pattern routes
+    falling back to a maze (Dijkstra with congestion-aware edge costs,
+    over a binary heap), followed by rip-up-and-reroute passes on
+    overflowing nets.  Each call owns its search scratch, so concurrent
+    calls from different domains are safe.
 
     Multi-pin nets are decomposed into a star of two-pin connections from
     the driver.  The grid geometry and wire pitch come from the same
@@ -15,7 +17,7 @@
 
 type config = {
   overflow_penalty : float;
-      (** cost multiplier for entering a bin already at capacity *)
+      (** cost multiplier for crossing an edge already at capacity *)
   rip_up_passes : int;
 }
 
@@ -25,8 +27,8 @@ type result = {
   usage_h : Geometry.Grid2.t;  (** horizontal track usage per bin *)
   usage_v : Geometry.Grid2.t;
   total_wirelength : float;  (** routed length in length units *)
-  total_overflow : float;  (** Σ max(0, usage − capacity) over bins *)
-  max_overflow : float;
+  total_overflow : float;  (** Σ max(0, usage − capacity) over edges *)
+  max_overflow : float;  (** largest single-edge overflow *)
   failed_nets : int;  (** nets the maze could not connect (0 expected) *)
 }
 

@@ -120,6 +120,145 @@ let test_usage_accounting_consistent () =
     && Float.is_finite r.Route.Grouter.total_wirelength
     && r.Route.Grouter.max_overflow <= r.Route.Grouter.total_overflow +. 1e-9)
 
+(* --- golden bit-pin ---
+
+   The router's search order decides which of several equal-cost paths
+   a connection takes, and every later connection sees that choice
+   through the usage grid.  These pins hold the exact bits of each
+   summary (and a digest of every usage value) on fixtures that reach
+   the maze fallback, so a change to the search must reproduce the
+   original tie-breaking to pass.  The placed fixtures also pass through
+   the placer: if a deliberate placer change moves them, re-capture the
+   pins from the router as it stands before the change. *)
+
+let bits = Int64.bits_of_float
+
+let usage_digest (r : Route.Grouter.result) =
+  let b = Buffer.create 4096 in
+  let add g =
+    Array.iter
+      (fun v -> Buffer.add_int64_le b (bits v))
+      (Geometry.Grid2.values g)
+  in
+  add r.Route.Grouter.usage_h;
+  add r.Route.Grouter.usage_v;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+type golden = {
+  overflow : int64;
+  wirelength : int64;
+  max_overflow : int64;
+  digest : string;
+}
+
+let check_golden name (g : golden) (r : Route.Grouter.result) =
+  Alcotest.(check int64) (name ^ ": total_overflow bits") g.overflow
+    (bits r.Route.Grouter.total_overflow);
+  Alcotest.(check int64) (name ^ ": total_wirelength bits") g.wirelength
+    (bits r.Route.Grouter.total_wirelength);
+  Alcotest.(check int64) (name ^ ": max_overflow bits") g.max_overflow
+    (bits r.Route.Grouter.max_overflow);
+  Alcotest.(check string) (name ^ ": usage digest") g.digest (usage_digest r)
+
+(* A profile placed under the routability loop at a fixed seed and
+   legalized: the circuit and the router input a routability job sees. *)
+let placed_fixture profile scale =
+  let prof = Circuitgen.Profiles.find profile in
+  let c, pads =
+    Circuitgen.Gen.generate (Circuitgen.Profiles.params ~scale prof ~seed:7)
+  in
+  let p0 = Circuitgen.Gen.initial_placement c pads in
+  let config = Kraftwerk.Config.routability Kraftwerk.Config.standard in
+  let state, _ = Kraftwerk.Placer.run config c p0 in
+  let rep = Legalize.Abacus.legalize c state.Kraftwerk.Placer.placement () in
+  (c, rep.Legalize.Abacus.placement, Kraftwerk.Placer.route_spec config c)
+
+(* [n] parallel nets along the bottom row of a 4-track grid: 8 nets is
+   the circuit of [test_maze_detours_around_congestion], which detours
+   without overflow; 40 nets exceed the 32 tracks of any vertical cut. *)
+let channel_fixture n =
+  let cells = Array.init (2 * n) (fun _ -> (2., 2.)) in
+  let nets = Array.init n (fun i -> [| i; n + i |]) in
+  let c = circuit_of cells nets in
+  let p =
+    {
+      Netlist.Placement.x = Array.init (2 * n) (fun i -> if i < n then 4. else 60.);
+      y = Array.init (2 * n) (fun _ -> 4.);
+    }
+  in
+  (c, p, Route.Grid_spec.make ~wire_pitch:2.0 ~nx:8 ~ny:8 ())
+
+let fixtures =
+  lazy
+    [
+      ("primary2@0.5", placed_fixture "primary2" 0.5);
+      ("biomed@0.3", placed_fixture "biomed" 0.3);
+      ("tight channel", channel_fixture 8);
+      ("overfull channel", channel_fixture 40);
+    ]
+
+let goldens =
+  [
+    ( "primary2@0.5",
+      {
+        overflow = 4634529089567235048L;
+        wirelength = 4689225358682095614L;
+        max_overflow = 4610184818551597744L;
+        digest = "efcd17c9ea8b3d3dcb0ea59bb6c80838";
+      } );
+    ( "biomed@0.3",
+      {
+        overflow = 4656791661484417273L;
+        wirelength = 4693361028855232848L;
+        max_overflow = 4622656325212008342L;
+        digest = "f508976db4758b616ca469a9dd85b35f";
+      } );
+    ( "tight channel",
+      {
+        overflow = 0L;
+        wirelength = 4647714815446351872L;
+        max_overflow = 0L;
+        digest = "38700e7224ebad5f1ffa96addc5f8fdf";
+      } );
+    ( "overfull channel",
+      {
+        overflow = 4640607572284407808L;
+        wirelength = 4661471904933085184L;
+        max_overflow = 4625196817309499392L;
+        digest = "cacd6ba1ec54c42f4af0ccaf5f5ba5f3";
+      } );
+  ]
+
+(* Every fixture but the tight channel overflows, so the maze fallback
+   and the rip-up passes both run; the tight channel's detour is the
+   maze's uncongested path. *)
+let test_golden_routes () =
+  List.iter
+    (fun (name, (c, p, spec)) ->
+      let r = route_ok (Route.Grouter.route c p spec) in
+      if name <> "tight channel" then
+        Alcotest.(check bool) (name ^ ": overflows") true
+          (r.Route.Grouter.total_overflow > 0.);
+      check_golden name (List.assoc name goldens) r)
+    (Lazy.force fixtures)
+
+(* The sharded scheduler calls the router from worker domains: two
+   congested circuits routed at once must each reproduce the pinned
+   bits of their sequential run, which fails if routing state is ever
+   shared. *)
+let test_concurrent_domains () =
+  let names = [ "primary2@0.5"; "biomed@0.3" ] in
+  let spawn name =
+    let c, p, spec = List.assoc name (Lazy.force fixtures) in
+    Domain.spawn (fun () -> route_ok (Route.Grouter.route c p spec))
+  in
+  let domains = List.map spawn names in
+  List.iter2
+    (fun name d ->
+      check_golden (name ^ " (concurrent)") (List.assoc name goldens)
+        (Domain.join d))
+    names domains
+
 (* --- circuit statistics (generator validation) --- *)
 
 let test_degree_histogram () =
@@ -204,6 +343,8 @@ let suite =
     Alcotest.test_case "maze detours" `Quick test_maze_detours_around_congestion;
     Alcotest.test_case "rip-up helps" `Quick test_rip_up_reduces_overflow;
     Alcotest.test_case "usage accounting" `Quick test_usage_accounting_consistent;
+    Alcotest.test_case "golden routes" `Quick test_golden_routes;
+    Alcotest.test_case "concurrent domains" `Quick test_concurrent_domains;
     Alcotest.test_case "degree histogram" `Quick test_degree_histogram;
     Alcotest.test_case "rent exponent" `Quick test_rent_exponent_realistic;
     Alcotest.test_case "average degree" `Quick test_average_degree;

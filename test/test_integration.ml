@@ -180,6 +180,69 @@ let test_eco_preserves_relative_placement () =
   Alcotest.(check bool) "relative order preserved" true
     (mean_shift < 0.15 *. float_of_int (Array.length ids))
 
+(* --- CLI argument validation --- *)
+
+(* Run place.exe with [args]; return its exit code and stderr. *)
+let run_place args =
+  let exe = Test_server.place_exe () in
+  let err_file = Filename.temp_file "place_cli" ".err" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let err = Unix.openfile err_file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close null; Unix.close err)
+      (fun () ->
+        Unix.create_process exe (Array.of_list (exe :: args)) null null err)
+  in
+  let code =
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED c -> c
+    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> -1
+  in
+  let ic = open_in_bin err_file in
+  let stderr = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove err_file;
+  (code, stderr)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* Out-of-range --domains is a Cmdliner usage error (exit 124) that
+   names the range, before any command runs: no Invalid_argument
+   backtrace for 0, no silent clamp above the pool's maximum. *)
+let test_cli_domains_range () =
+  let range = Printf.sprintf "1..%d" Numeric.Parallel.max_domains in
+  List.iter
+    (fun args ->
+      let what = String.concat " " args in
+      let code, err = run_place args in
+      Alcotest.(check int) (what ^ ": usage error") 124 code;
+      Alcotest.(check bool) (what ^ ": names the range") true
+        (contains err range);
+      Alcotest.(check bool) (what ^ ": no backtrace") false
+        (contains err "Invalid_argument"))
+    [
+      [ "run"; "--profile"; "fract"; "--domains"; "0" ];
+      [ "run"; "--profile"; "fract"; "--domains"; "500" ];
+      [ "serve"; "--domains"; "0" ];
+      [ "batch"; "--domains"; "129"; "/dev/null" ];
+    ];
+  (* A job spec carried by submit/serve/batch is held to the same range. *)
+  let spec =
+    Engine.Job.spec
+      ~source:(Engine.Source.Profile { name = "fract"; scale = 0.5; seed = 1 })
+      ~domains:500 ()
+  in
+  match Engine.Job.spec_of_json (Engine.Job.spec_to_json spec) with
+  | Ok _ -> Alcotest.fail "job spec with domains 500 accepted"
+  | Error msg ->
+    Alcotest.(check bool) "job spec names the range" true (contains msg range)
+
 let suite =
   [
     Alcotest.test_case "kraftwerk full flow" `Quick test_kraftwerk_full_flow;
@@ -189,4 +252,5 @@ let suite =
     Alcotest.test_case "requirement exact" `Slow test_requirement_mode_is_exact;
     Alcotest.test_case "congestion hook" `Quick test_congestion_hook_changes_placement;
     Alcotest.test_case "eco relative order" `Slow test_eco_preserves_relative_placement;
+    Alcotest.test_case "cli domains range" `Quick test_cli_domains_range;
   ]

@@ -363,10 +363,49 @@ let test_eight_clients_bitwise_equal () =
       List.iter Server.Client.close clients;
       Alcotest.(check int) "server exit code" 0 (reap pid))
 
+(* A job of about 4 s: with the 4 s drain grace below, the server stays
+   up for seconds after SIGTERM, whether the grace cancels this job or
+   it finishes and the next queued one is cancelled instead. *)
 let slow_spec i =
   Engine.Job.spec
-    ~source:(Engine.Source.Profile { name = "struct"; scale = 0.75; seed = 7 + i })
+    ~source:(Engine.Source.Profile { name = "industry2"; scale = 1.0; seed = 7 + i })
     ()
+
+(* Park a [wait] for job [id] on a fresh connection to [sock], and
+   return once the server has dispatched it: the [status] request
+   pipelined behind it on the same connection is answered only after
+   the wait was parked.  The returned function blocks (at most 60 s)
+   for the wait's answer. *)
+let park_wait sock id =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.;
+  let ic = Unix.in_channel_of_descr fd in
+  let req =
+    Printf.sprintf
+      "{\"seq\":1,\"cmd\":\"wait\",\"id\":%d}\n\
+       {\"seq\":2,\"cmd\":\"status\",\"id\":%d}\n"
+      id id
+  in
+  ignore (Unix.write_substring fd req 0 (String.length req));
+  let replies = Hashtbl.create 2 in
+  let rec reply seq =
+    match Hashtbl.find_opt replies seq with
+    | Some v -> v
+    | None ->
+      (match J.of_string (input_line ic) with
+      | Ok v -> (
+        match J.member "seq" v with
+        | Some (J.Num n) -> Hashtbl.replace replies (int_of_float n) v
+        | _ -> ())
+      | Error e -> Alcotest.failf "bad response line: %s" e);
+      reply seq
+  in
+  ignore (reply 2);
+  fun () ->
+    let v = reply 1 in
+    close_in ic;
+    v
 
 (* Admission control and graceful drain on one server: fill the bound,
    meet a typed overloaded refusal (never a dropped connection), then
@@ -382,7 +421,7 @@ let test_admission_and_sigterm_drain () =
         "--listen"; "unix:" ^ sock;
         "--concurrency"; "1";
         "--max-pending"; "1";
-        "--drain-grace"; "1";
+        "--drain-grace"; "4";
       ]
   in
   Fun.protect
@@ -416,6 +455,10 @@ let test_admission_and_sigterm_drain () =
         | None -> Alcotest.fail "overloaded without retry_after_ms")
       | Error (Server.Client.Transport msg) ->
         Alcotest.failf "overload dropped the connection: %s" msg);
+      (* Park a wait for A on a second connection before the signal, so
+         the drain must answer it: a wait sent after SIGTERM could reach
+         a server that has already drained and exited. *)
+      let wait_a = park_wait sock id1 in
       (* SIGTERM mid-load: drain begins; new submissions are refused as
          shutting_down. *)
       Unix.kill pid Sys.sigterm;
@@ -430,10 +473,15 @@ let test_admission_and_sigterm_drain () =
       (* The parked wait is answered once the grace expires and the job
          is cooperatively cancelled — with its legalised best-so-far
          placement embedded. *)
-      let status, result = client_exn "wait A" (Server.Client.wait c id1) in
+      let answer = wait_a () in
+      Alcotest.(check bool) "wait A answered ok" true
+        (J.member "ok" answer = Some (J.Bool true));
+      let status =
+        match J.member "status" answer with Some (J.Str s) -> s | _ -> ""
+      in
       Alcotest.(check bool) "job 1 terminal" true
         (status = "cancelled" || status = "done");
-      (match result with
+      (match J.member "result" answer with
       | Some r -> (
         match Engine.Job.result_of_json r with
         | Ok jr ->
