@@ -402,7 +402,11 @@ let floorplan () =
       in
       let circuit, pads = Circuitgen.Gen.generate params in
       let p0 = Circuitgen.Gen.initial_placement circuit pads in
-      let r = Floorplan.Mixed.place Kraftwerk.Config.standard circuit p0 in
+      let r =
+        match Floorplan.Mixed.place Kraftwerk.Config.standard circuit p0 with
+        | Ok r -> r
+        | Error msg -> failwith msg
+      in
       let rects = Floorplan.Mixed.block_rects circuit r.Floorplan.Mixed.placement in
       let block_overlaps = ref 0 in
       List.iteri
@@ -1086,7 +1090,9 @@ let engine_bench () =
                          ~source:
                            (Engine.Source.Profile
                               { name = profile; scale = !scale; seed = !seed + i })
-                         ~mode:Engine.Job.Fast ~max_steps ()) ))
+                         ~objective:
+                           (Engine.Objective.make ~mode:Engine.Job.Fast ())
+                         ~max_steps ()) ))
             in
             let (), wall = time (fun () -> Engine.Scheduler.drain sched) in
             let steals =
@@ -1223,7 +1229,7 @@ let serve_bench () =
     Engine.Job.spec
       ~source:
         (Engine.Source.Profile { name = profile; scale = !scale; seed = !seed + i })
-      ~mode ?max_steps ()
+      ~objective:(Engine.Objective.make ~mode ()) ?max_steps ()
   in
   let reap pid =
     match Unix.waitpid [] pid with _, Unix.WEXITED 0 -> true | _ -> false

@@ -3,7 +3,7 @@
 
    Examples:
      place generate --profile struct --seed 7 -o struct.ckt
-     place run --profile biomed --mode standard --timing
+     place run --profile biomed --mode standard --objective timing
      place run --circuit struct.ckt --flow annealer
      place serve --concurrency 2 < commands.jsonl
      place batch jobs.jsonl -o results.jsonl
@@ -98,19 +98,12 @@ let cmd_generate profile scale seed output =
   Printf.printf "wrote %s (%d cells, %d nets) and %s.pos\n" output
     (Netlist.Circuit.num_cells c) (Netlist.Circuit.num_nets c) output
 
-let cmd_run circuit_file profile scale seed flow mode effort timing objective
-    verbose output svg domains trace =
+let cmd_run circuit_file profile scale seed flow mode effort goal verbose
+    output svg domains trace =
   let c, p0 = load_or_generate ~circuit_file ~profile ~scale ~seed in
-  (* [mode], [effort] and [objective] arrive through Cmdliner enum convs,
-     so a bad flag is a usage error with a clean exit code before this
-     function runs.  The objective bundles the whole request; --timing
-     stays a deprecated alias for --objective timing. *)
-  let goal =
-    match objective with
-    | Some g -> g
-    | None ->
-      if timing then Engine.Objective.Timing else Engine.Objective.Wirelength
-  in
+  (* [mode], [effort] and [goal] arrive through Cmdliner enum convs, so a
+     bad flag is a usage error with a clean exit code before this
+     function runs. *)
   let timing = goal = Engine.Objective.Timing in
   let obj = Engine.Objective.make ~goal ~mode ?effort () in
   let config = Engine.Objective.config obj in
@@ -177,7 +170,10 @@ let cmd_run circuit_file profile scale seed flow mode effort timing objective
     | Flow_annealer ->
       if timing then (Baselines.Timing_sa.place c p0).Baselines.Timing_sa.placement
       else fst (Baselines.Annealer.place c p0)
-    | Flow_floorplan -> (Floorplan.Mixed.place config c p0).Floorplan.Mixed.placement
+    | Flow_floorplan -> (
+      match Floorplan.Mixed.place config c p0 with
+      | Ok r -> r.Floorplan.Mixed.placement
+      | Error msg -> die "%s" msg)
   in
   let final, passes =
     if flow = Flow_floorplan then (global, None)
@@ -199,7 +195,7 @@ let cmd_run circuit_file profile scale seed flow mode effort timing objective
     | Flow_floorplan -> "floorplan"
   in
   Printf.printf "flow         %s (%s mode, %s objective)\n" flow_name
-    (Engine.Job.mode_to_string mode)
+    (Engine.Objective.mode_to_string mode)
     (Engine.Objective.goal_to_string goal);
   Printf.printf "cpu          %.2f s\n" (t1 -. t0);
   (match passes with
@@ -271,7 +267,7 @@ let resolve_shards ~shards ~concurrency ~domains =
   | None -> (
     match domains with Some d when d > 1 -> min concurrency d | _ -> 0)
 
-let cmd_serve concurrency domains shards transcript listen proto max_pending
+let cmd_serve concurrency domains shards transcript listen max_pending
     max_conns request_timeout idle_timeout drain_grace =
   (match domains with
   | Some d -> Numeric.Parallel.set_num_domains d
@@ -291,7 +287,6 @@ let cmd_serve concurrency domains shards transcript listen proto max_pending
         request_timeout_s = request_timeout;
         idle_timeout_s = idle_timeout;
         drain_grace_s = drain_grace;
-        proto;
         transcript;
       }
     in
@@ -308,14 +303,8 @@ let cmd_serve concurrency domains shards transcript listen proto max_pending
     in
     let ev = ref 0 in
     let emit_event e =
-      let ev =
-        match proto with
-        | Engine.Protocol.V2 | Engine.Protocol.V3 ->
-          incr ev;
-          Some !ev
-        | Engine.Protocol.V1 -> None
-      in
-      let line = Obs.Json.to_string (Engine.Protocol.event_to_json ?ev e) in
+      incr ev;
+      let line = Obs.Json.to_string (Engine.Protocol.event_to_json ~ev:!ev e) in
       print_string line;
       print_newline ();
       flush stdout;
@@ -325,7 +314,7 @@ let cmd_serve concurrency domains shards transcript listen proto max_pending
       Engine.Scheduler.create ~concurrency ?domains ~shards
         ~on_event:emit_event ()
     in
-    Engine.Protocol.serve ~proto ~echo sched stdin stdout;
+    Engine.Protocol.serve ~echo sched stdin stdout;
     Option.iter close_out transcript_oc
 
 (* ------------------------------------------------------------------ *)
@@ -343,19 +332,13 @@ let client_ok = function
 (* [place submit]: ship one job to a running server; with --wait, park
    until it is terminal and print its result line.  Exit 1 when the
    awaited job failed, 2 on operational errors. *)
-let cmd_submit to_addr circuit_file profile scale seed mode flow effort timing
-    objective priority deadline max_steps wait =
+let cmd_submit to_addr circuit_file profile scale seed mode flow effort goal
+    priority deadline max_steps wait =
   let source =
     match (circuit_file, profile) with
     | Some file, _ -> Engine.Source.File file
     | None, Some name -> Engine.Source.Profile { name; scale; seed }
     | None, None -> die "either --circuit or --profile is required"
-  in
-  let goal =
-    match objective with
-    | Some g -> g
-    | None ->
-      if timing then Engine.Objective.Timing else Engine.Objective.Wirelength
   in
   let spec =
     Engine.Job.spec ~source
@@ -510,20 +493,19 @@ let mode_arg =
 let objective_arg =
   Arg.(value
        & opt
-           (some
-              (enum
-                 [
-                   ("wirelength", Engine.Objective.Wirelength);
-                   ("routability", Engine.Objective.Routability);
-                   ("timing", Engine.Objective.Timing);
-                 ]))
-           None
+           (enum
+              [
+                ("wirelength", Engine.Objective.Wirelength);
+                ("routability", Engine.Objective.Routability);
+                ("timing", Engine.Objective.Timing);
+              ])
+           Engine.Objective.Wirelength
        & info [ "objective" ]
            ~doc:"What the run optimises for: wirelength (the default \
                  area-driven placement), routability (the closed \
                  congestion loop plus routed-overflow validation with \
                  the global router), or timing (slack-driven net \
-                 reweighting).  Supersedes the deprecated --timing flag.")
+                 reweighting).")
 
 let effort_arg =
   (* An enum rather than a bare int: a bad value is a usage error listing
@@ -573,11 +555,6 @@ let run_cmd =
                                  gordian, annealer or floorplan.")
   in
   let mode = mode_arg in
-  let timing =
-    Arg.(value & flag
-         & info [ "timing" ]
-             ~doc:"Timing-driven (deprecated alias for --objective timing).")
-  in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log steps.") in
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Save placement.")
@@ -602,7 +579,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Place a circuit and report metrics")
     Term.(const cmd_run $ circuit $ profile_arg $ scale_arg $ seed_arg $ flow
-          $ mode $ effort_arg $ timing $ objective_arg $ verbose $ output
+          $ mode $ effort_arg $ objective_arg $ verbose $ output
           $ svg $ domains $ trace)
 
 let profiles_cmd =
@@ -628,23 +605,6 @@ let shards_arg =
                  domains) when --domains exceeds 1, else 0).  0 runs the \
                  inline cooperative scheduler.  Job trajectories are \
                  bitwise-identical for every value.")
-
-let proto_arg =
-  Arg.(value
-       & opt
-           (enum
-              [
-                ("v1", Engine.Protocol.V1);
-                ("v2", Engine.Protocol.V2);
-                ("v3", Engine.Protocol.V3);
-              ])
-           Engine.Protocol.V2
-       & info [ "proto" ]
-           ~doc:"Protocol version rendered in responses and events: v3 \
-                 (v2 plus the resolved job objective echoed on submit), \
-                 v2 (seq echo, structured error codes, numbered events) \
-                 or v1 (the legacy shapes).  Older requests are accepted \
-                 under any version.")
 
 let serve_cmd =
   let transcript =
@@ -701,7 +661,7 @@ let serve_cmd =
              result, wait, metrics, subscribe, shutdown — see \
              HACKING.md, Network serving)")
     Term.(const cmd_serve $ concurrency_arg $ engine_domains_arg $ shards_arg
-          $ transcript $ listen $ proto_arg $ max_pending $ max_conns
+          $ transcript $ listen $ max_pending $ max_conns
           $ request_timeout $ idle_timeout $ drain_grace)
 
 let to_arg =
@@ -731,12 +691,6 @@ let submit_cmd =
     Arg.(value & opt (some int) None
          & info [ "max-steps" ] ~doc:"Cap on placer iterations.")
   in
-  let timing =
-    Arg.(value & flag
-         & info [ "timing" ]
-             ~doc:"Timing-driven placement (deprecated alias for \
-                   --objective timing).")
-  in
   let wait =
     Arg.(value & flag
          & info [ "wait" ]
@@ -764,8 +718,8 @@ let submit_cmd =
              server; prints a JSON line with the job id (and, with \
              --wait, the result)")
     Term.(const cmd_submit $ to_arg $ circuit $ profile_arg $ scale_arg
-          $ seed_arg $ mode_arg $ job_flow $ effort_arg $ timing
-          $ objective_arg $ priority $ deadline $ max_steps $ wait)
+          $ seed_arg $ mode_arg $ job_flow $ effort_arg $ objective_arg
+          $ priority $ deadline $ max_steps $ wait)
 
 let watch_cmd =
   let from_ev =

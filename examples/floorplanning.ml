@@ -28,7 +28,11 @@ let () =
        /. Netlist.Circuit.total_cell_area circuit));
 
   let initial = Circuitgen.Gen.initial_placement circuit pads in
-  let result = Floorplan.Mixed.place Kraftwerk.Config.standard circuit initial in
+  let result =
+    match Floorplan.Mixed.place Kraftwerk.Config.standard circuit initial with
+    | Ok r -> r
+    | Error msg -> prerr_endline msg; exit 1
+  in
   Printf.printf "global hpwl   %.4g\n" result.Floorplan.Mixed.hpwl_global;
   Printf.printf "final  hpwl   %.4g (blocks moved %.1f total during snapping)\n"
     result.Floorplan.Mixed.hpwl_final result.Floorplan.Mixed.block_displacement;

@@ -1,5 +1,4 @@
 type t = {
-  version : int;
   config_digest : string;
   circuit_digest : string;
   iteration : int;
@@ -109,7 +108,6 @@ let circuit_digest (c : Netlist.Circuit.t) =
 let of_state ?criticality ?(ml_level = 0) ?(ml_levels = 1)
     (s : Kraftwerk.Placer.state) =
   {
-    version;
     ml_level;
     ml_levels;
     config_digest = config_digest s.Kraftwerk.Placer.config;
@@ -175,7 +173,7 @@ let to_json t =
   Obj
     [
       ("record", Str "checkpoint");
-      ("version", Num (float_of_int t.version));
+      ("version", Num (float_of_int version));
       ("config", Str t.config_digest);
       ("circuit", Str t.circuit_digest);
       ("iteration", Num (float_of_int t.iteration));
@@ -222,23 +220,18 @@ let field_fin v key ~default =
   | Some Null -> Ok default
   | _ -> Error (Printf.sprintf "checkpoint: field %S is not a number" key)
 
-(* Pre-v4 checkpoints predate the routability loop: their configs must
-   carry the standard (off) congestion knobs to digest-match, so the
-   pre-first-refresh state is the one the uninterrupted run had. *)
 let congest_of_json c =
-  match member "congest" c with
-  | Some g ->
-    let* strength = field_float g "strength" in
-    let* since_refresh = field_int g "since_refresh" in
-    let* refreshes = field_int g "refreshes" in
-    let* est_overflow = field_fin g "est_overflow" ~default:Float.nan in
-    let* est_max_overflow = field_fin g "est_max_overflow" ~default:Float.nan in
-    let* target_area = field_float g "target_area" in
-    let* clamped_bins = field_int g "clamped_bins" in
-    Ok
-      (Kraftwerk.Controller.restore_congest ~strength ~since_refresh ~refreshes
-         ~est_overflow ~est_max_overflow ~target_area ~clamped_bins)
-  | None -> Ok (Kraftwerk.Controller.fresh_congest Kraftwerk.Config.standard)
+  let* g = field c "congest" in
+  let* strength = field_float g "strength" in
+  let* since_refresh = field_int g "since_refresh" in
+  let* refreshes = field_int g "refreshes" in
+  let* est_overflow = field_fin g "est_overflow" ~default:Float.nan in
+  let* est_max_overflow = field_fin g "est_max_overflow" ~default:Float.nan in
+  let* target_area = field_float g "target_area" in
+  let* clamped_bins = field_int g "clamped_bins" in
+  Ok
+    (Kraftwerk.Controller.restore_congest ~strength ~since_refresh ~refreshes
+       ~est_overflow ~est_max_overflow ~target_area ~clamped_bins)
 
 let controller_of_json v =
   match member "controller" v with
@@ -282,79 +275,70 @@ let field_farray v key =
     fill 0 items
   | _ -> Error (Printf.sprintf "checkpoint: field %S is not an array" key)
 
+(* Null marks an absent optional array (no timing criticality, no
+   routability loop); the key itself is always written. *)
+let field_farray_opt v key =
+  let* f = field v key in
+  match f with
+  | Null -> Ok None
+  | _ -> Result.map Option.some (field_farray v key)
+
 let of_json v =
   let* kind = field_str v "record" in
-  if kind <> "checkpoint" then Error ("checkpoint: not a checkpoint: " ^ kind)
-  else
-    let* file_version = field_int v "version" in
-    (* Version 2 is version 3 without the level stack; version 3 is
-       version 4 without the routability loop.  Both parse with the
-       defaults the older engines actually had. *)
-    if file_version <> version && file_version <> 2 && file_version <> 3 then
-      Error (Printf.sprintf "checkpoint: unsupported version %d" file_version)
+  let* () =
+    if kind = "checkpoint" then Ok ()
+    else Error ("checkpoint: not a checkpoint: " ^ kind)
+  in
+  let* file_version = field_int v "version" in
+  let* () =
+    if file_version = version then Ok ()
     else
-      let* config_digest = field_str v "config" in
-      let* circuit_digest = field_str v "circuit" in
-      let* iteration = field_int v "iteration" in
-      let* x = field_farray v "x" in
-      let* y = field_farray v "y" in
-      let* ex = field_farray v "ex" in
-      let* ey = field_farray v "ey" in
-      let* net_weights = field_farray v "net_weights" in
-      let* criticality =
-        match member "criticality" v with
-        | Some Null | None -> Ok None
-        | Some (Arr _) -> Result.map Option.some (field_farray v "criticality")
-        | Some _ -> Error "checkpoint: field \"criticality\" is not an array"
-      in
-      let* ml_level =
-        match member "ml_level" v with
-        | Some (Num n) when Float.is_integer n -> Ok (int_of_float n)
-        | Some Null | None -> Ok 0
-        | Some _ -> Error "checkpoint: field \"ml_level\" is not an integer"
-      in
-      let* ml_levels =
-        match member "ml_levels" v with
-        | Some (Num n) when Float.is_integer n -> Ok (int_of_float n)
-        | Some Null | None -> Ok 1
-        | Some _ -> Error "checkpoint: field \"ml_levels\" is not an integer"
-      in
-      let* () =
-        if ml_levels < 1 || ml_level < 0 || ml_level >= ml_levels then
-          Error
-            (Printf.sprintf "checkpoint: level %d outside stack of %d" ml_level
-               ml_levels)
-        else Ok ()
-      in
-      let* controller = controller_of_json v in
-      let* route_target =
-        match member "route_target" v with
-        | Some Null | None -> Ok None
-        | Some (Arr _) -> Result.map Option.some (field_farray v "route_target")
-        | Some _ -> Error "checkpoint: field \"route_target\" is not an array"
-      in
-      if Array.length x <> Array.length y then
-        Error "checkpoint: x/y length mismatch"
-      else if Array.length ex <> Array.length ey then
-        Error "checkpoint: ex/ey length mismatch"
-      else
-        Ok
-          {
-            version = file_version;
-            config_digest;
-            circuit_digest;
-            iteration;
-            x;
-            y;
-            ex;
-            ey;
-            net_weights;
-            criticality;
-            controller;
-            ml_level;
-            ml_levels;
-            route_target;
-          }
+      Error
+        (Printf.sprintf
+           "checkpoint: unsupported version %d (this build reads %d)"
+           file_version version)
+  in
+  let* config_digest = field_str v "config" in
+  let* circuit_digest = field_str v "circuit" in
+  let* iteration = field_int v "iteration" in
+  let* x = field_farray v "x" in
+  let* y = field_farray v "y" in
+  let* ex = field_farray v "ex" in
+  let* ey = field_farray v "ey" in
+  let* net_weights = field_farray v "net_weights" in
+  let* criticality = field_farray_opt v "criticality" in
+  let* ml_level = field_int v "ml_level" in
+  let* ml_levels = field_int v "ml_levels" in
+  let* () =
+    if ml_levels < 1 || ml_level < 0 || ml_level >= ml_levels then
+      Error
+        (Printf.sprintf "checkpoint: level %d outside stack of %d" ml_level
+           ml_levels)
+    else Ok ()
+  in
+  let* controller = controller_of_json v in
+  let* route_target = field_farray_opt v "route_target" in
+  if Array.length x <> Array.length y then
+    Error "checkpoint: x/y length mismatch"
+  else if Array.length ex <> Array.length ey then
+    Error "checkpoint: ex/ey length mismatch"
+  else
+    Ok
+      {
+        config_digest;
+        circuit_digest;
+        iteration;
+        x;
+        y;
+        ex;
+        ey;
+        net_weights;
+        criticality;
+        controller;
+        ml_level;
+        ml_levels;
+        route_target;
+      }
 
 let save path t =
   let dir = Filename.dirname path in
@@ -392,6 +376,16 @@ let route_target_of t config circuit =
     | Ok tgt -> Ok (Some tgt)
     | Error msg -> Error ("checkpoint: " ^ msg))
 
+(* Criticalities are per net of the flat circuit, in both flows. *)
+let check_criticality t circuit =
+  match t.criticality with
+  | Some a when Array.length a <> Netlist.Circuit.num_nets circuit ->
+    Error
+      (Printf.sprintf "checkpoint: criticality has %d nets, circuit has %d"
+         (Array.length a)
+         (Netlist.Circuit.num_nets circuit))
+  | _ -> Ok ()
+
 let restore t config circuit =
   if t.ml_level <> 0 || t.ml_levels <> 1 then
     Error
@@ -403,6 +397,7 @@ let restore t config circuit =
   else if Array.length t.x <> Netlist.Circuit.num_cells circuit then
     Error "checkpoint: placement length mismatch"
   else
+    let* () = check_criticality t circuit in
     let* route_target = route_target_of t config circuit in
     match
       Kraftwerk.Placer.restore config circuit
@@ -431,6 +426,7 @@ let restore_multilevel t config circuit ~fixed_positions =
   else if t.circuit_digest <> circuit_digest circuit then
     Error "checkpoint: circuit mismatch (netlist changed since checkpoint)"
   else
+    let* () = check_criticality t circuit in
     match
       Kraftwerk.Cluster.resume config circuit ~fixed_positions
         ~level:t.ml_level ~level_steps:t.iteration

@@ -12,10 +12,14 @@
     Files are one JSON document; floats are written with round-trip
     ([%.17g]) precision so they reload bit-for-bit.  {!save} writes to a
     temporary file in the target directory and renames it into place, so
-    a crash mid-write never leaves a truncated checkpoint behind. *)
+    a crash mid-write never leaves a truncated checkpoint behind.
+
+    Every file carries ["version"]: {!version}.  {!load} reads that
+    version only; any other is an [Error] ["checkpoint: unsupported
+    version N (this build reads 4)"].  Every field is required — an
+    absent optional array is written as [null]. *)
 
 type t = {
-  version : int;
   config_digest : string;
   circuit_digest : string;
   iteration : int;
@@ -28,11 +32,9 @@ type t = {
   controller : Kraftwerk.Controller.t;
       (** convergence-controller state (penalty, LB/UB envelope).  The
           penalty is saved verbatim — recomputing it from the iteration
-          count would differ in the last ulp and break bitwise resume
-          (version ≥ 2). *)
+          count would differ in the last ulp and break bitwise resume. *)
   ml_level : int;
-      (** multilevel V-cycle stage this state belongs to; 0 = flat
-          (version ≥ 3; version-2 files parse as level 0) *)
+      (** multilevel V-cycle stage this state belongs to; 0 = flat *)
   ml_levels : int;
       (** total stages of the V-cycle the state was taken from; 1 for
           flat runs *)
@@ -40,10 +42,10 @@ type t = {
       (** row-major values of the routability loop's congestion-target
           map ({!Route.Target}); [None] when the loop is off.  The grid
           itself is a pure function of (config, circuit) and is rebuilt
-          on resume (version ≥ 4; older files parse as [None] — their
-          digest-matched configs ran no loop). *)
+          on resume. *)
 }
 
+(** The one file version this build writes and reads (4). *)
 val version : int
 
 (** [config_digest config] is a stable hex digest over every
@@ -76,7 +78,9 @@ val save : string -> t -> unit
 val load : string -> (t, string) result
 
 (** [restore t config circuit] rebuilds the placer state, checking the
-    digests first.  Rejects multilevel checkpoints ([ml_level > 0] or
+    digests and every array length first (a malformed file is an
+    [Error], never an exception).  Rejects multilevel checkpoints
+    ([ml_level > 0] or
     [ml_levels > 1]) — those carry a coarse-circuit state and must go
     through {!restore_multilevel}. *)
 val restore :

@@ -17,19 +17,9 @@ type spec = {
   trace : string option;
 }
 
-let spec ~source ?mode ?flow ?effort ?timing ?objective ?(priority = 0)
-    ?deadline ?domains ?max_steps ?(start = Fresh) ?checkpoint
-    ?(checkpoint_every = 25) ?trace () =
-  let objective =
-    match objective with
-    | Some o -> o
-    | None ->
-      Objective.of_legacy
-        ~mode:(Option.value mode ~default:Objective.Standard)
-        ~flow:(Option.value flow ~default:Objective.Flat)
-        ~effort
-        ~timing:(Option.value timing ~default:false)
-  in
+let spec ~source ?(objective = Objective.default) ?(priority = 0) ?deadline
+    ?domains ?max_steps ?(start = Fresh) ?checkpoint ?(checkpoint_every = 25)
+    ?trace () =
   {
     source;
     objective;
@@ -43,11 +33,7 @@ let spec ~source ?mode ?flow ?effort ?timing ?objective ?(priority = 0)
     trace;
   }
 
-let mode s = s.objective.Objective.mode
-
 let flow s = s.objective.Objective.flow
-
-let effort s = s.objective.Objective.effort
 
 let timing s = Objective.timing_driven s.objective
 
@@ -90,18 +76,6 @@ type result = {
   checkpoint_written : string option;
 }
 
-let mode_to_string = Objective.mode_to_string
-
-let flow_to_string = Objective.flow_to_string
-
-let flow_of_string = Objective.flow_of_string
-
-let mode_of_string = Objective.mode_of_string
-
-let config_of_mode = function
-  | Standard -> Kraftwerk.Config.standard
-  | Fast -> Kraftwerk.Config.fast
-
 let config_of_spec s = Objective.config s.objective
 
 (* ------------------------------------------------------------------ *)
@@ -115,19 +89,12 @@ let int_ v = Num (float_of_int v)
 
 let opt f = function Some v -> f v | None -> Null
 
-(* The legacy mode/flow/effort/timing fields are still emitted (derived
-   from the objective) so v2 readers keep working; the objective object
-   is authoritative on parse. *)
 let spec_to_json s =
   let source_fields = match Source.to_json s.source with Obj f -> f | _ -> [] in
   Obj
     (source_fields
     @ [
         ("objective", Objective.to_json s.objective);
-        ("mode", Str (mode_to_string (mode s)));
-        ("flow", Str (flow_to_string (flow s)));
-        ("effort", opt int_ (effort s));
-        ("timing", Bool (timing s));
         ("priority", int_ s.priority);
         ("deadline_s", opt num s.deadline);
         ("domains", opt int_ s.domains);
@@ -161,40 +128,26 @@ let field_opt_int v key =
   | Some n when Float.is_integer n -> Ok (Some (int_of_float n))
   | Some _ -> Error (Printf.sprintf "job: field %S is not an integer" key)
 
-(* The v2 job shape: loose mode/flow/effort/timing fields. *)
-let legacy_objective_of_json v =
-  let* mode =
-    match member "mode" v with
-    | Some (Str m) -> mode_of_string m
-    | Some Null | None -> Ok Standard
-    | Some _ -> Error "job: field \"mode\" is not a string"
-  in
-  let* flow =
-    match member "flow" v with
-    | Some (Str f) -> flow_of_string f
-    | Some Null | None -> Ok Flat
-    | Some _ -> Error "job: field \"flow\" is not a string"
-  in
-  let* timing =
-    match member "timing" v with
-    | Some (Bool b) -> Ok b
-    | Some Null | None -> Ok false
-    | Some _ -> Error "job: field \"timing\" is not a bool"
-  in
-  let* effort = field_opt_int v "effort" in
-  let* () =
-    match effort with
-    | Some e when e < 1 || e > 9 -> Error "job: effort must be in 1..9"
-    | _ -> Ok ()
-  in
-  Ok (Objective.of_legacy ~mode ~flow ~effort ~timing)
+(* Goal, mode, effort and flow live only in the "objective" object; a
+   top-level copy is refused rather than silently ignored. *)
+let objective_keys = [ "mode"; "flow"; "effort"; "timing" ]
 
 let spec_of_json v =
   let* source = Source.of_json v in
+  let* () =
+    match List.find_opt (fun k -> member k v <> None) objective_keys with
+    | Some k ->
+      Error
+        (Printf.sprintf
+           "job: top-level field %S is not accepted; set it inside \
+            \"objective\""
+           k)
+    | None -> Ok ()
+  in
   let* objective =
     match member "objective" v with
     | Some (Obj _ as o) -> Objective.of_json o
-    | Some Null | None -> legacy_objective_of_json v
+    | Some Null | None -> Ok Objective.default
     | Some _ -> Error "job: field \"objective\" is not an object"
   in
   let* priority = field_opt_int v "priority" in

@@ -7,11 +7,8 @@
     the terminal report: quality metrics plus the improvement deltas of
     the final-placement passes.
 
-    What to optimise for lives in the job's {!Objective.t} — the typed
-    replacement for the old loose [mode]/[flow]/[effort]/[timing]
-    quadruple.  The legacy fields still parse ({!spec_of_json}) and the
-    {!spec} constructor still accepts them, mapping onto an objective
-    via {!Objective.of_legacy}. *)
+    What to optimise for lives in the job's {!Objective.t}, and only
+    there: its JSON form is the spec's ["objective"] object. *)
 
 (** Re-export of {!Objective.mode} — base placer configuration family
     ({!Kraftwerk.Config.standard} / {!Kraftwerk.Config.fast}). *)
@@ -62,16 +59,11 @@ type spec = {
   trace : string option;  (** per-job telemetry JSONL file *)
 }
 
-(** [spec ~source ()] is a standard-mode, area-driven, priority-0 job
-    with no deadline, no checkpointing and no trace.  [?objective] wins
-    when given; otherwise the legacy [?mode]/[?flow]/[?effort]/[?timing]
-    arguments build one via {!Objective.of_legacy}. *)
+(** [spec ~source ()] is a standard-mode, area-driven
+    ({!Objective.default}), priority-0 job with no deadline, no
+    checkpointing and no trace. *)
 val spec :
   source:Source.t ->
-  ?mode:mode ->
-  ?flow:flow ->
-  ?effort:int ->
-  ?timing:bool ->
   ?objective:Objective.t ->
   ?priority:int ->
   ?deadline:float ->
@@ -84,11 +76,8 @@ val spec :
   unit ->
   spec
 
-(** Accessors over the spec's objective (the old record fields). *)
-
-val mode : spec -> mode
+(** [flow spec] — the objective's flow. *)
 val flow : spec -> flow
-val effort : spec -> int option
 
 (** [timing spec] — the job adapts net weights to slack each
     transformation ([spec.objective.goal = Timing]). *)
@@ -131,26 +120,16 @@ type result = {
   checkpoint_written : string option;
 }
 
-val mode_to_string : mode -> string
-val mode_of_string : string -> (mode, string) Stdlib.result
-val flow_to_string : flow -> string
-val flow_of_string : string -> (flow, string) Stdlib.result
-
-val config_of_mode : mode -> Kraftwerk.Config.t
-
 (** [config_of_spec spec] is the placer configuration the spec's
     objective selects ({!Objective.config}). *)
 val config_of_spec : spec -> Kraftwerk.Config.t
 
-(** [spec_to_json spec] emits both the ["objective"] object and the
-    derived legacy ["mode"]/["flow"]/["effort"]/["timing"] fields, so
-    protocol-v2 readers keep working. *)
 val spec_to_json : spec -> Obs.Json.t
 
-(** [spec_of_json v] prefers an ["objective"] object when present;
-    otherwise the legacy fields are mapped through
-    {!Objective.of_legacy} — old submits parse to the same spec,
-    bitwise. *)
+(** [spec_of_json v] parses a job spec.  Goal, mode, effort and flow
+    come from the ["objective"] object (absent: {!Objective.default});
+    a top-level ["mode"], ["flow"], ["effort"] or ["timing"] field is an
+    [Error] naming ["objective"], never silently ignored. *)
 val spec_of_json : Obs.Json.t -> (spec, string) Stdlib.result
 
 val result_to_json : result -> Obs.Json.t

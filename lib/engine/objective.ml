@@ -27,19 +27,6 @@ let make ?(goal = Wirelength) ?(mode = Standard) ?effort ?(flow = Flat)
     ?congest_every ?congest_strength () =
   { goal; mode; effort; flow; congest_every; congest_strength }
 
-(* The legacy mode/flow/effort/timing quadruple maps losslessly onto an
-   objective: [timing] was a boolean overlay on either mode, so it
-   becomes the goal; everything else carries over. *)
-let of_legacy ~mode ~flow ~effort ~timing =
-  {
-    goal = (if timing then Timing else Wirelength);
-    mode;
-    effort;
-    flow;
-    congest_every = None;
-    congest_strength = None;
-  }
-
 let goal_to_string = function
   | Wirelength -> "wirelength"
   | Routability -> "routability"
@@ -90,9 +77,9 @@ let validate t =
     Error "objective: congest_strength requires the routability goal"
   | _ -> Ok ()
 
-(* An explicit effort preset wins over the mode; the mode stays the
-   fallback so pre-effort clients keep their exact semantics.  The
-   routability goal overlays the congestion loop on either base. *)
+(* An explicit effort preset wins over the mode; the mode is the
+   fallback when no effort is given.  The routability goal overlays the
+   congestion loop on either base. *)
 let config t =
   let base =
     match t.effort with

@@ -1,24 +1,20 @@
 (** The typed job objective: {e what} a placement job optimises for,
     under which effort and flow.
 
-    Historically a job carried an ad-hoc mode/flow/effort/timing
-    quadruple, sprawled across {!Kraftwerk.Config}, {!Job} and the CLI
-    flags, and there was no way to express "optimise for routability".
     An objective bundles the whole request into one typed record:
 
     - [goal] — [Wirelength] (the classic area-driven run), [Routability]
       (the same run with the closed congestion loop on:
       {!Kraftwerk.Config.routability}), or [Timing] (timing-driven net
-      reweighting each transformation, the old [timing] flag);
-    - [mode]/[effort] — the quality-vs-latency base preset, exactly as
-      before (an explicit effort wins over the mode);
+      reweighting each transformation);
+    - [mode]/[effort] — the quality-vs-latency base preset (an explicit
+      effort wins over the mode);
     - [flow] — flat controller loop or the multilevel V-cycle;
     - per-objective knobs — routability's cadence and feedback gain,
       overriding the preset defaults when set.
 
-    Protocol v3 submits carry an ["objective"] object; v2's
-    ["mode"]/["flow"]/["effort"]/["timing"] fields still parse and map
-    onto an objective via {!of_legacy}, bitwise. *)
+    A job spec carries it as its ["objective"] object ({!of_json}); it
+    is the only way a job sets goal, mode, effort and flow. *)
 
 type goal = Wirelength | Routability | Timing
 
@@ -46,8 +42,8 @@ type t = {
           loop *)
 }
 
-(** Area-driven, standard mode, flat flow — the pre-objective default
-    job. *)
+(** Area-driven, standard mode, flat flow — a spec with no
+    ["objective"]. *)
 val default : t
 
 val make :
@@ -59,12 +55,6 @@ val make :
   ?congest_strength:float ->
   unit ->
   t
-
-(** [of_legacy ~mode ~flow ~effort ~timing] maps the protocol-v2 job
-    fields onto an objective: [timing = true] becomes the [Timing]
-    goal, everything else carries over unchanged. *)
-val of_legacy :
-  mode:mode -> flow:flow -> effort:int option -> timing:bool -> t
 
 val goal_to_string : goal -> string
 val goal_of_string : string -> (goal, string) result

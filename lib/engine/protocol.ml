@@ -1,5 +1,3 @@
-type version = V1 | V2 | V3
-
 type code =
   | Parse
   | Unknown_cmd
@@ -108,35 +106,27 @@ let request_of_json v =
 
 type reply = Reply of (string * Obs.Json.t) list | Refuse of error
 
-let render proto ~seq reply =
-  let seq_field =
-    match (proto, seq) with
-    | (V2 | V3), Some s -> [ ("seq", s) ]
-    | V1, _ | _, None -> []
-  in
+let render ~seq reply =
+  let seq_field = match seq with Some s -> [ ("seq", s) ] | None -> [] in
   match reply with
   | Reply fields -> Obj ((("ok", Bool true) :: seq_field) @ fields)
-  | Refuse e -> (
-    match proto with
-    | V1 -> Obj [ ("ok", Bool false); ("error", Str e.message) ]
-    | V2 | V3 ->
-      let retry =
-        match e.retry_after_ms with
-        | Some ms -> [ ("retry_after_ms", int_ ms) ]
-        | None -> []
-      in
-      Obj
-        (("ok", Bool false) :: seq_field
-        @ [
-            ( "error",
-              Obj
-                (("code", Str (code_to_string e.code))
-                 :: ("message", Str e.message)
-                 :: retry) );
-          ]))
+  | Refuse e ->
+    let retry =
+      match e.retry_after_ms with
+      | Some ms -> [ ("retry_after_ms", int_ ms) ]
+      | None -> []
+    in
+    Obj
+      (("ok", Bool false) :: seq_field
+      @ [
+          ( "error",
+            Obj
+              (("code", Str (code_to_string e.code))
+               :: ("message", Str e.message)
+               :: retry) );
+        ])
 
-let event_to_json ?ev e =
-  let ev_field = match ev with Some n -> [ ("ev", int_ n) ] | None -> [] in
+let event_to_json ~ev e =
   let fields =
     match e with
     | Scheduler.Submitted id -> [ ("event", Str "submitted"); ("id", int_ id) ]
@@ -150,7 +140,7 @@ let event_to_json ?ev e =
         ("status", Str (Job.status_to_string status));
       ]
   in
-  Obj (fields @ ev_field)
+  Obj (fields @ [ ("ev", int_ ev) ])
 
 (* Scheduler shape and per-shard counters: with worker domains these are
    the queue-depth / steal / busy-fraction numbers that tell an operator
@@ -195,21 +185,14 @@ let with_job sched id f =
   | None -> Refuse (err Unknown_id (Printf.sprintf "unknown job id %d" id))
   | Some status -> f status
 
-let handle ?(proto = V2) sched req =
+let handle sched req =
   match req with
   | Submit spec -> (
     match Scheduler.validate_spec spec with
     | Error msg -> (Refuse (err Bad_spec msg), false)
     | Ok () ->
       let id = Scheduler.submit sched spec in
-      (* v3 echoes the resolved objective, so clients submitting legacy
-         mode/effort fields can see what they mapped onto. *)
-      let objective =
-        match proto with
-        | V3 -> [ ("objective", Objective.to_json spec.Job.objective) ]
-        | V1 | V2 -> []
-      in
-      (Reply ([ ("id", int_ id); ("status", Str "queued") ] @ objective), false))
+      (Reply [ ("id", int_ id); ("status", Str "queued") ], false))
   | Status id ->
     ( with_job sched id (fun status ->
           Reply [ ("id", int_ id); ("status", Str (Job.status_to_string status)) ]),
@@ -279,7 +262,7 @@ let handle ?(proto = V2) sched req =
     (Reply [ ("subscribed", Bool true) ], false)
   | Shutdown -> (Reply [ ("shutdown", Bool true) ], true)
 
-let serve ?(proto = V2) ?(echo = fun _ -> ()) sched ic oc =
+let serve ?(echo = fun _ -> ()) sched ic oc =
   let emit line =
     output_string oc line;
     output_char oc '\n';
@@ -301,9 +284,9 @@ let serve ?(proto = V2) ?(echo = fun _ -> ()) sched ic oc =
              ( seq_of_json v,
                match request_of_json v with
                | Error e -> (Refuse e, false)
-               | Ok req -> handle ~proto sched req ))
+               | Ok req -> handle sched req ))
          in
-         emit (to_string (render proto ~seq reply));
+         emit (to_string (render ~seq reply));
          shutdown := stop
        end
      done

@@ -8,9 +8,9 @@
     field) interleaved between responses — a reader distinguishes the
     two by the presence of ["ok"] (response) vs ["event"].
 
-    {2 Protocol v2}
+    {2 Wire format}
 
-    Version 2 makes the dialect safe for {e concurrent} clients
+    There is one live dialect, safe for {e concurrent} clients
     multiplexed over one scheduler:
 
     - {b Request correlation.}  Every request may carry a ["seq"] field
@@ -21,38 +21,13 @@
       [{"ok":false,"error":{"code":C,"message":M}}] with a closed set of
       codes (see {!code}); [overloaded] errors additionally carry a
       ["retry_after_ms"] hint.
-    - {b Numbered events.}  Event lines gain a monotonic ["ev"] counter
+    - {b Numbered events.}  Event lines carry a monotonic ["ev"] counter
       (1, 2, …) so a reconnecting client can resume its event stream
       from the last number it saw ([subscribe]'s ["from_ev"]).
-
-    {2 Protocol v3}
-
-    Version 3 is v2 plus the typed job objective:
-
-    - {b Objective submits.}  A submit's ["job"] may carry an
-      ["objective"] object ({!Objective.of_json}) instead of the loose
-      ["mode"]/["flow"]/["effort"]/["timing"] fields.  (Parsing is
-      actually version-independent — v2 responders accept the object
-      too — but v3 is the dialect that documents it.)
-    - {b Objective echo.}  A successful submit response carries the
-      {e resolved} ["objective"] object, so clients submitting legacy
-      fields can see what they mapped onto.
-
-    Legacy v2 submits parse to the identical spec via
-    {!Objective.of_legacy} — golden v2 transcripts stay bitwise.
-
-    Version 1 requests are a syntactic subset of v2 requests, so v1
-    clients keep working against a v2 responder; [place serve --proto
-    v1] renders legacy responses for bit-compatible transcripts.  The
-    response mapping:
-
-    {v
-                      v1 (legacy)                  v2
-    success           {"ok":true,…}                {"ok":true,"seq":…,…}
-    failure           {"ok":false,"error":"msg"}   {"ok":false,"seq":…,
-                                                    "error":{"code":…,"message":…}}
-    event             {"event":E,…}                {"event":E,"ev":N,…}
-    v}
+    - {b Objective submits.}  A submit's ["job"] sets goal, mode, effort
+      and flow through its ["objective"] object ({!Objective.of_json});
+      a job with top-level ["mode"]/["flow"]/["effort"]/["timing"]
+      fields is refused with [bad_spec] ({!Job.spec_of_json}).
 
     {2 Requests}
 
@@ -82,8 +57,6 @@
     unknown id, result of a non-terminal job, admission shed, shutdown
     refusal — is a structured error response, never a dead
     connection. *)
-
-type version = V1 | V2 | V3
 
 (** The closed set of failure codes.  [Overloaded] and [Shutting_down]
     originate in the network server's admission control and drain; the
@@ -134,18 +107,16 @@ val seq_of_json : Obs.Json.t -> Obs.Json.t option
 val request_of_json : Obs.Json.t -> (request, error) result
 
 (** What a request came to: response fields, or a typed refusal.  The
-    transport ({!serve}, the network server) renders it with {!render}
-    under its negotiated protocol version. *)
+    transport ({!serve}, the network server) renders it with {!render}. *)
 type reply = Reply of (string * Obs.Json.t) list | Refuse of error
 
-(** [render proto ~seq reply] is the response line.  V2 echoes [seq] and
-    structures errors; V1 drops [seq] and flattens errors to their bare
-    message string (the legacy shape). *)
-val render : version -> seq:Obs.Json.t option -> reply -> Obs.Json.t
+(** [render ~seq reply] is the response line: [seq] echoed when given,
+    errors as their [code]/[message] object. *)
+val render : seq:Obs.Json.t option -> reply -> Obs.Json.t
 
-(** [event_to_json ?ev e] is the notification line for a scheduler
-    event, numbered with [ev] under v2. *)
-val event_to_json : ?ev:int -> Scheduler.event -> Obs.Json.t
+(** [event_to_json ~ev e] is the notification line for a scheduler
+    event, numbered [ev]. *)
+val event_to_json : ev:int -> Scheduler.event -> Obs.Json.t
 
 (** [metrics_fields sched] — the [metrics] response payload: whether
     the {!Obs.Registry} is recording, the scheduler shape (shard count,
@@ -154,27 +125,20 @@ val event_to_json : ?ev:int -> Scheduler.event -> Obs.Json.t
     name → stat object dump of the registry snapshot. *)
 val metrics_fields : Scheduler.t -> (string * Obs.Json.t) list
 
-(** [handle ?proto sched req] executes one request synchronously and
-    returns its reply plus [true] when the request was [Shutdown].
-    [Submit] refuses invalid specs ({!Scheduler.validate_spec}) with
-    [Bad_spec]; [Wait]/[Drain] step the scheduler until done (the stdio
-    semantics — the network server substitutes its own asynchronous
-    handling).  Under [V3] (default [V2]) a successful submit reply
-    additionally echoes the resolved ["objective"]. *)
-val handle : ?proto:version -> Scheduler.t -> request -> reply * bool
+(** [handle sched req] executes one request synchronously and returns
+    its reply plus [true] when the request was [Shutdown].  [Submit]
+    refuses invalid specs ({!Scheduler.validate_spec}) with [Bad_spec];
+    [Wait]/[Drain] step the scheduler until done (the stdio semantics —
+    the network server substitutes its own asynchronous handling). *)
+val handle : Scheduler.t -> request -> reply * bool
 
-(** [serve ?proto ?echo sched ic oc] is the full synchronous loop: read
-    request lines from [ic] until EOF or [shutdown], write responses to
-    [oc] (flushed per line).  [echo] (e.g. a transcript file) receives a
-    copy of every request and response line.  Scheduler events should be
+(** [serve ?echo sched ic oc] is the full synchronous loop: read request
+    lines from [ic] until EOF or [shutdown], write responses to [oc]
+    (flushed per line).  [echo] (e.g. a transcript file) receives a copy
+    of every request and response line.  Scheduler events should be
     wired to [oc]/[echo] by the caller via the scheduler's [on_event]
     using {!event_to_json}.  Remaining non-terminal jobs are drained
     before returning, so piped sessions that end after their submits
     still complete their work. *)
 val serve :
-  ?proto:version ->
-  ?echo:(string -> unit) ->
-  Scheduler.t ->
-  in_channel ->
-  out_channel ->
-  unit
+  ?echo:(string -> unit) -> Scheduler.t -> in_channel -> out_channel -> unit

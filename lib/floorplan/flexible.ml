@@ -85,5 +85,6 @@ let place ?(ratios = [ 0.5; 1.0; 2.0 ]) config (c : Netlist.Circuit.t) placement
   (* Phase 2: reshape blocks at their global positions, then run the full
      mixed flow on the reshaped circuit starting from that placement. *)
   let circuit, chosen_ratios = reshape_blocks c global ~ratios in
-  let mixed = Mixed.place config circuit global in
-  { mixed; circuit; chosen_ratios }
+  Result.map
+    (fun mixed -> { mixed; circuit; chosen_ratios })
+    (Mixed.place config circuit global)

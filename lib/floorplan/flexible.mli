@@ -25,10 +25,11 @@ val reshape_blocks :
   Netlist.Circuit.t * (int * float) list
 
 (** [place ?ratios config circuit placement] is the two-phase flexible
-    flow; [ratios] defaults to [0.5; 1.0; 2.0]. *)
+    flow; [ratios] defaults to [0.5; 1.0; 2.0].  [Error] when the
+    reshaped blocks do not fit the region ({!Mixed.place}). *)
 val place :
   ?ratios:float list ->
   Kraftwerk.Config.t ->
   Netlist.Circuit.t ->
   Netlist.Placement.t ->
-  result
+  (result, string) Stdlib.result

@@ -62,9 +62,9 @@ let legalize_blocks (c : Netlist.Circuit.t) (p : Netlist.Placement.t) =
              (Geometry.Rect.area b) (Geometry.Rect.area a))
   in
   let placed = ref fixed_obstacles in
-  let displacement = ref 0. in
-  List.iter
-    (fun (id, (r : Geometry.Rect.t)) ->
+  let rec go displacement = function
+    | [] -> Ok displacement
+    | (id, (r : Geometry.Rect.t)) :: rest -> (
       let w = Geometry.Rect.width r and h = Geometry.Rect.height r in
       let desired_x = p.Netlist.Placement.x.(id) in
       let desired_y = p.Netlist.Placement.y.(id) in
@@ -111,31 +111,36 @@ let legalize_blocks (c : Netlist.Circuit.t) (p : Netlist.Placement.t) =
         end
       done;
       match !best with
-      | None -> failwith "Mixed.legalize_blocks: block does not fit the region"
+      | None ->
+        Error
+          (Printf.sprintf "floorplan: block %d (%gx%g) does not fit the region"
+             id w h)
       | Some (cx, cy) ->
         let dx = cx -. p.Netlist.Placement.x.(id) in
         let dy = cy -. p.Netlist.Placement.y.(id) in
-        displacement := !displacement +. sqrt ((dx *. dx) +. (dy *. dy));
         p.Netlist.Placement.x.(id) <- cx;
         p.Netlist.Placement.y.(id) <- cy;
-        placed := Geometry.Rect.of_center ~cx ~cy ~w ~h :: !placed)
-    blocks;
-  !displacement
+        placed := Geometry.Rect.of_center ~cx ~cy ~w ~h :: !placed;
+        go (displacement +. sqrt ((dx *. dx) +. (dy *. dy))) rest)
+  in
+  go 0. blocks
 
 let place config (c : Netlist.Circuit.t) placement =
   let state, _ = Kraftwerk.Placer.run config c placement in
   let gp = state.Kraftwerk.Placer.placement in
   let hpwl_global = Metrics.Wirelength.hpwl c gp in
-  let block_displacement = legalize_blocks c gp in
+  let ( let* ) = Result.bind in
+  let* block_displacement = legalize_blocks c gp in
   let obstacles = List.map snd (block_rects c gp) in
   let cell_report = Legalize.Abacus.legalize c gp ~extra_obstacles:obstacles () in
   let final = cell_report.Legalize.Abacus.placement in
   ignore (Legalize.Improve.run ~obstacles c final);
   ignore (Legalize.Domino.run ~obstacles c final);
-  {
-    placement = final;
-    block_displacement;
-    hpwl_global;
-    hpwl_final = Metrics.Wirelength.hpwl c final;
-    cell_report;
-  }
+  Ok
+    {
+      placement = final;
+      block_displacement;
+      hpwl_global;
+      hpwl_final = Metrics.Wirelength.hpwl c final;
+      cell_report;
+    }

@@ -25,15 +25,18 @@ val block_rects :
 (** [legalize_blocks circuit placement] snaps every movable block's
     bottom edge to a row boundary and resolves block/block and
     block/fixed overlaps by shoving in x order; mutates [placement] and
-    returns the total block displacement.  Raises [Failure] when the
-    blocks cannot fit side by side within the region. *)
-val legalize_blocks : Netlist.Circuit.t -> Netlist.Placement.t -> float
+    returns the total block displacement.  [Error] names the first block
+    that cannot fit beside the already-placed ones within the region
+    (the blocks placed before it stay moved). *)
+val legalize_blocks :
+  Netlist.Circuit.t -> Netlist.Placement.t -> (float, string) Stdlib.result
 
 (** [place config circuit placement] is the full mixed flow: Kraftwerk
     global placement (blocks and cells together), block legalisation,
-    then Abacus cell legalisation with the blocks as obstacles. *)
+    then Abacus cell legalisation with the blocks as obstacles.  [Error]
+    when the blocks do not fit the region ({!legalize_blocks}). *)
 val place :
   Kraftwerk.Config.t ->
   Netlist.Circuit.t ->
   Netlist.Placement.t ->
-  result
+  (result, string) Stdlib.result

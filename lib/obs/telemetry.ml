@@ -41,18 +41,8 @@ type summary = {
   counters : (string * Stat.t) list;
 }
 
-(* v2 added assembly_reused / pattern_rebuilds / cg_tolerance (cached QP
-   assembly).  v3 added the convergence controller: penalty and the
-   LB/UB envelope per iteration, stop_reason in the summary.  v4 added
-   the V-cycle stage index [level] (multilevel placement).  v5 added the
-   closed routability loop: the annealed congestion gain, the estimated
-   routed overflow of the last target refresh, and the target-map area /
-   per-bin clamp count.  Older records are still parsed with the values
-   the older placers actually had: v4 and earlier ran no congestion loop
-   (gain 0, no estimate, empty target map), v3 and earlier only ran the
-   flat flow (level 0), v2 ran a static unit density weight and never
-   probed an upper bound, v1 additionally rebuilt the system each
-   transformation at the fixed 1e-8 tolerance. *)
+(* Schema 5 is the only one parsed; bump it (and the writers) on any
+   field change. *)
 let schema_version = 5
 
 let volatile_fields = [ "phases"; "domains"; "pool_tasks"; "wall_time"; "counters" ]
@@ -168,190 +158,163 @@ let record_kind obj =
   | Some _ -> Error "field \"record\" is not a string"
   | None -> Error "missing field \"record\""
 
+let check_schema obj =
+  let* schema = field_int obj "schema" in
+  if schema = schema_version then Ok ()
+  else
+    Error
+      (Printf.sprintf "unsupported schema version %d (this build reads %d)"
+         schema schema_version)
+
+let field_opt_num obj key =
+  match Json.member key obj with
+  | Some (Json.Num v) -> Ok (Some v)
+  | Some Json.Null | None -> Ok None
+  | Some _ -> Error (Printf.sprintf "field %S is not a number or null" key)
+
 let iteration_of_json obj =
   let* kind = record_kind obj in
-  if kind <> "iteration" then Error ("not an iteration record: " ^ kind)
-  else
-    let* schema = field_int obj "schema" in
-    if schema < 1 || schema > schema_version then
-      Error (Printf.sprintf "unsupported schema version %d" schema)
-    else
-      let* step = field_int obj "step" in
-      let* hpwl = field_num obj "hpwl" in
-      let* quadratic = field_num obj "quadratic" in
-      let* overflow = field_num obj "overflow" in
-      let* empty_square_area = field_num obj "empty_square_area" in
-      let* force_scale = field_num obj "force_scale" in
-      let* max_force = field_num obj "max_force" in
-      let* mean_force = field_num obj "mean_force" in
-      let* displacement = field_num obj "displacement" in
-      let* cg_iterations_x = field_int obj "cg_iterations_x" in
-      let* cg_iterations_y = field_int obj "cg_iterations_y" in
-      let* cg_residual_x = field_num obj "cg_residual_x" in
-      let* cg_residual_y = field_num obj "cg_residual_y" in
-      let* kernel_cache_hits = field_int obj "kernel_cache_hits" in
-      let* kernel_cache_misses = field_int obj "kernel_cache_misses" in
-      (* v1-compat: records predate the cached assembly. *)
-      let* assembly_reused =
-        if schema = 1 then Ok false
-        else
-          match Json.member "assembly_reused" obj with
-          | Some (Json.Bool b) -> Ok b
-          | Some _ -> Error "field \"assembly_reused\" is not a bool"
-          | None -> Error "missing field \"assembly_reused\""
-      in
-      let* pattern_rebuilds =
-        if schema = 1 then Ok 0 else field_int obj "pattern_rebuilds"
-      in
-      let* cg_tolerance =
-        if schema = 1 then Ok 1e-8 else field_num obj "cg_tolerance"
-      in
-      let* domains = field_int obj "domains" in
-      let* pool_tasks = field_int obj "pool_tasks" in
-      (* v1/v2-compat: records predate the convergence controller — the
-         density weight was the static unit multiplier, the quadratic
-         HPWL is its own lower bound and no upper bound was probed. *)
-      let* penalty = if schema < 3 then Ok 1.0 else field_num obj "penalty" in
-      let* lb_hpwl =
-        if schema < 3 then Ok hpwl else field_num obj "lb_hpwl"
-      in
-      let* ub_hpwl =
-        if schema < 3 then Ok None
-        else
-          match Json.member "ub_hpwl" obj with
-          | Some (Json.Num v) -> Ok (Some v)
-          | Some Json.Null | None -> Ok None
-          | Some _ -> Error "field \"ub_hpwl\" is not a number or null"
-      in
-      let* gap =
-        if schema < 3 then Ok None
-        else
-          match Json.member "gap" obj with
-          | Some (Json.Num v) -> Ok (Some v)
-          | Some Json.Null | None -> Ok None
-          | Some _ -> Error "field \"gap\" is not a number or null"
-      in
-      (* v3-compat: records predate the multilevel V-cycle — every
-         older run was the flat flow, i.e. the finest level. *)
-      let* level = if schema < 4 then Ok 0 else field_int obj "level" in
-      (* v4-compat: records predate the closed routability loop — no
-         congestion gain, no overflow estimate, an empty target map. *)
-      let* congest_strength =
-        if schema < 5 then Ok 0. else field_num obj "congest_strength"
-      in
-      let* est_overflow =
-        if schema < 5 then Ok None
-        else
-          match Json.member "est_overflow" obj with
-          | Some (Json.Num v) -> Ok (Some v)
-          | Some Json.Null | None -> Ok None
-          | Some _ -> Error "field \"est_overflow\" is not a number or null"
-      in
-      let* target_area =
-        if schema < 5 then Ok 0. else field_num obj "target_area"
-      in
-      let* target_clamped =
-        if schema < 5 then Ok 0 else field_int obj "target_clamped"
-      in
-      let* phases =
-        match Json.member "phases" obj with
-        | Some (Json.Obj fields) ->
-          List.fold_left
-            (fun acc (k, v) ->
-              let* acc = acc in
-              match v with
-              | Json.Num t -> Ok ((k, t) :: acc)
-              | _ -> Error (Printf.sprintf "phase %S is not a number" k))
-            (Ok []) fields
-          |> Result.map List.rev
-        | Some _ -> Error "field \"phases\" is not an object"
-        | None -> Error "missing field \"phases\""
-      in
-      Ok
-        {
-          step;
-          hpwl;
-          quadratic;
-          overflow;
-          empty_square_area;
-          force_scale;
-          max_force;
-          mean_force;
-          displacement;
-          cg_iterations_x;
-          cg_iterations_y;
-          cg_residual_x;
-          cg_residual_y;
-          kernel_cache_hits;
-          kernel_cache_misses;
-          assembly_reused;
-          pattern_rebuilds;
-          cg_tolerance;
-          domains;
-          pool_tasks;
-          penalty;
-          lb_hpwl;
-          ub_hpwl;
-          gap;
-          level;
-          congest_strength;
-          est_overflow;
-          target_area;
-          target_clamped;
-          phases;
-        }
+  let* () =
+    if kind = "iteration" then Ok ()
+    else Error ("not an iteration record: " ^ kind)
+  in
+  let* () = check_schema obj in
+  let* step = field_int obj "step" in
+  let* hpwl = field_num obj "hpwl" in
+  let* quadratic = field_num obj "quadratic" in
+  let* overflow = field_num obj "overflow" in
+  let* empty_square_area = field_num obj "empty_square_area" in
+  let* force_scale = field_num obj "force_scale" in
+  let* max_force = field_num obj "max_force" in
+  let* mean_force = field_num obj "mean_force" in
+  let* displacement = field_num obj "displacement" in
+  let* cg_iterations_x = field_int obj "cg_iterations_x" in
+  let* cg_iterations_y = field_int obj "cg_iterations_y" in
+  let* cg_residual_x = field_num obj "cg_residual_x" in
+  let* cg_residual_y = field_num obj "cg_residual_y" in
+  let* kernel_cache_hits = field_int obj "kernel_cache_hits" in
+  let* kernel_cache_misses = field_int obj "kernel_cache_misses" in
+  let* assembly_reused =
+    match Json.member "assembly_reused" obj with
+    | Some (Json.Bool b) -> Ok b
+    | Some _ -> Error "field \"assembly_reused\" is not a bool"
+    | None -> Error "missing field \"assembly_reused\""
+  in
+  let* pattern_rebuilds = field_int obj "pattern_rebuilds" in
+  let* cg_tolerance = field_num obj "cg_tolerance" in
+  let* domains = field_int obj "domains" in
+  let* pool_tasks = field_int obj "pool_tasks" in
+  let* penalty = field_num obj "penalty" in
+  let* lb_hpwl = field_num obj "lb_hpwl" in
+  let* ub_hpwl = field_opt_num obj "ub_hpwl" in
+  let* gap = field_opt_num obj "gap" in
+  let* level = field_int obj "level" in
+  let* congest_strength = field_num obj "congest_strength" in
+  let* est_overflow = field_opt_num obj "est_overflow" in
+  let* target_area = field_num obj "target_area" in
+  let* target_clamped = field_int obj "target_clamped" in
+  let* phases =
+    match Json.member "phases" obj with
+    | Some (Json.Obj fields) ->
+      List.fold_left
+        (fun acc (k, v) ->
+          let* acc = acc in
+          match v with
+          | Json.Num t -> Ok ((k, t) :: acc)
+          | _ -> Error (Printf.sprintf "phase %S is not a number" k))
+        (Ok []) fields
+      |> Result.map List.rev
+    | Some _ -> Error "field \"phases\" is not an object"
+    | None -> Error "missing field \"phases\""
+  in
+  Ok
+    {
+      step;
+      hpwl;
+      quadratic;
+      overflow;
+      empty_square_area;
+      force_scale;
+      max_force;
+      mean_force;
+      displacement;
+      cg_iterations_x;
+      cg_iterations_y;
+      cg_residual_x;
+      cg_residual_y;
+      kernel_cache_hits;
+      kernel_cache_misses;
+      assembly_reused;
+      pattern_rebuilds;
+      cg_tolerance;
+      domains;
+      pool_tasks;
+      penalty;
+      lb_hpwl;
+      ub_hpwl;
+      gap;
+      level;
+      congest_strength;
+      est_overflow;
+      target_area;
+      target_clamped;
+      phases;
+    }
 
 let summary_of_json obj =
   let* kind = record_kind obj in
-  if kind <> "summary" then Error ("not a summary record: " ^ kind)
-  else
-    let* iterations = field_int obj "iterations" in
-    let* converged =
-      match Json.member "converged" obj with
-      | Some (Json.Bool b) -> Ok b
-      | Some _ -> Error "field \"converged\" is not a bool"
-      | None -> Error "missing field \"converged\""
-    in
-    let* final_hpwl = field_num obj "final_hpwl" in
-    let* final_overlap = field_num obj "final_overlap" in
-    let* wall_time = field_num obj "wall_time" in
-    let* stop_reason =
-      match Json.member "stop_reason" obj with
-      | Some (Json.Str s) -> Ok (Some s)
-      | Some Json.Null | None -> Ok None
-      | Some _ -> Error "field \"stop_reason\" is not a string or null"
-    in
-    let* counters =
-      match Json.member "counters" obj with
-      | Some (Json.Obj fields) ->
-        List.fold_left
-          (fun acc (k, v) ->
-            let* acc = acc in
-            let* count = field_int v "count" in
-            let* total = field_num v "total" in
-            let min_ =
-              match Json.member "min" v with
-              | Some (Json.Num m) -> m
-              | _ -> Float.infinity
-            in
-            let max_ =
-              match Json.member "max" v with
-              | Some (Json.Num m) -> m
-              | _ -> Float.neg_infinity
-            in
-            Ok ((k, { Stat.count; total; min = min_; max = max_ }) :: acc))
-          (Ok []) fields
-        |> Result.map List.rev
-      | Some _ -> Error "field \"counters\" is not an object"
-      | None -> Ok []
-    in
-    Ok
-      {
-        iterations;
-        converged;
-        final_hpwl;
-        final_overlap;
-        wall_time;
-        stop_reason;
-        counters;
-      }
+  let* () =
+    if kind = "summary" then Ok ()
+    else Error ("not a summary record: " ^ kind)
+  in
+  let* () = check_schema obj in
+  let* iterations = field_int obj "iterations" in
+  let* converged =
+    match Json.member "converged" obj with
+    | Some (Json.Bool b) -> Ok b
+    | Some _ -> Error "field \"converged\" is not a bool"
+    | None -> Error "missing field \"converged\""
+  in
+  let* final_hpwl = field_num obj "final_hpwl" in
+  let* final_overlap = field_num obj "final_overlap" in
+  let* wall_time = field_num obj "wall_time" in
+  let* stop_reason =
+    match Json.member "stop_reason" obj with
+    | Some (Json.Str s) -> Ok (Some s)
+    | Some Json.Null | None -> Ok None
+    | Some _ -> Error "field \"stop_reason\" is not a string or null"
+  in
+  let* counters =
+    match Json.member "counters" obj with
+    | Some (Json.Obj fields) ->
+      List.fold_left
+        (fun acc (k, v) ->
+          let* acc = acc in
+          let* count = field_int v "count" in
+          let* total = field_num v "total" in
+          let min_ =
+            match Json.member "min" v with
+            | Some (Json.Num m) -> m
+            | _ -> Float.infinity
+          in
+          let max_ =
+            match Json.member "max" v with
+            | Some (Json.Num m) -> m
+            | _ -> Float.neg_infinity
+          in
+          Ok ((k, { Stat.count; total; min = min_; max = max_ }) :: acc))
+        (Ok []) fields
+      |> Result.map List.rev
+    | Some _ -> Error "field \"counters\" is not an object"
+    | None -> Ok []
+  in
+  Ok
+    {
+      iterations;
+      converged;
+      final_hpwl;
+      final_overlap;
+      wall_time;
+      stop_reason;
+      counters;
+    }

@@ -28,45 +28,43 @@ type iteration = {
   kernel_cache_misses : int;
   assembly_reused : bool;
       (** this transformation refilled every cached sparsity pattern
-          instead of recompiling (schema ≥ 2) *)
+          instead of recompiling *)
   pattern_rebuilds : int;
       (** cumulative symbolic recompiles of the QP assembly so far,
-          including the initial compile (schema ≥ 2) *)
+          including the initial compile *)
   cg_tolerance : float;
       (** relative CG tolerance the solves used this transformation —
-          the adaptive schedule loosens it while overflow is high
-          (schema ≥ 2) *)
+          the adaptive schedule loosens it while overflow is high *)
   domains : int;  (** domain-pool size (volatile) *)
   pool_tasks : int;  (** pool tasks executed this iteration (volatile) *)
   penalty : float;
       (** density-force multiplier the convergence controller applied
-          this transformation (schema ≥ 3) *)
+          this transformation *)
   lb_hpwl : float;
       (** lower bound of the convergence envelope: HPWL of the
-          overlapping quadratic solution (schema ≥ 3) *)
+          overlapping quadratic solution *)
   ub_hpwl : float option;
       (** upper bound: HPWL of the legalized snapshot, present only on
-          iterations that probed one (schema ≥ 3) *)
+          iterations that probed one *)
   gap : float option;
       (** relative envelope gap [(ub - lb) / ub] at this iteration's
-          probe (schema ≥ 3) *)
+          probe *)
   level : int;
       (** V-cycle stage the transformation ran at: 0 is the flat
           (finest) netlist, [depth] the coarsest.  Flat runs always
-          emit 0 (schema ≥ 4) *)
+          emit 0 *)
   congest_strength : float;
       (** annealed feedback gain of the closed routability loop as of
-          this transformation; 0 when the loop is off (schema ≥ 5) *)
+          this transformation; 0 when the loop is off *)
   est_overflow : float option;
       (** estimated total routing overflow at the last target refresh;
-          [None] before the first refresh or with the loop off
-          (schema ≥ 5) *)
+          [None] before the first refresh or with the loop off *)
   target_area : float;
       (** Σ of the congestion-target map read as extra demand this
-          transformation, in area units (schema ≥ 5) *)
+          transformation, in area units *)
   target_clamped : int;
       (** bins saturated at one full bin area by the last refresh — how
-          often the per-bin feedback clamp fired (schema ≥ 5) *)
+          often the per-bin feedback clamp fired *)
   phases : (string * float) list;  (** phase → seconds (volatile) *)
 }
 
@@ -78,20 +76,14 @@ type summary = {
   wall_time : float;  (** whole-flow seconds (volatile) *)
   stop_reason : string option;
       (** first stop criterion that fired: "gap" | "density" |
-          "max_steps" (schema ≥ 3) *)
+          "max_steps" *)
   counters : (string * Stat.t) list;  (** registry snapshot (volatile) *)
 }
 
-(** Version stamped into every record as ["schema"]; bump on any field
-    change.  {!iteration_of_json} also accepts v1–v4 records, filling
-    the new fields with the values the older placers actually had: v4
-    (pre-dating the closed routability loop) gets a zero congestion
-    gain, no overflow estimate and an empty target map; v3 (pre-dating
-    the multilevel V-cycle) additionally gets [level = 0]; v2
-    (pre-dating the convergence controller) additionally gets a unit
-    penalty, [lb_hpwl = hpwl] and no upper bound; v1 (pre-dating the
-    cached QP assembly) additionally gets no reuse, zero rebuild count
-    and the fixed 1e-8 tolerance. *)
+(** Version stamped into every record as ["schema"] (5); bump on any
+    field change.  {!iteration_of_json} and {!summary_of_json} parse this
+    schema only: a record of any other schema is an [Error]
+    ["unsupported schema version N (this build reads 5)"]. *)
 val schema_version : int
 
 (** Fields excluded from determinism comparisons: timings and

@@ -143,9 +143,6 @@ let note_event t v =
 
 let error_of_response v =
   match field "error" v with
-  | Some (J.Str msg) ->
-    (* v1 legacy: a bare message string, no code. *)
-    P.err P.Parse msg
   | Some (J.Obj _ as e) ->
     let code =
       match field "code" e with
@@ -195,7 +192,7 @@ let raw_request t fields =
               match field "seq" v with
               | Some (J.Num n) -> int_of_float n = seq
               | Some _ -> false
-              | None -> true  (* v1 server: no echo; next response is ours *)
+              | None -> true  (* connection-level refusal: it answers us *)
             in
             if not matches then await ()
             else

@@ -2,8 +2,8 @@
     [place submit], [place watch] and the multi-client tests.
 
     One connection, one outstanding request at a time: every request is
-    stamped with a fresh ["seq"] and the reply matched by its echo (a v1
-    server echoes nothing; its next response is taken as the match).
+    stamped with a fresh ["seq"] and the reply matched by its echo (a
+    connection-level refusal carries no echo and is taken as the match).
     Event lines arriving between responses are buffered for
     {!next_event} and their ["ev"] numbers tracked.
 

@@ -12,7 +12,6 @@ type config = {
   idle_timeout_s : float;
   drain_grace_s : float;
   max_line : int;
-  proto : Engine.Protocol.version;
   transcript : string option;
 }
 
@@ -28,7 +27,6 @@ let config address =
     idle_timeout_s = 0.;
     drain_grace_s = 30.;
     max_line = 1 lsl 20;
-    proto = P.V2;
     transcript = None;
   }
 
@@ -97,7 +95,7 @@ let respond st conn ~seq reply =
     Obs.Registry.incr "server/errors";
     Obs.Registry.incr (Printf.sprintf "server/errors/%s" (P.code_to_string e.P.code))
   | P.Reply _ -> ());
-  send_line st conn (J.to_string (P.render st.cfg.proto ~seq reply))
+  send_line st conn (J.to_string (P.render ~seq reply))
 
 let drop_conn st conn =
   (try Unix.close conn.fd with Unix.Unix_error _ -> ());
@@ -139,10 +137,7 @@ let has_output conn = Buffer.length conn.out - conn.out_off > 0
 
 let broadcast_event st e =
   st.ev <- st.ev + 1;
-  let ev =
-    match st.cfg.proto with P.V2 | P.V3 -> Some st.ev | P.V1 -> None
-  in
-  let line = J.to_string (P.event_to_json ?ev e) in
+  let line = J.to_string (P.event_to_json ~ev:st.ev e) in
   Queue.push (st.ev, line) st.ring;
   while Queue.length st.ring > ring_cap do
     ignore (Queue.pop st.ring)
@@ -239,10 +234,10 @@ let exec st conn seq req =
     end
     else begin
       Obs.Registry.incr "server/submits";
-      respond st conn ~seq (fst (P.handle ~proto:st.cfg.proto st.sched req))
+      respond st conn ~seq (fst (P.handle st.sched req))
     end
   | P.Status _ | P.Result _ | P.Cancel _ | P.Jobs | P.Metrics ->
-    respond st conn ~seq (fst (P.handle ~proto:st.cfg.proto st.sched req))
+    respond st conn ~seq (fst (P.handle st.sched req))
   | P.Step _ ->
     (* Scheduling is autonomous here; the request is acknowledged but
        lends the client no turns. *)

@@ -6,7 +6,7 @@
     {e service} by stepping the scheduler a bounded slice between polls
     — the scheduler's one-transformation turn granularity is exactly
     what makes this non-blocking.  Many clients multiplex onto one
-    scheduler; ["seq"] correlation (protocol v2) keeps their
+    scheduler; ["seq"] correlation keeps their
     conversations untangled.
 
     Server semantics differ from the synchronous stdio loop in the ways
@@ -51,13 +51,12 @@ type config = {
           0 disables *)
   drain_grace_s : float;  (** drain budget before in-flight jobs are cancelled *)
   max_line : int;  (** per-connection request line bound (bytes) *)
-  proto : Engine.Protocol.version;
   transcript : string option;  (** copy every protocol line to this file *)
 }
 
 (** [config address] — the defaults: concurrency 2, no shards (inline
     stepping), admission bound 64 pending jobs, 128 connections, 300 s
-    request timeout, idle timeout off, 30 s drain grace, v2 protocol. *)
+    request timeout, idle timeout off, 30 s drain grace. *)
 val config : Address.t -> config
 
 (** [run cfg] binds, serves and blocks until a graceful shutdown

@@ -25,6 +25,10 @@ let same_placement tag (a : Netlist.Placement.t) (b : Netlist.Placement.t) =
 
 let ok_or_fail = function Ok v -> v | Error msg -> Alcotest.fail msg
 
+(* The fast-mode objective most engine jobs run under. *)
+let fast ?goal ?effort ?flow () =
+  Engine.Objective.make ?goal ~mode:Engine.Objective.Fast ?effort ?flow ()
+
 let source ?(seed = 7) () =
   Engine.Source.Profile { name = "fract"; scale = 0.5; seed }
 
@@ -73,8 +77,6 @@ let test_checkpoint_round_trip () =
   Engine.Checkpoint.save file cp;
   let cp' = ok_or_fail (Engine.Checkpoint.load file) in
   Sys.remove file;
-  Alcotest.(check int) "version" Engine.Checkpoint.version
-    cp'.Engine.Checkpoint.version;
   Alcotest.(check int) "iteration" state.Kraftwerk.Placer.iteration
     cp'.Engine.Checkpoint.iteration;
   same_float_array "x" cp.Engine.Checkpoint.x cp'.Engine.Checkpoint.x;
@@ -286,19 +288,19 @@ let test_engine_resume_matches_uninterrupted () =
   let sched = Engine.Scheduler.create () in
   let a =
     submit_and_drain sched
-      (Engine.Job.spec ~source:src ~mode:Engine.Job.Fast ~max_steps:5
+      (Engine.Job.spec ~source:src ~objective:(fast ()) ~max_steps:5
          ~checkpoint:ck ())
   in
   Alcotest.(check string) "prefix job done" "done"
     (Engine.Job.status_to_string (job_result sched a).Engine.Job.status);
   let b =
     submit_and_drain sched
-      (Engine.Job.spec ~source:src ~mode:Engine.Job.Fast ~max_steps:10
+      (Engine.Job.spec ~source:src ~objective:(fast ()) ~max_steps:10
          ~start:(Engine.Job.Resume ck) ~trace:tb ())
   in
   let c =
     submit_and_drain sched
-      (Engine.Job.spec ~source:src ~mode:Engine.Job.Fast ~max_steps:10
+      (Engine.Job.spec ~source:src ~objective:(fast ()) ~max_steps:10
          ~trace:tc ())
   in
   let rb = job_result sched b and rc = job_result sched c in
@@ -329,17 +331,20 @@ let test_engine_resume_timing_driven () =
   let sched = Engine.Scheduler.create () in
   let _ =
     submit_and_drain sched
-      (Engine.Job.spec ~source:src ~mode:Engine.Job.Fast ~timing:true
+      (Engine.Job.spec ~source:src
+         ~objective:(fast ~goal:Engine.Objective.Timing ())
          ~max_steps:4 ~checkpoint:ck ())
   in
   let b =
     submit_and_drain sched
-      (Engine.Job.spec ~source:src ~mode:Engine.Job.Fast ~timing:true
+      (Engine.Job.spec ~source:src
+         ~objective:(fast ~goal:Engine.Objective.Timing ())
          ~max_steps:8 ~start:(Engine.Job.Resume ck) ())
   in
   let c =
     submit_and_drain sched
-      (Engine.Job.spec ~source:src ~mode:Engine.Job.Fast ~timing:true
+      (Engine.Job.spec ~source:src
+         ~objective:(fast ~goal:Engine.Objective.Timing ())
          ~max_steps:8 ())
   in
   same_placement "timing-driven placement" (job_placement sched c)
@@ -351,7 +356,7 @@ let test_deadline_degrades_to_legal () =
   let sched = Engine.Scheduler.create () in
   let id =
     submit_and_drain sched
-      (Engine.Job.spec ~source:(source ()) ~mode:Engine.Job.Fast ~deadline:0.0
+      (Engine.Job.spec ~source:(source ()) ~objective:(fast ()) ~deadline:0.0
          ())
   in
   let r = job_result sched id in
@@ -374,7 +379,7 @@ let test_cancel_checkpoint_resume () =
   let sched = Engine.Scheduler.create () in
   let a =
     Engine.Scheduler.submit sched
-      (Engine.Job.spec ~source:(source ()) ~mode:Engine.Job.Fast ~max_steps:10
+      (Engine.Job.spec ~source:(source ()) ~objective:(fast ()) ~max_steps:10
          ~checkpoint:ck ~checkpoint_every:100 ())
   in
   for _ = 1 to 6 do
@@ -396,12 +401,12 @@ let test_cancel_checkpoint_resume () =
     ra.Engine.Job.checkpoint_written;
   let b =
     submit_and_drain sched
-      (Engine.Job.spec ~source:(source ()) ~mode:Engine.Job.Fast ~max_steps:10
+      (Engine.Job.spec ~source:(source ()) ~objective:(fast ()) ~max_steps:10
          ~start:(Engine.Job.Resume ck) ())
   in
   let c =
     submit_and_drain sched
-      (Engine.Job.spec ~source:(source ()) ~mode:Engine.Job.Fast ~max_steps:10
+      (Engine.Job.spec ~source:(source ()) ~objective:(fast ()) ~max_steps:10
          ())
   in
   same_placement "resumed-after-cancel placement" (job_placement sched c)
@@ -413,7 +418,7 @@ let test_cancel_checkpoint_resume () =
 let test_eco_job_matches_direct_replace () =
   let src = source ~seed:3 () in
   let circuit, p0 = ok_or_fail (Engine.Source.load src) in
-  let config = Engine.Job.config_of_mode Engine.Job.Fast in
+  let config = Kraftwerk.Config.fast in
   let base, _ = Kraftwerk.Placer.run config circuit p0 in
   let ck = temp ".json" in
   Engine.Checkpoint.save ck (Engine.Checkpoint.of_state base);
@@ -431,7 +436,7 @@ let test_eco_job_matches_direct_replace () =
   let sched = Engine.Scheduler.create () in
   let id =
     submit_and_drain sched
-      (Engine.Job.spec ~source:(Engine.Source.File ckt) ~mode:Engine.Job.Fast
+      (Engine.Job.spec ~source:(Engine.Source.File ckt) ~objective:(fast ())
          ~start:(Engine.Job.Warm ck) ~max_steps:6 ())
   in
   let r = job_result sched id in
@@ -443,7 +448,7 @@ let test_eco_job_matches_direct_replace () =
 (* Interleaving K jobs must not perturb any of their trajectories. *)
 let test_concurrent_interleaving_preserves_trajectories () =
   let spec seed =
-    Engine.Job.spec ~source:(source ~seed ()) ~mode:Engine.Job.Fast
+    Engine.Job.spec ~source:(source ~seed ()) ~objective:(fast ())
       ~max_steps:8 ()
   in
   let seeds = [ 1; 2; 3 ] in
@@ -499,7 +504,7 @@ let test_sharded_matches_solo () =
   let spec ?trace seed =
     Engine.Job.spec
       ~source:(source ~seed ())
-      ~mode:Engine.Job.Fast
+      ~objective:(fast ())
       ~max_steps:steps.(seed - 1)
       ?trace ()
   in
@@ -587,7 +592,7 @@ let test_sharded_matches_solo () =
    slices must not perturb either trajectory. *)
 let test_forced_stealing_bitwise () =
   let long seed =
-    Engine.Job.spec ~source:(source ~seed ()) ~mode:Engine.Job.Fast
+    Engine.Job.spec ~source:(source ~seed ()) ~objective:(fast ())
       ~max_steps:12 ()
   in
   let solo =
@@ -602,7 +607,7 @@ let test_forced_stealing_bitwise () =
   let a = Engine.Scheduler.submit sched (long 21) in
   let _ =
     Engine.Scheduler.submit sched
-      (Engine.Job.spec ~source:(source ~seed:23 ()) ~mode:Engine.Job.Fast
+      (Engine.Job.spec ~source:(source ~seed:23 ()) ~objective:(fast ())
          ~max_steps:1 ())
   in
   let b = Engine.Scheduler.submit sched (long 22) in
@@ -637,7 +642,7 @@ let trace_has_probe file =
 let test_sharded_resume_with_effort () =
   let src = source () in
   let spec ?start ?checkpoint ?trace ~max_steps () =
-    Engine.Job.spec ~source:src ~mode:Engine.Job.Fast ~effort:1 ~max_steps
+    Engine.Job.spec ~source:src ~objective:(fast ~effort:1 ()) ~max_steps
       ?start ?checkpoint ?trace ()
   in
   let t0 = temp ".jsonl" in
@@ -698,12 +703,12 @@ let test_sharded_cancel_deadline_legal () =
   let sched = Engine.Scheduler.create ~concurrency:2 ~domains:2 ~shards:2 () in
   let a =
     Engine.Scheduler.submit sched
-      (Engine.Job.spec ~source:(source ()) ~mode:Engine.Job.Fast ~max_steps:500
+      (Engine.Job.spec ~source:(source ()) ~objective:(fast ()) ~max_steps:500
          ())
   in
   let d =
     Engine.Scheduler.submit sched
-      (Engine.Job.spec ~source:(source ~seed:5 ()) ~mode:Engine.Job.Fast
+      (Engine.Job.spec ~source:(source ~seed:5 ()) ~objective:(fast ())
          ~deadline:0.0 ())
   in
   (* Let the long job make real progress before cancelling it. *)
@@ -761,7 +766,7 @@ let fixed_positions_of (circuit : Netlist.Circuit.t) (p : Netlist.Placement.t) =
 let test_multilevel_job_matches_direct () =
   let src = ml_source () in
   let circuit, p0 = ok_or_fail (Engine.Source.load src) in
-  let config = Engine.Job.config_of_mode Engine.Job.Fast in
+  let config = Kraftwerk.Config.fast in
   let direct =
     Kraftwerk.Cluster.place_multilevel config circuit
       ~fixed_positions:(fixed_positions_of circuit p0)
@@ -770,8 +775,9 @@ let test_multilevel_job_matches_direct () =
   let sched = Engine.Scheduler.create () in
   let id =
     submit_and_drain sched
-      (Engine.Job.spec ~source:src ~mode:Engine.Job.Fast
-         ~flow:Engine.Job.Multilevel ())
+      (Engine.Job.spec ~source:src
+         ~objective:(fast ~flow:Engine.Job.Multilevel ())
+         ())
   in
   let r = job_result sched id in
   Alcotest.(check string) "multilevel job done" "done"
@@ -784,7 +790,7 @@ let test_multilevel_job_matches_direct () =
 let test_multilevel_checkpoint_guards () =
   let src = ml_source () in
   let circuit, p0 = ok_or_fail (Engine.Source.load src) in
-  let config = Engine.Job.config_of_mode Engine.Job.Fast in
+  let config = Kraftwerk.Config.fast in
   let fixed = fixed_positions_of circuit p0 in
   let run =
     Kraftwerk.Cluster.start config circuit ~fixed_positions:fixed
@@ -834,8 +840,9 @@ let test_multilevel_checkpoint_guards () =
 let test_multilevel_resume_bitwise_shards () =
   let src = ml_source () in
   let mspec ?start ?checkpoint ?max_steps () =
-    Engine.Job.spec ~source:src ~mode:Engine.Job.Fast
-      ~flow:Engine.Job.Multilevel ?start ?checkpoint ?max_steps ()
+    Engine.Job.spec ~source:src
+      ~objective:(fast ~flow:Engine.Job.Multilevel ())
+      ?start ?checkpoint ?max_steps ()
   in
   let solo_sched = Engine.Scheduler.create () in
   let s = submit_and_drain solo_sched (mspec ()) in
@@ -1002,13 +1009,171 @@ let test_routability_reduces_routed_overflow () =
     (rt_ovfl <= 0.85 *. wl_ovfl)
 
 (* ------------------------------------------------------------------ *)
+(* Checkpoint robustness                                                *)
+
+let read_file file = In_channel.with_open_bin file In_channel.input_all
+
+let write_file file text =
+  Out_channel.with_open_bin file (fun oc -> output_string oc text)
+
+let load_text text =
+  let file = temp ".json" in
+  write_file file text;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () -> Engine.Checkpoint.load file)
+
+(* [edit_field key f json] rewrites one top-level field of a checkpoint. *)
+let edit_field key f = function
+  | Obs.Json.Obj fields ->
+    Obs.Json.Obj
+      (List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) fields)
+  | _ -> Alcotest.fail "checkpoint json is not an object"
+
+let shorter = function
+  | Obs.Json.Arr (_ :: rest) -> Obs.Json.Arr rest
+  | v -> Alcotest.failf "expected a non-empty array: %s" (Obs.Json.to_string v)
+
+let longer = function
+  | Obs.Json.Arr items -> Obs.Json.Arr (Obs.Json.Num 0.5 :: items)
+  | v -> Alcotest.failf "expected an array, got %s" (Obs.Json.to_string v)
+
+(* Real v4 checkpoints of short fast routability runs, flat and mid
+   V-cycle, carrying every optional array (criticality, route_target).
+   Returns the file text and the restore path that must be used. *)
+let robustness_fixtures () =
+  let config = Kraftwerk.Config.routability Kraftwerk.Config.fast in
+  let flat =
+    let circuit, p0 = ok_or_fail (Engine.Source.load (source ())) in
+    let state = Kraftwerk.Placer.init config circuit p0 in
+    ignore (Kraftwerk.Placer.continue_run state ~max_steps:4);
+    let criticality = Array.make (Netlist.Circuit.num_nets circuit) 0.25 in
+    ( "flat",
+      Engine.Checkpoint.of_state ~criticality state,
+      fun cp ->
+        Result.map ignore (Engine.Checkpoint.restore cp config circuit) )
+  in
+  let multi =
+    let circuit, p0 = ok_or_fail (Engine.Source.load (ml_source ())) in
+    let fixed = fixed_positions_of circuit p0 in
+    let run =
+      Kraftwerk.Cluster.start config circuit ~fixed_positions:fixed
+        (Netlist.Placement.copy p0)
+    in
+    for _ = 1 to 5 do
+      ignore (Kraftwerk.Cluster.step run)
+    done;
+    let criticality = Array.make (Netlist.Circuit.num_nets circuit) 0.25 in
+    ( "multilevel",
+      Engine.Checkpoint.of_run ~criticality run,
+      fun cp ->
+        Result.map ignore
+          (Engine.Checkpoint.restore_multilevel cp config circuit
+             ~fixed_positions:fixed) )
+  in
+  List.map
+    (fun (tag, cp, restore) ->
+      Alcotest.(check bool) (tag ^ ": carries route_target") true
+        (cp.Engine.Checkpoint.route_target <> None);
+      let file = temp ".json" in
+      Engine.Checkpoint.save file cp;
+      let text = read_file file in
+      Sys.remove file;
+      (* The untouched file loads and restores: the corruptions below
+         are what make it fail. *)
+      (match Result.bind (load_text text) restore with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: intact checkpoint rejected: %s" tag e);
+      (tag, text, restore))
+    [ flat; multi ]
+
+let expect_error tag restore text =
+  match Result.bind (load_text text) restore with
+  | Ok () -> Alcotest.failf "%s: accepted" tag
+  | Error _ -> ()
+  | exception e -> Alcotest.failf "%s: raised %s" tag (Printexc.to_string e)
+
+(* Truncated files and wrong-length arrays are typed [Error]s from
+   load/restore, never exceptions. *)
+let test_checkpoint_robustness () =
+  List.iter
+    (fun (tag, text, restore) ->
+      let json = ok_or_fail (Obs.Json.of_string text) in
+      let body = String.length (String.trim text) in
+      List.iter
+        (fun k ->
+          let cut = k * (body - 1) / 40 in
+          expect_error
+            (Printf.sprintf "%s cut at byte %d of %d" tag cut body)
+            restore (String.sub text 0 cut))
+        (List.init 41 Fun.id);
+      List.iter
+        (fun (what, edits) ->
+          let edited =
+            List.fold_left (fun j (k, f) -> edit_field k f j) json edits
+          in
+          expect_error (tag ^ ": " ^ what) restore (Obs.Json.to_string edited))
+        [
+          ("short ex", [ ("ex", shorter) ]);
+          ("short ex and ey", [ ("ex", shorter); ("ey", shorter) ]);
+          ("long ex and ey", [ ("ex", longer); ("ey", longer) ]);
+          ("short net_weights", [ ("net_weights", shorter) ]);
+          ("long net_weights", [ ("net_weights", longer) ]);
+          ("short criticality", [ ("criticality", shorter) ]);
+          ("long criticality", [ ("criticality", longer) ]);
+          ("short route_target", [ ("route_target", shorter) ]);
+          ("long route_target", [ ("route_target", longer) ]);
+          ("short x and y", [ ("x", shorter); ("y", shorter) ]);
+          ("no ml_level", [ ("ml_level", fun _ -> Obs.Json.Null) ]);
+        ])
+    (robustness_fixtures ())
+
+(* One live version: the current file stamped "version":3 is refused by
+   load with a typed message, and a job resuming from it ends Failed. *)
+let test_checkpoint_other_versions_rejected () =
+  let circuit, p0 = ok_or_fail (Engine.Source.load (source ())) in
+  let state = Kraftwerk.Placer.init Kraftwerk.Config.fast circuit p0 in
+  ignore (Kraftwerk.Placer.continue_run state ~max_steps:3);
+  let file = temp ".json" in
+  Engine.Checkpoint.save file (Engine.Checkpoint.of_state state);
+  let json = ok_or_fail (Obs.Json.of_string (read_file file)) in
+  List.iter
+    (fun v ->
+      let stamp _ = Obs.Json.Num (float_of_int v) in
+      write_file file
+        (Obs.Json.to_string (edit_field "version" stamp json));
+      (match Engine.Checkpoint.load file with
+      | Ok _ -> Alcotest.failf "version %d checkpoint loaded" v
+      | Error e ->
+        Alcotest.(check string) "typed message"
+          (Printf.sprintf
+             "checkpoint: unsupported version %d (this build reads 4)" v)
+          e);
+      let sched = Engine.Scheduler.create () in
+      let id =
+        submit_and_drain sched
+          (Engine.Job.spec ~source:(source ()) ~objective:(fast ())
+             ~start:(Engine.Job.Resume file) ())
+      in
+      match (job_result sched id).Engine.Job.status with
+      | Engine.Job.Failed _ -> ()
+      | s ->
+        Alcotest.failf "job resuming a version %d checkpoint ended %s" v
+          (Engine.Job.status_to_string s))
+    [ 2; 3; 5 ];
+  Sys.remove file
+
+(* ------------------------------------------------------------------ *)
 (* Serialisation and protocol                                          *)
 
 let test_spec_json_round_trip () =
   let full =
-    Engine.Job.spec ~source:(source ()) ~mode:Engine.Job.Fast ~effort:4
-      ~timing:true ~priority:3 ~deadline:1.5 ~domains:2 ~max_steps:9
-      ~flow:Engine.Job.Multilevel ~start:(Engine.Job.Resume "ck.json")
+    Engine.Job.spec ~source:(source ())
+      ~objective:
+        (fast ~goal:Engine.Objective.Timing ~effort:4
+           ~flow:Engine.Job.Multilevel ())
+      ~priority:3 ~deadline:1.5 ~domains:2 ~max_steps:9
+      ~start:(Engine.Job.Resume "ck.json")
       ~checkpoint:"out.json" ~checkpoint_every:7 ~trace:"t.jsonl" ()
   in
   let minimal = Engine.Job.spec ~source:(Engine.Source.File "a.ckt") () in
@@ -1028,7 +1193,7 @@ let parse_request line =
 let test_protocol_request_parsing () =
   (match
      parse_request
-       {|{"cmd":"submit","job":{"profile":"fract","scale":0.5,"seed":7,"mode":"fast"}}|}
+       {|{"cmd":"submit","job":{"profile":"fract","scale":0.5,"seed":7,"objective":{"mode":"fast"}}}|}
    with
   | Ok (Engine.Protocol.Submit _) -> ()
   | Ok _ -> Alcotest.fail "submit parsed to another request"
@@ -1069,11 +1234,11 @@ let test_protocol_session () =
       Alcotest.failf "request rejected: %s" (Engine.Protocol.error_message e)
     | Ok req ->
       let reply, stop = Engine.Protocol.handle sched req in
-      (Engine.Protocol.render Engine.Protocol.V2 ~seq:None reply, stop)
+      (Engine.Protocol.render ~seq:None reply, stop)
   in
   let resp, stop =
     handle
-      {|{"cmd":"submit","job":{"profile":"fract","scale":0.5,"seed":7,"mode":"fast","max_steps":3}}|}
+      {|{"cmd":"submit","job":{"profile":"fract","scale":0.5,"seed":7,"objective":{"mode":"fast"},"max_steps":3}}|}
   in
   Alcotest.(check bool) "submit not a shutdown" false stop;
   Alcotest.(check bool) "submit ok" true
@@ -1147,6 +1312,10 @@ let suite =
       test_congestion_resume_bitwise_shards;
     Alcotest.test_case "routability objective reduces routed overflow" `Slow
       test_routability_reduces_routed_overflow;
+    Alcotest.test_case "checkpoint robustness: cuts and bad lengths" `Slow
+      test_checkpoint_robustness;
+    Alcotest.test_case "checkpoint versions other than 4 rejected" `Quick
+      test_checkpoint_other_versions_rejected;
     Alcotest.test_case "spec json round-trip" `Quick test_spec_json_round_trip;
     Alcotest.test_case "protocol request parsing" `Quick
       test_protocol_request_parsing;

@@ -67,7 +67,11 @@ let test_reshape_rejects_bad_input () =
 
 let test_flexible_flow_legal () =
   let circuit, p0 = build_mixed () in
-  let r = Floorplan.Flexible.place quick_config circuit p0 in
+  let r =
+    match Floorplan.Flexible.place quick_config circuit p0 with
+    | Ok r -> r
+    | Error msg -> Alcotest.fail msg
+  in
   let p = r.Floorplan.Flexible.mixed.Floorplan.Mixed.placement in
   Alcotest.(check bool) "legal" true
     (Legalize.Check.is_legal r.Floorplan.Flexible.circuit p);

@@ -243,6 +243,20 @@ let test_cli_domains_range () =
   | Error msg ->
     Alcotest.(check bool) "job spec names the range" true (contains msg range)
 
+(* The protocol has one version and the objective one way in: the
+   removed --proto and --timing flags are Cmdliner usage errors. *)
+let test_cli_removed_flags () =
+  List.iter
+    (fun args ->
+      let code, _ = run_place args in
+      Alcotest.(check int) (String.concat " " args ^ ": usage error") 124 code)
+    [
+      [ "serve"; "--proto"; "v1" ];
+      [ "serve"; "--proto"; "v2" ];
+      [ "run"; "--profile"; "fract"; "--timing" ];
+      [ "submit"; "--to"; "unix:/x"; "--profile"; "fract"; "--timing" ];
+    ]
+
 let suite =
   [
     Alcotest.test_case "kraftwerk full flow" `Quick test_kraftwerk_full_flow;
@@ -253,4 +267,5 @@ let suite =
     Alcotest.test_case "congestion hook" `Quick test_congestion_hook_changes_placement;
     Alcotest.test_case "eco relative order" `Slow test_eco_preserves_relative_placement;
     Alcotest.test_case "cli domains range" `Quick test_cli_domains_range;
+    Alcotest.test_case "cli removed flags" `Quick test_cli_removed_flags;
   ]

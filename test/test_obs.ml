@@ -379,131 +379,70 @@ let downgrade_to schema drop = function
          fields)
   | _ -> Alcotest.fail "iteration json is not an object"
 
-let test_schema_v1_compat () =
-  (* A v1 record (pre-dating the cached assembly and the convergence
-     controller) has neither the v2 nor the v3 fields and must parse
-     with the defaults matching what the v1 placer did. *)
-  (match
-     Obs.Telemetry.iteration_of_json
-       (downgrade_to 1.
-          (v2_only_fields @ v3_only_fields @ v4_only_fields @ v5_only_fields)
-          (Obs.Telemetry.iteration_to_json (sample_iteration 4)))
-   with
-  | Error e -> Alcotest.failf "v1 record rejected: %s" e
-  | Ok it ->
-    Alcotest.(check bool) "v1 default: not reused" false
-      it.Obs.Telemetry.assembly_reused;
-    Alcotest.(check int) "v1 default: no rebuild count" 0
-      it.Obs.Telemetry.pattern_rebuilds;
-    Alcotest.(check bool) "v1 default: fixed 1e-8 tolerance" true
-      (it.Obs.Telemetry.cg_tolerance = 1e-8);
-    Alcotest.(check bool) "v1 default: unit penalty" true
-      (it.Obs.Telemetry.penalty = 1.0);
-    Alcotest.(check int) "v1 default: flat level" 0 it.Obs.Telemetry.level;
-    Alcotest.(check bool) "v1 default: no congest push" true
-      (it.Obs.Telemetry.congest_strength = 0.);
-    Alcotest.(check bool) "v1 default: no overflow estimate" true
-      (it.Obs.Telemetry.est_overflow = None);
-    Alcotest.(check bool) "v1 default: empty target map" true
-      (it.Obs.Telemetry.target_area = 0.);
-    Alcotest.(check int) "v1 default: no clamped bins" 0
-      it.Obs.Telemetry.target_clamped;
-    Alcotest.(check int) "payload survives" 4 it.Obs.Telemetry.step);
-  (* The same omission under the current schema is a validation error
-     (ub_hpwl/gap excepted: absence legitimately means "not probed"). *)
-  let strip_field field = function
-    | Obs.Json.Obj fields ->
-      Obs.Json.Obj (List.filter (fun (k, _) -> k <> field) fields)
-    | _ -> Alcotest.fail "iteration json is not an object"
+let with_schema v = function
+  | Obs.Json.Obj fields ->
+    Obs.Json.Obj
+      (List.map
+         (fun (k, x) -> if k = "schema" then (k, Obs.Json.Num v) else (k, x))
+         fields)
+  | _ -> Alcotest.fail "record json is not an object"
+
+let without field = function
+  | Obs.Json.Obj fields ->
+    Obs.Json.Obj (List.filter (fun (k, _) -> k <> field) fields)
+  | _ -> Alcotest.fail "record json is not an object"
+
+let test_iteration_schema_rejected () =
+  let current = Obs.Telemetry.iteration_to_json (sample_iteration 4) in
+  let rejected what v =
+    Alcotest.(check bool) what true
+      (Result.is_error (Obs.Telemetry.iteration_of_json v))
   in
+  (* Records as the schema 1-4 placers wrote them (each lacks the fields
+     later schemas added), and the current fields under an old or a
+     future number: only schema 5 parses. *)
+  rejected "schema 1 record"
+    (downgrade_to 1.
+       (v2_only_fields @ v3_only_fields @ v4_only_fields @ v5_only_fields)
+       current);
+  rejected "schema 2 record"
+    (downgrade_to 2.
+       (v3_only_fields @ v4_only_fields @ v5_only_fields)
+       current);
+  rejected "schema 3 record"
+    (downgrade_to 3. (v4_only_fields @ v5_only_fields) current);
+  rejected "schema 4 record" (downgrade_to 4. v5_only_fields current);
+  rejected "schema 4 with every field" (with_schema 4. current);
+  rejected "schema 6" (with_schema 6. current);
+  rejected "no schema" (without "schema" current);
+  Alcotest.(check bool) "typed message" true
+    (Obs.Telemetry.iteration_of_json (downgrade_to 4. v5_only_fields current)
+    = Error "unsupported schema version 4 (this build reads 5)");
+  (* A current-schema record missing a field is a validation error
+     (ub_hpwl/gap/est_overflow excepted: absence means "not probed"). *)
   List.iter
     (fun field ->
-      Alcotest.(check bool)
-        (Printf.sprintf "current schema without %s rejected" field)
-        true
-        (Result.is_error
-           (Obs.Telemetry.iteration_of_json
-              (strip_field field
-                 (Obs.Telemetry.iteration_to_json (sample_iteration 4))))))
+      rejected (Printf.sprintf "current schema without %s" field)
+        (without field current))
     (v2_only_fields
     @ [ "penalty"; "lb_hpwl"; "level" ]
-    @ [ "congest_strength"; "target_area"; "target_clamped" ]);
-  (* Unknown future schemas still fail loudly. *)
-  let with_schema v = function
-    | Obs.Json.Obj fields ->
-      Obs.Json.Obj
-        (List.map
-           (fun (k, x) -> if k = "schema" then (k, Obs.Json.Num v) else (k, x))
-           fields)
-    | _ -> Alcotest.fail "iteration json is not an object"
-  in
-  Alcotest.(check bool) "schema 6 rejected" true
-    (Result.is_error
-       (Obs.Telemetry.iteration_of_json
-          (with_schema 6. (Obs.Telemetry.iteration_to_json (sample_iteration 1)))))
+    @ [ "congest_strength"; "target_area"; "target_clamped" ])
 
-let test_schema_v2_compat () =
-  (* A v2 trace (pre-dating the convergence controller) parses with the
-     defaulted controller fields: static unit penalty, the quadratic
-     HPWL as its own lower bound, and no upper-bound probes. *)
-  match
-    Obs.Telemetry.iteration_of_json
-      (downgrade_to 2.
-         (v3_only_fields @ v4_only_fields @ v5_only_fields)
-         (Obs.Telemetry.iteration_to_json (sample_iteration 6)))
-  with
-  | Error e -> Alcotest.failf "v2 record rejected: %s" e
-  | Ok it ->
-    Alcotest.(check bool) "v2 default: unit penalty" true
-      (it.Obs.Telemetry.penalty = 1.0);
-    Alcotest.(check bool) "v2 default: lb = hpwl" true
-      (it.Obs.Telemetry.lb_hpwl = it.Obs.Telemetry.hpwl);
-    Alcotest.(check bool) "v2 default: no ub" true
-      (it.Obs.Telemetry.ub_hpwl = None);
-    Alcotest.(check bool) "v2 default: no gap" true
-      (it.Obs.Telemetry.gap = None);
-    (* v2 fields survive the v2 parse untouched. *)
-    Alcotest.(check bool) "v2 payload: reused" true
-      it.Obs.Telemetry.assembly_reused;
-    Alcotest.(check int) "payload survives" 6 it.Obs.Telemetry.step
-
-let test_schema_v4_compat () =
-  (* A v4 trace (pre-dating the routability loop) parses with the
-     congestion fields defaulted to "loop disabled". *)
-  match
-    Obs.Telemetry.iteration_of_json
-      (downgrade_to 4. v5_only_fields
-         (Obs.Telemetry.iteration_to_json (sample_iteration 9)))
-  with
-  | Error e -> Alcotest.failf "v4 record rejected: %s" e
-  | Ok it ->
-    Alcotest.(check bool) "v4 default: no congest push" true
-      (it.Obs.Telemetry.congest_strength = 0.);
-    Alcotest.(check bool) "v4 default: no overflow estimate" true
-      (it.Obs.Telemetry.est_overflow = None);
-    Alcotest.(check bool) "v4 default: empty target map" true
-      (it.Obs.Telemetry.target_area = 0.);
-    Alcotest.(check int) "v4 default: no clamped bins" 0
-      it.Obs.Telemetry.target_clamped;
-    (* v4 fields survive the v4 parse untouched. *)
-    Alcotest.(check int) "v4 payload: level" (sample_iteration 9).Obs.Telemetry.level
-      it.Obs.Telemetry.level;
-    Alcotest.(check int) "payload survives" 9 it.Obs.Telemetry.step
-
-let test_summary_v2_compat () =
-  (* v2 summaries have no stop_reason; parse defaults it to None. *)
-  let without_reason =
-    match Obs.Telemetry.summary_to_json sample_summary with
-    | Obs.Json.Obj fields ->
-      Obs.Json.Obj (List.filter (fun (k, _) -> k <> "stop_reason") fields)
-    | _ -> Alcotest.fail "summary json is not an object"
-  in
-  match Obs.Telemetry.summary_of_json without_reason with
-  | Error e -> Alcotest.failf "v2 summary rejected: %s" e
-  | Ok s ->
-    Alcotest.(check bool) "v2 default: no stop reason" true
-      (s.Obs.Telemetry.stop_reason = None);
-    Alcotest.(check int) "payload survives" 42 s.Obs.Telemetry.iterations
+let test_summary_schema_rejected () =
+  let current = Obs.Telemetry.summary_to_json sample_summary in
+  (match Obs.Telemetry.summary_of_json current with
+  | Ok s -> Alcotest.(check int) "schema 5 parses" 42 s.Obs.Telemetry.iterations
+  | Error e -> Alcotest.failf "schema 5 summary rejected: %s" e);
+  List.iter
+    (fun (what, v) ->
+      Alcotest.(check bool) what true
+        (Result.is_error (Obs.Telemetry.summary_of_json v)))
+    [
+      ("schema 2 summary", with_schema 2. (without "stop_reason" current));
+      ("schema 4 summary", with_schema 4. current);
+      ("schema 6 summary", with_schema 6. current);
+      ("summary without schema", without "schema" current);
+    ]
 
 let test_strip_volatile () =
   let j = Obs.Telemetry.iteration_to_json (sample_iteration 3) in
@@ -591,11 +530,10 @@ let suite =
     Alcotest.test_case "summary round-trip" `Quick test_summary_roundtrip;
     Alcotest.test_case "iteration validation rejects" `Quick
       test_iteration_validation_rejects;
-    Alcotest.test_case "schema v1 compatibility" `Quick test_schema_v1_compat;
-    Alcotest.test_case "schema v2 compatibility" `Quick test_schema_v2_compat;
-    Alcotest.test_case "schema v4 compatibility" `Quick test_schema_v4_compat;
-    Alcotest.test_case "summary v2 compatibility" `Quick
-      test_summary_v2_compat;
+    Alcotest.test_case "iteration schema other than 5 rejected" `Quick
+      test_iteration_schema_rejected;
+    Alcotest.test_case "summary other schema rejected" `Quick
+      test_summary_schema_rejected;
     Alcotest.test_case "strip_volatile" `Quick test_strip_volatile;
     Alcotest.test_case "collecting sink" `Quick test_sink_collecting;
     Alcotest.test_case "jsonl sink" `Quick test_sink_jsonl;

@@ -1,4 +1,4 @@
-(* Network serving tests: line framing, addresses, protocol v1/v2 golden
+(* Network serving tests: line framing, addresses, protocol golden
    transcripts, a fuzzed stdio loop, and forked socket servers driven by
    the client library — concurrency equivalence, admission control and
    graceful SIGTERM drain.
@@ -97,7 +97,7 @@ let test_address_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Protocol golden transcripts (stdio loop)                            *)
 
-let run_stdio_session ~proto lines =
+let run_stdio_session lines =
   let infile = Filename.temp_file "server_test" ".in" in
   let outfile = Filename.temp_file "server_test" ".out" in
   Fun.protect
@@ -110,7 +110,7 @@ let run_stdio_session ~proto lines =
       let sched = Engine.Scheduler.create () in
       In_channel.with_open_text infile (fun ic ->
           Out_channel.with_open_text outfile (fun oc ->
-              P.serve ~proto sched ic oc));
+              P.serve sched ic oc));
       In_channel.with_open_text outfile In_channel.input_lines)
 
 let golden_requests =
@@ -138,64 +138,41 @@ let test_golden_v2 () =
   in
   Alcotest.(check (list string))
     "v2 transcript" expected
-    (run_stdio_session ~proto:P.V2 golden_requests)
+    (run_stdio_session golden_requests)
 
-let test_golden_v1 () =
-  let expected =
-    [
-      {|{"ok":true,"jobs":[]}|};
-      {|{"ok":true,"stepped":0}|};
-      {|{"ok":false,"error":"field \"cmd\" is not a string"}|};
-      {|{"ok":false,"error":"unknown command \"frobnicate\""}|};
-      {|{"ok":false,"error":"unknown job id 3"}|};
-      {|{"ok":false,"error":"source: unknown profile \"nope\""}|};
-      {|{"ok":true,"shutdown":true}|};
-    ]
-  in
-  Alcotest.(check (list string))
-    "v1 transcript" expected
-    (run_stdio_session ~proto:P.V1 golden_requests)
-
-(* v3 golden transcript: successful submits echo the resolved objective.
-   The first submit uses the legacy v2 field shape (mode/effort/timing in
-   the job body) and must map losslessly onto the typed record; the second
-   submits a structured "objective" directly. *)
-let v3_submit_requests =
+(* Goal, mode, effort and flow are set only through the "objective"
+   object.  A job carrying any of them at top level is refused with
+   bad_spec naming "objective" (never silently run under the defaults),
+   and an accepted submit echoes no objective. *)
+let objective_submit_requests =
   [
     {|{"cmd":"submit","seq":1,"job":{"profile":"fract","scale":0.3,"seed":7,"mode":"fast","max_steps":2}}|};
-    {|{"cmd":"submit","seq":2,"job":{"profile":"fract","scale":0.3,"seed":7,"max_steps":2,"objective":{"goal":"routability","congest_every":3}}}|};
-    {|{"cmd":"submit","seq":3,"job":{"profile":"fract","scale":0.3,"seed":7,"objective":{"goal":"banana"}}}|};
-    {|{"cmd":"shutdown","seq":4}|};
+    {|{"cmd":"submit","seq":2,"job":{"profile":"fract","scale":0.3,"seed":7,"objective":{"mode":"fast"},"timing":false}}|};
+    {|{"cmd":"submit","seq":3,"job":{"profile":"fract","scale":0.3,"seed":7,"effort":3,"flow":"flat"}}|};
+    {|{"cmd":"submit","seq":4,"job":{"profile":"fract","scale":0.3,"seed":7,"max_steps":2,"objective":{"goal":"routability","congest_every":3}}}|};
+    {|{"cmd":"submit","seq":5,"job":{"profile":"fract","scale":0.3,"seed":7,"objective":{"goal":"banana"}}}|};
+    {|{"cmd":"shutdown","seq":6}|};
   ]
 
-let test_golden_v3 () =
+let test_legacy_fields_refused () =
+  let refused seq field =
+    Printf.sprintf
+      {|{"ok":false,"seq":%d,"error":{"code":"bad_spec","message":"job: top-level field \"%s\" is not accepted; set it inside \"objective\""}}|}
+      seq field
+  in
   let expected =
     [
-      {|{"ok":true,"seq":1,"id":1,"status":"queued","objective":{"goal":"wirelength","mode":"fast","effort":null,"flow":"flat","congest_every":null,"congest_strength":null}}|};
-      {|{"ok":true,"seq":2,"id":2,"status":"queued","objective":{"goal":"routability","mode":"standard","effort":null,"flow":"flat","congest_every":3,"congest_strength":null}}|};
-      {|{"ok":false,"seq":3,"error":{"code":"bad_spec","message":"objective: unknown goal \"banana\""}}|};
-      {|{"ok":true,"seq":4,"shutdown":true}|};
+      refused 1 "mode";
+      refused 2 "timing";
+      refused 3 "flow";
+      {|{"ok":true,"seq":4,"id":1,"status":"queued"}|};
+      {|{"ok":false,"seq":5,"error":{"code":"bad_spec","message":"objective: unknown goal \"banana\""}}|};
+      {|{"ok":true,"seq":6,"shutdown":true}|};
     ]
   in
   Alcotest.(check (list string))
-    "v3 transcript" expected
-    (run_stdio_session ~proto:P.V3 v3_submit_requests)
-
-(* The same submits over v2 render bitwise as before this release: no
-   "objective" key leaks into v2 replies, even though the structured
-   "objective" job field is accepted on the way in. *)
-let test_golden_v2_submit_unchanged () =
-  let expected =
-    [
-      {|{"ok":true,"seq":1,"id":1,"status":"queued"}|};
-      {|{"ok":true,"seq":2,"id":2,"status":"queued"}|};
-      {|{"ok":false,"seq":3,"error":{"code":"bad_spec","message":"objective: unknown goal \"banana\""}}|};
-      {|{"ok":true,"seq":4,"shutdown":true}|};
-    ]
-  in
-  Alcotest.(check (list string))
-    "v2 submit transcript" expected
-    (run_stdio_session ~proto:P.V2 v3_submit_requests)
+    "objective submit transcript" expected
+    (run_stdio_session objective_submit_requests)
 
 (* Every failure code render must round-trip through code_of_string. *)
 let test_codes_roundtrip () =
@@ -228,7 +205,7 @@ let fuzz_serve_responds =
       let line =
         String.map (fun c -> if c = '\n' || c = '\r' then ' ' else c) raw
       in
-      let responses = run_stdio_session ~proto:P.V2 [ line ] in
+      let responses = run_stdio_session [ line ] in
       if String.trim line = "" then responses = []
       else
         match responses with
@@ -289,7 +266,8 @@ let reap pid =
 let fast_spec i =
   Engine.Job.spec
     ~source:(Engine.Source.Profile { name = "fract"; scale = 0.5; seed = 100 + i })
-    ~mode:Engine.Job.Fast ~max_steps:6 ()
+    ~objective:(Engine.Objective.make ~mode:Engine.Objective.Fast ())
+    ~max_steps:6 ()
 
 let solo_result spec =
   let sched = Engine.Scheduler.create () in
@@ -623,18 +601,16 @@ let suite =
     Alcotest.test_case "address: parse" `Quick test_address_parse;
     Alcotest.test_case "address: roundtrip" `Quick test_address_roundtrip;
     Alcotest.test_case "protocol: v2 golden transcript" `Quick test_golden_v2;
-    Alcotest.test_case "protocol: v1 golden transcript" `Quick test_golden_v1;
-    Alcotest.test_case "protocol: v3 golden transcript" `Quick test_golden_v3;
-    Alcotest.test_case "protocol: v2 submit unchanged" `Quick
-      test_golden_v2_submit_unchanged;
+    Alcotest.test_case "protocol: legacy job fields refused" `Quick
+      test_legacy_fields_refused;
     Alcotest.test_case "protocol: codes round-trip" `Quick test_codes_roundtrip;
     QCheck_alcotest.to_alcotest fuzz_serve_responds;
-    Alcotest.test_case "socket: 8 clients bitwise-equal to solo" `Quick
-      test_eight_clients_bitwise_equal;
     Alcotest.test_case "socket: admission + SIGTERM drain" `Quick
       test_admission_and_sigterm_drain;
     Alcotest.test_case "socket: oversized line survives" `Quick
       test_oversized_line_survives;
+    Alcotest.test_case "socket: 8 clients bitwise-equal to solo" `Quick
+      test_eight_clients_bitwise_equal;
     Alcotest.test_case "socket: sharded server bitwise + shard metrics" `Quick
       test_sharded_server_bitwise_and_metrics;
   ]
