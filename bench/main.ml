@@ -1054,9 +1054,9 @@ let place_bench () =
 
 (* Jobs/second of the scheduler on biomed across a domains × concurrency
    grid.  Each job is a bounded fast-mode run through the full finishing
-   pipeline (Abacus, Improve, Domino).  domains = 1 runs the inline
-   cooperative scheduler; domains > 1 runs the sharded scheduler with
-   min(domains, K) worker domains.  The work per job is identical at
+   pipeline (Abacus, Improve, Domino).  domains = 1 runs the scheduler
+   loop on the calling domain; domains > 1 runs it on min(domains, K)
+   worker domains.  The work per job is identical at
    every grid point — trajectories are interleaving- and
    sharding-invariant — which the harness enforces bitwise on every
    job's final HPWL before writing the file.  Wall-clock scaling across
@@ -1077,11 +1077,8 @@ let engine_bench () =
       (fun d ->
         List.map
           (fun k ->
-            let shards = if d = 1 then 0 else min d k in
             Numeric.Parallel.set_num_domains d;
-            let sched =
-              Engine.Scheduler.create ~concurrency:k ~domains:d ~shards ()
-            in
+            let sched = Engine.Scheduler.create ~concurrency:k ~domains:d () in
             let ids =
               List.init jobs (fun i ->
                   ( !seed + i,
@@ -1138,7 +1135,8 @@ let engine_bench () =
             Obs.Json.Obj
               [
                 ("domains", Obs.Json.Num (float_of_int d));
-                ("shards", Obs.Json.Num (float_of_int shards));
+                ( "shards",
+                  Obs.Json.Num (float_of_int (Engine.Scheduler.workers sched)) );
                 ("concurrency", Obs.Json.Num (float_of_int k));
                 ("wall_s", Obs.Json.Num wall);
                 ("jobs_per_s", Obs.Json.Num jps);

@@ -257,22 +257,11 @@ let parse_address s =
    it becomes the concurrent socket server (Server.Net), multiplexing
    many clients onto one scheduler with admission control and graceful
    drain.  --transcript copies the whole conversation to a file. *)
-(* --shards defaults from --domains: asking for a multi-lane budget on
-   the job engine means asking for worker domains, one per lane up to
-   the concurrency (a shard without a runnable job would idle).
-   --shards 0 forces the inline cooperative scheduler either way. *)
-let resolve_shards ~shards ~concurrency ~domains =
-  match shards with
-  | Some s -> s
-  | None -> (
-    match domains with Some d when d > 1 -> min concurrency d | _ -> 0)
-
-let cmd_serve concurrency domains shards transcript listen max_pending
+let cmd_serve concurrency domains transcript listen max_pending
     max_conns request_timeout idle_timeout drain_grace =
   (match domains with
   | Some d -> Numeric.Parallel.set_num_domains d
   | None -> ());
-  let shards = resolve_shards ~shards ~concurrency ~domains in
   match listen with
   | Some addr_str -> (
     let address = parse_address addr_str in
@@ -281,7 +270,6 @@ let cmd_serve concurrency domains shards transcript listen max_pending
         (Server.Net.config address) with
         Server.Net.concurrency;
         domains;
-        shards;
         max_pending;
         max_conns;
         request_timeout_s = request_timeout;
@@ -311,8 +299,7 @@ let cmd_serve concurrency domains shards transcript listen max_pending
       echo line
     in
     let sched =
-      Engine.Scheduler.create ~concurrency ?domains ~shards
-        ~on_event:emit_event ()
+      Engine.Scheduler.create ~concurrency ?domains ~on_event:emit_event ()
     in
     Engine.Protocol.serve ~echo sched stdin stdout;
     Option.iter close_out transcript_oc
@@ -396,11 +383,10 @@ let cmd_metrics to_addr =
 
 (* [place batch]: submit every job spec of a JSONL file, run them all,
    and write one result line per job (submission order). *)
-let cmd_batch jobs_file concurrency domains shards output =
+let cmd_batch jobs_file concurrency domains output =
   (match domains with
   | Some d -> Numeric.Parallel.set_num_domains d
   | None -> ());
-  let shards = resolve_shards ~shards ~concurrency ~domains in
   let specs =
     In_channel.with_open_text jobs_file (fun ic ->
         let rec read acc lineno =
@@ -425,7 +411,7 @@ let cmd_batch jobs_file concurrency domains shards output =
     Printf.eprintf "%s: no job specs\n" jobs_file;
     exit 1
   end;
-  let sched = Engine.Scheduler.create ~concurrency ?domains ~shards () in
+  let sched = Engine.Scheduler.create ~concurrency ?domains () in
   let ids = List.map (fun spec -> (Engine.Scheduler.submit sched spec, spec)) specs in
   Engine.Scheduler.drain sched;
   Engine.Scheduler.stop sched;
@@ -595,16 +581,10 @@ let engine_domains_arg =
   Arg.(value & opt (some domains_conv) None
        & info [ "domains" ]
            ~doc:"Domain-pool lanes split between concurrent jobs \
-                 (default: KRAFTWERK_DOMAINS or the hardware core count).")
-
-let shards_arg =
-  Arg.(value & opt (some int) None
-       & info [ "shards" ]
-           ~doc:"Worker domains executing job slices, each owning a run \
-                 queue with work stealing (default: min(concurrency, \
-                 domains) when --domains exceeds 1, else 0).  0 runs the \
-                 inline cooperative scheduler.  Job trajectories are \
-                 bitwise-identical for every value.")
+                 (default: KRAFTWERK_DOMAINS or the hardware core count). \
+                 Above 1, min(concurrency, N) worker domains run job \
+                 slices with work stealing; job trajectories are \
+                 bitwise-identical either way.")
 
 let serve_cmd =
   let transcript =
@@ -660,9 +640,9 @@ let serve_cmd =
              socket server with --listen (submit, status, cancel, \
              result, wait, metrics, subscribe, shutdown — see \
              HACKING.md, Network serving)")
-    Term.(const cmd_serve $ concurrency_arg $ engine_domains_arg $ shards_arg
-          $ transcript $ listen $ max_pending $ max_conns
-          $ request_timeout $ idle_timeout $ drain_grace)
+    Term.(const cmd_serve $ concurrency_arg $ engine_domains_arg $ transcript
+          $ listen $ max_pending $ max_conns $ request_timeout $ idle_timeout
+          $ drain_grace)
 
 let to_arg =
   Arg.(required & opt (some string) None
@@ -755,7 +735,7 @@ let batch_cmd =
        ~doc:"Run a file of job specs through the engine and report one \
              result line per job; exits nonzero when any job failed")
     Term.(const cmd_batch $ jobs_file $ concurrency_arg $ engine_domains_arg
-          $ shards_arg $ output)
+          $ output)
 
 let () =
   let doc = "force-directed global placement and floorplanning" in

@@ -142,9 +142,9 @@ let event_to_json ~ev e =
   in
   Obj (fields @ [ ("ev", int_ ev) ])
 
-(* Scheduler shape and per-shard counters: with worker domains these are
-   the queue-depth / steal / busy-fraction numbers that tell an operator
-   whether the shards are actually load-balancing. *)
+(* Scheduler shape and per-worker counters: the queue-depth / steal /
+   busy-fraction numbers that tell an operator whether the worker
+   domains are actually load-balancing. *)
 let scheduler_json sched =
   let shard_rows =
     List.map
@@ -163,7 +163,7 @@ let scheduler_json sched =
   in
   Obj
     [
-      ("shards", int_ (Scheduler.shards sched));
+      ("shards", int_ (Scheduler.workers sched));
       ("queued", int_ (Scheduler.queued sched));
       ("running", int_ (Scheduler.running sched));
       ("per_shard", Arr shard_rows);

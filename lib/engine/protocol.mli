@@ -119,9 +119,10 @@ val render : seq:Obs.Json.t option -> reply -> Obs.Json.t
 val event_to_json : ev:int -> Scheduler.event -> Obs.Json.t
 
 (** [metrics_fields sched] — the [metrics] response payload: whether
-    the {!Obs.Registry} is recording, the scheduler shape (shard count,
-    queued/running jobs, per-shard queue depth / steal / slice / busy
-    counters — [per_shard] is empty for an inline scheduler), plus a
+    the {!Obs.Registry} is recording, the scheduler shape (worker count
+    as ["shards"], queued/running jobs, per-shard queue depth / steal /
+    slice / busy counters — [per_shard] is empty with zero workers),
+    plus a
     name → stat object dump of the registry snapshot. *)
 val metrics_fields : Scheduler.t -> (string * Obs.Json.t) list
 

@@ -86,24 +86,23 @@ type shard_metric = {
 type t = {
   concurrency : int;
   base_domains : int;
-  shards : int;  (* worker domains; 0 = inline cooperative mode *)
+  workers : int;  (* worker domains; 0 = the coordinator runs the loop *)
   on_event : event -> unit;  (* invoked only on the coordinator domain *)
   mutable next_id : int;
   entries : (id, entry) Hashtbl.t;
   mutable order : id list;  (* submission order *)
-  mutable rr : id list;  (* inline mode: running jobs, round-robin *)
-  (* Sharded mode.  [lock] guards every mutable field above plus the
-     queues, pending events and stats; slices and finishing passes run
-     outside it.  [cond] is broadcast whenever work or an event becomes
-     available (and on stop). *)
+  (* [lock] guards every mutable field above plus the queues, pending
+     events and stats; slices and finishing passes run outside it.
+     [cond] is broadcast whenever work or an event becomes available
+     (and on stop). *)
   lock : Mutex.t;
   cond : Condition.t;
-  queues : id Queue.t array;  (* per-shard run queues *)
+  queues : id Queue.t array;  (* one run queue per worker, or just one *)
   pending : event Queue.t;  (* events awaiting delivery by [pump] *)
   stats : shard_stats array;
   created_at : float;
   mutable live : bool;
-  mutable workers : unit Domain.t array;
+  mutable worker_domains : unit Domain.t array;
   mutable notify : (Unix.file_descr * Unix.file_descr) option;
 }
 
@@ -111,48 +110,52 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* Deliver an event.  Inline mode dispatches synchronously (the caller
-   is the coordinator).  Sharded mode queues it for [pump] and pokes the
-   self-pipe so a select-based coordinator wakes up.  Never called with
-   [t.lock] held: handlers re-enter the scheduler's getters. *)
+(* Queue an event for [pump], [t.lock] held. *)
+let enqueue_event t ev =
+  Queue.add ev t.pending;
+  Condition.broadcast t.cond
+
+(* Poke the self-pipe, when there is one, so a select-based coordinator
+   wakes up to pump. *)
+let poke t =
+  match t.notify with
+  | None -> ()
+  | Some (_, w) -> (
+    try ignore (Unix.write w (Bytes.make 1 '!') 0 1)
+    with Unix.Unix_error _ -> ())
+
+(* Deliver an event: queued here, dispatched by [pump] on the
+   coordinator.  Never called with [t.lock] held: handlers re-enter the
+   scheduler's getters. *)
 let emit t ev =
-  if t.shards = 0 then t.on_event ev
-  else begin
-    with_lock t (fun () ->
-        Queue.add ev t.pending;
-        Condition.broadcast t.cond);
-    match t.notify with
-    | None -> ()
-    | Some (_, w) -> (
-      try ignore (Unix.write w (Bytes.make 1 '!') 0 1)
-      with Unix.Unix_error _ -> ())
-  end
+  with_lock t (fun () -> enqueue_event t ev);
+  poke t
 
 (* Drain the self-pipe and dispatch queued events on the calling
-   (coordinator) domain.  No-op in inline mode. *)
+   (coordinator) domain, one at a time, so an event a handler causes is
+   still delivered after the ones queued before it. *)
 let pump t =
-  if t.shards > 0 then begin
-    (match t.notify with
+  (match t.notify with
+  | None -> ()
+  | Some (r, _) -> (
+    let buf = Bytes.create 256 in
+    try
+      while Unix.read r buf 0 256 > 0 do
+        ()
+      done
+    with Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()));
+  let rec deliver () =
+    match with_lock t (fun () -> Queue.take_opt t.pending) with
+    | Some ev ->
+      t.on_event ev;
+      deliver ()
     | None -> ()
-    | Some (r, _) -> (
-      let buf = Bytes.create 256 in
-      try
-        while Unix.read r buf 0 256 > 0 do
-          ()
-        done
-      with Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()));
-    let evs =
-      with_lock t (fun () ->
-          let evs = List.of_seq (Queue.to_seq t.pending) in
-          Queue.clear t.pending;
-          evs)
-    in
-    List.iter t.on_event evs
-  end
+  in
+  deliver ()
 
 let notify_fd t = Option.map fst t.notify
 
-let shards t = t.shards
+let workers t = t.workers
 
 let submit t spec =
   let id =
@@ -174,9 +177,9 @@ let submit t spec =
         Condition.broadcast t.cond;
         id)
   in
-  (* Submission happens on the coordinator in both modes, so the event
-     can be dispatched synchronously — subscribers see [Submitted]
-     before [submit] returns, as the inline scheduler always did. *)
+  (* Submission happens on the coordinator, so the event is dispatched
+     synchronously: subscribers see [Submitted] before [submit]
+     returns. *)
   t.on_event (Submitted id);
   id
 
@@ -220,21 +223,19 @@ let running_locked t =
 let running t = with_lock t (fun () -> running_locked t)
 
 let shard_metrics t =
-  if t.shards = 0 then []
-  else
-    with_lock t (fun () ->
-        let uptime = max 1e-9 (Unix.gettimeofday () -. t.created_at) in
-        List.init t.shards (fun i ->
-            let s = t.stats.(i) in
-            {
-              shard = i;
-              queue_depth = Queue.length t.queues.(i);
-              m_steals = s.steals;
-              m_slices = s.slices;
-              m_busy_s = s.busy_s;
-              m_busy_frac = s.busy_s /. uptime;
-              m_max_slice_s = s.max_slice_s;
-            }))
+  with_lock t (fun () ->
+      let uptime = max 1e-9 (Unix.gettimeofday () -. t.created_at) in
+      List.init t.workers (fun i ->
+          let s = t.stats.(i) in
+          {
+            shard = i;
+            queue_depth = Queue.length t.queues.(i);
+            m_steals = s.steals;
+            m_slices = s.slices;
+            m_busy_s = s.busy_s;
+            m_busy_frac = s.busy_s /. uptime;
+            m_max_slice_s = s.max_slice_s;
+          }))
 
 (* ------------------------------------------------------------------ *)
 (* Starting jobs                                                        *)
@@ -456,7 +457,6 @@ let finish t entry (result : Job.result) =
       entry.status <- result.Job.status;
       entry.res <- Some result;
       entry.run <- None;
-      t.rr <- List.filter (fun id -> id <> entry.id) t.rr;
       Condition.broadcast t.cond);
   emit t (Finished (entry.id, result.Job.status))
 
@@ -586,14 +586,12 @@ let finish_degraded t entry run ~deadline_expired =
     }
 
 (* ------------------------------------------------------------------ *)
-(* Turns                                                                *)
+(* The scheduler loop                                                   *)
 
 (* One scheduling quantum for a running job: cancellation, deadline and
    budget checks, then a single placement transformation (or the
-   finishing pass).  [set_lanes] runs just before the transformation —
-   the inline scheduler repartitions the global pool there, a sharded
-   worker has already pinned its lanes and passes a no-op. *)
-let turn_body t entry run ~set_lanes =
+   finishing pass). *)
+let slice_body t entry run =
   let deadline_expired =
     match entry.spec.Job.deadline with
     | Some d -> Unix.gettimeofday () -. run.started_at >= d
@@ -620,7 +618,6 @@ let turn_body t entry run ~set_lanes =
   end
   else if done_now then finish_done t entry run ~converged:true
   else begin
-    set_lanes ();
     let step () =
       match run.exec with
       | Flat s -> ignore (Kraftwerk.Placer.transform ~hooks:run.hooks s)
@@ -637,94 +634,45 @@ let turn_body t entry run ~set_lanes =
     | _ -> ()
   end
 
-(* ------------------------------------------------------------------ *)
-(* Inline (single-domain, cooperative) mode                             *)
-
-(* Lane budget for the job about to run: an equal split of the base pool
-   between the currently interleaved jobs, unless the spec pins one.
-   Results are bitwise lane-count-independent, so the repartitioning is
-   invisible to trajectories. *)
-let lanes_inline t entry =
-  match entry.spec.Job.domains with
-  | Some d -> d
-  | None -> max 1 (t.base_domains / max 1 (List.length t.rr))
-
-let turn t entry run =
-  turn_body t entry run ~set_lanes:(fun () ->
-      Numeric.Parallel.set_num_domains (lanes_inline t entry))
-
-let start_queued t =
-  let rec next_queued best = function
-    | [] -> best
-    | id :: rest ->
-      let e = Hashtbl.find t.entries id in
-      let best =
-        if e.status = Job.Queued then
-          match best with
-          | Some b when b.spec.Job.priority >= e.spec.Job.priority -> best
-          | _ -> Some e
-        else best
-      in
-      next_queued best rest
-  in
-  (* [order] is submission order, so the first maximum is FIFO within a
-     priority. *)
-  let continue = ref true in
-  while !continue && List.length t.rr < t.concurrency do
-    match next_queued None t.order with
-    | None -> continue := false
-    | Some e -> (
-      e.status <- Job.Running;
-      t.on_event (Started e.id);
-      match start_running e.spec with
-      | Ok run ->
-        e.run <- Some run;
-        t.rr <- t.rr @ [ e.id ]
-      | Error msg -> finish_failed t e msg
-      | exception exn -> finish_failed t e (Printexc.to_string exn))
-  done
-
-let step_inline t =
-  start_queued t;
-  match t.rr with
-  | [] -> false
-  | id :: rest ->
-    let e = Hashtbl.find t.entries id in
-    (match e.run with
-    | Some run -> (
-      try turn t e run with exn -> finish_failed t e (Printexc.to_string exn))
-    | None ->
-      (* unreachable: every rr member has live run state *)
-      finish_failed t e "scheduler: running job lost its state");
-    (* Rotate: the job finishing removed itself from rr already. *)
-    if not (Job.terminal e.status) then t.rr <- rest @ [ id ];
-    true
-
-(* ------------------------------------------------------------------ *)
-(* Sharded mode: one worker domain per shard                            *)
-
-(* Home shard: fixed by job id alone, so where a job's slices queue is a
+(* Home queue: fixed by job id alone, so where a job's slices queue is a
    pure function of submission order, independent of timing.  Stealing
-   borrows one slice at a time; the job re-queues at home afterwards. *)
-let home t id = (id - 1) mod t.shards
+   borrows one slice at a time; the job re-queues at home afterwards.
+   With zero workers there is one queue, and re-queueing at its tail is
+   the round-robin. *)
+let home t id = (id - 1) mod Array.length t.queues
 
-(* Per-slice lane budget.  Fixed for the scheduler's lifetime — an equal
-   split of the base pool across shards (spec pin wins) — and applied
-   with a domain-local override so concurrent workers never resize the
-   process-wide pool under each other. *)
-let lanes_sharded t entry =
+(* Lane budget of every slice: the spec's pin, else an equal split of
+   the base budget across the workers (all of it for the coordinator).
+   Applied with a domain-local pin, so no slice ever resizes the
+   process-wide pool. *)
+let lanes t entry =
   match entry.spec.Job.domains with
   | Some d -> d
-  | None -> max 1 (t.base_domains / t.shards)
+  | None -> max 1 (t.base_domains / max 1 t.workers)
 
 type work = Slice of entry | Claim of entry | Nothing
 
-(* Pick work for a shard, [t.lock] held: own queue first, then steal
-   scanning the other shards in a fixed order, then claim a queued job
-   if a concurrency slot is free.  Terminal ids found in a queue (a job
-   cancelled while queued never gets there, but be defensive) are
-   dropped. *)
+(* Pick work for [shard], [t.lock] held: claim the best queued job while
+   a concurrency slot is free (priority, then submission order), else
+   pop the shard's own queue, else steal a slice scanning the other
+   queues in a fixed order.  A claim queues the job's [Started] event
+   under the lock, so it precedes every event of work picked after it.
+   Terminal ids found in a queue (a job cancelled while queued never
+   gets there, but be defensive) are dropped. *)
 let take_work t shard =
+  let claimable =
+    if running_locked t >= t.concurrency then None
+    else
+      List.fold_left
+        (fun best id ->
+          let e = Hashtbl.find t.entries id in
+          if e.status <> Job.Queued then best
+          else
+            match best with
+            | Some b when b.spec.Job.priority >= e.spec.Job.priority -> best
+            | _ -> Some e)
+        None t.order
+  in
   let rec pop q =
     match Queue.take_opt q with
     | None -> None
@@ -732,52 +680,51 @@ let take_work t shard =
       let e = Hashtbl.find t.entries id in
       if Job.terminal e.status || e.run = None then pop q else Some e
   in
-  match pop t.queues.(shard) with
-  | Some e -> Slice e
+  let n = Array.length t.queues in
+  let rec scan k =
+    if k >= n then None
+    else
+      match pop t.queues.((shard + k) mod n) with
+      | Some e -> Some e
+      | None -> scan (k + 1)
+  in
+  match claimable with
+  | Some e ->
+    e.status <- Job.Running;
+    enqueue_event t (Started e.id);
+    Claim e
   | None -> (
-    let rec scan k =
-      if k >= t.shards then None
-      else
-        match pop t.queues.((shard + k) mod t.shards) with
-        | Some e -> Some e
-        | None -> scan (k + 1)
-    in
-    match scan 1 with
-    | Some e ->
-      let s = t.stats.(shard) in
-      s.steals <- s.steals + 1;
-      Slice e
-    | None ->
-      if running_locked t >= t.concurrency then Nothing
-      else
-        let best =
-          List.fold_left
-            (fun best id ->
-              let e = Hashtbl.find t.entries id in
-              if e.status <> Job.Queued then best
-              else
-                match best with
-                | Some b when b.spec.Job.priority >= e.spec.Job.priority ->
-                  best
-                | _ -> Some e)
-            None t.order
-        in
-        (match best with
-        | Some e ->
-          e.status <- Job.Running;
-          Claim e
-        | None -> Nothing))
+    match pop t.queues.(shard) with
+    | Some e -> Slice e
+    | None -> (
+      match scan 1 with
+      | Some e ->
+        let s = t.stats.(shard) in
+        s.steals <- s.steals + 1;
+        Slice e
+      | None -> Nothing))
+
+(* Materialise a claimed job and queue it at home. *)
+let start_job t entry =
+  match start_running entry.spec with
+  | Ok run ->
+    with_lock t (fun () ->
+        entry.run <- Some run;
+        Queue.add entry.id t.queues.(home t entry.id);
+        Condition.broadcast t.cond)
+  | Error msg -> finish_failed t entry msg
+  | exception exn -> finish_failed t entry (Printexc.to_string exn)
 
 (* Run one slice outside the lock, then account for it and re-queue the
-   job at its home shard if it is still live. *)
+   job at its home if it is still live. *)
 let exec_slice t shard entry =
   let t0 = Unix.gettimeofday () in
   (match entry.run with
   | None -> finish_failed t entry "scheduler: running job lost its state"
   | Some run -> (
     try
-      Numeric.Parallel.with_lanes (lanes_sharded t entry) (fun () ->
-          turn_body t entry run ~set_lanes:(fun () -> ()))
+      Numeric.Parallel.with_lanes (lanes t entry) (fun () ->
+          slice_body t entry run)
     with exn -> finish_failed t entry (Printexc.to_string exn)));
   let dt = Unix.gettimeofday () -. t0 in
   Obs.Registry.observe "sched/slice_s" dt;
@@ -786,53 +733,42 @@ let exec_slice t shard entry =
       s.slices <- s.slices + 1;
       s.busy_s <- s.busy_s +. dt;
       if dt > s.max_slice_s then s.max_slice_s <- dt;
-      if not (Job.terminal entry.status) then begin
+      if not (Job.terminal entry.status) then
         Queue.add entry.id t.queues.(home t entry.id);
-        Condition.broadcast t.cond
-      end;
-      (* Wake the coordinator's [step] even when the job finished: the
-         finish already queued its event and broadcast. *)
+      (* Wake a waiting [step] even when the job finished: the finish
+         already queued its event. *)
       Condition.broadcast t.cond)
+
+(* The loop body, entered and left with [t.lock] held: claim and start
+   every job a free slot allows, then run one slice.  False when no
+   slice was left to run. *)
+let rec work t shard =
+  match take_work t shard with
+  | Nothing -> false
+  | Claim entry ->
+    Mutex.unlock t.lock;
+    poke t;
+    start_job t entry;
+    Mutex.lock t.lock;
+    work t shard
+  | Slice entry ->
+    Mutex.unlock t.lock;
+    exec_slice t shard entry;
+    Mutex.lock t.lock;
+    true
 
 let worker t shard () =
   Mutex.lock t.lock;
-  let rec loop () =
-    if t.live then begin
-      match take_work t shard with
-      | Nothing ->
-        Condition.wait t.cond t.lock;
-        loop ()
-      | Claim entry ->
-        Mutex.unlock t.lock;
-        emit t (Started entry.id);
-        (match start_running entry.spec with
-        | Ok run ->
-          with_lock t (fun () ->
-              entry.run <- Some run;
-              Queue.add entry.id t.queues.(home t entry.id);
-              Condition.broadcast t.cond)
-        | Error msg -> finish_failed t entry msg
-        | exception exn -> finish_failed t entry (Printexc.to_string exn));
-        Mutex.lock t.lock;
-        loop ()
-      | Slice entry ->
-        Mutex.unlock t.lock;
-        exec_slice t shard entry;
-        Mutex.lock t.lock;
-        loop ()
-    end
-  in
-  loop ();
+  while t.live do
+    if not (work t shard) then Condition.wait t.cond t.lock
+  done;
   Mutex.unlock t.lock
 
 (* ------------------------------------------------------------------ *)
 (* Construction, stepping, cancellation                                 *)
 
-let create ?(concurrency = 1) ?domains ?(shards = 0) ?(on_event = fun _ -> ())
-    () =
+let create ?(concurrency = 1) ?domains ?(on_event = fun _ -> ()) () =
   if concurrency < 1 then invalid_arg "Scheduler.create: concurrency < 1";
-  if shards < 0 then invalid_arg "Scheduler.create: shards < 0";
-  let shards = min shards 64 in
   let base_domains =
     match domains with
     | Some d ->
@@ -840,8 +776,14 @@ let create ?(concurrency = 1) ?domains ?(shards = 0) ?(on_event = fun _ -> ())
       d
     | None -> Numeric.Parallel.num_domains ()
   in
+  (* An explicit multi-lane budget asks for worker domains, one per lane
+     up to the concurrency (a worker without a runnable job would idle);
+     otherwise the caller's domain runs the loop. *)
+  let workers =
+    match domains with Some d when d > 1 -> min 64 (min concurrency d) | _ -> 0
+  in
   let notify =
-    if shards = 0 then None
+    if workers = 0 then None
     else begin
       let r, w = Unix.pipe ~cloexec:true () in
       Unix.set_nonblock r;
@@ -853,61 +795,59 @@ let create ?(concurrency = 1) ?domains ?(shards = 0) ?(on_event = fun _ -> ())
     {
       concurrency;
       base_domains;
-      shards;
+      workers;
       on_event;
       next_id = 0;
       entries = Hashtbl.create 16;
       order = [];
-      rr = [];
       lock = Mutex.create ();
       cond = Condition.create ();
-      queues = Array.init (max 1 shards) (fun _ -> Queue.create ());
+      queues = Array.init (max 1 workers) (fun _ -> Queue.create ());
       pending = Queue.create ();
       stats =
-        Array.init (max 1 shards) (fun _ ->
+        Array.init (max 1 workers) (fun _ ->
             { steals = 0; slices = 0; busy_s = 0.; max_slice_s = 0. });
       created_at = Unix.gettimeofday ();
       live = true;
-      workers = [||];
+      worker_domains = [||];
       notify;
     }
   in
-  if shards > 0 then
-    t.workers <- Array.init shards (fun i -> Domain.spawn (worker t i));
+  t.worker_domains <- Array.init workers (fun i -> Domain.spawn (worker t i));
   t
 
 let stop t =
-  if t.shards > 0 then begin
-    with_lock t (fun () ->
-        t.live <- false;
-        Condition.broadcast t.cond);
-    Array.iter Domain.join t.workers;
-    t.workers <- [||];
-    pump t;
-    match t.notify with
-    | None -> ()
-    | Some (r, w) ->
-      t.notify <- None;
-      (try Unix.close r with Unix.Unix_error _ -> ());
-      (try Unix.close w with Unix.Unix_error _ -> ())
-  end
+  with_lock t (fun () ->
+      t.live <- false;
+      Condition.broadcast t.cond);
+  Array.iter Domain.join t.worker_domains;
+  t.worker_domains <- [||];
+  pump t;
+  match t.notify with
+  | None -> ()
+  | Some (r, w) ->
+    t.notify <- None;
+    (try Unix.close r with Unix.Unix_error _ -> ());
+    (try Unix.close w with Unix.Unix_error _ -> ())
 
+(* With zero workers the coordinator runs the loop itself; otherwise it
+   waits until a worker makes progress or an event needs delivering. *)
 let step t =
-  if t.shards = 0 then step_inline t
-  else begin
-    pump t;
-    let busy_now =
-      with_lock t (fun () ->
-          if not t.live then false
-          else begin
-            let b = busy_locked t in
-            if b && Queue.is_empty t.pending then Condition.wait t.cond t.lock;
-            b
-          end)
-    in
-    pump t;
-    busy_now
-  end
+  pump t;
+  Mutex.lock t.lock;
+  let progressed =
+    t.live
+    &&
+    if t.workers = 0 then work t 0
+    else begin
+      let busy = busy_locked t in
+      if busy && Queue.is_empty t.pending then Condition.wait t.cond t.lock;
+      busy
+    end
+  in
+  Mutex.unlock t.lock;
+  pump t;
+  progressed
 
 let drain t =
   while step t do
@@ -915,31 +855,25 @@ let drain t =
   done
 
 let cancel t id =
-  match with_lock t (fun () -> Hashtbl.find_opt t.entries id) with
-  | None -> false
-  | Some e ->
-    let action =
-      with_lock t (fun () ->
-          if Job.terminal e.status then `Already
-          else if e.status = Job.Queued then begin
-            (* Never started: no placement to report.  Settle the whole
-               terminal state atomically so a concurrent worker can
-               neither claim it nor observe a half-finished entry. *)
-            let r = empty_result Job.Cancelled in
-            e.status <- Job.Cancelled;
-            e.res <- Some r;
-            Condition.broadcast t.cond;
-            `Finished
-          end
-          else begin
-            e.cancel_requested <- true;
-            `Flagged
-          end)
-    in
-    (match action with
-    | `Finished -> emit t (Finished (id, Job.Cancelled))
-    | `Already | `Flagged -> ());
-    action <> `Already
+  let cancelled =
+    with_lock t (fun () ->
+        match Hashtbl.find_opt t.entries id with
+        | None -> false
+        | Some e when Job.terminal e.status -> false
+        | Some e when e.status = Job.Queued ->
+          (* Never started: no placement to report.  Settle the whole
+             terminal state atomically so a concurrent worker can
+             neither claim it nor observe a half-finished entry. *)
+          e.status <- Job.Cancelled;
+          e.res <- Some (empty_result Job.Cancelled);
+          enqueue_event t (Finished (id, Job.Cancelled));
+          true
+        | Some e ->
+          e.cancel_requested <- true;
+          true)
+  in
+  pump t;
+  cancelled
 
 let cancel_all t =
   let ids = with_lock t (fun () -> t.order) in

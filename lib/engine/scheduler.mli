@@ -1,32 +1,35 @@
-(** Placement-job scheduler: cooperative single-domain interleaving, or
-    sharded across worker domains.
+(** Placement-job scheduler: one loop, run by worker domains or, with
+    zero workers, by the caller.
 
     Jobs are queued by priority (FIFO within a priority) and up to
-    [concurrency] of them run at once.  With [shards = 0] (the default)
-    they are {e interleaved}, round-robin, on the calling domain at the
-    granularity of one placement transformation per turn.  With
-    [shards = n > 0] the scheduler spawns [n] worker domains, each
-    owning a run queue; a job's home queue is fixed by its id
-    ([(id - 1) mod shards]), an idle worker steals a slice from another
-    shard's queue, and the job re-queues at home afterwards.  Either
-    way a job is owned by exactly one domain at a time, so its slices
-    execute in sequence and stealing changes only {e when} a slice
-    runs, never what it computes.
+    [concurrency] of them run at once.  The loop claims and starts a
+    queued job whenever a concurrency slot is free, and otherwise runs
+    one {e slice} — a single placement transformation, or the finishing
+    pass — of a running job, taken from its own run queue or stolen
+    from another.  A job's home queue is fixed by its id
+    ([(id - 1) mod queues]); after a slice the job re-queues at the
+    tail of its home.  With [n > 0] worker domains there are [n] queues
+    and each worker runs the loop on its own; with zero workers there is
+    one queue and {!step} runs the loop on the calling domain, where
+    re-queueing at the tail is the round-robin.  Either way a job is
+    owned by exactly one domain at a time, so its slices execute in
+    sequence and stealing changes only {e when} a slice runs, never what
+    it computes.
 
-    Every job's trajectory is bitwise-identical to a solo run in both
-    modes: the {!Numeric.Parallel} combinators are deterministic for
-    any lane count, and the scheduler only repartitions lanes — between
-    turns in inline mode ([base_domains / running_jobs]), or as a fixed
-    per-worker {!Numeric.Parallel.with_lanes} pin
-    ([base_domains / shards]) in sharded mode (a job's own [domains]
-    budget wins in both).
+    Every job's trajectory is bitwise-identical to a solo run: the
+    {!Numeric.Parallel} combinators are deterministic for any lane
+    count, and there is one lane rule — every slice runs under a
+    {!Numeric.Parallel.with_lanes} pin of the job's own [domains]
+    budget, else [max 1 (base_domains / max 1 workers)].  The
+    process-wide pool is never resized.
 
-    In sharded mode, lifecycle events are {e queued} and delivered on
-    the coordinator by {!pump} (or {!step}/{!drain}, which pump) — never
-    from a worker domain — so an [on_event] handler needs no locking of
-    its own.  {!notify_fd} wakes a select-based embedder when events are
-    pending.  {!submit} and {!cancel} must be called from the
-    coordinator domain; status getters are safe from anywhere.
+    Lifecycle events are queued and delivered on the coordinator by
+    {!pump} (or {!step}/{!drain}/{!cancel}, which pump) — never from a
+    worker domain — so an [on_event] handler needs no locking of its
+    own; {!submit} delivers [Submitted] synchronously.  {!notify_fd}
+    wakes a select-based embedder when worker events are pending.
+    {!submit} and {!cancel} must be called from the coordinator domain;
+    status getters are safe from anywhere.
 
     Cancellation, deadlines and checkpoints all take effect at
     transformation boundaries.  A cancelled or deadline-expired job
@@ -37,7 +40,7 @@
     whose deltas are reported).
 
     Per-job telemetry goes through a private {!Obs.Sink} installed only
-    for the duration of that job's turns, so concurrent traces never
+    for the duration of that job's slices, so concurrent traces never
     interleave. *)
 
 type t
@@ -54,36 +57,32 @@ type event =
 
 (** [create ()] — [concurrency] is the number of jobs running at once
     (default 1); [domains] is the lane budget split between them
-    (default: the current {!Numeric.Parallel.num_domains}); [shards] is
-    the number of worker domains (default 0: inline cooperative mode;
-    clamped to at most 64); [on_event] observes lifecycle transitions.
-    Sharded schedulers hold worker domains until {!stop}. *)
+    (default: the current {!Numeric.Parallel.num_domains}); [on_event]
+    observes lifecycle transitions.  An explicit [domains > 1] spawns
+    [min concurrency domains] worker domains (at most 64), held until
+    {!stop}; otherwise there are zero workers and {!step} runs the loop
+    on the caller. *)
 val create :
-  ?concurrency:int ->
-  ?domains:int ->
-  ?shards:int ->
-  ?on_event:(event -> unit) ->
-  unit ->
-  t
+  ?concurrency:int -> ?domains:int -> ?on_event:(event -> unit) -> unit -> t
 
-(** Number of worker domains (0 in inline mode). *)
-val shards : t -> int
+(** Number of worker domains (0 when the caller runs the loop). *)
+val workers : t -> int
 
 (** [pump t] drains the self-pipe and dispatches queued lifecycle
-    events on the calling (coordinator) domain.  No-op in inline mode.
-    Embedders that do not call {!step}/{!drain} (e.g. a select loop)
-    must pump to see worker-produced events. *)
+    events on the calling (coordinator) domain.  Embedders that do not
+    call {!step}/{!drain} (e.g. a select loop over a scheduler with
+    workers) must pump to see worker-produced events. *)
 val pump : t -> unit
 
-(** In sharded mode, a file descriptor that becomes readable when
+(** With workers, a file descriptor that becomes readable when
     lifecycle events await {!pump} — for select-based embedders.  [None]
-    in inline mode or after {!stop}. *)
+    with zero workers or after {!stop}. *)
 val notify_fd : t -> Unix.file_descr option
 
 (** [stop t] halts and joins the worker domains (each finishes its
     current slice first), delivers any trailing events, and closes the
     notify pipe.  Non-terminal jobs keep their state but make no further
-    progress.  Idempotent; no-op in inline mode. *)
+    progress: {!step} returns false from then on.  Idempotent. *)
 val stop : t -> unit
 
 (** Per-shard scheduler counters, for the [metrics] surfaces. *)
@@ -97,7 +96,7 @@ type shard_metric = {
   m_max_slice_s : float;  (** slowest single slice *)
 }
 
-(** [shard_metrics t] — one entry per shard; [[]] in inline mode. *)
+(** [shard_metrics t] — one entry per worker; [[]] with zero workers. *)
 val shard_metrics : t -> shard_metric list
 
 (** [validate_spec spec] is the submit-time admission check: the source
@@ -116,8 +115,9 @@ val validate_spec : Job.spec -> (unit, string) result
 val submit : t -> Job.spec -> id
 
 (** [cancel t id] requests cooperative cancellation.  A queued job is
-    finished as [Cancelled] immediately (no placement was produced); a
-    running job finishes at its next turn with its best-so-far
+    finished as [Cancelled] immediately (no placement was produced, and
+    its [Finished] event is delivered before [cancel] returns); a
+    running job finishes at its next slice with its best-so-far
     placement, writing a final checkpoint first when configured.
     Returns false when [id] is unknown or already terminal. *)
 val cancel : t -> id -> bool
@@ -158,14 +158,15 @@ val queued : t -> int
     ones, which keep executing). *)
 val running : t -> int
 
-(** [step t] — inline mode: run one scheduling turn (start queued jobs
-    while slots are free, then give the next running job one
-    transformation or its finishing pass); returns false when nothing
-    was runnable.  Sharded mode: pump events and, if jobs are still in
-    flight, block until a worker makes progress; returns false once no
-    job is queued or running (or after {!stop}). *)
+(** [step t] — with zero workers: run the loop once on the caller
+    (claim and start every job a free slot allows, then give the next
+    running job one slice) and deliver the events it produced; returns
+    false when nothing could run.  With workers: pump events and, if
+    jobs are still in flight, block until a worker makes progress;
+    returns false once no job is queued or running.  Always false after
+    {!stop}. *)
 val step : t -> bool
 
 (** [drain t] steps until no job is queued or running.  Does not stop
-    worker domains — call {!stop} when done with a sharded scheduler. *)
+    worker domains — call {!stop} when done with the scheduler. *)
 val drain : t -> unit

@@ -5,7 +5,6 @@ type config = {
   address : Address.t;
   concurrency : int;
   domains : int option;
-  shards : int;
   max_pending : int;
   max_conns : int;
   request_timeout_s : float;
@@ -20,7 +19,6 @@ let config address =
     address;
     concurrency = 2;
     domains = None;
-    shards = 0;
     max_pending = 64;
     max_conns = 128;
     request_timeout_s = 300.;
@@ -428,25 +426,30 @@ let close_idle_conns st now =
       victims
   end
 
-(* One bounded slice of placement work between polls: at most [budget]
-   seconds, at transformation granularity, so service latency stays
-   bounded by one transformation.  With a sharded scheduler the worker
-   domains execute slices on their own; the coordinator only pumps
-   queued lifecycle events (the notify pipe in the poll set wakes us
-   the moment one arrives). *)
+(* One bounded stretch of placement work between polls: at most
+   [budget] seconds, at slice granularity, so service latency stays
+   bounded by one transformation.  With worker domains the workers run
+   the slices; the coordinator only pumps queued lifecycle events (the
+   notify pipe in the poll set wakes us the moment one arrives).  True
+   when the loop itself still has runnable work, so the next poll must
+   not sleep. *)
 let step_slice st ~budget =
-  if Engine.Scheduler.shards st.sched > 0 then
-    Engine.Scheduler.pump st.sched
+  if Engine.Scheduler.workers st.sched > 0 then begin
+    Engine.Scheduler.pump st.sched;
+    false
+  end
   else begin
     let t0 = Unix.gettimeofday () in
-    let continue = ref true in
-    while !continue && Unix.gettimeofday () -. t0 < budget do
-      if Engine.Scheduler.step st.sched then begin
+    let rec go () =
+      if Unix.gettimeofday () -. t0 >= budget then true
+      else if Engine.Scheduler.step st.sched then begin
         st.turns <- st.turns + 1;
-        Obs.Registry.incr "server/turns"
+        Obs.Registry.incr "server/turns";
+        go ()
       end
-      else continue := false
-    done
+      else false
+    in
+    go ()
   end
 
 let drain_tick st now =
@@ -514,7 +517,6 @@ let run cfg =
     let handler = ref (fun (_ : Engine.Scheduler.event) -> ()) in
     let sched =
       Engine.Scheduler.create ~concurrency:cfg.concurrency ?domains:cfg.domains
-        ~shards:cfg.shards
         ~on_event:(fun e -> !handler e)
         ()
     in
@@ -544,6 +546,7 @@ let run cfg =
       Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> want_drain := true))
     in
     let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+    let runnable = ref false in
     Fun.protect
       ~finally:(fun () ->
         Sys.set_signal Sys.sigterm old_term;
@@ -571,17 +574,11 @@ let run cfg =
                 (fun _ c acc -> if has_output c then c.fd :: acc else acc)
                 st.conns []
             in
-            (* Inline mode polls eagerly while jobs are runnable (the
-               loop itself is the engine); sharded mode sleeps — worker
-               domains make the progress and the notify pipe interrupts
-               the select when an event needs pumping. *)
-            let timeout =
-              if
-                Engine.Scheduler.shards st.sched = 0
-                && Engine.Scheduler.busy st.sched
-              then 0.
-              else 0.05
-            in
+            (* Poll eagerly while the loop itself has runnable slices;
+               otherwise sleep — worker domains make the progress and
+               the notify pipe interrupts the select when an event needs
+               pumping. *)
+            let timeout = if !runnable then 0. else 0.05 in
             let readable, writable =
               match Unix.select rfds wfds [] timeout with
               | r, w, _ -> (r, w)
@@ -598,7 +595,7 @@ let run cfg =
               st.conns;
             ignore writable;
             (* A slice of placement work. *)
-            step_slice st ~budget:0.05;
+            runnable := step_slice st ~budget:0.05;
             fire_idle_waiters st;
             (* Flush every connection with pending output — the sockets
                are almost always writable, so responses leave in the

@@ -36,13 +36,12 @@
 type config = {
   address : Address.t;
   concurrency : int;  (** jobs interleaved by the scheduler *)
-  domains : int option;  (** lane budget, as in {!Engine.Scheduler.create} *)
-  shards : int;
-      (** worker domains executing job slices ({!Engine.Scheduler.create}'s
-          [shards]); 0 (the default) steps jobs inline between polls.
-          With shards the poll loop only services connections and pumps
-          lifecycle events — the scheduler's notify pipe joins the poll
-          set so events wake the loop immediately. *)
+  domains : int option;
+      (** lane budget, as in {!Engine.Scheduler.create}: above 1 it
+          spawns worker domains, and the poll loop only services
+          connections and pumps lifecycle events (the scheduler's notify
+          pipe joins the poll set); otherwise the loop steps jobs itself
+          between polls *)
   max_pending : int;  (** admission bound on queued jobs *)
   max_conns : int;  (** beyond this, connections are refused politely *)
   request_timeout_s : float;  (** bound on [wait]/[drain] parking *)
@@ -54,8 +53,8 @@ type config = {
   transcript : string option;  (** copy every protocol line to this file *)
 }
 
-(** [config address] — the defaults: concurrency 2, no shards (inline
-    stepping), admission bound 64 pending jobs, 128 connections, 300 s
+(** [config address] — the defaults: concurrency 2, no lane budget (the
+    loop steps jobs itself), admission bound 64 pending jobs, 128 connections, 300 s
     request timeout, idle timeout off, 30 s drain grace. *)
 val config : Address.t -> config
 

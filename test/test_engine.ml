@@ -493,12 +493,11 @@ let test_concurrent_interleaving_preserves_trajectories () =
 (* ------------------------------------------------------------------ *)
 (* Sharded scheduler                                                    *)
 
-(* The sharding contract: for any shard count, with stealing actually
-   exercised, every job's result is bitwise the solo run's — placement,
-   legalised metrics and telemetry trace alike.  Load is deliberately
-   imbalanced (the two shards holding only short jobs go idle early and
-   must steal the long jobs queued on shards 0/1), so at shards ≥ 2 the
-   steal counters are checked to be live, not just tolerated. *)
+(* The sharding contract: for any worker count — the coordinator alone
+   (domains 1), 2 or 4 workers — every job's result is bitwise the solo
+   run's: placement, legalised metrics and telemetry trace alike.  Load
+   is deliberately imbalanced (the two workers holding only short jobs
+   go idle early and must steal the long jobs queued on shards 0/1). *)
 let test_sharded_matches_solo () =
   let steps = [| 12; 12; 2; 2; 12; 12 |] in
   let spec ?trace seed =
@@ -519,12 +518,12 @@ let test_sharded_matches_solo () =
       seeds solo_traces
   in
   List.iter
-    (fun shards ->
+    (fun domains ->
       let tag fmt = Printf.ksprintf (fun s -> s) fmt in
       let traces = List.map (fun _ -> temp ".jsonl") seeds in
       let events = ref [] in
       let sched =
-        Engine.Scheduler.create ~concurrency:6 ~domains:shards ~shards
+        Engine.Scheduler.create ~concurrency:6 ~domains
           ~on_event:(fun e -> events := e :: !events)
           ()
       in
@@ -537,15 +536,16 @@ let test_sharded_matches_solo () =
       let metrics = Engine.Scheduler.shard_metrics sched in
       Engine.Scheduler.stop sched;
       Alcotest.(check int)
-        (tag "shards=%d: metric per shard" shards)
-        shards (List.length metrics);
+        (tag "domains=%d: metric per worker" domains)
+        (if domains = 1 then 0 else domains)
+        (List.length metrics);
       (* Lifecycle events arrive on the coordinator, in per-job order. *)
       let evs = List.rev !events in
       List.iter
         (fun id ->
           let pos p =
             let rec find i = function
-              | [] -> Alcotest.failf "shards=%d: job %d lost an event" shards id
+              | [] -> Alcotest.failf "domains=%d: job %d lost an event" domains id
               | e :: rest -> if p e then i else find (i + 1) rest
             in
             find 0 evs
@@ -558,7 +558,7 @@ let test_sharded_matches_solo () =
               | _ -> false)
           in
           Alcotest.(check bool)
-            (tag "shards=%d: job %d event order" shards id)
+            (tag "domains=%d: job %d event order" domains id)
             true
             (sub < st && st < fin))
         ids;
@@ -567,16 +567,16 @@ let test_sharded_matches_solo () =
           let solo_p, solo_r = List.nth solo i in
           let r = job_result sched id in
           same_placement
-            (tag "shards=%d seed=%d: placement" shards seed)
+            (tag "domains=%d seed=%d: placement" domains seed)
             solo_p (job_placement sched id);
           Alcotest.(check bool)
-            (tag "shards=%d seed=%d: legalised metrics bitwise" shards seed)
+            (tag "domains=%d seed=%d: legalised metrics bitwise" domains seed)
             true
             (bits r.Engine.Job.hpwl = bits solo_r.Engine.Job.hpwl
             && bits r.Engine.Job.overlap = bits solo_r.Engine.Job.overlap
             && r.Engine.Job.iterations = solo_r.Engine.Job.iterations);
           Alcotest.(check (list string))
-            (tag "shards=%d seed=%d: telemetry trace" shards seed)
+            (tag "domains=%d seed=%d: telemetry trace" domains seed)
             (iteration_payloads (List.nth solo_traces i))
             (iteration_payloads (List.nth traces i)))
         (List.combine seeds ids);
@@ -603,7 +603,7 @@ let test_forced_stealing_bitwise () =
         job_placement sched id)
       [ 21; 22 ]
   in
-  let sched = Engine.Scheduler.create ~concurrency:3 ~domains:2 ~shards:2 () in
+  let sched = Engine.Scheduler.create ~concurrency:3 ~domains:2 () in
   let a = Engine.Scheduler.submit sched (long 21) in
   let _ =
     Engine.Scheduler.submit sched
@@ -635,10 +635,11 @@ let trace_has_probe file =
 
 (* Kill-and-resume with an effort preset steering the run, through the
    sharded scheduler: an effort-1 job cut at its checkpoint and resumed
-   must replay bitwise on 1, 2 and 4 shards — placement, legalised
-   metrics and the LB/UB telemetry tail alike.  The cut at 7 straddles
-   the effort-1 probe cadence (every 5 iterations), so the resumed
-   trace must carry live envelope probes of its own. *)
+   must replay bitwise on the coordinator and on 2 and 4 workers —
+   placement, legalised metrics and the LB/UB telemetry tail alike.
+   The cut at 7 straddles the effort-1 probe cadence (every 5
+   iterations), so the resumed trace must carry live envelope probes of
+   its own. *)
 let test_sharded_resume_with_effort () =
   let src = source () in
   let spec ?start ?checkpoint ?trace ~max_steps () =
@@ -652,15 +653,15 @@ let test_sharded_resume_with_effort () =
   and solo_r = job_result solo_sched s in
   let solo_payloads = iteration_payloads t0 in
   List.iter
-    (fun shards ->
+    (fun domains ->
       let tag fmt = Printf.ksprintf (fun s -> s) fmt in
       let ck = temp ".json" and tr = temp ".jsonl" in
       let sched =
-        Engine.Scheduler.create ~concurrency:4 ~domains:shards ~shards ()
+        Engine.Scheduler.create ~concurrency:4 ~domains ()
       in
       let a = submit_and_drain sched (spec ~max_steps:7 ~checkpoint:ck ()) in
       Alcotest.(check string)
-        (tag "shards=%d: prefix job done" shards)
+        (tag "domains=%d: prefix job done" domains)
         "done"
         (Engine.Job.status_to_string (job_result sched a).Engine.Job.status);
       let b =
@@ -670,26 +671,26 @@ let test_sharded_resume_with_effort () =
       let rb = job_result sched b in
       Engine.Scheduler.stop sched;
       Alcotest.(check int)
-        (tag "shards=%d: same total iterations" shards)
+        (tag "domains=%d: same total iterations" domains)
         solo_r.Engine.Job.iterations rb.Engine.Job.iterations;
       same_placement
-        (tag "shards=%d: global placement" shards)
+        (tag "domains=%d: global placement" domains)
         solo_p (job_placement sched b);
       Alcotest.(check bool)
-        (tag "shards=%d: legalised hpwl bitwise" shards)
+        (tag "domains=%d: legalised hpwl bitwise" domains)
         true
         (bits rb.Engine.Job.hpwl = bits solo_r.Engine.Job.hpwl);
       let ib = iteration_payloads tr in
       Alcotest.(check bool)
-        (tag "shards=%d: resumed trace is shorter" shards)
+        (tag "domains=%d: resumed trace is shorter" domains)
         true
         (List.length ib < List.length solo_payloads);
       Alcotest.(check (list string))
-        (tag "shards=%d: LB/UB telemetry tail matches" shards)
+        (tag "domains=%d: LB/UB telemetry tail matches" domains)
         (last (List.length ib) solo_payloads)
         ib;
       Alcotest.(check bool)
-        (tag "shards=%d: resumed tail carries a UB probe" shards)
+        (tag "domains=%d: resumed tail carries a UB probe" domains)
         true (trace_has_probe tr);
       List.iter Sys.remove [ ck; tr ])
     [ 1; 2; 4 ];
@@ -700,7 +701,7 @@ let test_sharded_resume_with_effort () =
 let test_sharded_cancel_deadline_legal () =
   let circuit, _ = ok_or_fail (Engine.Source.load (source ())) in
   let circuit5, _ = ok_or_fail (Engine.Source.load (source ~seed:5 ())) in
-  let sched = Engine.Scheduler.create ~concurrency:2 ~domains:2 ~shards:2 () in
+  let sched = Engine.Scheduler.create ~concurrency:2 ~domains:2 () in
   let a =
     Engine.Scheduler.submit sched
       (Engine.Job.spec ~source:(source ()) ~objective:(fast ()) ~max_steps:500
@@ -836,7 +837,7 @@ let test_multilevel_checkpoint_guards () =
 (* The headline restartability property, multilevel edition: a V-cycle
    job cut at a checkpoint — first mid-coarsest-stage, then mid-refine —
    and resumed must land bitwise on the uninterrupted job's placement,
-   on 1, 2 and 4 shards. *)
+   on the coordinator and on 2 and 4 workers. *)
 let test_multilevel_resume_bitwise_shards () =
   let src = ml_source () in
   let mspec ?start ?checkpoint ?max_steps () =
@@ -851,36 +852,36 @@ let test_multilevel_resume_bitwise_shards () =
   Alcotest.(check bool) "solo ran long enough to cut twice" true
     (solo_r.Engine.Job.iterations > 10);
   List.iter
-    (fun shards ->
+    (fun domains ->
       let tag fmt = Printf.ksprintf (fun s -> s) fmt in
       List.iter
         (fun (cut_name, cut) ->
           let ck = temp ".json" in
           let sched =
-            Engine.Scheduler.create ~concurrency:4 ~domains:shards ~shards ()
+            Engine.Scheduler.create ~concurrency:4 ~domains ()
           in
           let a = submit_and_drain sched (mspec ~checkpoint:ck ~max_steps:cut ()) in
           Alcotest.(check string)
-            (tag "shards=%d %s: prefix done" shards cut_name)
+            (tag "domains=%d %s: prefix done" domains cut_name)
             "done"
             (Engine.Job.status_to_string (job_result sched a).Engine.Job.status);
           let cp = ok_or_fail (Engine.Checkpoint.load ck) in
           Alcotest.(check bool)
-            (tag "shards=%d %s: checkpoint is multilevel" shards cut_name)
+            (tag "domains=%d %s: checkpoint is multilevel" domains cut_name)
             true
             (cp.Engine.Checkpoint.ml_levels > 1);
           let b = submit_and_drain sched (mspec ~start:(Engine.Job.Resume ck) ()) in
           let rb = job_result sched b in
           Engine.Scheduler.stop sched;
           Alcotest.(check string)
-            (tag "shards=%d %s: resumed done" shards cut_name)
+            (tag "domains=%d %s: resumed done" domains cut_name)
             "done"
             (Engine.Job.status_to_string rb.Engine.Job.status);
           same_placement
-            (tag "shards=%d %s: placement" shards cut_name)
+            (tag "domains=%d %s: placement" domains cut_name)
             solo_p (job_placement sched b);
           Alcotest.(check bool)
-            (tag "shards=%d %s: legalised hpwl bitwise" shards cut_name)
+            (tag "domains=%d %s: legalised hpwl bitwise" domains cut_name)
             true
             (bits rb.Engine.Job.hpwl = bits solo_r.Engine.Job.hpwl);
           Sys.remove ck)
@@ -896,7 +897,7 @@ let test_multilevel_resume_bitwise_shards () =
 (* The routability loop's persistent congestion-target map is job state:
    a routability job cut mid-loop and resumed must land bitwise on the
    uninterrupted trajectory — placement, legalised HPWL and routed
-   overflow — on 1, 2 and 4 shards. *)
+   overflow — on the coordinator and on 2 and 4 workers. *)
 let test_congestion_resume_bitwise_shards () =
   let src = source ~seed:3 () in
   let obj =
@@ -915,15 +916,15 @@ let test_congestion_resume_bitwise_shards () =
   Alcotest.(check bool) "solo routed overflow measured" true
     (solo_r.Engine.Job.routed_overflow <> None);
   List.iter
-    (fun shards ->
+    (fun domains ->
       let tag fmt = Printf.ksprintf (fun s -> s) fmt in
       let ck = temp ".json" in
       let sched =
-        Engine.Scheduler.create ~concurrency:4 ~domains:shards ~shards ()
+        Engine.Scheduler.create ~concurrency:4 ~domains ()
       in
       let a = submit_and_drain sched (cspec ~checkpoint:ck ~max_steps:5 ()) in
       Alcotest.(check string)
-        (tag "shards=%d: prefix done" shards)
+        (tag "domains=%d: prefix done" domains)
         "done"
         (Engine.Job.status_to_string (job_result sched a).Engine.Job.status);
       (* The cut falls after a congestion refresh: the checkpoint must
@@ -932,24 +933,24 @@ let test_congestion_resume_bitwise_shards () =
       (match cp.Engine.Checkpoint.route_target with
       | Some t ->
         Alcotest.(check bool)
-          (tag "shards=%d: target map saved" shards)
+          (tag "domains=%d: target map saved" domains)
           true
           (Array.length t > 0)
       | None ->
-        Alcotest.failf "shards=%d: checkpoint without congestion state" shards);
+        Alcotest.failf "domains=%d: checkpoint without congestion state" domains);
       let b =
         submit_and_drain sched
           (cspec ~start:(Engine.Job.Resume ck) ~max_steps:12 ())
       in
       let rb = job_result sched b in
       Engine.Scheduler.stop sched;
-      same_placement (tag "shards=%d: placement" shards) solo_p
+      same_placement (tag "domains=%d: placement" domains) solo_p
         (job_placement sched b);
       Alcotest.(check bool)
-        (tag "shards=%d: legalised hpwl bitwise" shards)
+        (tag "domains=%d: legalised hpwl bitwise" domains)
         true
         (bits rb.Engine.Job.hpwl = bits solo_r.Engine.Job.hpwl);
-      (Alcotest.(check bool) (tag "shards=%d: routed overflow bitwise" shards))
+      (Alcotest.(check bool) (tag "domains=%d: routed overflow bitwise" domains))
         true
         (match (rb.Engine.Job.routed_overflow, solo_r.Engine.Job.routed_overflow) with
         | Some x, Some y -> bits x = bits y
@@ -1272,6 +1273,62 @@ let test_protocol_session () =
   let _, stop = handle {|{"cmd":"shutdown"}|} in
   Alcotest.(check bool) "shutdown stops the loop" true stop
 
+(* Claim-first: with two workers and three slots, every queued job is
+   claimed before any running job's slice is picked, so all three start
+   before the first finishes — as with the coordinator alone. *)
+let test_workers_claim_before_slices () =
+  let events = ref [] in
+  let sched =
+    Engine.Scheduler.create ~concurrency:3 ~domains:2
+      ~on_event:(fun e -> events := e :: !events)
+      ()
+  in
+  Alcotest.(check int) "two workers" 2 (Engine.Scheduler.workers sched);
+  List.iter
+    (fun seed ->
+      ignore
+        (Engine.Scheduler.submit sched
+           (Engine.Job.spec ~source:(source ~seed ()) ~objective:(fast ())
+              ~max_steps:4 ())))
+    [ 31; 32; 33 ];
+  Engine.Scheduler.drain sched;
+  Engine.Scheduler.stop sched;
+  let rec started_before_finish acc = function
+    | Engine.Scheduler.Finished _ :: _ -> acc
+    | Engine.Scheduler.Started _ :: rest -> started_before_finish (acc + 1) rest
+    | _ :: rest -> started_before_finish acc rest
+    | [] -> acc
+  in
+  Alcotest.(check int) "all jobs started before any finished" 3
+    (started_before_finish 0 (List.rev !events))
+
+(* Lane budgets are slice-local pins: draining jobs with different
+   budgets — one unpinned, one pinned above the pool — leaves the
+   process-wide pool size as it was, with or without workers. *)
+let test_drain_keeps_pool_size () =
+  Fun.protect
+    ~finally:(fun () -> Numeric.Parallel.set_num_domains 1)
+    (fun () ->
+      Numeric.Parallel.set_num_domains 2;
+      List.iter
+        (fun domains ->
+          let sched = Engine.Scheduler.create ~concurrency:2 ?domains () in
+          List.iter
+            (fun (seed, pin) ->
+              ignore
+                (Engine.Scheduler.submit sched
+                   (Engine.Job.spec ~source:(source ~seed ())
+                      ~objective:(fast ()) ?domains:pin ~max_steps:3 ())))
+            [ (41, None); (42, Some 3) ];
+          Engine.Scheduler.drain sched;
+          Engine.Scheduler.stop sched;
+          Alcotest.(check int)
+            (Printf.sprintf "pool size after drain (%d workers)"
+               (Engine.Scheduler.workers sched))
+            2
+            (Numeric.Parallel.num_domains ()))
+        [ None; Some 2 ])
+
 let suite =
   [
     Alcotest.test_case "checkpoint save/load round-trip" `Quick
@@ -1294,7 +1351,7 @@ let suite =
       test_eco_job_matches_direct_replace;
     Alcotest.test_case "interleaving preserves solo trajectories" `Slow
       test_concurrent_interleaving_preserves_trajectories;
-    Alcotest.test_case "sharded execution is bitwise solo for shards 1/2/4"
+    Alcotest.test_case "sharded execution is bitwise solo for 0/2/4 workers"
       `Slow test_sharded_matches_solo;
     Alcotest.test_case "forced stealing leaves trajectories bitwise" `Slow
       test_forced_stealing_bitwise;
@@ -1306,9 +1363,9 @@ let suite =
       test_multilevel_job_matches_direct;
     Alcotest.test_case "multilevel checkpoint guards and round-trip" `Slow
       test_multilevel_checkpoint_guards;
-    Alcotest.test_case "multilevel resume is bitwise for shards 1/2/4" `Slow
+    Alcotest.test_case "multilevel resume is bitwise for 0/2/4 workers" `Slow
       test_multilevel_resume_bitwise_shards;
-    Alcotest.test_case "congestion resume is bitwise for shards 1/2/4" `Slow
+    Alcotest.test_case "congestion resume is bitwise for 0/2/4 workers" `Slow
       test_congestion_resume_bitwise_shards;
     Alcotest.test_case "routability objective reduces routed overflow" `Slow
       test_routability_reduces_routed_overflow;
@@ -1321,4 +1378,8 @@ let suite =
       test_protocol_request_parsing;
     Alcotest.test_case "protocol submit/drain/result session" `Quick
       test_protocol_session;
+    Alcotest.test_case "workers claim queued jobs before slices" `Slow
+      test_workers_claim_before_slices;
+    Alcotest.test_case "drain leaves the pool size unchanged" `Slow
+      test_drain_keeps_pool_size;
   ]

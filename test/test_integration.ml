@@ -243,19 +243,29 @@ let test_cli_domains_range () =
   | Error msg ->
     Alcotest.(check bool) "job spec names the range" true (contains msg range)
 
-(* The protocol has one version and the objective one way in: the
-   removed --proto and --timing flags are Cmdliner usage errors. *)
+(* The protocol has one version, the objective one way in and the
+   worker count one rule: the removed --proto, --timing and --shards
+   flags are Cmdliner usage errors. *)
 let test_cli_removed_flags () =
-  List.iter
-    (fun args ->
-      let code, _ = run_place args in
-      Alcotest.(check int) (String.concat " " args ^ ": usage error") 124 code)
-    [
-      [ "serve"; "--proto"; "v1" ];
-      [ "serve"; "--proto"; "v2" ];
-      [ "run"; "--profile"; "fract"; "--timing" ];
-      [ "submit"; "--to"; "unix:/x"; "--profile"; "fract"; "--timing" ];
-    ]
+  (* An existing jobs file, so the unknown flag is the only error. *)
+  let jobs = Filename.temp_file "place_cli" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove jobs)
+    (fun () ->
+      List.iter
+        (fun args ->
+          let code, _ = run_place args in
+          Alcotest.(check int)
+            (String.concat " " args ^ ": usage error")
+            124 code)
+        [
+          [ "serve"; "--proto"; "v1" ];
+          [ "serve"; "--proto"; "v2" ];
+          [ "run"; "--profile"; "fract"; "--timing" ];
+          [ "submit"; "--to"; "unix:/x"; "--profile"; "fract"; "--timing" ];
+          [ "serve"; "--shards"; "0" ];
+          [ "batch"; jobs; "--shards"; "2" ];
+        ])
 
 let suite =
   [

@@ -591,6 +591,199 @@ let test_sharded_server_bitwise_and_metrics () =
       List.iter Server.Client.close clients;
       Alcotest.(check int) "sharded server exit code" 0 (reap pid))
 
+(* ------------------------------------------------------------------ *)
+(* Stdio serve smoke                                                    *)
+
+(* Run [place serve ARGS] on the stdio protocol with [cmds] as its input
+   and return the parsed lines of its --transcript. *)
+let serve_transcript args cmds =
+  let cmd_file = Filename.temp_file "serve_smoke" ".jsonl"
+  and transcript = Filename.temp_file "serve_smoke" ".transcript.jsonl" in
+  Out_channel.with_open_text cmd_file (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) cmds);
+  let exe = place_exe () in
+  let argv =
+    Array.of_list ((exe :: "serve" :: args) @ [ "--transcript"; transcript ])
+  in
+  let input = Unix.openfile cmd_file [ Unix.O_RDONLY ] 0
+  and null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close input; Unix.close null)
+      (fun () -> Unix.create_process exe argv input null null)
+  in
+  Alcotest.(check int) "serve exit code" 0 (reap pid);
+  let lines =
+    In_channel.with_open_text transcript In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.trim l <> "")
+    |> List.map (fun l ->
+           match J.of_string l with
+           | Ok v -> v
+           | Error e -> Alcotest.failf "transcript line %S: %s" l e)
+  in
+  List.iter Sys.remove [ cmd_file; transcript ];
+  lines
+
+(* [(id, result)] of every successful result response. *)
+let transcript_results lines =
+  List.filter_map
+    (fun l ->
+      match (J.member "ok" l, J.member "id" l, J.member "result" l) with
+      | Some (J.Bool true), Some (J.Num id), Some r -> Some (int_of_float id, r)
+      | _ -> None)
+    lines
+
+let field name r =
+  match J.member name r with
+  | Some v -> v
+  | None -> Alcotest.failf "result lacks %s" name
+
+let num name r =
+  match field name r with
+  | J.Num v -> v
+  | _ -> Alcotest.failf "result field %s is not a number" name
+
+let fract_job ?(extra = "") seed =
+  Printf.sprintf
+    {|{"cmd":"submit","job":{"profile":"fract","scale":0.5,"seed":%d,"objective":{"mode":"fast"},"max_steps":12%s}}|}
+    seed extra
+
+(* The job engine on the stdio protocol: three jobs interleaved, one cut
+   at a checkpoint by cancellation and resumed — bitwise equal to the
+   uninterrupted run — and a routability job that alone carries routed
+   fields.  Then the same seeds on two worker domains must reproduce the
+   single-domain results bitwise, with the per-shard counters live in
+   the metrics response. *)
+let test_stdio_serve_smoke () =
+  let ck = Filename.temp_file "serve_smoke" ".ck.json" in
+  Sys.remove ck;
+  let d1 =
+    serve_transcript [ "--concurrency"; "3" ]
+      [
+        fract_job 1;
+        fract_job 2;
+        fract_job 3
+          ~extra:(Printf.sprintf {|,"checkpoint":%S,"checkpoint_every":5|} ck);
+        {|{"cmd":"step","turns":24}|};
+        {|{"cmd":"cancel","id":3}|};
+        {|{"cmd":"drain"}|};
+        fract_job 3 ~extra:(Printf.sprintf {|,"resume_from":%S|} ck);
+        fract_job 3;
+        {|{"cmd":"submit","job":{"profile":"fract","scale":0.5,"seed":4,"max_steps":12,"objective":{"goal":"routability"}}}|};
+        {|{"cmd":"drain"}|};
+        {|{"cmd":"result","id":1}|};
+        {|{"cmd":"result","id":2}|};
+        {|{"cmd":"result","id":3}|};
+        {|{"cmd":"result","id":4}|};
+        {|{"cmd":"result","id":5}|};
+        {|{"cmd":"result","id":6}|};
+        {|{"cmd":"shutdown"}|};
+      ]
+  in
+  if Sys.file_exists ck then Sys.remove ck;
+  Alcotest.(check bool) "job 3 checkpointed" true
+    (List.exists
+       (fun l ->
+         J.member "event" l = Some (J.Str "checkpointed")
+         && J.member "id" l = Some (J.Num 3.))
+       d1);
+  let results = transcript_results d1 in
+  let result id =
+    match List.assoc_opt id results with
+    | Some r -> r
+    | None -> Alcotest.failf "no result for job %d" id
+  in
+  Alcotest.(check (list (pair int string)))
+    "statuses"
+    [
+      (1, "done"); (2, "done"); (3, "cancelled"); (4, "done"); (5, "done");
+      (6, "done");
+    ]
+    (List.map
+       (fun (id, r) ->
+         match field "status" r with
+         | J.Str s -> (id, s)
+         | _ -> Alcotest.failf "job %d status is not a string" id)
+       results);
+  Alcotest.(check bool) "cancelled job is legal" true
+    (field "legal" (result 3) = J.Bool true);
+  (* Numbers round-trip bit-for-bit through the transcript. *)
+  Alcotest.(check bool) "resumed hpwl bitwise" true
+    (Int64.bits_of_float (num "hpwl" (result 4))
+    = Int64.bits_of_float (num "hpwl" (result 5)));
+  Alcotest.(check bool) "resumed iterations" true
+    (num "iterations" (result 4) = num "iterations" (result 5));
+  Alcotest.(check bool) "routability job routed" true
+    (field "routed_overflow" (result 6) <> J.Null
+    && field "routed_max_overflow" (result 6) <> J.Null);
+  List.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (Printf.sprintf "job %d has no routed overflow" id)
+        true
+        (field "routed_overflow" (result id) = J.Null))
+    [ 1; 2; 3; 4; 5 ];
+  let d2 =
+    serve_transcript
+      [ "--concurrency"; "3"; "--domains"; "2" ]
+      [
+        fract_job 1;
+        fract_job 2;
+        fract_job 3;
+        {|{"cmd":"drain"}|};
+        {|{"cmd":"result","id":1}|};
+        {|{"cmd":"result","id":2}|};
+        {|{"cmd":"result","id":3}|};
+        {|{"cmd":"metrics"}|};
+        {|{"cmd":"shutdown"}|};
+      ]
+  in
+  let sharded = transcript_results d2 in
+  (* Seeds 1..3 are jobs 1..3 here; seed 3's uninterrupted run was job 5
+     above. *)
+  List.iter
+    (fun (d2_id, d1_id) ->
+      let r =
+        match List.assoc_opt d2_id sharded with
+        | Some r -> r
+        | None -> Alcotest.failf "no 2-domain result for job %d" d2_id
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "2-domain job %d done" d2_id)
+        true
+        (field "status" r = J.Str "done");
+      Alcotest.(check bool)
+        (Printf.sprintf "2-domain job %d hpwl bitwise" d2_id)
+        true
+        (Int64.bits_of_float (num "hpwl" r)
+        = Int64.bits_of_float (num "hpwl" (result d1_id)));
+      Alcotest.(check bool)
+        (Printf.sprintf "2-domain job %d iterations" d2_id)
+        true
+        (num "iterations" r = num "iterations" (result d1_id)))
+    [ (1, 1); (2, 2); (3, 5) ];
+  let scheduler =
+    match
+      List.find_map
+        (fun l ->
+          match (J.member "ok" l, J.member "scheduler" l) with
+          | Some (J.Bool true), Some s -> Some s
+          | _ -> None)
+        d2
+    with
+    | Some s -> s
+    | None -> Alcotest.fail "no metrics response"
+  in
+  Alcotest.(check bool) "two shards" true
+    (J.member "shards" scheduler = Some (J.Num 2.));
+  match J.member "per_shard" scheduler with
+  | Some (J.Arr rows) ->
+    Alcotest.(check int) "per-shard rows" 2 (List.length rows);
+    Alcotest.(check bool) "workers executed slices" true
+      (List.fold_left (fun acc row -> acc +. num "slices" row) 0. rows > 0.)
+  | _ -> Alcotest.fail "scheduler lacks per_shard"
+
 let suite =
   [
     Alcotest.test_case "frame: chunked feeds" `Quick test_frame_chunks;
@@ -613,4 +806,6 @@ let suite =
       test_eight_clients_bitwise_equal;
     Alcotest.test_case "socket: sharded server bitwise + shard metrics" `Quick
       test_sharded_server_bitwise_and_metrics;
+    Alcotest.test_case "stdio serve: resume and 2 domains bitwise" `Slow
+      test_stdio_serve_smoke;
   ]
