@@ -832,14 +832,13 @@ let micro () =
     exit 1
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end placement telemetry → BENCH_place.json                   *)
+(* Effort and routability rows → BENCH_place.json                      *)
 
 let place_bench_profiles = [ "fract"; "primary1" ]
 
 (* One instrumented placement run: collected telemetry records, the
    final placer state and the wall time. *)
 let instrumented_run config circuit p0 =
-  Obs.Registry.reset ();
   Numeric.Poisson.clear_kernel_cache ();
   let sink, read = Obs.Sink.collecting () in
   let ((state, _), cpu) =
@@ -851,7 +850,7 @@ let instrumented_run config circuit p0 =
 
 (* Per-effort convergence rows: iterations-to-converge, the stop
    criterion that fired and the finalized (Abacus+Improve+Domino) HPWL
-   the CI smoke matrix gates regressions against. *)
+   the integration suite's effort gate checks regressions against. *)
 let effort_entries circuit p0 =
   List.map
     (fun e ->
@@ -881,8 +880,8 @@ let effort_entries circuit p0 =
 
 (* Routability closed-loop rows: wirelength vs routability objective at
    equal effort, both legalized and validated with the actual global
-   router on the same grid spec.  CI gates the routed overflow of these
-   rows like it gates HPWL. *)
+   router on the same grid spec.  The integration suite gates the routed
+   overflow of these rows like it gates HPWL. *)
 let routability_entries circuit p0 =
   let run config =
     let state, _ = Kraftwerk.Placer.run config circuit p0 in
@@ -915,62 +914,8 @@ let routability_entries circuit p0 =
 
 let place_bench () =
   print_endline "";
-  print_endline "Placement telemetry bench: end-to-end iteration timings";
-  let was_enabled = Obs.Registry.enabled () in
-  Obs.Registry.set_enabled true;
+  print_endline "Placement bench: effort matrix and routability rows";
   let built = List.map (fun name -> (name, build_profile name)) place_bench_profiles in
-  let entries =
-    List.map
-      (fun (name, (_, circuit, p0)) ->
-        Printf.eprintf "[place-bench] %s (%d cells)...\n%!" name
-          (Netlist.Circuit.num_cells circuit);
-        let _, records, cpu =
-          instrumented_run Kraftwerk.Config.standard circuit p0
-        in
-        let n = List.length records in
-        let last = match List.rev records with [] -> None | r :: _ -> Some r in
-        let phase_mean phase =
-          let s =
-            List.fold_left
-              (fun acc (r : Obs.Telemetry.iteration) ->
-                match List.assoc_opt phase r.Obs.Telemetry.phases with
-                | Some dt -> Obs.Stat.observe acc dt
-                | None -> acc)
-              Obs.Stat.zero records
-          in
-          Obs.Stat.mean s *. 1e3
-        in
-        let cg_total =
-          List.fold_left
-            (fun acc (r : Obs.Telemetry.iteration) ->
-              acc + r.Obs.Telemetry.cg_iterations_x
-              + r.Obs.Telemetry.cg_iterations_y)
-            0 records
-        in
-        let num v = Obs.Json.Num v in
-        ( name,
-          Obs.Json.Obj
-            [
-              ("iterations", num (float_of_int n));
-              ("wall_s", num cpu);
-              ("mean_iter_ms", num (if n = 0 then 0. else cpu /. float_of_int n *. 1e3));
-              ( "phase_ms",
-                Obs.Json.Obj
-                  (List.map
-                     (fun p -> (p, num (phase_mean p)))
-                     [ "assemble"; "density"; "solve"; "metrics" ]) );
-              ("cg_iterations", num (float_of_int cg_total));
-              ( "final_hpwl",
-                match last with
-                | Some r -> num r.Obs.Telemetry.hpwl
-                | None -> Obs.Json.Null );
-              ( "final_overflow",
-                match last with
-                | Some r -> num r.Obs.Telemetry.overflow
-                | None -> Obs.Json.Null );
-            ] ))
-      built
-  in
   let efforts =
     List.map
       (fun (name, (_, circuit, p0)) ->
@@ -985,14 +930,12 @@ let place_bench () =
         (name, routability_entries circuit p0))
       built
   in
-  Obs.Registry.set_enabled was_enabled;
   let doc =
     Obs.Json.Obj
       [
         ("git", Obs.Json.Str (git_revision ()));
         ("domains", Obs.Json.Num (float_of_int (Numeric.Parallel.num_domains ())));
         ("scale", Obs.Json.Num !scale);
-        ("profiles", Obs.Json.Obj entries);
         ("efforts", Obs.Json.Obj efforts);
         ("routability", Obs.Json.Obj routability);
       ]
@@ -1001,13 +944,6 @@ let place_bench () =
   output_string oc (Obs.Json.to_string doc);
   output_char oc '\n';
   close_out oc;
-  List.iter
-    (fun (name, entry) ->
-      match (Obs.Json.member "iterations" entry, Obs.Json.member "mean_iter_ms" entry) with
-      | Some (Obs.Json.Num n), Some (Obs.Json.Num ms) ->
-        Printf.printf "%-11s %4.0f iterations  %8.2f ms/iteration\n" name n ms
-      | _ -> ())
-    entries;
   List.iter
     (fun (name, rows) ->
       match rows with
@@ -1048,351 +984,6 @@ let place_bench () =
       | _ -> ())
     routability;
   print_endline "wrote BENCH_place.json"
-
-(* ------------------------------------------------------------------ *)
-(* Job-engine throughput → BENCH_engine.json                           *)
-
-(* Jobs/second of the scheduler on biomed across a domains × concurrency
-   grid.  Each job is a bounded fast-mode run through the full finishing
-   pipeline (Abacus, Improve, Domino).  domains = 1 runs the scheduler
-   loop on the calling domain; domains > 1 runs it on min(domains, K)
-   worker domains.  The work per job is identical at
-   every grid point — trajectories are interleaving- and
-   sharding-invariant — which the harness enforces bitwise on every
-   job's final HPWL before writing the file.  Wall-clock scaling across
-   the domains axis additionally needs that many hardware cores; the
-   "cores" field records what this host actually had. *)
-let engine_bench () =
-  print_endline "";
-  print_endline
-    "Job-engine bench: scheduler throughput on biomed (domains x K grid)";
-  let profile = "biomed" and jobs = 6 and max_steps = 8 in
-  let configured = Numeric.Parallel.num_domains () in
-  (* seed -> (hpwl bits, iterations) from the first grid point. *)
-  let reference = Hashtbl.create 16 in
-  let bitwise = ref true in
-  let d1_k4 = ref nan and d4_k4 = ref nan in
-  let cells =
-    List.concat_map
-      (fun d ->
-        List.map
-          (fun k ->
-            Numeric.Parallel.set_num_domains d;
-            let sched = Engine.Scheduler.create ~concurrency:k ~domains:d () in
-            let ids =
-              List.init jobs (fun i ->
-                  ( !seed + i,
-                    Engine.Scheduler.submit sched
-                      (Engine.Job.spec
-                         ~source:
-                           (Engine.Source.Profile
-                              { name = profile; scale = !scale; seed = !seed + i })
-                         ~objective:
-                           (Engine.Objective.make ~mode:Engine.Job.Fast ())
-                         ~max_steps ()) ))
-            in
-            let (), wall = time (fun () -> Engine.Scheduler.drain sched) in
-            let steals =
-              List.fold_left
-                (fun acc m -> acc + m.Engine.Scheduler.m_steals)
-                0
-                (Engine.Scheduler.shard_metrics sched)
-            in
-            Engine.Scheduler.stop sched;
-            List.iter
-              (fun (job_seed, id) ->
-                match
-                  (Engine.Scheduler.status sched id,
-                   Engine.Scheduler.result sched id)
-                with
-                | Some Engine.Job.Done, Some r ->
-                  let bits = Int64.bits_of_float r.Engine.Job.hpwl in
-                  let iters = r.Engine.Job.iterations in
-                  (match Hashtbl.find_opt reference job_seed with
-                  | None -> Hashtbl.replace reference job_seed (bits, iters)
-                  | Some (b0, i0) ->
-                    if b0 <> bits || i0 <> iters then begin
-                      Printf.eprintf
-                        "engine bench: seed %d diverges at domains=%d K=%d\n"
-                        job_seed d k;
-                      bitwise := false
-                    end)
-                | status, _ ->
-                  Printf.eprintf
-                    "engine bench: job %d not done at domains=%d K=%d (%s)\n" id
-                    d k
-                    (match status with
-                    | Some s -> Engine.Job.status_to_string s
-                    | None -> "lost");
-                  bitwise := false)
-              ids;
-            let jps = float_of_int jobs /. wall in
-            if k = 4 && d = 1 then d1_k4 := jps;
-            if k = 4 && d = 4 then d4_k4 := jps;
-            Printf.printf
-              "  domains=%d K=%d  %2d jobs  %6.2f s  %6.2f jobs/s  %d steals\n%!"
-              d k jobs wall jps steals;
-            Obs.Json.Obj
-              [
-                ("domains", Obs.Json.Num (float_of_int d));
-                ( "shards",
-                  Obs.Json.Num (float_of_int (Engine.Scheduler.workers sched)) );
-                ("concurrency", Obs.Json.Num (float_of_int k));
-                ("wall_s", Obs.Json.Num wall);
-                ("jobs_per_s", Obs.Json.Num jps);
-                ("steals", Obs.Json.Num (float_of_int steals));
-              ])
-          [ 1; 2; 4 ])
-      [ 1; 2; 4 ]
-  in
-  Numeric.Parallel.set_num_domains configured;
-  let doc =
-    Obs.Json.Obj
-      [
-        ("git", Obs.Json.Str (git_revision ()));
-        ("domains", Obs.Json.Num (float_of_int configured));
-        ("cores", Obs.Json.Num (float_of_int (Domain.recommended_domain_count ())));
-        ("scale", Obs.Json.Num !scale);
-        ("profile", Obs.Json.Str profile);
-        ("jobs", Obs.Json.Num (float_of_int jobs));
-        ("max_steps", Obs.Json.Num (float_of_int max_steps));
-        ("grid", Obs.Json.Arr cells);
-        ("bitwise_identical", Obs.Json.Bool !bitwise);
-        ("speedup_d4_vs_d1_at_k4", Obs.Json.Num (!d4_k4 /. !d1_k4));
-      ]
-  in
-  let oc = open_out "BENCH_engine.json" in
-  output_string oc (Obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  print_endline "wrote BENCH_engine.json";
-  if not !bitwise then begin
-    Printf.eprintf "engine bench: grid results are not bitwise-identical\n";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Network serving throughput → BENCH_serve.json                       *)
-
-(* Spawns real [place serve --listen] servers (create_process, not fork
-   — fork is unavailable once any worker domain has run) and drives them
-   the way the CI smoke test does, across a domains × clients grid:
-   clients pipelining submit/wait rounds (throughput), with every job's
-   HPWL checked bitwise against the other grid points.  A final server
-   gets a rapid-fire burst against a tiny admission bound (shed
-   behaviour), then shutdown mid-load — it must still exit 0 with every
-   accepted job terminal. *)
-let place_exe () =
-  let candidates =
-    [
-      "_build/default/bin/place.exe";
-      "bin/place.exe";
-      "../bin/place.exe";
-      "../_build/default/bin/place.exe";
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> failwith "serve bench: place.exe not built"
-
-let spawn_server args =
-  let exe = place_exe () in
-  let argv = Array.of_list (exe :: "serve" :: args) in
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close null)
-    (fun () -> Unix.create_process exe argv null null null)
-
-let serve_bench () =
-  print_endline "";
-  print_endline
-    "Serving bench: socket round-trip throughput over the job engine \
-     (domains x clients grid)";
-  let fail fmt = Printf.ksprintf failwith fmt in
-  let rounds = 3 and max_steps = 8 and max_pending = 4 in
-  let fresh_sock =
-    let counter = ref 0 in
-    fun () ->
-      incr counter;
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "place-bench-%d-%d.sock" (Unix.getpid ()) !counter)
-  in
-  let connect address =
-    match Server.Client.connect ~retries:40 address with
-    | Ok c -> c
-    | Error msg -> fail "serve bench: %s" msg
-  in
-  let spec ~profile ~mode ?max_steps i =
-    Engine.Job.spec
-      ~source:
-        (Engine.Source.Profile { name = profile; scale = !scale; seed = !seed + i })
-      ~objective:(Engine.Objective.make ~mode ()) ?max_steps ()
-  in
-  let reap pid =
-    match Unix.waitpid [] pid with _, Unix.WEXITED 0 -> true | _ -> false
-  in
-  (* seed index -> hpwl bits, across every grid point. *)
-  let reference = Hashtbl.create 16 in
-  let bitwise = ref true in
-  (* Throughput cell: [clients] connections pipelining submit → wait
-     against a server running [domains] lanes (sharded when > 1). *)
-  let run_cell ~domains ~clients =
-    let sock = fresh_sock () in
-    if Sys.file_exists sock then Sys.remove sock;
-    let address = Server.Address.Unix_path sock in
-    let pid =
-      spawn_server
-        [
-          "--listen"; "unix:" ^ sock;
-          "--concurrency"; "2";
-          "--domains"; string_of_int domains;
-        ]
-    in
-    Fun.protect
-      ~finally:(fun () -> if Sys.file_exists sock then Sys.remove sock)
-      (fun () ->
-        let conns = List.init clients (fun _ -> connect address) in
-        let total = clients * rounds in
-        let done_jobs = ref 0 in
-        let (), wall =
-          time (fun () ->
-              List.iteri
-                (fun ci c ->
-                  for r = 0 to rounds - 1 do
-                    let i = (ci * rounds) + r in
-                    match
-                      Server.Client.submit c
-                        (spec ~profile:"fract" ~mode:Engine.Job.Fast ~max_steps
-                           i)
-                    with
-                    | Error f ->
-                      fail "submit: %s" (Server.Client.failure_message f)
-                    | Ok id -> (
-                      match Server.Client.wait c id with
-                      | Ok ("done", Some r) ->
-                        incr done_jobs;
-                        (match Engine.Job.result_of_json r with
-                        | Ok jr ->
-                          let bits = Int64.bits_of_float jr.Engine.Job.hpwl in
-                          (match Hashtbl.find_opt reference i with
-                          | None -> Hashtbl.replace reference i bits
-                          | Some b0 ->
-                            if b0 <> bits then begin
-                              Printf.eprintf
-                                "serve bench: seed %d diverges at domains=%d \
-                                 clients=%d\n"
-                                i domains clients;
-                              bitwise := false
-                            end)
-                        | Error e -> fail "result does not validate: %s" e)
-                      | Ok (s, _) -> fail "job %d finished %s" id s
-                      | Error f ->
-                        fail "wait: %s" (Server.Client.failure_message f))
-                  done)
-                conns)
-        in
-        (match Server.Client.shutdown (List.hd conns) with
-        | Ok () -> ()
-        | Error f -> fail "shutdown: %s" (Server.Client.failure_message f));
-        List.iter Server.Client.close conns;
-        if not (reap pid) then fail "server exited dirty (domains=%d)" domains;
-        if !done_jobs <> total then
-          fail "cell domains=%d clients=%d: %d/%d done" domains clients
-            !done_jobs total;
-        let jps = float_of_int total /. wall in
-        Printf.printf
-          "  domains=%d  %d clients  %2d jobs  %6.2f s  %6.2f jobs/s\n%!"
-          domains clients total wall jps;
-        Obs.Json.Obj
-          [
-            ("domains", Obs.Json.Num (float_of_int domains));
-            ("clients", Obs.Json.Num (float_of_int clients));
-            ("jobs", Obs.Json.Num (float_of_int total));
-            ("wall_s", Obs.Json.Num wall);
-            ("jobs_per_s", Obs.Json.Num jps);
-          ])
-  in
-  let domain_axis = [ 1; 2; 4 ] and client_axis = [ 2; 4 ] in
-  let cells =
-    List.concat_map
-      (fun domains ->
-        List.map (fun clients -> run_cell ~domains ~clients) client_axis)
-      domain_axis
-  in
-  (* Shed probe and mid-load shutdown, on a sharded server with a tiny
-     admission bound. *)
-  let sock = fresh_sock () in
-  if Sys.file_exists sock then Sys.remove sock;
-  let address = Server.Address.Unix_path sock in
-  let pid =
-    spawn_server
-      [
-        "--listen"; "unix:" ^ sock;
-        "--concurrency"; "2";
-        "--domains"; "2";
-        "--max-pending"; string_of_int max_pending;
-        "--drain-grace"; "2";
-      ]
-  in
-  let probe = connect address in
-  let accepted = ref 0 and shed = ref 0 and retry_hint = ref 0 in
-  for i = 0 to (2 * max_pending) + 2 do
-    match
-      Server.Client.submit probe
-        (spec ~profile:"struct" ~mode:Engine.Job.Standard (100 + i))
-    with
-    | Ok _ -> incr accepted
-    | Error (Server.Client.Refused e)
-      when e.Engine.Protocol.code = Engine.Protocol.Overloaded ->
-      incr shed;
-      (match e.Engine.Protocol.retry_after_ms with
-      | Some ms -> retry_hint := ms
-      | None -> ())
-    | Error f -> fail "probe: %s" (Server.Client.failure_message f)
-  done;
-  Printf.printf "  shed probe: %d accepted, %d overloaded (retry hint %d ms)\n%!"
-    !accepted !shed !retry_hint;
-  (match Server.Client.shutdown probe with
-  | Ok () -> ()
-  | Error f -> fail "shutdown: %s" (Server.Client.failure_message f));
-  Server.Client.close probe;
-  let clean_shutdown = reap pid in
-  if Sys.file_exists sock then Sys.remove sock;
-  Printf.printf "  graceful shutdown under load: %b\n%!" clean_shutdown;
-  let num v = Obs.Json.Num v in
-  let doc =
-    Obs.Json.Obj
-      [
-        ("git", Obs.Json.Str (git_revision ()));
-        ( "domains",
-          num (float_of_int (List.fold_left max 1 domain_axis)) );
-        ("cores", num (float_of_int (Domain.recommended_domain_count ())));
-        ("scale", num !scale);
-        ("grid", Obs.Json.Arr cells);
-        ("bitwise_identical", Obs.Json.Bool !bitwise);
-        ( "shed_probe",
-          Obs.Json.Obj
-            [
-              ("max_pending", num (float_of_int max_pending));
-              ("accepted", num (float_of_int !accepted));
-              ("overloaded", num (float_of_int !shed));
-              ("retry_after_ms", num (float_of_int !retry_hint));
-            ] );
-        ("clean_shutdown", Obs.Json.Bool clean_shutdown);
-      ]
-  in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc (Obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  print_endline "wrote BENCH_serve.json";
-  if !shed = 0 || not clean_shutdown || not !bitwise then begin
-    Printf.eprintf
-      "serve bench: %d shed, clean shutdown %b, bitwise %b — not healthy\n"
-      !shed clean_shutdown !bitwise;
-    exit 1
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Mega scaling suite (production-scale circuits) → BENCH_mega.json    *)
@@ -1599,32 +1190,38 @@ let mega_bench () =
 let usage () =
   print_endline
     "usage: main.exe [--table 1|2|3|4] [--experiment \
-     fast-mode|tradeoff|eco|floorplan|congestion|heat|linearization|final-placer|multilevel] \
-     [--micro] [--place] [--engine] [--serve] [--mega] [--scale S] \
-     [--seed N] [--domains D]";
+     fast-mode|tradeoff|eco|floorplan|congestion|heat|linearization|final-placer|multilevel|net-model] \
+     [--micro] [--place] [--mega] [--scale S] [--seed N] [--domains D]";
   exit 1
+
+(* A flag's value, or the usage line when it does not parse or fails
+   [ok]. *)
+let value parse ?(ok = fun _ -> true) v =
+  match parse v with Some x when ok x -> x | _ -> usage ()
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let tables = ref [] and experiments = ref [] in
   let want_micro = ref false and want_place = ref false in
-  let want_engine = ref false and want_serve = ref false in
   let want_mega = ref false in
   let rec parse = function
     | [] -> ()
     | "--scale" :: v :: rest ->
-      scale := float_of_string v;
+      scale := value float_of_string_opt ~ok:(fun s -> s > 0. && Float.is_finite s) v;
       parse rest
     | "--seed" :: v :: rest ->
-      seed := int_of_string v;
+      seed := value int_of_string_opt v;
       parse rest
     | "--domains" :: v :: rest ->
       (* Applies to every suite: the pool is process-global and each
          emitted JSON records the resulting num_domains. *)
-      Numeric.Parallel.set_num_domains (int_of_string v);
+      Numeric.Parallel.set_num_domains
+        (value int_of_string_opt
+           ~ok:(fun d -> d >= 1 && d <= Numeric.Parallel.max_domains)
+           v);
       parse rest
     | "--table" :: v :: rest ->
-      tables := int_of_string v :: !tables;
+      tables := value int_of_string_opt v :: !tables;
       parse rest
     | "--experiment" :: v :: rest ->
       experiments := v :: !experiments;
@@ -1634,12 +1231,6 @@ let () =
       parse rest
     | "--place" :: rest ->
       want_place := true;
-      parse rest
-    | "--engine" :: rest ->
-      want_engine := true;
-      parse rest
-    | "--serve" :: rest ->
-      want_serve := true;
       parse rest
     | "--mega" :: rest ->
       want_mega := true;
@@ -1673,7 +1264,7 @@ let () =
   in
   if
     !tables = [] && !experiments = [] && not !want_micro && not !want_place
-    && not !want_engine && not !want_serve && not !want_mega
+    && not !want_mega
   then begin
     (* Default: everything. *)
     Printf.printf "Kraftwerk reproduction — full experiment run (scale %.2f)\n" !scale;
@@ -1682,16 +1273,12 @@ let () =
       [ "fast-mode"; "tradeoff"; "eco"; "floorplan"; "congestion"; "heat";
         "linearization"; "final-placer"; "multilevel"; "net-model" ];
     place_bench ();
-    engine_bench ();
-    serve_bench ();
     micro ()
   end
   else begin
     List.iter run_table (List.rev !tables);
     List.iter run_experiment (List.rev !experiments);
     if !want_place then place_bench ();
-    if !want_engine then engine_bench ();
-    if !want_serve then serve_bench ();
     if !want_mega then mega_bench ();
     if !want_micro then micro ()
   end

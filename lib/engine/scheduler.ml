@@ -240,27 +240,6 @@ let shard_metrics t =
 (* ------------------------------------------------------------------ *)
 (* Starting jobs                                                        *)
 
-(* Timing-driven jobs adapt net weights before every transformation, as
-   in Timing.Driven.optimize; the criticality state lives in the running
-   record so checkpoints can carry it. *)
-let timing_hooks crit =
-  let params = Timing.Params.default in
-  {
-    Kraftwerk.Placer.no_hooks with
-    Kraftwerk.Placer.reweight =
-      Some
-        (fun (state : Kraftwerk.Placer.state) ->
-          let sta =
-            Timing.Sta.analyse params state.Kraftwerk.Placer.circuit
-              state.Kraftwerk.Placer.placement
-          in
-          Timing.Criticality.update crit params
-            ~net_slack:sta.Timing.Sta.net_slack;
-          Timing.Criticality.apply_weights
-            ~cap:params.Timing.Params.max_net_weight crit
-            state.Kraftwerk.Placer.net_weights);
-  }
-
 let ( let* ) = Stdlib.Result.bind
 
 (* What can be rejected before a job is accepted into the queue: the
@@ -369,7 +348,17 @@ let start_running (spec : Job.spec) =
   in
   let hooks =
     match crit with
-    | Some c -> timing_hooks c
+    | Some c ->
+      (* Timing-driven jobs adapt net weights before every
+         transformation, as in Timing.Driven.optimize; the criticality
+         state lives in the running record so checkpoints carry it. *)
+      {
+        Kraftwerk.Placer.no_hooks with
+        Kraftwerk.Placer.reweight =
+          Some
+            (fun s ->
+              ignore (Timing.Driven.reweight Timing.Params.default c s));
+      }
     | None -> Kraftwerk.Placer.no_hooks
   in
   let iters_emitted = ref 0 in

@@ -8,15 +8,19 @@ type result = {
   met : bool;
 }
 
+let reweight params crit (state : Kraftwerk.Placer.state) =
+  let sta =
+    Sta.analyse params state.Kraftwerk.Placer.circuit
+      state.Kraftwerk.Placer.placement
+  in
+  Criticality.update crit params ~net_slack:sta.Sta.net_slack;
+  Criticality.apply_weights ~cap:params.Params.max_net_weight crit
+    state.Kraftwerk.Placer.net_weights;
+  sta
+
 let reweight_hook params crit trace =
   fun (state : Kraftwerk.Placer.state) ->
-    let sta =
-      Sta.analyse params state.Kraftwerk.Placer.circuit
-        state.Kraftwerk.Placer.placement
-    in
-    Criticality.update crit params ~net_slack:sta.Sta.net_slack;
-    Criticality.apply_weights ~cap:params.Params.max_net_weight crit
-      state.Kraftwerk.Placer.net_weights;
+    let sta = reweight params crit state in
     trace :=
       {
         at_step = state.Kraftwerk.Placer.iteration;

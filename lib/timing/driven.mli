@@ -23,6 +23,13 @@ type result = {
   met : bool;  (** requirement mode: did we reach the target? *)
 }
 
+(** [reweight params crit state] is one criticality step, the body of
+    the optimisation-mode reweight hook: a longest-path analysis of
+    [state]'s placement, folded into [crit], then [state]'s net weights
+    rescaled from it (capped at [params.max_net_weight]).  Returns the
+    analysis. *)
+val reweight : Params.t -> Criticality.t -> Kraftwerk.Placer.state -> Sta.t
+
 (** [optimize ?params config circuit placement] places with continuous
     timing-driven net weighting from the start. *)
 val optimize :

@@ -37,6 +37,7 @@ let () =
       ("convergence", Test_convergence.suite);
       ("effort", Test_effort.suite);
       ("integration", Test_integration.suite);
+      ("integration.gates", Test_integration.gates);
       ("properties", Test_properties.suite);
       ("validation", Test_validation.suite);
     ]

@@ -589,7 +589,11 @@ let test_sharded_matches_solo () =
    1's worker almost immediately.  From then on shard 0's queue holds a
    runnable job at essentially all times (two live jobs, one executor),
    so the idle worker's first wake-up scan steals a slice.  The stolen
-   slices must not perturb either trajectory. *)
+   slices must not perturb either trajectory.  Whether a steal happens
+   still depends on the OS scheduling the workers (2 runs in 300 stole
+   nothing on a 2-core host), so the scenario is retried up to 10
+   times; every attempt is checked bitwise, and one attempt must have
+   stolen. *)
 let test_forced_stealing_bitwise () =
   let long seed =
     Engine.Job.spec ~source:(source ~seed ()) ~objective:(fast ())
@@ -603,23 +607,26 @@ let test_forced_stealing_bitwise () =
         job_placement sched id)
       [ 21; 22 ]
   in
-  let sched = Engine.Scheduler.create ~concurrency:3 ~domains:2 () in
-  let a = Engine.Scheduler.submit sched (long 21) in
-  let _ =
-    Engine.Scheduler.submit sched
-      (Engine.Job.spec ~source:(source ~seed:23 ()) ~objective:(fast ())
-         ~max_steps:1 ())
+  let rec attempt n =
+    let sched = Engine.Scheduler.create ~concurrency:3 ~domains:2 () in
+    let a = Engine.Scheduler.submit sched (long 21) in
+    let _ =
+      Engine.Scheduler.submit sched
+        (Engine.Job.spec ~source:(source ~seed:23 ()) ~objective:(fast ())
+           ~max_steps:1 ())
+    in
+    let b = Engine.Scheduler.submit sched (long 22) in
+    Engine.Scheduler.drain sched;
+    let metrics = Engine.Scheduler.shard_metrics sched in
+    Engine.Scheduler.stop sched;
+    same_placement "stolen job a" (List.nth solo 0) (job_placement sched a);
+    same_placement "stolen job b" (List.nth solo 1) (job_placement sched b);
+    let total_steals =
+      List.fold_left (fun acc m -> acc + m.Engine.Scheduler.m_steals) 0 metrics
+    in
+    if total_steals = 0 && n < 10 then attempt (n + 1) else total_steals
   in
-  let b = Engine.Scheduler.submit sched (long 22) in
-  Engine.Scheduler.drain sched;
-  let metrics = Engine.Scheduler.shard_metrics sched in
-  Engine.Scheduler.stop sched;
-  let total_steals =
-    List.fold_left (fun acc m -> acc + m.Engine.Scheduler.m_steals) 0 metrics
-  in
-  Alcotest.(check bool) "stealing actually happened" true (total_steals > 0);
-  same_placement "stolen job a" (List.nth solo 0) (job_placement sched a);
-  same_placement "stolen job b" (List.nth solo 1) (job_placement sched b)
+  Alcotest.(check bool) "stealing actually happened" true (attempt 1 > 0)
 
 (* True when some iteration record in [file] carries a UB probe. *)
 let trace_has_probe file =

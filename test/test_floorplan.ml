@@ -143,8 +143,8 @@ let test_overfull_region_is_an_error () =
   let ckt = Filename.temp_file "overfull" ".ckt" in
   Netlist.Io.save_circuit ckt circuit;
   Netlist.Io.save_placement (ckt ^ ".pos") p0;
-  let code, err =
-    Test_integration.run_place
+  let code, _, err =
+    Test_server.run_place
       [ "run"; "--circuit"; ckt; "--flow"; "floorplan"; "--mode"; "fast" ]
   in
   Sys.remove ckt;

@@ -182,28 +182,7 @@ let test_eco_preserves_relative_placement () =
 
 (* --- CLI argument validation --- *)
 
-(* Run place.exe with [args]; return its exit code and stderr. *)
-let run_place args =
-  let exe = Test_server.place_exe () in
-  let err_file = Filename.temp_file "place_cli" ".err" in
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  let err = Unix.openfile err_file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let pid =
-    Fun.protect
-      ~finally:(fun () -> Unix.close null; Unix.close err)
-      (fun () ->
-        Unix.create_process exe (Array.of_list (exe :: args)) null null err)
-  in
-  let code =
-    match Unix.waitpid [] pid with
-    | _, Unix.WEXITED c -> c
-    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> -1
-  in
-  let ic = open_in_bin err_file in
-  let stderr = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove err_file;
-  (code, stderr)
+let run_place = Test_server.run_place
 
 let contains s sub =
   let n = String.length sub in
@@ -220,7 +199,7 @@ let test_cli_domains_range () =
   List.iter
     (fun args ->
       let what = String.concat " " args in
-      let code, err = run_place args in
+      let code, _, err = run_place args in
       Alcotest.(check int) (what ^ ": usage error") 124 code;
       Alcotest.(check bool) (what ^ ": names the range") true
         (contains err range);
@@ -254,7 +233,7 @@ let test_cli_removed_flags () =
     (fun () ->
       List.iter
         (fun args ->
-          let code, _ = run_place args in
+          let code, _, _ = run_place args in
           Alcotest.(check int)
             (String.concat " " args ^ ": usage error")
             124 code)
@@ -267,6 +246,226 @@ let test_cli_removed_flags () =
           [ "batch"; jobs; "--shards"; "2" ];
         ])
 
+(* A bad bench flag value is a usage error (exit 1), as is any flag the
+   harness does not take, with no exception escaping. *)
+let test_bench_cli_usage () =
+  let exe = "../bench/main.exe" in
+  List.iter
+    (fun args ->
+      let what = String.concat " " args in
+      let code, out, err = run_place ~exe args in
+      Alcotest.(check int) (what ^ ": exit 1") 1 code;
+      Alcotest.(check bool) (what ^ ": usage line") true (contains out "usage:");
+      Alcotest.(check bool) (what ^ ": no exception") false
+        (contains err "exception"))
+    [
+      [ "--scale"; "abc" ];
+      [ "--seed"; "1.5" ];
+      [ "--domains"; "0" ];
+      [ "--domains"; "x" ];
+      [ "--table"; "one" ];
+      [ "--engine" ];
+      [ "--serve" ];
+      [ "--frobnicate" ];
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Quality gates: fresh CLI runs against the committed bench baselines *)
+
+module J = Obs.Json
+
+let json_of what s =
+  match J.of_string s with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s: %s" what e
+
+let read_json file =
+  json_of file (In_channel.with_open_text file In_channel.input_all)
+
+let read_jsonl file =
+  In_channel.with_open_text file In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> String.trim l <> "")
+  |> List.map (json_of file)
+
+let get key v =
+  match J.member key v with
+  | Some x -> x
+  | None -> Alcotest.failf "missing field %s" key
+
+let num key v =
+  match get key v with
+  | J.Num x -> x
+  | _ -> Alcotest.failf "field %s is not a number" key
+
+let str key v =
+  match get key v with
+  | J.Str x -> x
+  | _ -> Alcotest.failf "field %s is not a string" key
+
+(* [place run ARGS --trace FILE]: the parsed trace records. *)
+let traced_run args =
+  let trace = Filename.temp_file "gate" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove trace)
+    (fun () ->
+      let code, _, err =
+        run_place (("run" :: args) @ [ "--trace"; trace ])
+      in
+      if code <> 0 then Alcotest.failf "place run exited %d: %s" code err;
+      read_jsonl trace)
+
+(* A flat wirelength run's trace: schema 5, the congestion loop dark,
+   level 0, the clique pattern compiled once then refilled, the CG
+   tolerance inside its band, and a summary that counts the records. *)
+let test_gate_trace () =
+  let recs =
+    traced_run
+      [ "--profile"; "fract"; "--scale"; "0.5"; "--seed"; "42"; "--domains"; "1" ]
+  in
+  Alcotest.(check bool) "non-empty trace" true (recs <> []);
+  List.iter (fun r -> Alcotest.(check int) "schema" 5 (int_of_float (num "schema" r))) recs;
+  let iters = List.filteri (fun i _ -> i < List.length recs - 1) recs in
+  let summary = List.nth recs (List.length recs - 1) in
+  List.iteri
+    (fun i r ->
+      let at fmt = Printf.sprintf ("iteration %d: " ^^ fmt) i in
+      Alcotest.(check string) (at "record") "iteration" (str "record" r);
+      Alcotest.(check (float 0.)) (at "congest_strength") 0. (num "congest_strength" r);
+      Alcotest.(check bool) (at "est_overflow null") true (get "est_overflow" r = J.Null);
+      Alcotest.(check (float 0.)) (at "target_area") 0. (num "target_area" r);
+      Alcotest.(check (float 0.)) (at "level") 0. (num "level" r);
+      Alcotest.(check (float 0.)) (at "pattern_rebuilds") 1. (num "pattern_rebuilds" r);
+      Alcotest.(check bool) (at "assembly_reused") (i > 0)
+        (get "assembly_reused" r = J.Bool true);
+      let tol = num "cg_tolerance" r in
+      Alcotest.(check bool) (at "cg_tolerance in [1e-8, 1e-5]") true
+        (1e-8 <= tol && tol <= 1e-5))
+    iters;
+  Alcotest.(check string) "last record" "summary" (str "record" summary);
+  Alcotest.(check int) "summary counts the records" (List.length iters)
+    (int_of_float (num "iterations" summary))
+
+(* The effort presets on fract against the committed per-effort rows:
+   effort 9 stops under the old fixed 250-iteration schedule, a run that
+   stopped early names its reason, and the final legalized HPWL stays
+   within 1% of the committed baseline. *)
+let test_gate_effort () =
+  let baseline = get "fract" (get "efforts" (read_json "../BENCH_place.json")) in
+  List.iter
+    (fun e ->
+      let recs =
+        traced_run
+          [
+            "--profile"; "fract"; "--scale"; "1.0"; "--seed"; "42";
+            "--domains"; "1"; "--effort"; e;
+          ]
+      in
+      let at what = Printf.sprintf "effort %s: %s" e what in
+      let summary = List.nth recs (List.length recs - 1) in
+      Alcotest.(check string) (at "summary") "summary" (str "record" summary);
+      Alcotest.(check (float 0.)) (at "schema") 5. (num "schema" summary);
+      let iters = int_of_float (num "iterations" summary) in
+      if e = "9" then
+        Alcotest.(check bool) (at "under 250 iterations") true (iters < 250);
+      let records =
+        List.length (List.filter (fun r -> str "record" r = "iteration") recs)
+      in
+      if iters < records || get "converged" summary = J.Bool true
+      then
+        Alcotest.(check bool) (at "names its stop reason") true
+          (match J.member "stop_reason" summary with
+          | Some (J.Str r) -> r <> ""
+          | _ -> false);
+      let base = num "final_hpwl_legalized" (get e baseline) in
+      let final = num "final_hpwl" summary in
+      if not (final <= base *. 1.01) then
+        Alcotest.failf "effort %s: final HPWL %g regressed >1%% vs %g" e final
+          base)
+    [ "1"; "9" ]
+
+(* The routability objective against the committed routability rows:
+   every row keeps its columns, the primary1 closed loop buys at least
+   15% routed overflow, and a fresh primary1 run stays within 5% of the
+   committed routed overflow. *)
+let test_gate_routability () =
+  let rows = get "routability" (read_json "../BENCH_place.json") in
+  List.iter
+    (fun profile ->
+      let row = get profile rows in
+      List.iter
+        (fun col ->
+          Alcotest.(check bool) (profile ^ " has " ^ col) true
+            (J.member col row <> None))
+        [
+          "hpwl_wirelength"; "hpwl_routability";
+          "routed_overflow_wirelength"; "routed_overflow_routability";
+          "routed_max_overflow_wirelength"; "routed_max_overflow_routability";
+          "overflow_reduction_pct"; "hpwl_delta_pct";
+        ])
+    [ "fract"; "primary1" ];
+  let p1 = get "primary1" rows in
+  let reduction = num "overflow_reduction_pct" p1 in
+  if not (reduction >= 15.) then
+    Alcotest.failf "primary1 overflow reduction %.1f%% < 15%%" reduction;
+  let code, out, err =
+    run_place
+      [
+        "run"; "--profile"; "primary1"; "--scale"; "1.0"; "--seed"; "42";
+        "--domains"; "1"; "--objective"; "routability";
+      ]
+  in
+  if code <> 0 then Alcotest.failf "place run exited %d: %s" code err;
+  let fresh =
+    List.find_map
+      (fun line ->
+        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+        | "routed" :: "ovfl" :: v :: _ -> float_of_string_opt v
+        | _ -> None)
+      (String.split_on_char '\n' out)
+  in
+  match fresh with
+  | None -> Alcotest.fail "run printed no routed overflow"
+  | Some fresh ->
+    let base = num "routed_overflow_routability" p1 in
+    if not (fresh <= (base *. 1.05) +. 1e-9) then
+      Alcotest.failf "primary1 routed overflow %g regressed >5%% vs %g" fresh
+        base
+
+(* The committed mega-scaling bench: every mega profile has a completed
+   multilevel V-cycle row, and some row reached a million cells. *)
+let test_gate_mega_rows () =
+  let rows =
+    match get "rows" (read_json "../BENCH_mega.json") with
+    | J.Arr rows -> rows
+    | _ -> Alcotest.fail "rows is not an array"
+  in
+  let profiles = List.sort_uniq compare (List.map (str "profile") rows) in
+  (* The last multilevel row of each profile, as a JSON object keyed by
+     profile would keep it. *)
+  let multilevel =
+    List.filter_map
+      (fun p ->
+        List.rev rows
+        |> List.find_opt (fun r -> str "profile" r = p && str "flow" r = "multilevel")
+        |> Option.map (fun r -> (p, r)))
+      profiles
+  in
+  List.iter
+    (fun p ->
+      match List.assoc_opt p multilevel with
+      | None -> Alcotest.failf "%s has no multilevel row" p
+      | Some r ->
+        Alcotest.(check bool) (p ^ ": iterations > 0") true (num "iterations" r > 0.);
+        Alcotest.(check bool) (p ^ ": finite hpwl") true
+          (match J.member "hpwl" r with
+          | Some (J.Num h) -> Float.is_finite h
+          | _ -> false);
+        Alcotest.(check bool) (p ^ ": levels >= 2") true (num "levels" r >= 2.))
+    profiles;
+  Alcotest.(check bool) "some row reaches 1M cells" true
+    (List.exists (fun (_, r) -> num "cells" r >= 1e6) multilevel)
+
 let suite =
   [
     Alcotest.test_case "kraftwerk full flow" `Quick test_kraftwerk_full_flow;
@@ -278,4 +477,13 @@ let suite =
     Alcotest.test_case "eco relative order" `Slow test_eco_preserves_relative_placement;
     Alcotest.test_case "cli domains range" `Quick test_cli_domains_range;
     Alcotest.test_case "cli removed flags" `Quick test_cli_removed_flags;
+    Alcotest.test_case "bench cli usage" `Quick test_bench_cli_usage;
+  ]
+
+let gates =
+  [
+    Alcotest.test_case "trace smoke" `Quick test_gate_trace;
+    Alcotest.test_case "effort matrix" `Quick test_gate_effort;
+    Alcotest.test_case "routability" `Quick test_gate_routability;
+    Alcotest.test_case "BENCH_mega.json rows" `Quick test_gate_mega_rows;
   ]

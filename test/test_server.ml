@@ -263,6 +263,30 @@ let reap pid =
   | _, Unix.WEXITED code -> code
   | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> -1
 
+(* Run [exe ARGS] (default place.exe) to completion: its exit code,
+   stdout and stderr. *)
+let run_place ?exe args =
+  let exe = match exe with Some e -> e | None -> place_exe () in
+  let out_file = Filename.temp_file "place_cli" ".out"
+  and err_file = Filename.temp_file "place_cli" ".err" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let out = Unix.openfile out_file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let err = Unix.openfile err_file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> List.iter Unix.close [ null; out; err ])
+      (fun () ->
+        Unix.create_process exe (Array.of_list (exe :: args)) null out err)
+  in
+  let code = reap pid in
+  let slurp file =
+    let s = In_channel.with_open_bin file In_channel.input_all in
+    Sys.remove file;
+    s
+  in
+  let stdout = slurp out_file in
+  (code, stdout, slurp err_file)
+
 let fast_spec i =
   Engine.Job.spec
     ~source:(Engine.Source.Profile { name = "fract"; scale = 0.5; seed = 100 + i })
@@ -279,18 +303,27 @@ let solo_result spec =
 
 (* Eight clients multiplexed onto one scheduler: every job's result must
    be bitwise what a solo run of the same spec produces — the
-   scheduler's interleaving invariance carried through the socket. *)
+   scheduler's interleaving invariance carried through the socket.  A
+   [place submit --wait] CLI client then gets a legal done result, and
+   the server's --transcript numbers its events strictly increasing. *)
 let test_eight_clients_bitwise_equal () =
   let sock = temp_sock () in
   let address = Server.Address.Unix_path sock in
+  let transcript = Filename.temp_file "server_test" ".transcript.jsonl" in
   let pid =
-    spawn_server [ "--listen"; "unix:" ^ sock; "--concurrency"; "3" ]
+    spawn_server
+      [
+        "--listen"; "unix:" ^ sock;
+        "--concurrency"; "3";
+        "--transcript"; transcript;
+      ]
   in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
       (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-      if Sys.file_exists sock then Sys.remove sock)
+      if Sys.file_exists sock then Sys.remove sock;
+      if Sys.file_exists transcript then Sys.remove transcript)
     (fun () ->
       let n = 8 in
       let clients = List.init n (fun _ -> connect_exn address) in
@@ -336,10 +369,51 @@ let test_eight_clients_bitwise_equal () =
         Alcotest.(check bool) "server counters recorded" true
           (List.mem_assoc "server/requests" cells)
       | _ -> Alcotest.fail "metrics response lacks cells");
+      (* The CLI client: one result line on stdout, exit 0. *)
+      let code, out, _ =
+        run_place
+          [
+            "submit"; "--to"; "unix:" ^ sock;
+            "--profile"; "fract"; "--scale"; "0.5"; "--seed"; "1";
+            "--mode"; "fast"; "--max-steps"; "8"; "--wait";
+          ]
+      in
+      Alcotest.(check int) "cli submit exit code" 0 code;
+      (match J.of_string (String.trim out) with
+      | Ok line ->
+        Alcotest.(check bool) "cli submit done" true
+          (J.member "status" line = Some (J.Str "done"));
+        (match J.member "result" line with
+        | Some r -> (
+          match Engine.Job.result_of_json r with
+          | Ok jr ->
+            Alcotest.(check bool) "cli result legal" true jr.Engine.Job.legal
+          | Error e -> Alcotest.failf "cli result does not validate: %s" e)
+        | None -> Alcotest.fail "cli submit printed no result")
+      | Error e -> Alcotest.failf "cli submit output %S: %s" out e);
       (* Polite shutdown; the child must exit 0. *)
       client_exn "shutdown" (Server.Client.shutdown (List.hd clients));
       List.iter Server.Client.close clients;
-      Alcotest.(check int) "server exit code" 0 (reap pid))
+      Alcotest.(check int) "server exit code" 0 (reap pid);
+      let evs =
+        In_channel.with_open_text transcript In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> String.trim l <> "")
+        |> List.filter_map (fun l ->
+               match J.of_string l with
+               | Ok v -> (
+                 match J.member "ev" v with
+                 | Some (J.Num n) -> Some (int_of_float n)
+                 | _ -> None)
+               | Error e -> Alcotest.failf "transcript line %S: %s" l e)
+      in
+      Alcotest.(check bool) "transcript numbers events" true (evs <> []);
+      let rec increasing = function
+        | a :: (b :: _ as rest) -> a < b && increasing rest
+        | _ -> true
+      in
+      Alcotest.(check bool) "event numbers strictly increasing" true
+        (increasing evs))
 
 (* A job of about 4 s: with the 4 s drain grace below, the server stays
    up for seconds after SIGTERM, whether the grace cancels this job or
