@@ -10,41 +10,31 @@ let default_config =
   { neighborhood_rows = 4; neighborhood_cols = 8; max_group = 20; window = 4;
     passes = 2 }
 
+let max_window = 8
+
+let validate config =
+  let fail field range =
+    invalid_arg (Printf.sprintf "Domino: config.%s must be %s" field range)
+  in
+  if config.window < 1 || config.window > max_window then
+    fail "window" (Printf.sprintf "in 1..%d" max_window);
+  if config.max_group < 1 then fail "max_group" ">= 1";
+  if config.neighborhood_rows < 1 then fail "neighborhood_rows" ">= 1";
+  if config.neighborhood_cols < 1 then fail "neighborhood_cols" ">= 1";
+  if config.passes < 0 then fail "passes" ">= 0"
+
 let movable_standard (c : Netlist.Circuit.t) =
   Array.to_list c.Netlist.Circuit.cells
   |> List.filter (fun (cl : Netlist.Cell.t) ->
          Netlist.Cell.movable cl && cl.Netlist.Cell.kind = Netlist.Cell.Standard)
 
-let nets_of_cells (c : Netlist.Circuit.t) stamp stamp_val ids =
-  let nets = ref [] in
-  List.iter
-    (fun id ->
-      Array.iter
-        (fun net_id ->
-          if stamp.(net_id) <> stamp_val then begin
-            stamp.(net_id) <- stamp_val;
-            nets := net_id :: !nets
-          end)
-        (Netlist.Circuit.nets_of_cell c id))
-    ids;
-  !nets
-
-let hpwl_of (c : Netlist.Circuit.t) (p : Netlist.Placement.t) nets =
-  List.fold_left
-    (fun acc n ->
-      acc
-      +. Metrics.Wirelength.hpwl_net c ~x:p.Netlist.Placement.x
-           ~y:p.Netlist.Placement.y c.Netlist.Circuit.nets.(n))
-    0. nets
-
 (* -------------------------------------------------------------- *)
 (* Flow reassignment                                               *)
 
-let flow_pass ?(config = default_config) (c : Netlist.Circuit.t)
-    (p : Netlist.Placement.t) =
+let flow config view (c : Netlist.Circuit.t) (p : Netlist.Placement.t) =
+  let x = p.Netlist.Placement.x and y = p.Netlist.Placement.y in
   let region = c.Netlist.Circuit.region in
-  let stamp = Array.make (Netlist.Circuit.num_nets c) (-1) in
-  let stamp_val = ref 0 in
+  let group_nets = Nets.set view and own_nets = Nets.set view in
   let moves = ref 0 and gain = ref 0. in
   (* Group cells by (width class, neighbourhood tile). *)
   let tile_h = float_of_int config.neighborhood_rows *. c.Netlist.Circuit.row_height in
@@ -53,91 +43,86 @@ let flow_pass ?(config = default_config) (c : Netlist.Circuit.t)
   List.iter
     (fun (cl : Netlist.Cell.t) ->
       let id = cl.Netlist.Cell.id in
-      let tx =
-        int_of_float ((p.Netlist.Placement.x.(id) -. region.Geometry.Rect.x_lo) /. tile_w)
-      in
-      let ty =
-        int_of_float ((p.Netlist.Placement.y.(id) -. region.Geometry.Rect.y_lo) /. tile_h)
-      in
+      let tx = int_of_float ((x.(id) -. region.Geometry.Rect.x_lo) /. tile_w) in
+      let ty = int_of_float ((y.(id) -. region.Geometry.Rect.y_lo) /. tile_h) in
       let key = (int_of_float (cl.Netlist.Cell.width *. 1000.), tx, ty) in
       let prev = try Hashtbl.find groups key with Not_found -> [] in
       Hashtbl.replace groups key (id :: prev))
     (movable_standard c);
-  let process group =
-    let ids = Array.of_list group in
-    let n = Array.length ids in
+  (* Reused across groups: the slots of the current group and one cost
+     matrix per group size. *)
+  let slot_x = Array.make config.max_group 0. in
+  let slot_y = Array.make config.max_group 0. in
+  let cost_matrices = Array.make (config.max_group + 1) [||] in
+  (* The cells [ids.(off) … ids.(off + n − 1)] permute over their own
+     slots. *)
+  let process ids off n =
     if n >= 2 then begin
-      let slots = Array.map (fun id -> (p.Netlist.Placement.x.(id), p.Netlist.Placement.y.(id))) ids in
-      incr stamp_val;
-      let nets = nets_of_cells c stamp !stamp_val (Array.to_list ids) in
-      let before = hpwl_of c p nets in
+      Nets.clear group_nets;
+      for i = 0 to n - 1 do
+        let id = ids.(off + i) in
+        slot_x.(i) <- x.(id);
+        slot_y.(i) <- y.(id);
+        Nets.add_cell group_nets id
+      done;
+      let before = Nets.hpwl group_nets p in
       (* Separable cost: cell i at slot j with all other cells at their
          current positions. *)
-      let costs =
-        Array.map
-          (fun id ->
-            let ox = p.Netlist.Placement.x.(id) and oy = p.Netlist.Placement.y.(id) in
-            let row =
-              Array.map
-                (fun (sx, sy) ->
-                  p.Netlist.Placement.x.(id) <- sx;
-                  p.Netlist.Placement.y.(id) <- sy;
-                  incr stamp_val;
-                  let own = nets_of_cells c stamp !stamp_val [ id ] in
-                  hpwl_of c p own)
-                slots
-            in
-            p.Netlist.Placement.x.(id) <- ox;
-            p.Netlist.Placement.y.(id) <- oy;
-            row)
-          ids
-      in
+      if Array.length cost_matrices.(n) = 0 then
+        cost_matrices.(n) <- Array.make_matrix n n 0.;
+      let costs = cost_matrices.(n) in
+      for i = 0 to n - 1 do
+        let id = ids.(off + i) in
+        Nets.clear own_nets;
+        Nets.add_cell own_nets id;
+        let row = costs.(i) in
+        for j = 0 to n - 1 do
+          x.(id) <- slot_x.(j);
+          y.(id) <- slot_y.(j);
+          row.(j) <- Nets.hpwl own_nets p
+        done;
+        x.(id) <- slot_x.(i);
+        y.(id) <- slot_y.(i)
+      done;
       let choice = Numeric.Mincostflow.assignment ~costs in
       (* Apply the permutation, then verify the true (non-separable)
          objective and revert if it regressed. *)
-      let old_pos = Array.map (fun id -> (p.Netlist.Placement.x.(id), p.Netlist.Placement.y.(id))) ids in
       let changed = ref 0 in
-      Array.iteri
-        (fun i id ->
-          let sx, sy = slots.(choice.(i)) in
-          if sx <> fst old_pos.(i) || sy <> snd old_pos.(i) then incr changed;
-          p.Netlist.Placement.x.(id) <- sx;
-          p.Netlist.Placement.y.(id) <- sy)
-        ids;
-      let after = hpwl_of c p nets in
+      for i = 0 to n - 1 do
+        let id = ids.(off + i) and j = choice.(i) in
+        if slot_x.(j) <> slot_x.(i) || slot_y.(j) <> slot_y.(i) then incr changed;
+        x.(id) <- slot_x.(j);
+        y.(id) <- slot_y.(j)
+      done;
+      let after = Nets.hpwl group_nets p in
       if after < before -. 1e-9 && !changed > 0 then begin
         moves := !moves + !changed;
         gain := !gain +. (before -. after)
       end
       else
-        Array.iteri
-          (fun i id ->
-            p.Netlist.Placement.x.(id) <- fst old_pos.(i);
-            p.Netlist.Placement.y.(id) <- snd old_pos.(i))
-          ids
+        for i = 0 to n - 1 do
+          let id = ids.(off + i) in
+          x.(id) <- slot_x.(i);
+          y.(id) <- slot_y.(i)
+        done
     end
   in
   Hashtbl.iter
     (fun _ group ->
       (* Split oversized groups so the assignment stays small. *)
-      let rec chunks = function
-        | [] -> ()
-        | l ->
-          let take = min config.max_group (List.length l) in
-          let rec split k acc rest =
-            if k = 0 then (List.rev acc, rest)
-            else
-              match rest with
-              | [] -> (List.rev acc, [])
-              | x :: tl -> split (k - 1) (x :: acc) tl
-          in
-          let first, rest = split take [] l in
-          process first;
-          chunks rest
-      in
-      chunks group)
+      let ids = Array.of_list group in
+      let off = ref 0 in
+      while !off < Array.length ids do
+        let n = min config.max_group (Array.length ids - !off) in
+        process ids !off n;
+        off := !off + n
+      done)
     groups;
   (!moves, !gain)
+
+let flow_pass ?(config = default_config) c p =
+  validate config;
+  flow config (Nets.create c) c p
 
 (* -------------------------------------------------------------- *)
 (* Window reordering                                               *)
@@ -147,12 +132,18 @@ let rec permutations = function
   | l ->
     List.concat_map
       (fun x ->
-        let rest = List.filter (fun y -> y != x) l in
+        let rest = List.filter (fun y -> y <> x) l in
         List.map (fun perm -> x :: perm) (permutations rest))
       l
 
-let reorder_pass ?(config = default_config) ?(obstacles = [])
-    (c : Netlist.Circuit.t) (p : Netlist.Placement.t) =
+(* Every ordering of a window's positions, as index arrays in exactly
+   [permutations]' order, so the first strict improvement still wins. *)
+let permutation_table w =
+  Array.of_list (List.map Array.of_list (permutations (List.init w Fun.id)))
+
+let reorder config view perms ~obstacles (c : Netlist.Circuit.t)
+    (p : Netlist.Placement.t) =
+  let x = p.Netlist.Placement.x and y = p.Netlist.Placement.y in
   let all_obstacles =
     obstacles
     @ (Array.to_list c.Netlist.Circuit.cells
@@ -161,111 +152,117 @@ let reorder_pass ?(config = default_config) ?(obstacles = [])
              then Some (Netlist.Placement.cell_rect c p cl.Netlist.Cell.id)
              else None))
   in
-  let stamp = Array.make (Netlist.Circuit.num_nets c) (-1) in
-  let stamp_val = ref 0 in
+  let half_row = c.Netlist.Circuit.row_height /. 2. in
+  (* The x-spans of the obstacles whose y-span meets the row band
+     centred on [band_y], refreshed when a window's row y changes. *)
+  let band_y = ref Float.nan and band_lo = ref [||] and band_hi = ref [||] in
+  let refresh_band row_y =
+    let meets =
+      List.filter
+        (fun (o : Geometry.Rect.t) ->
+          o.Geometry.Rect.y_lo < row_y +. half_row && o.Geometry.Rect.y_hi > row_y -. half_row)
+        all_obstacles
+    in
+    band_y := row_y;
+    band_lo := Array.of_list (List.map (fun (o : Geometry.Rect.t) -> o.Geometry.Rect.x_lo) meets);
+    band_hi := Array.of_list (List.map (fun (o : Geometry.Rect.t) -> o.Geometry.Rect.x_hi) meets)
+  in
+  let set = Nets.set view in
   let improved = ref 0 and gain = ref 0. in
   (* Row membership from current y. *)
   let nrows = max 1 (Netlist.Circuit.num_rows c) in
   let rows = Array.make nrows [] in
   List.iter
     (fun (cl : Netlist.Cell.t) ->
-      let r = Rows.row_of_y c p.Netlist.Placement.y.(cl.Netlist.Cell.id) in
+      let r = Rows.row_of_y c y.(cl.Netlist.Cell.id) in
       rows.(r) <- cl :: rows.(r))
     (movable_standard c);
+  let w = config.window in
+  let original = Array.make w 0. in
   (* Two sweeps of disjoint windows (offset 0 and w/2) cover every
      neighbouring pair while keeping windows independent: a window only
      repacks within the span its own cells occupy, so the row stays
      legal. *)
   let sweep offset row_cells =
-      let arr = Array.of_list row_cells in
-      Array.sort
-        (fun (a : Netlist.Cell.t) b ->
-          Float.compare
-            p.Netlist.Placement.x.(a.Netlist.Cell.id)
-            p.Netlist.Placement.x.(b.Netlist.Cell.id))
-        arr;
-      let w = config.window in
-      let i = ref offset in
-      while !i + w <= Array.length arr do
-        let cells = Array.sub arr !i w in
-        let left_edge =
-          p.Netlist.Placement.x.(cells.(0).Netlist.Cell.id)
-          -. (cells.(0).Netlist.Cell.width /. 2.)
-        in
-        let right_edge =
-          p.Netlist.Placement.x.(cells.(w - 1).Netlist.Cell.id)
-          +. (cells.(w - 1).Netlist.Cell.width /. 2.)
-        in
-        let row_y = p.Netlist.Placement.y.(cells.(0).Netlist.Cell.id) in
-        (* A window straddling an obstacle must not be repacked: the
-           packed order could land a cell inside the obstacle. *)
-        let blocked =
-          List.exists
-            (fun (o : Geometry.Rect.t) ->
-              o.Geometry.Rect.y_lo < row_y +. (c.Netlist.Circuit.row_height /. 2.)
-              && o.Geometry.Rect.y_hi > row_y -. (c.Netlist.Circuit.row_height /. 2.)
-              && o.Geometry.Rect.x_lo < right_edge
-              && o.Geometry.Rect.x_hi > left_edge)
-            all_obstacles
-        in
-        if blocked then i := !i + w
-        else begin
-        incr stamp_val;
-        let nets =
-          nets_of_cells c stamp !stamp_val
-            (Array.to_list (Array.map (fun (cl : Netlist.Cell.t) -> cl.Netlist.Cell.id) cells))
-        in
-        let original =
-          Array.map (fun (cl : Netlist.Cell.t) -> p.Netlist.Placement.x.(cl.Netlist.Cell.id)) cells
-        in
+    let arr = Array.of_list row_cells in
+    Array.sort
+      (fun (a : Netlist.Cell.t) b ->
+        Float.compare x.(a.Netlist.Cell.id) x.(b.Netlist.Cell.id))
+      arr;
+    let i = ref offset in
+    while !i + w <= Array.length arr do
+      let base = !i in
+      let first = arr.(base) and last = arr.(base + w - 1) in
+      let left_edge = x.(first.Netlist.Cell.id) -. (first.Netlist.Cell.width /. 2.) in
+      let right_edge = x.(last.Netlist.Cell.id) +. (last.Netlist.Cell.width /. 2.) in
+      let row_y = y.(first.Netlist.Cell.id) in
+      (* A window straddling an obstacle must not be repacked: the
+         packed order could land a cell inside the obstacle. *)
+      if row_y <> !band_y then refresh_band row_y;
+      let lo = !band_lo and hi = !band_hi in
+      let blocked = ref false and k = ref 0 in
+      while (not !blocked) && !k < Array.length lo do
+        if lo.(!k) < right_edge && hi.(!k) > left_edge then blocked := true;
+        incr k
+      done;
+      if not !blocked then begin
+        Nets.clear set;
+        for k = 0 to w - 1 do
+          let id = arr.(base + k).Netlist.Cell.id in
+          Nets.add_cell set id;
+          original.(k) <- x.(id)
+        done;
         let place_order order =
           let cursor = ref left_edge in
-          List.iter
-            (fun (cl : Netlist.Cell.t) ->
-              p.Netlist.Placement.x.(cl.Netlist.Cell.id) <-
-                !cursor +. (cl.Netlist.Cell.width /. 2.);
-              cursor := !cursor +. cl.Netlist.Cell.width)
-            order
+          for k = 0 to w - 1 do
+            let cl = arr.(base + order.(k)) in
+            x.(cl.Netlist.Cell.id) <- !cursor +. (cl.Netlist.Cell.width /. 2.);
+            cursor := !cursor +. cl.Netlist.Cell.width
+          done
         in
-        let before = hpwl_of c p nets in
-        let best_cost = ref before and best_order = ref None in
-        List.iter
-          (fun order ->
-            place_order order;
-            let cost = hpwl_of c p nets in
-            if cost < !best_cost -. 1e-9 then begin
-              best_cost := cost;
-              best_order := Some order
-            end)
-          (permutations (Array.to_list cells));
-        (match !best_order with
-        | Some order ->
-          place_order order;
+        let before = Nets.hpwl set p in
+        let best_cost = ref before and best_order = ref (-1) in
+        for q = 0 to Array.length perms - 1 do
+          place_order perms.(q);
+          let cost = Nets.hpwl set p in
+          if cost < !best_cost -. 1e-9 then begin
+            best_cost := cost;
+            best_order := q
+          end
+        done;
+        if !best_order >= 0 then begin
+          place_order perms.(!best_order);
           incr improved;
           gain := !gain +. (before -. !best_cost)
-        | None ->
-          Array.iteri
-            (fun k (cl : Netlist.Cell.t) ->
-              p.Netlist.Placement.x.(cl.Netlist.Cell.id) <- original.(k))
-            cells);
-          i := !i + w
         end
-      done
+        else
+          for k = 0 to w - 1 do
+            x.(arr.(base + k).Netlist.Cell.id) <- original.(k)
+          done
+      end;
+      i := base + w
+    done
   in
   Array.iter
     (fun row_cells ->
       sweep 0 row_cells;
-      sweep (config.window / 2) row_cells)
+      sweep (w / 2) row_cells)
     rows;
   (!improved, !gain)
 
-let run ?(config = default_config) ?obstacles c p =
+let reorder_pass ?(config = default_config) ?(obstacles = []) c p =
+  validate config;
+  reorder config (Nets.create c) (permutation_table config.window) ~obstacles c p
+
+let run ?(config = default_config) ?(obstacles = []) c p =
+  validate config;
+  let view = Nets.create c and perms = permutation_table config.window in
   let moves = ref 0 and gain = ref 0. in
   let continue = ref true and pass = ref 0 in
   while !continue && !pass < config.passes do
     incr pass;
-    let m1, g1 = flow_pass ~config c p in
-    let m2, g2 = reorder_pass ~config ?obstacles c p in
+    let m1, g1 = flow config view c p in
+    let m2, g2 = reorder config view perms ~obstacles c p in
     moves := !moves + m1 + m2;
     gain := !gain +. g1 +. g2;
     if g1 +. g2 < 1e-9 then continue := false

@@ -15,12 +15,15 @@
     Both passes only permute or repack cells within space they already
     occupy, so a legal input stays legal. *)
 
+(** Every pass raises [Invalid_argument], naming the field, when
+    [window] is outside 1..8, when [max_group], [neighborhood_rows] or
+    [neighborhood_cols] is below 1, or when [passes] is negative. *)
 type config = {
-  neighborhood_rows : int;  (** rows per flow-reassignment tile *)
-  neighborhood_cols : int;  (** tiles per row direction *)
-  max_group : int;  (** assignment-size cap per width class per tile *)
-  window : int;  (** cells per reorder window (≤ 6 sensible) *)
-  passes : int;
+  neighborhood_rows : int;  (** rows per flow-reassignment tile, ≥ 1 *)
+  neighborhood_cols : int;  (** tiles per row direction, ≥ 1 *)
+  max_group : int;  (** assignment-size cap per width class per tile, ≥ 1 *)
+  window : int;  (** cells per reorder window, 1..8 (window! orderings each) *)
+  passes : int;  (** ≥ 0 *)
 }
 
 val default_config : config

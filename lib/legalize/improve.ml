@@ -1,25 +1,3 @@
-let net_cost (c : Netlist.Circuit.t) (p : Netlist.Placement.t) net_id =
-  Metrics.Wirelength.hpwl_net c ~x:p.Netlist.Placement.x ~y:p.Netlist.Placement.y
-    c.Netlist.Circuit.nets.(net_id)
-
-(* Distinct nets incident to a list of cells, via a stamp array. *)
-let affected_nets (c : Netlist.Circuit.t) stamp stamp_val cells =
-  let nets = ref [] in
-  List.iter
-    (fun id ->
-      Array.iter
-        (fun net_id ->
-          if stamp.(net_id) <> stamp_val then begin
-            stamp.(net_id) <- stamp_val;
-            nets := net_id :: !nets
-          end)
-        (Netlist.Circuit.nets_of_cell c id))
-    cells;
-  !nets
-
-let cost_of (c : Netlist.Circuit.t) p nets =
-  List.fold_left (fun acc n -> acc +. net_cost c p n) 0. nets
-
 let run ?(seed = 1) ?(passes = 3) ?(obstacles = []) (c : Netlist.Circuit.t)
     (p : Netlist.Placement.t) =
   let rng = Numeric.Rng.create seed in
@@ -57,8 +35,7 @@ let run ?(seed = 1) ?(passes = 3) ?(obstacles = []) (c : Netlist.Circuit.t)
         else (x, x) (* cell already inside an obstacle: freeze it *))
       (gap_lo, gap_hi) row_blocked.(row)
   in
-  let stamp = Array.make (Netlist.Circuit.num_nets c) (-1) in
-  let stamp_counter = ref 0 in
+  let nets = Nets.set (Nets.create c) in
   let accepted = ref 0 and improvement = ref 0. in
   let movable =
     Array.to_list c.Netlist.Circuit.cells
@@ -68,9 +45,10 @@ let run ?(seed = 1) ?(passes = 3) ?(obstacles = []) (c : Netlist.Circuit.t)
   in
   let try_swap (a : Netlist.Cell.t) (b : Netlist.Cell.t) =
     let ia = a.Netlist.Cell.id and ib = b.Netlist.Cell.id in
-    incr stamp_counter;
-    let nets = affected_nets c stamp !stamp_counter [ ia; ib ] in
-    let before = cost_of c p nets in
+    Nets.clear nets;
+    Nets.add_cell nets ia;
+    Nets.add_cell nets ib;
+    let before = Nets.hpwl nets p in
     let swap () =
       let tx = p.Netlist.Placement.x.(ia) and ty = p.Netlist.Placement.y.(ia) in
       p.Netlist.Placement.x.(ia) <- p.Netlist.Placement.x.(ib);
@@ -79,7 +57,7 @@ let run ?(seed = 1) ?(passes = 3) ?(obstacles = []) (c : Netlist.Circuit.t)
       p.Netlist.Placement.y.(ib) <- ty
     in
     swap ();
-    let after = cost_of c p nets in
+    let after = Nets.hpwl nets p in
     if after < before -. 1e-9 then begin
       incr accepted;
       improvement := !improvement +. (before -. after)
@@ -90,25 +68,27 @@ let run ?(seed = 1) ?(passes = 3) ?(obstacles = []) (c : Netlist.Circuit.t)
     let ia = a.Netlist.Cell.id in
     let hw = a.Netlist.Cell.width /. 2. in
     if gap_hi -. gap_lo >= a.Netlist.Cell.width -. 1e-9 then begin
-      incr stamp_counter;
-      let nets = affected_nets c stamp !stamp_counter [ ia ] in
+      Nets.clear nets;
+      Nets.add_cell nets ia;
       let x0 = p.Netlist.Placement.x.(ia) in
-      let before = cost_of c p nets in
+      let before = Nets.hpwl nets p in
       let best_x = ref x0 and best_cost = ref before in
-      let candidates =
-        [ gap_lo +. hw; gap_hi -. hw; (gap_lo +. gap_hi) /. 2. ]
-      in
-      List.iter
-        (fun x ->
-          if x >= gap_lo +. hw -. 1e-9 && x <= gap_hi -. hw +. 1e-9 then begin
-            p.Netlist.Placement.x.(ia) <- x;
-            let cost = cost_of c p nets in
-            if cost < !best_cost -. 1e-9 then begin
-              best_cost := cost;
-              best_x := x
-            end
-          end)
-        candidates;
+      (* Candidates: flush left, flush right, centred. *)
+      for k = 0 to 2 do
+        let x =
+          if k = 0 then gap_lo +. hw
+          else if k = 1 then gap_hi -. hw
+          else (gap_lo +. gap_hi) /. 2.
+        in
+        if x >= gap_lo +. hw -. 1e-9 && x <= gap_hi -. hw +. 1e-9 then begin
+          p.Netlist.Placement.x.(ia) <- x;
+          let cost = Nets.hpwl nets p in
+          if cost < !best_cost -. 1e-9 then begin
+            best_cost := cost;
+            best_x := x
+          end
+        end
+      done;
       p.Netlist.Placement.x.(ia) <- !best_x;
       if !best_cost < before -. 1e-9 then begin
         incr accepted;

@@ -11,9 +11,23 @@ let bbox_net c ~x ~y (net : Netlist.Net.t) =
     net.Netlist.Net.pins;
   Geometry.Rect.make ~x_lo:!x_lo ~y_lo:!y_lo ~x_hi:!x_hi ~y_hi:!y_hi
 
-let hpwl_net c ~x ~y net =
-  let r = bbox_net c ~x ~y net in
-  Geometry.Rect.width r +. Geometry.Rect.height r
+(* [bbox_net]'s comparisons in pin order, without the per-pin tuple or
+   the rectangle: the result and the all-NaN error are the same. *)
+let hpwl_net _c ~x ~y (net : Netlist.Net.t) =
+  let pins = net.Netlist.Net.pins in
+  let x_lo = ref Float.infinity and x_hi = ref Float.neg_infinity in
+  let y_lo = ref Float.infinity and y_hi = ref Float.neg_infinity in
+  for i = 0 to Array.length pins - 1 do
+    let pin = pins.(i) in
+    let px = x.(pin.Netlist.Net.cell) +. pin.Netlist.Net.dx in
+    let py = y.(pin.Netlist.Net.cell) +. pin.Netlist.Net.dy in
+    if px < !x_lo then x_lo := px;
+    if px > !x_hi then x_hi := px;
+    if py < !y_lo then y_lo := py;
+    if py > !y_hi then y_hi := py
+  done;
+  if !x_hi < !x_lo || !y_hi < !y_lo then invalid_arg "Rect.make: inverted bounds";
+  (!x_hi -. !x_lo) +. (!y_hi -. !y_lo)
 
 let hpwl c (p : Netlist.Placement.t) =
   Array.fold_left

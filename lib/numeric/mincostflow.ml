@@ -1,12 +1,13 @@
 type t = {
   n : int;
-  (* Adjacency as growable parallel arrays; edge i and i lxor 1 are a
+  (* Edges as growable parallel arrays; edge i and i lxor 1 are a
      forward/backward pair. *)
   mutable dst : int array;
   mutable cap : int array;
   mutable cost : float array;
+  mutable next : int array; (* next edge out of the same node, or -1 *)
   mutable len : int;
-  mutable head : int list array; (* edge indices per node *)
+  head : int array; (* latest edge out of each node, or -1 *)
   mutable solved : bool;
 }
 
@@ -18,89 +19,98 @@ let create n =
     dst = Array.make 16 0;
     cap = Array.make 16 0;
     cost = Array.make 16 0.;
+    next = Array.make 16 (-1);
     len = 0;
-    head = Array.make n [];
+    head = Array.make n (-1);
     solved = false;
   }
 
-let push g dst cap cost =
+let grow a fill =
+  let a' = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* Out-edges form a forward-star list headed at [head]: each new edge
+   goes first, so [solve] scans a node's edges newest first. *)
+let push g src dst cap cost =
   if g.len = Array.length g.dst then begin
-    let grow a fill =
-      let a' = Array.make (2 * g.len) fill in
-      Array.blit a 0 a' 0 g.len;
-      a'
-    in
     g.dst <- grow g.dst 0;
     g.cap <- grow g.cap 0;
-    g.cost <- grow g.cost 0.
+    g.cost <- grow g.cost 0.;
+    g.next <- grow g.next (-1)
   end;
-  g.dst.(g.len) <- dst;
-  g.cap.(g.len) <- cap;
-  g.cost.(g.len) <- cost;
-  g.len <- g.len + 1
+  let e = g.len in
+  g.dst.(e) <- dst;
+  g.cap.(e) <- cap;
+  g.cost.(e) <- cost;
+  g.next.(e) <- g.head.(src);
+  g.head.(src) <- e;
+  g.len <- e + 1
 
 let add_edge g ~src ~dst ~capacity ~cost =
   if src < 0 || src >= g.n || dst < 0 || dst >= g.n then
     invalid_arg "Mincostflow.add_edge: node out of range";
   if capacity < 0 then invalid_arg "Mincostflow.add_edge: negative capacity";
   let e = g.len in
-  push g dst capacity cost;
-  push g src 0 (-.cost);
-  g.head.(src) <- e :: g.head.(src);
-  g.head.(dst) <- (e + 1) :: g.head.(dst);
+  push g src dst capacity cost;
+  push g dst src 0 (-.cost);
   e
 
-(* A tiny binary heap of (distance, node). *)
+(* A binary min-heap of (distance, node) on parallel arrays, grown by
+   doubling and reused by every Dijkstra round of one [solve]. *)
 module Heap = struct
-  type t = { mutable data : (float * int) array; mutable size : int }
+  type t = { mutable key : float array; mutable node : int array; mutable size : int }
 
-  let create () = { data = Array.make 16 (0., 0); size = 0 }
+  let create capacity =
+    { key = Array.make capacity 0.; node = Array.make capacity 0; size = 0 }
 
-  let push h x =
-    if h.size = Array.length h.data then begin
-      let d = Array.make (2 * h.size) (0., 0) in
-      Array.blit h.data 0 d 0 h.size;
-      h.data <- d
+  let swap h i j =
+    let k = h.key.(i) and v = h.node.(i) in
+    h.key.(i) <- h.key.(j);
+    h.node.(i) <- h.node.(j);
+    h.key.(j) <- k;
+    h.node.(j) <- v
+
+  let[@inline] push h key node =
+    if h.size = Array.length h.key then begin
+      h.key <- grow h.key 0.;
+      h.node <- grow h.node 0
     end;
-    h.data.(h.size) <- x;
+    h.key.(h.size) <- key;
+    h.node.(h.size) <- node;
     let i = ref h.size in
     h.size <- h.size + 1;
-    while !i > 0 && fst h.data.((!i - 1) / 2) > fst h.data.(!i) do
+    while !i > 0 && h.key.((!i - 1) / 2) > h.key.(!i) do
       let p = (!i - 1) / 2 in
-      let tmp = h.data.(p) in
-      h.data.(p) <- h.data.(!i);
-      h.data.(!i) <- tmp;
+      swap h p !i;
       i := p
     done
 
+  (* Removes the minimum; read it from [key.(0)]/[node.(0)] first. *)
   let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.size <- h.size - 1;
-      h.data.(0) <- h.data.(h.size);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.size && fst h.data.(l) < fst h.data.(!smallest) then smallest := l;
-        if r < h.size && fst h.data.(r) < fst h.data.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          let tmp = h.data.(!i) in
-          h.data.(!i) <- h.data.(!smallest);
-          h.data.(!smallest) <- tmp;
-          i := !smallest
-        end
-      done;
-      Some top
-    end
+    h.size <- h.size - 1;
+    h.key.(0) <- h.key.(h.size);
+    h.node.(0) <- h.node.(h.size);
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let smallest = ref !i in
+      if l < h.size && h.key.(l) < h.key.(!smallest) then smallest := l;
+      if r < h.size && h.key.(r) < h.key.(!smallest) then smallest := r;
+      if !smallest = !i then continue := false
+      else begin
+        swap h !i !smallest;
+        i := !smallest
+      end
+    done
 end
 
 let solve g ~source ~sink ?(max_flow = max_int) () =
   if g.solved then invalid_arg "Mincostflow.solve: already solved";
   g.solved <- true;
+  (* The edge arrays are final once solving starts. *)
+  let dst = g.dst and cap = g.cap and cost = g.cost and next = g.next in
   let potential = Array.make g.n 0. in
   (* Bellman–Ford once to admit negative edge costs. *)
   let changed = ref true and rounds = ref 0 in
@@ -108,10 +118,10 @@ let solve g ~source ~sink ?(max_flow = max_int) () =
     changed := false;
     incr rounds;
     for e = 0 to g.len - 1 do
-      if g.cap.(e) > 0 then begin
-        let u = g.dst.(e lxor 1) and v = g.dst.(e) in
-        if potential.(u) +. g.cost.(e) < potential.(v) -. 1e-12 then begin
-          potential.(v) <- potential.(u) +. g.cost.(e);
+      if cap.(e) > 0 then begin
+        let u = dst.(e lxor 1) and v = dst.(e) in
+        if potential.(u) +. cost.(e) < potential.(v) -. 1e-12 then begin
+          potential.(v) <- potential.(u) +. cost.(e);
           changed := true
         end
       end
@@ -120,6 +130,7 @@ let solve g ~source ~sink ?(max_flow = max_int) () =
   if !changed then failwith "Mincostflow.solve: negative cost cycle";
   let dist = Array.make g.n Float.infinity in
   let prev_edge = Array.make g.n (-1) in
+  let heap = Heap.create (max 16 g.n) in
   let total_flow = ref 0 and total_cost = ref 0. in
   let continue = ref true in
   while !continue && !total_flow < max_flow do
@@ -127,37 +138,36 @@ let solve g ~source ~sink ?(max_flow = max_int) () =
     Array.fill dist 0 g.n Float.infinity;
     Array.fill prev_edge 0 g.n (-1);
     dist.(source) <- 0.;
-    let heap = Heap.create () in
-    Heap.push heap (0., source);
-    let rec drain () =
-      match Heap.pop heap with
-      | None -> ()
-      | Some (d, u) ->
-        if d <= dist.(u) +. 1e-12 then
-          List.iter
-            (fun e ->
-              if g.cap.(e) > 0 then begin
-                let v = g.dst.(e) in
-                (* Clamp the reduced cost at zero: accumulated float error
-                   in the potentials can make it infinitesimally negative,
-                   which would admit "improving" cycles and stall the
-                   search.  Exact reduced costs of shortest-path-tree
-                   edges are zero, so the clamp preserves optimality up
-                   to float precision. *)
-                let rc =
-                  Float.max 0. (g.cost.(e) +. potential.(u) -. potential.(v))
-                in
-                let nd = d +. rc in
-                if nd < dist.(v) -. 1e-12 then begin
-                  dist.(v) <- nd;
-                  prev_edge.(v) <- e;
-                  Heap.push heap (nd, v)
-                end
-              end)
-            g.head.(u);
-        drain ()
-    in
-    drain ();
+    heap.Heap.size <- 0;
+    Heap.push heap 0. source;
+    while heap.Heap.size > 0 do
+      let d = heap.Heap.key.(0) and u = heap.Heap.node.(0) in
+      Heap.pop heap;
+      if d <= dist.(u) +. 1e-12 then begin
+        let e = ref g.head.(u) in
+        while !e >= 0 do
+          if cap.(!e) > 0 then begin
+            let v = dst.(!e) in
+            (* Clamp the reduced cost at zero: accumulated float error
+               in the potentials can make it infinitesimally negative,
+               which would admit "improving" cycles and stall the
+               search.  Exact reduced costs of shortest-path-tree edges
+               are zero, so the clamp preserves optimality up to float
+               precision.  This is [Float.max 0.] (NaN kept, -0 to +0)
+               without its sign-bit calls. *)
+            let rc = cost.(!e) +. potential.(u) -. potential.(v) in
+            let rc = if rc > 0. || Float.is_nan rc then rc else 0. in
+            let nd = d +. rc in
+            if nd < dist.(v) -. 1e-12 then begin
+              dist.(v) <- nd;
+              prev_edge.(v) <- !e;
+              Heap.push heap nd v
+            end
+          end;
+          e := next.(!e)
+        done
+      end
+    done;
     if dist.(sink) = Float.infinity then continue := false
     else begin
       for v = 0 to g.n - 1 do
@@ -169,16 +179,16 @@ let solve g ~source ~sink ?(max_flow = max_int) () =
       let v = ref sink in
       while !v <> source do
         let e = prev_edge.(!v) in
-        if g.cap.(e) < !bottleneck then bottleneck := g.cap.(e);
-        v := g.dst.(e lxor 1)
+        if cap.(e) < !bottleneck then bottleneck := cap.(e);
+        v := dst.(e lxor 1)
       done;
       let v = ref sink in
       while !v <> source do
         let e = prev_edge.(!v) in
-        g.cap.(e) <- g.cap.(e) - !bottleneck;
-        g.cap.(e lxor 1) <- g.cap.(e lxor 1) + !bottleneck;
-        total_cost := !total_cost +. (float_of_int !bottleneck *. g.cost.(e));
-        v := g.dst.(e lxor 1)
+        cap.(e) <- cap.(e) - !bottleneck;
+        cap.(e lxor 1) <- cap.(e lxor 1) + !bottleneck;
+        total_cost := !total_cost +. (float_of_int !bottleneck *. cost.(e));
+        v := dst.(e lxor 1)
       done;
       total_flow := !total_flow + !bottleneck
     end
@@ -209,10 +219,10 @@ let assignment ~costs =
     for i = 0 to n_agents - 1 do
       ignore (add_edge g ~src:source ~dst:(1 + i) ~capacity:1 ~cost:0.)
     done;
-    let handles = Array.make_matrix n_agents n_objects 0 in
+    let handles = Array.make (n_agents * n_objects) 0 in
     for i = 0 to n_agents - 1 do
       for j = 0 to n_objects - 1 do
-        handles.(i).(j) <-
+        handles.((i * n_objects) + j) <-
           add_edge g ~src:(1 + i) ~dst:(1 + n_agents + j) ~capacity:1
             ~cost:costs.(i).(j)
       done
@@ -225,7 +235,7 @@ let assignment ~costs =
     let result = Array.make n_agents (-1) in
     for i = 0 to n_agents - 1 do
       for j = 0 to n_objects - 1 do
-        if flow g handles.(i).(j) > 0 then result.(i) <- j
+        if flow g handles.((i * n_objects) + j) > 0 then result.(i) <- j
       done
     done;
     result

@@ -26,6 +26,7 @@ let () =
       ("timing.paths", Test_paths.suite);
       ("legalize", Test_legalize.suite);
       ("legalize.domino", Test_domino.suite);
+      ("legalize.finishing", Test_finishing.suite);
       ("baselines", Test_baselines.suite);
       ("route", Test_route.suite);
       ("route.grouter", Test_grouter.suite);

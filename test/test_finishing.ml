@@ -1,0 +1,356 @@
+(* The finishing pipeline after Abacus: Legalize.Improve, the Domino
+   passes, the min-cost-flow assignment they solve and the per-net HPWL
+   they evaluate.
+
+   Golden bit-pins: every move is accepted on a strict HPWL comparison,
+   so the pipeline's output depends on the exact bits of every cost it
+   sums, the order it visits groups, windows and orderings, and the
+   order the flow solver relaxes edges.  These pins hold the move
+   counts, the bits of the reported gains and a digest of the final
+   coordinates on fixtures with mixed cell widths and a block obstacle;
+   they change only with a deliberate behaviour change. *)
+
+let bits = Int64.bits_of_float
+
+let placement_digest (p : Netlist.Placement.t) =
+  let b = Buffer.create 65536 in
+  let add a = Array.iter (fun v -> Buffer.add_int64_le b (bits v)) a in
+  add p.Netlist.Placement.x;
+  add p.Netlist.Placement.y;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* A profile placed by the standard flow and legalized by Abacus: the
+   input the finishing stages see in a served job. *)
+let legal_fixture name =
+  let prof = Circuitgen.Profiles.find name in
+  let c, pads = Circuitgen.Gen.generate (Circuitgen.Profiles.params prof ~seed:91) in
+  let p0 = Circuitgen.Gen.initial_placement c pads in
+  let state, _ = Kraftwerk.Placer.run Kraftwerk.Config.standard c p0 in
+  let rep = Legalize.Abacus.legalize c state.Kraftwerk.Placer.placement () in
+  (c, rep.Legalize.Abacus.placement)
+
+let fixtures = lazy [ ("fract", legal_fixture "fract"); ("primary1", legal_fixture "primary1") ]
+
+(* The 60×32 block across the region centre of test_domino's obstacle
+   test; the cells were legalized without it. *)
+let centre_obstacle (c : Netlist.Circuit.t) =
+  let cx, cy = Geometry.Rect.center c.Netlist.Circuit.region in
+  Geometry.Rect.of_center ~cx ~cy ~w:60. ~h:32.
+
+(* Each case runs on a fresh copy of the fixture's legal placement and
+   returns the (moves, gain) of every stage it ran. *)
+let cases =
+  let improve ?obstacles c p = [ Legalize.Improve.run ?obstacles c p ] in
+  let domino ?obstacles c p = [ Legalize.Domino.run ?obstacles c p ] in
+  [
+    ("improve", improve ?obstacles:None);
+    ("flow_pass", fun c p -> [ Legalize.Domino.flow_pass c p ]);
+    ("reorder_pass", fun c p -> [ Legalize.Domino.reorder_pass c p ]);
+    ("domino", domino ?obstacles:None);
+    ( "pipeline",
+      fun c p ->
+        let first = improve c p in
+        first @ domino c p );
+    ("obstacle improve", fun c p -> improve ~obstacles:[ centre_obstacle c ] c p);
+    ( "obstacle reorder_pass",
+      fun c p -> [ Legalize.Domino.reorder_pass ~obstacles:[ centre_obstacle c ] c p ] );
+    ("obstacle domino", fun c p -> domino ~obstacles:[ centre_obstacle c ] c p);
+  ]
+
+type golden = { moves : int list; gains : int64 list; digest : string }
+
+let goldens =
+  [
+    ( "fract improve",
+      { moves = [ 19 ];
+        gains = [ 4647317385557548570L ];
+        digest = "75025952e9c33e054f3f22146b40d2fd" } );
+    ( "fract flow_pass",
+      { moves = [ 22 ];
+        gains = [ 4642168998016448354L ];
+        digest = "9a2c1a09a68bd7570d240ed68e4ef56a" } );
+    ( "fract reorder_pass",
+      { moves = [ 34 ];
+        gains = [ 4650504439980686694L ];
+        digest = "ac7e37c08fcc15dacd22ff72e32930f9" } );
+    ( "fract domino",
+      { moves = [ 82 ];
+        gains = [ 4652495484586300178L ];
+        digest = "d1aeb083342686a6cf966e1f5e9999be" } );
+    ( "fract pipeline",
+      { moves = [ 19; 45 ];
+        gains = [ 4647317385557548570L; 4650678477767003272L ];
+        digest = "5500fd151a04e810068c73ed80eb864f" } );
+    ( "fract obstacle improve",
+      { moves = [ 19 ];
+        gains = [ 4647317385557548570L ];
+        digest = "75025952e9c33e054f3f22146b40d2fd" } );
+    ( "fract obstacle reorder_pass",
+      { moves = [ 32 ];
+        gains = [ 4650161035164370730L ];
+        digest = "a17474469050e092d1dd40dc997163b0" } );
+    ( "fract obstacle domino",
+      { moves = [ 80 ];
+        gains = [ 4652494170065445250L ];
+        digest = "de2327603ce2aecf051e17c4c32c079f" } );
+    ( "primary1 improve",
+      { moves = [ 124 ];
+        gains = [ 4656775337890117874L ];
+        digest = "86c6764df00f5e92467035de2b3a3e8e" } );
+    ( "primary1 flow_pass",
+      { moves = [ 199 ];
+        gains = [ 4657986550492494917L ];
+        digest = "87b344d737530e560ab113f45337b398" } );
+    ( "primary1 reorder_pass",
+      { moves = [ 221 ];
+        gains = [ 4664839635293122537L ];
+        digest = "cdf3b0d13b9fedc5d85e2d3e0bb72b1e" } );
+    ( "primary1 domino",
+      { moves = [ 564 ];
+        gains = [ 4666590721774936940L ];
+        digest = "8f7883e83f630de887e74e890810db55" } );
+    ( "primary1 pipeline",
+      { moves = [ 124; 519 ];
+        gains = [ 4656775337890117874L; 4666129478429567402L ];
+        digest = "65a3e635d56762c1f6f2898660c6dfed" } );
+    ( "primary1 obstacle improve",
+      { moves = [ 124 ];
+        gains = [ 4656775337890117874L ];
+        digest = "86c6764df00f5e92467035de2b3a3e8e" } );
+    ( "primary1 obstacle reorder_pass",
+      { moves = [ 215 ];
+        gains = [ 4664687462504028327L ];
+        digest = "17a19b198f3d205a84cf16bf74780088" } );
+    ( "primary1 obstacle domino",
+      { moves = [ 554 ];
+        gains = [ 4666481082634665787L ];
+        digest = "6a2584c302c5c008da946d4c67366ccf" } );
+  ]
+
+let test_golden_finishing () =
+  List.iter
+    (fun (fixture, (c, p)) ->
+      List.iter
+        (fun (case, stage) ->
+          let name = fixture ^ " " ^ case in
+          let p = Netlist.Placement.copy p in
+          let results = stage c p in
+          let g = List.assoc name goldens in
+          Alcotest.(check (list int)) (name ^ ": moves") g.moves (List.map fst results);
+          Alcotest.(check (list int64))
+            (name ^ ": gain bits") g.gains
+            (List.map (fun (_, gain) -> bits gain) results);
+          Alcotest.(check string) (name ^ ": placement digest") g.digest
+            (placement_digest p))
+        cases)
+    (Lazy.force fixtures)
+
+(* 16×16 costs drawn from 0..3: many optimal assignments tie, so the
+   chosen one is fixed only by the solver's edge and heap order. *)
+let tied_costs () =
+  let rng = Numeric.Rng.create 5 in
+  Array.init 16 (fun _ -> Array.init 16 (fun _ -> float_of_int (Numeric.Rng.int rng 4)))
+
+let golden_assignment = [| 0; 4; 15; 7; 13; 14; 11; 6; 1; 12; 10; 9; 3; 8; 2; 5 |]
+
+let test_golden_assignment () =
+  Alcotest.(check (array int)) "tied 16x16 assignment" golden_assignment
+    (Numeric.Mincostflow.assignment ~costs:(tied_costs ()))
+
+(* --- invalid Domino configs ---
+
+   Each out-of-range field once hung ([max_group = 0] looped in the
+   chunking), crashed ([window = 0] indexed out of bounds) or ran for
+   minutes ([window = 11] enumerates 11! orderings per window); every
+   pass now rejects it up front, naming the field. *)
+
+let domino_rejects field config () =
+  let c, p = List.assoc "fract" (Lazy.force fixtures) in
+  let expect_reject pass_name f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted config.%s" pass_name field
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (pass_name ^ ": names " ^ field ^ " (" ^ msg ^ ")")
+        true
+        (String.starts_with ~prefix:("Domino: config." ^ field ^ " ") msg)
+  in
+  let p = Netlist.Placement.copy p in
+  expect_reject "flow_pass" (fun () -> Legalize.Domino.flow_pass ~config c p);
+  expect_reject "reorder_pass" (fun () -> Legalize.Domino.reorder_pass ~config c p);
+  expect_reject "run" (fun () -> Legalize.Domino.run ~config c p)
+
+let config_cases =
+  let open Legalize.Domino in
+  let d = default_config in
+  [
+    ("window 0", "window", { d with window = 0 });
+    ("window 9", "window", { d with window = 9 });
+    ("window 11", "window", { d with window = 11 });
+    ("max_group 0", "max_group", { d with max_group = 0 });
+    ("neighborhood_rows 0", "neighborhood_rows", { d with neighborhood_rows = 0 });
+    ("neighborhood_cols 0", "neighborhood_cols", { d with neighborhood_cols = 0 });
+    ("passes -1", "passes", { d with passes = -1 });
+  ]
+
+(* The largest window the permutation table admits still runs. *)
+let test_window_8_runs () =
+  let c, p = List.assoc "fract" (Lazy.force fixtures) in
+  let p = Netlist.Placement.copy p in
+  let config = { Legalize.Domino.default_config with Legalize.Domino.window = 8 } in
+  let before = Metrics.Wirelength.hpwl c p in
+  let _, gain = Legalize.Domino.reorder_pass ~config c p in
+  Alcotest.(check bool) "legal" true (Legalize.Check.is_legal c p);
+  Alcotest.(check (float 1e-6)) "gain accounted" (before -. Metrics.Wirelength.hpwl c p) gain
+
+(* --- hpwl_net against the bounding box --- *)
+
+let hpwl_outcome f = match f () with v -> Ok (bits v) | exception e -> Error e
+
+(* A net of [k] pins on [k] cells whose coordinates are drawn from
+   signed zeros, NaN and ordinary values. *)
+let gen_net_coords =
+  let coord =
+    QCheck.Gen.(
+      frequency
+        [ (2, return 0.); (2, return (-0.)); (2, return Float.nan); (4, float_range (-50.) 50.) ])
+  in
+  QCheck.Gen.(
+    int_range 2 7 >>= fun k ->
+    map (fun l -> Array.of_list l) (list_repeat k (pair coord coord)))
+
+let net_circuit coords =
+  let k = Array.length coords in
+  let cells =
+    Array.init k (fun id ->
+        Netlist.Cell.make ~id ~name:(Printf.sprintf "c%d" id) ~width:1. ~height:1. ())
+  in
+  let pins = Array.init k (fun i -> { Netlist.Net.cell = i; dx = 0.5 *. float_of_int (i mod 2); dy = 0. }) in
+  let net = Netlist.Net.make ~id:0 ~name:"n" pins in
+  let region = Geometry.Rect.make ~x_lo:0. ~y_lo:0. ~x_hi:100. ~y_hi:100. in
+  let c = Netlist.Circuit.make ~name:"h" ~cells ~nets:[| net |] ~region ~row_height:1. in
+  (c, net, Array.map fst coords, Array.map snd coords)
+
+let same_as_bbox coords =
+  let c, net, x, y = net_circuit coords in
+  let fast = hpwl_outcome (fun () -> Metrics.Wirelength.hpwl_net c ~x ~y net) in
+  let boxed =
+    hpwl_outcome (fun () ->
+        let r = Metrics.Wirelength.bbox_net c ~x ~y net in
+        Geometry.Rect.width r +. Geometry.Rect.height r)
+  in
+  fast = boxed
+
+let prop_hpwl_net_is_bbox =
+  QCheck.Test.make ~count:500 ~name:"hpwl_net bit-equals bbox width + height"
+    (QCheck.make gen_net_coords) same_as_bbox
+
+let test_hpwl_net_all_nan () =
+  let nan = Float.nan in
+  List.iter
+    (fun coords ->
+      Alcotest.(check bool) "same outcome" true (same_as_bbox coords);
+      let c, net, x, y = net_circuit coords in
+      match Metrics.Wirelength.hpwl_net c ~x ~y net with
+      | _ -> Alcotest.fail "hpwl_net accepted a net without comparable coordinates"
+      | exception Invalid_argument _ -> ())
+    [ [| (nan, nan); (nan, nan) |]; [| (nan, 1.); (nan, 2.) |]; [| (1., nan); (-0., nan); (0., nan) |] ]
+
+(* --- allocation pins ---
+
+   [Gc.minor_words] is exact, but arrays above 256 words go straight to
+   the major heap and are not counted: these pins hold the small
+   per-step allocations (boxed floats, tuples, options, closures) to
+   zero, as test_poisson does for the FFT. *)
+
+let tied_graph costs =
+  let n = Array.length costs in
+  let module Mcf = Numeric.Mincostflow in
+  let g = Mcf.create ((2 * n) + 2) in
+  for i = 0 to n - 1 do
+    ignore (Mcf.add_edge g ~src:0 ~dst:(1 + i) ~capacity:1 ~cost:0.)
+  done;
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      ignore (Mcf.add_edge g ~src:(1 + i) ~dst:(1 + n + j) ~capacity:1 ~cost:costs.(i).(j))
+    done
+  done;
+  for j = 0 to n - 1 do
+    ignore (Mcf.add_edge g ~src:(1 + n + j) ~dst:((2 * n) + 1) ~capacity:1 ~cost:0.)
+  done;
+  g
+
+(* The 16×16 tied assignment: with list adjacency and a heap of boxed
+   (distance, node) pairs it allocated 17645 minor words (69 n²), about
+   12950 of them in [solve]'s pops and pushes; now 3736, of which
+   [solve] takes 322 for its per-node arrays and its heap. *)
+let test_assignment_allocation () =
+  let costs = tied_costs () in
+  let n = Array.length costs in
+  ignore (Numeric.Mincostflow.assignment ~costs);
+  let before = Gc.minor_words () in
+  ignore (Numeric.Mincostflow.assignment ~costs);
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "assignment allocates O(n^2) words (%.0f)" words)
+    true
+    (words <= 24. *. float_of_int (n * n));
+  let g = tied_graph costs in
+  let nodes = (2 * n) + 2 in
+  let before = Gc.minor_words () in
+  let flow, _ = Numeric.Mincostflow.solve g ~source:0 ~sink:(nodes - 1) () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "full assignment" n flow;
+  Alcotest.(check bool)
+    (Printf.sprintf "solve allocates per node, not per pop (%.0f words)" words)
+    true
+    (words <= 16. *. float_of_int nodes)
+
+let test_hpwl_net_allocation () =
+  let c, p = List.assoc "primary1" (Lazy.force fixtures) in
+  let x = p.Netlist.Placement.x and y = p.Netlist.Placement.y in
+  let nets = c.Netlist.Circuit.nets in
+  ignore (Metrics.Wirelength.hpwl_net c ~x ~y nets.(0));
+  let before = Gc.minor_words () in
+  for n = 0 to Array.length nets - 1 do
+    ignore (Sys.opaque_identity (Metrics.Wirelength.hpwl_net c ~x ~y nets.(n)))
+  done;
+  let per_net = (Gc.minor_words () -. before) /. float_of_int (Array.length nets) in
+  (* Two words: the boxed result (43 with a tuple per pin and a Rect). *)
+  Alcotest.(check bool)
+    (Printf.sprintf "hpwl_net allocates only its result (%.1f words/net)" per_net)
+    true (per_net <= 2.)
+
+(* Improve.run then Domino.run on the primary1 fixture: 29252840 minor
+   words with list net sets, tuple-keyed heaps and fresh permutation
+   lists; 660558 with the flat net view.  The pin allows a quarter of
+   the former. *)
+let test_finishing_allocation () =
+  let c, p = List.assoc "primary1" (Lazy.force fixtures) in
+  let p = Netlist.Placement.copy p in
+  let before = Gc.minor_words () in
+  ignore (Legalize.Improve.run c p);
+  ignore (Legalize.Domino.run c p);
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "Improve + Domino allocate <= 1/4 of 29252840 words (%.0f)" words)
+    true
+    (words <= 29252840. /. 4.)
+
+let suite =
+  [
+    Alcotest.test_case "golden finishing pins" `Quick test_golden_finishing;
+    Alcotest.test_case "golden tied assignment" `Quick test_golden_assignment;
+  ]
+  @ List.map
+      (fun (name, field, config) ->
+        Alcotest.test_case ("domino rejects " ^ name) `Quick (domino_rejects field config))
+      config_cases
+  @ [
+      Alcotest.test_case "domino window 8 runs" `Quick test_window_8_runs;
+      QCheck_alcotest.to_alcotest prop_hpwl_net_is_bbox;
+      Alcotest.test_case "hpwl_net all-NaN raises like bbox" `Quick test_hpwl_net_all_nan;
+      Alcotest.test_case "assignment allocation" `Quick test_assignment_allocation;
+      Alcotest.test_case "hpwl_net allocation" `Quick test_hpwl_net_allocation;
+      Alcotest.test_case "finishing allocation" `Quick test_finishing_allocation;
+    ]
