@@ -734,7 +734,8 @@ let micro_run () =
       Test.make ~name:"density-map-primary1"
         (Staged.stage (fun () ->
              let nx, ny = Density.Density_map.auto_bins circuit in
-             Density.Density_map.build circuit placed ~nx ~ny ()));
+             Density.Density_map.balance
+               (Density.Density_map.demand circuit placed ~nx ~ny)));
       Test.make ~name:"sta-primary1"
         (Staged.stage (fun () ->
              Timing.Sta.analyse Timing.Params.default circuit placed));

@@ -47,10 +47,7 @@ let demand (c : Netlist.Circuit.t) p ~nx ~ny =
       cells;
   g
 
-(* Overflow of a raw demand grid (bin areas, before extra / balancing) —
-   the same fold {!overflow_ratio} performs on the occupancy grid, with
-   the per-bin division done inline so no second splat pass is needed. *)
-let overflow_of_demand c g =
+let overflow c g =
   let movable = Netlist.Circuit.movable_area c in
   if movable <= 0. then 0.
   else begin
@@ -65,15 +62,17 @@ let overflow_of_demand c g =
     over /. movable
   end
 
-let build_with_overflow c p ~nx ~ny ?extra () =
-  let g = demand c p ~nx ~ny in
-  let overflow = overflow_of_demand c g in
+let balance ?extra demand =
+  let nx = Geometry.Grid2.nx demand and ny = Geometry.Grid2.ny demand in
+  let g = Geometry.Grid2.create (Geometry.Grid2.region demand) ~nx ~ny in
+  let gv = Geometry.Grid2.values g in
+  Array.blit (Geometry.Grid2.values demand) 0 gv 0 (nx * ny);
   (match extra with
   | None -> ()
   | Some e ->
     if Geometry.Grid2.nx e <> nx || Geometry.Grid2.ny e <> ny then
-      invalid_arg "Density_map.build: extra grid dimension mismatch";
-    let ev = Geometry.Grid2.values e and gv = Geometry.Grid2.values g in
+      invalid_arg "Density_map.balance: extra grid dimension mismatch";
+    let ev = Geometry.Grid2.values e in
     for i = 0 to Array.length gv - 1 do
       gv.(i) <- gv.(i) +. ev.(i)
     done);
@@ -84,26 +83,4 @@ let build_with_overflow c p ~nx ~ny ?extra () =
   let s = total_demand /. (bin_area *. float_of_int (nx * ny)) in
   (* Convert per-bin area into per-unit-area density and subtract s. *)
   Geometry.Grid2.map_inplace (fun _ _ v -> (v /. bin_area) -. s) g;
-  (g, overflow)
-
-let build c p ~nx ~ny ?extra () = fst (build_with_overflow c p ~nx ~ny ?extra ())
-
-let occupancy c p ~nx ~ny =
-  let g = demand c p ~nx ~ny in
-  let bin_area = Geometry.Grid2.dx g *. Geometry.Grid2.dy g in
-  Geometry.Grid2.map_inplace (fun _ _ v -> v /. bin_area) g;
   g
-
-let overflow_ratio c p ~nx ~ny =
-  let movable = Netlist.Circuit.movable_area c in
-  if movable <= 0. then 0.
-  else begin
-    let occ = occupancy c p ~nx ~ny in
-    let bin_area = Geometry.Grid2.dx occ *. Geometry.Grid2.dy occ in
-    let over =
-      Array.fold_left
-        (fun acc u -> if u > 1. then acc +. ((u -. 1.) *. bin_area) else acc)
-        0. (Geometry.Grid2.values occ)
-    in
-    over /. movable
-  end

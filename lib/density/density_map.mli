@@ -12,48 +12,31 @@
     average cells, clamped to [8 … 128] per axis. *)
 val auto_bins : Netlist.Circuit.t -> int * int
 
-(** [build circuit placement ~nx ~ny ?extra ()] computes the density grid.
-    Pads are excluded (they sit on the boundary and are not part of the
-    area balance); fixed non-pad cells count as demand, exactly as the
-    paper treats pre-placed blocks.  [extra], when given, is added to the
-    demand term bin-wise {e before} the supply is balanced — the hook used
-    for congestion- and heat-driven placement (§5): the supply scale s is
-    recomputed so the grid still sums to zero. *)
-val build :
-  Netlist.Circuit.t ->
-  Netlist.Placement.t ->
-  nx:int ->
-  ny:int ->
-  ?extra:Geometry.Grid2.t ->
-  unit ->
-  Geometry.Grid2.t
-
-(** [build_with_overflow circuit placement ~nx ~ny ?extra ()] is
-    {!build} returning additionally the {!overflow_ratio} of the same
-    demand splat (computed before [extra] and supply balancing,
-    bitwise-equal to a separate [overflow_ratio] call on the same grid)
-    — the per-iteration convergence signal, for free instead of a
-    second splat pass. *)
-val build_with_overflow :
-  Netlist.Circuit.t ->
-  Netlist.Placement.t ->
-  nx:int ->
-  ny:int ->
-  ?extra:Geometry.Grid2.t ->
-  unit ->
-  Geometry.Grid2.t * float
-
-(** [occupancy circuit placement ~nx ~ny] is just the demand term —
-    fraction of each bin covered by cells — used by the stopping
-    criterion. *)
-val occupancy :
+(** [demand circuit placement ~nx ~ny] is the demand term: the cell
+    area covering each bin, in area units (not yet divided by the bin
+    area).  Pads are excluded (they sit on the boundary and are not part
+    of the area balance); fixed non-pad cells count as demand, exactly as
+    the paper treats pre-placed blocks.  This is the one density splat:
+    the placer keeps the demand grid of its current placement and the
+    force field, the overflow and the stopping criterion all read it.
+    Circuits of at least 4096 cells splat in two passes across the
+    domain pool, bitwise-identical to the sequential splat. *)
+val demand :
   Netlist.Circuit.t -> Netlist.Placement.t -> nx:int -> ny:int -> Geometry.Grid2.t
 
-(** [overflow_ratio circuit placement ~nx ~ny] is the ePlace-style
-    density-overflow measure: the total bin area demanded beyond 100 %
+(** [balance ?extra demand] is the density grid of eq. (4) for a
+    {!demand} grid, as a fresh grid ([demand] is left untouched): per
+    unit area, minus the supply s that makes the grid sum to zero.
+    [extra], when given, is added to the demand bin-wise {e before} the
+    supply is balanced — the hook used for congestion- and heat-driven
+    placement (§5): s is recomputed so the grid still sums to zero.
+    Raises [Invalid_argument] when [extra]'s dimensions differ. *)
+val balance : ?extra:Geometry.Grid2.t -> Geometry.Grid2.t -> Geometry.Grid2.t
+
+(** [overflow circuit demand] is the ePlace-style density-overflow
+    measure of a {!demand} grid: the total bin area demanded beyond 100 %
     utilisation, normalised by the movable cell area.  It is ~1 for the
     all-at-centre initial placement, trends to ~0 as the placement
     spreads, and is the primary per-iteration convergence signal of the
     telemetry trace.  0 when the circuit has no movable area. *)
-val overflow_ratio :
-  Netlist.Circuit.t -> Netlist.Placement.t -> nx:int -> ny:int -> float
+val overflow : Netlist.Circuit.t -> Geometry.Grid2.t -> float

@@ -19,20 +19,17 @@ let field_of_grid ?(solver = Fft) grid =
     let phi = Numeric.Poisson.sor_potential ~rows ~cols ~hx ~hy density in
     Numeric.Poisson.gradient_force ~rows ~cols ~hx ~hy phi
 
-let prewarm ?(solver = Fft) ~region ~nx ~ny () =
-  match solver with
-  | Fft ->
-    (* Mirror Grid2.create's pitch computation exactly so the cache key
-       matches the grids [at_cells] builds every iteration. *)
-    let hx = Geometry.Rect.width region /. float_of_int nx in
-    let hy = Geometry.Rect.height region /. float_of_int ny in
-    Numeric.Poisson.prewarm ~rows:ny ~cols:nx ~hx ~hy
-  | Direct | Sor -> ()
+let prewarm ~region ~nx ~ny =
+  (* Mirror Grid2.create's pitch computation exactly so the cache key
+     matches the density grids the placer builds every iteration. *)
+  let hx = Geometry.Rect.width region /. float_of_int nx in
+  let hy = Geometry.Rect.height region /. float_of_int ny in
+  Numeric.Poisson.prewarm ~rows:ny ~cols:nx ~hx ~hy
 
-let at_cells (c : Netlist.Circuit.t) (p : Netlist.Placement.t) ~var_of_cell
-    ~n_movable ~k_param ?solver ?extra ~nx ~ny () =
-  let grid, overflow = Density_map.build_with_overflow c p ~nx ~ny ?extra () in
-  let field = field_of_grid ?solver grid in
+let at_cells (c : Netlist.Circuit.t) (p : Netlist.Placement.t) ~demand
+    ~var_of_cell ~n_movable ~k_param ?extra () =
+  let nx = Geometry.Grid2.nx demand and ny = Geometry.Grid2.ny demand in
+  let field = field_of_grid (Density_map.balance ?extra demand) in
   (* Wrap the field components in sampling grids for bilinear reads. *)
   let region = c.Netlist.Circuit.region in
   let gx = Geometry.Grid2.create region ~nx ~ny in
@@ -78,4 +75,4 @@ let at_cells (c : Netlist.Circuit.t) (p : Netlist.Placement.t) ~var_of_cell
     fx.(v) <- -.(scale *. fx.(v));
     fy.(v) <- -.(scale *. fy.(v))
   done;
-  { fx; fy; scale; raw_max; overflow }
+  { fx; fy; scale; raw_max; overflow = Density_map.overflow c demand }

@@ -2,8 +2,9 @@
 
     The density grid is turned into a force field by the open-boundary
     Poisson solution (eq. 9), sampled bilinearly at each movable cell's
-    centre, and scaled so that the strongest cell force equals the spring
-    force of a unit-weight net of length K·(W + H). *)
+    centre, and scaled so that the strongest force of the field grid
+    equals the spring force of a unit-weight net of length K·(W + H);
+    no cell force exceeds it. *)
 
 (** How to evaluate the field. *)
 type solver =
@@ -16,38 +17,39 @@ type t = {
   fx : float array;
   fy : float array;
   scale : float;  (** the proportionality constant k actually applied *)
-  raw_max : float;  (** largest unscaled |f| over cells *)
+  raw_max : float;
+      (** largest unscaled |f| over the whole field grid (not over cell
+          centres), the quantity the scaling normalises by *)
   overflow : float;
-      (** {!Density_map.overflow_ratio} of the demand splat this field
-          was built from — reused by the placer for the adaptive CG
-          tolerance and telemetry without a second splat *)
+      (** {!Density_map.overflow} of the demand grid this field was
+          built from — the placer's adaptive CG tolerance reads it *)
 }
 
-(** [at_cells circuit placement ~var_of_cell ~n_movable ~k_param ?solver
-    ?extra ~nx ~ny ()] computes the scaled additional forces:
-    [k_param] is the paper's K (0.2 standard, 1.0 fast).  Returns zero
-    forces when the density is perfectly flat. *)
+(** [at_cells circuit placement ~demand ~var_of_cell ~n_movable ~k_param
+    ?extra ()] computes the scaled additional forces from [demand], the
+    {!Density_map.demand} grid of [placement] (the grid dimensions are
+    its own), balanced with {!Density_map.balance} ?[extra]: [k_param]
+    is the paper's K (0.05 standard, 0.2 fast).  Returns zero forces
+    when the density is perfectly flat. *)
 val at_cells :
   Netlist.Circuit.t ->
   Netlist.Placement.t ->
+  demand:Geometry.Grid2.t ->
   var_of_cell:int array ->
   n_movable:int ->
   k_param:float ->
-  ?solver:solver ->
   ?extra:Geometry.Grid2.t ->
-  nx:int ->
-  ny:int ->
   unit ->
   t
 
 (** [field_of_grid ?solver grid] exposes the raw (unscaled) field for a
-    prepared density grid — used by tests and the route/heat demos. *)
+    prepared density grid (default solver {!Fft}, the one the placer
+    uses) — used by tests, the solver ablation and the route/heat
+    demos. *)
 val field_of_grid : ?solver:solver -> Geometry.Grid2.t -> Numeric.Poisson.field
 
-(** [prewarm ?solver ~region ~nx ~ny ()] eagerly builds the cached
-    Poisson kernel spectra for the density grid an [nx]×[ny] run over
-    [region] will use, so a job's first transformation doesn't pay
-    kernel construction (the historical cold-call spike).  No-op for the
-    [Direct]/[Sor] solvers. *)
-val prewarm :
-  ?solver:solver -> region:Geometry.Rect.t -> nx:int -> ny:int -> unit -> unit
+(** [prewarm ~region ~nx ~ny] eagerly builds the cached FFT Poisson
+    kernel spectra for the density grid an [nx]×[ny] run over [region]
+    will use, so a job's first transformation doesn't pay kernel
+    construction (the historical cold-call spike). *)
+val prewarm : region:Geometry.Rect.t -> nx:int -> ny:int -> unit

@@ -1,11 +1,11 @@
-let largest_empty_square_area c p ?nx ?ny () =
-  let anx, any_ = Density_map.auto_bins c in
-  let nx = Option.value nx ~default:anx and ny = Option.value ny ~default:any_ in
-  let occ = Density_map.occupancy c p ~nx ~ny in
-  let side = Geometry.Grid2.largest_empty_square occ ~threshold:0.1 in
+let largest_empty_square_area demand =
+  let bin_area = Geometry.Grid2.dx demand *. Geometry.Grid2.dy demand in
+  let side =
+    Geometry.Grid2.largest_empty_square ~scale:bin_area demand ~threshold:0.1
+  in
   side *. side
 
-let should_stop c p ?(multiplier = 4.) ?nx ?ny () =
+let should_stop ?(multiplier = 4.) c demand =
   let avg = Netlist.Circuit.average_cell_area c in
   (* No movable area means nothing can spread: stop immediately rather
      than compare against a zero threshold forever (empty netlists and
@@ -15,4 +15,4 @@ let should_stop c p ?(multiplier = 4.) ?nx ?ny () =
      as the cell sits at its quadratic optimum. *)
   avg <= 0.
   || Netlist.Circuit.num_movable c < 2
-  || largest_empty_square_area c p ?nx ?ny () <= multiplier *. avg
+  || largest_empty_square_area demand <= multiplier *. avg

@@ -22,14 +22,10 @@ let version = 4
 (* A canonical rendering of every config field that affects the
    trajectory.  [domains] is deliberately excluded: the kernels are
    bitwise-deterministic for any pool size, so a checkpoint taken at
-   --domains 4 resumes exactly at --domains 1. *)
+   --domains 4 resumes exactly at --domains 1.  The literal [solver=fft]
+   stands for the Poisson evaluator the placer always uses; it stays so
+   existing checkpoints keep their digest. *)
 let config_fingerprint (c : Kraftwerk.Config.t) =
-  let solver =
-    match c.Kraftwerk.Config.solver with
-    | Density.Forces.Fft -> "fft"
-    | Density.Forces.Direct -> "direct"
-    | Density.Forces.Sor -> "sor"
-  in
   let net_model =
     match c.Kraftwerk.Config.net_model with
     | Qp.System.Clique -> "clique"
@@ -42,12 +38,12 @@ let config_fingerprint (c : Kraftwerk.Config.t) =
   in
   let base =
     Printf.sprintf
-      "k=%h;max_iter=%d;linearize=%b;cap=%d;anchor=%h;hold=%h;decay=%h;stop=%h;grid=%s;solver=%s;model=%s;tol=%h;tol_loose=%h;gscale=%h;gap=%h;stall=%d;leg=%d;pen0=%h;penu=%h;penmax=%h"
+      "k=%h;max_iter=%d;linearize=%b;cap=%d;anchor=%h;hold=%h;decay=%h;stop=%h;grid=%s;solver=fft;model=%s;tol=%h;tol_loose=%h;gscale=%h;gap=%h;stall=%d;leg=%d;pen0=%h;penu=%h;penmax=%h"
       c.Kraftwerk.Config.k_param c.Kraftwerk.Config.max_iterations
       c.Kraftwerk.Config.linearize c.Kraftwerk.Config.clique_cap
       c.Kraftwerk.Config.anchor_weight c.Kraftwerk.Config.hold_weight
       c.Kraftwerk.Config.force_decay c.Kraftwerk.Config.stop_multiplier grid
-      solver net_model c.Kraftwerk.Config.cg_tol c.Kraftwerk.Config.cg_tol_loose
+      net_model c.Kraftwerk.Config.cg_tol c.Kraftwerk.Config.cg_tol_loose
       c.Kraftwerk.Config.grid_scale c.Kraftwerk.Config.stop_gap
       c.Kraftwerk.Config.stop_stall c.Kraftwerk.Config.legalize_every
       c.Kraftwerk.Config.penalty_initial c.Kraftwerk.Config.penalty_update

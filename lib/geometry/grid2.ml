@@ -139,7 +139,7 @@ let map_inplace f g =
 
 let total g = Array.fold_left ( +. ) 0. g.values
 
-let largest_empty_square g ~threshold =
+let largest_empty_square ?(scale = 1.) g ~threshold =
   (* Classic DP: side.(iy).(ix) = largest empty square with lower-right
      corner at bin (ix, iy). *)
   let best = ref 0 in
@@ -149,7 +149,7 @@ let largest_empty_square g ~threshold =
   for iy = 0 to g.ny - 1 do
     let prev = !prev_ref and cur = !cur_ref in
     for ix = 0 to g.nx - 1 do
-      let empty = g.values.((iy * g.nx) + ix) <= threshold in
+      let empty = g.values.((iy * g.nx) + ix) /. scale <= threshold in
       if not empty then cur.(ix) <- 0
       else if ix = 0 || iy = 0 then cur.(ix) <- 1
       else cur.(ix) <- 1 + min (min prev.(ix) cur.(ix - 1)) prev.(ix - 1);

@@ -77,8 +77,10 @@ val map_inplace : (int -> int -> float -> float) -> t -> unit
 (** [total g] is the sum of bin values. *)
 val total : t -> float
 
-(** [largest_empty_square g ~threshold] is the side length (in world
-    units, using the smaller bin pitch) of the largest square block of
-    bins whose every value is ≤ [threshold].  Used for the paper's §4.2
-    stopping criterion. *)
-val largest_empty_square : t -> threshold:float -> float
+(** [largest_empty_square ?scale g ~threshold] is the side length (in
+    world units, using the smaller bin pitch) of the largest square block
+    of bins whose every value divided by [scale] (default 1) is
+    ≤ [threshold].  Used for the paper's §4.2 stopping criterion, which
+    passes the bin area as [scale] to read a per-bin area grid as
+    occupancy. *)
+val largest_empty_square : ?scale:float -> t -> threshold:float -> float

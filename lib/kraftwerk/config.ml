@@ -8,7 +8,6 @@ type t = {
   force_decay : float;
   stop_multiplier : float;
   grid : (int * int) option;
-  solver : Density.Forces.solver;
   net_model : Qp.System.net_model;
   domains : int option;
   cg_tol : float;
@@ -44,7 +43,6 @@ let standard =
     force_decay = 0.8;
     stop_multiplier = 2.;
     grid = None;
-    solver = Density.Forces.Fft;
     net_model = Qp.System.Clique;
     domains = None;
     cg_tol = 1e-8;

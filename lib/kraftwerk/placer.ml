@@ -15,6 +15,7 @@ type state = {
       (** persistent congestion-target map of the closed routability
           loop; [Some] iff [config.congest_every > 0] on a non-degenerate
           grid *)
+  mutable demand : Geometry.Grid2.t;
 }
 
 type step_report = {
@@ -39,7 +40,7 @@ type hooks = {
 
 let no_hooks = { reweight = None; extra_density = None; on_step = None }
 
-let grid_dims_for (config : Config.t) circuit =
+let grid_dims (config : Config.t) circuit =
   match config.Config.grid with
   | Some (nx, ny) -> (nx, ny)
   | None ->
@@ -52,87 +53,60 @@ let grid_dims_for (config : Config.t) circuit =
       in
       (scaled nx, scaled ny)
 
-let grid_dims state = grid_dims_for state.config state.circuit
-
 (* The routing grid of the closed loop shares the density grid's bin
    counts so the target map can feed straight into the demand splat. *)
-let route_spec_for (config : Config.t) circuit =
-  let nx, ny = grid_dims_for config circuit in
+let route_spec (config : Config.t) circuit =
+  let nx, ny = grid_dims config circuit in
   Route.Grid_spec.make ~wire_pitch:config.Config.congest_pitch ~nx ~ny ()
-
-let route_spec = route_spec_for
 
 let fresh_route_target (config : Config.t) circuit =
   if config.Config.congest_every <= 0 then None
   else
     match
       Route.Target.create circuit.Netlist.Circuit.region
-        (route_spec_for config circuit)
+        (route_spec config circuit)
     with
     | Ok t -> Some t
     | Error _ -> None
 
-(* The first transformation of a job would otherwise pay Poisson kernel
-   construction inside the hot loop (the cold-call spike in
-   BENCH_kernels.json); build the spectra for the run's fixed grid now,
-   while the caller is still in setup. *)
-let prewarm_density state =
-  let nx, ny = grid_dims state in
-  Density.Forces.prewarm ~solver:state.config.Config.solver
-    ~region:state.circuit.Netlist.Circuit.region ~nx ~ny ()
-
-let init ?(telemetry_level = 0) config circuit placement =
+(* The one state constructor.  [init] passes no saved data; [restore]
+   passes a checkpoint's, which is validated and copied. *)
+let make ?(telemetry_level = 0) ?ex ?ey ?net_weights ?controller ?route_target
+    ?(iteration = 0) config circuit placement =
   (* Pin the pool size before any kernel runs so the whole run uses one
      setting; None leaves the KRAFTWERK_DOMAINS / hardware default. *)
   (match config.Config.domains with
   | Some d -> Numeric.Parallel.set_num_domains d
   | None -> ());
   let var_of_cell, n_movable = Qp.System.index_map circuit in
-  let state =
-    {
-      circuit;
-      config;
-      var_of_cell;
-      n_movable;
-      placement = Netlist.Placement.copy placement;
-      ex = Array.make n_movable 0.;
-      ey = Array.make n_movable 0.;
-      net_weights = Array.make (Netlist.Circuit.num_nets circuit) 1.;
-      assembly =
-        Qp.System.assembly circuit ~clique_cap:config.Config.clique_cap
-          ~model:config.Config.net_model ();
-      controller = Controller.create config;
-      telemetry_level;
-      iteration = 0;
-      route_target = fresh_route_target config circuit;
-    }
+  let saved ~what n fill = function
+    | None -> Array.make n fill
+    | Some a ->
+      if Array.length a <> n then
+        invalid_arg (Printf.sprintf "Placer: %s length mismatch" what);
+      Array.copy a
   in
-  prewarm_density state;
-  state
-
-let restore ?(telemetry_level = 0) config circuit ~placement ~ex ~ey
-    ~net_weights ?controller ?route_target ~iteration () =
-  (match config.Config.domains with
-  | Some d -> Numeric.Parallel.set_num_domains d
-  | None -> ());
-  let var_of_cell, n_movable = Qp.System.index_map circuit in
-  if Array.length ex <> n_movable || Array.length ey <> n_movable then
-    invalid_arg "Placer.restore: force-vector length mismatch";
-  if Array.length net_weights <> Netlist.Circuit.num_nets circuit then
-    invalid_arg "Placer.restore: net-weight length mismatch";
   if
     Array.length placement.Netlist.Placement.x
     <> Netlist.Circuit.num_cells circuit
-  then invalid_arg "Placer.restore: placement length mismatch";
+  then invalid_arg "Placer: placement length mismatch";
+  let nx, ny = grid_dims config circuit in
+  let placement = Netlist.Placement.copy placement in
+  (* The first transformation of a job would otherwise pay Poisson kernel
+     construction inside the hot loop (the cold-call spike in
+     BENCH_kernels.json); build the spectra for the run's fixed grid now,
+     while the caller is still in setup. *)
+  Density.Forces.prewarm ~region:circuit.Netlist.Circuit.region ~nx ~ny;
   {
     circuit;
     config;
     var_of_cell;
     n_movable;
-    placement = Netlist.Placement.copy placement;
-    ex = Array.copy ex;
-    ey = Array.copy ey;
-    net_weights = Array.copy net_weights;
+    placement;
+    ex = saved ~what:"force-vector" n_movable 0. ex;
+    ey = saved ~what:"force-vector" n_movable 0. ey;
+    net_weights =
+      saved ~what:"net-weight" (Netlist.Circuit.num_nets circuit) 1. net_weights;
     assembly =
       Qp.System.assembly circuit ~clique_cap:config.Config.clique_cap
         ~model:config.Config.net_model ();
@@ -146,16 +120,16 @@ let restore ?(telemetry_level = 0) config circuit ~placement ~ex ~ey
       (match route_target with
       | Some t -> Some t
       | None -> fresh_route_target config circuit);
+    demand = Density.Density_map.demand circuit placement ~nx ~ny;
   }
+
+let init ?telemetry_level config circuit placement =
+  make ?telemetry_level config circuit placement
 
 let restore ?telemetry_level config circuit ~placement ~ex ~ey ~net_weights
     ?controller ?route_target ~iteration () =
-  let state =
-    restore ?telemetry_level config circuit ~placement ~ex ~ey ~net_weights
-      ?controller ?route_target ~iteration ()
-  in
-  prewarm_density state;
-  state
+  make ?telemetry_level ~ex ~ey ~net_weights ?controller ?route_target
+    ~iteration config circuit placement
 
 let edge_scale state =
   if state.config.Config.linearize then
@@ -188,7 +162,8 @@ let force_stats ~ref_weight (forces : Density.Forces.t) n =
 
 let transform ?(hooks = no_hooks) state =
   let cfg = state.config in
-  let nx, ny = grid_dims state in
+  let nx = Geometry.Grid2.nx state.demand
+  and ny = Geometry.Grid2.ny state.demand in
   (* Telemetry is collected only when a sink listens; with no sink the
      per-iteration cost is this one ref read plus untaken branches. *)
   let collecting = Obs.Sink.active () in
@@ -285,9 +260,8 @@ let transform ?(hooks = no_hooks) state =
   let forces =
     timed "density" (fun () ->
         Density.Forces.at_cells state.circuit state.placement
-          ~var_of_cell:state.var_of_cell ~n_movable:state.n_movable
-          ~k_param:cfg.Config.k_param ~solver:cfg.Config.solver ?extra ~nx ~ny
-          ())
+          ~demand:state.demand ~var_of_cell:state.var_of_cell
+          ~n_movable:state.n_movable ~k_param:cfg.Config.k_param ?extra ())
   in
   let ref_weight = Qp.System.mean_edge_weight system in
   (* The density force is scaled by the controller's penalty, the
@@ -320,11 +294,14 @@ let transform ?(hooks = no_hooks) state =
   in
   Netlist.Placement.clamp_to_region state.circuit state.placement;
   state.iteration <- state.iteration + 1;
+  (* The one splat of the new placement: the stop check, the telemetry
+     overflow and the next transformation's forces all read it. *)
   let hpwl, empty_square_area =
     timed "metrics" (fun () ->
+        state.demand <-
+          Density.Density_map.demand state.circuit state.placement ~nx ~ny;
         ( Metrics.Wirelength.hpwl state.circuit state.placement,
-          Density.Stop.largest_empty_square_area state.circuit state.placement
-            ~nx ~ny () ))
+          Density.Stop.largest_empty_square_area state.demand ))
   in
   Controller.observe_lb ctrl hpwl;
   let ub, gap =
@@ -372,9 +349,7 @@ let transform ?(hooks = no_hooks) state =
         Obs.Telemetry.step = state.iteration;
         hpwl = report.hpwl;
         quadratic = Metrics.Wirelength.quadratic state.circuit state.placement;
-        overflow =
-          Density.Density_map.overflow_ratio state.circuit state.placement ~nx
-            ~ny;
+        overflow = Density.Density_map.overflow state.circuit state.demand;
         empty_square_area = report.empty_square_area;
         force_scale = report.force_scale;
         max_force;
@@ -430,24 +405,21 @@ let converged state =
          Controller.record_stop ctrl Controller.Density;
          true
        end
-  else begin
-    let nx, ny = grid_dims state in
-    if
-      Density.Stop.should_stop state.circuit state.placement
-        ~multiplier:state.config.Config.stop_multiplier ~nx ~ny ()
-    then begin
-      Controller.record_stop ctrl Controller.Density;
-      true
-    end
-    else if
-      Controller.gap_converged ctrl state.config ~n_movable:state.n_movable
-        ~iteration:state.iteration
-    then begin
-      Controller.record_stop ctrl Controller.Gap;
-      true
-    end
-    else false
+  else if
+    Density.Stop.should_stop ~multiplier:state.config.Config.stop_multiplier
+      state.circuit state.demand
+  then begin
+    Controller.record_stop ctrl Controller.Density;
+    true
   end
+  else if
+    Controller.gap_converged ctrl state.config ~n_movable:state.n_movable
+      ~iteration:state.iteration
+  then begin
+    Controller.record_stop ctrl Controller.Gap;
+    true
+  end
+  else false
 
 let stop_reason state = state.controller.Controller.stop_reason
 

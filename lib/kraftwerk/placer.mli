@@ -11,7 +11,10 @@ type state = {
   config : Config.t;
   var_of_cell : int array;
   n_movable : int;
-  placement : Netlist.Placement.t;  (** mutated by every transformation *)
+  placement : Netlist.Placement.t;
+      (** written only by {!transform} while the state is in use, so
+          that [demand] describes it; hooks read it.  A caller done
+          with the state may take the placement over and mutate it *)
   ex : float array;  (** accumulated additional x-forces, by variable *)
   ey : float array;
   net_weights : float array;  (** mutable contents, indexed by net id *)
@@ -30,6 +33,12 @@ type state = {
           off.  Refreshed in place every cadence tick, read as extra
           density demand every transformation, checkpointed next to the
           controller. *)
+  mutable demand : Geometry.Grid2.t;
+      (** {!Density.Density_map.demand} of [placement] on the run's
+          density grid: set by the constructor, refreshed once per
+          {!transform} right after the solve.  The density forces, the
+          empty-square measure, the telemetry overflow and {!converged}
+          all read it instead of splatting the placement again. *)
 }
 
 (** Per-transformation report. *)
@@ -93,7 +102,8 @@ val init :
     restores the congestion-target map of the routability loop the same
     way; omitting it starts from an all-zero map (fresh-run semantics).
     All inputs are copied (the target map is adopted as-is).  Raises
-    [Invalid_argument] on length mismatches. *)
+    [Invalid_argument] on length mismatches ([init] does too, for a
+    placement of the wrong length). *)
 val restore :
   ?telemetry_level:int ->
   Config.t ->

@@ -49,10 +49,16 @@ let num_nets c = Array.length c.nets
 let num_movable c =
   Array.fold_left (fun acc cl -> if Cell.movable cl then acc + 1 else acc) 0 c.cells
 
+(* A loop rather than a float fold, with {!Cell.area} written out, keeps
+   the running sum unboxed: the placer's per-iteration overflow and stop
+   check call this. *)
 let movable_area c =
-  Array.fold_left
-    (fun acc cl -> if Cell.movable cl then acc +. Cell.area cl else acc)
-    0. c.cells
+  let acc = ref 0. in
+  for i = 0 to Array.length c.cells - 1 do
+    let cl = c.cells.(i) in
+    if Cell.movable cl then acc := !acc +. (cl.Cell.width *. cl.Cell.height)
+  done;
+  !acc
 
 let total_cell_area c =
   Array.fold_left

@@ -36,6 +36,7 @@ let () =
       ("engine", Test_engine.suite);
       ("server", Test_server.suite);
       ("convergence", Test_convergence.suite);
+      ("trajectory", Test_trajectory.suite);
       ("effort", Test_effort.suite);
       ("integration", Test_integration.suite);
       ("integration.gates", Test_integration.gates);

@@ -31,14 +31,23 @@ let spread_placement (c : Netlist.Circuit.t) =
   done;
   p
 
+(* The demand grid of [p], on [bins]×[bins] or the automatic grid. *)
+let demand ?bins c p =
+  let nx, ny =
+    match bins with
+    | Some n -> (n, n)
+    | None -> Density.Density_map.auto_bins c
+  in
+  Density.Density_map.demand c p ~nx ~ny
+
 let test_density_sums_to_zero () =
   let c = small_circuit () in
-  let g = Density.Density_map.build c (clumped_placement c) ~nx:8 ~ny:8 () in
+  let g = Density.Density_map.balance (demand ~bins:8 c (clumped_placement c)) in
   Alcotest.(check (float 1e-9)) "balanced" 0. (Geometry.Grid2.total g)
 
 let test_density_positive_at_clump () =
   let c = small_circuit () in
-  let g = Density.Density_map.build c (clumped_placement c) ~nx:8 ~ny:8 () in
+  let g = Density.Density_map.balance (demand ~bins:8 c (clumped_placement c)) in
   let ix, iy = Geometry.Grid2.locate g 32. 32. in
   Alcotest.(check bool) "over-dense centre" true (Geometry.Grid2.get g ix iy > 0.);
   Alcotest.(check bool) "under-dense corner" true (Geometry.Grid2.get g 0 0 < 0.)
@@ -49,17 +58,20 @@ let test_occupancy_values () =
   p.Netlist.Placement.x.(0) <- 4.;
   p.Netlist.Placement.y.(0) <- 4.;
   (* One 8×8 cell exactly covering bin (0,0) of an 8×8 grid over 64×64. *)
-  let occ = Density.Density_map.occupancy c p ~nx:8 ~ny:8 in
-  Alcotest.(check (float 1e-9)) "full bin" 1. (Geometry.Grid2.get occ 0 0);
-  Alcotest.(check (float 1e-9)) "empty bin" 0. (Geometry.Grid2.get occ 4 4)
+  let d = demand ~bins:8 c p in
+  let occ ix iy = Geometry.Grid2.get d ix iy /. 64. in
+  Alcotest.(check (float 1e-9)) "full bin" 1. (occ 0 0);
+  Alcotest.(check (float 1e-9)) "empty bin" 0. (occ 4 4)
 
 let test_extra_density_rebalances () =
   let c = small_circuit () in
   let extra = Geometry.Grid2.create region ~nx:8 ~ny:8 in
   Geometry.Grid2.set extra 0 0 100.;
-  let g =
-    Density.Density_map.build c (clumped_placement c) ~nx:8 ~ny:8 ~extra ()
-  in
+  let d = demand ~bins:8 c (clumped_placement c) in
+  let before = Array.copy (Geometry.Grid2.values d) in
+  let g = Density.Density_map.balance ~extra d in
+  Alcotest.(check bool) "demand grid untouched" true
+    (before = Geometry.Grid2.values d);
   (* Still balanced after the injection. *)
   Alcotest.(check (float 1e-6)) "balanced with extra" 0. (Geometry.Grid2.total g);
   Alcotest.(check bool) "extra bin now positive" true (Geometry.Grid2.get g 0 0 > 0.)
@@ -68,9 +80,10 @@ let test_extra_dimension_mismatch () =
   let c = small_circuit () in
   let extra = Geometry.Grid2.create region ~nx:4 ~ny:4 in
   Alcotest.check_raises "mismatch"
-    (Invalid_argument "Density_map.build: extra grid dimension mismatch")
+    (Invalid_argument "Density_map.balance: extra grid dimension mismatch")
     (fun () ->
-      ignore (Density.Density_map.build c (clumped_placement c) ~nx:8 ~ny:8 ~extra ()))
+      ignore
+        (Density.Density_map.balance ~extra (demand ~bins:8 c (clumped_placement c))))
 
 let test_auto_bins_in_range () =
   let prof = Circuitgen.Profiles.find "struct" in
@@ -85,7 +98,8 @@ let test_auto_bins_in_range () =
 
 let forces_for c p =
   let var_of_cell, n_movable = Qp.System.index_map c in
-  Density.Forces.at_cells c p ~var_of_cell ~n_movable ~k_param:0.2 ~nx:16 ~ny:16 ()
+  Density.Forces.at_cells c p ~demand:(demand ~bins:16 c p) ~var_of_cell
+    ~n_movable ~k_param:0.2 ()
 
 let test_forces_zero_for_uniform () =
   (* Cells exactly tiling the region: density is flat, forces vanish. *)
@@ -135,37 +149,33 @@ let test_forces_scale_bound () =
       Alcotest.(check bool) "bounded by K(W+H)" true (m <= target +. 1e-6))
     f.Density.Forces.fx
 
-let test_solver_variants_agree_roughly () =
+let test_solver_variants_agree () =
   let c = small_circuit () in
-  let p = clumped_placement c in
-  let var_of_cell, n_movable = Qp.System.index_map c in
-  let f_fft =
-    Density.Forces.at_cells c p ~var_of_cell ~n_movable ~k_param:0.2
-      ~solver:Density.Forces.Fft ~nx:12 ~ny:12 ()
-  in
-  let f_dir =
-    Density.Forces.at_cells c p ~var_of_cell ~n_movable ~k_param:0.2
-      ~solver:Density.Forces.Direct ~nx:12 ~ny:12 ()
-  in
-  Alcotest.(check bool) "fft = direct" true
-    (Numeric.Vec.max_abs_diff f_fft.Density.Forces.fx f_dir.Density.Forces.fx < 1e-6)
+  let grid = Density.Density_map.balance (demand ~bins:12 c (clumped_placement c)) in
+  let field solver = Density.Forces.field_of_grid ~solver grid in
+  let fft = field Density.Forces.Fft and direct = field Density.Forces.Direct in
+  Alcotest.(check bool) "fft = direct (x)" true
+    (Numeric.Vec.max_abs_diff fft.Numeric.Poisson.fx direct.Numeric.Poisson.fx < 1e-6);
+  Alcotest.(check bool) "fft = direct (y)" true
+    (Numeric.Vec.max_abs_diff fft.Numeric.Poisson.fy direct.Numeric.Poisson.fy < 1e-6)
 
 (* --- stopping criterion --- *)
 
 let test_stop_false_when_clumped () =
   let c = small_circuit () in
   Alcotest.(check bool) "clumped: keep going" false
-    (Density.Stop.should_stop c (clumped_placement c) ~nx:16 ~ny:16 ())
+    (Density.Stop.should_stop c (demand ~bins:16 c (clumped_placement c)))
 
 let test_stop_true_when_spread () =
   let c = small_circuit () in
   Alcotest.(check bool) "spread: stop" true
-    (Density.Stop.should_stop c (spread_placement c) ~multiplier:16. ~nx:8 ~ny:8 ())
+    (Density.Stop.should_stop ~multiplier:16. c (demand ~bins:8 c (spread_placement c)))
 
 let test_empty_square_monotone () =
   let c = small_circuit () in
-  let clumped = Density.Stop.largest_empty_square_area c (clumped_placement c) ~nx:16 ~ny:16 () in
-  let spread = Density.Stop.largest_empty_square_area c (spread_placement c) ~nx:16 ~ny:16 () in
+  let area p = Density.Stop.largest_empty_square_area (demand ~bins:16 c p) in
+  let clumped = area (clumped_placement c) in
+  let spread = area (spread_placement c) in
   Alcotest.(check bool) "spreading shrinks the largest empty square" true
     (spread < clumped)
 
@@ -178,9 +188,9 @@ let test_stop_empty_circuit () =
   in
   let p = Netlist.Placement.create c in
   Alcotest.(check bool) "no cells: stop immediately" true
-    (Density.Stop.should_stop c p ~nx:8 ~ny:8 ());
+    (Density.Stop.should_stop c (demand ~bins:8 c p));
   Alcotest.(check (float 0.)) "no movable area: zero overflow" 0.
-    (Density.Density_map.overflow_ratio c p ~nx:8 ~ny:8)
+    (Density.Density_map.overflow c (demand ~bins:8 c p))
 
 let test_stop_single_cell () =
   let c = small_circuit ~n:1 () in
@@ -190,9 +200,9 @@ let test_stop_single_cell () =
      multiplier — the degenerate rule, agreeing with the controller's
      envelope criterion. *)
   Alcotest.(check bool) "single cell: stop immediately" true
-    (Density.Stop.should_stop c p ~nx:8 ~ny:8 ());
+    (Density.Stop.should_stop c (demand ~bins:8 c p));
   Alcotest.(check bool) "single cell: any multiplier stops" true
-    (Density.Stop.should_stop c p ~multiplier:1e-9 ~nx:8 ~ny:8 ())
+    (Density.Stop.should_stop ~multiplier:1e-9 c (demand ~bins:8 c p))
 
 (* The placer must agree with the stop criterion on degenerate circuits:
    a single movable cell is placed at its quadratic optimum in exactly
@@ -226,7 +236,7 @@ let test_placer_single_movable_one_iteration () =
   let state, reports = Kraftwerk.Placer.run Kraftwerk.Config.standard c p in
   Alcotest.(check int) "exactly one transformation" 1 (List.length reports);
   Alcotest.(check bool) "criterion agrees post-hoc" true
-    (Density.Stop.should_stop c state.Kraftwerk.Placer.placement ());
+    (Density.Stop.should_stop c (demand c state.Kraftwerk.Placer.placement));
   (* The lone movable cell moves toward the quadratic optimum between
      its two anchors (the hold spring damps the first step, so it need
      not arrive — only leave its corner and stay within the span). *)
@@ -248,7 +258,7 @@ let test_placer_all_fixed_zero_iterations () =
   let state, reports = Kraftwerk.Placer.run Kraftwerk.Config.standard c p in
   Alcotest.(check int) "no transformations" 0 (List.length reports);
   Alcotest.(check bool) "criterion agrees" true
-    (Density.Stop.should_stop c state.Kraftwerk.Placer.placement ())
+    (Density.Stop.should_stop c (demand c state.Kraftwerk.Placer.placement))
 
 let test_stop_all_fixed () =
   let cells =
@@ -261,7 +271,7 @@ let test_stop_all_fixed () =
   in
   let p = Netlist.Placement.create c in
   Alcotest.(check bool) "nothing movable: stop immediately" true
-    (Density.Stop.should_stop c p ~nx:8 ~ny:8 ())
+    (Density.Stop.should_stop c (demand ~bins:8 c p))
 
 let test_stop_already_converged_run () =
   (* A placement that already satisfies the criterion must stop the
@@ -307,13 +317,46 @@ let test_overflow_ratio_extremes () =
   let c = small_circuit () in
   (* All eight 8x8 cells stacked on the centre: every unit of movable
      area beyond one bin's capacity overflows. *)
-  let clumped = Density.Density_map.overflow_ratio c (clumped_placement c) ~nx:8 ~ny:8 in
-  let spread = Density.Density_map.overflow_ratio c (spread_placement c) ~nx:8 ~ny:8 in
+  let overflow p = Density.Density_map.overflow c (demand ~bins:8 c p) in
+  let clumped = overflow (clumped_placement c) in
+  let spread = overflow (spread_placement c) in
   (* The centred stack spreads over four bins at occupancy 2.0: exactly
      half the movable area sits above capacity. *)
   Alcotest.(check (float 1e-9)) "clump overflow" 0.5 clumped;
   Alcotest.(check (float 1e-9)) "uniform lattice has no overflow" 0. spread;
   Alcotest.(check bool) "spreading reduces overflow" true (spread < clumped)
+
+(* The parallel two-pass splat engages from 4096 cells on a pool of two
+   or more; it must add exactly what the sequential splat adds. *)
+let test_demand_bitwise_across_pools () =
+  let prof = Circuitgen.Profiles.find "biomed" in
+  let c, _ = Circuitgen.Gen.generate (Circuitgen.Profiles.params prof ~seed:5) in
+  Alcotest.(check bool) "above the parallel threshold" true
+    (Netlist.Circuit.num_cells c >= 4096);
+  let rng = Numeric.Rng.create 11 in
+  let r = c.Netlist.Circuit.region in
+  let p = Netlist.Placement.create c in
+  for i = 0 to Netlist.Circuit.num_cells c - 1 do
+    p.Netlist.Placement.x.(i) <-
+      Numeric.Rng.uniform rng r.Geometry.Rect.x_lo r.Geometry.Rect.x_hi;
+    p.Netlist.Placement.y.(i) <-
+      Numeric.Rng.uniform rng r.Geometry.Rect.y_lo r.Geometry.Rect.y_hi
+  done;
+  let splat pool =
+    Numeric.Parallel.set_num_domains pool;
+    Array.map Int64.bits_of_float (Geometry.Grid2.values (demand c p))
+  in
+  Fun.protect
+    ~finally:(fun () -> Numeric.Parallel.set_num_domains 1)
+    (fun () ->
+      let reference = splat 1 in
+      List.iter
+        (fun pool ->
+          Alcotest.(check bool)
+            (Printf.sprintf "pool %d bitwise" pool)
+            true
+            (splat pool = reference))
+        [ 2; 4 ])
 
 let suite =
   [
@@ -326,7 +369,7 @@ let suite =
     Alcotest.test_case "forces zero for uniform" `Quick test_forces_zero_for_uniform;
     Alcotest.test_case "forces push clump apart" `Quick test_forces_push_clump_apart;
     Alcotest.test_case "force scale bound" `Quick test_forces_scale_bound;
-    Alcotest.test_case "fft/direct agree at cells" `Quick test_solver_variants_agree_roughly;
+    Alcotest.test_case "fft/direct fields agree" `Quick test_solver_variants_agree;
     Alcotest.test_case "stop false when clumped" `Quick test_stop_false_when_clumped;
     Alcotest.test_case "stop true when spread" `Quick test_stop_true_when_spread;
     Alcotest.test_case "empty square monotone" `Quick test_empty_square_monotone;
@@ -343,4 +386,6 @@ let suite =
       test_stop_oscillating_terminates;
     Alcotest.test_case "overflow ratio extremes" `Quick
       test_overflow_ratio_extremes;
+    Alcotest.test_case "demand bitwise across pools" `Quick
+      test_demand_bitwise_across_pools;
   ]

@@ -318,7 +318,7 @@ let test_svg_with_heat_and_nets () =
     Circuitgen.Gen.generate (Circuitgen.Profiles.params prof ~seed:42)
   in
   let p = Circuitgen.Gen.initial_placement circuit pads in
-  let heat = Density.Density_map.occupancy circuit p ~nx:8 ~ny:8 in
+  let heat = Density.Density_map.demand circuit p ~nx:8 ~ny:8 in
   let options =
     { Viz.Svg.default_options with Viz.Svg.show_nets = true; Viz.Svg.heat = Some heat }
   in

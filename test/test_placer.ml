@@ -127,6 +127,24 @@ let test_converged_matches_stop_criterion () =
   Alcotest.(check bool) "converged or capped" true
     (Kraftwerk.Placer.converged state || state.Kraftwerk.Placer.iteration >= 300)
 
+(* The stop check reads the demand grid the transformation already
+   splatted, so it allocates nothing per cell (a splat costs a Rect per
+   cell). *)
+let test_converged_allocation () =
+  let circuit, p0 = build ~name:"primary1" () in
+  let state = Kraftwerk.Placer.init Kraftwerk.Config.standard circuit p0 in
+  ignore (Kraftwerk.Placer.transform state);
+  ignore (Kraftwerk.Placer.converged state);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Kraftwerk.Placer.converged state));
+  let words = Gc.minor_words () -. before in
+  let cells = Netlist.Circuit.num_cells circuit in
+  Alcotest.(check bool)
+    (Printf.sprintf "converged allocates %.0f words, fewer than %d cells" words
+       cells)
+    true
+    (words < float_of_int cells)
+
 (* --- ECO --- *)
 
 let test_eco_rewire_counts_preserved () =
@@ -223,6 +241,7 @@ let suite =
     Alcotest.test_case "reweight hook" `Quick test_reweight_hook_applied;
     Alcotest.test_case "force decay 0" `Quick test_force_decay_leaks;
     Alcotest.test_case "converged consistent" `Slow test_converged_matches_stop_criterion;
+    Alcotest.test_case "converged allocation" `Quick test_converged_allocation;
     Alcotest.test_case "eco rewire counts" `Quick test_eco_rewire_counts_preserved;
     Alcotest.test_case "eco rewire changes" `Quick test_eco_rewire_changes_some_nets;
     Alcotest.test_case "eco resize widths" `Quick test_eco_resize_only_widths;

@@ -25,7 +25,7 @@ let prop_density_always_balanced =
       let c, pads = gen_circuit ~seed:3 ~scale:0.3 "fract" in
       let rng = Numeric.Rng.create seed in
       let p = random_placement rng c pads in
-      let g = Density.Density_map.build c p ~nx:16 ~ny:16 () in
+      let g = Density.Density_map.balance (Density.Density_map.demand c p ~nx:16 ~ny:16) in
       Float.abs (Geometry.Grid2.total g) < 1e-6)
 
 let prop_sta_slacks_nonnegative =
