@@ -129,7 +129,7 @@ let place ?(config = default_config) (c : Netlist.Circuit.t) placement =
   let solve () =
     let system =
       Qp.System.build c ~placement:p ~net_weights
-        ~edge_scale:Qp.Weights.quadratic ~hold:config.region_anchor
+        ~edge_scale:Qp.Weights.Quadratic ~hold:config.region_anchor
         ~hold_at:targets ()
     in
     let n = Qp.System.num_movable system in

@@ -19,19 +19,46 @@ val auto_bins : Netlist.Circuit.t -> int * int
     the paper treats pre-placed blocks.  This is the one density splat:
     the placer keeps the demand grid of its current placement and the
     force field, the overflow and the stopping criterion all read it.
-    Circuits of at least 4096 cells splat in two passes across the
-    domain pool, bitwise-identical to the sequential splat. *)
+    Each cell adds to the bins its rectangle overlaps exactly what
+    {!Geometry.Grid2.splat_rect} would add, cells in id order. *)
 val demand :
   Netlist.Circuit.t -> Netlist.Placement.t -> nx:int -> ny:int -> Geometry.Grid2.t
 
-(** [balance ?extra demand] is the density grid of eq. (4) for a
-    {!demand} grid, as a fresh grid ([demand] is left untouched): per
-    unit area, minus the supply s that makes the grid sum to zero.
-    [extra], when given, is added to the demand bin-wise {e before} the
-    supply is balanced — the hook used for congestion- and heat-driven
-    placement (§5): s is recomputed so the grid still sums to zero.
-    Raises [Invalid_argument] when [extra]'s dimensions differ. *)
-val balance : ?extra:Geometry.Grid2.t -> Geometry.Grid2.t -> Geometry.Grid2.t
+(** The per-cell contribution slots of the parallel splat, reused by
+    every splat of one placement run. *)
+type contributions
+
+(** [contributions ()] is empty {!contributions}; they grow to the
+    circuit on the first parallel splat and are reused by every later
+    one. *)
+val contributions : unit -> contributions
+
+(** [demand_into ?contributions circuit placement g] is {!demand} written into
+    [g], a grid over the circuit's region, which is zeroed first: the
+    placer's per-transformation splat, allocation-free in its steady
+    state.  Circuits of at least 4096 cells splat in two passes across
+    the domain pool — per-cell contributions in parallel into
+    [contributions] (fresh ones when omitted), then the additions in cell
+    order — which
+    is bitwise-identical to the sequential splat. *)
+val demand_into :
+  ?contributions:contributions ->
+  Netlist.Circuit.t ->
+  Netlist.Placement.t ->
+  Geometry.Grid2.t ->
+  unit
+
+(** [balance ?extra ?out demand] is the density grid of eq. (4) for a
+    {!demand} grid ([demand] is left untouched): per unit area, minus the
+    supply s that makes the grid sum to zero.  It is written into [out]
+    when given (a buffer the caller reuses; it must not be [demand] or
+    [extra]), into a fresh grid otherwise.  [extra], when given, is added
+    to the demand bin-wise {e before} the supply is balanced — the hook
+    used for congestion- and heat-driven placement (§5): s is recomputed
+    so the grid still sums to zero.  Raises [Invalid_argument] when
+    [extra]'s or [out]'s dimensions differ. *)
+val balance :
+  ?extra:Geometry.Grid2.t -> ?out:Geometry.Grid2.t -> Geometry.Grid2.t -> Geometry.Grid2.t
 
 (** [overflow circuit demand] is the ePlace-style density-overflow
     measure of a {!demand} grid: the total bin area demanded beyond 100 %

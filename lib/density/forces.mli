@@ -25,13 +25,31 @@ type t = {
           built from — the placer's adaptive CG tolerance reads it *)
 }
 
-(** [at_cells circuit placement ~demand ~var_of_cell ~n_movable ~k_param
-    ?extra ()] computes the scaled additional forces from [demand], the
-    {!Density_map.demand} grid of [placement] (the grid dimensions are
-    its own), balanced with {!Density_map.balance} ?[extra]: [k_param]
-    is the paper's K (0.05 standard, 0.2 fast).  Returns zero forces
-    when the density is perfectly flat. *)
+(** The arrays one placement run reuses for every {!at_cells}: the
+    balanced density grid, the Poisson field and the per-cell force
+    increments. *)
+type buffers
+
+(** [buffers region ~nx ~ny ~n_movable] allocates {!buffers} for an
+    [nx]×[ny] density grid over [region] and [n_movable] variables. *)
+val buffers :
+  Geometry.Rect.t -> nx:int -> ny:int -> n_movable:int -> buffers
+
+(** [at_cells ?buffers circuit placement ~demand ~var_of_cell ~n_movable
+    ~k_param ?extra ()] computes the scaled additional forces from
+    [demand], the {!Density_map.demand} grid of [placement] (the grid
+    dimensions are its own), balanced with {!Density_map.balance}
+    ?[extra]: [k_param] is the paper's K (0.05 standard, 0.2 fast).
+    Returns zero forces when the density is perfectly flat.
+
+    With [buffers] (which must match the grid and [n_movable]) the
+    balanced grid, the field and the returned [fx]/[fy] live in them, so
+    a call allocates nothing per cell or bin, and the result's arrays are
+    overwritten by the next call on the same buffers; without, fresh ones
+    are allocated.  The forces are the same bits either way.  Raises
+    [Invalid_argument] when [buffers] do not match. *)
 val at_cells :
+  ?buffers:buffers ->
   Netlist.Circuit.t ->
   Netlist.Placement.t ->
   demand:Geometry.Grid2.t ->

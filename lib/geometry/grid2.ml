@@ -52,33 +52,35 @@ let bin_center g ix iy =
   ( g.region.Rect.x_lo +. ((float_of_int ix +. 0.5) *. g.dx),
     g.region.Rect.y_lo +. ((float_of_int iy +. 0.5) *. g.dy) )
 
-let clamp v lo hi = if v < lo then lo else if v > hi then hi else v
+(* Monomorphic clamps: a polymorphic one compares through the generic
+   [compare] and boxes its float arguments. *)
+let clamp_int (v : int) lo hi = if v < lo then lo else if v > hi then hi else v
+
+let clamp_float (v : float) lo hi = if v < lo then lo else if v > hi then hi else v
 
 let locate g x y =
   let ix = int_of_float (Float.floor ((x -. g.region.Rect.x_lo) /. g.dx)) in
   let iy = int_of_float (Float.floor ((y -. g.region.Rect.y_lo) /. g.dy)) in
-  (clamp ix 0 (g.nx - 1), clamp iy 0 (g.ny - 1))
+  (clamp_int ix 0 (g.nx - 1), clamp_int iy 0 (g.ny - 1))
 
 let sample g x y =
   (* Bilinear interpolation on the bin-centre lattice. *)
   let fx = ((x -. g.region.Rect.x_lo) /. g.dx) -. 0.5 in
   let fy = ((y -. g.region.Rect.y_lo) /. g.dy) -. 0.5 in
-  let ix0 = clamp (int_of_float (Float.floor fx)) 0 (g.nx - 1) in
-  let iy0 = clamp (int_of_float (Float.floor fy)) 0 (g.ny - 1) in
-  let ix1 = clamp (ix0 + 1) 0 (g.nx - 1) in
-  let iy1 = clamp (iy0 + 1) 0 (g.ny - 1) in
-  let tx = clamp (fx -. float_of_int ix0) 0. 1. in
-  let ty = clamp (fy -. float_of_int iy0) 0. 1. in
+  let ix0 = clamp_int (int_of_float (Float.floor fx)) 0 (g.nx - 1) in
+  let iy0 = clamp_int (int_of_float (Float.floor fy)) 0 (g.ny - 1) in
+  let ix1 = clamp_int (ix0 + 1) 0 (g.nx - 1) in
+  let iy1 = clamp_int (iy0 + 1) 0 (g.ny - 1) in
+  let tx = clamp_float (fx -. float_of_int ix0) 0. 1. in
+  let ty = clamp_float (fy -. float_of_int iy0) 0. 1. in
   let v00 = get g ix0 iy0 and v10 = get g ix1 iy0 in
   let v01 = get g ix0 iy1 and v11 = get g ix1 iy1 in
   let top = v00 +. (tx *. (v10 -. v00)) in
   let bot = v01 +. (tx *. (v11 -. v01)) in
   top +. (ty *. (bot -. top))
 
-(* Shared core of {!splat_rect} and {!rect_contributions}: calls
-   [f bin_index amount] for every bin the rectangle touches, in
-   row-major bin order. *)
-let iter_rect_contributions g rect v f =
+let splat_rect g rect v =
+  let f i dv = g.values.(i) <- g.values.(i) +. dv in
   match Rect.intersection rect g.region with
   | None ->
     if Rect.area rect = 0. then begin
@@ -111,15 +113,6 @@ let iter_rect_contributions g rect v f =
       done
     end
 
-let splat_rect g rect v =
-  iter_rect_contributions g rect v (fun i dv ->
-      g.values.(i) <- g.values.(i) +. dv)
-
-let rect_contributions g rect v =
-  let acc = ref [] in
-  iter_rect_contributions g rect v (fun i dv -> acc := (i, dv) :: !acc);
-  Array.of_list (List.rev !acc)
-
 let fold f init g =
   let acc = ref init in
   for iy = 0 to g.ny - 1 do
@@ -137,7 +130,12 @@ let map_inplace f g =
     done
   done
 
-let total g = Array.fold_left ( +. ) 0. g.values
+let total g =
+  let acc = ref 0. in
+  for i = 0 to Array.length g.values - 1 do
+    acc := !acc +. g.values.(i)
+  done;
+  !acc
 
 let largest_empty_square ?(scale = 1.) g ~threshold =
   (* Classic DP: side.(iy).(ix) = largest empty square with lower-right

@@ -59,14 +59,6 @@ val sample : t -> float -> float -> float
     bin containing their centre. *)
 val splat_rect : t -> Rect.t -> float -> unit
 
-(** [rect_contributions g rect v] is what {!splat_rect} {e would} add:
-    the [(flat bin index, amount)] pairs in row-major bin order, without
-    touching the grid.  Lets callers compute contributions of many
-    rectangles in parallel and then apply them in a fixed order, keeping
-    the float-accumulation order (and hence the result, bitwise)
-    identical to sequential splatting. *)
-val rect_contributions : t -> Rect.t -> float -> (int * float) array
-
 (** [fold f init g] folds over bins as [f acc ix iy v]. *)
 val fold : ('a -> int -> int -> float -> 'a) -> 'a -> t -> 'a
 

@@ -1,3 +1,11 @@
+(* The density-side buffers of one state, reused by every
+   transformation (the QP side lives in the assembly). *)
+type work = {
+  splat : Density.Density_map.contributions;
+  forces : Density.Forces.buffers;
+  extra_sum : Geometry.Grid2.t; (* hook demand + target map, when both run *)
+}
+
 type state = {
   circuit : Netlist.Circuit.t;
   config : Config.t;
@@ -15,7 +23,8 @@ type state = {
       (** persistent congestion-target map of the closed routability
           loop; [Some] iff [config.congest_every > 0] on a non-degenerate
           grid *)
-  mutable demand : Geometry.Grid2.t;
+  demand : Geometry.Grid2.t;
+  work : work;
 }
 
 type step_report = {
@@ -121,6 +130,14 @@ let make ?(telemetry_level = 0) ?ex ?ey ?net_weights ?controller ?route_target
       | Some t -> Some t
       | None -> fresh_route_target config circuit);
     demand = Density.Density_map.demand circuit placement ~nx ~ny;
+    work =
+      {
+        splat = Density.Density_map.contributions ();
+        forces =
+          Density.Forces.buffers circuit.Netlist.Circuit.region ~nx ~ny
+            ~n_movable;
+        extra_sum = Geometry.Grid2.create circuit.Netlist.Circuit.region ~nx ~ny;
+      };
   }
 
 let init ?telemetry_level config circuit placement =
@@ -133,9 +150,9 @@ let restore ?telemetry_level config circuit ~placement ~ex ~ey ~net_weights
 
 let edge_scale state =
   if state.config.Config.linearize then
-    Qp.Weights.linearize
-      ~eps:(Qp.Weights.default_eps state.circuit.Netlist.Circuit.region)
-  else Qp.Weights.quadratic
+    Qp.Weights.Linearize
+      (Qp.Weights.default_eps state.circuit.Netlist.Circuit.region)
+  else Qp.Weights.Quadratic
 
 (* Upper bound of the LB/UB envelope: wire length of a cheap legalized
    snapshot.  Tetris copies the placement internally, so probing never
@@ -246,20 +263,23 @@ let transform ?(hooks = no_hooks) state =
     match (hook_extra, target_extra) with
     | None, e | e, None -> e
     | Some h, Some t ->
-      (* Both sources active: sum into a fresh grid; neither input is
-         mutated (the target map must persist untouched). *)
-      let g =
-        Geometry.Grid2.create state.circuit.Netlist.Circuit.region ~nx ~ny
-      in
-      Geometry.Grid2.map_inplace
-        (fun ix iy _ ->
-          Geometry.Grid2.get h ix iy +. Geometry.Grid2.get t ix iy)
-        g;
+      (* Both sources active: sum into the state's buffer; neither input
+         is mutated (the target map must persist untouched). *)
+      if Geometry.Grid2.nx h <> nx || Geometry.Grid2.ny h <> ny then
+        invalid_arg "Density_map.balance: extra grid dimension mismatch";
+      let g = state.work.extra_sum in
+      let gv = Geometry.Grid2.values g
+      and hv = Geometry.Grid2.values h
+      and tv = Geometry.Grid2.values t in
+      for i = 0 to Array.length gv - 1 do
+        gv.(i) <- hv.(i) +. tv.(i)
+      done;
       Some g
   in
   let forces =
     timed "density" (fun () ->
-        Density.Forces.at_cells state.circuit state.placement
+        Density.Forces.at_cells ~buffers:state.work.forces state.circuit
+          state.placement
           ~demand:state.demand ~var_of_cell:state.var_of_cell
           ~n_movable:state.n_movable ~k_param:cfg.Config.k_param ?extra ())
   in
@@ -298,8 +318,8 @@ let transform ?(hooks = no_hooks) state =
      overflow and the next transformation's forces all read it. *)
   let hpwl, empty_square_area =
     timed "metrics" (fun () ->
-        state.demand <-
-          Density.Density_map.demand state.circuit state.placement ~nx ~ny;
+        Density.Density_map.demand_into ~contributions:state.work.splat state.circuit
+          state.placement state.demand;
         ( Metrics.Wirelength.hpwl state.circuit state.placement,
           Density.Stop.largest_empty_square_area state.demand ))
   in

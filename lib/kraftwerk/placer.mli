@@ -6,6 +6,14 @@
     spreading in place), and the per-net weights that timing-driven
     callers adapt between transformations. *)
 
+(** The density-side buffers a state owns — the demand splat's
+    contribution slots, the balanced grid, the Poisson field, the per-cell force
+    increments and the sum of two extra-demand sources — created by
+    {!init}/{!restore} and reused by every {!transform}.  Checkpoints do
+    not store them.  The QP side (matrix, d vectors, CG vectors) lives in
+    [assembly]. *)
+type work
+
 type state = {
   circuit : Netlist.Circuit.t;
   config : Config.t;
@@ -33,12 +41,14 @@ type state = {
           off.  Refreshed in place every cadence tick, read as extra
           density demand every transformation, checkpointed next to the
           controller. *)
-  mutable demand : Geometry.Grid2.t;
+  demand : Geometry.Grid2.t;
       (** {!Density.Density_map.demand} of [placement] on the run's
-          density grid: set by the constructor, refreshed once per
-          {!transform} right after the solve.  The density forces, the
-          empty-square measure, the telemetry overflow and {!converged}
-          all read it instead of splatting the placement again. *)
+          density grid: set by the constructor, re-splatted in place once
+          per {!transform} right after the solve.  The density forces,
+          the empty-square measure, the telemetry overflow and
+          {!converged} all read it instead of splatting the placement
+          again; nothing keeps an older grid. *)
+  work : work;
 }
 
 (** Per-transformation report. *)

@@ -12,8 +12,9 @@ let bbox_net c ~x ~y (net : Netlist.Net.t) =
   Geometry.Rect.make ~x_lo:!x_lo ~y_lo:!y_lo ~x_hi:!x_hi ~y_hi:!y_hi
 
 (* [bbox_net]'s comparisons in pin order, without the per-pin tuple or
-   the rectangle: the result and the all-NaN error are the same. *)
-let hpwl_net _c ~x ~y (net : Netlist.Net.t) =
+   the rectangle: the result and the all-NaN error are the same.  Inlined
+   into the sums below, so a net's length is never boxed. *)
+let[@inline] hpwl_net _c ~x ~y (net : Netlist.Net.t) =
   let pins = net.Netlist.Net.pins in
   let x_lo = ref Float.infinity and x_hi = ref Float.neg_infinity in
   let y_lo = ref Float.infinity and y_hi = ref Float.neg_infinity in
@@ -29,18 +30,25 @@ let hpwl_net _c ~x ~y (net : Netlist.Net.t) =
   if !x_hi < !x_lo || !y_hi < !y_lo then invalid_arg "Rect.make: inverted bounds";
   (!x_hi -. !x_lo) +. (!y_hi -. !y_lo)
 
+(* Loops rather than folds: a fold's float accumulator is boxed per net. *)
 let hpwl c (p : Netlist.Placement.t) =
-  Array.fold_left
-    (fun acc net -> acc +. hpwl_net c ~x:p.Netlist.Placement.x ~y:p.Netlist.Placement.y net)
-    0. c.Netlist.Circuit.nets
+  let x = p.Netlist.Placement.x and y = p.Netlist.Placement.y in
+  let nets = c.Netlist.Circuit.nets in
+  let acc = ref 0. in
+  for i = 0 to Array.length nets - 1 do
+    acc := !acc +. hpwl_net c ~x ~y nets.(i)
+  done;
+  !acc
 
 let weighted_hpwl c (p : Netlist.Placement.t) ~weights =
-  Array.fold_left
-    (fun acc (net : Netlist.Net.t) ->
-      acc
-      +. weights.(net.Netlist.Net.id)
-         *. hpwl_net c ~x:p.Netlist.Placement.x ~y:p.Netlist.Placement.y net)
-    0. c.Netlist.Circuit.nets
+  let x = p.Netlist.Placement.x and y = p.Netlist.Placement.y in
+  let nets = c.Netlist.Circuit.nets in
+  let acc = ref 0. in
+  for i = 0 to Array.length nets - 1 do
+    let net = nets.(i) in
+    acc := !acc +. (weights.(net.Netlist.Net.id) *. hpwl_net c ~x ~y net)
+  done;
+  !acc
 
 let quadratic c (p : Netlist.Placement.t) =
   let x = p.Netlist.Placement.x and y = p.Netlist.Placement.y in

@@ -36,7 +36,9 @@ val inv_diagonal_into : Sparse.t -> float array -> bool
 
     Raises [Invalid_argument] if a diagonal entry is non-positive, since
     the placement matrix is positive definite whenever every connected
-    component is anchored by a fixed connection. *)
+    component is anchored by a fixed connection, and
+    ["Cg.solve: rhs length mismatch"] when [b] is not of length
+    [dim a]. *)
 val solve :
   ?tol:float ->
   ?max_iter:int ->
@@ -45,3 +47,32 @@ val solve :
   Sparse.t ->
   float array ->
   float array * stats
+
+(** The vectors of one PCG solve of a given dimension: the iterate, the
+    right-hand side and the four recurrence vectors.  A caller that
+    solves the same size repeatedly keeps one per concurrent solve and
+    allocates nothing per solve. *)
+type workspace
+
+(** [workspace n] is a zeroed workspace for [n]×[n] systems. *)
+val workspace : int -> workspace
+
+(** [solution w] is the iterate: write the warm start into it before
+    {!solve_in}, read the solution from it afterwards. *)
+val solution : workspace -> float array
+
+(** [rhs w] is the right-hand side {!solve_in} reads. *)
+val rhs : workspace -> float array
+
+(** [solve_in ?tol ?max_iter ?inv_diag w a] is {!solve} on [a] with the
+    right-hand side [rhs w], warm-started from and writing the solution
+    into [solution w]: the same recurrence, bitwise-identical results
+    and the same errors, with no allocation beyond the returned stats.
+    Raises [Invalid_argument] when [w] is not of dimension [dim a]. *)
+val solve_in :
+  ?tol:float ->
+  ?max_iter:int ->
+  ?inv_diag:float array ->
+  workspace ->
+  Sparse.t ->
+  stats

@@ -237,27 +237,6 @@ let parallel_for ?chunk ?work ~lo ~hi f =
         f i
       done)
 
-(* Element-wise combination of two float arrays.  The default chunk
-   keeps small arrays on the calling domain where task overhead would
-   dominate. *)
-let parallel_map2 ?chunk f a b =
-  let n = Array.length a in
-  if Array.length b <> n then invalid_arg "Parallel.parallel_map2: length mismatch";
-  if n = 0 then [||]
-  else begin
-    let chunk =
-      match chunk with
-      | Some c -> c
-      | None -> max 1024 ((n + (4 * num_domains ()) - 1) / (4 * num_domains ()))
-    in
-    let out = Array.make n 0. in
-    parallel_range ~chunk ~lo:0 ~hi:n (fun i0 i1 ->
-        for i = i0 to i1 - 1 do
-          out.(i) <- f a.(i) b.(i)
-        done);
-    out
-  end
-
 (* Run two independent computations concurrently; [f] runs on the
    caller or a worker, [g] likewise.  With one domain this is exactly
    [let a = f () in let b = g () in (a, b)]. *)

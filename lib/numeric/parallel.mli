@@ -71,17 +71,6 @@ val parallel_range :
 val parallel_for :
   ?chunk:int -> ?work:int -> lo:int -> hi:int -> (int -> unit) -> unit
 
-(** [parallel_map2 ?chunk f a b] is [Array.map2 f a b] for float arrays,
-    chunked across the pool.  The default chunk (≥ 1024) keeps small
-    arrays sequential where task overhead would dominate.  Raises
-    [Invalid_argument] on length mismatch. *)
-val parallel_map2 :
-  ?chunk:int ->
-  (float -> float -> float) ->
-  float array ->
-  float array ->
-  float array
-
 (** [both f g] runs the two thunks concurrently (sequentially, [f]
     first, on a one-domain pool) and returns both results.  The first
     exception raised by either thunk is re-raised on the caller. *)

@@ -114,61 +114,47 @@ let finalize b =
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic/numeric split: a [pattern] freezes the CSR structure and the
-   triplet→slot permutation of one builder state so later assemblies
-   with the same (i, j) stream skip the sort-and-dedup entirely and
-   only scatter values ([refill]). *)
+   triplet→slot map of one builder state so later assemblies with the
+   same (i, j) stream skip the sort-and-dedup entirely and only scatter
+   values.  [finalize] sums a slot's triplets in triplet order (the
+   per-row sort is stable), so scattering the stream in triplet order
+   reproduces its sums bit for bit. *)
+
+type slots = {
+  s_len : int;
+  s_row : int array;
+  s_col : int array;
+  s_slot : int array;
+  s_values : float array;
+}
 
 type pattern = {
   pn : int;
-  p_len : int; (* triplet count the pattern was compiled from *)
-  p_bi : int array; (* the (i, j) stream, for match checks *)
-  p_bj : int array;
-  p_row_start : int array; (* merged CSR structure, length pn + 1 *)
-  p_col : int array;
-  (* Triplets grouped by row (segment [tri_start.(i), tri_start.(i+1))),
-     stably sorted by column within each row — the exact accumulation
-     order [finalize] uses, so refill sums are bitwise-identical. *)
-  tri_start : int array;
-  tri_slot : int array; (* row-grouped position -> merged value slot *)
-  tri_of : int array; (* row-grouped position -> original triplet index *)
-  p_values : float array; (* cached numeric storage, rewritten by refill *)
+  sl : slots;
+  p_matrix : t; (* merged CSR structure; its [value] is [sl.s_values] *)
 }
 
-(* Zero a row's slots and re-accumulate its triplets in the frozen
-   order.  Rows touch disjoint slots and disjoint triplet segments, so
-   row-chunking across the pool is race-free and, because each row keeps
-   its sequential accumulation order, bitwise-deterministic for any
-   domain count. *)
-let refill_rows pat bv r0 r1 =
-  for i = r0 to r1 - 1 do
-    for s = pat.p_row_start.(i) to pat.p_row_start.(i + 1) - 1 do
-      pat.p_values.(s) <- 0.
-    done;
-    for p = pat.tri_start.(i) to pat.tri_start.(i + 1) - 1 do
-      let s = pat.tri_slot.(p) in
-      pat.p_values.(s) <- pat.p_values.(s) +. bv.(pat.tri_of.(p))
-    done
-  done
-
-let refill_par_threshold = 512
+let slots pat = pat.sl
 
 (* [finalize] drops merged entries that sum to exactly zero; the frozen
    structure cannot, so on the (rare) cancellation we compact into a
    fresh CSR to stay bitwise-identical to a from-scratch finalize. *)
 let compact_zeros pat =
-  let n = pat.pn in
+  let n = pat.pn and m = pat.p_matrix in
   let keep = ref 0 in
-  Array.iter (fun v -> if v <> 0. then incr keep) pat.p_values;
+  for s = 0 to Array.length m.value - 1 do
+    if m.value.(s) <> 0. then incr keep
+  done;
   let row_start = Array.make (n + 1) 0 in
   let col = Array.make !keep 0 in
   let value = Array.make !keep 0. in
   let w = ref 0 in
   for i = 0 to n - 1 do
     row_start.(i) <- !w;
-    for s = pat.p_row_start.(i) to pat.p_row_start.(i + 1) - 1 do
-      if pat.p_values.(s) <> 0. then begin
-        col.(!w) <- pat.p_col.(s);
-        value.(!w) <- pat.p_values.(s);
+    for s = m.row_start.(i) to m.row_start.(i + 1) - 1 do
+      if m.value.(s) <> 0. then begin
+        col.(!w) <- m.col.(s);
+        value.(!w) <- m.value.(s);
         incr w
       end
     done
@@ -176,34 +162,33 @@ let compact_zeros pat =
   row_start.(n) <- !w;
   { n; row_start; col; value }
 
-let pattern_matrix pat =
-  {
-    n = pat.pn;
-    row_start = pat.p_row_start;
-    col = pat.p_col;
-    value = pat.p_values;
-  }
+let seal pat =
+  let v = pat.sl.s_values in
+  let zero = ref false in
+  for s = 0 to Array.length v - 1 do
+    if v.(s) = 0. then zero := true
+  done;
+  if !zero then compact_zeros pat else pat.p_matrix
 
 let refill pat b =
-  if b.bn <> pat.pn || b.len <> pat.p_len then
+  let sl = pat.sl in
+  if b.bn <> pat.pn || b.len <> sl.s_len then
     invalid_arg "Sparse.refill: builder does not match pattern";
-  if pat.pn >= refill_par_threshold && Parallel.num_domains () > 1 then
-    Parallel.parallel_range
-      ~chunk:(max 128 (pat.pn / (4 * Parallel.num_domains ())))
-      ~work:(pat.p_len + pat.p_row_start.(pat.pn))
-      ~lo:0 ~hi:pat.pn
-      (fun r0 r1 -> refill_rows pat b.bv r0 r1)
-  else refill_rows pat b.bv 0 pat.pn;
-  if Array.exists (fun v -> v = 0.) pat.p_values then compact_zeros pat
-  else pattern_matrix pat
+  Array.fill sl.s_values 0 (Array.length sl.s_values) 0.;
+  for k = 0 to sl.s_len - 1 do
+    let s = sl.s_slot.(k) in
+    sl.s_values.(s) <- sl.s_values.(s) +. b.bv.(k)
+  done;
+  seal pat
 
 let pattern_matches pat b =
-  b.bn = pat.pn && b.len = pat.p_len
+  let sl = pat.sl in
+  b.bn = pat.pn && b.len = sl.s_len
   &&
   let ok = ref true in
   let k = ref 0 in
   while !ok && !k < b.len do
-    if b.bi.(!k) <> pat.p_bi.(!k) || b.bj.(!k) <> pat.p_bj.(!k) then ok := false;
+    if b.bi.(!k) <> sl.s_row.(!k) || b.bj.(!k) <> sl.s_col.(!k) then ok := false;
     incr k
   done;
   !ok
@@ -231,7 +216,7 @@ let compile b =
     cursor.(i) <- p + 1
   done;
   (* Stable insertion sort per row by column: equal columns keep triplet
-     order, which fixes the accumulation order refill replays. *)
+     order, the accumulation order [finalize] uses. *)
   for i = 0 to n - 1 do
     let lo = tri_start.(i) and hi = tri_start.(i + 1) in
     for p = lo + 1 to hi - 1 do
@@ -246,9 +231,10 @@ let compile b =
       tof.(!q) <- k
     done
   done;
-  (* Merge runs of equal columns into slots. *)
+  (* Merge runs of equal columns into slots, recording each triplet's
+     slot by its original index. *)
   let row_start = Array.make (n + 1) 0 in
-  let tri_slot = Array.make len 0 in
+  let slot = Array.make len 0 in
   let col_buf = Array.make len 0 in
   let w = ref 0 in
   for i = 0 to n - 1 do
@@ -259,30 +245,31 @@ let compile b =
       let c = tcol.(!p) in
       col_buf.(!w) <- c;
       while !p < hi && tcol.(!p) = c do
-        tri_slot.(!p) <- !w;
+        slot.(tof.(!p)) <- !w;
         incr p
       done;
       incr w
     done
   done;
   row_start.(n) <- !w;
+  let values = Array.make !w 0. in
   let pat =
     {
       pn = n;
-      p_len = len;
-      p_bi = Array.sub b.bi 0 len;
-      p_bj = Array.sub b.bj 0 len;
-      p_row_start = row_start;
-      p_col = Array.sub col_buf 0 !w;
-      tri_start;
-      tri_slot;
-      tri_of = tof;
-      p_values = Array.make !w 0.;
+      sl =
+        {
+          s_len = len;
+          s_row = Array.sub b.bi 0 len;
+          s_col = Array.sub b.bj 0 len;
+          s_slot = slot;
+          s_values = values;
+        };
+      p_matrix = { n; row_start; col = Array.sub col_buf 0 !w; value = values };
     }
   in
   (pat, refill pat b)
 
-let pattern_nnz pat = Array.length pat.p_col
+let pattern_nnz pat = Array.length pat.p_matrix.col
 
 let dim m = m.n
 

@@ -49,11 +49,10 @@ type pattern
     bitwise-identical to [finalize b]. *)
 val compile : builder -> pattern * t
 
-(** [refill pat b] scatters the builder's value stream through the
-    cached permutation into the pattern's value storage, row-chunked
-    across the {!Parallel} domain pool with per-row sequential
-    accumulation — bitwise-identical to [finalize b] for any domain
-    count (including the rare exact-zero cancellation, which compacts).
+(** [refill pat b] scatters the builder's value stream, in triplet
+    order, into the pattern's value slots — bitwise-identical to
+    [finalize b] (including the rare exact-zero cancellation, which
+    compacts; see {!seal}).
 
     The returned matrix {e aliases} the pattern's storage: it is
     invalidated by the next [refill] on the same pattern.  The builder
@@ -62,6 +61,32 @@ val compile : builder -> pattern * t
     with {!pattern_matches} when it can drift.  Raises
     [Invalid_argument] on a length/dimension mismatch. *)
 val refill : pattern -> builder -> t
+
+(** The per-triplet view of a pattern, for an assembler that replays its
+    triplet stream itself instead of going through a {!builder}:
+    triplet [k] of the compiled stream sits at ([s_row.(k)],
+    [s_col.(k)]) and accumulates into [s_values.(s_slot.(k))].  Zeroing
+    [s_values] and adding each triplet's value in stream order is
+    exactly what {!refill} does, so {!seal} then yields the matrix
+    {!finalize} would have built — the allocation-free steady state of
+    the QP assembly, whose per-element loop cannot call into this module
+    without boxing every float. *)
+type slots = private {
+  s_len : int;  (** triplet count of the compiled stream *)
+  s_row : int array;
+  s_col : int array;
+  s_slot : int array;
+  s_values : float array;  (** the pattern's value storage, CSR order *)
+}
+
+(** [slots pat] is the pattern's per-triplet view (no copy). *)
+val slots : pattern -> slots
+
+(** [seal pat] is the matrix of the values currently in the pattern's
+    slots: the pattern's own CSR (aliasing its storage, like {!refill})
+    or, when some slot sums to exactly zero, a compacted fresh copy —
+    as {!finalize} drops such entries. *)
+val seal : pattern -> t
 
 (** [pattern_matches pat b] is true when the builder holds exactly the
     (i, j) triplet sequence the pattern was compiled from (values are

@@ -14,6 +14,8 @@ type t = {
      building a never-solved singular system stays error-free. *)
   inv_dx : float array option;
   inv_dy : float array option;
+  cg_x : Numeric.Cg.workspace; (* the assembly's solve buffers, per axis *)
+  cg_y : Numeric.Cg.workspace;
 }
 
 type net_model = Clique | Bound2bound
@@ -31,14 +33,14 @@ let index_map (c : Netlist.Circuit.t) =
     c.Netlist.Circuit.cells;
   (var_of_cell, !count)
 
-(* One matrix side of a cached assembly: triplet builder, incident-weight
-   scratch, and the frozen symbolic pattern from the previous pass. *)
+(* One matrix side of a cached assembly: the triplet builder of a
+   recording pass, incident-weight sums, the frozen pattern of the
+   last recorded structure, and the stream position of a direct pass. *)
 type axis = {
   ab : Numeric.Sparse.builder;
   incident : float array;
   mutable pat : Numeric.Sparse.pattern option;
-  mutable total_w : float;
-  mutable n_edges : int;
+  mutable next : int;
 }
 
 type assembly = {
@@ -48,12 +50,17 @@ type assembly = {
   a_var_of_cell : int array;
   a_cell_of_var : int array;
   a_n : int;
+  a_sampled : Model.edge array array;
+      (* by net index: the edges Model.iter_edges samples for a net above
+         the cap (they depend only on the net), empty otherwise *)
   axx : axis; (* the only matrix under Clique — the axes share C *)
   axy : axis option; (* Some only under Bound2bound *)
   adx : float array; (* d-vector scratch, aliased by the emitted {!t} *)
   ady : float array;
   inv_x : float array; (* preconditioner storage *)
   inv_y : float array; (* == inv_x under Clique *)
+  a_cg_x : Numeric.Cg.workspace; (* one per axis: the solves run concurrently *)
+  a_cg_y : Numeric.Cg.workspace;
   mutable reused : int;
   mutable pattern_rebuilds : int;
 }
@@ -63,8 +70,7 @@ let make_axis n =
     ab = Numeric.Sparse.builder n;
     incident = Array.make n 0.;
     pat = None;
-    total_w = 0.;
-    n_edges = 0;
+    next = 0;
   }
 
 let assembly (c : Netlist.Circuit.t) ?(clique_cap = 16) ?(model = Clique) () =
@@ -72,6 +78,11 @@ let assembly (c : Netlist.Circuit.t) ?(clique_cap = 16) ?(model = Clique) () =
   let cell_of_var = Array.make (max 1 n) 0 in
   Array.iteri (fun id v -> if v >= 0 then cell_of_var.(v) <- id) var_of_cell;
   let inv_x = Array.make n 0. in
+  let sampled (net : Netlist.Net.t) =
+    if model = Clique && Array.length net.Netlist.Net.pins > clique_cap then
+      Array.of_list (Model.edges ~cap:clique_cap net)
+    else [||]
+  in
   {
     a_circuit = c;
     a_model = model;
@@ -79,198 +90,269 @@ let assembly (c : Netlist.Circuit.t) ?(clique_cap = 16) ?(model = Clique) () =
     a_var_of_cell = var_of_cell;
     a_cell_of_var = cell_of_var;
     a_n = n;
+    a_sampled = Array.map sampled c.Netlist.Circuit.nets;
     axx = make_axis n;
     axy = (match model with Clique -> None | Bound2bound -> Some (make_axis n));
     adx = Array.make n 0.;
     ady = Array.make n 0.;
     inv_x;
     inv_y = (match model with Clique -> inv_x | Bound2bound -> Array.make n 0.);
+    a_cg_x = Numeric.Cg.workspace n;
+    a_cg_y = Numeric.Cg.workspace n;
     reused = 0;
     pattern_rebuilds = 0;
   }
 
 let assembly_stats asm = (asm.reused, asm.pattern_rebuilds)
 
-let reset_axis a n =
-  Numeric.Sparse.clear a.ab;
-  Array.fill a.incident 0 n 0.;
-  a.total_w <- 0.;
-  a.n_edges <- 0
+(* A direct pass met a triplet other than the one its pattern was
+   compiled from. *)
+exception Drift
 
-(* One spring term w · (pa_pos − pb_pos)² along one axis, where pos =
-   cell coordinate + pin offset (or an absolute position for fixed
-   cells).  Contributions follow the half-gradient convention (the common
-   factor 2 is dropped throughout). *)
-let add_axis_edge a d ~var_of_cell ~off_a ~off_b ~abs_a ~abs_b ~cell_a ~cell_b w =
-  if w > 0. && cell_a <> cell_b then begin
-    a.total_w <- a.total_w +. w;
-    a.n_edges <- a.n_edges + 1;
-    let va = var_of_cell.(cell_a) and vb = var_of_cell.(cell_b) in
-    match (va >= 0, vb >= 0) with
-    | true, true ->
-      a.incident.(va) <- a.incident.(va) +. w;
-      a.incident.(vb) <- a.incident.(vb) +. w;
-      Numeric.Sparse.add_diag a.ab va w;
-      Numeric.Sparse.add_diag a.ab vb w;
-      Numeric.Sparse.add_sym a.ab va vb (-.w);
-      d.(va) <- d.(va) +. (w *. (off_a -. off_b));
-      d.(vb) <- d.(vb) +. (w *. (off_b -. off_a))
-    | true, false ->
-      a.incident.(va) <- a.incident.(va) +. w;
-      Numeric.Sparse.add_diag a.ab va w;
-      d.(va) <- d.(va) +. (w *. (off_a -. abs_b))
-    | false, true ->
-      a.incident.(vb) <- a.incident.(vb) +. w;
-      Numeric.Sparse.add_diag a.ab vb w;
-      d.(vb) <- d.(vb) +. (w *. (off_b -. abs_a))
-    | false, false -> ()
-  end
+(* Where a pass sends its triplets.  A recording pass ([None]) appends
+   them to the axis builder.  A direct pass ([Some slots], the clique
+   steady state) adds each value straight into the slot the cached
+   pattern assigns to that stream position, once its (i, j) is checked
+   against the compiled one: a slot then receives its values in stream
+   order, which is the order [Sparse.refill] adds them, so the sums are
+   bitwise those of a recorded pass. *)
+let[@inline] emit a direct i j v =
+  match direct with
+  | None -> Numeric.Sparse.add a.ab i j v
+  | Some (sl : Numeric.Sparse.slots) ->
+    let k = a.next in
+    if k >= sl.s_len || sl.s_row.(k) <> i || sl.s_col.(k) <> j then
+      raise_notrace Drift;
+    let s = sl.s_slot.(k) in
+    sl.s_values.(s) <- sl.s_values.(s) +. v;
+    a.next <- k + 1
 
-(* Clique weights are axis-independent, so the matrix term is emitted
-   once into the shared builder and only the constant terms split between
-   the x and y systems — this halves the matrix-assembly work. *)
-let add_shared_edge a dx dy ~var_of_cell ~(pa : Netlist.Net.pin)
-    ~(pb : Netlist.Net.pin) ~abs_xa ~abs_xb ~abs_ya ~abs_yb w =
-  if w > 0. && pa.Netlist.Net.cell <> pb.Netlist.Net.cell then begin
-    a.total_w <- a.total_w +. w;
-    a.n_edges <- a.n_edges + 1;
-    let va = var_of_cell.(pa.Netlist.Net.cell)
-    and vb = var_of_cell.(pb.Netlist.Net.cell) in
-    match (va >= 0, vb >= 0) with
-    | true, true ->
+(* The clique spring of one pin pair, [w] being the model weight times
+   the net weight: scales it, emits it and returns the scaled weight, or
+   0. when the pair adds no spring (non-positive weight, or both pins on
+   one cell).  Clique weights are axis-independent, so the matrix term is
+   emitted once and only the constant terms split between the x and y
+   systems.  Contributions follow the half-gradient convention (the
+   common factor 2 is dropped throughout).  Inlined into the net loop:
+   it reads the pins and coordinates directly and passes no float across
+   a call. *)
+let[@inline] clique_spring asm direct ~edge_scale ~px ~py (pa : Netlist.Net.pin)
+    (pb : Netlist.Net.pin) w =
+  let ca = pa.Netlist.Net.cell and cb = pb.Netlist.Net.cell in
+  let w =
+    match edge_scale with
+    | Weights.Quadratic -> w
+    | Weights.Linearize eps ->
+      let dx = px.(ca) +. pa.Netlist.Net.dx -. (px.(cb) +. pb.Netlist.Net.dx) in
+      let dy = py.(ca) +. pa.Netlist.Net.dy -. (py.(cb) +. pb.Netlist.Net.dy) in
+      w *. Weights.linearize ~eps ~dist:(sqrt ((dx ** 2.) +. (dy ** 2.)))
+  in
+  if w > 0. && ca <> cb then begin
+    let a = asm.axx and ddx = asm.adx and ddy = asm.ady in
+    let va = asm.a_var_of_cell.(ca) and vb = asm.a_var_of_cell.(cb) in
+    if va >= 0 && vb >= 0 then begin
       a.incident.(va) <- a.incident.(va) +. w;
       a.incident.(vb) <- a.incident.(vb) +. w;
-      Numeric.Sparse.add_diag a.ab va w;
-      Numeric.Sparse.add_diag a.ab vb w;
-      Numeric.Sparse.add_sym a.ab va vb (-.w);
-      dx.(va) <- dx.(va) +. (w *. (pa.Netlist.Net.dx -. pb.Netlist.Net.dx));
-      dx.(vb) <- dx.(vb) +. (w *. (pb.Netlist.Net.dx -. pa.Netlist.Net.dx));
-      dy.(va) <- dy.(va) +. (w *. (pa.Netlist.Net.dy -. pb.Netlist.Net.dy));
-      dy.(vb) <- dy.(vb) +. (w *. (pb.Netlist.Net.dy -. pa.Netlist.Net.dy))
-    | true, false ->
+      emit a direct va va w;
+      emit a direct vb vb w;
+      emit a direct va vb (-.w);
+      emit a direct vb va (-.w);
+      ddx.(va) <- ddx.(va) +. (w *. (pa.Netlist.Net.dx -. pb.Netlist.Net.dx));
+      ddx.(vb) <- ddx.(vb) +. (w *. (pb.Netlist.Net.dx -. pa.Netlist.Net.dx));
+      ddy.(va) <- ddy.(va) +. (w *. (pa.Netlist.Net.dy -. pb.Netlist.Net.dy));
+      ddy.(vb) <- ddy.(vb) +. (w *. (pb.Netlist.Net.dy -. pa.Netlist.Net.dy))
+    end
+    else if va >= 0 then begin
       a.incident.(va) <- a.incident.(va) +. w;
-      Numeric.Sparse.add_diag a.ab va w;
-      dx.(va) <- dx.(va) +. (w *. (pa.Netlist.Net.dx -. abs_xb));
-      dy.(va) <- dy.(va) +. (w *. (pa.Netlist.Net.dy -. abs_yb))
-    | false, true ->
+      emit a direct va va w;
+      ddx.(va) <-
+        ddx.(va) +. (w *. (pa.Netlist.Net.dx -. (px.(cb) +. pb.Netlist.Net.dx)));
+      ddy.(va) <-
+        ddy.(va) +. (w *. (pa.Netlist.Net.dy -. (py.(cb) +. pb.Netlist.Net.dy)))
+    end
+    else if vb >= 0 then begin
       a.incident.(vb) <- a.incident.(vb) +. w;
-      Numeric.Sparse.add_diag a.ab vb w;
-      dx.(vb) <- dx.(vb) +. (w *. (pb.Netlist.Net.dx -. abs_xa));
-      dy.(vb) <- dy.(vb) +. (w *. (pb.Netlist.Net.dy -. abs_ya))
-    | false, false -> ()
+      emit a direct vb vb w;
+      ddx.(vb) <-
+        ddx.(vb) +. (w *. (pb.Netlist.Net.dx -. (px.(ca) +. pa.Netlist.Net.dx)));
+      ddy.(vb) <-
+        ddy.(vb) +. (w *. (pb.Netlist.Net.dy -. (py.(ca) +. pa.Netlist.Net.dy)))
+    end;
+    w
   end
+  else 0.
+
+(* The clique model's springs: nets in order, each net's pin pairs in
+   Model.iter_edges order — every pair i < j with weight 1/k up to the
+   cap, the recorded sample above it.  Returns the mean spring weight. *)
+let stream_clique asm direct ~edge_scale ~px ~py ~net_weights =
+  let nets = asm.a_circuit.Netlist.Circuit.nets in
+  let total = ref 0. and count = ref 0 in
+  for ni = 0 to Array.length nets - 1 do
+    let net = nets.(ni) in
+    let net_w = net_weights.(net.Netlist.Net.id) in
+    if net_w > 0. then begin
+      let pins = net.Netlist.Net.pins in
+      let k = Array.length pins in
+      if k <= asm.a_cap then begin
+        let w = 1. /. float_of_int k *. net_w in
+        for i = 0 to k - 1 do
+          for j = i + 1 to k - 1 do
+            let w = clique_spring asm direct ~edge_scale ~px ~py pins.(i) pins.(j) w in
+            if w > 0. then begin
+              total := !total +. w;
+              incr count
+            end
+          done
+        done
+      end
+      else begin
+        let edges = asm.a_sampled.(ni) in
+        for e = 0 to Array.length edges - 1 do
+          let edge = edges.(e) in
+          let w =
+            clique_spring asm direct ~edge_scale ~px ~py edge.Model.pin_a
+              edge.Model.pin_b (edge.Model.weight *. net_w)
+          in
+          if w > 0. then begin
+            total := !total +. w;
+            incr count
+          end
+        done
+      end
+    end
+  done;
+  if !count = 0 then 1. else !total /. float_of_int !count
+
+(* The Bound2Bound springs, always recorded: their structure follows the
+   boundary pins, which change hands between passes.  One spring term
+   w · (pa_pos − pb_pos)² along one axis, where pos = cell coordinate +
+   pin offset (or an absolute position for fixed cells).  Returns the
+   mean spring weight over both axes. *)
+let stream_b2b asm ay ~px ~py ~net_weights =
+  let var_of_cell = asm.a_var_of_cell in
+  let pin_x (p : Netlist.Net.pin) = px.(p.Netlist.Net.cell) +. p.Netlist.Net.dx in
+  let pin_y (p : Netlist.Net.pin) = py.(p.Netlist.Net.cell) +. p.Netlist.Net.dy in
+  let off_x (p : Netlist.Net.pin) = p.Netlist.Net.dx
+  and off_y (p : Netlist.Net.pin) = p.Netlist.Net.dy in
+  let total_x = ref 0. and count_x = ref 0 in
+  let total_y = ref 0. and count_y = ref 0 in
+  let spring a d total count coord off (pa : Netlist.Net.pin) (pb : Netlist.Net.pin) w =
+    if w > 0. && pa.Netlist.Net.cell <> pb.Netlist.Net.cell then begin
+      total := !total +. w;
+      incr count;
+      let va = var_of_cell.(pa.Netlist.Net.cell)
+      and vb = var_of_cell.(pb.Netlist.Net.cell) in
+      match (va >= 0, vb >= 0) with
+      | true, true ->
+        a.incident.(va) <- a.incident.(va) +. w;
+        a.incident.(vb) <- a.incident.(vb) +. w;
+        emit a None va va w;
+        emit a None vb vb w;
+        emit a None va vb (-.w);
+        emit a None vb va (-.w);
+        d.(va) <- d.(va) +. (w *. (off pa -. off pb));
+        d.(vb) <- d.(vb) +. (w *. (off pb -. off pa))
+      | true, false ->
+        a.incident.(va) <- a.incident.(va) +. w;
+        emit a None va va w;
+        d.(va) <- d.(va) +. (w *. (off pa -. coord pb))
+      | false, true ->
+        a.incident.(vb) <- a.incident.(vb) +. w;
+        emit a None vb vb w;
+        d.(vb) <- d.(vb) +. (w *. (off pb -. coord pa))
+      | false, false -> ()
+    end
+  in
+  Array.iter
+    (fun (net : Netlist.Net.t) ->
+      let net_w = net_weights.(net.Netlist.Net.id) in
+      if net_w > 0. then begin
+        B2b.iter_edges ~coord:pin_x net (fun pa pb w ->
+            spring asm.axx asm.adx total_x count_x pin_x off_x pa pb (w *. net_w));
+        B2b.iter_edges ~coord:pin_y net (fun pa pb w ->
+            spring ay asm.ady total_y count_y pin_y off_y pa pb (w *. net_w))
+      end)
+    asm.a_circuit.Netlist.Circuit.nets;
+  let ne = !count_x + !count_y in
+  if ne = 0 then 1. else (!total_x +. !total_y) /. float_of_int ne
+
+(* One assembly pass: every spring of the net model, then the anchor
+   springs, then the hold springs, into the builders ([direct = None]) or
+   the cached clique pattern's slots.  Returns the mean edge weight. *)
+let stream asm direct ~(placement : Netlist.Placement.t) ~net_weights ~edge_scale
+    ~anchor_weight ~hold ~hold_at =
+  let n = asm.a_n in
+  let reset a =
+    Numeric.Sparse.clear a.ab;
+    Array.fill a.incident 0 n 0.;
+    a.next <- 0
+  in
+  reset asm.axx;
+  (match asm.axy with Some a -> reset a | None -> ());
+  (match direct with
+  | Some (sl : Numeric.Sparse.slots) ->
+    Array.fill sl.s_values 0 (Array.length sl.s_values) 0.
+  | None -> ());
+  Array.fill asm.adx 0 n 0.;
+  Array.fill asm.ady 0 n 0.;
+  let px = placement.Netlist.Placement.x
+  and py = placement.Netlist.Placement.y in
+  let mean_w =
+    match asm.axy with
+    | None -> stream_clique asm direct ~edge_scale ~px ~py ~net_weights
+    | Some ay -> stream_b2b asm ay ~px ~py ~net_weights
+  in
+  (* Anchor springs to the region centre, scaled off the mean edge
+     weight so the relative strength is size-independent. *)
+  let aw = anchor_weight *. mean_w in
+  let r = asm.a_circuit.Netlist.Circuit.region in
+  let cx = (r.Geometry.Rect.x_lo +. r.Geometry.Rect.x_hi) /. 2.
+  and cy = (r.Geometry.Rect.y_lo +. r.Geometry.Rect.y_hi) /. 2. in
+  for v = 0 to n - 1 do
+    emit asm.axx direct v v aw;
+    asm.adx.(v) <- asm.adx.(v) -. (aw *. cx);
+    (match asm.axy with Some ay -> emit ay None v v aw | None -> ());
+    asm.ady.(v) <- asm.ady.(v) -. (aw *. cy)
+  done;
+  (* Hold springs: damp the step by pulling each cell toward where it is
+     now, in proportion to its own connectivity stiffness. *)
+  if hold > 0. then begin
+    let hp = match hold_at with Some hp -> hp | None -> placement in
+    let hx = hp.Netlist.Placement.x and hy = hp.Netlist.Placement.y in
+    for v = 0 to n - 1 do
+      let id = asm.a_cell_of_var.(v) in
+      let hwx = hold *. Float.max asm.axx.incident.(v) mean_w in
+      emit asm.axx direct v v hwx;
+      asm.adx.(v) <- asm.adx.(v) -. (hwx *. hx.(id));
+      let hwy =
+        match asm.axy with
+        | None -> hwx
+        | Some ay ->
+          let hwy = hold *. Float.max ay.incident.(v) mean_w in
+          emit ay None v v hwy;
+          hwy
+      in
+      asm.ady.(v) <- asm.ady.(v) -. (hwy *. hy.(id))
+    done
+  end;
+  (match direct with
+  | Some sl when asm.axx.next <> sl.Numeric.Sparse.s_len -> raise_notrace Drift
+  | _ -> ());
+  mean_w
 
 let rebuild (asm : assembly) ~(placement : Netlist.Placement.t) ~net_weights
     ~edge_scale ?(anchor_weight = 1e-6) ?(hold = 0.) ?hold_at () =
   let c = asm.a_circuit in
   if Array.length net_weights <> Netlist.Circuit.num_nets c then
     invalid_arg "System.rebuild: net_weights length mismatch";
-  let n = asm.a_n in
-  let var_of_cell = asm.a_var_of_cell in
-  reset_axis asm.axx n;
-  (match asm.axy with Some a -> reset_axis a n | None -> ());
-  Array.fill asm.adx 0 n 0.;
-  Array.fill asm.ady 0 n 0.;
-  let px = placement.Netlist.Placement.x
-  and py = placement.Netlist.Placement.y in
-  let pin_x (p : Netlist.Net.pin) = px.(p.Netlist.Net.cell) +. p.Netlist.Net.dx in
-  let pin_y (p : Netlist.Net.pin) = py.(p.Netlist.Net.cell) +. p.Netlist.Net.dy in
-  (match asm.a_model with
-  | Clique ->
-    let emit net_w (pa : Netlist.Net.pin) (pb : Netlist.Net.pin) w_raw =
-      let dist =
-        sqrt (((pin_x pa -. pin_x pb) ** 2.) +. ((pin_y pa -. pin_y pb) ** 2.))
-      in
-      let w = w_raw *. net_w *. edge_scale ~dist in
-      add_shared_edge asm.axx asm.adx asm.ady ~var_of_cell ~pa ~pb
-        ~abs_xa:(pin_x pa) ~abs_xb:(pin_x pb) ~abs_ya:(pin_y pa)
-        ~abs_yb:(pin_y pb) w
-    in
-    Array.iter
-      (fun (net : Netlist.Net.t) ->
-        let w = net_weights.(net.Netlist.Net.id) in
-        if w > 0. then Model.iter_edges ~cap:asm.a_cap net (emit w))
-      c.Netlist.Circuit.nets
-  | Bound2bound ->
-    let ay = match asm.axy with Some a -> a | None -> assert false in
-    Array.iter
-      (fun (net : Netlist.Net.t) ->
-        let net_w = net_weights.(net.Netlist.Net.id) in
-        if net_w > 0. then begin
-          B2b.iter_edges ~coord:pin_x net (fun pa pb w ->
-              add_axis_edge asm.axx asm.adx ~var_of_cell
-                ~off_a:pa.Netlist.Net.dx ~off_b:pb.Netlist.Net.dx
-                ~abs_a:(pin_x pa) ~abs_b:(pin_x pb)
-                ~cell_a:pa.Netlist.Net.cell ~cell_b:pb.Netlist.Net.cell
-                (w *. net_w));
-          B2b.iter_edges ~coord:pin_y net (fun pa pb w ->
-              add_axis_edge ay asm.ady ~var_of_cell
-                ~off_a:pa.Netlist.Net.dy ~off_b:pb.Netlist.Net.dy
-                ~abs_a:(pin_y pa) ~abs_b:(pin_y pb)
-                ~cell_a:pa.Netlist.Net.cell ~cell_b:pb.Netlist.Net.cell
-                (w *. net_w))
-        end)
-      c.Netlist.Circuit.nets);
-  (* Anchor springs to the region centre, scaled off the mean edge
-     weight so the relative strength is size-independent. *)
-  let mean_w =
-    match asm.axy with
-    | None ->
-      if asm.axx.n_edges = 0 then 1.
-      else asm.axx.total_w /. float_of_int asm.axx.n_edges
-    | Some ay ->
-      let ne = asm.axx.n_edges + ay.n_edges in
-      if ne = 0 then 1.
-      else (asm.axx.total_w +. ay.total_w) /. float_of_int ne
+  let pass direct =
+    stream asm direct ~placement ~net_weights ~edge_scale ~anchor_weight ~hold
+      ~hold_at
   in
-  let aw = anchor_weight *. mean_w in
-  let cx, cy = Geometry.Rect.center c.Netlist.Circuit.region in
-  (match asm.axy with
-  | None ->
-    for v = 0 to n - 1 do
-      Numeric.Sparse.add_diag asm.axx.ab v aw;
-      asm.adx.(v) <- asm.adx.(v) -. (aw *. cx);
-      asm.ady.(v) <- asm.ady.(v) -. (aw *. cy)
-    done
-  | Some ay ->
-    for v = 0 to n - 1 do
-      Numeric.Sparse.add_diag asm.axx.ab v aw;
-      asm.adx.(v) <- asm.adx.(v) -. (aw *. cx);
-      Numeric.Sparse.add_diag ay.ab v aw;
-      asm.ady.(v) <- asm.ady.(v) -. (aw *. cy)
-    done);
-  (* Hold springs: damp the step by pulling each cell toward where it is
-     now, in proportion to its own connectivity stiffness. *)
-  if hold > 0. then begin
-    let hx, hy =
-      match hold_at with
-      | Some (hp : Netlist.Placement.t) ->
-        (hp.Netlist.Placement.x, hp.Netlist.Placement.y)
-      | None -> (px, py)
-    in
-    match asm.axy with
-    | None ->
-      for v = 0 to n - 1 do
-        let hw = hold *. Float.max asm.axx.incident.(v) mean_w in
-        Numeric.Sparse.add_diag asm.axx.ab v hw;
-        asm.adx.(v) <- asm.adx.(v) -. (hw *. hx.(asm.a_cell_of_var.(v)));
-        asm.ady.(v) <- asm.ady.(v) -. (hw *. hy.(asm.a_cell_of_var.(v)))
-      done
-    | Some ay ->
-      for v = 0 to n - 1 do
-        let hwx = hold *. Float.max asm.axx.incident.(v) mean_w in
-        Numeric.Sparse.add_diag asm.axx.ab v hwx;
-        asm.adx.(v) <- asm.adx.(v) -. (hwx *. hx.(asm.a_cell_of_var.(v)));
-        let hwy = hold *. Float.max ay.incident.(v) mean_w in
-        Numeric.Sparse.add_diag ay.ab v hwy;
-        asm.ady.(v) <- asm.ady.(v) -. (hwy *. hy.(asm.a_cell_of_var.(v)))
-      done
-  end;
-  (* Numeric freeze: replay values through the cached pattern when the
-     triplet stream is structurally unchanged, otherwise pay one symbolic
-     compile and cache the new pattern.  The clique model never recompiles
-     after the first transformation; B2B does whenever a net's boundary
-     pins change hands. *)
+  (* Numeric freeze of a recorded pass: replay values through the cached
+     pattern when the triplet stream is structurally unchanged, otherwise
+     pay one symbolic compile and cache the new pattern. *)
   let freeze (a : axis) =
     match a.pat with
     | Some pat when Numeric.Sparse.pattern_matches pat a.ab ->
@@ -280,16 +362,30 @@ let rebuild (asm : assembly) ~(placement : Netlist.Placement.t) ~net_weights
       a.pat <- Some pat;
       (false, m)
   in
-  let (hit_x, mx), ry =
-    Obs.Timer.time "qp/refill" (fun () ->
-        let rx = freeze asm.axx in
-        let ry = Option.map freeze asm.axy in
-        (rx, ry))
-  in
-  let hit, my =
+  let recorded () =
+    let mean_w = pass None in
+    let (hit_x, mx), ry =
+      Obs.Timer.time "qp/refill" (fun () ->
+          let rx = freeze asm.axx in
+          (rx, Option.map freeze asm.axy))
+    in
     match ry with
-    | None -> (hit_x, mx)
-    | Some (hit_y, my) -> (hit_x && hit_y, my)
+    | None -> (mean_w, hit_x, mx, mx)
+    | Some (hit_y, my) -> (mean_w, hit_x && hit_y, mx, my)
+  in
+  (* The clique structure is fixed by the circuit and the sign of the
+     net weights, so once a pattern exists the pass scatters straight
+     into it; a drifted structure (a net weight reaching zero) falls back
+     to recording.  B2B always records. *)
+  let mean_w, hit, mx, my =
+    match (asm.a_model, asm.axx.pat) with
+    | Clique, Some pat -> (
+      match pass (Some (Numeric.Sparse.slots pat)) with
+      | mean_w ->
+        let m = Obs.Timer.time "qp/refill" (fun () -> Numeric.Sparse.seal pat) in
+        (mean_w, true, m, m)
+      | exception Drift -> recorded ())
+    | _ -> recorded ()
   in
   if hit then asm.reused <- asm.reused + 1
   else asm.pattern_rebuilds <- asm.pattern_rebuilds + 1;
@@ -305,9 +401,9 @@ let rebuild (asm : assembly) ~(placement : Netlist.Placement.t) ~net_weights
   in
   {
     circuit = c;
-    var_of_cell;
+    var_of_cell = asm.a_var_of_cell;
     cell_of_var = asm.a_cell_of_var;
-    n_movable = n;
+    n_movable = asm.a_n;
     mx;
     my;
     dx = asm.adx;
@@ -315,6 +411,8 @@ let rebuild (asm : assembly) ~(placement : Netlist.Placement.t) ~net_weights
     mean_edge_weight = mean_w;
     inv_dx;
     inv_dy;
+    cg_x = asm.a_cg_x;
+    cg_y = asm.a_cg_y;
   }
 
 let build (c : Netlist.Circuit.t) ~placement ~net_weights ~edge_scale
@@ -334,6 +432,10 @@ let variable_of_cell t id =
 
 let matrix t = t.mx
 
+let matrix_y t = t.my
+
+let constant_terms t = (t.dx, t.dy)
+
 let gather t (p : Netlist.Placement.t) =
   let x0 = Array.make t.n_movable 0. and y0 = Array.make t.n_movable 0. in
   for v = 0 to t.n_movable - 1 do
@@ -345,10 +447,18 @@ let gather t (p : Netlist.Placement.t) =
 let solve ?tol t ~(placement : Netlist.Placement.t) ~ex ~ey =
   if Array.length ex <> t.n_movable || Array.length ey <> t.n_movable then
     invalid_arg "System.solve: force vector length mismatch";
-  let x0, y0 = gather t placement in
-  (* C·p + d + e = 0  ⇔  C·p = −(d + e). *)
-  let rhs d e = Numeric.Parallel.parallel_map2 (fun dv ev -> -.(dv +. ev)) d e in
-  let bx = rhs t.dx ex and by = rhs t.dy ey in
+  let px = placement.Netlist.Placement.x and py = placement.Netlist.Placement.y in
+  let x0 = Numeric.Cg.solution t.cg_x and y0 = Numeric.Cg.solution t.cg_y in
+  let bx = Numeric.Cg.rhs t.cg_x and by = Numeric.Cg.rhs t.cg_y in
+  (* Warm start from the incoming coordinates; C·p + d + e = 0  ⇔
+     C·p = −(d + e). *)
+  for v = 0 to t.n_movable - 1 do
+    let id = t.cell_of_var.(v) in
+    x0.(v) <- px.(id);
+    y0.(v) <- py.(id);
+    bx.(v) <- -.(t.dx.(v) +. ex.(v));
+    by.(v) <- -.(t.dy.(v) +. ey.(v))
+  done;
   (* A [None] preconditioner means the assembly saw a non-positive
      diagonal; re-derive it here so the canonical Cg error surfaces at
      solve time, exactly as the old lazy computation did. *)
@@ -358,11 +468,11 @@ let solve ?tol t ~(placement : Netlist.Placement.t) ~ex ~ey =
   in
   let inv_dx = force t.mx t.inv_dx and inv_dy = force t.my t.inv_dy in
   (* The axes are independent SPD systems; solve them concurrently. *)
-  let (x, sx), (y, sy) =
+  let sx, sy =
     Obs.Timer.time "qp/solve" (fun () ->
         Numeric.Parallel.both
-          (fun () -> Numeric.Cg.solve ?tol ~x0 ~inv_diag:inv_dx t.mx bx)
-          (fun () -> Numeric.Cg.solve ?tol ~x0:y0 ~inv_diag:inv_dy t.my by))
+          (fun () -> Numeric.Cg.solve_in ?tol ~inv_diag:inv_dx t.cg_x t.mx)
+          (fun () -> Numeric.Cg.solve_in ?tol ~inv_diag:inv_dy t.cg_y t.my))
   in
   if Obs.Registry.enabled () then begin
     Obs.Registry.observe "qp/cg_iterations"
@@ -371,8 +481,9 @@ let solve ?tol t ~(placement : Netlist.Placement.t) ~ex ~ey =
       (Float.max sx.Numeric.Cg.residual sy.Numeric.Cg.residual)
   end;
   for v = 0 to t.n_movable - 1 do
-    placement.Netlist.Placement.x.(t.cell_of_var.(v)) <- x.(v);
-    placement.Netlist.Placement.y.(t.cell_of_var.(v)) <- y.(v)
+    let id = t.cell_of_var.(v) in
+    px.(id) <- x0.(v);
+    py.(id) <- y0.(v)
   done;
   (sx, sy)
 

@@ -25,11 +25,13 @@ type net_model = Clique | Bound2bound
 val index_map : Netlist.Circuit.t -> int array * int
 
 (** Reusable assembly state for one circuit: the triplet builders, the
-    frozen symbolic sparsity {!Numeric.Sparse.pattern}, the d-vector
-    scratch and the Jacobi preconditioner storage.  Keyed by circuit,
-    net model and clique cap at creation; every {!rebuild} against it
-    re-emits only the numeric values (the per-iteration work Kraftwerk
-    repeats ~200 times), paying the symbolic sort-and-merge once. *)
+    frozen symbolic sparsity {!Numeric.Sparse.pattern}, the d vectors,
+    the Jacobi preconditioner storage, one {!Numeric.Cg.workspace} per
+    axis and the edges sampled for nets above the clique cap.  Keyed by
+    circuit, net model and clique cap at creation; every {!rebuild}
+    against it re-emits only the numeric values (the per-iteration work
+    Kraftwerk repeats ~200 times), paying the symbolic sort-and-merge
+    once. *)
 type assembly
 
 (** [assembly circuit ?clique_cap ?model ()] allocates the cached
@@ -41,20 +43,26 @@ val assembly :
 (** [rebuild asm ~placement ~net_weights ~edge_scale ?anchor_weight
     ?hold ?hold_at ()] re-assembles the system at the given placement
     through the cached state — same semantics and bitwise-identical
-    matrices as {!build} with the assembly's model and cap.  When the
-    builder's triplet stream keeps the pattern of the previous pass
-    (always, for the clique model), values are scattered through the
-    cached permutation ({!Numeric.Sparse.refill}); otherwise the pattern
-    is recompiled and the fallback counted (see {!assembly_stats}).
+    matrices as {!build} with the assembly's model and cap.
+
+    Under the clique model the structure depends only on the circuit and
+    on which nets have a positive weight, so once the first pass has
+    compiled its pattern every later pass scatters each value straight
+    into its matrix slot ({!Numeric.Sparse.slots}) and allocates nothing
+    per net or edge; a pass whose structure drifted (a net weight reached
+    zero) is redone through the builder and recompiled.  Bound2Bound
+    records every pass and refills the cached pattern when the triplet
+    stream kept its structure ({!Numeric.Sparse.refill}).  Recompiles are
+    counted (see {!assembly_stats}).
 
     The returned system {e aliases} the assembly's storage (matrix
-    values, d vectors, preconditioners): it is invalidated by the next
-    [rebuild] on the same assembly. *)
+    values, d vectors, preconditioners, the solve buffers): it is
+    invalidated by the next [rebuild] on the same assembly. *)
 val rebuild :
   assembly ->
   placement:Netlist.Placement.t ->
   net_weights:float array ->
-  edge_scale:(dist:float -> float) ->
+  edge_scale:Weights.scale ->
   ?anchor_weight:float ->
   ?hold:float ->
   ?hold_at:Netlist.Placement.t ->
@@ -72,10 +80,10 @@ val assembly_stats : assembly -> int * int
     (needed for fixed-pin positions and for [edge_scale]).
 
     [net_weights.(net.id)] multiplies every edge of the net (timing-driven
-    weighting); [edge_scale] further multiplies each edge by a function of
-    its current pin-to-pin distance — pass [Weights.linearize] to
-    approximate the linear objective of [14], or [Weights.quadratic] for
-    the plain quadratic objective.  [anchor_weight] defaults to [1e-6].
+    weighting); [edge_scale] is {!Weights.Quadratic} for the plain
+    quadratic objective or {!Weights.Linearize}, which multiplies each
+    edge by a function of its current pin-to-pin distance to approximate
+    the linear objective of [14].  [anchor_weight] defaults to [1e-6].
 
     [hold], when positive, adds to every movable cell a spring of weight
     [hold × (that cell's summed incident edge weight)] pulling toward its
@@ -94,7 +102,7 @@ val build :
   Netlist.Circuit.t ->
   placement:Netlist.Placement.t ->
   net_weights:float array ->
-  edge_scale:(dist:float -> float) ->
+  edge_scale:Weights.scale ->
   ?clique_cap:int ->
   ?anchor_weight:float ->
   ?hold:float ->
@@ -110,7 +118,9 @@ val build :
     coordinates.  [tol] is the relative CG tolerance (default the
     {!Numeric.Cg.solve} default, [1e-8]) — the placer loosens it while
     density overflow is still high and tightens it as the placement
-    converges.  Returns CG statistics for the x and y solves. *)
+    converges.  The solves run in the assembly's own CG workspaces
+    ({!Numeric.Cg.solve_in}), so a solve allocates nothing per cell.
+    Returns CG statistics for the x and y solves. *)
 val solve :
   ?tol:float ->
   t ->
@@ -135,6 +145,15 @@ val variable_of_cell : t -> int -> int option
 (** [matrix t] exposes the assembled x-axis C for tests (identical to
     the y-axis matrix under the clique model). *)
 val matrix : t -> Numeric.Sparse.t
+
+(** [matrix_y t] is the y-axis C: {!matrix} itself under the clique
+    model, its own matrix under {!Bound2bound}.  For tests. *)
+val matrix_y : t -> Numeric.Sparse.t
+
+(** [constant_terms t] is [(dx, dy)], the constant vectors d of eq. (3)
+    by variable index.  They alias the assembly like the matrices.  For
+    tests. *)
+val constant_terms : t -> float array * float array
 
 (** [residual_force t ~placement ~ex ~ey] evaluates |C·p + d + e|∞ over
     both axes at the given placement — zero at the equilibrium eq. (3)

@@ -1,4 +1,4 @@
-let quadratic ~dist:_ = 1.
+type scale = Quadratic | Linearize of float
 
 let linearize ~eps ~dist = 1. /. Float.max dist eps
 

@@ -6,8 +6,12 @@
     like a linear (half-perimeter-like) one, which is what the reported
     wire lengths measure. *)
 
-(** [quadratic ~dist] is [1.] — the plain quadratic objective. *)
-val quadratic : dist:float -> float
+(** The scheme an assembly applies to every spring ({!System.rebuild}):
+    [Quadratic] keeps the net-model weights, [Linearize eps] multiplies
+    each by {!linearize}[ ~eps] of its current pin-to-pin distance.  A
+    closed variant rather than a function so the assembly's per-edge
+    loop needs no call (and no distance) for the quadratic scheme. *)
+type scale = Quadratic | Linearize of float
 
 (** [linearize ~eps ~dist] is [1. /. max dist eps] — GORDIAN-L style
     linearisation; [eps] guards the singularity at zero length and should

@@ -66,7 +66,7 @@ let test_axes_differ_in_system () =
   let p = { Netlist.Placement.x = [| 0.; 40.; 90. |]; y = [| 50.; 50.; 20. |] } in
   let system =
     Qp.System.build c ~placement:p ~net_weights:[| 1. |]
-      ~edge_scale:Qp.Weights.quadratic ~model:Qp.System.Bound2bound ()
+      ~edge_scale:Qp.Weights.Quadratic ~model:Qp.System.Bound2bound ()
   in
   (* Solving with zero forces should keep positions near the spring
      equilibrium and, importantly, run without errors on distinct

@@ -77,6 +77,53 @@ let test_nonpositive_diagonal_rejected () =
     (Invalid_argument "Cg.solve: non-positive diagonal (matrix not anchored?)")
     (fun () -> ignore (Numeric.Cg.solve a [| 1.; 1. |]))
 
+(* A wrong-length right-hand side is a typed error, not an assertion
+   (which -noassert would compile out). *)
+let test_rhs_length_rejected () =
+  let a = Numeric.Sparse.of_dense [| [| 2.; 1. |]; [| 1.; 2. |] |] in
+  Alcotest.check_raises "short rhs"
+    (Invalid_argument "Cg.solve: rhs length mismatch")
+    (fun () -> ignore (Numeric.Cg.solve a [| 1. |]));
+  Alcotest.check_raises "long rhs"
+    (Invalid_argument "Cg.solve: rhs length mismatch")
+    (fun () -> ignore (Numeric.Cg.solve a [| 1.; 2.; 3. |]))
+
+(* The workspace solve is the same recurrence: bitwise the solution and
+   statistics of [solve] with the same warm start, reusing its vectors
+   across solves. *)
+let test_solve_in_matches_solve () =
+  let n = 40 in
+  let dense =
+    Array.init n (fun i ->
+        Array.init n (fun j ->
+            if i = j then 4. +. float_of_int (i mod 3)
+            else if abs (i - j) = 1 then -1. else 0.))
+  in
+  let a = Numeric.Sparse.of_dense dense in
+  let w = Numeric.Cg.workspace n in
+  List.iter
+    (fun seed ->
+      let b = Array.init n (fun i -> float_of_int (((i + seed) * 7919) mod 13) -. 6.) in
+      let x0 = Array.init n (fun i -> float_of_int ((i * seed) mod 5)) in
+      let x, s = Numeric.Cg.solve ~tol:1e-10 ~x0 a b in
+      Array.blit x0 0 (Numeric.Cg.solution w) 0 n;
+      Array.blit b 0 (Numeric.Cg.rhs w) 0 n;
+      let s' = Numeric.Cg.solve_in ~tol:1e-10 w a in
+      let bits = Array.map Int64.bits_of_float in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d solution" seed)
+        true
+        (bits x = bits (Numeric.Cg.solution w));
+      Alcotest.(check int) "iterations" s.Numeric.Cg.iterations
+        s'.Numeric.Cg.iterations;
+      Alcotest.(check bool) "residual" true
+        (Int64.bits_of_float s.Numeric.Cg.residual
+        = Int64.bits_of_float s'.Numeric.Cg.residual))
+    [ 1; 2; 3 ];
+  Alcotest.check_raises "workspace size"
+    (Invalid_argument "Cg.solve_in: workspace dimension mismatch") (fun () ->
+      ignore (Numeric.Cg.solve_in (Numeric.Cg.workspace (n + 1)) a))
+
 let test_max_iter_respected () =
   let dense =
     Array.init 30 (fun i ->
@@ -122,5 +169,8 @@ let suite =
     Alcotest.test_case "warm start" `Quick test_warm_start_fewer_iterations;
     Alcotest.test_case "non-positive diagonal" `Quick test_nonpositive_diagonal_rejected;
     Alcotest.test_case "max_iter" `Quick test_max_iter_respected;
+    Alcotest.test_case "rhs length mismatch" `Quick test_rhs_length_rejected;
+    Alcotest.test_case "workspace solve = solve" `Quick
+      test_solve_in_matches_solve;
     QCheck_alcotest.to_alcotest prop_residual_small;
   ]

@@ -358,6 +358,147 @@ let test_demand_bitwise_across_pools () =
             (splat pool = reference))
         [ 2; 4 ])
 
+(* Words allocated by [f], counted as minor + major − promoted (arrays
+   above 256 words skip the minor heap). *)
+let allocated_by f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  ignore (Sys.opaque_identity (f ()));
+  words () -. w0
+
+(* biomed at a random placement with a band of cells pushed past the
+   region's edge (clipped or dropped by the splat). *)
+let scattered_biomed () =
+  let prof = Circuitgen.Profiles.find "biomed" in
+  let c, _ = Circuitgen.Gen.generate (Circuitgen.Profiles.params prof ~seed:5) in
+  let rng = Numeric.Rng.create 11 in
+  let r = c.Netlist.Circuit.region in
+  let w = Geometry.Rect.width r in
+  let p = Netlist.Placement.create c in
+  for i = 0 to Netlist.Circuit.num_cells c - 1 do
+    p.Netlist.Placement.x.(i) <-
+      Numeric.Rng.uniform rng (r.Geometry.Rect.x_lo -. (0.05 *. w))
+        (r.Geometry.Rect.x_hi +. (0.05 *. w));
+    p.Netlist.Placement.y.(i) <-
+      Numeric.Rng.uniform rng r.Geometry.Rect.y_lo r.Geometry.Rect.y_hi
+  done;
+  (c, p)
+
+(* The placer's splat (in place, contribution slots reused) adds exactly what
+   Grid2.splat_rect adds per cell rectangle, cell by cell: on the
+   automatic grid and on one fine enough that cells cover more bins
+   than the parallel path's per-cell slots, at pools 1/2/4. *)
+let test_demand_matches_splat_rect () =
+  let c, p = scattered_biomed () in
+  let region = c.Netlist.Circuit.region in
+  let anx, any = Density.Density_map.auto_bins c in
+  Fun.protect
+    ~finally:(fun () -> Numeric.Parallel.set_num_domains 1)
+    (fun () ->
+      List.iter
+        (fun (nx, ny) ->
+          let reference = Geometry.Grid2.create region ~nx ~ny in
+          Array.iter
+            (fun (cl : Netlist.Cell.t) ->
+              if cl.Netlist.Cell.kind <> Netlist.Cell.Pad then
+                Geometry.Grid2.splat_rect reference
+                  (Netlist.Placement.cell_rect c p cl.Netlist.Cell.id)
+                  (Netlist.Cell.area cl))
+            c.Netlist.Circuit.cells;
+          let bits g = Array.map Int64.bits_of_float (Geometry.Grid2.values g) in
+          let g = Geometry.Grid2.create region ~nx ~ny in
+          let contributions = Density.Density_map.contributions () in
+          List.iter
+            (fun pool ->
+              Numeric.Parallel.set_num_domains pool;
+              (* Twice: the second splat reuses a dirty grid and slots. *)
+              for pass = 1 to 2 do
+                Density.Density_map.demand_into ~contributions c p g;
+                Alcotest.(check bool)
+                  (Printf.sprintf "%dx%d pool %d pass %d" nx ny pool pass)
+                  true
+                  (bits g = bits reference)
+              done)
+            [ 1; 2; 4 ])
+        [ (anx, any); (4 * anx, 4 * any) ])
+
+(* Steady-state allocation of the splat into a reused grid: a few words
+   per call, not per cell or bin — sequentially and, with its slots
+   warm, through the two-pass parallel path. *)
+let test_splat_allocation () =
+  let c, p = scattered_biomed () in
+  let nx, ny = Density.Density_map.auto_bins c in
+  let g = Geometry.Grid2.create c.Netlist.Circuit.region ~nx ~ny in
+  let contributions = Density.Density_map.contributions () in
+  Fun.protect
+    ~finally:(fun () -> Numeric.Parallel.set_num_domains 1)
+    (fun () ->
+      List.iter
+        (fun (pool, budget) ->
+          Numeric.Parallel.set_num_domains pool;
+          Density.Density_map.demand_into ~contributions c p g;
+          let words =
+            allocated_by (fun () -> Density.Density_map.demand_into ~contributions c p g)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "pool %d: splat allocates %.0f words, budget %d"
+               pool words budget)
+            true
+            (words <= float_of_int budget))
+        [ (1, 64); (2, 256) ])
+
+(* Forces through reused buffers are the same bits as through fresh
+   ones, and a steady-state call allocates a few words, not a grid or a
+   force vector. *)
+let test_forces_buffers () =
+  let prof = Circuitgen.Profiles.find "primary1" in
+  let c, pads = Circuitgen.Gen.generate (Circuitgen.Profiles.params prof ~seed:3) in
+  let p0 = Circuitgen.Gen.initial_placement c pads in
+  let p = Netlist.Placement.copy p0 in
+  let rng = Numeric.Rng.create 5 in
+  let r = c.Netlist.Circuit.region in
+  Array.iter
+    (fun (cl : Netlist.Cell.t) ->
+      if Netlist.Cell.movable cl then begin
+        p.Netlist.Placement.x.(cl.Netlist.Cell.id) <-
+          Numeric.Rng.uniform rng r.Geometry.Rect.x_lo r.Geometry.Rect.x_hi;
+        p.Netlist.Placement.y.(cl.Netlist.Cell.id) <-
+          Numeric.Rng.uniform rng r.Geometry.Rect.y_lo r.Geometry.Rect.y_hi
+      end)
+    c.Netlist.Circuit.cells;
+  let var_of_cell, n_movable = Qp.System.index_map c in
+  let nx, ny = Density.Density_map.auto_bins c in
+  let demand = Density.Density_map.demand c p ~nx ~ny in
+  let extra = Geometry.Grid2.create r ~nx ~ny in
+  Geometry.Grid2.set extra 1 2 3.5;
+  let buffers = Density.Forces.buffers r ~nx ~ny ~n_movable in
+  let forces ?buffers () =
+    Density.Forces.at_cells ?buffers c p ~demand ~var_of_cell ~n_movable
+      ~k_param:0.2 ~extra ()
+  in
+  let bits (f : Density.Forces.t) =
+    ( Array.map Int64.bits_of_float f.Density.Forces.fx,
+      Array.map Int64.bits_of_float f.Density.Forces.fy,
+      Int64.bits_of_float f.Density.Forces.scale )
+  in
+  Numeric.Parallel.set_num_domains 1;
+  let fresh = bits (forces ()) in
+  Alcotest.(check bool) "buffered = fresh" true (bits (forces ~buffers ()) = fresh);
+  Alcotest.(check bool) "again, reused" true (bits (forces ~buffers ()) = fresh);
+  let words = allocated_by (fun () -> forces ~buffers ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "at_cells allocates %.0f words, budget 64" words)
+    true (words <= 64.);
+  Alcotest.check_raises "mismatched buffers"
+    (Invalid_argument "Forces.at_cells: buffers do not match") (fun () ->
+      ignore
+        (Density.Forces.at_cells
+           ~buffers:(Density.Forces.buffers r ~nx ~ny ~n_movable:(n_movable + 1))
+           c p ~demand ~var_of_cell ~n_movable ~k_param:0.2 ()))
+
 let suite =
   [
     Alcotest.test_case "density sums to zero" `Quick test_density_sums_to_zero;
@@ -386,6 +527,11 @@ let suite =
       test_stop_oscillating_terminates;
     Alcotest.test_case "overflow ratio extremes" `Quick
       test_overflow_ratio_extremes;
+    Alcotest.test_case "demand = per-cell splat_rect, pools 1/2/4" `Quick
+      test_demand_matches_splat_rect;
+    Alcotest.test_case "splat allocation" `Quick test_splat_allocation;
+    Alcotest.test_case "forces through reused buffers" `Quick
+      test_forces_buffers;
     Alcotest.test_case "demand bitwise across pools" `Quick
       test_demand_bitwise_across_pools;
   ]

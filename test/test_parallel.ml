@@ -41,24 +41,6 @@ let test_parallel_for_covers_range () =
             [ 0; 1; 6; 7; 8; 100; 1023 ]))
     domain_counts
 
-let test_parallel_map2 () =
-  let a = Array.init 5000 (fun i -> float_of_int i) in
-  let b = Array.init 5000 (fun i -> float_of_int (i * i) /. 3.) in
-  let expected = Array.map2 (fun x y -> (2. *. x) -. y) a b in
-  List.iter
-    (fun d ->
-      with_domains d (fun () ->
-          let got =
-            Numeric.Parallel.parallel_map2 ~chunk:256
-              (fun x y -> (2. *. x) -. y)
-              a b
-          in
-          check_bitwise (Printf.sprintf "map2 d=%d" d) expected got))
-    domain_counts;
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Parallel.parallel_map2: length mismatch") (fun () ->
-      ignore (Numeric.Parallel.parallel_map2 (fun x _ -> x) a (Array.make 3 0.)))
-
 let test_both () =
   List.iter
     (fun d ->
@@ -318,7 +300,6 @@ let suite =
   [
     Alcotest.test_case "parallel_for covers range" `Quick
       test_parallel_for_covers_range;
-    Alcotest.test_case "parallel_map2" `Quick test_parallel_map2;
     Alcotest.test_case "both" `Quick test_both;
     Alcotest.test_case "both propagates exceptions" `Quick
       test_both_propagates_exceptions;

@@ -145,6 +145,41 @@ let test_converged_allocation () =
     true
     (words < float_of_int cells)
 
+(* Words allocated by [f], counted as minor + major − promoted (arrays
+   above 256 words skip the minor heap). *)
+let allocated_by f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  ignore (Sys.opaque_identity (f ()));
+  words () -. w0
+
+(* A steady-state transformation — assembly, density forces, solve,
+   splat, stop measures — reuses the state's and the assembly's buffers:
+   with no sink installed and no UB probe due it allocates fewer words
+   than the circuit has cells. *)
+let test_transform_allocation () =
+  let circuit, p0 = build ~name:"primary1" () in
+  Numeric.Parallel.set_num_domains 1;
+  let state = Kraftwerk.Placer.init Kraftwerk.Config.standard circuit p0 in
+  for _ = 1 to 3 do
+    ignore (Kraftwerk.Placer.transform state)
+  done;
+  let ctrl = state.Kraftwerk.Placer.controller in
+  while Kraftwerk.Controller.legalization_due ctrl state.Kraftwerk.Placer.config do
+    ignore (Kraftwerk.Placer.transform state)
+  done;
+  Alcotest.(check bool) "no sink" false (Obs.Sink.active ());
+  let words = allocated_by (fun () -> Kraftwerk.Placer.transform state) in
+  let cells = Netlist.Circuit.num_cells circuit in
+  Alcotest.(check bool)
+    (Printf.sprintf "transform allocates %.0f words, fewer than %d cells" words
+       cells)
+    true
+    (words < float_of_int cells)
+
 (* --- ECO --- *)
 
 let test_eco_rewire_counts_preserved () =
@@ -240,6 +275,7 @@ let suite =
     Alcotest.test_case "on_step hook" `Quick test_on_step_hook_called;
     Alcotest.test_case "reweight hook" `Quick test_reweight_hook_applied;
     Alcotest.test_case "force decay 0" `Quick test_force_decay_leaks;
+    Alcotest.test_case "transform allocation" `Quick test_transform_allocation;
     Alcotest.test_case "converged consistent" `Slow test_converged_matches_stop_criterion;
     Alcotest.test_case "converged allocation" `Quick test_converged_allocation;
     Alcotest.test_case "eco rewire counts" `Quick test_eco_rewire_counts_preserved;

@@ -80,7 +80,7 @@ let solve_system ?hold ?net_weights circuit placement =
   in
   let system =
     Qp.System.build circuit ~placement ~net_weights
-      ~edge_scale:Qp.Weights.quadratic ?hold ()
+      ~edge_scale:Qp.Weights.Quadratic ?hold ()
   in
   let n = Qp.System.num_movable system in
   let stats =
@@ -135,7 +135,7 @@ let test_matrix_symmetric_positive_diagonal () =
   let weights = Array.make (Netlist.Circuit.num_nets circuit) 1. in
   let system =
     Qp.System.build circuit ~placement:p ~net_weights:weights
-      ~edge_scale:Qp.Weights.quadratic ()
+      ~edge_scale:Qp.Weights.Quadratic ()
   in
   let m = Qp.System.matrix system in
   Alcotest.(check bool) "symmetric" true (Numeric.Sparse.is_symmetric ~tol:1e-9 m);
@@ -163,7 +163,7 @@ let test_additional_force_shifts_solution () =
   let weights = Array.make 2 1. in
   let system =
     Qp.System.build c ~placement:p ~net_weights:weights
-      ~edge_scale:Qp.Weights.quadratic ()
+      ~edge_scale:Qp.Weights.Quadratic ()
   in
   (* Both springs have weight 1/2; total stiffness 1.  A constant force
      e = +1 shifts the equilibrium to x = 50 − e/k_total ≈ 49 (modulo the
@@ -198,7 +198,7 @@ let test_hold_at_targets () =
   let weights = Array.make 2 1. in
   let system =
     Qp.System.build c ~placement:p ~net_weights:weights
-      ~edge_scale:Qp.Weights.quadratic ~hold:5. ~hold_at:targets ()
+      ~edge_scale:Qp.Weights.Quadratic ~hold:5. ~hold_at:targets ()
   in
   ignore (Qp.System.solve system ~placement:p ~ex:[| 0. |] ~ey:[| 0. |]);
   Alcotest.(check bool) "pulled toward target" true (p.Netlist.Placement.x.(0) > 70.)
@@ -211,7 +211,6 @@ let test_index_map () =
   Alcotest.(check int) "fixed has no var" (-1) var_of_cell.(1)
 
 let test_weights_module () =
-  Alcotest.check approx "quadratic" 1. (Qp.Weights.quadratic ~dist:123.);
   Alcotest.check approx "linearize" 0.1 (Qp.Weights.linearize ~eps:1. ~dist:10.);
   Alcotest.check approx "linearize clamped" 1. (Qp.Weights.linearize ~eps:1. ~dist:0.);
   Alcotest.check approx "default eps" 0.2 (Qp.Weights.default_eps region)
@@ -283,11 +282,11 @@ let test_rebuild_matches_build () =
                   let p = random_placement seed in
                   let fresh =
                     Qp.System.build circuit ~placement:p ~net_weights:nw
-                      ~edge_scale:Qp.Weights.quadratic ~model ()
+                      ~edge_scale:Qp.Weights.Quadratic ~model ()
                   in
                   let cached =
                     Qp.System.rebuild asm ~placement:p ~net_weights:nw
-                      ~edge_scale:Qp.Weights.quadratic ()
+                      ~edge_scale:Qp.Weights.Quadratic ()
                   in
                   Alcotest.(check bool) (name "matrix") true
                     (bits_equal_mat (Qp.System.matrix fresh)
@@ -316,6 +315,311 @@ let test_rebuild_matches_build () =
             [ (Qp.System.Clique, "clique"); (Qp.System.Bound2bound, "b2b") ])
         [ 1; 2; 4 ])
 
+(* --- independent assembly oracle ---------------------------------------- *)
+
+(* The placement equation written out from its definition, sharing no
+   code with System's assembly beyond the net models: every net's edges
+   come from Model.iter_edges (clique) or B2b.iter_edges (per axis) and
+   go into a plain triplet builder — each spring's two diagonal terms,
+   then its off-diagonal pair — followed by the anchor springs and the
+   hold springs, one Sparse.finalize per axis.  That triplet order is the
+   documented accumulation order, so System must reproduce the matrix,
+   the d vectors and the mean edge weight bit for bit. *)
+
+type scale = Quadratic | Linearize of float
+
+let api_scale = function
+  | Quadratic -> Qp.Weights.Quadratic
+  | Linearize eps -> Qp.Weights.Linearize eps
+
+type ref_axis = {
+  rb : Numeric.Sparse.builder;
+  rd : float array;
+  rinc : float array;
+  mutable rtotal : float;
+  mutable rcount : int;
+}
+
+let ref_axis n =
+  {
+    rb = Numeric.Sparse.builder n;
+    rd = Array.make n 0.;
+    rinc = Array.make n 0.;
+    rtotal = 0.;
+    rcount = 0;
+  }
+
+(* One spring of weight [w] on one axis; [off_*] are the pin offsets,
+   [abs_*] the absolute pin positions (used when the other end is fixed).
+   [d2] is the other axis's d vector under the clique model, where one
+   matrix serves both axes. *)
+let ref_spring a ?d2 ~var_of_cell ~cell_a ~cell_b ~off_a ~off_b ~abs_a ~abs_b
+    ?(off2 = (0., 0., 0., 0.)) w =
+  if w > 0. && cell_a <> cell_b then begin
+    a.rtotal <- a.rtotal +. w;
+    a.rcount <- a.rcount + 1;
+    let o2a, o2b, abs2a, abs2b = off2 in
+    let va = var_of_cell.(cell_a) and vb = var_of_cell.(cell_b) in
+    let d2_add v x = match d2 with Some d -> d.(v) <- d.(v) +. x | None -> () in
+    if va >= 0 && vb >= 0 then begin
+      a.rinc.(va) <- a.rinc.(va) +. w;
+      a.rinc.(vb) <- a.rinc.(vb) +. w;
+      Numeric.Sparse.add a.rb va va w;
+      Numeric.Sparse.add a.rb vb vb w;
+      Numeric.Sparse.add a.rb va vb (-.w);
+      Numeric.Sparse.add a.rb vb va (-.w);
+      a.rd.(va) <- a.rd.(va) +. (w *. (off_a -. off_b));
+      a.rd.(vb) <- a.rd.(vb) +. (w *. (off_b -. off_a));
+      d2_add va (w *. (o2a -. o2b));
+      d2_add vb (w *. (o2b -. o2a))
+    end
+    else if va >= 0 then begin
+      a.rinc.(va) <- a.rinc.(va) +. w;
+      Numeric.Sparse.add a.rb va va w;
+      a.rd.(va) <- a.rd.(va) +. (w *. (off_a -. abs_b));
+      d2_add va (w *. (o2a -. abs2b))
+    end
+    else if vb >= 0 then begin
+      a.rinc.(vb) <- a.rinc.(vb) +. w;
+      Numeric.Sparse.add a.rb vb vb w;
+      a.rd.(vb) <- a.rd.(vb) +. (w *. (off_b -. abs_a));
+      d2_add vb (w *. (o2b -. abs2a))
+    end
+  end
+
+(* Returns (matrix x, matrix y, dx, dy, mean edge weight). *)
+let reference_system c ~(placement : Netlist.Placement.t) ~net_weights ~scale
+    ~cap ~model ~anchor_weight ~hold ?hold_at () =
+  let var_of_cell, n = Qp.System.index_map c in
+  let cell_of_var = Array.make n 0 in
+  Array.iteri (fun id v -> if v >= 0 then cell_of_var.(v) <- id) var_of_cell;
+  let px = placement.Netlist.Placement.x and py = placement.Netlist.Placement.y in
+  let pin_x (p : Netlist.Net.pin) = px.(p.Netlist.Net.cell) +. p.Netlist.Net.dx in
+  let pin_y (p : Netlist.Net.pin) = py.(p.Netlist.Net.cell) +. p.Netlist.Net.dy in
+  let ax = ref_axis n in
+  let ay = match model with Qp.System.Clique -> None | _ -> Some (ref_axis n) in
+  let dy_clique = Array.make n 0. in
+  Array.iter
+    (fun (net : Netlist.Net.t) ->
+      let nw = net_weights.(net.Netlist.Net.id) in
+      if nw > 0. then
+        match ay with
+        | None ->
+          Qp.Model.iter_edges ~cap net (fun pa pb w_raw ->
+              let s =
+                match scale with
+                | Quadratic -> 1.
+                | Linearize eps ->
+                  Qp.Weights.linearize ~eps
+                    ~dist:
+                      (sqrt
+                         (((pin_x pa -. pin_x pb) ** 2.)
+                         +. ((pin_y pa -. pin_y pb) ** 2.)))
+              in
+              ref_spring ax ~d2:dy_clique ~var_of_cell
+                ~cell_a:pa.Netlist.Net.cell ~cell_b:pb.Netlist.Net.cell
+                ~off_a:pa.Netlist.Net.dx ~off_b:pb.Netlist.Net.dx
+                ~abs_a:(pin_x pa) ~abs_b:(pin_x pb)
+                ~off2:
+                  (pa.Netlist.Net.dy, pb.Netlist.Net.dy, pin_y pa, pin_y pb)
+                (w_raw *. nw *. s))
+        | Some ay ->
+          let axis a coord off =
+            Qp.B2b.iter_edges ~coord net (fun pa pb w ->
+                ref_spring a ~var_of_cell ~cell_a:pa.Netlist.Net.cell
+                  ~cell_b:pb.Netlist.Net.cell ~off_a:(off pa) ~off_b:(off pb)
+                  ~abs_a:(coord pa) ~abs_b:(coord pb) (w *. nw))
+          in
+          axis ax pin_x (fun p -> p.Netlist.Net.dx);
+          axis ay pin_y (fun p -> p.Netlist.Net.dy))
+    c.Netlist.Circuit.nets;
+  let mean =
+    match ay with
+    | None -> if ax.rcount = 0 then 1. else ax.rtotal /. float_of_int ax.rcount
+    | Some ay ->
+      let ne = ax.rcount + ay.rcount in
+      if ne = 0 then 1. else (ax.rtotal +. ay.rtotal) /. float_of_int ne
+  in
+  let dy = match ay with None -> dy_clique | Some ay -> ay.rd in
+  let aw = anchor_weight *. mean in
+  let cx, cy = Geometry.Rect.center c.Netlist.Circuit.region in
+  for v = 0 to n - 1 do
+    Numeric.Sparse.add ax.rb v v aw;
+    ax.rd.(v) <- ax.rd.(v) -. (aw *. cx);
+    (match ay with Some ay -> Numeric.Sparse.add ay.rb v v aw | None -> ());
+    dy.(v) <- dy.(v) -. (aw *. cy)
+  done;
+  if hold > 0. then begin
+    let h = Option.value hold_at ~default:placement in
+    for v = 0 to n - 1 do
+      let id = cell_of_var.(v) in
+      let hwx = hold *. Float.max ax.rinc.(v) mean in
+      Numeric.Sparse.add ax.rb v v hwx;
+      ax.rd.(v) <- ax.rd.(v) -. (hwx *. h.Netlist.Placement.x.(id));
+      let hwy =
+        match ay with
+        | None -> hwx
+        | Some ay ->
+          let hwy = hold *. Float.max ay.rinc.(v) mean in
+          Numeric.Sparse.add ay.rb v v hwy;
+          hwy
+      in
+      dy.(v) <- dy.(v) -. (hwy *. h.Netlist.Placement.y.(id))
+    done
+  end;
+  let mx = Numeric.Sparse.finalize ax.rb in
+  let my = match ay with None -> mx | Some ay -> Numeric.Sparse.finalize ay.rb in
+  (mx, my, ax.rd, dy, mean)
+
+let bits_equal_sparse a b =
+  Numeric.Sparse.nnz a = Numeric.Sparse.nnz b && bits_equal_mat a b
+
+(* One cached assembly per (pool, model, cap) replays a sequence that
+   exercises the steady state (same structure, new values), the hold
+   springs at the placer's weight and at explicit targets, the
+   linearised scale, and structural drift from zero and underflowing
+   net weights, then the return to the original structure. *)
+let test_assembly_oracle () =
+  let prof = Circuitgen.Profiles.find "fract" in
+  let circuit, pads =
+    Circuitgen.Gen.generate (Circuitgen.Profiles.params prof ~seed:5)
+  in
+  let p0 = Circuitgen.Gen.initial_placement circuit pads in
+  let r = circuit.Netlist.Circuit.region in
+  let nnets = Netlist.Circuit.num_nets circuit in
+  let random_placement seed =
+    let p = Netlist.Placement.copy p0 in
+    let rng = Numeric.Rng.create seed in
+    Array.iter
+      (fun (cl : Netlist.Cell.t) ->
+        if Netlist.Cell.movable cl then begin
+          p.Netlist.Placement.x.(cl.Netlist.Cell.id) <-
+            Numeric.Rng.uniform rng r.Geometry.Rect.x_lo r.Geometry.Rect.x_hi;
+          p.Netlist.Placement.y.(cl.Netlist.Cell.id) <-
+            Numeric.Rng.uniform rng r.Geometry.Rect.y_lo r.Geometry.Rect.y_hi
+        end)
+      circuit.Netlist.Circuit.cells;
+    p
+  in
+  let ones = Array.make nnets 1. in
+  let sparse_weights =
+    (* Every fifth net off, one net at the smallest subnormal (its edge
+       weights underflow to zero), the rest timing-like. *)
+    Array.init nnets (fun i ->
+        if i mod 5 = 0 then 0.
+        else if i = 1 then 5e-324
+        else 1. +. (float_of_int (i mod 7) /. 3.))
+  in
+  let eps = Qp.Weights.default_eps r in
+  (* (seed, weights, scale, hold, hold_at seed) *)
+  let steps =
+    [
+      (3, ones, Quadratic, 0., None);
+      (4, ones, Quadratic, 1.0, None);
+      (5, sparse_weights, Quadratic, 1.0, None);
+      (6, ones, Quadratic, 0.5, Some 11);
+      (7, ones, Linearize eps, 1.0, None);
+      (8, sparse_weights, Linearize eps, 0., None);
+      (9, ones, Quadratic, 1.0, None);
+      (10, ones, Quadratic, 1.0, None);
+    ]
+  in
+  let max_degree =
+    Array.fold_left
+      (fun m (net : Netlist.Net.t) -> max m (Array.length net.Netlist.Net.pins))
+      0 circuit.Netlist.Circuit.nets
+  in
+  Alcotest.(check bool) "a net above the small clique cap" true (max_degree > 4);
+  Fun.protect
+    ~finally:(fun () -> Numeric.Parallel.set_num_domains 1)
+    (fun () ->
+      List.iter
+        (fun domains ->
+          Numeric.Parallel.set_num_domains domains;
+          List.iter
+            (fun (model, cap, mname) ->
+              let asm = Qp.System.assembly circuit ~clique_cap:cap ~model () in
+              List.iter
+                (fun (seed, net_weights, scale, hold, hold_seed) ->
+                  let name part =
+                    Printf.sprintf "%s d=%d seed=%d %s" mname domains seed part
+                  in
+                  let placement = random_placement seed in
+                  let hold_at = Option.map random_placement hold_seed in
+                  let sys =
+                    Qp.System.rebuild asm ~placement ~net_weights
+                      ~edge_scale:(api_scale scale) ~anchor_weight:1e-6 ~hold
+                      ?hold_at ()
+                  in
+                  let mx, my, dx, dy, mean =
+                    reference_system circuit ~placement ~net_weights ~scale ~cap
+                      ~model ~anchor_weight:1e-6 ~hold ?hold_at ()
+                  in
+                  let sdx, sdy = Qp.System.constant_terms sys in
+                  Alcotest.(check bool) (name "matrix x") true
+                    (bits_equal_sparse mx (Qp.System.matrix sys));
+                  Alcotest.(check bool) (name "matrix y") true
+                    (bits_equal_sparse my (Qp.System.matrix_y sys));
+                  Alcotest.(check bool) (name "dx") true (bits_equal_arr dx sdx);
+                  Alcotest.(check bool) (name "dy") true (bits_equal_arr dy sdy);
+                  Alcotest.(check bool) (name "mean edge weight") true
+                    (Int64.bits_of_float mean
+                    = Int64.bits_of_float (Qp.System.mean_edge_weight sys)))
+                steps)
+            [
+              (Qp.System.Clique, 16, "clique cap 16");
+              (Qp.System.Clique, 4, "clique cap 4");
+              (Qp.System.Bound2bound, 16, "b2b");
+            ])
+        [ 1; 2; 4 ])
+
+(* --- steady-state allocation ------------------------------------------- *)
+
+(* Words allocated by [f], counted as minor + major − promoted (arrays
+   above 256 words skip the minor heap). *)
+let allocated_by f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  ignore (Sys.opaque_identity (f ()));
+  words () -. w0
+
+(* A clique rebuild on a warm assembly scatters into the cached slots and
+   a solve runs in the assembly's CG vectors: each costs a handful of
+   words (the returned records), not a word per net, edge or cell. *)
+let test_rebuild_solve_allocation () =
+  let prof = Circuitgen.Profiles.find "primary1" in
+  let circuit, pads =
+    Circuitgen.Gen.generate (Circuitgen.Profiles.params prof ~seed:21)
+  in
+  let p = Circuitgen.Gen.initial_placement circuit pads in
+  let nw = Array.make (Netlist.Circuit.num_nets circuit) 1. in
+  let asm = Qp.System.assembly circuit () in
+  let rebuild () =
+    Qp.System.rebuild asm ~placement:p ~net_weights:nw
+      ~edge_scale:Qp.Weights.Quadratic ~hold:1.0 ()
+  in
+  Numeric.Parallel.set_num_domains 1;
+  ignore (rebuild ());
+  let words = allocated_by rebuild in
+  Alcotest.(check bool)
+    (Printf.sprintf "rebuild allocates %.0f words, budget 64" words)
+    true (words <= 64.);
+  let sys = rebuild () in
+  let n = Qp.System.num_movable sys in
+  let ex = Array.make n 0.5 and ey = Array.make n (-0.25) in
+  let words = ref 0. and iterations = ref 0 in
+  words :=
+    allocated_by (fun () ->
+        let sx, sy = Qp.System.solve sys ~placement:p ~ex ~ey in
+        iterations := sx.Numeric.Cg.iterations + sy.Numeric.Cg.iterations);
+  Alcotest.(check bool) "the solve iterates" true (!iterations > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "solve allocates %.0f words, budget 64" !words)
+    true (!words <= 64.)
+
 let suite =
   [
     Alcotest.test_case "clique edges and weights" `Quick test_clique_edge_count_and_weight;
@@ -335,4 +639,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_solution_is_minimum;
     Alcotest.test_case "rebuild = build, both models, pools 1/2/4" `Quick
       test_rebuild_matches_build;
+    Alcotest.test_case "assembly oracle, every rebuild input, pools 1/2/4"
+      `Quick test_assembly_oracle;
+    Alcotest.test_case "rebuild and solve allocation" `Quick
+      test_rebuild_solve_allocation;
   ]

@@ -139,10 +139,10 @@ let test_qp_validation () =
     (raises_invalid (fun () ->
          ignore
            (Qp.System.build c ~placement:p ~net_weights:[| 1.; 1. |]
-              ~edge_scale:Qp.Weights.quadratic ())));
+              ~edge_scale:Qp.Weights.Quadratic ())));
   let system =
     Qp.System.build c ~placement:p ~net_weights:[| 1. |]
-      ~edge_scale:Qp.Weights.quadratic ()
+      ~edge_scale:Qp.Weights.Quadratic ()
   in
   Alcotest.(check bool) "force length" true
     (raises_invalid (fun () ->
