@@ -635,14 +635,6 @@ let write_kernels_json path rows =
         ratio "kernels/poisson-fft-48-cold" "kernels/poisson-fft-48-warm" );
       ( "qp_refill",
         ratio "kernels/qp-assemble-primary1" "kernels/qp-refill-primary1" );
-      ( "real_vs_complex_96",
-        ratio "kernels/poisson-complex-96" "kernels/poisson-real-96" );
-      ( "real_vs_complex_128",
-        ratio "kernels/poisson-complex-128" "kernels/poisson-real-128" );
-      ( "real_vs_complex_256",
-        ratio "kernels/poisson-complex-256" "kernels/poisson-real-256" );
-      ( "real_vs_complex_512",
-        ratio "kernels/poisson-complex-512" "kernels/poisson-real-512" );
     ]
   in
   let ns = List.length speedups in
@@ -789,36 +781,24 @@ let micro_run () =
       | Some [ est ] -> rows := (name, est) :: !rows
       | Some _ | None -> rows := (name, Float.nan) :: !rows)
     results;
-  (* Real-vs-complex Poisson comparison grids.  A single 512² complex
-     call costs hundreds of milliseconds — past bechamel's quota — so
-     these rows come from a plain monotonic loop instead; the first call
-     of each path warms the kernel spectra and workspaces and is
-     excluded from the measurement. *)
+  (* Large-grid Poisson rows.  A single 512² call costs over a hundred
+     milliseconds — past bechamel's quota — so these rows come from a
+     plain monotonic loop instead; the first call warms the kernel
+     spectra and workspaces and is excluded from the measurement. *)
   List.iter
     (fun n ->
       let g = density_grid n in
-      let time_ns f =
-        ignore (f ());
-        let reps = if n >= 256 then 3 else 6 in
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to reps do
-          ignore (f ())
-        done;
-        (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps
+      let reps = if n >= 256 then 3 else 6 in
+      let solve () =
+        ignore (Numeric.Poisson.fft_force_field ~rows:n ~cols:n ~hx:1. ~hy:1. g)
       in
-      let real =
-        time_ns (fun () ->
-            Numeric.Poisson.fft_force_field ~rows:n ~cols:n ~hx:1. ~hy:1. g)
-      in
-      let cplx =
-        time_ns (fun () ->
-            Numeric.Poisson.fft_force_field_complex ~rows:n ~cols:n ~hx:1.
-              ~hy:1. g)
-      in
-      rows :=
-        (Printf.sprintf "kernels/poisson-real-%d" n, real)
-        :: (Printf.sprintf "kernels/poisson-complex-%d" n, cplx)
-        :: !rows)
+      solve ();
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to reps do
+        solve ()
+      done;
+      let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps in
+      rows := (Printf.sprintf "kernels/poisson-real-%d" n, ns) :: !rows)
     [ 96; 128; 256; 512 ];
   List.iter
     (fun (name, est) ->

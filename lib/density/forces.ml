@@ -1,5 +1,3 @@
-type solver = Fft | Direct | Sor
-
 type t = {
   fx : float array;
   fy : float array;
@@ -7,17 +5,6 @@ type t = {
   raw_max : float;
   overflow : float;
 }
-
-let field_of_grid ?(solver = Fft) grid =
-  let rows = Geometry.Grid2.ny grid and cols = Geometry.Grid2.nx grid in
-  let hx = Geometry.Grid2.dx grid and hy = Geometry.Grid2.dy grid in
-  let density = Geometry.Grid2.values grid in
-  match solver with
-  | Fft -> Numeric.Poisson.fft_force_field ~rows ~cols ~hx ~hy density
-  | Direct -> Numeric.Poisson.direct_force_field ~rows ~cols ~hx ~hy density
-  | Sor ->
-    let phi = Numeric.Poisson.sor_potential ~rows ~cols ~hx ~hy density in
-    Numeric.Poisson.gradient_force ~rows ~cols ~hx ~hy phi
 
 let prewarm ~region ~nx ~ny =
   (* Mirror Grid2.create's pitch computation exactly so the cache key

@@ -6,12 +6,6 @@
     equals the spring force of a unit-weight net of length K·(W + H);
     no cell force exceeds it. *)
 
-(** How to evaluate the field. *)
-type solver =
-  | Fft  (** zero-padded FFT convolution (default) *)
-  | Direct  (** O(G⁴) summation — tests and tiny grids *)
-  | Sor  (** Dirichlet SOR potential + gradient (ablation) *)
-
 (** Per-movable-cell force increments, indexed by QP variable index. *)
 type t = {
   fx : float array;
@@ -59,12 +53,6 @@ val at_cells :
   ?extra:Geometry.Grid2.t ->
   unit ->
   t
-
-(** [field_of_grid ?solver grid] exposes the raw (unscaled) field for a
-    prepared density grid (default solver {!Fft}, the one the placer
-    uses) — used by tests, the solver ablation and the route/heat
-    demos. *)
-val field_of_grid : ?solver:solver -> Geometry.Grid2.t -> Numeric.Poisson.field
 
 (** [prewarm ~region ~nx ~ny] eagerly builds the cached FFT Poisson
     kernel spectra for the density grid an [nx]×[ny] run over [region]

@@ -200,9 +200,9 @@ let field_str v key =
   | _ -> Error (Printf.sprintf "checkpoint: field %S is not a string" key)
 
 let field_int v key =
-  match member key v with
-  | Some (Num n) when Float.is_integer n -> Ok (int_of_float n)
-  | _ -> Error (Printf.sprintf "checkpoint: field %S is not an integer" key)
+  match Option.bind (member key v) to_int with
+  | Some i -> Ok i
+  | None -> Error (Printf.sprintf "checkpoint: field %S is not an integer" key)
 
 let field_float v key =
   match member key v with

@@ -125,8 +125,10 @@ let field_opt_int v key =
   let* n = field_opt_num v key in
   match n with
   | None -> Ok None
-  | Some n when Float.is_integer n -> Ok (Some (int_of_float n))
-  | Some _ -> Error (Printf.sprintf "job: field %S is not an integer" key)
+  | Some n -> (
+    match to_int (Num n) with
+    | Some i -> Ok (Some i)
+    | None -> Error (Printf.sprintf "job: field %S is not an integer" key))
 
 (* Goal, mode, effort and flow live only in the "objective" object; a
    top-level copy is refused rather than silently ignored. *)
@@ -228,8 +230,9 @@ let field_num v key =
 
 let field_int v key =
   let* n = field_num v key in
-  if Float.is_integer n then Ok (int_of_float n)
-  else Error (Printf.sprintf "result: field %S is not an integer" key)
+  match to_int (Num n) with
+  | Some i -> Ok i
+  | None -> Error (Printf.sprintf "result: field %S is not an integer" key)
 
 let field_bool v key =
   match member key v with

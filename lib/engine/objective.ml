@@ -127,9 +127,12 @@ let ( let* ) = Result.bind
 
 let field_opt_int v key =
   match member key v with
-  | Some (Num n) when Float.is_integer n -> Ok (Some (int_of_float n))
   | Some Null | None -> Ok None
-  | Some _ -> Error (Printf.sprintf "objective: field %S is not an integer" key)
+  | Some n -> (
+    match to_int n with
+    | Some i -> Ok (Some i)
+    | None ->
+      Error (Printf.sprintf "objective: field %S is not an integer" key))
 
 let of_json v =
   let* goal =

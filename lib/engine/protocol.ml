@@ -55,8 +55,10 @@ let seq_of_json v = member "seq" v
 
 let field_id v =
   match member "id" v with
-  | Some (Num n) when Float.is_integer n && n >= 1. -> Ok (int_of_float n)
-  | Some _ -> Error (err Bad_spec "field \"id\" is not a positive integer")
+  | Some n -> (
+    match to_int n with
+    | Some i when i >= 1 -> Ok i
+    | _ -> Error (err Bad_spec "field \"id\" is not a positive integer"))
   | None -> Error (err Bad_spec "missing field \"id\"")
 
 let request_of_json v =
@@ -80,9 +82,8 @@ let request_of_json v =
     Ok (Cancel id)
   | Some (Str "jobs") -> Ok Jobs
   | Some (Str "step") -> (
-    match member "turns" v with
-    | Some (Num n) when Float.is_integer n && n >= 1. ->
-      Ok (Step (int_of_float n))
+    match Option.map to_int (member "turns" v) with
+    | Some (Some n) when n >= 1 -> Ok (Step n)
     | None -> Ok (Step 1)
     | Some _ ->
       Error (err Bad_spec "field \"turns\" is not a positive integer"))
@@ -92,9 +93,8 @@ let request_of_json v =
     Ok (Wait id)
   | Some (Str "metrics") -> Ok Metrics
   | Some (Str "subscribe") -> (
-    match member "from_ev" v with
-    | Some (Num n) when Float.is_integer n && n >= 0. ->
-      Ok (Subscribe { from_ev = Some (int_of_float n) })
+    match Option.map to_int (member "from_ev" v) with
+    | Some (Some n) when n >= 0 -> Ok (Subscribe { from_ev = Some n })
     | None -> Ok (Subscribe { from_ev = None })
     | Some _ ->
       Error (err Bad_spec "field \"from_ev\" is not a non-negative integer"))

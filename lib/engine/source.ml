@@ -67,9 +67,8 @@ let of_json v =
       | _ -> 1.0
     in
     let seed =
-      match Obs.Json.member "seed" v with
-      | Some (Obs.Json.Num s) when Float.is_integer s -> int_of_float s
-      | _ -> 42
+      Option.value ~default:42
+        (Option.bind (Obs.Json.member "seed" v) Obs.Json.to_int)
     in
     if scale <= 0. || scale > 1. then Error "source: scale must be in (0, 1]"
     else Ok (Profile { name; scale; seed })

@@ -48,9 +48,9 @@ let solution w = w.x
 
 let rhs w = w.b
 
-(* Local copies of the Vec kernels, same loops and accumulation order:
-   every call into another module passes its floats boxed, and these run
-   a few times per CG iteration. *)
+(* Vector kernels kept local to this module: every call into another
+   module passes its floats boxed, and these run a few times per CG
+   iteration. *)
 let[@inline] dot a b n =
   let acc = ref 0. in
   for i = 0 to n - 1 do

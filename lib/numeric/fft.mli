@@ -1,8 +1,9 @@
 (** Radix-2 fast Fourier transforms.
 
-    Used to evaluate the open-boundary force-field convolution of the
-    paper's eq. (9) in O(G² log G) on a G×G density grid.  Data is held in
-    separate real/imaginary arrays; 2-D data is row-major. *)
+    Used by {!Poisson.fft_force_field} to evaluate the open-boundary
+    force-field convolution of the paper's eq. (9) in O(G² log G) on a
+    G×G density grid.  Data is held in separate real/imaginary
+    arrays. *)
 
 (** [is_pow2 n] is true when [n] is a positive power of two. *)
 val is_pow2 : int -> bool
@@ -10,48 +11,13 @@ val is_pow2 : int -> bool
 (** [next_pow2 n] is the smallest power of two ≥ [max 1 n]. *)
 val next_pow2 : int -> int
 
-(** [transform ~inverse re im] performs the in-place FFT of the complex
-    sequence [re + i·im].  The inverse transform includes the 1/n
-    normalisation.  Raises [Invalid_argument] unless the length is a
-    power of two and both arrays agree. *)
-val transform : inverse:bool -> float array -> float array -> unit
-
-(** [transform2 ~inverse ~rows ~cols re im] performs the in-place 2-D FFT
-    of a [rows]×[cols] row-major complex grid.  Both dimensions must be
-    powers of two. *)
-val transform2 :
-  inverse:bool -> rows:int -> cols:int -> float array -> float array -> unit
-
-(** Reusable buffers for {!convolve2}: four [rows·cols] planes.  One
-    scratch serves any number of same-size convolutions; reusing it makes
-    a fixed-grid convolution loop allocation-free after the first call. *)
-type conv_scratch
-
-(** [conv_scratch ~rows ~cols] allocates scratch for [rows]×[cols]
-    convolutions. *)
-val conv_scratch : rows:int -> cols:int -> conv_scratch
-
-(** [convolve2 ?scratch ~rows ~cols a b] is the 2-D {e cyclic} convolution
-    of two real [rows]×[cols] grids.  Callers wanting linear
-    (open-boundary) convolution must zero-pad to at least twice the
-    support first.  With [scratch] the result aliases a scratch plane —
-    valid until the next call with the same scratch — and the call
-    allocates nothing; results are bitwise-identical either way. *)
-val convolve2 :
-  ?scratch:conv_scratch ->
-  rows:int ->
-  cols:int ->
-  float array ->
-  float array ->
-  float array
-
 (** {1 Planned transforms}
 
     A {!plan} precomputes the bit-reversal permutation and per-stage
     twiddle tables for one power-of-two length.  Plans are immutable,
     cached process-wide and safely shared across domains; the planned
-    transforms below are the building blocks of the real-to-real Poisson
-    path in {!Poisson}. *)
+    transforms below are the building blocks of the real-transform
+    Poisson path in {!Poisson}. *)
 
 type plan
 
@@ -61,11 +27,8 @@ val plan : int -> plan
 
 (** [cfft p ~inverse re im off] performs the in-place complex FFT of
     [re.(off..off+n-1)], [im.(off..off+n-1)] where [n] is the plan's
-    length.  The inverse includes the 1/n normalisation.  Identical
-    butterfly ordering to {!transform}, but twiddles come from the plan's
-    tables (computed with direct cos/sin rather than the legacy
-    recurrence, so results may differ from {!transform} in the last
-    ulps). *)
+    length.  The inverse includes the 1/n normalisation.  Twiddles come
+    from the plan's tables, computed with direct cos/sin. *)
 val cfft : plan -> inverse:bool -> float array -> float array -> int -> unit
 
 (** Plan for real-input transforms of one power-of-two length [n ≥ 2]:
@@ -92,23 +55,3 @@ val rfft_into :
   zre:float array ->
   zim:float array ->
   unit
-
-(** {1 Real-to-real transforms}
-
-    Unnormalised type-II discrete cosine/sine transforms and their exact
-    inverses, for power-of-two lengths (lengths 0 and 1 are identities):
-
-    - [dct2 x] has [y.(k) = Σ_j x.(j)·cos(πk(2j+1)/(2N))]
-    - [dst2 x] has [y.(k) = Σ_j x.(j)·sin(π(k+1)(2j+1)/(2N))]
-
-    Both run in O(N log N) via one real FFT of length N (Makhoul's
-    factorisation).  [idct2 (dct2 x) = x] and [idst2 (dst2 x) = x] to
-    machine precision. *)
-
-val dct2 : float array -> float array
-
-val dst2 : float array -> float array
-
-val idct2 : float array -> float array
-
-val idst2 : float array -> float array

@@ -231,12 +231,6 @@ let parallel_range ?chunk ?work ~lo ~hi body =
              fun () -> body a b))
   end
 
-let parallel_for ?chunk ?work ~lo ~hi f =
-  parallel_range ?chunk ?work ~lo ~hi (fun a b ->
-      for i = a to b - 1 do
-        f i
-      done)
-
 (* Run two independent computations concurrently; [f] runs on the
    caller or a worker, [g] likewise.  With one domain this is exactly
    [let a = f () in let b = g () in (a, b)]. *)

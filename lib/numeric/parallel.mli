@@ -66,11 +66,6 @@ val shutdown : unit -> unit
 val parallel_range :
   ?chunk:int -> ?work:int -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 
-(** [parallel_for ?chunk ?work ~lo ~hi f] calls [f i] for every
-    [lo <= i < hi], chunked as {!parallel_range}. *)
-val parallel_for :
-  ?chunk:int -> ?work:int -> lo:int -> hi:int -> (int -> unit) -> unit
-
 (** [both f g] runs the two thunks concurrently (sequentially, [f]
     first, on a one-domain pool) and returns both results.  The first
     exception raised by either thunk is re-raised on the caller. *)

@@ -34,37 +34,42 @@ let direct_force_field ~rows ~cols ~hx ~hy density =
   done;
   { rows; cols; fx; fy }
 
-(* Frequency-domain force kernels.  They depend only on the grid
-   geometry (rows, cols, hx, hy), not on the density, so the Kraftwerk
-   loop — which calls [fft_force_field] every iteration on the same
-   grid — pays kernel construction and the two forward kernel FFTs only
-   once; iterations 2..N hit the cache. *)
-type kernel_spectrum = {
+(* FFT evaluation.
+
+   Eq. (9) is a linear convolution of the density with two real force
+   kernels.  Zero-padding the density to P×Q ≥ 2R×2C and storing the
+   kernels at wrapped offsets makes the cyclic convolution on the padded
+   grid equal the linear one on the original grid, so this is the
+   open-boundary operator itself and agrees with [direct_force_field] to
+   machine precision.  Two structural redundancies are exploited:
+
+   1. the density and both kernels are real, so their spectra are
+      Hermitian — only the half plane v ≤ Q/2 is stored, computed with
+      real-input FFTs of half the butterfly count, and the row passes
+      run only over the R occupied rows of the padded grid;
+   2. the two inverse transforms pack into one: with Z = F̂x + i·F̂y, a
+      single complex inverse yields fx as the real part and fy as the
+      imaginary part.
+
+   Kernel spectra depend only on the grid geometry (rows, cols, hx, hy),
+   not on the density, so the Kraftwerk loop — which evaluates the same
+   grid every iteration — pays kernel construction and the kernel FFTs
+   once.  Mutable scratch lives in domain-local storage keyed by padded
+   geometry, so concurrent jobs on different domains never share buffers
+   and a fixed-grid loop stops allocating after its first call. *)
+
+(* Half-plane Hermitian kernel spectra, stored as prows × hw planes. *)
+type kernel = {
   prows : int;
   pcols : int;
-  kxr : float array;
+  hw : int;  (* pcols/2 + 1: stored half-plane width *)
+  kxr : float array;  (* prows × hw *)
   kxi : float array;
   kyr : float array;
   kyi : float array;
 }
 
-let kernel_cache : (int * int * float * float, kernel_spectrum) Hashtbl.t =
-  Hashtbl.create 4
-
-(* Half-plane Hermitian kernel spectra of the real-transform path (the
-   placer's hot path); built and cached like [kernel_spectrum], stored
-   as prows × (pcols/2 + 1) planes. *)
-type real_kernel = {
-  rk_prows : int;
-  rk_pcols : int;
-  rk_hw : int;  (* pcols/2 + 1: stored half-plane width *)
-  rk_kxr : float array;  (* prows × hw *)
-  rk_kxi : float array;
-  rk_kyr : float array;
-  rk_kyi : float array;
-}
-
-let real_cache : (int * int * float * float, real_kernel) Hashtbl.t =
+let kernel_cache : (int * int * float * float, kernel) Hashtbl.t =
   Hashtbl.create 4
 
 let kernel_cache_lock = Mutex.create ()
@@ -78,130 +83,11 @@ let kernel_cache_misses = ref 0
 let clear_kernel_cache () =
   Mutex.lock kernel_cache_lock;
   Hashtbl.reset kernel_cache;
-  Hashtbl.reset real_cache;
   kernel_cache_hits := 0;
   kernel_cache_misses := 0;
   Mutex.unlock kernel_cache_lock
 
 let kernel_cache_stats () = (!kernel_cache_hits, !kernel_cache_misses)
-
-let build_kernel_spectrum ~rows ~cols ~hx ~hy =
-  let prows = Fft.next_pow2 (2 * rows) in
-  let pcols = Fft.next_pow2 (2 * cols) in
-  let n = prows * pcols in
-  (* Force kernels indexed by offset (dr, dc) with wraparound for negative
-     offsets, so the cyclic convolution on the padded grid equals the
-     linear convolution on the original one. *)
-  let kx = Array.make n 0. and ky = Array.make n 0. in
-  let cell_area = hx *. hy in
-  for dr = -(rows - 1) to rows - 1 do
-    for dc = -(cols - 1) to cols - 1 do
-      if dr <> 0 || dc <> 0 then begin
-        let dx = float_of_int dc *. hx in
-        let dy = float_of_int dr *. hy in
-        let r2 = (dx *. dx) +. (dy *. dy) in
-        let idx_r = if dr >= 0 then dr else prows + dr in
-        let idx_c = if dc >= 0 then dc else pcols + dc in
-        let i = (idx_r * pcols) + idx_c in
-        kx.(i) <- dx /. r2 *. cell_area /. two_pi;
-        ky.(i) <- dy /. r2 *. cell_area /. two_pi
-      end
-    done
-  done;
-  let kxi = Array.make n 0. and kyi = Array.make n 0. in
-  let (), () =
-    Parallel.both
-      (fun () -> Fft.transform2 ~inverse:false ~rows:prows ~cols:pcols kx kxi)
-      (fun () -> Fft.transform2 ~inverse:false ~rows:prows ~cols:pcols ky kyi)
-  in
-  { prows; pcols; kxr = kx; kxi; kyr = ky; kyi }
-
-let kernel_spectrum ~rows ~cols ~hx ~hy =
-  let key = (rows, cols, hx, hy) in
-  Mutex.lock kernel_cache_lock;
-  match Hashtbl.find_opt kernel_cache key with
-  | Some sp ->
-    incr kernel_cache_hits;
-    Mutex.unlock kernel_cache_lock;
-    Obs.Registry.incr "poisson/kernel_cache_hits";
-    sp
-  | None ->
-    incr kernel_cache_misses;
-    Mutex.unlock kernel_cache_lock;
-    Obs.Registry.incr "poisson/kernel_cache_misses";
-    let sp = build_kernel_spectrum ~rows ~cols ~hx ~hy in
-    Mutex.lock kernel_cache_lock;
-    if Hashtbl.length kernel_cache >= kernel_cache_limit then
-      Hashtbl.reset kernel_cache;
-    Hashtbl.replace kernel_cache key sp;
-    Mutex.unlock kernel_cache_lock;
-    sp
-
-let fft_force_field_complex ~rows ~cols ~hx ~hy density =
-  check_size ~rows ~cols density "Poisson.fft_force_field_complex";
-  let sp = kernel_spectrum ~rows ~cols ~hx ~hy in
-  let prows = sp.prows and pcols = sp.pcols in
-  let n = prows * pcols in
-  let sr = Array.make n 0. and si = Array.make n 0. in
-  for r = 0 to rows - 1 do
-    Array.blit density (r * cols) sr (r * pcols) cols
-  done;
-  (* One forward transform of the padded density, shared read-only by
-     both axis convolutions (the old path forward-transformed it twice). *)
-  Fft.transform2 ~inverse:false ~rows:prows ~cols:pcols sr si;
-  let convolve kr ki =
-    let cr = Array.make n 0. and ci = Array.make n 0. in
-    for i = 0 to n - 1 do
-      cr.(i) <- (sr.(i) *. kr.(i)) -. (si.(i) *. ki.(i));
-      ci.(i) <- (sr.(i) *. ki.(i)) +. (si.(i) *. kr.(i))
-    done;
-    Fft.transform2 ~inverse:true ~rows:prows ~cols:pcols cr ci;
-    cr
-  in
-  let conv_x, conv_y =
-    Parallel.both
-      (fun () -> convolve sp.kxr sp.kxi)
-      (fun () -> convolve sp.kyr sp.kyi)
-  in
-  let fx = Array.make (rows * cols) 0. in
-  let fy = Array.make (rows * cols) 0. in
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      fx.((r * cols) + c) <- conv_x.((r * pcols) + c);
-      fy.((r * cols) + c) <- conv_y.((r * pcols) + c)
-    done
-  done;
-  { rows; cols; fx; fy }
-
-(* ------------------------------------------------------------------ *)
-(* Real-transform path                                                  *)
-(*                                                                      *)
-(* The complex path above zero-pads the density to a full P×Q complex   *)
-(* grid (imaginary plane everywhere zero), forward transforms it, runs  *)
-(* two full complex convolutions and throws three quarters of every     *)
-(* inverse transform away.  The path below exploits the two structural  *)
-(* redundancies:                                                        *)
-(*                                                                      *)
-(*   1. the density and both kernels are real, so their spectra are     *)
-(*      Hermitian — only the half plane v ≤ Q/2 is stored, computed     *)
-(*      with real-input FFTs of half the butterfly count, and the row   *)
-(*      passes run only over the R occupied rows of the padded grid;    *)
-(*   2. the two inverse transforms pack into one: with                  *)
-(*      Z = F̂x + i·F̂y, a single complex inverse yields fx as the real   *)
-(*      part and fy as the imaginary part.                              *)
-(*                                                                      *)
-(* The operator is still the exact padded linear convolution — same     *)
-(* kernels, same boundary behaviour — so it agrees with                 *)
-(* [direct_force_field] to machine precision, like the complex path.    *)
-(* A DCT-based Neumann spectral solve (ePlace-style) would be faster    *)
-(* still but changes the boundary conditions; the real-to-real DCT/DST  *)
-(* transforms live in {!Fft} for spectral experiments and tests.        *)
-(*                                                                      *)
-(* Half-plane kernel spectra are cached per (rows, cols, hx, hy) next   *)
-(* to the complex cache; mutable scratch lives in domain-local storage  *)
-(* keyed by padded geometry, so concurrent jobs on different domains    *)
-(* never share buffers and a fixed-grid loop stops allocating after     *)
-(* its first call. *)
 
 (* Per-domain reusable planes for one padded geometry. *)
 type workspace = {
@@ -305,13 +191,14 @@ let forward_real ~prows ~pcols ~hw ~src ~src_rows ~src_cols ~dr ~di =
     ~work:(hw * prows * 12)
     (batched_col_fft cp ~inverse:false ~prows ~width:hw ~re:dr ~im:di)
 
-let build_real_kernel ~rows ~cols ~hx ~hy =
+let build_kernel ~rows ~cols ~hx ~hy =
   let prows = Fft.next_pow2 (2 * rows) in
   let pcols = Fft.next_pow2 (2 * cols) in
   let hw = (pcols / 2) + 1 in
   let n = prows * pcols in
   let cell_area = hx *. hy in
-  (* Same wrapped offset kernels as the complex path. *)
+  (* Force kernels indexed by offset (dr, dc), negative offsets wrapped
+     to the far end of the padded grid. *)
   let k = Array.make n 0. in
   let fill component =
     Array.fill k 0 n 0.;
@@ -339,13 +226,12 @@ let build_real_kernel ~rows ~cols ~hx ~hy =
   let kxr, kxi = spectrum () in
   fill `Y;
   let kyr, kyi = spectrum () in
-  { rk_prows = prows; rk_pcols = pcols; rk_hw = hw; rk_kxr = kxr;
-    rk_kxi = kxi; rk_kyr = kyr; rk_kyi = kyi }
+  { prows; pcols; hw; kxr; kxi; kyr; kyi }
 
-let real_kernel ~rows ~cols ~hx ~hy =
+let kernel ~rows ~cols ~hx ~hy =
   let key = (rows, cols, hx, hy) in
   Mutex.lock kernel_cache_lock;
-  match Hashtbl.find_opt real_cache key with
+  match Hashtbl.find_opt kernel_cache key with
   | Some rk ->
     incr kernel_cache_hits;
     Mutex.unlock kernel_cache_lock;
@@ -355,26 +241,26 @@ let real_kernel ~rows ~cols ~hx ~hy =
     incr kernel_cache_misses;
     Mutex.unlock kernel_cache_lock;
     Obs.Registry.incr "poisson/kernel_cache_misses";
-    let rk = build_real_kernel ~rows ~cols ~hx ~hy in
+    let rk = build_kernel ~rows ~cols ~hx ~hy in
     Mutex.lock kernel_cache_lock;
-    if Hashtbl.length real_cache >= kernel_cache_limit then
-      Hashtbl.reset real_cache;
-    Hashtbl.replace real_cache key rk;
+    if Hashtbl.length kernel_cache >= kernel_cache_limit then
+      Hashtbl.reset kernel_cache;
+    Hashtbl.replace kernel_cache key rk;
     Mutex.unlock kernel_cache_lock;
     rk
 
-let prewarm ~rows ~cols ~hx ~hy = ignore (real_kernel ~rows ~cols ~hx ~hy)
+let prewarm ~rows ~cols ~hx ~hy = ignore (kernel ~rows ~cols ~hx ~hy)
 
 let fft_force_field ?out ~rows ~cols ~hx ~hy density =
   check_size ~rows ~cols density "Poisson.fft_force_field";
-  let rk = real_kernel ~rows ~cols ~hx ~hy in
-  let prows = rk.rk_prows and pcols = rk.rk_pcols and hw = rk.rk_hw in
+  let rk = kernel ~rows ~cols ~hx ~hy in
+  let prows = rk.prows and pcols = rk.pcols and hw = rk.hw in
   let w = workspace ~prows ~pcols in
   let dr = w.w_dr and di = w.w_di and zr = w.w_zr and zi = w.w_zi in
   forward_real ~prows ~pcols ~hw ~src:density ~src_rows:rows ~src_cols:cols
     ~dr ~di;
-  let kxr = rk.rk_kxr and kxi = rk.rk_kxi in
-  let kyr = rk.rk_kyr and kyi = rk.rk_kyi in
+  let kxr = rk.kxr and kxi = rk.kxi in
+  let kyr = rk.kyr and kyi = rk.kyi in
   let half = pcols / 2 in
   (* Pack Z = F̂x + i·F̂y.  Stored half plane, then the mirrored half
      re-derived from the Hermitian symmetry of D̂·K̂ — recomputing eight
@@ -475,31 +361,6 @@ let sor_potential ~rows ~cols ~hx ~hy ?(omega = 1.8) ?(tol = 1e-7) ?(max_iter = 
   done;
   phi
 
-let gradient_force ~rows ~cols ~hx ~hy phi =
-  check_size ~rows ~cols phi "Poisson.gradient_force";
-  let fx = Array.make (rows * cols) 0. in
-  let fy = Array.make (rows * cols) 0. in
-  let get r c = phi.((r * cols) + c) in
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      let dpx =
-        if cols = 1 then 0.
-        else if c = 0 then (get r 1 -. get r 0) /. hx
-        else if c = cols - 1 then (get r (cols - 1) -. get r (cols - 2)) /. hx
-        else (get r (c + 1) -. get r (c - 1)) /. (2. *. hx)
-      in
-      let dpy =
-        if rows = 1 then 0.
-        else if r = 0 then (get 1 c -. get 0 c) /. hy
-        else if r = rows - 1 then (get (rows - 1) c -. get (rows - 2) c) /. hy
-        else (get (r + 1) c -. get (r - 1) c) /. (2. *. hy)
-      in
-      fx.((r * cols) + c) <- -.dpx;
-      fy.((r * cols) + c) <- -.dpy
-    done
-  done;
-  { rows; cols; fx; fy }
-
 let max_magnitude f =
   (* Track the maximum *squared* magnitude and take one sqrt at the end;
      sqrt is monotone, so this is exact (and bitwise-identical for the
@@ -510,7 +371,3 @@ let max_magnitude f =
     if m2 > !acc then acc := m2
   done;
   sqrt !acc
-
-let scale_field s f =
-  Vec.scale s f.fx;
-  Vec.scale s f.fy

@@ -7,14 +7,16 @@
     f(r) = k/(2π) ∬ D(r') · (r − r') / |r − r'|² dA'
 
     Positive density repels (cells push each other apart); negative density
-    (free placement area) attracts.  Three evaluators are provided:
+    (free placement area) attracts.  Two evaluators of eq. (9) are
+    provided:
 
     - {!direct_force_field}: O(G⁴) summation — the test oracle;
     - {!fft_force_field}: zero-padded FFT convolution, O(G² log G) — used
-      by the placer;
-    - {!sor_potential} + {!gradient_force}: a Dirichlet-boundary SOR
-      solve of ∇²Φ = D followed by f = −∇Φ — an ablation with closed
-      instead of open boundary conditions.
+      by the placer.
+
+    {!sor_potential} is a separate Dirichlet-boundary SOR solve of
+    ∇²Φ = D (closed instead of open boundary conditions); the routing
+    heat map uses it.
 
     All grids are row-major [rows × cols] with grid pitch [hx × hy];
     density values are per unit area. *)
@@ -33,7 +35,7 @@ val direct_force_field :
     result is the open-boundary (linear, non-cyclic) convolution.  Agrees
     with {!direct_force_field} to machine precision.
 
-    This is the real-transform fast path: the density and both kernels
+    The density and both kernels
     are real, so only Hermitian half spectra are computed (real-input
     FFTs over the occupied rows of the padded grid), and the two inverse
     transforms pack into one complex inverse with fx in the real plane
@@ -54,13 +56,6 @@ val fft_force_field :
   hy:float ->
   float array ->
   field
-
-(** The historical complex-FFT evaluation of the same operator: pad to a
-    full complex grid, two complex convolutions against the cached
-    kernel spectra.  Kept as the bitwise reference for the pre-existing
-    trajectory pins and as the benchmark baseline for the real path. *)
-val fft_force_field_complex :
-  rows:int -> cols:int -> hx:float -> hy:float -> float array -> field
 
 (** [prewarm ~rows ~cols ~hx ~hy] builds (or touches) the cached kernel
     spectra of {!fft_force_field} for one grid geometry, so the first
@@ -90,13 +85,5 @@ val sor_potential :
   float array ->
   float array
 
-(** [gradient_force ~rows ~cols ~hx ~hy phi] is f = −∇Φ by central
-    differences (one-sided at the boundary). *)
-val gradient_force :
-  rows:int -> cols:int -> hx:float -> hy:float -> float array -> field
-
 (** [max_magnitude f] is the largest |f| over the field. *)
 val max_magnitude : field -> float
-
-(** [scale_field s f] multiplies both components in place. *)
-val scale_field : float -> field -> unit

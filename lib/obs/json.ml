@@ -10,6 +10,13 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
+let max_exact_int = 9007199254740992. (* 2^53 *)
+
+let to_int = function
+  | Num n when Float.is_integer n && Float.abs n <= max_exact_int ->
+    Some (int_of_float n)
+  | _ -> None
+
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)
 

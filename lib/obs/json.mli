@@ -19,6 +19,14 @@ type t =
 (** [member key v] is the field [key] of an [Obj], else [None]. *)
 val member : string -> t -> t option
 
+(** [to_int v] is [Some i] when [v] is a [Num] holding an integer of
+    magnitude at most 2{^53} — the range in which every integer is a
+    float — and [None] otherwise.  Job specs, objectives, checkpoints,
+    traces and protocol requests read their integer fields through it:
+    [int_of_float] past the [int] range is unspecified, so an unchecked
+    conversion would wrap a value like [1e19] silently. *)
+val to_int : t -> int option
+
 (** [to_string v] is the compact (single-line) serialisation of [v];
     JSONL-safe — never contains an unescaped newline. *)
 val to_string : t -> string

@@ -147,8 +147,9 @@ let field_num obj key =
 
 let field_int obj key =
   Result.bind (field_num obj key) (fun v ->
-      if Float.is_integer v then Ok (int_of_float v)
-      else Error (Printf.sprintf "field %S is not an integer" key))
+      match Json.to_int (Json.Num v) with
+      | Some i -> Ok i
+      | None -> Error (Printf.sprintf "field %S is not an integer" key))
 
 let ( let* ) = Result.bind
 

@@ -3,7 +3,6 @@
 let () =
   Alcotest.run "kraftwerk-repro"
     [
-      ("numeric.vec", Test_vec.suite);
       ("numeric.sparse", Test_sparse.suite);
       ("numeric.cg", Test_cg.suite);
       ("numeric.fft", Test_fft.suite);

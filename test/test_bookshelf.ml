@@ -46,9 +46,9 @@ let test_roundtrip_positions () =
       Netlist.Bookshelf.save base circuit p;
       let _, p' = bs_exn (Netlist.Bookshelf.load_aux (base ^ ".aux")) in
       Alcotest.(check bool) "x preserved" true
-        (Numeric.Vec.max_abs_diff p.Netlist.Placement.x p'.Netlist.Placement.x < 1e-3);
+        (Helpers.max_abs_diff p.Netlist.Placement.x p'.Netlist.Placement.x < 1e-3);
       Alcotest.(check bool) "y preserved" true
-        (Numeric.Vec.max_abs_diff p.Netlist.Placement.y p'.Netlist.Placement.y < 1e-3))
+        (Helpers.max_abs_diff p.Netlist.Placement.y p'.Netlist.Placement.y < 1e-3))
 
 let test_terminals_roundtrip_fixed () =
   let circuit, p = sample () in

@@ -152,12 +152,15 @@ let test_forces_scale_bound () =
 let test_solver_variants_agree () =
   let c = small_circuit () in
   let grid = Density.Density_map.balance (demand ~bins:12 c (clumped_placement c)) in
-  let field solver = Density.Forces.field_of_grid ~solver grid in
-  let fft = field Density.Forces.Fft and direct = field Density.Forces.Direct in
+  let rows = Geometry.Grid2.ny grid and cols = Geometry.Grid2.nx grid in
+  let hx = Geometry.Grid2.dx grid and hy = Geometry.Grid2.dy grid in
+  let density = Geometry.Grid2.values grid in
+  let fft = Numeric.Poisson.fft_force_field ~rows ~cols ~hx ~hy density in
+  let direct = Numeric.Poisson.direct_force_field ~rows ~cols ~hx ~hy density in
   Alcotest.(check bool) "fft = direct (x)" true
-    (Numeric.Vec.max_abs_diff fft.Numeric.Poisson.fx direct.Numeric.Poisson.fx < 1e-6);
+    (Helpers.max_abs_diff fft.Numeric.Poisson.fx direct.Numeric.Poisson.fx < 1e-6);
   Alcotest.(check bool) "fft = direct (y)" true
-    (Numeric.Vec.max_abs_diff fft.Numeric.Poisson.fy direct.Numeric.Poisson.fy < 1e-6)
+    (Helpers.max_abs_diff fft.Numeric.Poisson.fy direct.Numeric.Poisson.fy < 1e-6)
 
 (* --- stopping criterion --- *)
 

@@ -1133,6 +1133,7 @@ let test_checkpoint_robustness () =
           ("long route_target", [ ("route_target", longer) ]);
           ("short x and y", [ ("x", shorter); ("y", shorter) ]);
           ("no ml_level", [ ("ml_level", fun _ -> Obs.Json.Null) ]);
+          ("iteration past 2^53", [ ("iteration", fun _ -> Obs.Json.Num 1e19) ]);
         ])
     (robustness_fixtures ())
 

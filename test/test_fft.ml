@@ -1,4 +1,5 @@
-(* Tests for the FFT and convolution kernels. *)
+(* Tests for the planned FFTs that the Poisson force field runs: the
+   complex [cfft] and the real-input half-spectrum [rfft_into]. *)
 
 let approx = Alcotest.float 1e-6
 
@@ -11,30 +12,51 @@ let test_pow2_helpers () =
   Alcotest.(check int) "next 8" 8 (Numeric.Fft.next_pow2 8);
   Alcotest.(check int) "next 0" 1 (Numeric.Fft.next_pow2 0)
 
+let cfft ~inverse re im off =
+  Numeric.Fft.cfft (Numeric.Fft.plan (Array.length re - off)) ~inverse re im off
+
 let test_impulse_spectrum_flat () =
   let re = [| 1.; 0.; 0.; 0. |] and im = [| 0.; 0.; 0.; 0. |] in
-  Numeric.Fft.transform ~inverse:false re im;
+  cfft ~inverse:false re im 0;
   Array.iter (fun v -> Alcotest.check approx "flat re" 1. v) re;
   Array.iter (fun v -> Alcotest.check approx "flat im" 0. v) im
 
 let test_constant_spectrum_impulse () =
   let re = [| 1.; 1.; 1.; 1. |] and im = Array.make 4 0. in
-  Numeric.Fft.transform ~inverse:false re im;
+  cfft ~inverse:false re im 0;
   Alcotest.check approx "dc" 4. re.(0);
   for i = 1 to 3 do
     Alcotest.check approx "ac" 0. re.(i)
   done
 
+(* [off] leading slots hold a sentinel the transform must not touch. *)
+let random_signal ~seed ~off n =
+  let rng = Numeric.Rng.create seed in
+  let fill () =
+    Array.init (off + n) (fun i ->
+        if i < off then 99. else Numeric.Rng.uniform rng (-1.) 1.)
+  in
+  let re = fill () in
+  let im = fill () in
+  (re, im)
+
 let test_roundtrip () =
-  let n = 16 in
-  let rng = Numeric.Rng.create 3 in
-  let re = Array.init n (fun _ -> Numeric.Rng.uniform rng (-1.) 1.) in
-  let im = Array.init n (fun _ -> Numeric.Rng.uniform rng (-1.) 1.) in
-  let re0 = Array.copy re and im0 = Array.copy im in
-  Numeric.Fft.transform ~inverse:false re im;
-  Numeric.Fft.transform ~inverse:true re im;
-  Alcotest.(check bool) "re restored" true (Numeric.Vec.max_abs_diff re0 re < 1e-9);
-  Alcotest.(check bool) "im restored" true (Numeric.Vec.max_abs_diff im0 im < 1e-9)
+  List.iter
+    (fun off ->
+      let n = 16 in
+      let re, im = random_signal ~seed:3 ~off n in
+      let re0 = Array.copy re and im0 = Array.copy im in
+      cfft ~inverse:false re im off;
+      cfft ~inverse:true re im off;
+      Alcotest.(check bool)
+        (Printf.sprintf "re restored off=%d" off)
+        true
+        (Helpers.max_abs_diff re0 re < 1e-9);
+      Alcotest.(check bool)
+        (Printf.sprintf "im restored off=%d" off)
+        true
+        (Helpers.max_abs_diff im0 im < 1e-9))
+    [ 0; 5 ]
 
 let naive_dft re im =
   let n = Array.length re in
@@ -49,154 +71,87 @@ let naive_dft re im =
   (out_re, out_im)
 
 let test_matches_naive_dft () =
-  let n = 8 in
-  let rng = Numeric.Rng.create 4 in
-  let re = Array.init n (fun _ -> Numeric.Rng.uniform rng (-1.) 1.) in
-  let im = Array.init n (fun _ -> Numeric.Rng.uniform rng (-1.) 1.) in
-  let exp_re, exp_im = naive_dft re im in
-  Numeric.Fft.transform ~inverse:false re im;
-  Alcotest.(check bool) "re" true (Numeric.Vec.max_abs_diff exp_re re < 1e-9);
-  Alcotest.(check bool) "im" true (Numeric.Vec.max_abs_diff exp_im im < 1e-9)
+  List.iter
+    (fun off ->
+      let n = 8 in
+      let re, im = random_signal ~seed:4 ~off n in
+      let exp_re, exp_im =
+        naive_dft (Array.sub re off n) (Array.sub im off n)
+      in
+      cfft ~inverse:false re im off;
+      Alcotest.(check bool)
+        (Printf.sprintf "re off=%d" off)
+        true
+        (Helpers.max_abs_diff exp_re (Array.sub re off n) < 1e-9);
+      Alcotest.(check bool)
+        (Printf.sprintf "im off=%d" off)
+        true
+        (Helpers.max_abs_diff exp_im (Array.sub im off n) < 1e-9);
+      for i = 0 to off - 1 do
+        Alcotest.(check (float 0.)) "prefix untouched" 99. re.(i)
+      done)
+    [ 0; 3 ]
 
 let test_bad_length_rejected () =
   Alcotest.check_raises "length 3"
-    (Invalid_argument "Fft.transform: length not a power of two") (fun () ->
-      Numeric.Fft.transform ~inverse:false (Array.make 3 0.) (Array.make 3 0.))
+    (Invalid_argument "Fft.plan: length not a power of two") (fun () ->
+      ignore (Numeric.Fft.plan 3));
+  Alcotest.check_raises "real length 1"
+    (Invalid_argument "Fft.rplan: length not a power of two >= 2") (fun () ->
+      ignore (Numeric.Fft.rplan 1))
 
-let test_2d_roundtrip () =
-  let rows = 4 and cols = 8 in
-  let rng = Numeric.Rng.create 5 in
-  let re = Array.init (rows * cols) (fun _ -> Numeric.Rng.uniform rng (-1.) 1.) in
-  let im = Array.make (rows * cols) 0. in
-  let re0 = Array.copy re in
-  Numeric.Fft.transform2 ~inverse:false ~rows ~cols re im;
-  Numeric.Fft.transform2 ~inverse:true ~rows ~cols re im;
-  Alcotest.(check bool) "2d roundtrip" true (Numeric.Vec.max_abs_diff re0 re < 1e-9)
-
-let naive_cyclic_convolve ~rows ~cols a b =
-  let out = Array.make (rows * cols) 0. in
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      let acc = ref 0. in
-      for r' = 0 to rows - 1 do
-        for c' = 0 to cols - 1 do
-          let rr = (r - r' + rows) mod rows and cc = (c - c' + cols) mod cols in
-          acc := !acc +. (a.((r' * cols) + c') *. b.((rr * cols) + cc))
-        done
-      done;
-      out.((r * cols) + c) <- !acc
-    done
-  done;
-  out
-
-let test_convolve_matches_naive () =
-  let rows = 4 and cols = 4 in
-  let rng = Numeric.Rng.create 6 in
-  let a = Array.init (rows * cols) (fun _ -> Numeric.Rng.uniform rng (-1.) 1.) in
-  let b = Array.init (rows * cols) (fun _ -> Numeric.Rng.uniform rng (-1.) 1.) in
-  let fast = Numeric.Fft.convolve2 ~rows ~cols a b in
-  let slow = naive_cyclic_convolve ~rows ~cols a b in
-  Alcotest.(check bool) "convolution" true (Numeric.Vec.max_abs_diff slow fast < 1e-8)
-
-(* ------------------------------------------------------------------ *)
-(* Real-to-real transforms (the Poisson fast path's building blocks)   *)
-
-let naive_dct2 x =
-  let n = Array.length x in
-  Array.init n (fun k ->
-      let acc = ref 0. in
-      for j = 0 to n - 1 do
-        acc :=
-          !acc
-          +. x.(j)
-             *. cos (Float.pi *. float_of_int (k * ((2 * j) + 1))
-                     /. (2. *. float_of_int n))
-      done;
-      !acc)
-
-let naive_dst2 x =
-  let n = Array.length x in
-  Array.init n (fun k ->
-      let acc = ref 0. in
-      for j = 0 to n - 1 do
-        acc :=
-          !acc
-          +. x.(j)
-             *. sin (Float.pi *. float_of_int ((k + 1) * ((2 * j) + 1))
-                     /. (2. *. float_of_int n))
-      done;
-      !acc)
-
-let test_dct2_matches_naive () =
+(* [rfft_into] reads [count] samples at [soff], zero-extends them to the
+   plan length and writes X(0..n/2) at [ooff]: it must equal the first
+   half of the complex DFT of the zero-extended real sequence, and leave
+   the rest of the output arrays alone. *)
+let test_rfft_matches_naive () =
   List.iter
-    (fun n ->
-      let rng = Numeric.Rng.create (100 + n) in
-      let x = Array.init n (fun _ -> Numeric.Rng.uniform rng (-5.) 5.) in
-      let fast = Numeric.Fft.dct2 x in
-      let slow = naive_dct2 x in
-      Alcotest.(check bool)
-        (Printf.sprintf "dct2 n=%d" n)
-        true
-        (Numeric.Vec.max_abs_diff slow fast < 1e-8))
-    [ 1; 2; 4; 8; 16; 32 ]
-
-let test_dst2_matches_naive () =
-  List.iter
-    (fun n ->
-      let rng = Numeric.Rng.create (200 + n) in
-      let x = Array.init n (fun _ -> Numeric.Rng.uniform rng (-5.) 5.) in
-      let fast = Numeric.Fft.dst2 x in
-      let slow = naive_dst2 x in
-      Alcotest.(check bool)
-        (Printf.sprintf "dst2 n=%d" n)
-        true
-        (Numeric.Vec.max_abs_diff slow fast < 1e-8))
-    [ 2; 4; 8; 16; 32 ]
-
-let test_convolve_scratch_bitwise () =
-  let rows = 8 and cols = 16 in
-  let rng = Numeric.Rng.create 31 in
-  let a = Array.init (rows * cols) (fun _ -> Numeric.Rng.uniform rng (-1.) 1.) in
-  let b = Array.init (rows * cols) (fun _ -> Numeric.Rng.uniform rng (-1.) 1.) in
-  let plain = Numeric.Fft.convolve2 ~rows ~cols a b in
-  let scratch = Numeric.Fft.conv_scratch ~rows ~cols in
-  (* Two rounds through the same scratch: results must be bitwise the
-     allocating call's, and the second round must not be polluted by the
-     first. *)
-  for _ = 1 to 2 do
-    let reused = Numeric.Fft.convolve2 ~scratch ~rows ~cols a b in
-    Array.iteri
-      (fun i v ->
-        if Int64.bits_of_float v <> Int64.bits_of_float plain.(i) then
-          Alcotest.failf "scratch convolution differs at %d: %h vs %h" i
-            reused.(i) plain.(i))
-      reused
-  done
-
-let dct_roundtrip_gen =
-  QCheck.(array_of_size (QCheck.Gen.return 32) (float_range (-10.) 10.))
-
-let prop_dct2_roundtrip =
-  QCheck.Test.make ~name:"idct2 inverts dct2" dct_roundtrip_gen (fun x ->
-      Numeric.Vec.max_abs_diff x (Numeric.Fft.idct2 (Numeric.Fft.dct2 x)) < 1e-9)
-
-let prop_dst2_roundtrip =
-  QCheck.Test.make ~name:"idst2 inverts dst2" dct_roundtrip_gen (fun x ->
-      Numeric.Vec.max_abs_diff x (Numeric.Fft.idst2 (Numeric.Fft.dst2 x)) < 1e-9)
+    (fun (n, count) ->
+      let soff = 2 and ooff = 3 in
+      let rng = Numeric.Rng.create (50 + n + count) in
+      let src =
+        Array.init (soff + count + 2) (fun _ -> Numeric.Rng.uniform rng (-1.) 1.)
+      in
+      let padded =
+        Array.init n (fun j -> if j < count then src.(soff + j) else 0.)
+      in
+      let exp_re, exp_im = naive_dft padded (Array.make n 0.) in
+      let half = n / 2 in
+      let outr = Array.make (ooff + half + 2) 99. in
+      let outi = Array.make (ooff + half + 2) 99. in
+      let zre = Array.make half 0. and zim = Array.make half 0. in
+      Numeric.Fft.rfft_into (Numeric.Fft.rplan n) ~src ~soff ~count ~outr ~outi
+        ~ooff ~zre ~zim;
+      let tag s = Printf.sprintf "n=%d count=%d %s" n count s in
+      Alcotest.(check bool) (tag "re") true
+        (Helpers.max_abs_diff (Array.sub exp_re 0 (half + 1))
+           (Array.sub outr ooff (half + 1))
+        < 1e-9);
+      Alcotest.(check bool) (tag "im") true
+        (Helpers.max_abs_diff (Array.sub exp_im 0 (half + 1))
+           (Array.sub outi ooff (half + 1))
+        < 1e-9);
+      List.iter
+        (fun i ->
+          Alcotest.(check (float 0.)) (tag "outside re") 99. outr.(i);
+          Alcotest.(check (float 0.)) (tag "outside im") 99. outi.(i))
+        [ 0; ooff - 1; ooff + half + 1 ])
+    [ (2, 2); (8, 8); (16, 16); (16, 11); (32, 5); (8, 1) ]
 
 let signal_gen =
   QCheck.(array_of_size (QCheck.Gen.return 16) (float_range (-10.) 10.))
+
+let energy a = Array.fold_left (fun acc v -> acc +. (v *. v)) 0. a
 
 let prop_parseval =
   QCheck.Test.make ~name:"Parseval: energy preserved up to 1/n" signal_gen
     (fun re ->
       let im = Array.make (Array.length re) 0. in
-      let time_energy = Numeric.Vec.dot re re in
+      let time_energy = energy re in
       let re' = Array.copy re and im' = Array.copy im in
-      Numeric.Fft.transform ~inverse:false re' im';
+      cfft ~inverse:false re' im' 0;
       let freq_energy =
-        (Numeric.Vec.dot re' re' +. Numeric.Vec.dot im' im')
-        /. float_of_int (Array.length re)
+        (energy re' +. energy im') /. float_of_int (Array.length re)
       in
       Float.abs (time_energy -. freq_energy) < 1e-6 *. (1. +. time_energy))
 
@@ -206,7 +161,7 @@ let prop_linearity =
       let n = Array.length a in
       let fft x =
         let re = Array.copy x and im = Array.make n 0. in
-        Numeric.Fft.transform ~inverse:false re im;
+        cfft ~inverse:false re im 0;
         (re, im)
       in
       let sum = Array.init n (fun i -> a.(i) +. b.(i)) in
@@ -214,7 +169,7 @@ let prop_linearity =
       let are, _ = fft a in
       let bre, _ = fft b in
       let combined = Array.init n (fun i -> are.(i) +. bre.(i)) in
-      Numeric.Vec.max_abs_diff sre combined < 1e-6)
+      Helpers.max_abs_diff sre combined < 1e-6)
 
 let suite =
   [
@@ -224,14 +179,8 @@ let suite =
     Alcotest.test_case "roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "matches naive DFT" `Quick test_matches_naive_dft;
     Alcotest.test_case "bad length" `Quick test_bad_length_rejected;
-    Alcotest.test_case "2d roundtrip" `Quick test_2d_roundtrip;
-    Alcotest.test_case "convolution vs naive" `Quick test_convolve_matches_naive;
-    Alcotest.test_case "dct2 vs naive" `Quick test_dct2_matches_naive;
-    Alcotest.test_case "dst2 vs naive" `Quick test_dst2_matches_naive;
-    Alcotest.test_case "scratch convolution bitwise" `Quick
-      test_convolve_scratch_bitwise;
-    QCheck_alcotest.to_alcotest prop_dct2_roundtrip;
-    QCheck_alcotest.to_alcotest prop_dst2_roundtrip;
+    Alcotest.test_case "rfft_into matches naive real DFT" `Quick
+      test_rfft_matches_naive;
     QCheck_alcotest.to_alcotest prop_parseval;
     QCheck_alcotest.to_alcotest prop_linearity;
   ]

@@ -63,9 +63,9 @@ let test_placement_roundtrip () =
       Netlist.Io.save_placement file p;
       let p' = io_exn (Netlist.Io.load_placement file ~num_cells:n) in
       Alcotest.(check bool) "x restored" true
-        (Numeric.Vec.max_abs_diff p.Netlist.Placement.x p'.Netlist.Placement.x = 0.);
+        (Helpers.max_abs_diff p.Netlist.Placement.x p'.Netlist.Placement.x = 0.);
       Alcotest.(check bool) "y restored" true
-        (Numeric.Vec.max_abs_diff p.Netlist.Placement.y p'.Netlist.Placement.y = 0.))
+        (Helpers.max_abs_diff p.Netlist.Placement.y p'.Netlist.Placement.y = 0.))
 
 let test_placement_missing_cell_rejected () =
   with_temp (fun file ->

@@ -216,6 +216,29 @@ let prop_number_roundtrip_bitwise =
         Int64.bits_of_float f' = Int64.bits_of_float f
       | _ -> false)
 
+(* Integers are read back only while every integer is a float: past
+   2^53 (or fractional, or not a number) [to_int] refuses rather than
+   wrapping through [int_of_float]. *)
+let test_json_to_int_range () =
+  let two53 = 9007199254740992. in
+  List.iter
+    (fun (v, expected) ->
+      Alcotest.(check (option int)) (Obs.Json.to_string v) expected
+        (Obs.Json.to_int v))
+    [
+      (Obs.Json.Num 0., Some 0);
+      (Obs.Json.Num (-7.), Some (-7));
+      (Obs.Json.Num two53, Some 9007199254740992);
+      (Obs.Json.Num (-.two53), Some (-9007199254740992));
+      (Obs.Json.Num (two53 +. 2.), None);
+      (Obs.Json.Num 4.7e18, None);
+      (Obs.Json.Num 1e19, None);
+      (Obs.Json.Num (-1e19), None);
+      (Obs.Json.Num 1.5, None);
+      (Obs.Json.Str "3", None);
+      (Obs.Json.Null, None);
+    ]
+
 let test_json_corner_cases () =
   let ok s = Result.is_ok (Obs.Json.of_string s) in
   Alcotest.(check bool) "escaped string" true
@@ -526,6 +549,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_number_roundtrip_bitwise;
     Alcotest.test_case "json corner cases" `Quick test_json_corner_cases;
+    Alcotest.test_case "json to_int range" `Quick test_json_to_int_range;
     QCheck_alcotest.to_alcotest prop_iteration_roundtrip;
     Alcotest.test_case "summary round-trip" `Quick test_summary_roundtrip;
     Alcotest.test_case "iteration validation rejects" `Quick

@@ -23,15 +23,17 @@ let domain_counts = [ 1; 2; 4 ]
 (* ------------------------------------------------------------------ *)
 (* Pool combinators                                                    *)
 
-let test_parallel_for_covers_range () =
+let test_parallel_range_covers_range () =
   List.iter
     (fun d ->
       with_domains d (fun () ->
           List.iter
             (fun n ->
               let hits = Array.make n 0 in
-              Numeric.Parallel.parallel_for ~chunk:7 ~lo:0 ~hi:n (fun i ->
-                  hits.(i) <- hits.(i) + 1);
+              Numeric.Parallel.parallel_range ~chunk:7 ~lo:0 ~hi:n (fun a b ->
+                  for i = a to b - 1 do
+                    hits.(i) <- hits.(i) + 1
+                  done);
               Array.iteri
                 (fun i h ->
                   if h <> 1 then
@@ -119,71 +121,10 @@ let test_spmv_bitwise () =
     domain_counts
 
 (* ------------------------------------------------------------------ *)
-(* FFT determinism                                                     *)
+(* Force-field determinism                                             *)
 
-let test_transform2_bitwise () =
-  let rng = Numeric.Rng.create 5 in
-  (* 64×64 = 4096 clears the transform2 parallel threshold. *)
-  let n = 64 * 64 in
-  let re0 = Array.init n (fun _ -> Numeric.Rng.uniform rng (-1.) 1.) in
-  let im0 = Array.init n (fun _ -> Numeric.Rng.uniform rng (-1.) 1.) in
-  let run () =
-    let re = Array.copy re0 and im = Array.copy im0 in
-    Numeric.Fft.transform2 ~inverse:false ~rows:64 ~cols:64 re im;
-    Numeric.Fft.transform2 ~inverse:true ~rows:64 ~cols:64 re im;
-    (re, im)
-  in
-  let re_ref, im_ref = with_domains 1 run in
-  List.iter
-    (fun d ->
-      with_domains d (fun () ->
-          let re, im = run () in
-          check_bitwise (Printf.sprintf "fft re d=%d" d) re_ref re;
-          check_bitwise (Printf.sprintf "fft im d=%d" d) im_ref im))
-    domain_counts
-
-(* The pre-cache force-field evaluation: pad, build the offset-indexed
-   kernels, and run two independent real cyclic convolutions.  The
-   production path now shares one forward FFT of the density and caches
-   the kernel spectra; this reference pins that it still computes the
-   exact same floats. *)
-let reference_fft_force_field ~rows ~cols ~hx ~hy density =
-  let prows = Numeric.Fft.next_pow2 (2 * rows) in
-  let pcols = Numeric.Fft.next_pow2 (2 * cols) in
-  let n = prows * pcols in
-  let pd = Array.make n 0. in
-  for r = 0 to rows - 1 do
-    Array.blit density (r * cols) pd (r * pcols) cols
-  done;
-  let kx = Array.make n 0. and ky = Array.make n 0. in
-  let cell_area = hx *. hy in
-  let two_pi = 2. *. Float.pi in
-  for dr = -(rows - 1) to rows - 1 do
-    for dc = -(cols - 1) to cols - 1 do
-      if dr <> 0 || dc <> 0 then begin
-        let dx = float_of_int dc *. hx in
-        let dy = float_of_int dr *. hy in
-        let r2 = (dx *. dx) +. (dy *. dy) in
-        let idx_r = if dr >= 0 then dr else prows + dr in
-        let idx_c = if dc >= 0 then dc else pcols + dc in
-        let i = (idx_r * pcols) + idx_c in
-        kx.(i) <- dx /. r2 *. cell_area /. two_pi;
-        ky.(i) <- dy /. r2 *. cell_area /. two_pi
-      end
-    done
-  done;
-  let conv_x = Numeric.Fft.convolve2 ~rows:prows ~cols:pcols pd kx in
-  let conv_y = Numeric.Fft.convolve2 ~rows:prows ~cols:pcols pd ky in
-  let fx = Array.make (rows * cols) 0. in
-  let fy = Array.make (rows * cols) 0. in
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      fx.((r * cols) + c) <- conv_x.((r * pcols) + c);
-      fy.((r * cols) + c) <- conv_y.((r * pcols) + c)
-    done
-  done;
-  (fx, fy)
-
+(* The FFT force field of a cold and a warm kernel cache must be the
+   domains=1 bits on every pool size, with exactly one kernel build. *)
 let test_force_field_bitwise () =
   let rng = Numeric.Rng.create 11 in
   List.iter
@@ -191,32 +132,27 @@ let test_force_field_bitwise () =
       let density =
         Array.init (rows * cols) (fun _ -> Numeric.Rng.uniform rng (-2.) 2.)
       in
-      let fx_ref, fy_ref =
-        with_domains 1 (fun () ->
-            reference_fft_force_field ~rows ~cols ~hx:1.5 ~hy:0.75 density)
+      let field () =
+        Numeric.Poisson.fft_force_field ~rows ~cols ~hx:1.5 ~hy:0.75 density
       in
+      let reference = with_domains 1 field in
       List.iter
         (fun d ->
           with_domains d (fun () ->
               Numeric.Poisson.clear_kernel_cache ();
-              (* The complex path is the bitwise-pinned historical
-                 algorithm; the real-transform [fft_force_field] has its
-                 own determinism and tolerance pins in test_poisson. *)
-              let cold =
-                Numeric.Poisson.fft_force_field_complex ~rows ~cols ~hx:1.5
-                  ~hy:0.75 density
-              in
-              let warm =
-                Numeric.Poisson.fft_force_field_complex ~rows ~cols ~hx:1.5
-                  ~hy:0.75 density
-              in
+              let cold = field () in
+              let warm = field () in
               let tag s =
                 Printf.sprintf "%dx%d d=%d %s" rows cols d s
               in
-              check_bitwise (tag "cold fx") fx_ref cold.Numeric.Poisson.fx;
-              check_bitwise (tag "cold fy") fy_ref cold.Numeric.Poisson.fy;
-              check_bitwise (tag "warm fx") fx_ref warm.Numeric.Poisson.fx;
-              check_bitwise (tag "warm fy") fy_ref warm.Numeric.Poisson.fy;
+              check_bitwise (tag "cold fx") reference.Numeric.Poisson.fx
+                cold.Numeric.Poisson.fx;
+              check_bitwise (tag "cold fy") reference.Numeric.Poisson.fy
+                cold.Numeric.Poisson.fy;
+              check_bitwise (tag "warm fx") reference.Numeric.Poisson.fx
+                warm.Numeric.Poisson.fx;
+              check_bitwise (tag "warm fy") reference.Numeric.Poisson.fy
+                warm.Numeric.Poisson.fy;
               let hits, misses = Numeric.Poisson.kernel_cache_stats () in
               Alcotest.(check (pair int int))
                 (tag "cache stats") (1, 1) (hits, misses)))
@@ -298,8 +234,8 @@ let test_telemetry_trace_bitwise () =
 
 let suite =
   [
-    Alcotest.test_case "parallel_for covers range" `Quick
-      test_parallel_for_covers_range;
+    Alcotest.test_case "parallel_range covers range" `Quick
+      test_parallel_range_covers_range;
     Alcotest.test_case "both" `Quick test_both;
     Alcotest.test_case "both propagates exceptions" `Quick
       test_both_propagates_exceptions;
@@ -307,9 +243,7 @@ let suite =
       test_set_num_domains_validates;
     Alcotest.test_case "KRAFTWERK_DOMAINS env" `Quick test_env_variable;
     Alcotest.test_case "SpMV bitwise across domains" `Quick test_spmv_bitwise;
-    Alcotest.test_case "transform2 bitwise across domains" `Quick
-      test_transform2_bitwise;
-    Alcotest.test_case "force field bitwise vs pre-cache path" `Quick
+    Alcotest.test_case "force field bitwise across domains" `Quick
       test_force_field_bitwise;
     Alcotest.test_case "placer trajectory bitwise across domains" `Slow
       test_placer_trajectory_bitwise;

@@ -59,7 +59,7 @@ let test_input_placement_not_mutated () =
   let x0 = Array.copy p0.Netlist.Placement.x in
   ignore (Kraftwerk.Placer.run quick_config circuit p0);
   Alcotest.(check bool) "input intact" true
-    (Numeric.Vec.max_abs_diff x0 p0.Netlist.Placement.x = 0.)
+    (Helpers.max_abs_diff x0 p0.Netlist.Placement.x = 0.)
 
 let test_transform_reports_progress () =
   let circuit, p0 = build () in

@@ -11,9 +11,9 @@ let test_fft_matches_direct () =
   let d = Numeric.Poisson.direct_force_field ~rows ~cols ~hx:2. ~hy:3. density in
   let f = Numeric.Poisson.fft_force_field ~rows ~cols ~hx:2. ~hy:3. density in
   Alcotest.(check bool) "fx" true
-    (Numeric.Vec.max_abs_diff d.Numeric.Poisson.fx f.Numeric.Poisson.fx < 1e-9);
+    (Helpers.max_abs_diff d.Numeric.Poisson.fx f.Numeric.Poisson.fx < 1e-9);
   Alcotest.(check bool) "fy" true
-    (Numeric.Vec.max_abs_diff d.Numeric.Poisson.fy f.Numeric.Poisson.fy < 1e-9)
+    (Helpers.max_abs_diff d.Numeric.Poisson.fy f.Numeric.Poisson.fy < 1e-9)
 
 let test_point_source_repels () =
   (* A single positive density bin at the centre: forces point away from
@@ -79,7 +79,7 @@ let test_superposition () =
         f1.Numeric.Poisson.fx.(i) +. f2.Numeric.Poisson.fx.(i))
   in
   Alcotest.(check bool) "linear superposition" true
-    (Numeric.Vec.max_abs_diff combined fs.Numeric.Poisson.fx < 1e-9)
+    (Helpers.max_abs_diff combined fs.Numeric.Poisson.fx < 1e-9)
 
 let test_sor_sign () =
   (* ∇²Φ = D with a positive source: Φ is negative in the interior (pulled
@@ -90,36 +90,23 @@ let test_sor_sign () =
   let phi = Numeric.Poisson.sor_potential ~rows ~cols ~hx:1. ~hy:1. density in
   Alcotest.(check bool) "centre below boundary" true (phi.((4 * cols) + 4) < 0.)
 
-let test_sor_gradient_force_outward () =
+(* The SOR potential of a centred point source inherits the grid's
+   mirror symmetry about both centre lines and its diagonal. *)
+let test_sor_potential_symmetry () =
   let rows = 9 and cols = 9 in
   let density = Array.make (rows * cols) 0. in
   density.((4 * cols) + 4) <- 1.;
   let phi = Numeric.Poisson.sor_potential ~rows ~cols ~hx:1. ~hy:1. density in
-  let f = Numeric.Poisson.gradient_force ~rows ~cols ~hx:1. ~hy:1. phi in
-  (* f = −∇Φ; next to a positive source Φ has a minimum, so −∇Φ points
-     toward the source — the potential convention used by the ablation
-     solver is attractive-to-source, i.e. the field D must be negated by
-     callers wanting repulsion.  Here we just check the field is
-     symmetric and nonzero. *)
-  let i_left = (4 * cols) + 2 and i_right = (4 * cols) + 6 in
-  Alcotest.(check (float 1e-6)) "antisymmetric"
-    (-.f.Numeric.Poisson.fx.(i_left))
-    f.Numeric.Poisson.fx.(i_right);
-  Alcotest.(check bool) "nonzero" true
-    (Float.abs f.Numeric.Poisson.fx.(i_left) > 1e-9)
-
-let test_scale_field () =
-  let f =
-    {
-      Numeric.Poisson.rows = 1;
-      cols = 2;
-      fx = [| 1.; 2. |];
-      fy = [| -1.; 0.5 |];
-    }
-  in
-  Numeric.Poisson.scale_field 2. f;
-  Alcotest.(check (float 0.)) "fx" 4. f.Numeric.Poisson.fx.(1);
-  Alcotest.(check (float 0.)) "fy" (-2.) f.Numeric.Poisson.fy.(0)
+  let at r c = phi.((r * cols) + c) in
+  for d = 1 to 4 do
+    Alcotest.(check (float 1e-6)) (Printf.sprintf "left/right %d" d)
+      (at 4 (4 - d)) (at 4 (4 + d));
+    Alcotest.(check (float 1e-6)) (Printf.sprintf "up/down %d" d)
+      (at (4 - d) 4) (at (4 + d) 4);
+    Alcotest.(check (float 1e-6)) (Printf.sprintf "transpose %d" d)
+      (at 4 (4 - d)) (at (4 - d) 4)
+  done;
+  Alcotest.(check bool) "nonzero" true (Float.abs (at 4 2) > 1e-9)
 
 let test_size_mismatch () =
   Alcotest.check_raises "bad size"
@@ -127,16 +114,16 @@ let test_size_mismatch () =
       ignore (Numeric.Poisson.fft_force_field ~rows:4 ~cols:4 ~hx:1. ~hy:1. (Array.make 3 0.)))
 
 (* ------------------------------------------------------------------ *)
-(* Real-transform path: parity with the complex path, ?out, pools      *)
+(* FFT path: parity with direct summation, ?out, pools                  *)
 
 let random_density rng rows cols =
   Array.init (rows * cols) (fun _ -> Numeric.Rng.uniform rng (-2.) 2.)
 
 let fields_close tag a b =
   Alcotest.(check bool) (tag ^ " fx") true
-    (Numeric.Vec.max_abs_diff a.Numeric.Poisson.fx b.Numeric.Poisson.fx < 1e-9);
+    (Helpers.max_abs_diff a.Numeric.Poisson.fx b.Numeric.Poisson.fx < 1e-9);
   Alcotest.(check bool) (tag ^ " fy") true
-    (Numeric.Vec.max_abs_diff a.Numeric.Poisson.fy b.Numeric.Poisson.fy < 1e-9)
+    (Helpers.max_abs_diff a.Numeric.Poisson.fy b.Numeric.Poisson.fy < 1e-9)
 
 let fields_bitwise tag a b =
   let check plane pa pb =
@@ -149,20 +136,19 @@ let fields_bitwise tag a b =
   check "fx" a.Numeric.Poisson.fx b.Numeric.Poisson.fx;
   check "fy" a.Numeric.Poisson.fy b.Numeric.Poisson.fy
 
-(* The real-transform evaluation and the historical complex-FFT one are
-   the same operator computed two ways: they must agree to machine
-   precision across grid shapes (non-square, non-power-of-two) and
-   anisotropic pitches. *)
-let test_real_matches_complex_shapes () =
+(* The FFT evaluation and direct summation are the same operator
+   computed two ways: they must agree to machine precision across grid
+   shapes (non-square, non-power-of-two) and anisotropic pitches. *)
+let test_fft_matches_direct_shapes () =
   let rng = Numeric.Rng.create 42 in
   List.iter
     (fun (rows, cols, hx, hy) ->
       let density = random_density rng rows cols in
-      let real = Numeric.Poisson.fft_force_field ~rows ~cols ~hx ~hy density in
-      let cplx =
-        Numeric.Poisson.fft_force_field_complex ~rows ~cols ~hx ~hy density
+      let fft = Numeric.Poisson.fft_force_field ~rows ~cols ~hx ~hy density in
+      let direct =
+        Numeric.Poisson.direct_force_field ~rows ~cols ~hx ~hy density
       in
-      fields_close (Printf.sprintf "%dx%d (%g,%g)" rows cols hx hy) real cplx)
+      fields_close (Printf.sprintf "%dx%d (%g,%g)" rows cols hx hy) fft direct)
     [
       (5, 5, 1., 1.);
       (6, 10, 2., 3.);
@@ -247,23 +233,18 @@ let test_warm_loop_allocation_free () =
     (Printf.sprintf "steady state allocates ~nothing (%.0f words/call)" per_call)
     true (per_call < 2048.)
 
-let prop_real_complex_agree =
-  QCheck.Test.make ~name:"real path equals complex path on random grids"
+let prop_fft_direct_agree_grids =
+  QCheck.Test.make ~name:"fft field vs direct on random grids"
     QCheck.(
       triple (int_range 2 14) (int_range 2 14)
         (pair (float_range 0.3 3.) (float_range 0.3 3.)))
     (fun (rows, cols, (hx, hy)) ->
       let rng = Numeric.Rng.create ((rows * 31) + cols) in
       let density = random_density rng rows cols in
-      let real = Numeric.Poisson.fft_force_field ~rows ~cols ~hx ~hy density in
-      let cplx =
-        Numeric.Poisson.fft_force_field_complex ~rows ~cols ~hx ~hy density
-      in
-      Numeric.Vec.max_abs_diff real.Numeric.Poisson.fx cplx.Numeric.Poisson.fx
-      < 1e-9
-      && Numeric.Vec.max_abs_diff real.Numeric.Poisson.fy
-           cplx.Numeric.Poisson.fy
-         < 1e-9)
+      let f = Numeric.Poisson.fft_force_field ~rows ~cols ~hx ~hy density in
+      let d = Numeric.Poisson.direct_force_field ~rows ~cols ~hx ~hy density in
+      Helpers.max_abs_diff f.Numeric.Poisson.fx d.Numeric.Poisson.fx < 1e-9
+      && Helpers.max_abs_diff f.Numeric.Poisson.fy d.Numeric.Poisson.fy < 1e-9)
 
 let prop_real_direct_agree_pitches =
   QCheck.Test.make ~name:"real path equals direct summation, random pitches"
@@ -275,8 +256,8 @@ let prop_real_direct_agree_pitches =
       let density = random_density rng rows cols in
       let d = Numeric.Poisson.direct_force_field ~rows ~cols ~hx ~hy density in
       let f = Numeric.Poisson.fft_force_field ~rows ~cols ~hx ~hy density in
-      Numeric.Vec.max_abs_diff d.Numeric.Poisson.fx f.Numeric.Poisson.fx < 1e-9
-      && Numeric.Vec.max_abs_diff d.Numeric.Poisson.fy f.Numeric.Poisson.fy
+      Helpers.max_abs_diff d.Numeric.Poisson.fx f.Numeric.Poisson.fx < 1e-9
+      && Helpers.max_abs_diff d.Numeric.Poisson.fy f.Numeric.Poisson.fy
          < 1e-9)
 
 let prop_fft_direct_agree =
@@ -285,8 +266,8 @@ let prop_fft_direct_agree =
     (fun density ->
       let d = Numeric.Poisson.direct_force_field ~rows:5 ~cols:5 ~hx:1.5 ~hy:0.5 density in
       let f = Numeric.Poisson.fft_force_field ~rows:5 ~cols:5 ~hx:1.5 ~hy:0.5 density in
-      Numeric.Vec.max_abs_diff d.Numeric.Poisson.fx f.Numeric.Poisson.fx < 1e-9
-      && Numeric.Vec.max_abs_diff d.Numeric.Poisson.fy f.Numeric.Poisson.fy < 1e-9)
+      Helpers.max_abs_diff d.Numeric.Poisson.fx f.Numeric.Poisson.fx < 1e-9
+      && Helpers.max_abs_diff d.Numeric.Poisson.fy f.Numeric.Poisson.fy < 1e-9)
 
 let suite =
   [
@@ -297,18 +278,17 @@ let suite =
     Alcotest.test_case "zero density zero force" `Quick test_zero_density_zero_force;
     Alcotest.test_case "superposition" `Quick test_superposition;
     Alcotest.test_case "sor sign" `Quick test_sor_sign;
-    Alcotest.test_case "sor gradient symmetry" `Quick test_sor_gradient_force_outward;
-    Alcotest.test_case "scale field" `Quick test_scale_field;
+    Alcotest.test_case "sor potential symmetry" `Quick test_sor_potential_symmetry;
     Alcotest.test_case "size mismatch" `Quick test_size_mismatch;
-    Alcotest.test_case "real matches complex across shapes" `Quick
-      test_real_matches_complex_shapes;
+    Alcotest.test_case "fft matches direct across shapes" `Quick
+      test_fft_matches_direct_shapes;
     Alcotest.test_case "?out is bitwise equivalent" `Quick
       test_out_bitwise_equivalent;
     Alcotest.test_case "real path bitwise across pools" `Quick
       test_real_bitwise_across_pools;
     Alcotest.test_case "warm fixed-grid loop is allocation-free" `Quick
       test_warm_loop_allocation_free;
-    QCheck_alcotest.to_alcotest prop_real_complex_agree;
+    QCheck_alcotest.to_alcotest prop_fft_direct_agree_grids;
     QCheck_alcotest.to_alcotest prop_real_direct_agree_pitches;
     QCheck_alcotest.to_alcotest prop_fft_direct_agree;
   ]

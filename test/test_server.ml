@@ -121,6 +121,9 @@ let golden_requests =
     {|{"cmd":"frobnicate","seq":2}|};
     {|{"cmd":"result","id":3,"seq":3}|};
     {|{"cmd":"submit","seq":4,"job":{"profile":"nope","scale":0.5,"seed":1}}|};
+    {|{"cmd":"result","id":1e19,"seq":8}|};
+    {|{"cmd":"submit","seq":9,"job":{"profile":"fract","max_steps":1e19}}|};
+    {|{"cmd":"submit","seq":10,"job":{"profile":"fract","priority":4.7e18}}|};
     {|{"cmd":"shutdown","seq":5}|};
   ]
 
@@ -133,6 +136,9 @@ let test_golden_v2 () =
       {|{"ok":false,"seq":2,"error":{"code":"unknown_cmd","message":"unknown command \"frobnicate\""}}|};
       {|{"ok":false,"seq":3,"error":{"code":"unknown_id","message":"unknown job id 3"}}|};
       {|{"ok":false,"seq":4,"error":{"code":"bad_spec","message":"source: unknown profile \"nope\""}}|};
+      {|{"ok":false,"seq":8,"error":{"code":"bad_spec","message":"field \"id\" is not a positive integer"}}|};
+      {|{"ok":false,"seq":9,"error":{"code":"bad_spec","message":"job: field \"max_steps\" is not an integer"}}|};
+      {|{"ok":false,"seq":10,"error":{"code":"bad_spec","message":"job: field \"priority\" is not an integer"}}|};
       {|{"ok":true,"seq":5,"shutdown":true}|};
     ]
   in

@@ -34,7 +34,7 @@ let test_add_sym () =
 
 let test_mul_known () =
   let m = Numeric.Sparse.of_dense [| [| 2.; 1. |]; [| 1.; 3. |] |] in
-  let y = Numeric.Vec.create 2 in
+  let y = Array.make 2 0. in
   Numeric.Sparse.mul m [| 1.; 2. |] y;
   Alcotest.check approx "y0" 4. y.(0);
   Alcotest.check approx "y1" 7. y.(1)
@@ -89,13 +89,13 @@ let prop_mul_matches_dense =
         ts;
       let m = Numeric.Sparse.finalize b in
       let x = Array.init n (fun i -> float_of_int (i + 1)) in
-      let y = Numeric.Vec.create n in
+      let y = Array.make n 0. in
       Numeric.Sparse.mul m x y;
       let expected =
         Array.init n (fun i ->
             Array.fold_left ( +. ) 0. (Array.mapi (fun j v -> v *. x.(j)) dense.(i)))
       in
-      Numeric.Vec.max_abs_diff expected y < 1e-6)
+      Helpers.max_abs_diff expected y < 1e-6)
 
 let prop_sym_builder_symmetric =
   QCheck.Test.make ~name:"add_sym yields symmetric matrix" triplets_gen

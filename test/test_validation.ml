@@ -34,12 +34,9 @@ let test_numeric_validation () =
   Alcotest.(check bool) "sparse negative dim" true
     (raises_invalid (fun () -> ignore (Numeric.Sparse.builder (-1))));
   Alcotest.(check bool) "fft length" true
-    (raises_invalid (fun () ->
-         Numeric.Fft.transform ~inverse:false (Array.make 6 0.) (Array.make 6 0.)));
-  Alcotest.(check bool) "fft 2d size" true
-    (raises_invalid (fun () ->
-         Numeric.Fft.transform2 ~inverse:false ~rows:4 ~cols:4 (Array.make 15 0.)
-           (Array.make 15 0.)));
+    (raises_invalid (fun () -> ignore (Numeric.Fft.plan 6)));
+  Alcotest.(check bool) "real fft length" true
+    (raises_invalid (fun () -> ignore (Numeric.Fft.rplan 1)));
   Alcotest.(check bool) "poisson empty grid" true
     (raises_invalid (fun () ->
          ignore (Numeric.Poisson.direct_force_field ~rows:0 ~cols:4 ~hx:1. ~hy:1. [||])));
