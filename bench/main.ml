@@ -711,12 +711,18 @@ let micro_run () =
         (Staged.stage
            (let asm = Qp.System.assembly circuit () in
             (* First rebuild compiles the pattern; the measured steady
-               state scatters the values straight into its slots. *)
+               state scatters the values straight into its slots.  Two
+               net-weight vectors of one structure alternate, so no call
+               is a value-cache hit. *)
+            let alternate = Array.map (fun w -> w *. 1.5) weights in
+            let flip = ref false in
             ignore
               (Qp.System.rebuild asm ~placement:placed ~net_weights:weights
                  ~edge_scale:Qp.Weights.Quadratic ());
             fun () ->
-              Qp.System.rebuild asm ~placement:placed ~net_weights:weights
+              flip := not !flip;
+              Qp.System.rebuild asm ~placement:placed
+                ~net_weights:(if !flip then alternate else weights)
                 ~edge_scale:Qp.Weights.Quadratic ()));
       Test.make ~name:"qp-solve-primary1"
         (Staged.stage (fun () ->

@@ -31,7 +31,7 @@ let movable_standard (c : Netlist.Circuit.t) =
 (* -------------------------------------------------------------- *)
 (* Flow reassignment                                               *)
 
-let flow config view (c : Netlist.Circuit.t) (p : Netlist.Placement.t) =
+let flow config view mcf (c : Netlist.Circuit.t) (p : Netlist.Placement.t) =
   let x = p.Netlist.Placement.x and y = p.Netlist.Placement.y in
   let region = c.Netlist.Circuit.region in
   let group_nets = Nets.set view and own_nets = Nets.set view in
@@ -84,7 +84,7 @@ let flow config view (c : Netlist.Circuit.t) (p : Netlist.Placement.t) =
         x.(id) <- slot_x.(i);
         y.(id) <- slot_y.(i)
       done;
-      let choice = Numeric.Mincostflow.assignment ~costs in
+      let choice = Numeric.Mincostflow.assign mcf ~costs in
       (* Apply the permutation, then verify the true (non-separable)
          objective and revert if it regressed. *)
       let changed = ref 0 in
@@ -122,7 +122,7 @@ let flow config view (c : Netlist.Circuit.t) (p : Netlist.Placement.t) =
 
 let flow_pass ?(config = default_config) c p =
   validate config;
-  flow config (Nets.create c) c p
+  flow config (Nets.create c) (Numeric.Mincostflow.workspace ()) c p
 
 (* -------------------------------------------------------------- *)
 (* Window reordering                                               *)
@@ -256,12 +256,14 @@ let reorder_pass ?(config = default_config) ?(obstacles = []) c p =
 
 let run ?(config = default_config) ?(obstacles = []) c p =
   validate config;
+  (* Per-run buffers: sharded workers run Domino concurrently. *)
   let view = Nets.create c and perms = permutation_table config.window in
+  let mcf = Numeric.Mincostflow.workspace () in
   let moves = ref 0 and gain = ref 0. in
   let continue = ref true and pass = ref 0 in
   while !continue && !pass < config.passes do
     incr pass;
-    let m1, g1 = flow config view c p in
+    let m1, g1 = flow config view mcf c p in
     let m2, g2 = reorder config view perms ~obstacles c p in
     moves := !moves + m1 + m2;
     gain := !gain +. g1 +. g2;

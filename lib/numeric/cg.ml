@@ -48,78 +48,142 @@ let solution w = w.x
 
 let rhs w = w.b
 
-(* Vector kernels kept local to this module: every call into another
-   module passes its floats boxed, and these run a few times per CG
-   iteration. *)
-let[@inline] dot a b n =
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    acc := !acc +. (a.(i) *. b.(i))
-  done;
-  !acc
+(* One axis of a PCG run: its workspace and preconditioner, the scalars
+   of the recurrence kept unboxed in [sc] (rᵀz, ‖r‖, the stopping
+   threshold) and its iteration count.  Every step below reads and
+   writes these in place, so no float crosses a call. *)
+type axis = {
+  w : workspace;
+  inv : float array;
+  sc : float array; (* rz; rnorm; threshold *)
+  max_iter : int;
+  mutable iters : int;
+}
 
-let[@inline] axpy alpha x y n =
-  for i = 0 to n - 1 do
-    y.(i) <- y.(i) +. (alpha *. x.(i))
-  done
-
-let[@inline] mul_into a b dst n =
-  for i = 0 to n - 1 do
-    dst.(i) <- a.(i) *. b.(i)
-  done
-
-let solve_in ?(tol = 1e-8) ?max_iter ?inv_diag w a =
+let axis ~tol ?max_iter ?inv_diag w a =
   let n = Sparse.dim a in
   if Array.length w.x <> n then
     invalid_arg "Cg.solve_in: workspace dimension mismatch";
   let max_iter = match max_iter with Some m -> m | None -> (4 * n) + 50 in
-  let inv_diag =
+  let inv =
     match inv_diag with
     | Some d ->
       if Array.length d <> n then invalid_arg "Cg.solve: inv_diag length mismatch";
       d
     | None -> inv_diagonal a
   in
-  let x = w.x and b = w.b and r = w.r and z = w.z and p = w.p and ap = w.ap in
-  Sparse.mul a x r;
+  let bb = ref 0. in
   for i = 0 to n - 1 do
-    r.(i) <- b.(i) -. r.(i)
+    bb := !bb +. (w.b.(i) *. w.b.(i))
   done;
-  mul_into inv_diag r z n;
-  Array.blit z 0 p 0 n;
-  let threshold = tol *. Float.max 1. (sqrt (dot b b n)) in
-  let rz = ref (dot r z n) in
-  let rnorm = ref (sqrt (dot r r n)) in
-  let iters = ref 0 in
-  (* Standard PCG recurrence; loop invariant: r = b - a x, z = M⁻¹ r,
-     rz = rᵀz. *)
-  while !rnorm > threshold && !iters < max_iter do
-    Sparse.mul a p ap;
-    let pap = dot p ap n in
-    if pap <= 0. then (
-      (* Numerically lost positive-definiteness; stop with current x. *)
-      iters := max_iter)
-    else begin
-      let alpha = !rz /. pap in
-      axpy alpha p x n;
-      axpy (-.alpha) ap r n;
-      mul_into inv_diag r z n;
-      let rz' = dot r z n in
-      let beta = rz' /. !rz in
-      rz := rz';
-      for i = 0 to n - 1 do
-        p.(i) <- z.(i) +. (beta *. p.(i))
-      done;
-      rnorm := sqrt (dot r r n);
-      incr iters
-    end
+  let sc = Array.make 3 0. in
+  sc.(2) <- tol *. Float.max 1. (sqrt !bb);
+  { w; inv; sc; max_iter; iters = 0 }
+
+(* Start the recurrence once [r] holds A·x: r = b − A·x, z = M⁻¹r, p = z.
+   Each dot product sums in index order. *)
+let start ax =
+  let w = ax.w and inv = ax.inv and sc = ax.sc in
+  let n = Array.length w.x in
+  let rz = ref 0. and rr = ref 0. in
+  for i = 0 to n - 1 do
+    let r = w.b.(i) -. w.r.(i) in
+    let z = inv.(i) *. r in
+    w.r.(i) <- r;
+    w.z.(i) <- z;
+    w.p.(i) <- z;
+    rz := !rz +. (r *. z);
+    rr := !rr +. (r *. r)
   done;
+  sc.(0) <- !rz;
+  sc.(1) <- sqrt !rr
+
+let[@inline] active ax = ax.sc.(1) > ax.sc.(2) && ax.iters < ax.max_iter
+
+(* One PCG iteration once [ap] holds A·p.  The updates of x, r and z and
+   the two dot products they feed share one loop. *)
+let advance ax =
+  let w = ax.w and inv = ax.inv and sc = ax.sc in
+  let n = Array.length w.x in
+  let x = w.x and r = w.r and z = w.z and p = w.p and ap = w.ap in
+  let pap = ref 0. in
+  for i = 0 to n - 1 do
+    pap := !pap +. (p.(i) *. ap.(i))
+  done;
+  if !pap <= 0. then
+    (* Numerically lost positive-definiteness; stop with current x. *)
+    ax.iters <- ax.max_iter
+  else begin
+    let alpha = sc.(0) /. !pap in
+    let neg_alpha = -.alpha in
+    let rz = ref 0. and rr = ref 0. in
+    for i = 0 to n - 1 do
+      x.(i) <- x.(i) +. (alpha *. p.(i));
+      let ri = r.(i) +. (neg_alpha *. ap.(i)) in
+      let zi = inv.(i) *. ri in
+      r.(i) <- ri;
+      z.(i) <- zi;
+      rz := !rz +. (ri *. zi);
+      rr := !rr +. (ri *. ri)
+    done;
+    let beta = !rz /. sc.(0) in
+    sc.(0) <- !rz;
+    for i = 0 to n - 1 do
+      p.(i) <- z.(i) +. (beta *. p.(i))
+    done;
+    sc.(1) <- sqrt !rr;
+    ax.iters <- ax.iters + 1
+  end
+
+let finish ax =
+  let rnorm = ax.sc.(1) in
   if Obs.Registry.enabled () then begin
-    Obs.Registry.observe "cg/iterations" (float_of_int !iters);
-    Obs.Registry.observe "cg/residual" !rnorm;
+    Obs.Registry.observe "cg/iterations" (float_of_int ax.iters);
+    Obs.Registry.observe "cg/residual" rnorm;
     Obs.Registry.incr "cg/solves"
   end;
-  { iterations = !iters; residual = !rnorm; converged = !rnorm <= threshold }
+  { iterations = ax.iters; residual = rnorm; converged = rnorm <= ax.sc.(2) }
+
+let solve_in ?(tol = 1e-8) ?max_iter ?inv_diag w a =
+  let ax = axis ~tol ?max_iter ?inv_diag w a in
+  Sparse.mul a w.x w.r;
+  start ax;
+  (* Standard PCG recurrence; loop invariant: r = b - a x, z = M⁻¹ r,
+     rz = rᵀz. *)
+  while active ax do
+    Sparse.mul a w.p w.ap;
+    advance ax
+  done;
+  finish ax
+
+let solve2_in ?(tol = 1e-8) ?max_iter ~inv_x ~inv_y wx wy mx my =
+  if Sparse.dim my <> Sparse.dim mx then
+    invalid_arg "Cg.solve2_in: matrix dimension mismatch";
+  let ax = axis ~tol ?max_iter ~inv_diag:inv_x wx mx in
+  let ay = axis ~tol ?max_iter ~inv_diag:inv_y wy my in
+  Sparse.mul2 mx wx.x wx.r my wy.x wy.r;
+  start ax;
+  start ay;
+  (* The two recurrences are independent; they share each iteration's
+     matrix sweep until one stops, then the other runs alone. *)
+  let continue = ref true in
+  while !continue do
+    match (active ax, active ay) with
+    | true, true ->
+      Sparse.mul2 mx wx.p wx.ap my wy.p wy.ap;
+      advance ax;
+      advance ay
+    | true, false ->
+      Sparse.mul mx wx.p wx.ap;
+      advance ax
+    | false, true ->
+      Sparse.mul my wy.p wy.ap;
+      advance ay
+    | false, false -> continue := false
+  done;
+  let sx = finish ax in
+  let sy = finish ay in
+  (sx, sy)
 
 let solve ?tol ?max_iter ?x0 ?inv_diag a b =
   let n = Sparse.dim a in

@@ -16,9 +16,9 @@
 
    Scheduling: tasks go through one shared queue.  A caller submitting a
    batch helps drain the queue until its own batch completes, so nested
-   parallelism (e.g. a parallel SpMV inside one of the two concurrent CG
-   solves of `both`) cannot deadlock — a blocked submitter always runs
-   queued work before sleeping. *)
+   parallelism (a parallel SpMV inside a task of a sharded worker's
+   batch) cannot deadlock — a blocked submitter always runs queued work
+   before sleeping. *)
 
 type pool = {
   size : int; (* total lanes, including the submitting domain *)
@@ -229,22 +229,4 @@ let parallel_range ?chunk ?work ~lo ~hi body =
              let a = lo + (k * chunk) in
              let b = min hi (a + chunk) in
              fun () -> body a b))
-  end
-
-(* Run two independent computations concurrently; [f] runs on the
-   caller or a worker, [g] likewise.  With one domain this is exactly
-   [let a = f () in let b = g () in (a, b)]. *)
-let both f g =
-  if num_domains () <= 1 then begin
-    let a = f () in
-    let b = g () in
-    (a, b)
-  end
-  else begin
-    let ra = ref None and rb = ref None in
-    run_tasks (get_pool ())
-      [| (fun () -> ra := Some (f ())); (fun () -> rb := Some (g ())) |];
-    match (!ra, !rb) with
-    | Some a, Some b -> (a, b)
-    | _ -> assert false (* run_tasks re-raised the task's exception *)
   end

@@ -65,8 +65,3 @@ val shutdown : unit -> unit
     the whole range, so results are bitwise-identical. *)
 val parallel_range :
   ?chunk:int -> ?work:int -> lo:int -> hi:int -> (int -> int -> unit) -> unit
-
-(** [both f g] runs the two thunks concurrently (sequentially, [f]
-    first, on a one-domain pool) and returns both results.  The first
-    exception raised by either thunk is re-raised on the caller. *)
-val both : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b

@@ -196,8 +196,23 @@ let pattern_matches pat b =
 let compile b =
   let n = b.bn in
   let len = b.len in
-  (* Count per row, prefix-sum, then scatter triplet indices by row in
-     triplet order — same first pass as [finalize], structure only. *)
+  (* Two stable counting passes over the triplet indices, by column and
+     then by row, leave each row's triplets sorted by column with equal
+     columns in triplet order — the accumulation order [finalize]'s
+     stable per-row sort gives.  [cursor] serves both passes. *)
+  let cursor = Array.make (n + 1) 0 in
+  for k = 0 to len - 1 do
+    cursor.(b.bj.(k) + 1) <- cursor.(b.bj.(k) + 1) + 1
+  done;
+  for i = 1 to n do
+    cursor.(i) <- cursor.(i) + cursor.(i - 1)
+  done;
+  let by_col = Array.make len 0 in
+  for k = 0 to len - 1 do
+    let c = b.bj.(k) in
+    by_col.(cursor.(c)) <- k;
+    cursor.(c) <- cursor.(c) + 1
+  done;
   let tri_start = Array.make (n + 1) 0 in
   for k = 0 to len - 1 do
     tri_start.(b.bi.(k) + 1) <- tri_start.(b.bi.(k) + 1) + 1
@@ -205,36 +220,19 @@ let compile b =
   for i = 1 to n do
     tri_start.(i) <- tri_start.(i) + tri_start.(i - 1)
   done;
-  let cursor = Array.copy tri_start in
-  let tcol = Array.make len 0 in
+  Array.blit tri_start 0 cursor 0 (n + 1);
   let tof = Array.make len 0 in
-  for k = 0 to len - 1 do
-    let i = b.bi.(k) in
-    let p = cursor.(i) in
-    tcol.(p) <- b.bj.(k);
-    tof.(p) <- k;
-    cursor.(i) <- p + 1
-  done;
-  (* Stable insertion sort per row by column: equal columns keep triplet
-     order, the accumulation order [finalize] uses. *)
-  for i = 0 to n - 1 do
-    let lo = tri_start.(i) and hi = tri_start.(i + 1) in
-    for p = lo + 1 to hi - 1 do
-      let c = tcol.(p) and k = tof.(p) in
-      let q = ref p in
-      while !q > lo && tcol.(!q - 1) > c do
-        tcol.(!q) <- tcol.(!q - 1);
-        tof.(!q) <- tof.(!q - 1);
-        decr q
-      done;
-      tcol.(!q) <- c;
-      tof.(!q) <- k
-    done
+  for p = 0 to len - 1 do
+    let k = by_col.(p) in
+    let r = b.bi.(k) in
+    tof.(cursor.(r)) <- k;
+    cursor.(r) <- cursor.(r) + 1
   done;
   (* Merge runs of equal columns into slots, recording each triplet's
-     slot by its original index. *)
+     slot by its original index.  [tof] holds every triplet index once,
+     so the merge overwrites all of [by_col]: it becomes the slot map. *)
+  let slot = by_col in
   let row_start = Array.make (n + 1) 0 in
-  let slot = Array.make len 0 in
   let col_buf = Array.make len 0 in
   let w = ref 0 in
   for i = 0 to n - 1 do
@@ -242,9 +240,9 @@ let compile b =
     let hi = tri_start.(i + 1) in
     let p = ref tri_start.(i) in
     while !p < hi do
-      let c = tcol.(!p) in
+      let c = b.bj.(tof.(!p)) in
       col_buf.(!w) <- c;
-      while !p < hi && tcol.(!p) = c do
+      while !p < hi && b.bj.(tof.(!p)) = c do
         slot.(tof.(!p)) <- !w;
         incr p
       done;
@@ -302,6 +300,38 @@ let mul m x y =
       ~work:m.row_start.(m.n) ~lo:0 ~hi:m.n
       (fun r0 r1 -> mul_rows m x y r0 r1)
   else mul_rows m x y 0 m.n
+
+(* Two products in one row sweep.  A shared matrix is read once, each
+   row feeding both accumulators; two matrices are swept row by row
+   side by side.  Either way every output keeps [mul_rows]'s
+   accumulation order. *)
+let mul2_rows a xa ya b xb yb r0 r1 =
+  if a == b then
+    for i = r0 to r1 - 1 do
+      let acc_a = ref 0. and acc_b = ref 0. in
+      for p = a.row_start.(i) to a.row_start.(i + 1) - 1 do
+        let v = a.value.(p) and c = a.col.(p) in
+        acc_a := !acc_a +. (v *. xa.(c));
+        acc_b := !acc_b +. (v *. xb.(c))
+      done;
+      ya.(i) <- !acc_a;
+      yb.(i) <- !acc_b
+    done
+  else begin
+    mul_rows a xa ya r0 r1;
+    mul_rows b xb yb r0 r1
+  end
+
+let mul2 a xa ya b xb yb =
+  assert (b.n = a.n);
+  assert (Array.length xa = a.n && Array.length ya = a.n);
+  assert (Array.length xb = a.n && Array.length yb = a.n);
+  if a.n >= mul_par_threshold && Parallel.num_domains () > 1 then
+    Parallel.parallel_range
+      ~chunk:(max 128 (a.n / (4 * Parallel.num_domains ())))
+      ~work:a.row_start.(a.n) ~lo:0 ~hi:a.n
+      (fun r0 r1 -> mul2_rows a xa ya b xb yb r0 r1)
+  else mul2_rows a xa ya b xb yb 0 a.n
 
 let diagonal_into m d =
   if Array.length d <> m.n then

@@ -113,6 +113,15 @@ val mul : t -> float array -> float array -> unit
     tests). *)
 val mul_seq : t -> float array -> float array -> unit
 
+(** [mul2 a xa ya b xb yb] writes [a * xa] into [ya] and [b * xb] into
+    [yb] in one row sweep, row-chunked across the pool exactly like
+    {!mul}.  When [a] and [b] are physically equal (the clique model's
+    shared matrix) each row is read once for both products.  Both
+    outputs are bitwise-identical to two {!mul_seq} calls.  [a] and [b]
+    must have the same dimension. *)
+val mul2 :
+  t -> float array -> float array -> t -> float array -> float array -> unit
+
 (** [diagonal m] is a fresh array of the diagonal entries (zero where the
     diagonal is not stored). *)
 val diagonal : t -> float array

@@ -59,8 +59,19 @@ type assembly = {
   ady : float array;
   inv_x : float array; (* preconditioner storage *)
   inv_y : float array; (* == inv_x under Clique *)
-  a_cg_x : Numeric.Cg.workspace; (* one per axis: the solves run concurrently *)
+  a_cg_x : Numeric.Cg.workspace; (* one per axis of the two-axis PCG *)
   a_cg_y : Numeric.Cg.workspace;
+  pre_dx : float array; (* d before the hold term, as the last pass left it *)
+  pre_dy : float array;
+  (* The value cache.  [cached] is the system of the last full clique
+     pass at the quadratic scale; the [key_*] arrays hold copies of the
+     other inputs that decided its values.  While they match bit for
+     bit, a rebuild re-applies only the hold term of d. *)
+  mutable cached : t option;
+  key_net_weights : float array;
+  key_scalars : float array; (* anchor_weight; hold *)
+  key_x : float array; (* coordinates by cell; only fixed cells are keys *)
+  key_y : float array;
   mutable reused : int;
   mutable pattern_rebuilds : int;
 }
@@ -99,6 +110,13 @@ let assembly (c : Netlist.Circuit.t) ?(clique_cap = 16) ?(model = Clique) () =
     inv_y = (match model with Clique -> inv_x | Bound2bound -> Array.make n 0.);
     a_cg_x = Numeric.Cg.workspace n;
     a_cg_y = Numeric.Cg.workspace n;
+    pre_dx = Array.make n 0.;
+    pre_dy = Array.make n 0.;
+    cached = None;
+    key_net_weights = Array.make (Netlist.Circuit.num_nets c) 0.;
+    key_scalars = Array.make 2 0.;
+    key_x = Array.make (Array.length var_of_cell) 0.;
+    key_y = Array.make (Array.length var_of_cell) 0.;
     reused = 0;
     pattern_rebuilds = 0;
   }
@@ -277,6 +295,30 @@ let stream_b2b asm ay ~px ~py ~net_weights =
   let ne = !count_x + !count_y in
   if ne = 0 then 1. else (!total_x +. !total_y) /. float_of_int ne
 
+(* The hold springs' d terms: d = d_pre − hw·hold_at, hw being the
+   cell's hold spring weight, or d = d_pre when there is no hold. *)
+let apply_hold asm ~(placement : Netlist.Placement.t) ~mean_w ~hold ~hold_at =
+  let n = asm.a_n in
+  if hold > 0. then begin
+    let hp = match hold_at with Some hp -> hp | None -> placement in
+    let hx = hp.Netlist.Placement.x and hy = hp.Netlist.Placement.y in
+    for v = 0 to n - 1 do
+      let id = asm.a_cell_of_var.(v) in
+      let hwx = hold *. Float.max asm.axx.incident.(v) mean_w in
+      asm.adx.(v) <- asm.pre_dx.(v) -. (hwx *. hx.(id));
+      let hwy =
+        match asm.axy with
+        | None -> hwx
+        | Some ay -> hold *. Float.max ay.incident.(v) mean_w
+      in
+      asm.ady.(v) <- asm.pre_dy.(v) -. (hwy *. hy.(id))
+    done
+  end
+  else begin
+    Array.blit asm.pre_dx 0 asm.adx 0 n;
+    Array.blit asm.pre_dy 0 asm.ady 0 n
+  end
+
 (* One assembly pass: every spring of the net model, then the anchor
    springs, then the hold springs, into the builders ([direct = None]) or
    the cached clique pattern's slots.  Returns the mean edge weight. *)
@@ -316,36 +358,27 @@ let stream asm direct ~(placement : Netlist.Placement.t) ~net_weights ~edge_scal
     asm.ady.(v) <- asm.ady.(v) -. (aw *. cy)
   done;
   (* Hold springs: damp the step by pulling each cell toward where it is
-     now, in proportion to its own connectivity stiffness. *)
-  if hold > 0. then begin
-    let hp = match hold_at with Some hp -> hp | None -> placement in
-    let hx = hp.Netlist.Placement.x and hy = hp.Netlist.Placement.y in
+     now, in proportion to its own connectivity stiffness.  Their matrix
+     terms go in here; their d terms in [apply_hold]. *)
+  Array.blit asm.adx 0 asm.pre_dx 0 n;
+  Array.blit asm.ady 0 asm.pre_dy 0 n;
+  if hold > 0. then
     for v = 0 to n - 1 do
-      let id = asm.a_cell_of_var.(v) in
-      let hwx = hold *. Float.max asm.axx.incident.(v) mean_w in
-      emit asm.axx direct v v hwx;
-      asm.adx.(v) <- asm.adx.(v) -. (hwx *. hx.(id));
-      let hwy =
-        match asm.axy with
-        | None -> hwx
-        | Some ay ->
-          let hwy = hold *. Float.max ay.incident.(v) mean_w in
-          emit ay None v v hwy;
-          hwy
-      in
-      asm.ady.(v) <- asm.ady.(v) -. (hwy *. hy.(id))
-    done
-  end;
+      emit asm.axx direct v v (hold *. Float.max asm.axx.incident.(v) mean_w);
+      match asm.axy with
+      | None -> ()
+      | Some ay -> emit ay None v v (hold *. Float.max ay.incident.(v) mean_w)
+    done;
+  apply_hold asm ~placement ~mean_w ~hold ~hold_at;
   (match direct with
   | Some sl when asm.axx.next <> sl.Numeric.Sparse.s_len -> raise_notrace Drift
   | _ -> ());
   mean_w
 
-let rebuild (asm : assembly) ~(placement : Netlist.Placement.t) ~net_weights
-    ~edge_scale ?(anchor_weight = 1e-6) ?(hold = 0.) ?hold_at () =
-  let c = asm.a_circuit in
-  if Array.length net_weights <> Netlist.Circuit.num_nets c then
-    invalid_arg "System.rebuild: net_weights length mismatch";
+(* A full pass: every spring, anchor and hold term streamed into the
+   matrices and d vectors. *)
+let full_pass asm ~placement ~net_weights ~edge_scale ~anchor_weight ~hold
+    ~hold_at =
   let pass direct =
     stream asm direct ~placement ~net_weights ~edge_scale ~anchor_weight ~hold
       ~hold_at
@@ -400,7 +433,7 @@ let rebuild (asm : assembly) ~(placement : Netlist.Placement.t) ~net_weights
       else None
   in
   {
-    circuit = c;
+    circuit = asm.a_circuit;
     var_of_cell = asm.a_var_of_cell;
     cell_of_var = asm.a_cell_of_var;
     n_movable = asm.a_n;
@@ -414,6 +447,76 @@ let rebuild (asm : assembly) ~(placement : Netlist.Placement.t) ~net_weights
     cg_x = asm.a_cg_x;
     cg_y = asm.a_cg_y;
   }
+
+(* Bitwise equality, so that a cache hit can never change a result:
+   [=] would identify 0. with -0. and refuse NaN. *)
+let same_bits src key =
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length key do
+    if Int64.bits_of_float src.(!i) <> Int64.bits_of_float key.(!i) then
+      ok := false;
+    incr i
+  done;
+  !ok
+
+let same_fixed asm coords key =
+  let ok = ref true and id = ref 0 in
+  while !ok && !id < Array.length key do
+    if
+      asm.a_var_of_cell.(!id) < 0
+      && Int64.bits_of_float coords.(!id) <> Int64.bits_of_float key.(!id)
+    then ok := false;
+    incr id
+  done;
+  !ok
+
+(* Under the clique model at the quadratic scale, the matrix, the
+   incident sums, the mean edge weight and d before its hold term are
+   decided by the net weights, [anchor_weight], [hold] and the fixed
+   cells' coordinates alone: the movable cells enter only through the
+   hold targets. *)
+let key_matches asm ~(placement : Netlist.Placement.t) ~net_weights
+    ~anchor_weight ~hold =
+  let k = asm.key_scalars in
+  Int64.bits_of_float anchor_weight = Int64.bits_of_float k.(0)
+  && Int64.bits_of_float hold = Int64.bits_of_float k.(1)
+  && same_bits net_weights asm.key_net_weights
+  && same_fixed asm placement.Netlist.Placement.x asm.key_x
+  && same_fixed asm placement.Netlist.Placement.y asm.key_y
+
+let remember asm ~(placement : Netlist.Placement.t) ~net_weights
+    ~anchor_weight ~hold =
+  Array.blit net_weights 0 asm.key_net_weights 0 (Array.length net_weights);
+  asm.key_scalars.(0) <- anchor_weight;
+  asm.key_scalars.(1) <- hold;
+  Array.blit placement.Netlist.Placement.x 0 asm.key_x 0 (Array.length asm.key_x);
+  Array.blit placement.Netlist.Placement.y 0 asm.key_y 0 (Array.length asm.key_y)
+
+let rebuild (asm : assembly) ~(placement : Netlist.Placement.t) ~net_weights
+    ~edge_scale ?(anchor_weight = 1e-6) ?(hold = 0.) ?hold_at () =
+  if Array.length net_weights <> Netlist.Circuit.num_nets asm.a_circuit then
+    invalid_arg "System.rebuild: net_weights length mismatch";
+  let quadratic =
+    match edge_scale with Weights.Quadratic -> true | Weights.Linearize _ -> false
+  in
+  match asm.cached with
+  | Some t
+    when quadratic
+         && key_matches asm ~placement ~net_weights ~anchor_weight ~hold ->
+    apply_hold asm ~placement ~mean_w:t.mean_edge_weight ~hold ~hold_at;
+    asm.reused <- asm.reused + 1;
+    t
+  | _ ->
+    asm.cached <- None;
+    let t =
+      full_pass asm ~placement ~net_weights ~edge_scale ~anchor_weight ~hold
+        ~hold_at
+    in
+    if quadratic && asm.a_model = Clique then begin
+      remember asm ~placement ~net_weights ~anchor_weight ~hold;
+      asm.cached <- Some t
+    end;
+    t
 
 let build (c : Netlist.Circuit.t) ~placement ~net_weights ~edge_scale
     ?(clique_cap = 16) ?(anchor_weight = 1e-6) ?(hold = 0.) ?hold_at
@@ -467,12 +570,12 @@ let solve ?tol t ~(placement : Netlist.Placement.t) ~ex ~ey =
     | None -> Numeric.Cg.inv_diagonal m
   in
   let inv_dx = force t.mx t.inv_dx and inv_dy = force t.my t.inv_dy in
-  (* The axes are independent SPD systems; solve them concurrently. *)
+  (* The axes are independent SPD systems; one two-axis PCG solves both,
+     sweeping the shared clique matrix once per iteration. *)
   let sx, sy =
     Obs.Timer.time "qp/solve" (fun () ->
-        Numeric.Parallel.both
-          (fun () -> Numeric.Cg.solve_in ?tol ~inv_diag:inv_dx t.cg_x t.mx)
-          (fun () -> Numeric.Cg.solve_in ?tol ~inv_diag:inv_dy t.cg_y t.my))
+        Numeric.Cg.solve2_in ?tol ~inv_x:inv_dx ~inv_y:inv_dy t.cg_x t.cg_y
+          t.mx t.my)
   in
   if Obs.Registry.enabled () then begin
     Obs.Registry.observe "qp/cg_iterations"

@@ -3,8 +3,8 @@
 
     Variables exist only for movable cells; fixed cells and pin offsets
     contribute to the constant vector d.  The x and y systems share the
-    matrix C (weights do not depend on axis), so one assembly serves two
-    CG solves.
+    matrix C (weights do not depend on axis), so one assembly serves
+    both axes of one two-axis PCG solve.
 
     A tiny anchor spring from every movable cell to the region centre
     (weight [anchor_weight] relative to the mean net weight) keeps C
@@ -25,11 +25,12 @@ type net_model = Clique | Bound2bound
 val index_map : Netlist.Circuit.t -> int array * int
 
 (** Reusable assembly state for one circuit: the triplet builders, the
-    frozen symbolic sparsity {!Numeric.Sparse.pattern}, the d vectors,
-    the Jacobi preconditioner storage, one {!Numeric.Cg.workspace} per
-    axis and the edges sampled for nets above the clique cap.  Keyed by
-    circuit, net model and clique cap at creation; every {!rebuild}
-    against it re-emits only the numeric values (the per-iteration work
+    frozen symbolic sparsity {!Numeric.Sparse.pattern}, the d vectors
+    (and d before its hold term), the Jacobi preconditioner storage, one
+    {!Numeric.Cg.workspace} per axis, the edges sampled for nets above
+    the clique cap and the value cache of {!rebuild}.  Keyed by circuit,
+    net model and clique cap at creation; every {!rebuild} against it
+    re-emits at most the numeric values (the per-iteration work
     Kraftwerk repeats ~200 times), paying the symbolic sort-and-merge
     once. *)
 type assembly
@@ -45,15 +46,24 @@ val assembly :
     through the cached state — same semantics and bitwise-identical
     matrices as {!build} with the assembly's model and cap.
 
-    Under the clique model the structure depends only on the circuit and
-    on which nets have a positive weight, so once the first pass has
-    compiled its pattern every later pass scatters each value straight
-    into its matrix slot ({!Numeric.Sparse.slots}) and allocates nothing
-    per net or edge; a pass whose structure drifted (a net weight reached
-    zero) is redone through the builder and recompiled.  Bound2Bound
-    records every pass and refills the cached pattern when the triplet
-    stream kept its structure ({!Numeric.Sparse.refill}).  Recompiles are
-    counted (see {!assembly_stats}).
+    Under the clique model at the {!Weights.Quadratic} scale the values
+    themselves are cached: the matrix, incident sums, mean edge weight
+    and d before its hold term depend only on the net weights,
+    [anchor_weight], [hold] and the fixed cells' coordinates.  While all
+    of these are bitwise equal to the last full pass's, a rebuild only
+    re-applies the hold term [d(v) −= hw·hold_at(v)] and returns that
+    pass's system, O(cells + nets) with no spring streamed.
+
+    Otherwise a full pass runs.  Under the clique model the structure
+    depends only on the circuit and on which nets have a positive
+    weight, so once the first pass has compiled its pattern every later
+    pass scatters each value straight into its matrix slot
+    ({!Numeric.Sparse.slots}) and allocates nothing per net or edge; a
+    pass whose structure drifted (a net weight reached zero) is redone
+    through the builder and recompiled.  Bound2Bound records every pass
+    and refills the cached pattern when the triplet stream kept its
+    structure ({!Numeric.Sparse.refill}).  Recompiles are counted (see
+    {!assembly_stats}; a value-cache hit counts as reused).
 
     The returned system {e aliases} the assembly's storage (matrix
     values, d vectors, preconditioners, the solve buffers): it is
@@ -118,8 +128,10 @@ val build :
     coordinates.  [tol] is the relative CG tolerance (default the
     {!Numeric.Cg.solve} default, [1e-8]) — the placer loosens it while
     density overflow is still high and tightens it as the placement
-    converges.  The solves run in the assembly's own CG workspaces
-    ({!Numeric.Cg.solve_in}), so a solve allocates nothing per cell.
+    converges.  Both axes run in one {!Numeric.Cg.solve2_in} over the
+    assembly's own CG workspaces: one matrix sweep per iteration serves
+    both axes (the clique model's shared C is read once), each axis
+    stops on its own threshold, and a solve allocates nothing per cell.
     Returns CG statistics for the x and y solves. *)
 val solve :
   ?tol:float ->

@@ -1,38 +1,7 @@
-(* Tests for the min-cost-flow solver and the Domino-like detailed
-   placer. *)
+(* Tests for the min-cost assignment solver and the Domino-like
+   detailed placer. *)
 
 module Mcf = Numeric.Mincostflow
-
-let test_simple_flow () =
-  (* source → a → sink with capacity 2 cost 1, plus source → b → sink
-     with capacity 1 cost 5: pushing 3 units costs 2·1·2 + 1·5·2 = wait,
-     edges: s−a (2, 1.), a−t (2, 1.), s−b (1, 5.), b−t (1, 5.). *)
-  let g = Mcf.create 4 in
-  let _ = Mcf.add_edge g ~src:0 ~dst:1 ~capacity:2 ~cost:1. in
-  let _ = Mcf.add_edge g ~src:1 ~dst:3 ~capacity:2 ~cost:1. in
-  let _ = Mcf.add_edge g ~src:0 ~dst:2 ~capacity:1 ~cost:5. in
-  let _ = Mcf.add_edge g ~src:2 ~dst:3 ~capacity:1 ~cost:5. in
-  let flow, cost = Mcf.solve g ~source:0 ~sink:3 () in
-  Alcotest.(check int) "max flow" 3 flow;
-  Alcotest.(check (float 1e-9)) "min cost" ((2. *. 2.) +. (2. *. 5.)) cost
-
-let test_flow_respects_max () =
-  let g = Mcf.create 2 in
-  let e = Mcf.add_edge g ~src:0 ~dst:1 ~capacity:10 ~cost:1. in
-  let flow, _ = Mcf.solve g ~source:0 ~sink:1 ~max_flow:4 () in
-  Alcotest.(check int) "limited" 4 flow;
-  Alcotest.(check int) "edge flow" 4 (Mcf.flow g e)
-
-let test_flow_prefers_cheap_path () =
-  let g = Mcf.create 4 in
-  let cheap = Mcf.add_edge g ~src:0 ~dst:1 ~capacity:1 ~cost:1. in
-  let _ = Mcf.add_edge g ~src:1 ~dst:3 ~capacity:1 ~cost:0. in
-  let expensive = Mcf.add_edge g ~src:0 ~dst:2 ~capacity:1 ~cost:10. in
-  let _ = Mcf.add_edge g ~src:2 ~dst:3 ~capacity:1 ~cost:0. in
-  let flow, _ = Mcf.solve g ~source:0 ~sink:3 ~max_flow:1 () in
-  Alcotest.(check int) "one unit" 1 flow;
-  Alcotest.(check int) "cheap used" 1 (Mcf.flow g cheap);
-  Alcotest.(check int) "expensive unused" 0 (Mcf.flow g expensive)
 
 let test_assignment_identity () =
   (* Diagonal much cheaper than off-diagonal: identity assignment. *)
@@ -93,6 +62,32 @@ let test_assignment_ties_hang_regression () =
         Alcotest.(check bool) "valid perm" false seen.(j);
         seen.(j) <- true)
       a
+  done
+
+(* The dense solver against the graph run it replaced (Mcf_oracle):
+   identical choices on random square and rectangular matrices whose
+   costs come from a few integers, some negative, so that optimal
+   assignments tie and only the edge and heap order decides. *)
+let test_assignment_matches_graph_oracle () =
+  let rng = Numeric.Rng.create 2024 in
+  let ws = Mcf.workspace () in
+  for case = 1 to 1200 do
+    let agents = 1 + Numeric.Rng.int rng 20 in
+    let objects =
+      if case mod 2 = 0 then agents else agents + Numeric.Rng.int rng (21 - agents)
+    in
+    let levels = 2 + Numeric.Rng.int rng 4 in
+    let low = -Numeric.Rng.int rng 3 in
+    let costs =
+      Array.init agents (fun _ ->
+          Array.init objects (fun _ ->
+              float_of_int (low + Numeric.Rng.int rng levels)))
+    in
+    let expect = Mcf_oracle.assignment ~costs in
+    let fresh = Mcf.assignment ~costs and reused = Mcf.assign ws ~costs in
+    if fresh <> expect || reused <> expect then
+      Alcotest.failf "case %d (%dx%d): dense solver chose differently" case
+        agents objects
   done
 
 (* --- Domino --- *)
@@ -177,13 +172,12 @@ let test_domino_deterministic () =
 
 let suite =
   [
-    Alcotest.test_case "simple flow" `Quick test_simple_flow;
-    Alcotest.test_case "max flow cap" `Quick test_flow_respects_max;
-    Alcotest.test_case "cheap path" `Quick test_flow_prefers_cheap_path;
     Alcotest.test_case "assignment identity" `Quick test_assignment_identity;
     Alcotest.test_case "assignment vs brute force" `Quick test_assignment_optimal_vs_bruteforce;
     Alcotest.test_case "assignment rectangular" `Quick test_assignment_rectangular;
     Alcotest.test_case "assignment tie regression" `Quick test_assignment_ties_hang_regression;
+    Alcotest.test_case "assignment = graph oracle" `Quick
+      test_assignment_matches_graph_oracle;
     Alcotest.test_case "flow pass" `Quick test_flow_pass_improves_and_stays_legal;
     Alcotest.test_case "reorder pass" `Quick test_reorder_pass_improves_and_stays_legal;
     Alcotest.test_case "run until dry" `Quick test_run_stops_when_dry;

@@ -706,13 +706,17 @@ let test_sharded_resume_with_effort () =
 (* Cancellation and deadlines keep their degraded-but-legal semantics
    when slices run on worker domains. *)
 let test_sharded_cancel_deadline_legal () =
-  let circuit, _ = ok_or_fail (Engine.Source.load (source ())) in
+  (* The cancelled job must still be running when the cancel lands after
+     its fourth slice: uncancelled, primary1 at effort 9 runs 312
+     transformations of about 2 ms each. *)
+  let long_source = Engine.Source.Profile { name = "primary1"; scale = 1.0; seed = 7 } in
+  let circuit, _ = ok_or_fail (Engine.Source.load long_source) in
   let circuit5, _ = ok_or_fail (Engine.Source.load (source ~seed:5 ())) in
   let sched = Engine.Scheduler.create ~concurrency:2 ~domains:2 () in
   let a =
     Engine.Scheduler.submit sched
-      (Engine.Job.spec ~source:(source ()) ~objective:(fast ()) ~max_steps:500
-         ())
+      (Engine.Job.spec ~source:long_source ~objective:(fast ~effort:9 ())
+         ~max_steps:500 ())
   in
   let d =
     Engine.Scheduler.submit sched

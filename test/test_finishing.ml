@@ -263,23 +263,6 @@ let test_hpwl_net_all_nan () =
    per-step allocations (boxed floats, tuples, options, closures) to
    zero, as test_poisson does for the FFT. *)
 
-let tied_graph costs =
-  let n = Array.length costs in
-  let module Mcf = Numeric.Mincostflow in
-  let g = Mcf.create ((2 * n) + 2) in
-  for i = 0 to n - 1 do
-    ignore (Mcf.add_edge g ~src:0 ~dst:(1 + i) ~capacity:1 ~cost:0.)
-  done;
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      ignore (Mcf.add_edge g ~src:(1 + i) ~dst:(1 + n + j) ~capacity:1 ~cost:costs.(i).(j))
-    done
-  done;
-  for j = 0 to n - 1 do
-    ignore (Mcf.add_edge g ~src:(1 + n + j) ~dst:((2 * n) + 1) ~capacity:1 ~cost:0.)
-  done;
-  g
-
 (* The 16×16 tied assignment: with list adjacency and a heap of boxed
    (distance, node) pairs it allocated 17645 minor words (69 n²), about
    12950 of them in [solve]'s pops and pushes; now 3736, of which
@@ -294,17 +277,7 @@ let test_assignment_allocation () =
   Alcotest.(check bool)
     (Printf.sprintf "assignment allocates O(n^2) words (%.0f)" words)
     true
-    (words <= 24. *. float_of_int (n * n));
-  let g = tied_graph costs in
-  let nodes = (2 * n) + 2 in
-  let before = Gc.minor_words () in
-  let flow, _ = Numeric.Mincostflow.solve g ~source:0 ~sink:(nodes - 1) () in
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check int) "full assignment" n flow;
-  Alcotest.(check bool)
-    (Printf.sprintf "solve allocates per node, not per pop (%.0f words)" words)
-    true
-    (words <= 16. *. float_of_int nodes)
+    (words <= 24. *. float_of_int (n * n))
 
 let test_hpwl_net_allocation () =
   let c, p = List.assoc "primary1" (Lazy.force fixtures) in

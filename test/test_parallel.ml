@@ -40,32 +40,19 @@ let test_parallel_range_covers_range () =
                     Alcotest.failf "d=%d n=%d: index %d visited %d times" d n
                       i h)
                 hits)
-            [ 0; 1; 6; 7; 8; 100; 1023 ]))
-    domain_counts
-
-let test_both () =
-  List.iter
-    (fun d ->
-      with_domains d (fun () ->
-          let x, y =
-            Numeric.Parallel.both (fun () -> 6 * 7) (fun () -> "forty-two")
-          in
-          Alcotest.(check int) "left" 42 x;
-          Alcotest.(check string) "right" "forty-two" y))
-    domain_counts
-
-let test_both_propagates_exceptions () =
-  List.iter
-    (fun d ->
-      with_domains d (fun () ->
-          Alcotest.check_raises "left raises" (Failure "boom") (fun () ->
-              ignore
-                (Numeric.Parallel.both
-                   (fun () -> failwith "boom")
-                   (fun () -> 1)));
-          (* The pool must survive an exception and keep working. *)
-          let x, y = Numeric.Parallel.both (fun () -> 1) (fun () -> 2) in
-          Alcotest.(check (pair int int)) "alive after exn" (1, 2) (x, y)))
+            [ 0; 1; 6; 7; 8; 100; 1023 ];
+          (* A task's exception reaches the caller, and the pool survives
+             it. *)
+          Alcotest.check_raises "chunk raises" (Failure "boom") (fun () ->
+              Numeric.Parallel.parallel_range ~chunk:7 ~lo:0 ~hi:100
+                (fun a b -> if a <= 14 && 14 < b then failwith "boom"));
+          let hits = Array.make 100 0 in
+          Numeric.Parallel.parallel_range ~chunk:7 ~lo:0 ~hi:100 (fun a b ->
+              for i = a to b - 1 do
+                hits.(i) <- hits.(i) + 1
+              done);
+          Alcotest.(check bool) "alive after exn" true
+            (Array.for_all (( = ) 1) hits)))
     domain_counts
 
 let test_set_num_domains_validates () =
@@ -236,9 +223,6 @@ let suite =
   [
     Alcotest.test_case "parallel_range covers range" `Quick
       test_parallel_range_covers_range;
-    Alcotest.test_case "both" `Quick test_both;
-    Alcotest.test_case "both propagates exceptions" `Quick
-      test_both_propagates_exceptions;
     Alcotest.test_case "set_num_domains validates" `Quick
       test_set_num_domains_validates;
     Alcotest.test_case "KRAFTWERK_DOMAINS env" `Quick test_env_variable;

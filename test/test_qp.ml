@@ -478,7 +478,12 @@ let bits_equal_sparse a b =
    exercises the steady state (same structure, new values), the hold
    springs at the placer's weight and at explicit targets, the
    linearised scale, and structural drift from zero and underflowing
-   net weights, then the return to the original structure. *)
+   net weights, then the return to the original structure.  Its tail
+   walks the clique value cache's key one input at a time: a repeat
+   that may reuse the values, then a move of one fixed cell along x
+   alone, then along y alone, then a change of [anchor_weight] alone,
+   then new hold targets alone.  Every step
+   must equal the oracle and a fresh [build]. *)
 let test_assembly_oracle () =
   let prof = Circuitgen.Profiles.find "fract" in
   let circuit, pads =
@@ -511,17 +516,31 @@ let test_assembly_oracle () =
         else 1. +. (float_of_int (i mod 7) /. 3.))
   in
   let eps = Qp.Weights.default_eps r in
-  (* (seed, weights, scale, hold, hold_at seed) *)
+  let fixed_id =
+    match
+      List.find_opt
+        (fun (cl : Netlist.Cell.t) -> not (Netlist.Cell.movable cl))
+        (Array.to_list circuit.Netlist.Circuit.cells)
+    with
+    | Some cl -> cl.Netlist.Cell.id
+    | None -> Alcotest.fail "fract has no fixed cell"
+  in
+  (* (seed, weights, scale, hold, hold_at seed, anchor weight, fixed cell
+     moves: 0 none, 1 along x, 2 along x and y) *)
   let steps =
     [
-      (3, ones, Quadratic, 0., None);
-      (4, ones, Quadratic, 1.0, None);
-      (5, sparse_weights, Quadratic, 1.0, None);
-      (6, ones, Quadratic, 0.5, Some 11);
-      (7, ones, Linearize eps, 1.0, None);
-      (8, sparse_weights, Linearize eps, 0., None);
-      (9, ones, Quadratic, 1.0, None);
-      (10, ones, Quadratic, 1.0, None);
+      (3, ones, Quadratic, 0., None, 1e-6, 0);
+      (4, ones, Quadratic, 1.0, None, 1e-6, 0);
+      (5, sparse_weights, Quadratic, 1.0, None, 1e-6, 0);
+      (6, ones, Quadratic, 0.5, Some 11, 1e-6, 0);
+      (7, ones, Linearize eps, 1.0, None, 1e-6, 0);
+      (8, sparse_weights, Linearize eps, 0., None, 1e-6, 0);
+      (9, ones, Quadratic, 1.0, None, 1e-6, 0);
+      (10, ones, Quadratic, 1.0, None, 1e-6, 0);
+      (10, ones, Quadratic, 1.0, None, 1e-6, 1);
+      (10, ones, Quadratic, 1.0, None, 1e-6, 2);
+      (10, ones, Quadratic, 1.0, None, 3e-3, 2);
+      (12, ones, Quadratic, 1.0, Some 13, 3e-3, 2);
     ]
   in
   let max_degree =
@@ -540,31 +559,50 @@ let test_assembly_oracle () =
             (fun (model, cap, mname) ->
               let asm = Qp.System.assembly circuit ~clique_cap:cap ~model () in
               List.iter
-                (fun (seed, net_weights, scale, hold, hold_seed) ->
+                (fun (seed, net_weights, scale, hold, hold_seed, anchor_weight,
+                      moves) ->
                   let name part =
-                    Printf.sprintf "%s d=%d seed=%d %s" mname domains seed part
+                    Printf.sprintf "%s d=%d seed=%d anchor=%g moves=%d %s" mname
+                      domains seed anchor_weight moves part
                   in
                   let placement = random_placement seed in
+                  let shift (a : float array) = a.(fixed_id) <- a.(fixed_id) +. 3. in
+                  if moves >= 1 then shift placement.Netlist.Placement.x;
+                  if moves >= 2 then shift placement.Netlist.Placement.y;
                   let hold_at = Option.map random_placement hold_seed in
                   let sys =
                     Qp.System.rebuild asm ~placement ~net_weights
-                      ~edge_scale:(api_scale scale) ~anchor_weight:1e-6 ~hold
-                      ?hold_at ()
+                      ~edge_scale:(api_scale scale) ~anchor_weight ~hold ?hold_at
+                      ()
                   in
-                  let mx, my, dx, dy, mean =
-                    reference_system circuit ~placement ~net_weights ~scale ~cap
-                      ~model ~anchor_weight:1e-6 ~hold ?hold_at ()
+                  let check_against what (mx, my, dx, dy, mean) =
+                    let name part = name (what ^ " " ^ part) in
+                    let sdx, sdy = Qp.System.constant_terms sys in
+                    Alcotest.(check bool) (name "matrix x") true
+                      (bits_equal_sparse mx (Qp.System.matrix sys));
+                    Alcotest.(check bool) (name "matrix y") true
+                      (bits_equal_sparse my (Qp.System.matrix_y sys));
+                    Alcotest.(check bool) (name "dx") true (bits_equal_arr dx sdx);
+                    Alcotest.(check bool) (name "dy") true (bits_equal_arr dy sdy);
+                    Alcotest.(check bool) (name "mean edge weight") true
+                      (Int64.bits_of_float mean
+                      = Int64.bits_of_float (Qp.System.mean_edge_weight sys))
                   in
-                  let sdx, sdy = Qp.System.constant_terms sys in
-                  Alcotest.(check bool) (name "matrix x") true
-                    (bits_equal_sparse mx (Qp.System.matrix sys));
-                  Alcotest.(check bool) (name "matrix y") true
-                    (bits_equal_sparse my (Qp.System.matrix_y sys));
-                  Alcotest.(check bool) (name "dx") true (bits_equal_arr dx sdx);
-                  Alcotest.(check bool) (name "dy") true (bits_equal_arr dy sdy);
-                  Alcotest.(check bool) (name "mean edge weight") true
-                    (Int64.bits_of_float mean
-                    = Int64.bits_of_float (Qp.System.mean_edge_weight sys)))
+                  check_against "oracle"
+                    (reference_system circuit ~placement ~net_weights ~scale ~cap
+                       ~model ~anchor_weight ~hold ?hold_at ());
+                  let fresh =
+                    Qp.System.build circuit ~placement ~net_weights
+                      ~edge_scale:(api_scale scale) ~clique_cap:cap ~anchor_weight
+                      ~hold ?hold_at ~model ()
+                  in
+                  let fdx, fdy = Qp.System.constant_terms fresh in
+                  check_against "build"
+                    ( Qp.System.matrix fresh,
+                      Qp.System.matrix_y fresh,
+                      fdx,
+                      fdy,
+                      Qp.System.mean_edge_weight fresh ))
                 steps)
             [
               (Qp.System.Clique, 16, "clique cap 16");
@@ -586,9 +624,11 @@ let allocated_by f =
   ignore (Sys.opaque_identity (f ()));
   words () -. w0
 
-(* A clique rebuild on a warm assembly scatters into the cached slots and
-   a solve runs in the assembly's CG vectors: each costs a handful of
-   words (the returned records), not a word per net, edge or cell. *)
+(* A clique rebuild on a warm assembly either reuses the cached values
+   (unchanged inputs) or, when a net weight changed, scatters into the
+   cached slots; a solve runs in the assembly's CG vectors.  Each costs a
+   handful of words (the returned records), not a word per net, edge or
+   cell. *)
 let test_rebuild_solve_allocation () =
   let prof = Circuitgen.Profiles.find "primary1" in
   let circuit, pads =
@@ -606,6 +646,21 @@ let test_rebuild_solve_allocation () =
   let words = allocated_by rebuild in
   Alcotest.(check bool)
     (Printf.sprintf "rebuild allocates %.0f words, budget 64" words)
+    true (words <= 64.);
+  (* Alternating two weight vectors of one structure forces the direct
+     scatter path every time. *)
+  let nw2 = Array.map (fun w -> w *. 1.5) nw in
+  let flip = ref false in
+  let rebuild_direct () =
+    flip := not !flip;
+    Qp.System.rebuild asm ~placement:p
+      ~net_weights:(if !flip then nw2 else nw)
+      ~edge_scale:Qp.Weights.Quadratic ~hold:1.0 ()
+  in
+  ignore (rebuild_direct ());
+  let words = allocated_by rebuild_direct in
+  Alcotest.(check bool)
+    (Printf.sprintf "direct rebuild allocates %.0f words, budget 64" words)
     true (words <= 64.);
   let sys = rebuild () in
   let n = Qp.System.num_movable sys in

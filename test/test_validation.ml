@@ -43,20 +43,6 @@ let test_numeric_validation () =
   Alcotest.(check bool) "rng geometric p" true
     (raises_invalid (fun () ->
          ignore (Numeric.Rng.geometric (Numeric.Rng.create 1) 1.5)));
-  Alcotest.(check bool) "mcf bad node" true
-    (raises_invalid (fun () ->
-         let g = Numeric.Mincostflow.create 2 in
-         ignore (Numeric.Mincostflow.add_edge g ~src:0 ~dst:5 ~capacity:1 ~cost:0.)));
-  Alcotest.(check bool) "mcf negative capacity" true
-    (raises_invalid (fun () ->
-         let g = Numeric.Mincostflow.create 2 in
-         ignore (Numeric.Mincostflow.add_edge g ~src:0 ~dst:1 ~capacity:(-1) ~cost:0.)));
-  Alcotest.(check bool) "mcf double solve" true
-    (raises_invalid (fun () ->
-         let g = Numeric.Mincostflow.create 2 in
-         ignore (Numeric.Mincostflow.add_edge g ~src:0 ~dst:1 ~capacity:1 ~cost:0.);
-         ignore (Numeric.Mincostflow.solve g ~source:0 ~sink:1 ());
-         ignore (Numeric.Mincostflow.solve g ~source:0 ~sink:1 ())));
   Alcotest.(check bool) "assignment ragged" true
     (raises_invalid (fun () ->
          ignore (Numeric.Mincostflow.assignment ~costs:[| [| 1.; 2. |]; [| 1. |] |])));
