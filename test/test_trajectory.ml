@@ -156,8 +156,37 @@ let goldens =
 let test_golden name run () =
   Alcotest.(check string) name (List.assoc name goldens) (run ())
 
+(* The served inputs: perfbench writes its generated circuits with
+   [Io.save_circuit], so these pins hold the bytes every workload
+   reads.  They move only with a deliberate generator or format
+   change. *)
+let circuit_goldens =
+  [
+    (("primary1", 1.0), "8dd4821728294d2c08258e522dfa2f55");
+    (("mega100k", 0.15), "119a744ffde06ff627d250206561fd8e");
+  ]
+
+let circuit_digest (name, scale) =
+  let circuit, _, _ = profile ~scale ~seed:1 name in
+  let file = Filename.temp_file "served" ".ckt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Netlist.Io.save_circuit file circuit;
+      Digest.to_hex (Digest.file file))
+
+let test_circuit_golden key () =
+  Alcotest.(check string) (fst key) (List.assoc key circuit_goldens)
+    (circuit_digest key)
+
 let suite =
   List.map
     (fun (name, run) ->
       Alcotest.test_case ("golden " ^ name) `Slow (test_golden name run))
     runs
+  @ List.map
+      (fun (((name, scale) as key), _) ->
+        Alcotest.test_case
+          (Printf.sprintf "served circuit %s@%g" name scale)
+          `Slow (test_circuit_golden key))
+      circuit_goldens
