@@ -105,7 +105,7 @@ let wl_of st nets =
       acc
       +. st.weights.(n)
          *. Metrics.Wirelength.hpwl_net st.c ~x:st.p.Netlist.Placement.x
-              ~y:st.p.Netlist.Placement.y st.c.Netlist.Circuit.nets.(n))
+              ~y:st.p.Netlist.Placement.y n)
     0. nets
 
 (* Deterministic striped initial arrangement: x-sorted cells dealt into

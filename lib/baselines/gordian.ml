@@ -24,7 +24,7 @@ let local_hypergraph (c : Netlist.Circuit.t) members =
           if not (Hashtbl.mem seen net_id) then begin
             Hashtbl.add seen net_id ();
             let locals =
-              Netlist.Net.cells c.Netlist.Circuit.nets.(net_id)
+              Netlist.Circuit.net_cells c net_id
               |> List.filter_map (fun cid -> Hashtbl.find_opt local_of cid)
             in
             match locals with

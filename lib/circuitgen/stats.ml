@@ -1,19 +1,15 @@
 let degree_histogram ?(max_degree = 16) (c : Netlist.Circuit.t) =
   let hist = Array.make (max_degree + 1) 0 in
-  Array.iter
-    (fun net ->
-      let d = min max_degree (Netlist.Net.degree net) in
-      hist.(d) <- hist.(d) + 1)
-    c.Netlist.Circuit.nets;
+  for n = 0 to Netlist.Circuit.num_nets c - 1 do
+    let d = min max_degree (Netlist.Circuit.degree c n) in
+    hist.(d) <- hist.(d) + 1
+  done;
   hist
 
 let average_degree (c : Netlist.Circuit.t) =
   let n = Netlist.Circuit.num_nets c in
   if n = 0 then 0.
-  else
-    float_of_int
-      (Array.fold_left (fun acc net -> acc + Netlist.Net.degree net) 0 c.Netlist.Circuit.nets)
-    /. float_of_int n
+  else float_of_int (Netlist.Circuit.num_pins c) /. float_of_int n
 
 let pins_per_cell (c : Netlist.Circuit.t) =
   let cells =
@@ -23,10 +19,7 @@ let pins_per_cell (c : Netlist.Circuit.t) =
       0 c.Netlist.Circuit.cells
   in
   if cells = 0 then 0.
-  else
-    float_of_int
-      (Array.fold_left (fun acc net -> acc + Netlist.Net.degree net) 0 c.Netlist.Circuit.nets)
-    /. float_of_int cells
+  else float_of_int (Netlist.Circuit.num_pins c) /. float_of_int cells
 
 type rent_point = { block_size : int; external_nets : float }
 
@@ -40,14 +33,14 @@ let external_nets_of_window (c : Netlist.Circuit.t) ~lo ~hi =
   (* A net is external to window [lo, hi) when it has pins on both
      sides of the boundary. *)
   let count = ref 0 in
-  Array.iter
-    (fun net ->
-      let inside = ref false and outside = ref false in
-      List.iter
-        (fun cid -> if cid >= lo && cid < hi then inside := true else outside := true)
-        (Netlist.Net.cells net);
-      if !inside && !outside then incr count)
-    c.Netlist.Circuit.nets;
+  for n = 0 to Netlist.Circuit.num_nets c - 1 do
+    let inside = ref false and outside = ref false in
+    for k = c.Netlist.Circuit.net_start.(n) to c.Netlist.Circuit.net_start.(n + 1) - 1 do
+      let cid = c.Netlist.Circuit.pin_cell.(k) in
+      if cid >= lo && cid < hi then inside := true else outside := true
+    done;
+    if !inside && !outside then incr count
+  done;
   !count
 
 let rent_points (c : Netlist.Circuit.t) =

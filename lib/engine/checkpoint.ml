@@ -89,14 +89,18 @@ let config_fingerprint (c : Kraftwerk.Config.t) =
 let config_digest c = Digest.to_hex (Digest.string (config_fingerprint c))
 
 let circuit_digest (c : Netlist.Circuit.t) =
-  (* Cells and nets are plain records of scalars/arrays; Marshal gives a
-     canonical byte rendering of the whole netlist cheaply. *)
+  (* Cells and the pin table are plain records of scalars/arrays; Marshal
+     gives a canonical byte rendering of the whole netlist cheaply. *)
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
           ( c.Netlist.Circuit.name,
             c.Netlist.Circuit.cells,
-            c.Netlist.Circuit.nets,
+            ( c.Netlist.Circuit.net_start,
+              c.Netlist.Circuit.pin_cell,
+              c.Netlist.Circuit.pin_dx,
+              c.Netlist.Circuit.pin_dy,
+              c.Netlist.Circuit.net_name ),
             c.Netlist.Circuit.region,
             c.Netlist.Circuit.row_height )
           []))

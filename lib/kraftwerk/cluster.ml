@@ -12,31 +12,30 @@ let build_affinity (c : Netlist.Circuit.t) ~clusterable =
   let adj : (int, float) Hashtbl.t array =
     Array.init (Netlist.Circuit.num_cells c) (fun _ -> Hashtbl.create 4)
   in
-  Array.iter
-    (fun (net : Netlist.Net.t) ->
-      let k = Netlist.Net.degree net in
-      if k <= 16 then begin
-        let cells =
-          Netlist.Net.cells net |> List.filter (fun id -> clusterable.(id))
-        in
-        let w = 1. /. float_of_int k in
-        let rec pairs = function
-          | [] -> ()
-          | a :: rest ->
-            List.iter
-              (fun b ->
-                let bump x y =
-                  let prev = try Hashtbl.find adj.(x) y with Not_found -> 0. in
-                  Hashtbl.replace adj.(x) y (prev +. w)
-                in
-                bump a b;
-                bump b a)
-              rest;
-            pairs rest
-        in
-        pairs cells
-      end)
-    c.Netlist.Circuit.nets;
+  for n = 0 to Netlist.Circuit.num_nets c - 1 do
+    let k = Netlist.Circuit.degree c n in
+    if k <= 16 then begin
+      let cells =
+        Netlist.Circuit.net_cells c n |> List.filter (fun id -> clusterable.(id))
+      in
+      let w = 1. /. float_of_int k in
+      let rec pairs = function
+        | [] -> ()
+        | a :: rest ->
+          List.iter
+            (fun b ->
+              let bump x y =
+                let prev = try Hashtbl.find adj.(x) y with Not_found -> 0. in
+                Hashtbl.replace adj.(x) y (prev +. w)
+              in
+              bump a b;
+              bump b a)
+            rest;
+          pairs rest
+      in
+      pairs cells
+    end
+  done;
   adj
 
 let cluster ?(seed = 1) ?max_cluster_area (c : Netlist.Circuit.t)
@@ -131,30 +130,32 @@ let cluster ?(seed = 1) ?max_cluster_area (c : Netlist.Circuit.t)
   in
   (* Coarse nets: flat nets with ≥ 2 distinct clusters. *)
   let coarse_nets = ref [] and coarse_net_count = ref 0 in
-  Array.iter
-    (fun (net : Netlist.Net.t) ->
-      let clusters =
-        Netlist.Net.cells net |> List.map (fun id -> coarse_id.(id))
-        |> List.sort_uniq compare
+  for n = 0 to Netlist.Circuit.num_nets c - 1 do
+    let clusters =
+      Netlist.Circuit.net_cells c n |> List.map (fun id -> coarse_id.(id))
+      |> List.sort_uniq compare
+    in
+    match clusters with
+    | _ :: _ :: _ ->
+      (* Preserve driver-first ordering: the driver cell's cluster
+         leads. *)
+      let driver_cluster =
+        coarse_id.(c.Netlist.Circuit.pin_cell.(c.Netlist.Circuit.net_start.(n)))
       in
-      match clusters with
-      | _ :: _ :: _ ->
-        (* Preserve driver-first ordering: the driver cell's cluster
-           leads. *)
-        let driver_cluster = coarse_id.((Netlist.Net.driver net).Netlist.Net.cell) in
-        let ordered =
-          driver_cluster :: List.filter (fun x -> x <> driver_cluster) clusters
-        in
-        let pins =
-          List.map (fun cid -> { Netlist.Net.cell = cid; dx = 0.; dy = 0. }) ordered
-          |> Array.of_list
-        in
-        coarse_nets :=
-          Netlist.Net.make ~id:!coarse_net_count ~name:net.Netlist.Net.name pins
-          :: !coarse_nets;
-        incr coarse_net_count
-      | [] | [ _ ] -> ())
-    c.Netlist.Circuit.nets;
+      let ordered =
+        driver_cluster :: List.filter (fun x -> x <> driver_cluster) clusters
+      in
+      let pins =
+        List.map (fun cid -> { Netlist.Net.cell = cid; dx = 0.; dy = 0. }) ordered
+        |> Array.of_list
+      in
+      coarse_nets :=
+        Netlist.Net.make ~id:!coarse_net_count
+          ~name:c.Netlist.Circuit.net_name.(n) pins
+        :: !coarse_nets;
+      incr coarse_net_count
+    | [] | [ _ ] -> ()
+  done;
   let coarse =
     Netlist.Circuit.make
       ~name:(c.Netlist.Circuit.name ^ "+clustered")

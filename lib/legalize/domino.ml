@@ -31,10 +31,10 @@ let movable_standard (c : Netlist.Circuit.t) =
 (* -------------------------------------------------------------- *)
 (* Flow reassignment                                               *)
 
-let flow config view mcf (c : Netlist.Circuit.t) (p : Netlist.Placement.t) =
+let flow config mcf (c : Netlist.Circuit.t) (p : Netlist.Placement.t) =
   let x = p.Netlist.Placement.x and y = p.Netlist.Placement.y in
   let region = c.Netlist.Circuit.region in
-  let group_nets = Nets.set view and own_nets = Nets.set view in
+  let group_nets = Nets.set c and own_nets = Nets.set c in
   let moves = ref 0 and gain = ref 0. in
   (* Group cells by (width class, neighbourhood tile). *)
   let tile_h = float_of_int config.neighborhood_rows *. c.Netlist.Circuit.row_height in
@@ -122,7 +122,7 @@ let flow config view mcf (c : Netlist.Circuit.t) (p : Netlist.Placement.t) =
 
 let flow_pass ?(config = default_config) c p =
   validate config;
-  flow config (Nets.create c) (Numeric.Mincostflow.workspace ()) c p
+  flow config (Numeric.Mincostflow.workspace ()) c p
 
 (* -------------------------------------------------------------- *)
 (* Window reordering                                               *)
@@ -141,7 +141,7 @@ let rec permutations = function
 let permutation_table w =
   Array.of_list (List.map Array.of_list (permutations (List.init w Fun.id)))
 
-let reorder config view perms ~obstacles (c : Netlist.Circuit.t)
+let reorder config perms ~obstacles (c : Netlist.Circuit.t)
     (p : Netlist.Placement.t) =
   let x = p.Netlist.Placement.x and y = p.Netlist.Placement.y in
   let all_obstacles =
@@ -167,7 +167,7 @@ let reorder config view perms ~obstacles (c : Netlist.Circuit.t)
     band_lo := Array.of_list (List.map (fun (o : Geometry.Rect.t) -> o.Geometry.Rect.x_lo) meets);
     band_hi := Array.of_list (List.map (fun (o : Geometry.Rect.t) -> o.Geometry.Rect.x_hi) meets)
   in
-  let set = Nets.set view in
+  let set = Nets.set c in
   let improved = ref 0 and gain = ref 0. in
   (* Row membership from current y. *)
   let nrows = max 1 (Netlist.Circuit.num_rows c) in
@@ -252,19 +252,19 @@ let reorder config view perms ~obstacles (c : Netlist.Circuit.t)
 
 let reorder_pass ?(config = default_config) ?(obstacles = []) c p =
   validate config;
-  reorder config (Nets.create c) (permutation_table config.window) ~obstacles c p
+  reorder config (permutation_table config.window) ~obstacles c p
 
 let run ?(config = default_config) ?(obstacles = []) c p =
   validate config;
   (* Per-run buffers: sharded workers run Domino concurrently. *)
-  let view = Nets.create c and perms = permutation_table config.window in
+  let perms = permutation_table config.window in
   let mcf = Numeric.Mincostflow.workspace () in
   let moves = ref 0 and gain = ref 0. in
   let continue = ref true and pass = ref 0 in
   while !continue && !pass < config.passes do
     incr pass;
-    let m1, g1 = flow config view mcf c p in
-    let m2, g2 = reorder config view perms ~obstacles c p in
+    let m1, g1 = flow config mcf c p in
+    let m2, g2 = reorder config perms ~obstacles c p in
     moves := !moves + m1 + m2;
     gain := !gain +. g1 +. g2;
     if g1 +. g2 < 1e-9 then continue := false

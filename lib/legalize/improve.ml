@@ -35,7 +35,7 @@ let run ?(seed = 1) ?(passes = 3) ?(obstacles = []) (c : Netlist.Circuit.t)
         else (x, x) (* cell already inside an obstacle: freeze it *))
       (gap_lo, gap_hi) row_blocked.(row)
   in
-  let nets = Nets.set (Nets.create c) in
+  let nets = Nets.set c in
   let accepted = ref 0 and improvement = ref 0. in
   let movable =
     Array.to_list c.Netlist.Circuit.cells

@@ -1,50 +1,21 @@
-type t = {
-  circuit : Netlist.Circuit.t;
-  start : int array;
-  cell : int array;
-  dx : float array;
-  dy : float array;
-}
-
-let create (c : Netlist.Circuit.t) =
-  let nets = c.Netlist.Circuit.nets in
-  let start = Array.make (Array.length nets + 1) 0 in
-  Array.iteri
-    (fun n (net : Netlist.Net.t) ->
-      start.(n + 1) <- start.(n) + Array.length net.Netlist.Net.pins)
-    nets;
-  let total = start.(Array.length nets) in
-  let cell = Array.make total 0 in
-  let dx = Array.make total 0. and dy = Array.make total 0. in
-  Array.iteri
-    (fun n (net : Netlist.Net.t) ->
-      Array.iteri
-        (fun k (pin : Netlist.Net.pin) ->
-          cell.(start.(n) + k) <- pin.Netlist.Net.cell;
-          dx.(start.(n) + k) <- pin.Netlist.Net.dx;
-          dy.(start.(n) + k) <- pin.Netlist.Net.dy)
-        net.Netlist.Net.pins)
-    nets;
-  { circuit = c; start; cell; dx; dy }
-
 type set = {
-  view : t;
+  circuit : Netlist.Circuit.t;
   stamp : int array;
   mutable mark : int;
   members : int array;
   mutable len : int;
 }
 
-let set view =
-  let n = Array.length view.start - 1 in
-  { view; stamp = Array.make n (-1); mark = 0; members = Array.make n 0; len = 0 }
+let set circuit =
+  let n = Netlist.Circuit.num_nets circuit in
+  { circuit; stamp = Array.make n (-1); mark = 0; members = Array.make n 0; len = 0 }
 
 let clear s =
   s.mark <- s.mark + 1;
   s.len <- 0
 
 let add_cell s id =
-  let nets = Netlist.Circuit.nets_of_cell s.view.circuit id in
+  let nets = Netlist.Circuit.nets_of_cell s.circuit id in
   for k = 0 to Array.length nets - 1 do
     let n = nets.(k) in
     if s.stamp.(n) <> s.mark then begin
@@ -58,16 +29,18 @@ let add_cell s id =
    comparisons in pin order; the nets are summed last-added first, the
    order of a list built by prepending. *)
 let hpwl s (p : Netlist.Placement.t) =
-  let v = s.view in
+  let c = s.circuit in
+  let start = c.Netlist.Circuit.net_start and cell = c.Netlist.Circuit.pin_cell in
+  let dx = c.Netlist.Circuit.pin_dx and dy = c.Netlist.Circuit.pin_dy in
   let x = p.Netlist.Placement.x and y = p.Netlist.Placement.y in
   let total = ref 0. in
   for m = s.len - 1 downto 0 do
     let n = s.members.(m) in
     let x_lo = ref Float.infinity and x_hi = ref Float.neg_infinity in
     let y_lo = ref Float.infinity and y_hi = ref Float.neg_infinity in
-    for k = v.start.(n) to v.start.(n + 1) - 1 do
-      let px = x.(v.cell.(k)) +. v.dx.(k) in
-      let py = y.(v.cell.(k)) +. v.dy.(k) in
+    for k = start.(n) to start.(n + 1) - 1 do
+      let px = x.(cell.(k)) +. dx.(k) in
+      let py = y.(cell.(k)) +. dy.(k) in
       if px < !x_lo then x_lo := px;
       if px > !x_hi then x_hi := px;
       if py < !y_lo then y_lo := py;

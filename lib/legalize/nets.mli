@@ -1,25 +1,20 @@
-(** The net view shared by the finishing passes ({!Improve}, {!Domino}).
+(** The net sets shared by the finishing passes ({!Improve}, {!Domino}).
 
-    A flat copy of the circuit's pins (net start offsets plus unboxed
-    cell/dx/dy arrays), built once per pass call, and stamped net sets
-    over it that are cleared and refilled for every candidate move, so
-    evaluating a move allocates nothing.
+    Stamped net sets over the circuit's own pin table
+    ([Netlist.Circuit.net_start], [pin_cell], [pin_dx], [pin_dy]), cleared
+    and refilled for every candidate move, so evaluating a move allocates
+    nothing.
 
     {!hpwl} is bit-identical to summing [Metrics.Wirelength.hpwl_net]
     over the set's nets, newest first: the order of the list the passes
     once built by prepending each newly seen net. *)
 
-type t
-
-(** [create circuit] copies [circuit]'s pins into flat arrays. *)
-val create : Netlist.Circuit.t -> t
-
 (** A set of distinct nets, in the order they were first added. *)
 type set
 
-(** [set view] is an empty set over [view]'s nets; sets are reusable
-    buffers, independent of each other. *)
-val set : t -> set
+(** [set circuit] is an empty set over [circuit]'s nets; sets are
+    reusable buffers, independent of each other. *)
+val set : Netlist.Circuit.t -> set
 
 (** [clear s] empties [s] in O(1). *)
 val clear : set -> unit

@@ -1,27 +1,27 @@
-let bbox_net c ~x ~y (net : Netlist.Net.t) =
+let bbox_net (c : Netlist.Circuit.t) ~x ~y n =
   let x_lo = ref Float.infinity and x_hi = ref Float.neg_infinity in
   let y_lo = ref Float.infinity and y_hi = ref Float.neg_infinity in
-  Array.iter
-    (fun pin ->
-      let px, py = Netlist.Circuit.pin_position c ~x ~y pin in
-      if px < !x_lo then x_lo := px;
-      if px > !x_hi then x_hi := px;
-      if py < !y_lo then y_lo := py;
-      if py > !y_hi then y_hi := py)
-    net.Netlist.Net.pins;
+  for k = c.Netlist.Circuit.net_start.(n) to c.Netlist.Circuit.net_start.(n + 1) - 1 do
+    let cl = c.Netlist.Circuit.pin_cell.(k) in
+    let px = x.(cl) +. c.Netlist.Circuit.pin_dx.(k) in
+    let py = y.(cl) +. c.Netlist.Circuit.pin_dy.(k) in
+    if px < !x_lo then x_lo := px;
+    if px > !x_hi then x_hi := px;
+    if py < !y_lo then y_lo := py;
+    if py > !y_hi then y_hi := py
+  done;
   Geometry.Rect.make ~x_lo:!x_lo ~y_lo:!y_lo ~x_hi:!x_hi ~y_hi:!y_hi
 
-(* [bbox_net]'s comparisons in pin order, without the per-pin tuple or
-   the rectangle: the result and the all-NaN error are the same.  Inlined
-   into the sums below, so a net's length is never boxed. *)
-let[@inline] hpwl_net _c ~x ~y (net : Netlist.Net.t) =
-  let pins = net.Netlist.Net.pins in
+(* [bbox_net]'s comparisons in pin order, without the rectangle: the
+   result and the all-NaN error are the same.  Inlined into the sums
+   below, so a net's length is never boxed. *)
+let[@inline] hpwl_net (c : Netlist.Circuit.t) ~x ~y n =
   let x_lo = ref Float.infinity and x_hi = ref Float.neg_infinity in
   let y_lo = ref Float.infinity and y_hi = ref Float.neg_infinity in
-  for i = 0 to Array.length pins - 1 do
-    let pin = pins.(i) in
-    let px = x.(pin.Netlist.Net.cell) +. pin.Netlist.Net.dx in
-    let py = y.(pin.Netlist.Net.cell) +. pin.Netlist.Net.dy in
+  for k = c.Netlist.Circuit.net_start.(n) to c.Netlist.Circuit.net_start.(n + 1) - 1 do
+    let cl = c.Netlist.Circuit.pin_cell.(k) in
+    let px = x.(cl) +. c.Netlist.Circuit.pin_dx.(k) in
+    let py = y.(cl) +. c.Netlist.Circuit.pin_dy.(k) in
     if px < !x_lo then x_lo := px;
     if px > !x_hi then x_hi := px;
     if py < !y_lo then y_lo := py;
@@ -33,38 +33,36 @@ let[@inline] hpwl_net _c ~x ~y (net : Netlist.Net.t) =
 (* Loops rather than folds: a fold's float accumulator is boxed per net. *)
 let hpwl c (p : Netlist.Placement.t) =
   let x = p.Netlist.Placement.x and y = p.Netlist.Placement.y in
-  let nets = c.Netlist.Circuit.nets in
   let acc = ref 0. in
-  for i = 0 to Array.length nets - 1 do
-    acc := !acc +. hpwl_net c ~x ~y nets.(i)
+  for n = 0 to Netlist.Circuit.num_nets c - 1 do
+    acc := !acc +. hpwl_net c ~x ~y n
   done;
   !acc
 
 let weighted_hpwl c (p : Netlist.Placement.t) ~weights =
   let x = p.Netlist.Placement.x and y = p.Netlist.Placement.y in
-  let nets = c.Netlist.Circuit.nets in
   let acc = ref 0. in
-  for i = 0 to Array.length nets - 1 do
-    let net = nets.(i) in
-    acc := !acc +. (weights.(net.Netlist.Net.id) *. hpwl_net c ~x ~y net)
+  for n = 0 to Netlist.Circuit.num_nets c - 1 do
+    acc := !acc +. (weights.(n) *. hpwl_net c ~x ~y n)
   done;
   !acc
 
-let quadratic c (p : Netlist.Placement.t) =
+let quadratic (c : Netlist.Circuit.t) (p : Netlist.Placement.t) =
   let x = p.Netlist.Placement.x and y = p.Netlist.Placement.y in
-  Array.fold_left
-    (fun acc (net : Netlist.Net.t) ->
-      let pins = net.Netlist.Net.pins in
-      let k = Array.length pins in
-      let w = 1. /. float_of_int k in
-      let sum = ref 0. in
-      for i = 0 to k - 1 do
-        let xi, yi = Netlist.Circuit.pin_position c ~x ~y pins.(i) in
-        for j = i + 1 to k - 1 do
-          let xj, yj = Netlist.Circuit.pin_position c ~x ~y pins.(j) in
-          let dx = xi -. xj and dy = yi -. yj in
-          sum := !sum +. (dx *. dx) +. (dy *. dy)
-        done
-      done;
-      acc +. (w *. !sum))
-    0. c.Netlist.Circuit.nets
+  let start = c.Netlist.Circuit.net_start and cell = c.Netlist.Circuit.pin_cell in
+  let dx = c.Netlist.Circuit.pin_dx and dy = c.Netlist.Circuit.pin_dy in
+  let acc = ref 0. in
+  for n = 0 to Netlist.Circuit.num_nets c - 1 do
+    let w = 1. /. float_of_int (start.(n + 1) - start.(n)) in
+    let sum = ref 0. in
+    for i = start.(n) to start.(n + 1) - 1 do
+      let xi = x.(cell.(i)) +. dx.(i) and yi = y.(cell.(i)) +. dy.(i) in
+      for j = i + 1 to start.(n + 1) - 1 do
+        let ddx = xi -. (x.(cell.(j)) +. dx.(j))
+        and ddy = yi -. (y.(cell.(j)) +. dy.(j)) in
+        sum := !sum +. (ddx *. ddx) +. (ddy *. ddy)
+      done
+    done;
+    acc := !acc +. (w *. !sum)
+  done;
+  !acc

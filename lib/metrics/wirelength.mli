@@ -5,16 +5,15 @@
     (§6).  The quadratic clique length is the objective of eq. (1) and is
     useful for monitoring the solver. *)
 
-(** [hpwl_net circuit ~x ~y net] is the half perimeter of one net's pin
+(** [hpwl_net circuit ~x ~y n] is the half perimeter of net [n]'s pin
     bounding box. *)
-val hpwl_net :
-  Netlist.Circuit.t -> x:float array -> y:float array -> Netlist.Net.t -> float
+val hpwl_net : Netlist.Circuit.t -> x:float array -> y:float array -> int -> float
 
 (** [hpwl circuit placement] sums {!hpwl_net} over all nets. *)
 val hpwl : Netlist.Circuit.t -> Netlist.Placement.t -> float
 
 (** [weighted_hpwl circuit placement ~weights] scales each net's
-    half perimeter by [weights.(net.id)]. *)
+    half perimeter by [weights.(n)] for net [n]. *)
 val weighted_hpwl :
   Netlist.Circuit.t -> Netlist.Placement.t -> weights:float array -> float
 
@@ -23,10 +22,6 @@ val weighted_hpwl :
     Euclidean pin distance weighted 1/k (paper §2.1). *)
 val quadratic : Netlist.Circuit.t -> Netlist.Placement.t -> float
 
-(** [bbox_net circuit ~x ~y net] is the net's pin bounding box. *)
+(** [bbox_net circuit ~x ~y n] is net [n]'s pin bounding box. *)
 val bbox_net :
-  Netlist.Circuit.t ->
-  x:float array ->
-  y:float array ->
-  Netlist.Net.t ->
-  Geometry.Rect.t
+  Netlist.Circuit.t -> x:float array -> y:float array -> int -> Geometry.Rect.t

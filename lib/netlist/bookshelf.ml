@@ -295,25 +295,19 @@ let save basename (c : Circuit.t) (p : Placement.t) =
             (if cl.Cell.fixed then " terminal" else ""))
         c.Circuit.cells);
   write (basename ^ ".nets") (fun oc ->
-      let pins =
-        Array.fold_left
-          (fun acc net -> acc + Net.degree net)
-          0 c.Circuit.nets
-      in
       Printf.fprintf oc "UCLA nets 1.0\n\nNumNets : %d\nNumPins : %d\n"
-        (Circuit.num_nets c) pins;
-      Array.iter
-        (fun (net : Net.t) ->
-          Printf.fprintf oc "NetDegree : %d  %s\n" (Net.degree net)
-            net.Net.name;
-          Array.iteri
-            (fun k (pin : Net.pin) ->
-              Printf.fprintf oc "  %s %s : %g %g\n"
-                c.Circuit.cells.(pin.Net.cell).Cell.name
-                (if k = 0 then "O" else "I")
-                pin.Net.dx pin.Net.dy)
-            net.Net.pins)
-        c.Circuit.nets);
+        (Circuit.num_nets c) (Circuit.num_pins c);
+      Array.iteri
+        (fun n name ->
+          let s = c.Circuit.net_start.(n) in
+          Printf.fprintf oc "NetDegree : %d  %s\n" (Circuit.degree c n) name;
+          for k = s to c.Circuit.net_start.(n + 1) - 1 do
+            Printf.fprintf oc "  %s %s : %g %g\n"
+              c.Circuit.cells.(c.Circuit.pin_cell.(k)).Cell.name
+              (if k = s then "O" else "I")
+              c.Circuit.pin_dx.(k) c.Circuit.pin_dy.(k)
+          done)
+        c.Circuit.net_name);
   write (basename ^ ".pl") (fun oc ->
       Printf.fprintf oc "UCLA pl 1.0\n\n";
       Array.iteri

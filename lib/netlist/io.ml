@@ -38,23 +38,31 @@ let write_circuit oc (c : Circuit.t) =
         (if cl.Cell.sequential then 1 else 0)
         cl.Cell.delay cl.Cell.power)
     c.Circuit.cells;
-  Array.iter
-    (fun (n : Net.t) ->
-      Printf.fprintf oc "net %s" n.Net.name;
-      Array.iter
-        (fun (p : Net.pin) ->
-          Printf.fprintf oc " %d:%.17g:%.17g" p.Net.cell p.Net.dx p.Net.dy)
-        n.Net.pins;
+  Array.iteri
+    (fun n name ->
+      Printf.fprintf oc "net %s" name;
+      for k = c.Circuit.net_start.(n) to c.Circuit.net_start.(n + 1) - 1 do
+        Printf.fprintf oc " %d:%.17g:%.17g" c.Circuit.pin_cell.(k)
+          c.Circuit.pin_dx.(k) c.Circuit.pin_dy.(k)
+      done;
       output_char oc '\n')
-    c.Circuit.nets
+    c.Circuit.net_name
 
 (* Wraps the result-returning readers: [Malformed] and the [Failure]s of
-   the numeric conversions both become typed errors. *)
+   the numeric conversions both become typed errors, and so does a
+   constructor's [Invalid_argument] outside any line. *)
 let reading f =
   match f () with
   | v -> Ok v
   | exception Malformed e -> Error e
-  | exception Failure reason -> Error { file = None; line = None; reason }
+  | exception (Failure reason | Invalid_argument reason) ->
+    Error { file = None; line = None; reason }
+
+(* A finite float: NaN and the infinities are refused like any other
+   malformed number. *)
+let finite s =
+  let v = float_of_string s in
+  if Float.is_finite v then v else failwith ("non-finite number: " ^ s)
 
 let read_circuit_exn ic =
   let name = ref "" in
@@ -62,31 +70,39 @@ let read_circuit_exn ic =
   let row_height = ref None in
   let cells = ref [] and num_cells = ref 0 in
   let nets = ref [] and num_nets = ref 0 in
+  (* The largest pin cell index and its line: nets may precede the cells
+     they name, so the range check waits for the end of the file. *)
+  let max_pin = ref (-1, 0) in
   let lineno = ref 0 in
   let fail msg = malformed ~line:!lineno msg in
   (try
      while true do
        let line = input_line ic in
        incr lineno;
-       (* Any [Failure] of a conversion below carries this line. *)
+       (* Any [Failure] of a conversion below, or [Invalid_argument] of a
+          constructor, carries this line. *)
        try
          match String.split_on_char ' ' (String.trim line) with
          | [ "" ] -> ()
          | "circuit" :: rest -> name := String.concat " " rest
          | [ "region"; a; b; c; d ] ->
-           region :=
-             Some
-               (Geometry.Rect.make ~x_lo:(float_of_string a)
-                  ~y_lo:(float_of_string b) ~x_hi:(float_of_string c)
-                  ~y_hi:(float_of_string d))
-         | [ "rowheight"; h ] -> row_height := Some (float_of_string h)
+           let r =
+             Geometry.Rect.make ~x_lo:(finite a) ~y_lo:(finite b)
+               ~x_hi:(finite c) ~y_hi:(finite d)
+           in
+           if Geometry.Rect.area r <= 0. then fail "empty region";
+           region := Some r
+         | [ "rowheight"; h ] ->
+           let h = finite h in
+           if h <= 0. then fail "non-positive row height";
+           row_height := Some h
          | [ "cell"; nm; w; h; kind; fixed; seq; delay; power ] ->
            let cell =
-             Cell.make ~id:!num_cells ~name:nm ~width:(float_of_string w)
-               ~height:(float_of_string h) ~kind:(kind_of_string kind)
+             Cell.make ~id:!num_cells ~name:nm ~width:(finite w)
+               ~height:(finite h) ~kind:(kind_of_string kind)
                ~fixed:(int_of_string fixed = 1)
                ~sequential:(int_of_string seq = 1)
-               ~delay:(float_of_string delay) ~power:(float_of_string power) ()
+               ~delay:(finite delay) ~power:(finite power) ()
            in
            cells := cell :: !cells;
            incr num_cells
@@ -95,8 +111,10 @@ let read_circuit_exn ic =
            let parse_pin s =
              match String.split_on_char ':' s with
              | [ c; dx; dy ] ->
-               { Net.cell = int_of_string c; dx = float_of_string dx;
-                 dy = float_of_string dy }
+               let cell = int_of_string c in
+               if cell < 0 then fail ("negative cell index: " ^ c);
+               if cell > fst !max_pin then max_pin := (cell, !lineno);
+               { Net.cell; dx = finite dx; dy = finite dy }
              | _ -> fail ("bad pin: " ^ s)
            in
            let net =
@@ -107,9 +125,12 @@ let read_circuit_exn ic =
            incr num_nets
          | tok :: _ -> fail ("unknown directive: " ^ tok)
          | [] -> ()
-       with Failure reason -> fail reason
+       with Failure reason | Invalid_argument reason -> fail reason
      done
    with End_of_file -> ());
+  let cell, line = !max_pin in
+  if cell >= !num_cells then
+    malformed ~line (Printf.sprintf "pin references unknown cell %d" cell);
   let region =
     match !region with Some r -> r | None -> malformed "missing region"
   in
@@ -143,8 +164,8 @@ let read_placement_exn ic ~num_cells =
          | [ "pos"; i; px; py ] ->
            let i = int_of_string i in
            if i < 0 || i >= num_cells then fail "cell index out of range";
-           x.(i) <- float_of_string px;
-           y.(i) <- float_of_string py;
+           x.(i) <- finite px;
+           y.(i) <- finite py;
            seen.(i) <- true
          | _ -> fail "malformed line"
        with Failure reason -> fail reason

@@ -31,7 +31,10 @@ val error_message : error -> string
 val write_circuit : out_channel -> Circuit.t -> unit
 
 (** [read_circuit ic] parses a circuit.  Malformed input is an [Error]
-    carrying the line number. *)
+    carrying the line number: an unparsable or non-finite number, a net
+    of fewer than two pins or with a repeated pin, a negative or unknown
+    cell index, a non-positive cell size or row height, an inverted or
+    empty region. *)
 val read_circuit : in_channel -> (Circuit.t, error) result
 
 (** [write_placement oc placement] prints one [pos <id> <x> <y>] line per
@@ -39,7 +42,7 @@ val read_circuit : in_channel -> (Circuit.t, error) result
 val write_placement : out_channel -> Placement.t -> unit
 
 (** [read_placement ic ~num_cells] parses a placement with exactly
-    [num_cells] entries. *)
+    [num_cells] entries, all finite. *)
 val read_placement : in_channel -> num_cells:int -> (Placement.t, error) result
 
 (** File-based conveniences.  The loaders also turn an unreadable file

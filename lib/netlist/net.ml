@@ -12,24 +12,3 @@ let make ~id ~name pins =
       Hashtbl.add seen key ())
     pins;
   { id; name; pins }
-
-let degree n = Array.length n.pins
-
-let driver n = n.pins.(0)
-
-let sinks n = Array.sub n.pins 1 (Array.length n.pins - 1)
-
-let cells n =
-  let seen = Hashtbl.create (Array.length n.pins) in
-  Array.fold_left
-    (fun acc p ->
-      if Hashtbl.mem seen p.cell then acc
-      else begin
-        Hashtbl.add seen p.cell ();
-        p.cell :: acc
-      end)
-    [] n.pins
-  |> List.rev
-
-let pp ppf n =
-  Format.fprintf ppf "%s#%d(%d pins)" n.name n.id (Array.length n.pins)

@@ -1,9 +1,11 @@
-(** Nets: hyperedges over cells.
+(** Nets as built: the builder input to {!Circuit.make}.
 
     A pin references a cell by index plus an offset of the pin location
     from the cell centre.  By convention [pins.(0)] is the driver, which
     gives the timing analysis its signal direction; purely geometric code
-    ignores the convention. *)
+    ignores the convention.  {!Circuit.make} copies the pins into the
+    circuit's flat pin table, which every reader uses; no [Net.t] is
+    kept past it. *)
 
 type pin = { cell : int; dx : float; dy : float }
 
@@ -17,18 +19,3 @@ type t = {
     fewer than two pins are given or two pins repeat the same cell at the
     same offset. *)
 val make : id:int -> name:string -> pin array -> t
-
-(** [degree n] is the pin count. *)
-val degree : t -> int
-
-(** [driver n] is [n.pins.(0)]. *)
-val driver : t -> pin
-
-(** [sinks n] is all pins but the driver. *)
-val sinks : t -> pin array
-
-(** [cells n] is the list of distinct cell ids on the net, in first-seen
-    order. *)
-val cells : t -> int list
-
-val pp : Format.formatter -> t -> unit

@@ -1,49 +1,42 @@
-type edge = {
-  pin_a : Netlist.Net.pin;
-  pin_b : Netlist.Net.pin;
-  weight : float;
-}
+type edge = { pin_a : int; pin_b : int; weight : float }
 
-let iter_edges ~coord (net : Netlist.Net.t) f =
-  let pins = net.Netlist.Net.pins in
-  let k = Array.length pins in
+let iter_edges ~coord (c : Netlist.Circuit.t) n f =
+  let s = c.Netlist.Circuit.net_start.(n) and e = c.Netlist.Circuit.net_start.(n + 1) in
+  let k = e - s in
   if k = 2 then
     (* Two pins: the general weight 2/((k−1)·span) = 2/span, making the
        objective 2·span like every other degree (the model is uniformly
        twice the half perimeter at the linearisation point). *)
-    f pins.(0) pins.(1)
-      (2. /. Float.max 1e-6 (Float.abs (coord pins.(0) -. coord pins.(1))))
+    f s (s + 1) (2. /. Float.max 1e-6 (Float.abs (coord s -. coord (s + 1))))
   else begin
     (* Find the boundary pins on this axis. *)
-    let min_i = ref 0 and max_i = ref 0 in
-    Array.iteri
-      (fun i p ->
-        if coord p < coord pins.(!min_i) then min_i := i;
-        if coord p > coord pins.(!max_i) then max_i := i)
-      pins;
-    let span = coord pins.(!max_i) -. coord pins.(!min_i) in
+    let min_i = ref s and max_i = ref s in
+    for p = s to e - 1 do
+      if coord p < coord !min_i then min_i := p;
+      if coord p > coord !max_i then max_i := p
+    done;
+    let span = coord !max_i -. coord !min_i in
     if span < 1e-6 then
       (* Degenerate: all pins coincide on this axis — clique fallback. *)
-      Model.iter_edges net f
+      Model.iter_edges c n f
     else begin
       let w_of a b =
         2. /. (float_of_int (k - 1) *. Float.max 1e-6 (Float.abs (coord a -. coord b)))
       in
       (* Boundary-to-boundary edge once, plus every interior pin to both
          boundaries. *)
-      f pins.(!min_i) pins.(!max_i) (w_of pins.(!min_i) pins.(!max_i));
-      Array.iteri
-        (fun i p ->
-          if i <> !min_i && i <> !max_i then begin
-            f p pins.(!min_i) (w_of p pins.(!min_i));
-            f p pins.(!max_i) (w_of p pins.(!max_i))
-          end)
-        pins
+      f !min_i !max_i (w_of !min_i !max_i);
+      for p = s to e - 1 do
+        if p <> !min_i && p <> !max_i then begin
+          f p !min_i (w_of p !min_i);
+          f p !max_i (w_of p !max_i)
+        end
+      done
     end
   end
 
-let edges ~coord (net : Netlist.Net.t) =
+let edges ~coord c n =
   let acc = ref [] in
-  iter_edges ~coord net (fun pin_a pin_b weight ->
+  iter_edges ~coord c n (fun pin_a pin_b weight ->
       acc := { pin_a; pin_b; weight } :: !acc);
   List.rev !acc

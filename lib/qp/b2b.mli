@@ -8,24 +8,23 @@
     between the x and y axes, so callers assemble one system per axis
     with {!System_xy}. *)
 
-(** One axis-specific spring between two pins. *)
-type edge = {
-  pin_a : Netlist.Net.pin;
-  pin_b : Netlist.Net.pin;
-  weight : float;
-}
+(** One axis-specific spring between two pins, as indices into the
+    circuit's pin table. *)
+type edge = { pin_a : int; pin_b : int; weight : float }
 
-(** [iter_edges ~coord net f] expands one net along the axis whose pin
-    coordinate is given by [coord] (absolute pin position), calling
-    [f pin_a pin_b weight] per edge — the allocation-free emission the
+(** [iter_edges ~coord circuit n f] expands net [n] along the axis whose
+    pin coordinate is given by [coord] (absolute position of a pin-table
+    index), calling [f pin_a pin_b weight] per edge — the allocation-free emission the
     hot assembly path uses.  Degenerate nets (zero span) fall back to
     clique weights so connectivity is never lost. *)
 val iter_edges :
-  coord:(Netlist.Net.pin -> float) ->
-  Netlist.Net.t ->
-  (Netlist.Net.pin -> Netlist.Net.pin -> float -> unit) ->
+  coord:(int -> float) ->
+  Netlist.Circuit.t ->
+  int ->
+  (int -> int -> float -> unit) ->
   unit
 
-(** [edges ~coord net] is {!iter_edges} materialised as a list, in
+(** [edges ~coord circuit n] is {!iter_edges} materialised as a list, in
     emission order; intended for tests. *)
-val edges : coord:(Netlist.Net.pin -> float) -> Netlist.Net.t -> edge list
+val edges :
+  coord:(int -> float) -> Netlist.Circuit.t -> int -> edge list

@@ -1,22 +1,16 @@
-type edge = {
-  pin_a : Netlist.Net.pin;
-  pin_b : Netlist.Net.pin;
-  weight : float;
-}
+type edge = { pin_a : int; pin_b : int; weight : float }
 
 let total_weight k = float_of_int (k - 1) /. 2.
 
-let iter_clique pins f =
-  let k = Array.length pins in
+let iter_clique s k f =
   let w = 1. /. float_of_int k in
   for i = 0 to k - 1 do
     for j = i + 1 to k - 1 do
-      f pins.(i) pins.(j) w
+      f (s + i) (s + j) w
     done
   done
 
-let iter_sampled rng pins f =
-  let k = Array.length pins in
+let iter_sampled rng s k f =
   (* Cycle through all pins guarantees connectivity; add k random chords
      for stiffness diversity.  Duplicate chords are harmless (weights
      sum).  The edge weight needs the final count, so buffer the index
@@ -40,23 +34,21 @@ let iter_sampled rng pins f =
   done;
   let w = total_weight k /. float_of_int !m in
   for p = 0 to !m - 1 do
-    f pins.(ia.(p)) pins.(ib.(p)) w
+    f (s + ia.(p)) (s + ib.(p)) w
   done
 
-let iter_edges ?(cap = 16) ?rng (net : Netlist.Net.t) f =
-  let pins = net.Netlist.Net.pins in
-  if Array.length pins <= cap then iter_clique pins f
+let iter_edges ?(cap = 16) ?rng (c : Netlist.Circuit.t) n f =
+  let s = c.Netlist.Circuit.net_start.(n) and k = Netlist.Circuit.degree c n in
+  if k <= cap then iter_clique s k f
   else begin
     let rng =
-      match rng with
-      | Some r -> r
-      | None -> Numeric.Rng.create (net.Netlist.Net.id + 7919)
+      match rng with Some r -> r | None -> Numeric.Rng.create (n + 7919)
     in
-    iter_sampled rng pins f
+    iter_sampled rng s k f
   end
 
-let edges ?cap ?rng (net : Netlist.Net.t) =
+let edges ?cap ?rng c n =
   let acc = ref [] in
-  iter_edges ?cap ?rng net (fun pin_a pin_b weight ->
+  iter_edges ?cap ?rng c n (fun pin_a pin_b weight ->
       acc := { pin_a; pin_b; weight } :: !acc);
   List.rev !acc

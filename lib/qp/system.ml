@@ -89,9 +89,9 @@ let assembly (c : Netlist.Circuit.t) ?(clique_cap = 16) ?(model = Clique) () =
   let cell_of_var = Array.make (max 1 n) 0 in
   Array.iteri (fun id v -> if v >= 0 then cell_of_var.(v) <- id) var_of_cell;
   let inv_x = Array.make n 0. in
-  let sampled (net : Netlist.Net.t) =
-    if model = Clique && Array.length net.Netlist.Net.pins > clique_cap then
-      Array.of_list (Model.edges ~cap:clique_cap net)
+  let sampled n =
+    if model = Clique && Netlist.Circuit.degree c n > clique_cap then
+      Array.of_list (Model.edges ~cap:clique_cap c n)
     else [||]
   in
   {
@@ -101,7 +101,7 @@ let assembly (c : Netlist.Circuit.t) ?(clique_cap = 16) ?(model = Clique) () =
     a_var_of_cell = var_of_cell;
     a_cell_of_var = cell_of_var;
     a_n = n;
-    a_sampled = Array.map sampled c.Netlist.Circuit.nets;
+    a_sampled = Array.init (Netlist.Circuit.num_nets c) sampled;
     axx = make_axis n;
     axy = (match model with Clique -> None | Bound2bound -> Some (make_axis n));
     adx = Array.make n 0.;
@@ -152,17 +152,18 @@ let[@inline] emit a direct i j v =
    emitted once and only the constant terms split between the x and y
    systems.  Contributions follow the half-gradient convention (the
    common factor 2 is dropped throughout).  Inlined into the net loop:
-   it reads the pins and coordinates directly and passes no float across
-   a call. *)
-let[@inline] clique_spring asm direct ~edge_scale ~px ~py (pa : Netlist.Net.pin)
-    (pb : Netlist.Net.pin) w =
-  let ca = pa.Netlist.Net.cell and cb = pb.Netlist.Net.cell in
+   it reads the pin table and coordinates directly and passes no float
+   across a call. *)
+let[@inline] clique_spring asm direct ~edge_scale ~px ~py pa pb w =
+  let c = asm.a_circuit in
+  let pin_dx = c.Netlist.Circuit.pin_dx and pin_dy = c.Netlist.Circuit.pin_dy in
+  let ca = c.Netlist.Circuit.pin_cell.(pa) and cb = c.Netlist.Circuit.pin_cell.(pb) in
   let w =
     match edge_scale with
     | Weights.Quadratic -> w
     | Weights.Linearize eps ->
-      let dx = px.(ca) +. pa.Netlist.Net.dx -. (px.(cb) +. pb.Netlist.Net.dx) in
-      let dy = py.(ca) +. pa.Netlist.Net.dy -. (py.(cb) +. pb.Netlist.Net.dy) in
+      let dx = px.(ca) +. pin_dx.(pa) -. (px.(cb) +. pin_dx.(pb)) in
+      let dy = py.(ca) +. pin_dy.(pa) -. (py.(cb) +. pin_dy.(pb)) in
       w *. Weights.linearize ~eps ~dist:(sqrt ((dx ** 2.) +. (dy ** 2.)))
   in
   if w > 0. && ca <> cb then begin
@@ -175,26 +176,22 @@ let[@inline] clique_spring asm direct ~edge_scale ~px ~py (pa : Netlist.Net.pin)
       emit a direct vb vb w;
       emit a direct va vb (-.w);
       emit a direct vb va (-.w);
-      ddx.(va) <- ddx.(va) +. (w *. (pa.Netlist.Net.dx -. pb.Netlist.Net.dx));
-      ddx.(vb) <- ddx.(vb) +. (w *. (pb.Netlist.Net.dx -. pa.Netlist.Net.dx));
-      ddy.(va) <- ddy.(va) +. (w *. (pa.Netlist.Net.dy -. pb.Netlist.Net.dy));
-      ddy.(vb) <- ddy.(vb) +. (w *. (pb.Netlist.Net.dy -. pa.Netlist.Net.dy))
+      ddx.(va) <- ddx.(va) +. (w *. (pin_dx.(pa) -. pin_dx.(pb)));
+      ddx.(vb) <- ddx.(vb) +. (w *. (pin_dx.(pb) -. pin_dx.(pa)));
+      ddy.(va) <- ddy.(va) +. (w *. (pin_dy.(pa) -. pin_dy.(pb)));
+      ddy.(vb) <- ddy.(vb) +. (w *. (pin_dy.(pb) -. pin_dy.(pa)))
     end
     else if va >= 0 then begin
       a.incident.(va) <- a.incident.(va) +. w;
       emit a direct va va w;
-      ddx.(va) <-
-        ddx.(va) +. (w *. (pa.Netlist.Net.dx -. (px.(cb) +. pb.Netlist.Net.dx)));
-      ddy.(va) <-
-        ddy.(va) +. (w *. (pa.Netlist.Net.dy -. (py.(cb) +. pb.Netlist.Net.dy)))
+      ddx.(va) <- ddx.(va) +. (w *. (pin_dx.(pa) -. (px.(cb) +. pin_dx.(pb))));
+      ddy.(va) <- ddy.(va) +. (w *. (pin_dy.(pa) -. (py.(cb) +. pin_dy.(pb))))
     end
     else if vb >= 0 then begin
       a.incident.(vb) <- a.incident.(vb) +. w;
       emit a direct vb vb w;
-      ddx.(vb) <-
-        ddx.(vb) +. (w *. (pb.Netlist.Net.dx -. (px.(ca) +. pa.Netlist.Net.dx)));
-      ddy.(vb) <-
-        ddy.(vb) +. (w *. (pb.Netlist.Net.dy -. (py.(ca) +. pa.Netlist.Net.dy)))
+      ddx.(vb) <- ddx.(vb) +. (w *. (pin_dx.(pb) -. (px.(ca) +. pin_dx.(pa))));
+      ddy.(vb) <- ddy.(vb) +. (w *. (pin_dy.(pb) -. (py.(ca) +. pin_dy.(pa))))
     end;
     w
   end
@@ -204,19 +201,17 @@ let[@inline] clique_spring asm direct ~edge_scale ~px ~py (pa : Netlist.Net.pin)
    Model.iter_edges order — every pair i < j with weight 1/k up to the
    cap, the recorded sample above it.  Returns the mean spring weight. *)
 let stream_clique asm direct ~edge_scale ~px ~py ~net_weights =
-  let nets = asm.a_circuit.Netlist.Circuit.nets in
+  let start = asm.a_circuit.Netlist.Circuit.net_start in
   let total = ref 0. and count = ref 0 in
-  for ni = 0 to Array.length nets - 1 do
-    let net = nets.(ni) in
-    let net_w = net_weights.(net.Netlist.Net.id) in
+  for ni = 0 to Netlist.Circuit.num_nets asm.a_circuit - 1 do
+    let net_w = net_weights.(ni) in
     if net_w > 0. then begin
-      let pins = net.Netlist.Net.pins in
-      let k = Array.length pins in
-      if k <= asm.a_cap then begin
-        let w = 1. /. float_of_int k *. net_w in
-        for i = 0 to k - 1 do
-          for j = i + 1 to k - 1 do
-            let w = clique_spring asm direct ~edge_scale ~px ~py pins.(i) pins.(j) w in
+      let s = start.(ni) and e = start.(ni + 1) in
+      if e - s <= asm.a_cap then begin
+        let w = 1. /. float_of_int (e - s) *. net_w in
+        for i = s to e - 1 do
+          for j = i + 1 to e - 1 do
+            let w = clique_spring asm direct ~edge_scale ~px ~py i j w in
             if w > 0. then begin
               total := !total +. w;
               incr count
@@ -249,18 +244,19 @@ let stream_clique asm direct ~edge_scale ~px ~py ~net_weights =
    mean spring weight over both axes. *)
 let stream_b2b asm ay ~px ~py ~net_weights =
   let var_of_cell = asm.a_var_of_cell in
-  let pin_x (p : Netlist.Net.pin) = px.(p.Netlist.Net.cell) +. p.Netlist.Net.dx in
-  let pin_y (p : Netlist.Net.pin) = py.(p.Netlist.Net.cell) +. p.Netlist.Net.dy in
-  let off_x (p : Netlist.Net.pin) = p.Netlist.Net.dx
-  and off_y (p : Netlist.Net.pin) = p.Netlist.Net.dy in
+  let c = asm.a_circuit in
+  let cell = c.Netlist.Circuit.pin_cell in
+  let pin_x k = px.(cell.(k)) +. c.Netlist.Circuit.pin_dx.(k) in
+  let pin_y k = py.(cell.(k)) +. c.Netlist.Circuit.pin_dy.(k) in
+  let off_x k = c.Netlist.Circuit.pin_dx.(k)
+  and off_y k = c.Netlist.Circuit.pin_dy.(k) in
   let total_x = ref 0. and count_x = ref 0 in
   let total_y = ref 0. and count_y = ref 0 in
-  let spring a d total count coord off (pa : Netlist.Net.pin) (pb : Netlist.Net.pin) w =
-    if w > 0. && pa.Netlist.Net.cell <> pb.Netlist.Net.cell then begin
+  let spring a d total count coord off pa pb w =
+    if w > 0. && cell.(pa) <> cell.(pb) then begin
       total := !total +. w;
       incr count;
-      let va = var_of_cell.(pa.Netlist.Net.cell)
-      and vb = var_of_cell.(pb.Netlist.Net.cell) in
+      let va = var_of_cell.(cell.(pa)) and vb = var_of_cell.(cell.(pb)) in
       match (va >= 0, vb >= 0) with
       | true, true ->
         a.incident.(va) <- a.incident.(va) +. w;
@@ -282,16 +278,15 @@ let stream_b2b asm ay ~px ~py ~net_weights =
       | false, false -> ()
     end
   in
-  Array.iter
-    (fun (net : Netlist.Net.t) ->
-      let net_w = net_weights.(net.Netlist.Net.id) in
-      if net_w > 0. then begin
-        B2b.iter_edges ~coord:pin_x net (fun pa pb w ->
-            spring asm.axx asm.adx total_x count_x pin_x off_x pa pb (w *. net_w));
-        B2b.iter_edges ~coord:pin_y net (fun pa pb w ->
-            spring ay asm.ady total_y count_y pin_y off_y pa pb (w *. net_w))
-      end)
-    asm.a_circuit.Netlist.Circuit.nets;
+  for n = 0 to Netlist.Circuit.num_nets c - 1 do
+    let net_w = net_weights.(n) in
+    if net_w > 0. then begin
+      B2b.iter_edges ~coord:pin_x c n (fun pa pb w ->
+          spring asm.axx asm.adx total_x count_x pin_x off_x pa pb (w *. net_w));
+      B2b.iter_edges ~coord:pin_y c n (fun pa pb w ->
+          spring ay asm.ady total_y count_y pin_y off_y pa pb (w *. net_w))
+    end
+  done;
   let ne = !count_x + !count_y in
   if ne = 0 then 1. else (!total_x +. !total_y) /. float_of_int ne
 

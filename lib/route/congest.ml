@@ -14,20 +14,19 @@ let estimate_unchecked ~via_factor (c : Netlist.Circuit.t)
   let nx = spec.Grid_spec.nx and ny = spec.Grid_spec.ny in
   let demand_h = Geometry.Grid2.create region ~nx ~ny in
   let demand_v = Geometry.Grid2.create region ~nx ~ny in
-  Array.iter
-    (fun (net : Netlist.Net.t) ->
-      let bbox =
-        Metrics.Wirelength.bbox_net c ~x:p.Netlist.Placement.x
-          ~y:p.Netlist.Placement.y net
-      in
-      (* Expected wiring ≈ half-perimeter split into its h/v components,
-         spread uniformly over the box (degenerate boxes splat into the
-         bin row/column they occupy via the rect clip). *)
-      let wl_h = Geometry.Rect.width bbox *. via_factor in
-      let wl_v = Geometry.Rect.height bbox *. via_factor in
-      if wl_h > 0. then Geometry.Grid2.splat_rect demand_h bbox wl_h;
-      if wl_v > 0. then Geometry.Grid2.splat_rect demand_v bbox wl_v)
-    c.Netlist.Circuit.nets;
+  for n = 0 to Netlist.Circuit.num_nets c - 1 do
+    let bbox =
+      Metrics.Wirelength.bbox_net c ~x:p.Netlist.Placement.x
+        ~y:p.Netlist.Placement.y n
+    in
+    (* Expected wiring ≈ half-perimeter split into its h/v components,
+       spread uniformly over the box (degenerate boxes splat into the
+       bin row/column they occupy via the rect clip). *)
+    let wl_h = Geometry.Rect.width bbox *. via_factor in
+    let wl_v = Geometry.Rect.height bbox *. via_factor in
+    if wl_h > 0. then Geometry.Grid2.splat_rect demand_h bbox wl_h;
+    if wl_v > 0. then Geometry.Grid2.splat_rect demand_v bbox wl_v
+  done;
   (* Capacity: tracks per bin times bin extent. *)
   let overflow = Geometry.Grid2.create region ~nx ~ny in
   let dx = Geometry.Grid2.dx overflow and dy = Geometry.Grid2.dy overflow in

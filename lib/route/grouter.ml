@@ -231,19 +231,18 @@ let route_unchecked ~config (c : Netlist.Circuit.t) (p : Netlist.Placement.t)
       pushes = 0;
     }
   in
-  let bin_of cell_pin =
-    let x, y =
-      Netlist.Circuit.pin_position c ~x:p.Netlist.Placement.x
-        ~y:p.Netlist.Placement.y cell_pin
-    in
-    Geometry.Grid2.locate ref_grid x y
+  let bin_of k =
+    let cl = c.Netlist.Circuit.pin_cell.(k) in
+    Geometry.Grid2.locate ref_grid
+      (p.Netlist.Placement.x.(cl) +. c.Netlist.Circuit.pin_dx.(k))
+      (p.Netlist.Placement.y.(cl) +. c.Netlist.Circuit.pin_dy.(k))
   in
   (* Star decomposition per net: driver bin to each distinct sink bin. *)
-  let net_connections (net : Netlist.Net.t) =
-    let drv = bin_of (Netlist.Net.driver net) in
+  let net_connections n =
+    let s = c.Netlist.Circuit.net_start.(n) in
+    let drv = bin_of s in
     let sinks =
-      Array.to_list (Netlist.Net.sinks net)
-      |> List.map bin_of
+      List.init (Netlist.Circuit.degree c n - 1) (fun j -> bin_of (s + 1 + j))
       |> List.sort_uniq compare
       |> List.filter (fun b -> b <> drv)
     in
@@ -251,8 +250,8 @@ let route_unchecked ~config (c : Netlist.Circuit.t) (p : Netlist.Placement.t)
   in
   let routes = Array.make (Netlist.Circuit.num_nets c) [] in
   let failed = ref 0 in
-  let route_net (net : Netlist.Net.t) =
-    let drv, sinks = net_connections net in
+  let route_net n =
+    let drv, sinks = net_connections n in
     let segs = ref [] in
     List.iter
       (fun sink ->
@@ -262,19 +261,19 @@ let route_unchecked ~config (c : Netlist.Circuit.t) (p : Netlist.Placement.t)
           segs := r :: !segs
         | None -> incr failed)
       sinks;
-    routes.(net.Netlist.Net.id) <- !segs
+    routes.(n) <- !segs
   in
-  Array.iter route_net c.Netlist.Circuit.nets;
+  for n = 0 to Netlist.Circuit.num_nets c - 1 do
+    route_net n
+  done;
   (* Rip-up and reroute nets that sit on overflowing edges. *)
   for _ = 1 to config.rip_up_passes do
-    Array.iter
-      (fun (net : Netlist.Net.t) ->
-        let id = net.Netlist.Net.id in
-        if List.exists (overflowed st) routes.(id) then begin
-          List.iter (apply st (-1.)) routes.(id);
-          route_net net
-        end)
-      c.Netlist.Circuit.nets
+    for n = 0 to Netlist.Circuit.num_nets c - 1 do
+      if List.exists (overflowed st) routes.(n) then begin
+        List.iter (apply st (-1.)) routes.(n);
+        route_net n
+      end
+    done
   done;
   (* Summaries. *)
   let usage_h = Geometry.Grid2.create region ~nx ~ny in

@@ -2,58 +2,14 @@ type element = { cell : int; via_net : int option; arrival : float }
 
 type path = { delay : float; elements : element list }
 
-(* Forward pass identical to Sta's, additionally recording for each cell
-   the predecessor (driver cell, net) realising its arrival, and for each
-   endpoint the worst incoming edge. *)
+(* Sta's graph and forward pass, plus for each endpoint the worst
+   incoming edge, noted in the forward pass's order. *)
 let critical ?(k = 5) (p : Params.t) (c : Netlist.Circuit.t)
     (placement : Netlist.Placement.t) =
-  let n = Netlist.Circuit.num_cells c in
   let cells = c.Netlist.Circuit.cells in
   let is_endpoint i = cells.(i).Netlist.Cell.sequential in
-  let net_length net =
-    Metrics.Wirelength.hpwl_net c ~x:placement.Netlist.Placement.x
-      ~y:placement.Netlist.Placement.y net
-  in
-  (* Edge bundles, as in Sta. *)
-  let bundles = ref [] in
-  Array.iter
-    (fun (net : Netlist.Net.t) ->
-      let deg = Netlist.Net.degree net in
-      if deg >= 2 && deg <= p.Params.max_net_degree then begin
-        let drv = (Netlist.Net.driver net).Netlist.Net.cell in
-        let snks =
-          Netlist.Net.sinks net
-          |> Array.to_list
-          |> List.filter_map (fun (pin : Netlist.Net.pin) ->
-                 if pin.Netlist.Net.cell <> drv then Some pin.Netlist.Net.cell
-                 else None)
-        in
-        if snks <> [] then begin
-          let delay =
-            Sta.net_delay p ~length:(net_length net) ~sinks:(List.length snks)
-          in
-          bundles := (net.Netlist.Net.id, drv, snks, delay) :: !bundles
-        end
-      end)
-    c.Netlist.Circuit.nets;
-  let fanout = Array.make n [] in
-  let indeg = Array.make n 0 in
-  let bundle_arr = Array.of_list !bundles in
-  Array.iteri
-    (fun bi (_, drv, snks, _) ->
-      fanout.(drv) <- (bi, 0) :: fanout.(drv);
-      List.iter
-        (fun s -> if not (is_endpoint s) then indeg.(s) <- indeg.(s) + 1)
-        snks)
-    bundle_arr;
-  let arrival = Array.make n 0. in
-  let best_in = Array.make n 0. in
-  let pred = Array.make n None in
-  (* (driver cell, net id) achieving best_in *)
-  let queue = Queue.create () in
-  for i = 0 to n - 1 do
-    if is_endpoint i || indeg.(i) = 0 then Queue.add i queue
-  done;
+  let g = Sta.graph p c placement in
+  let arrival = g.Sta.arrival in
   (* Worst incoming edge per endpoint: endpoint cell → (arrival at input,
      driver, net). *)
   let endpoint_worst : (int, float * int * int option) Hashtbl.t =
@@ -64,33 +20,18 @@ let critical ?(k = 5) (p : Params.t) (c : Netlist.Circuit.t)
     | Some (best, _, _) when best >= v -> ()
     | _ -> Hashtbl.replace endpoint_worst cell (v, drv, net)
   in
-  let processed = ref 0 in
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    incr processed;
-    arrival.(i) <-
-      (if is_endpoint i then cells.(i).Netlist.Cell.delay
-       else best_in.(i) +. cells.(i).Netlist.Cell.delay);
-    if fanout.(i) = [] then note_endpoint i arrival.(i) i None;
-    List.iter
-      (fun (bi, _) ->
-        let net_id, drv, snks, delay = bundle_arr.(bi) in
-        let v = arrival.(i) +. delay in
-        List.iter
-          (fun s ->
-            if is_endpoint s then note_endpoint s v drv (Some net_id)
-            else begin
-              if v > best_in.(s) then begin
-                best_in.(s) <- v;
-                pred.(s) <- Some (drv, net_id)
-              end;
-              indeg.(s) <- indeg.(s) - 1;
-              if indeg.(s) = 0 then Queue.add s queue
-            end)
-          snks)
-      fanout.(i)
-  done;
-  if !processed <> n then failwith "Paths.critical: combinational cycle detected";
+  Array.iter
+    (fun i ->
+      if g.Sta.fanout.(i) = [] then note_endpoint i arrival.(i) i None;
+      List.iter
+        (fun bi ->
+          let b = g.Sta.bundles.(bi) in
+          let v = arrival.(i) +. b.Sta.delay in
+          Array.iter
+            (fun s -> if is_endpoint s then note_endpoint s v i (Some b.Sta.net_id))
+            b.Sta.snks)
+        g.Sta.fanout.(i))
+    g.Sta.order;
   (* Pick the k worst endpoints and trace each back. *)
   let worst =
     Hashtbl.fold (fun cell (v, drv, net) acc -> (v, cell, drv, net) :: acc)
@@ -107,9 +48,11 @@ let critical ?(k = 5) (p : Params.t) (c : Netlist.Circuit.t)
       let acc = { cell; via_net = via; arrival = arrival.(cell) } :: acc in
       if is_endpoint cell then acc
       else
-        match pred.(cell) with
-        | Some (d, net_id) -> back d (Some net_id) acc
-        | None -> acc
+        match g.Sta.pred.(cell) with
+        | -1 -> acc
+        | bi ->
+          let b = g.Sta.bundles.(bi) in
+          back b.Sta.drv (Some b.Sta.net_id) acc
     in
     let tail = { cell = endpoint; via_net = net; arrival = delay } in
     let elements =
@@ -136,6 +79,6 @@ let pp_path (c : Netlist.Circuit.t) ppf path =
       | None -> Format.fprintf ppf "  %-12s            %8.3f ns@." name (e.arrival *. 1e9)
       | Some net ->
         Format.fprintf ppf "  %-12s via %-8s %8.3f ns@." name
-          c.Netlist.Circuit.nets.(net).Netlist.Net.name
+          c.Netlist.Circuit.net_name.(net)
           (e.arrival *. 1e9))
     path.elements

@@ -23,6 +23,28 @@ type t = {
     r·L·(c·L/2 + sinks·C_pin). *)
 val net_delay : Params.t -> length:float -> sinks:int -> float
 
+(** One analysed net: the signal leaves driver cell [drv] and reaches
+    the [snks] (its sink pins on other cells, in pin order) after
+    [delay]. *)
+type bundle = { net_id : int; drv : int; snks : int array; delay : float }
+
+(** The combinational graph at a placement and its forward pass. *)
+type graph = {
+  bundles : bundle array;  (** one per analysed net, last net first *)
+  fanout : int list array;  (** per cell, the bundles it drives *)
+  order : int array;  (** the cells in the forward pass's order *)
+  arrival : float array;  (** per cell: output arrival time *)
+  pred : int array;
+      (** per non-endpoint cell, the first bundle realising its latest
+          input arrival; [-1] when none does *)
+  max_delay : float;
+}
+
+(** [graph params circuit placement] builds the graph and runs the
+    forward pass {!analyse} starts from.  Raises [Failure] on a
+    combinational cycle. *)
+val graph : Params.t -> Netlist.Circuit.t -> Netlist.Placement.t -> graph
+
 (** [analyse params circuit placement] runs the analysis. *)
 val analyse : Params.t -> Netlist.Circuit.t -> Netlist.Placement.t -> t
 

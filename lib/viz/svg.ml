@@ -90,28 +90,22 @@ let render ?(options = default_options) (c : Netlist.Circuit.t)
     c.Netlist.Circuit.cells;
   (* Net fly-lines (driver to each sink). *)
   if options.show_nets then begin
-    let drawn = ref 0 in
-    Array.iter
-      (fun (net : Netlist.Net.t) ->
-        if !drawn < options.max_nets_drawn then begin
-          incr drawn;
-          let dx_, dy_ =
-            Netlist.Circuit.pin_position c ~x:p.Netlist.Placement.x
-              ~y:p.Netlist.Placement.y (Netlist.Net.driver net)
-          in
-          Array.iter
-            (fun pin ->
-              let sx, sy =
-                Netlist.Circuit.pin_position c ~x:p.Netlist.Placement.x
-                  ~y:p.Netlist.Placement.y pin
-              in
-              out
-                "<line x1=\"%.2f\" y1=\"%.2f\" x2=\"%.2f\" y2=\"%.2f\" \
-                 stroke=\"#c51b8a\" stroke-width=\"0.4\" stroke-opacity=\"0.5\"/>\n"
-                (px dx_) (py dy_) (px sx) (py sy))
-            (Netlist.Net.sinks net)
-        end)
-      c.Netlist.Circuit.nets
+    let pin k =
+      let cl = c.Netlist.Circuit.pin_cell.(k) in
+      ( p.Netlist.Placement.x.(cl) +. c.Netlist.Circuit.pin_dx.(k),
+        p.Netlist.Placement.y.(cl) +. c.Netlist.Circuit.pin_dy.(k) )
+    in
+    for n = 0 to min options.max_nets_drawn (Netlist.Circuit.num_nets c) - 1 do
+      let s = c.Netlist.Circuit.net_start.(n) in
+      let dx_, dy_ = pin s in
+      for k = s + 1 to c.Netlist.Circuit.net_start.(n + 1) - 1 do
+        let sx, sy = pin k in
+        out
+          "<line x1=\"%.2f\" y1=\"%.2f\" x2=\"%.2f\" y2=\"%.2f\" \
+           stroke=\"#c51b8a\" stroke-width=\"0.4\" stroke-opacity=\"0.5\"/>\n"
+          (px dx_) (py dy_) (px sx) (py sy)
+      done
+    done
   end;
   out "</svg>\n";
   Buffer.contents buf

@@ -9,3 +9,27 @@ let max_abs_diff a b =
     if m > !acc then acc := m
   done;
   !acc
+
+(* [net_circuit nets] is a circuit over unit cells [0 .. max pin cell]
+   carrying [nets] (each an array of [(cell, dx, dy)] pins, driver
+   first), for tests that exercise one net's pin table. *)
+let net_circuit nets =
+  let n =
+    Array.fold_left
+      (Array.fold_left (fun m (cl, _, _) -> max m (cl + 1)))
+      0 nets
+  in
+  let cells =
+    Array.init n (fun i ->
+        Netlist.Cell.make ~id:i ~name:(string_of_int i) ~width:1. ~height:1. ())
+  in
+  let nets =
+    Array.mapi
+      (fun id pins ->
+        Netlist.Net.make ~id ~name:(Printf.sprintf "n%d" id)
+          (Array.map (fun (cell, dx, dy) -> { Netlist.Net.cell; dx; dy }) pins))
+      nets
+  in
+  Netlist.Circuit.make ~name:"nets" ~cells ~nets
+    ~region:(Geometry.Rect.make ~x_lo:0. ~y_lo:0. ~x_hi:100. ~y_hi:100.)
+    ~row_height:1.

@@ -2,12 +2,16 @@
 
 let pin ?(dx = 0.) ?(dy = 0.) c = { Netlist.Net.cell = c; dx; dy }
 
-let coord_x xs (p : Netlist.Net.pin) = xs.(p.Netlist.Net.cell) +. p.Netlist.Net.dx
+(* One net over cells [0 .. k-1], pin [i] on cell [i]. *)
+let chain k = Helpers.net_circuit [| Array.init k (fun i -> (i, 0., 0.)) |]
+
+let coord_x (c : Netlist.Circuit.t) xs k =
+  xs.(c.Netlist.Circuit.pin_cell.(k)) +. c.Netlist.Circuit.pin_dx.(k)
 
 let test_two_pin_weight () =
-  let net = Netlist.Net.make ~id:0 ~name:"n" [| pin 0; pin 1 |] in
+  let c = chain 2 in
   let xs = [| 0.; 10. |] in
-  match Qp.B2b.edges ~coord:(coord_x xs) net with
+  match Qp.B2b.edges ~coord:(coord_x c xs) c 0 with
   | [ e ] ->
     Alcotest.(check (float 1e-9)) "weight 2/span" 0.2 e.Qp.B2b.weight
   | l -> Alcotest.fail (Printf.sprintf "expected 1 edge, got %d" (List.length l))
@@ -15,9 +19,9 @@ let test_two_pin_weight () =
 let test_edge_count_k_pins () =
   (* k-pin net: 1 boundary-boundary edge + 2 per interior pin. *)
   let k = 6 in
-  let net = Netlist.Net.make ~id:0 ~name:"n" (Array.init k (fun i -> pin i)) in
+  let c = chain k in
   let xs = Array.init k (fun i -> float_of_int (i * 3)) in
-  let edges = Qp.B2b.edges ~coord:(coord_x xs) net in
+  let edges = Qp.B2b.edges ~coord:(coord_x c xs) c 0 in
   Alcotest.(check int) "1 + 2(k-2) edges" (1 + (2 * (k - 2))) (List.length edges)
 
 let test_objective_matches_hpwl_at_linearization () =
@@ -25,10 +29,10 @@ let test_objective_matches_hpwl_at_linearization () =
      linearisation point — B2B's defining property per axis (the factor 2
      is uniform over all degrees, so it only rescales the objective). *)
   let k = 5 in
-  let net = Netlist.Net.make ~id:0 ~name:"n" (Array.init k (fun i -> pin i)) in
+  let c = chain k in
   let xs = [| 2.; 9.; 4.; 17.; 11. |] in
-  let coord = coord_x xs in
-  let edges = Qp.B2b.edges ~coord net in
+  let coord = coord_x c xs in
+  let edges = Qp.B2b.edges ~coord c 0 in
   let objective =
     List.fold_left
       (fun acc (e : Qp.B2b.edge) ->
@@ -40,12 +44,10 @@ let test_objective_matches_hpwl_at_linearization () =
   Alcotest.(check (float 1e-6)) "objective = 2·span" 30. objective
 
 let test_degenerate_falls_back_to_clique () =
-  let net = Netlist.Net.make ~id:0 ~name:"n"
-      [| pin 0; pin 1; pin 2 |]
-  in
+  let c = chain 3 in
   (* All pins at the same x. *)
   let xs = [| 5.; 5.; 5. |] in
-  let edges = Qp.B2b.edges ~coord:(coord_x xs) net in
+  let edges = Qp.B2b.edges ~coord:(coord_x c xs) c 0 in
   Alcotest.(check int) "clique fallback edges" 3 (List.length edges);
   List.iter
     (fun (e : Qp.B2b.edge) ->

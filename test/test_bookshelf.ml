@@ -70,13 +70,14 @@ let test_driver_preserved () =
       let base = Filename.concat dir "ckt" in
       Netlist.Bookshelf.save base circuit p;
       let circuit', _ = bs_exn (Netlist.Bookshelf.load_aux (base ^ ".aux")) in
-      Array.iteri
-        (fun i (net : Netlist.Net.t) ->
-          Alcotest.(check int)
-            (Printf.sprintf "driver of net %d" i)
-            (Netlist.Net.driver net).Netlist.Net.cell
-            (Netlist.Net.driver circuit'.Netlist.Circuit.nets.(i)).Netlist.Net.cell)
-        circuit.Netlist.Circuit.nets)
+      let driver (c : Netlist.Circuit.t) i =
+        c.Netlist.Circuit.pin_cell.(c.Netlist.Circuit.net_start.(i))
+      in
+      for i = 0 to Netlist.Circuit.num_nets circuit - 1 do
+        Alcotest.(check int)
+          (Printf.sprintf "driver of net %d" i)
+          (driver circuit i) (driver circuit' i)
+      done)
 
 let test_hand_written_benchmark () =
   with_tempdir (fun dir ->
@@ -115,10 +116,10 @@ let test_hand_written_benchmark () =
         c.Netlist.Circuit.cells.(2).Netlist.Cell.fixed;
       (* Driver of n1 is a (the O pin). *)
       Alcotest.(check int) "driver" 0
-        (Netlist.Net.driver c.Netlist.Circuit.nets.(0)).Netlist.Net.cell;
+        c.Netlist.Circuit.pin_cell.(c.Netlist.Circuit.net_start.(0));
       (* Pin offset parsed. *)
       Alcotest.(check (float 1e-9)) "pin dx" 1.
-        c.Netlist.Circuit.nets.(0).Netlist.Net.pins.(1).Netlist.Net.dx)
+        c.Netlist.Circuit.pin_dx.(c.Netlist.Circuit.net_start.(0) + 1))
 
 let test_missing_file_rejected () =
   with_tempdir (fun dir ->

@@ -13,19 +13,18 @@ let test_deterministic () =
     (Netlist.Circuit.num_nets c2);
   Alcotest.(check bool) "pads equal" true (f1 = f2);
   (* Spot-check net structure equality. *)
-  Array.iteri
-    (fun i (n : Netlist.Net.t) ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "net %d" i)
-        (Netlist.Net.cells n)
-        (Netlist.Net.cells c2.Netlist.Circuit.nets.(i)))
-    c1.Netlist.Circuit.nets
+  for i = 0 to Netlist.Circuit.num_nets c1 - 1 do
+    Alcotest.(check (list int))
+      (Printf.sprintf "net %d" i)
+      (Netlist.Circuit.net_cells c1 i)
+      (Netlist.Circuit.net_cells c2 i)
+  done
 
 let test_seed_changes_netlist () =
   let c1, _ = generate ~seed:1 "fract" in
   let c2, _ = generate ~seed:2 "fract" in
-  let cells (c : Netlist.Circuit.t) =
-    Array.to_list (Array.map Netlist.Net.cells c.Netlist.Circuit.nets)
+  let cells c =
+    List.init (Netlist.Circuit.num_nets c) (Netlist.Circuit.net_cells c)
   in
   Alcotest.(check bool) "different nets" true (cells c1 <> cells c2)
 
@@ -66,10 +65,7 @@ let test_pads_on_boundary_and_fixed () =
 let test_no_isolated_internal_cells () =
   let c, _ = generate "struct" in
   let connected = Array.make (Netlist.Circuit.num_cells c) false in
-  Array.iter
-    (fun (n : Netlist.Net.t) ->
-      List.iter (fun cid -> connected.(cid) <- true) (Netlist.Net.cells n))
-    c.Netlist.Circuit.nets;
+  Array.iter (fun cid -> connected.(cid) <- true) c.Netlist.Circuit.pin_cell;
   Array.iter
     (fun (cl : Netlist.Cell.t) ->
       if cl.Netlist.Cell.kind <> Netlist.Cell.Pad then
@@ -91,8 +87,8 @@ let test_huge_nets_present_for_avq () =
   let params = Circuitgen.Profiles.params ~scale:0.1 prof ~seed:5 in
   let c, _ = Circuitgen.Gen.generate params in
   let huge =
-    Array.to_list c.Netlist.Circuit.nets
-    |> List.filter (fun n -> Netlist.Net.degree n > 60)
+    List.init (Netlist.Circuit.num_nets c) (Netlist.Circuit.degree c)
+    |> List.filter (fun d -> d > 60)
   in
   Alcotest.(check bool) "has > 60-pin nets" true (List.length huge >= 1)
 
@@ -149,16 +145,13 @@ let test_driver_has_lowest_index () =
             (fun (cl : Netlist.Cell.t) -> cl.Netlist.Cell.kind <> Netlist.Cell.Pad)
             (Array.to_list c.Netlist.Circuit.cells)))
   in
-  Array.iter
-    (fun (net : Netlist.Net.t) ->
-      let cells = Netlist.Net.cells net in
-      let drv = (Netlist.Net.driver net).Netlist.Net.cell in
-      if drv < n_internal then
-        List.iter
-          (fun cid ->
-            Alcotest.(check bool) "driver minimal" true (drv <= cid))
-          cells)
-    c.Netlist.Circuit.nets
+  for n = 0 to Netlist.Circuit.num_nets c - 1 do
+    let drv = c.Netlist.Circuit.pin_cell.(c.Netlist.Circuit.net_start.(n)) in
+    if drv < n_internal then
+      List.iter
+        (fun cid -> Alcotest.(check bool) "driver minimal" true (drv <= cid))
+        (Netlist.Circuit.net_cells c n)
+  done
 
 let prop_any_profile_seed_generates =
   QCheck.Test.make ~name:"generator succeeds for any profile and seed"

@@ -9,9 +9,11 @@ let region = Geometry.Rect.make ~x_lo:0. ~y_lo:0. ~x_hi:100. ~y_hi:100.
 
 (* --- Model: clique expansion --- *)
 
+(* One net over cells [0 .. k-1], pin [i] on cell [i]. *)
+let chain k = Helpers.net_circuit [| Array.init k (fun i -> (i, 0., 0.)) |]
+
 let test_clique_edge_count_and_weight () =
-  let net = Netlist.Net.make ~id:0 ~name:"n" (Array.init 5 (fun i -> pin i)) in
-  let edges = Qp.Model.edges net in
+  let edges = Qp.Model.edges (chain 5) 0 in
   Alcotest.(check int) "k(k-1)/2 edges" 10 (List.length edges);
   List.iter
     (fun (e : Qp.Model.edge) ->
@@ -19,16 +21,14 @@ let test_clique_edge_count_and_weight () =
     edges
 
 let test_clique_total_weight () =
-  let net = Netlist.Net.make ~id:0 ~name:"n" (Array.init 7 (fun i -> pin i)) in
   let total =
     List.fold_left (fun acc (e : Qp.Model.edge) -> acc +. e.Qp.Model.weight) 0.
-      (Qp.Model.edges net)
+      (Qp.Model.edges (chain 7) 0)
   in
   Alcotest.check approx "(k-1)/2" (Qp.Model.total_weight 7) total
 
 let test_capped_net_preserves_total_weight () =
-  let net = Netlist.Net.make ~id:0 ~name:"big" (Array.init 40 (fun i -> pin i)) in
-  let edges = Qp.Model.edges ~cap:16 net in
+  let edges = Qp.Model.edges ~cap:16 (chain 40) 0 in
   let total =
     List.fold_left (fun acc (e : Qp.Model.edge) -> acc +. e.Qp.Model.weight) 0. edges
   in
@@ -37,15 +37,15 @@ let test_capped_net_preserves_total_weight () =
     (List.length edges < 40 * 39 / 2)
 
 let test_capped_net_connected () =
-  let net = Netlist.Net.make ~id:0 ~name:"big" (Array.init 50 (fun i -> pin i)) in
-  let edges = Qp.Model.edges ~cap:16 net in
+  let c = chain 50 in
+  let edges = Qp.Model.edges ~cap:16 c 0 in
   (* Union-find connectivity over the 50 pins. *)
   let parent = Array.init 50 Fun.id in
   let rec find i = if parent.(i) = i then i else find parent.(i) in
   List.iter
     (fun (e : Qp.Model.edge) ->
-      let a = find e.Qp.Model.pin_a.Netlist.Net.cell in
-      let b = find e.Qp.Model.pin_b.Netlist.Net.cell in
+      let a = find c.Netlist.Circuit.pin_cell.(e.Qp.Model.pin_a) in
+      let b = find c.Netlist.Circuit.pin_cell.(e.Qp.Model.pin_b) in
       if a <> b then parent.(a) <- b)
     edges;
   let root = find 0 in
@@ -394,45 +394,46 @@ let reference_system c ~(placement : Netlist.Placement.t) ~net_weights ~scale
   let cell_of_var = Array.make n 0 in
   Array.iteri (fun id v -> if v >= 0 then cell_of_var.(v) <- id) var_of_cell;
   let px = placement.Netlist.Placement.x and py = placement.Netlist.Placement.y in
-  let pin_x (p : Netlist.Net.pin) = px.(p.Netlist.Net.cell) +. p.Netlist.Net.dx in
-  let pin_y (p : Netlist.Net.pin) = py.(p.Netlist.Net.cell) +. p.Netlist.Net.dy in
+  let cell = c.Netlist.Circuit.pin_cell in
+  let off_x k = c.Netlist.Circuit.pin_dx.(k)
+  and off_y k = c.Netlist.Circuit.pin_dy.(k) in
+  let pin_x k = px.(cell.(k)) +. off_x k in
+  let pin_y k = py.(cell.(k)) +. off_y k in
   let ax = ref_axis n in
   let ay = match model with Qp.System.Clique -> None | _ -> Some (ref_axis n) in
   let dy_clique = Array.make n 0. in
-  Array.iter
-    (fun (net : Netlist.Net.t) ->
-      let nw = net_weights.(net.Netlist.Net.id) in
-      if nw > 0. then
-        match ay with
-        | None ->
-          Qp.Model.iter_edges ~cap net (fun pa pb w_raw ->
-              let s =
-                match scale with
-                | Quadratic -> 1.
-                | Linearize eps ->
-                  Qp.Weights.linearize ~eps
-                    ~dist:
-                      (sqrt
-                         (((pin_x pa -. pin_x pb) ** 2.)
-                         +. ((pin_y pa -. pin_y pb) ** 2.)))
-              in
-              ref_spring ax ~d2:dy_clique ~var_of_cell
-                ~cell_a:pa.Netlist.Net.cell ~cell_b:pb.Netlist.Net.cell
-                ~off_a:pa.Netlist.Net.dx ~off_b:pb.Netlist.Net.dx
-                ~abs_a:(pin_x pa) ~abs_b:(pin_x pb)
-                ~off2:
-                  (pa.Netlist.Net.dy, pb.Netlist.Net.dy, pin_y pa, pin_y pb)
-                (w_raw *. nw *. s))
-        | Some ay ->
-          let axis a coord off =
-            Qp.B2b.iter_edges ~coord net (fun pa pb w ->
-                ref_spring a ~var_of_cell ~cell_a:pa.Netlist.Net.cell
-                  ~cell_b:pb.Netlist.Net.cell ~off_a:(off pa) ~off_b:(off pb)
-                  ~abs_a:(coord pa) ~abs_b:(coord pb) (w *. nw))
-          in
-          axis ax pin_x (fun p -> p.Netlist.Net.dx);
-          axis ay pin_y (fun p -> p.Netlist.Net.dy))
-    c.Netlist.Circuit.nets;
+  for net = 0 to Netlist.Circuit.num_nets c - 1 do
+    let nw = net_weights.(net) in
+    if nw > 0. then
+      match ay with
+      | None ->
+        Qp.Model.iter_edges ~cap c net (fun pa pb w_raw ->
+            let s =
+              match scale with
+              | Quadratic -> 1.
+              | Linearize eps ->
+                Qp.Weights.linearize ~eps
+                  ~dist:
+                    (sqrt
+                       (((pin_x pa -. pin_x pb) ** 2.)
+                       +. ((pin_y pa -. pin_y pb) ** 2.)))
+            in
+            ref_spring ax ~d2:dy_clique ~var_of_cell
+              ~cell_a:cell.(pa) ~cell_b:cell.(pb)
+              ~off_a:(off_x pa) ~off_b:(off_x pb)
+              ~abs_a:(pin_x pa) ~abs_b:(pin_x pb)
+              ~off2:(off_y pa, off_y pb, pin_y pa, pin_y pb)
+              (w_raw *. nw *. s))
+      | Some ay ->
+        let axis a coord off =
+          Qp.B2b.iter_edges ~coord c net (fun pa pb w ->
+              ref_spring a ~var_of_cell ~cell_a:cell.(pa) ~cell_b:cell.(pb)
+                ~off_a:(off pa) ~off_b:(off pb)
+                ~abs_a:(coord pa) ~abs_b:(coord pb) (w *. nw))
+        in
+        axis ax pin_x off_x;
+        axis ay pin_y off_y
+  done;
   let mean =
     match ay with
     | None -> if ax.rcount = 0 then 1. else ax.rtotal /. float_of_int ax.rcount
@@ -544,9 +545,8 @@ let test_assembly_oracle () =
     ]
   in
   let max_degree =
-    Array.fold_left
-      (fun m (net : Netlist.Net.t) -> max m (Array.length net.Netlist.Net.pins))
-      0 circuit.Netlist.Circuit.nets
+    List.fold_left max 0
+      (List.init (Netlist.Circuit.num_nets circuit) (Netlist.Circuit.degree circuit))
   in
   Alcotest.(check bool) "a net above the small clique cap" true (max_degree > 4);
   Fun.protect
