@@ -3,16 +3,17 @@ type error = { file : string; reason : string }
 let error_message e = Printf.sprintf "%s: %s" e.file e.reason
 
 (* Internal control flow; converted to [Error] in [load_aux].  Parse
-   helpers raise bare [Failure]s (including the numeric conversions') and
-   [guard] attributes them to the benchmark file being read. *)
+   helpers raise bare [Failure]s (including the numeric conversions'),
+   constructors [Invalid_argument]s, and [guard] attributes both to the
+   benchmark file being read. *)
 exception Bs of error
 
 let fail fmt = Printf.ksprintf failwith fmt
 
 let guard file f =
   try f () with
-  | Failure reason -> raise (Bs { file; reason })
-  | Sys_error reason -> raise (Bs { file; reason })
+  | Failure reason | Invalid_argument reason | Sys_error reason ->
+    raise (Bs { file; reason })
 
 let tokens line =
   String.split_on_char ' ' (String.map (fun c -> if c = '\t' then ' ' else c) line)
@@ -47,12 +48,12 @@ let parse_nodes file =
         | [ "NumNodes"; ":"; _ ] | [ "NumTerminals"; ":"; _ ] -> ()
         | [ name; w; h ] ->
           nodes :=
-            { nname = name; w = float_of_string w; h = float_of_string h;
+            { nname = name; w = Io.finite w; h = Io.finite h;
               terminal = false }
             :: !nodes
         | [ name; w; h; "terminal" ] ->
           nodes :=
-            { nname = name; w = float_of_string w; h = float_of_string h;
+            { nname = name; w = Io.finite w; h = Io.finite h;
               terminal = true }
             :: !nodes
         | [] -> ()
@@ -86,15 +87,15 @@ let parse_scl file =
       if not (is_comment line) then
         match tokens line with
         | "CoreRow" :: _ -> ()
-        | [ "Coordinate"; ":"; v ] -> cur_y := Some (float_of_string v)
-        | [ "Height"; ":"; v ] -> cur_h := Some (float_of_string v)
-        | [ "Sitespacing"; ":"; v ] -> cur_spacing := float_of_string v
+        | [ "Coordinate"; ":"; v ] -> cur_y := Some (Io.finite v)
+        | [ "Height"; ":"; v ] -> cur_h := Some (Io.finite v)
+        | [ "Sitespacing"; ":"; v ] -> cur_spacing := Io.finite v
         | "SubrowOrigin" :: ":" :: origin :: rest ->
-          cur_origin := Some (float_of_string origin);
+          cur_origin := Some (Io.finite origin);
           (match rest with
-          | [ "NumSites"; ":"; n ] -> cur_sites := Some (float_of_string n)
+          | [ "NumSites"; ":"; n ] -> cur_sites := Some (Io.finite n)
           | _ -> ())
-        | [ "NumSites"; ":"; n ] -> cur_sites := Some (float_of_string n)
+        | [ "NumSites"; ":"; n ] -> cur_sites := Some (Io.finite n)
         | [ "End" ] -> flush ()
         | _ -> ())
     (read_lines file);
@@ -109,7 +110,7 @@ let parse_pl file =
       if not (is_comment line) then
         match tokens line with
         | name :: x :: y :: _ when name <> "NumNodes" ->
-          Hashtbl.replace places name (float_of_string x, float_of_string y)
+          Hashtbl.replace places name (Io.finite x, Io.finite y)
         | _ -> ())
     (read_lines file);
   places
@@ -142,7 +143,7 @@ let parse_nets file =
         | name :: dir :: rest when !cur_open ->
           let dx, dy =
             match rest with
-            | [ ":"; dx; dy ] -> (float_of_string dx, float_of_string dy)
+            | [ ":"; dx; dy ] -> (Io.finite dx, Io.finite dy)
             | [] -> (0., 0.)
             | _ -> fail "bad pin line for net %s" !cur_name
           in
@@ -186,7 +187,7 @@ let load_aux_exn aux_file =
   let y_hi =
     List.fold_left (fun a r -> Float.max a (r.y +. r.height)) Float.neg_infinity rows
   in
-  let region = Geometry.Rect.make ~x_lo ~y_lo ~x_hi ~y_hi in
+  let region = guard scl_f (fun () -> Geometry.Rect.make ~x_lo ~y_lo ~x_hi ~y_hi) in
   let places = guard pl_f (fun () -> parse_pl pl_f) in
   let id_of = Hashtbl.create (List.length nodes) in
   let core_row_area = row_height *. row_height in
@@ -242,10 +243,12 @@ let load_aux_exn aux_file =
           (parse_nets nets_f);
         Array.of_list (List.rev !out))
   in
+  (* All that [Circuit.make] can still refuse here is the rows' height or area. *)
   let circuit =
-    Circuit.make
-      ~name:(Filename.remove_extension (Filename.basename aux_file))
-      ~cells ~nets ~region ~row_height
+    guard scl_f (fun () ->
+        Circuit.make
+          ~name:(Filename.remove_extension (Filename.basename aux_file))
+          ~cells ~nets ~region ~row_height)
   in
   let cx, cy = Geometry.Rect.center region in
   let placement =
@@ -268,8 +271,8 @@ let load_aux aux_file =
   match load_aux_exn aux_file with
   | v -> Ok v
   | exception Bs e -> Error e
-  | exception Failure reason -> Error { file = aux_file; reason }
-  | exception Sys_error reason -> Error { file = aux_file; reason }
+  | exception (Failure reason | Invalid_argument reason | Sys_error reason) ->
+    Error { file = aux_file; reason }
 
 let save basename (c : Circuit.t) (p : Placement.t) =
   let write file f =

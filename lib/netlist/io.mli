@@ -27,6 +27,10 @@ type error = {
 (** [error_message e] — ["file:line: reason"] with the parts present. *)
 val error_message : error -> string
 
+(** [finite s] is the finite float [s] spells; NaN, the infinities and
+    unparsable text raise [Failure].  Also {!Bookshelf}'s number check. *)
+val finite : string -> float
+
 (** [write_circuit oc circuit] prints the circuit. *)
 val write_circuit : out_channel -> Circuit.t -> unit
 

@@ -13,13 +13,14 @@ type builder = {
   mutable len : int;
 }
 
-let builder n =
+let builder ?(capacity = 16) n =
   if n < 0 then invalid_arg "Sparse.builder: negative dimension";
-  { bn = n; bi = Array.make 16 0; bj = Array.make 16 0; bv = Array.make 16 0.; len = 0 }
+  let ints () = Array.make capacity 0 in
+  { bn = n; bi = ints (); bj = ints (); bv = Array.make capacity 0.; len = 0 }
 
 let ensure_capacity b =
   if b.len = Array.length b.bi then begin
-    let cap = 2 * Array.length b.bi in
+    let cap = max 16 (2 * Array.length b.bi) in
     let grow a fill =
       let a' = Array.make cap fill in
       Array.blit a 0 a' 0 b.len;
@@ -122,9 +123,9 @@ let finalize b =
 
 type slots = {
   s_len : int;
-  s_row : int array;
-  s_col : int array;
   s_slot : int array;
+  s_indptr : int array;
+  s_indices : int array;
   s_values : float array;
 }
 
@@ -181,6 +182,7 @@ let refill pat b =
   done;
   seal pat
 
+(* Triplet k sits at (i, j) iff its slot lies in CSR row i at column j. *)
 let pattern_matches pat b =
   let sl = pat.sl in
   b.bn = pat.pn && b.len = sl.s_len
@@ -188,7 +190,9 @@ let pattern_matches pat b =
   let ok = ref true in
   let k = ref 0 in
   while !ok && !k < b.len do
-    if b.bi.(!k) <> sl.s_row.(!k) || b.bj.(!k) <> sl.s_col.(!k) then ok := false;
+    let s = sl.s_slot.(!k) and i = b.bi.(!k) in
+    if s < sl.s_indptr.(i) || s >= sl.s_indptr.(i + 1) || sl.s_indices.(s) <> b.bj.(!k)
+    then ok := false;
     incr k
   done;
   !ok
@@ -251,18 +255,14 @@ let compile b =
   done;
   row_start.(n) <- !w;
   let values = Array.make !w 0. in
+  let col = Array.sub col_buf 0 !w in
   let pat =
     {
       pn = n;
       sl =
-        {
-          s_len = len;
-          s_row = Array.sub b.bi 0 len;
-          s_col = Array.sub b.bj 0 len;
-          s_slot = slot;
-          s_values = values;
-        };
-      p_matrix = { n; row_start; col = Array.sub col_buf 0 !w; value = values };
+        { s_len = len; s_slot = slot; s_indptr = row_start; s_indices = col;
+          s_values = values };
+      p_matrix = { n; row_start; col; value = values };
     }
   in
   (pat, refill pat b)

@@ -13,8 +13,10 @@ type t
 (** Mutable assembly buffer. *)
 type builder
 
-(** [builder n] is an empty builder for an [n]×[n] matrix. *)
-val builder : int -> builder
+(** [builder ?capacity n] is an empty builder for an [n]×[n] matrix with
+    room for [capacity] triplets (default 16) before it starts doubling.
+    Raises [Invalid_argument] if [n] or [capacity] is negative. *)
+val builder : ?capacity:int -> int -> builder
 
 (** [add b i j v] adds [v] to entry (i, j).  Symmetry is the caller's
     responsibility: call it for both (i, j) and (j, i), or use
@@ -46,7 +48,8 @@ type pattern
 
 (** [compile b] performs one finalize-equivalent pass, returning the
     frozen pattern together with the assembled matrix.  The matrix is
-    bitwise-identical to [finalize b]. *)
+    bitwise-identical to [finalize b].  The pattern shares no storage
+    with [b]. *)
 val compile : builder -> pattern * t
 
 (** [refill pat b] scatters the builder's value stream, in triplet
@@ -64,18 +67,19 @@ val refill : pattern -> builder -> t
 
 (** The per-triplet view of a pattern, for an assembler that replays its
     triplet stream itself instead of going through a {!builder}:
-    triplet [k] of the compiled stream sits at ([s_row.(k)],
-    [s_col.(k)]) and accumulates into [s_values.(s_slot.(k))].  Zeroing
-    [s_values] and adding each triplet's value in stream order is
-    exactly what {!refill} does, so {!seal} then yields the matrix
-    {!finalize} would have built — the allocation-free steady state of
-    the QP assembly, whose per-element loop cannot call into this module
-    without boxing every float. *)
+    triplet [k] of the compiled stream sits at (i, j) iff its slot
+    [s = s_slot.(k)] lies in CSR row i ([s_indptr.(i) <= s <
+    s_indptr.(i + 1)]) with [s_indices.(s) = j], and accumulates into
+    [s_values.(s)].  Zeroing [s_values] and adding each triplet's value
+    in stream order is exactly what {!refill} does, so {!seal} then
+    yields the matrix {!finalize} would have built — the allocation-free
+    steady state of the QP assembly, whose per-element loop cannot call
+    into this module without boxing every float. *)
 type slots = private {
   s_len : int;  (** triplet count of the compiled stream *)
-  s_row : int array;
-  s_col : int array;
-  s_slot : int array;
+  s_slot : int array;  (** triplet → slot *)
+  s_indptr : int array;  (** the pattern's CSR row starts (length n + 1) *)
+  s_indices : int array;  (** the pattern's CSR column of each slot *)
   s_values : float array;  (** the pattern's value storage, CSR order *)
 }
 
@@ -90,7 +94,7 @@ val seal : pattern -> t
 
 (** [pattern_matches pat b] is true when the builder holds exactly the
     (i, j) triplet sequence the pattern was compiled from (values are
-    free).  O(len) integer comparisons. *)
+    free), read off the CSR as in {!slots}.  O(len) integer comparisons. *)
 val pattern_matches : pattern -> builder -> bool
 
 (** [pattern_nnz pat] is the merged slot count (explicit zeros kept). *)

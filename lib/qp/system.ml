@@ -37,7 +37,7 @@ let index_map (c : Netlist.Circuit.t) =
    recording pass, incident-weight sums, the frozen pattern of the
    last recorded structure, and the stream position of a direct pass. *)
 type axis = {
-  ab : Numeric.Sparse.builder;
+  mutable ab : Numeric.Sparse.builder;
   incident : float array;
   mutable pat : Numeric.Sparse.pattern option;
   mutable next : int;
@@ -130,8 +130,8 @@ exception Drift
 (* Where a pass sends its triplets.  A recording pass ([None]) appends
    them to the axis builder.  A direct pass ([Some slots], the clique
    steady state) adds each value straight into the slot the cached
-   pattern assigns to that stream position, once its (i, j) is checked
-   against the compiled one: a slot then receives its values in stream
+   pattern assigns to that stream position, once that slot is checked
+   to sit at (i, j): a slot then receives its values in stream
    order, which is the order [Sparse.refill] adds them, so the sums are
    bitwise those of a recorded pass. *)
 let[@inline] emit a direct i j v =
@@ -139,9 +139,9 @@ let[@inline] emit a direct i j v =
   | None -> Numeric.Sparse.add a.ab i j v
   | Some (sl : Numeric.Sparse.slots) ->
     let k = a.next in
-    if k >= sl.s_len || sl.s_row.(k) <> i || sl.s_col.(k) <> j then
+    let s = if k < sl.s_len then sl.s_slot.(k) else -1 in
+    if s < sl.s_indptr.(i) || s >= sl.s_indptr.(i + 1) || sl.s_indices.(s) <> j then
       raise_notrace Drift;
-    let s = sl.s_slot.(k) in
     sl.s_values.(s) <- sl.s_values.(s) +. v;
     a.next <- k + 1
 
@@ -290,6 +290,20 @@ let stream_b2b asm ay ~px ~py ~net_weights =
   let ne = !count_x + !count_y in
   if ne = 0 then 1. else (!total_x +. !total_y) /. float_of_int ne
 
+(* A builder for one clique recording pass, sized so it never grows: at
+   most four triplets per spring (k(k−1)/2 springs for a net up to the
+   cap, its sample above), then an anchor and a hold diagonal per
+   variable. *)
+let clique_builder asm =
+  let springs = ref 0 in
+  for ni = 0 to Netlist.Circuit.num_nets asm.a_circuit - 1 do
+    let k = Netlist.Circuit.degree asm.a_circuit ni in
+    springs :=
+      !springs
+      + if k <= asm.a_cap then k * (k - 1) / 2 else Array.length asm.a_sampled.(ni)
+  done;
+  Numeric.Sparse.builder ~capacity:((4 * !springs) + (2 * asm.a_n)) asm.a_n
+
 (* The hold springs' d terms: d = d_pre − hw·hold_at, hw being the
    cell's hold spring weight, or d = d_pre when there is no hold. *)
 let apply_hold asm ~(placement : Netlist.Placement.t) ~mean_w ~hold ~hold_at =
@@ -380,23 +394,31 @@ let full_pass asm ~placement ~net_weights ~edge_scale ~anchor_weight ~hold
   in
   (* Numeric freeze of a recorded pass: replay values through the cached
      pattern when the triplet stream is structurally unchanged, otherwise
-     pay one symbolic compile and cache the new pattern. *)
+     pay one symbolic compile and cache the new pattern.  A clique pass
+     records only without a pattern or after a drift: it always compiles. *)
   let freeze (a : axis) =
     match a.pat with
-    | Some pat when Numeric.Sparse.pattern_matches pat a.ab ->
+    | Some pat
+      when asm.a_model = Bound2bound && Numeric.Sparse.pattern_matches pat a.ab
+      ->
       (true, Numeric.Sparse.refill pat a.ab)
     | _ ->
       let pat, m = Numeric.Sparse.compile a.ab in
       a.pat <- Some pat;
       (false, m)
   in
+  (* A clique builder holds storage for one recording pass only: every
+     later pass scatters into the pattern's slots. *)
   let recorded () =
+    let clique = asm.a_model = Clique in
+    if clique then asm.axx.ab <- clique_builder asm;
     let mean_w = pass None in
     let (hit_x, mx), ry =
       Obs.Timer.time "qp/refill" (fun () ->
           let rx = freeze asm.axx in
           (rx, Option.map freeze asm.axy))
     in
+    if clique then asm.axx.ab <- Numeric.Sparse.builder ~capacity:0 asm.a_n;
     match ry with
     | None -> (mean_w, hit_x, mx, mx)
     | Some (hit_y, my) -> (mean_w, hit_x && hit_y, mx, my)

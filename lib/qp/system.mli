@@ -24,11 +24,13 @@ type net_model = Clique | Bound2bound
     ([-1] for fixed), with the movable count. *)
 val index_map : Netlist.Circuit.t -> int array * int
 
-(** Reusable assembly state for one circuit: the triplet builders, the
-    frozen symbolic sparsity {!Numeric.Sparse.pattern}, the d vectors
-    (and d before its hold term), the Jacobi preconditioner storage, one
+(** Reusable assembly state for one circuit: the frozen symbolic
+    sparsity {!Numeric.Sparse.pattern}, the d vectors (and d before its
+    hold term), the Jacobi preconditioner storage, one
     {!Numeric.Cg.workspace} per axis, the edges sampled for nets above
-    the clique cap and the value cache of {!rebuild}.  Keyed by circuit,
+    the clique cap, the value cache of {!rebuild} and the triplet
+    builders — under [Clique] holding storage only during a recording
+    pass, sized from the circuit so it never grows.  Keyed by circuit,
     net model and clique cap at creation; every {!rebuild} against it
     re-emits at most the numeric values (the per-iteration work
     Kraftwerk repeats ~200 times), paying the symbolic sort-and-merge
@@ -36,7 +38,7 @@ val index_map : Netlist.Circuit.t -> int array * int
 type assembly
 
 (** [assembly circuit ?clique_cap ?model ()] allocates the cached
-    assembly state.  Under [Clique] the axes share one matrix builder
+    assembly state.  Under [Clique] the axes share one matrix
     (clique weights are axis-independent), halving matrix assembly. *)
 val assembly :
   Netlist.Circuit.t -> ?clique_cap:int -> ?model:net_model -> unit -> assembly
@@ -59,8 +61,8 @@ val assembly :
     weight, so once the first pass has compiled its pattern every later
     pass scatters each value straight into its matrix slot
     ({!Numeric.Sparse.slots}) and allocates nothing per net or edge; a
-    pass whose structure drifted (a net weight reached zero) is redone
-    through the builder and recompiled.  Bound2Bound records every pass
+    pass whose structure drifted (a net weight reached zero) is recorded
+    again and recompiled.  Bound2Bound records every pass
     and refills the cached pattern when the triplet stream kept its
     structure ({!Numeric.Sparse.refill}).  Recompiles are counted (see
     {!assembly_stats}; a value-cache hit counts as reused).

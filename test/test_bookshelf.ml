@@ -79,31 +79,36 @@ let test_driver_preserved () =
           (driver circuit i) (driver circuit' i)
       done)
 
+(* A 3-node benchmark written by hand, file by file; [edit] rewrites one
+   file's text before it is written. *)
+let hand_written ?(edit = fun _ text -> text) dir =
+  let file name content =
+    let oc = open_out (Filename.concat dir name) in
+    output_string oc (edit name content);
+    close_out oc
+  in
+  file "t.aux" "RowBasedPlacement : t.nodes t.nets t.pl t.scl\n";
+  file "t.nodes"
+    "UCLA nodes 1.0\n# comment\nNumNodes : 3\nNumTerminals : 1\n\
+     a 8 16\nb 8 16\npad1 4 4 terminal\n";
+  file "t.nets"
+    "UCLA nets 1.0\nNumNets : 2\nNumPins : 4\n\
+     NetDegree : 2 n1\n  a O : 0 0\n  b I : 1 2\n\
+     NetDegree : 2 n2\n  pad1 O : 0 0\n  a I : 0 0\n";
+  file "t.pl" "UCLA pl 1.0\n\na 10 16 : N\nb 30 16 : N\npad1 0 0 : N /FIXED\n";
+  file "t.scl"
+    "UCLA scl 1.0\nNumRows : 2\n\
+     CoreRow Horizontal\n  Coordinate : 0\n  Height : 16\n  Sitewidth : 1\n  \
+     Sitespacing : 1\n  Siteorient : 1\n  Sitesymmetry : 1\n  \
+     SubrowOrigin : 0  NumSites : 100\nEnd\n\
+     CoreRow Horizontal\n  Coordinate : 16\n  Height : 16\n  Sitewidth : 1\n  \
+     Sitespacing : 1\n  Siteorient : 1\n  Sitesymmetry : 1\n  \
+     SubrowOrigin : 0  NumSites : 100\nEnd\n";
+  Filename.concat dir "t.aux"
+
 let test_hand_written_benchmark () =
   with_tempdir (fun dir ->
-      let file name content =
-        let oc = open_out (Filename.concat dir name) in
-        output_string oc content;
-        close_out oc
-      in
-      file "t.aux" "RowBasedPlacement : t.nodes t.nets t.pl t.scl\n";
-      file "t.nodes"
-        "UCLA nodes 1.0\n# comment\nNumNodes : 3\nNumTerminals : 1\n\
-         a 8 16\nb 8 16\npad1 4 4 terminal\n";
-      file "t.nets"
-        "UCLA nets 1.0\nNumNets : 2\nNumPins : 4\n\
-         NetDegree : 2 n1\n  a O : 0 0\n  b I : 1 2\n\
-         NetDegree : 2 n2\n  pad1 O : 0 0\n  a I : 0 0\n";
-      file "t.pl" "UCLA pl 1.0\n\na 10 16 : N\nb 30 16 : N\npad1 0 0 : N /FIXED\n";
-      file "t.scl"
-        "UCLA scl 1.0\nNumRows : 2\n\
-         CoreRow Horizontal\n  Coordinate : 0\n  Height : 16\n  Sitewidth : 1\n  \
-         Sitespacing : 1\n  Siteorient : 1\n  Sitesymmetry : 1\n  \
-         SubrowOrigin : 0  NumSites : 100\nEnd\n\
-         CoreRow Horizontal\n  Coordinate : 16\n  Height : 16\n  Sitewidth : 1\n  \
-         Sitespacing : 1\n  Siteorient : 1\n  Sitesymmetry : 1\n  \
-         SubrowOrigin : 0  NumSites : 100\nEnd\n";
-      let c, p = bs_exn (Netlist.Bookshelf.load_aux (Filename.concat dir "t.aux")) in
+      let c, p = bs_exn (Netlist.Bookshelf.load_aux (hand_written dir)) in
       Alcotest.(check int) "cells" 3 (Netlist.Circuit.num_cells c);
       Alcotest.(check int) "nets" 2 (Netlist.Circuit.num_nets c);
       Alcotest.(check int) "rows" 2 (Netlist.Circuit.num_rows c);
@@ -120,6 +125,45 @@ let test_hand_written_benchmark () =
       (* Pin offset parsed. *)
       Alcotest.(check (float 1e-9)) "pin dx" 1.
         c.Netlist.Circuit.pin_dx.(c.Netlist.Circuit.net_start.(0) + 1))
+
+(* One bad number per input file: [load_aux] must return a typed error
+   naming that file, never a circuit with NaN in it nor an exception. *)
+let bad_inputs =
+  [
+    (".nodes width nan", "t.nodes", "a 8 16\n", "a nan 16\n", "non-finite");
+    (".nets offset nan", "t.nets", "b I : 1 2", "b I : nan 2", "non-finite");
+    (".pl coordinate inf", "t.pl", "b 30 16", "b inf 16", "non-finite");
+    (".scl row height 0", "t.scl", "Height : 16", "Height : 0", "row height");
+  ]
+
+(* Index of the first [sub] in [text], if any. *)
+let find_sub text sub =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length text then None
+    else if String.sub text i n = sub then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let test_bad_input (_, target, before, after, reason) () =
+  with_tempdir (fun dir ->
+      let edit name text =
+        match find_sub text before with
+        | Some i when name = target ->
+          let rest = i + String.length before in
+          String.sub text 0 i ^ after
+          ^ String.sub text rest (String.length text - rest)
+        | _ -> text
+      in
+      match Netlist.Bookshelf.load_aux (hand_written ~edit dir) with
+      | Ok _ -> Alcotest.failf "%s: loaded" target
+      | Error e ->
+        let msg = Netlist.Bookshelf.error_message e in
+        Alcotest.(check string) ("file of " ^ msg) target
+          (Filename.basename e.Netlist.Bookshelf.file);
+        Alcotest.(check bool) ("reason of " ^ msg) true
+          (find_sub msg reason <> None))
 
 let test_missing_file_rejected () =
   with_tempdir (fun dir ->
@@ -155,3 +199,7 @@ let suite =
     Alcotest.test_case "missing file" `Quick test_missing_file_rejected;
     Alcotest.test_case "placeable after load" `Quick test_placeable_after_load;
   ]
+  @ List.map
+      (fun ((name, _, _, _, _) as bad) ->
+        Alcotest.test_case ("rejects " ^ name) `Quick (test_bad_input bad))
+      bad_inputs

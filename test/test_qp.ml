@@ -675,6 +675,70 @@ let test_rebuild_solve_allocation () =
     (Printf.sprintf "solve allocates %.0f words, budget 64" !words)
     true (!words <= 64.)
 
+(* --- storage -------------------------------------------------------- *)
+
+(* The triplets of one clique pass at default cap with hold springs and
+   every net weighted, counted from Model.iter_edges: four per spring
+   between movable cells, one per spring to a fixed cell, then an
+   anchor and a hold diagonal per variable. *)
+let clique_triplets circuit =
+  let var_of_cell, n = Qp.System.index_map circuit in
+  let cell = circuit.Netlist.Circuit.pin_cell in
+  let count = ref (2 * n) in
+  for net = 0 to Netlist.Circuit.num_nets circuit - 1 do
+    Qp.Model.iter_edges circuit net (fun pa pb _ ->
+        let ma = var_of_cell.(cell.(pa)) >= 0 and mb = var_of_cell.(cell.(pb)) >= 0 in
+        if cell.(pa) <> cell.(pb) then
+          count := !count + (if ma && mb then 4 else if ma || mb then 1 else 0))
+  done;
+  !count
+
+(* A clique assembly keeps only what its steady state reads: between
+   passes it holds the pattern (CSR and triplet → slot map), its
+   per-variable vectors and the value cache, not the recording pass's
+   triplet builder nor a per-triplet copy of the stream's (i, j).  The
+   recording pass sizes its builder once instead of doubling it.  Both
+   bounds are words per compiled triplet on primary1: an assembly that
+   kept its builder and (i, j) copies held 10.8 and its recording pass
+   allocated 17.6; this one holds 3.1 and allocates 7.3. *)
+let test_assembly_storage () =
+  let prof = Circuitgen.Profiles.find "primary1" in
+  let circuit, pads =
+    Circuitgen.Gen.generate (Circuitgen.Profiles.params prof ~seed:21)
+  in
+  let p = Circuitgen.Gen.initial_placement circuit pads in
+  let nw = Array.make (Netlist.Circuit.num_nets circuit) 1. in
+  let nw2 = Array.map (fun w -> w *. 1.5) nw in
+  let asm = Qp.System.assembly circuit () in
+  let rebuild net_weights =
+    ignore
+      (Qp.System.rebuild asm ~placement:p ~net_weights
+         ~edge_scale:Qp.Weights.Quadratic ~hold:1.0 ())
+  in
+  Numeric.Parallel.set_num_domains 1;
+  let triplets = float_of_int (clique_triplets circuit) in
+  let major () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let m0 = major () in
+  rebuild nw;
+  let recording = (major () -. m0) /. triplets in
+  List.iter rebuild [ nw; nw2; nw; nw2 ];
+  let held =
+    float_of_int
+      (Obj.reachable_words (Obj.repr asm)
+      - Obj.reachable_words (Obj.repr circuit))
+    /. triplets
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "assembly holds %.2f words per triplet, budget 5" held)
+    true (held <= 5.);
+  Alcotest.(check bool)
+    (Printf.sprintf "recording rebuild allocates %.2f major words per triplet, budget 10"
+       recording)
+    true (recording <= 10.)
+
 let suite =
   [
     Alcotest.test_case "clique edges and weights" `Quick test_clique_edge_count_and_weight;
@@ -698,4 +762,5 @@ let suite =
       `Quick test_assembly_oracle;
     Alcotest.test_case "rebuild and solve allocation" `Quick
       test_rebuild_solve_allocation;
+    Alcotest.test_case "assembly storage" `Quick test_assembly_storage;
   ]

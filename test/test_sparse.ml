@@ -158,6 +158,79 @@ let test_pattern_mismatch () =
   Alcotest.(check bool) "swapped indices rejected" false
     (Numeric.Sparse.pattern_matches pat b)
 
+(* The structural check reads the pattern's CSR rather than a copy of
+   the compiled stream's (i, j).  Here the test keeps that copy itself:
+   after one mutation of a random stream — a triplet moved to another
+   slot of its row, to a new column or to another row, swapped with its
+   neighbour, the stream truncated or extended — [pattern_matches] must
+   agree with comparing the stream against the copy. *)
+let prop_pattern_matches_copy =
+  QCheck.Test.make ~count:600
+    ~name:"pattern_matches = comparison with a copy of the compiled stream"
+    QCheck.(triple triplets_gen (int_bound 5) small_nat)
+    (fun (ts, mutation, r) ->
+      let n = 8 in
+      let b = Numeric.Sparse.builder n in
+      let load stream =
+        Numeric.Sparse.clear b;
+        Array.iter (fun (i, j) -> Numeric.Sparse.add b i j 1.) stream
+      in
+      let copy = Array.of_list (List.map (fun (i, j, _) -> (i, j)) ts) in
+      load copy;
+      let pat, _ = Numeric.Sparse.compile b in
+      let len = Array.length copy in
+      let k = r mod len in
+      let i, j = copy.(k) in
+      let other x = (x + 1 + (r mod (n - 1))) mod n in
+      let m = Array.copy copy in
+      let mutated =
+        match mutation with
+        | 0 ->
+          let row_cols =
+            Array.to_list copy
+            |> List.filter_map (fun (i', j') ->
+                   if i' = i && j' <> j then Some j' else None)
+          in
+          if row_cols <> [] then
+            m.(k) <- (i, List.nth row_cols (r mod List.length row_cols));
+          m
+        | 1 ->
+          m.(k) <- (i, other j);
+          m
+        | 2 ->
+          m.(k) <- (other i, j);
+          m
+        | 3 ->
+          if k + 1 < len then begin
+            m.(k) <- m.(k + 1);
+            m.(k + 1) <- (i, j)
+          end;
+          m
+        | 4 -> Array.sub copy 0 k
+        | _ -> Array.append copy [| copy.(k) |]
+      in
+      load mutated;
+      Numeric.Sparse.pattern_matches pat b = (mutated = copy))
+
+(* A recording assembler sizes its builder once and drops it after
+   compiling; the pattern keeps working for later streams, which a
+   builder of no capacity records by doubling from 16. *)
+let test_builder_capacity () =
+  let fill b =
+    Numeric.Sparse.add b 0 1 2.;
+    Numeric.Sparse.add b 1 2 1.;
+    Numeric.Sparse.add b 0 1 3.;
+    b
+  in
+  let b = fill (Numeric.Sparse.builder ~capacity:2 3) in
+  let pat, m = Numeric.Sparse.compile b in
+  Alcotest.check approx "grown past the capacity" 5. (Numeric.Sparse.entry m 0 1);
+  let b = fill (Numeric.Sparse.builder ~capacity:0 3) in
+  Alcotest.(check bool) "pattern outlives its builder" true
+    (Numeric.Sparse.pattern_matches pat b);
+  Alcotest.(check bool) "refill from a capacity-0 builder" true
+    (bits_equal_mat (Numeric.Sparse.refill pat b) (Numeric.Sparse.finalize b))
+
 let test_refill_cancellation () =
   let b = Numeric.Sparse.builder 3 in
   Numeric.Sparse.add b 0 1 2.;
@@ -240,4 +313,6 @@ let suite =
     Alcotest.test_case "refill across domain pools" `Quick
       test_refill_parallel_domains;
     QCheck_alcotest.to_alcotest prop_refill_bitwise;
+    QCheck_alcotest.to_alcotest prop_pattern_matches_copy;
+    Alcotest.test_case "builder capacity" `Quick test_builder_capacity;
   ]
