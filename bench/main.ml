@@ -543,35 +543,6 @@ let final_placer () =
     [ "fract"; "primary1"; "struct" ]
 
 (* ------------------------------------------------------------------ *)
-(* A6: net-model ablation (clique vs Bound2Bound)                      *)
-
-let net_model () =
-  print_endline "";
-  print_endline
-    "A6: net-model ablation — paper's clique vs Bound2Bound under force injection";
-  Printf.printf "%-11s | %12s %6s | %12s %6s | %8s\n" "circuit" "clique wl"
-    "steps" "b2b wl" "steps" "wl Δ%";
-  List.iter
-    (fun name ->
-      let _, circuit, p0 = build_profile name in
-      let run cfg =
-        let state, reports = Kraftwerk.Placer.run cfg circuit p0 in
-        ( Metrics.Wirelength.hpwl circuit
-            (finalize circuit state.Kraftwerk.Placer.placement),
-          List.length reports )
-      in
-      let cw, cs = run Kraftwerk.Config.standard in
-      let bw, bs =
-        run
-          { Kraftwerk.Config.standard with
-            Kraftwerk.Config.net_model = Qp.System.Bound2bound }
-      in
-      Printf.printf "%-11s | %12.4g %6d | %12.4g %6d | %+7.1f%%\n" name cw cs bw
-        bs
-        (100. *. (bw -. cw) /. cw))
-    [ "fract"; "primary1"; "struct" ]
-
-(* ------------------------------------------------------------------ *)
 (* A5: multilevel (clustered) placement extension                      *)
 
 let multilevel () =
@@ -1187,11 +1158,20 @@ let mega_bench () =
 
 (* ------------------------------------------------------------------ *)
 
+let tables = [ (1, table1); (2, table2); (3, table3); (4, table4) ]
+
+let experiments =
+  [ ("fast-mode", fast_mode); ("tradeoff", tradeoff); ("eco", eco);
+    ("floorplan", floorplan); ("congestion", congestion); ("heat", heat);
+    ("linearization", linearization); ("final-placer", final_placer);
+    ("multilevel", multilevel) ]
+
 let usage () =
-  print_endline
-    "usage: main.exe [--table 1|2|3|4] [--experiment \
-     fast-mode|tradeoff|eco|floorplan|congestion|heat|linearization|final-placer|multilevel|net-model] \
-     [--micro] [--place] [--mega] [--scale S] [--seed N] [--domains D]";
+  Printf.printf
+    "usage: main.exe [--table %s] [--experiment %s] [--micro] [--place] \
+     [--mega] [--scale S] [--seed N] [--domains D]\n"
+    (String.concat "|" (List.map (fun (n, _) -> string_of_int n) tables))
+    (String.concat "|" (List.map fst experiments));
   exit 1
 
 (* A flag's value, or the usage line when it does not parse or fails
@@ -1201,7 +1181,7 @@ let value parse ?(ok = fun _ -> true) v =
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let tables = ref [] and experiments = ref [] in
+  let want_tables = ref [] and want_experiments = ref [] in
   let want_micro = ref false and want_place = ref false in
   let want_mega = ref false in
   let rec parse = function
@@ -1221,10 +1201,14 @@ let () =
            v);
       parse rest
     | "--table" :: v :: rest ->
-      tables := value int_of_string_opt v :: !tables;
+      want_tables :=
+        value int_of_string_opt ~ok:(fun t -> List.mem_assoc t tables) v
+        :: !want_tables;
       parse rest
     | "--experiment" :: v :: rest ->
-      experiments := v :: !experiments;
+      want_experiments :=
+        value Option.some ~ok:(fun e -> List.mem_assoc e experiments) v
+        :: !want_experiments;
       parse rest
     | "--micro" :: rest ->
       want_micro := true;
@@ -1238,46 +1222,23 @@ let () =
     | _ -> usage ()
   in
   parse args;
-  let run_experiment = function
-    | "fast-mode" -> fast_mode ()
-    | "tradeoff" -> tradeoff ()
-    | "eco" -> eco ()
-    | "floorplan" -> floorplan ()
-    | "congestion" -> congestion ()
-    | "heat" -> heat ()
-    | "linearization" -> linearization ()
-    | "final-placer" -> final_placer ()
-    | "multilevel" -> multilevel ()
-    | "net-model" -> net_model ()
-    | other ->
-      Printf.eprintf "unknown experiment: %s\n" other;
-      exit 1
-  in
-  let run_table = function
-    | 1 -> table1 ()
-    | 2 -> table2 ()
-    | 3 -> table3 ()
-    | 4 -> table4 ()
-    | other ->
-      Printf.eprintf "unknown table: %d\n" other;
-      exit 1
-  in
+  (* Names were checked while parsing: a bad one stops before any run. *)
+  let run_table t = List.assoc t tables () in
+  let run_experiment e = List.assoc e experiments () in
   if
-    !tables = [] && !experiments = [] && not !want_micro && not !want_place
-    && not !want_mega
+    !want_tables = [] && !want_experiments = [] && not !want_micro
+    && not !want_place && not !want_mega
   then begin
     (* Default: everything. *)
     Printf.printf "Kraftwerk reproduction — full experiment run (scale %.2f)\n" !scale;
-    List.iter run_table [ 1; 2; 3; 4 ];
-    List.iter run_experiment
-      [ "fast-mode"; "tradeoff"; "eco"; "floorplan"; "congestion"; "heat";
-        "linearization"; "final-placer"; "multilevel"; "net-model" ];
+    List.iter (fun (_, run) -> run ()) tables;
+    List.iter (fun (_, run) -> run ()) experiments;
     place_bench ();
     micro ()
   end
   else begin
-    List.iter run_table (List.rev !tables);
-    List.iter run_experiment (List.rev !experiments);
+    List.iter run_table (List.rev !want_tables);
+    List.iter run_experiment (List.rev !want_experiments);
     if !want_place then place_bench ();
     if !want_mega then mega_bench ();
     if !want_micro then micro ()

@@ -22,15 +22,11 @@ let version = 4
 (* A canonical rendering of every config field that affects the
    trajectory.  [domains] is deliberately excluded: the kernels are
    bitwise-deterministic for any pool size, so a checkpoint taken at
-   --domains 4 resumes exactly at --domains 1.  The literal [solver=fft]
-   stands for the Poisson evaluator the placer always uses; it stays so
-   existing checkpoints keep their digest. *)
+   --domains 4 resumes exactly at --domains 1.  The literals
+   [solver=fft] and [model=clique] stand for the Poisson evaluator and
+   the net model the placer always uses; they stay so existing
+   checkpoints keep their digest. *)
 let config_fingerprint (c : Kraftwerk.Config.t) =
-  let net_model =
-    match c.Kraftwerk.Config.net_model with
-    | Qp.System.Clique -> "clique"
-    | Qp.System.Bound2bound -> "b2b"
-  in
   let grid =
     match c.Kraftwerk.Config.grid with
     | Some (nx, ny) -> Printf.sprintf "%dx%d" nx ny
@@ -38,12 +34,12 @@ let config_fingerprint (c : Kraftwerk.Config.t) =
   in
   let base =
     Printf.sprintf
-      "k=%h;max_iter=%d;linearize=%b;cap=%d;anchor=%h;hold=%h;decay=%h;stop=%h;grid=%s;solver=fft;model=%s;tol=%h;tol_loose=%h;gscale=%h;gap=%h;stall=%d;leg=%d;pen0=%h;penu=%h;penmax=%h"
+      "k=%h;max_iter=%d;linearize=%b;cap=%d;anchor=%h;hold=%h;decay=%h;stop=%h;grid=%s;solver=fft;model=clique;tol=%h;tol_loose=%h;gscale=%h;gap=%h;stall=%d;leg=%d;pen0=%h;penu=%h;penmax=%h"
       c.Kraftwerk.Config.k_param c.Kraftwerk.Config.max_iterations
       c.Kraftwerk.Config.linearize c.Kraftwerk.Config.clique_cap
       c.Kraftwerk.Config.anchor_weight c.Kraftwerk.Config.hold_weight
       c.Kraftwerk.Config.force_decay c.Kraftwerk.Config.stop_multiplier grid
-      net_model c.Kraftwerk.Config.cg_tol c.Kraftwerk.Config.cg_tol_loose
+      c.Kraftwerk.Config.cg_tol c.Kraftwerk.Config.cg_tol_loose
       c.Kraftwerk.Config.grid_scale c.Kraftwerk.Config.stop_gap
       c.Kraftwerk.Config.stop_stall c.Kraftwerk.Config.legalize_every
       c.Kraftwerk.Config.penalty_initial c.Kraftwerk.Config.penalty_update

@@ -8,7 +8,6 @@ type t = {
   force_decay : float;
   stop_multiplier : float;
   grid : (int * int) option;
-  net_model : Qp.System.net_model;
   domains : int option;
   cg_tol : float;
   cg_tol_loose : float;
@@ -43,7 +42,6 @@ let standard =
     force_decay = 0.8;
     stop_multiplier = 2.;
     grid = None;
-    net_model = Qp.System.Clique;
     domains = None;
     cg_tol = 1e-8;
     cg_tol_loose = 1e-5;

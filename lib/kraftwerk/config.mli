@@ -28,9 +28,6 @@ type t = {
           (4.0 in §4.2) *)
   grid : (int * int) option;
       (** density-grid bins (nx, ny); [None] picks automatically *)
-  net_model : Qp.System.net_model;
-      (** spring expansion: the paper's clique (default) or the
-          Bound2Bound extension (ablation A6) *)
   domains : int option;
       (** domain-pool size for the parallel kernels.  [None] defers to
           the [KRAFTWERK_DOMAINS] environment variable / hardware

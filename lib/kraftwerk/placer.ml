@@ -117,8 +117,7 @@ let make ?(telemetry_level = 0) ?ex ?ey ?net_weights ?controller ?route_target
     net_weights =
       saved ~what:"net-weight" (Netlist.Circuit.num_nets circuit) 1. net_weights;
     assembly =
-      Qp.System.assembly circuit ~clique_cap:config.Config.clique_cap
-        ~model:config.Config.net_model ();
+      Qp.System.assembly circuit ~clique_cap:config.Config.clique_cap ();
     controller =
       (match controller with
       | Some c -> Controller.copy c

@@ -105,7 +105,7 @@ val init :
     [net_weights] and [iteration] restored bitwise, the subsequent
     trajectory is bitwise-identical to the uninterrupted run — the QP
     assembly and kernel caches rebuilt here are value-transparent
-    ({!Qp.System.rebuild} documents refill ≡ finalize).  The optional
+    ({!Qp.System.rebuild} is bitwise {!Qp.System.build}).  The optional
     [controller] restores the convergence controller (penalty, envelope
     history) verbatim; omitting it starts a fresh schedule, which is only
     bitwise-faithful for iteration 0.  The optional [route_target]

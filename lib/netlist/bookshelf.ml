@@ -39,6 +39,18 @@ let read_lines file =
 
 type node = { nname : string; w : float; h : float; terminal : bool }
 
+(* A size is never negative; a zero one is a fixed I/O pin written as
+   a point, so only a terminal may have it. *)
+let node nname w h terminal =
+  let size what v =
+    let v = Io.finite v in
+    if v < 0. then fail "node %s: negative %s %g" nname what v;
+    if v = 0. && not terminal then fail "node %s: zero %s on a movable node" nname what;
+    v
+  in
+  let w = size "width" w in
+  { nname; w; h = size "height" h; terminal }
+
 let parse_nodes file =
   let nodes = ref [] in
   List.iter
@@ -46,16 +58,8 @@ let parse_nodes file =
       if not (is_comment line) then
         match tokens line with
         | [ "NumNodes"; ":"; _ ] | [ "NumTerminals"; ":"; _ ] -> ()
-        | [ name; w; h ] ->
-          nodes :=
-            { nname = name; w = Io.finite w; h = Io.finite h;
-              terminal = false }
-            :: !nodes
-        | [ name; w; h; "terminal" ] ->
-          nodes :=
-            { nname = name; w = Io.finite w; h = Io.finite h;
-              terminal = true }
-            :: !nodes
+        | [ name; w; h ] -> nodes := node name w h false :: !nodes
+        | [ name; w; h; "terminal" ] -> nodes := node name w h true :: !nodes
         | [] -> ()
         | tok :: _ -> fail "bad .nodes line near %S" tok)
     (read_lines file);
@@ -201,6 +205,7 @@ let load_aux_exn aux_file =
           else if n.w *. n.h <= 4. *. core_row_area then Cell.Pad
           else Cell.Block
         in
+        (* A zero-size terminal is a point pin; cells need a positive size. *)
         Cell.make ~id:i ~name:n.nname ~width:(Float.max n.w 1e-3)
           ~height:(Float.max n.h 1e-3) ~kind ~fixed:n.terminal ())
       nodes

@@ -156,12 +156,10 @@ let solve_in ?(tol = 1e-8) ?max_iter ?inv_diag w a =
   done;
   finish ax
 
-let solve2_in ?(tol = 1e-8) ?max_iter ~inv_x ~inv_y wx wy mx my =
-  if Sparse.dim my <> Sparse.dim mx then
-    invalid_arg "Cg.solve2_in: matrix dimension mismatch";
-  let ax = axis ~tol ?max_iter ~inv_diag:inv_x wx mx in
-  let ay = axis ~tol ?max_iter ~inv_diag:inv_y wy my in
-  Sparse.mul2 mx wx.x wx.r my wy.x wy.r;
+let solve2_in ?(tol = 1e-8) ?max_iter ~inv wx wy a =
+  let ax = axis ~tol ?max_iter ~inv_diag:inv wx a in
+  let ay = axis ~tol ?max_iter ~inv_diag:inv wy a in
+  Sparse.mul2 a wx.x wx.r wy.x wy.r;
   start ax;
   start ay;
   (* The two recurrences are independent; they share each iteration's
@@ -170,14 +168,14 @@ let solve2_in ?(tol = 1e-8) ?max_iter ~inv_x ~inv_y wx wy mx my =
   while !continue do
     match (active ax, active ay) with
     | true, true ->
-      Sparse.mul2 mx wx.p wx.ap my wy.p wy.ap;
+      Sparse.mul2 a wx.p wx.ap wy.p wy.ap;
       advance ax;
       advance ay
     | true, false ->
-      Sparse.mul mx wx.p wx.ap;
+      Sparse.mul a wx.p wx.ap;
       advance ax
     | false, true ->
-      Sparse.mul my wy.p wy.ap;
+      Sparse.mul a wy.p wy.ap;
       advance ay
     | false, false -> continue := false
   done;

@@ -77,23 +77,20 @@ val solve_in :
   Sparse.t ->
   stats
 
-(** [solve2_in ?tol ?max_iter ~inv_x ~inv_y wx wy mx my] runs the two
-    independent solves [solve_in ~inv_diag:inv_x wx mx] and
-    [solve_in ~inv_diag:inv_y wy my] side by side and returns their
-    stats in that order: the same recurrences, bitwise-identical
+(** [solve2_in ?tol ?max_iter ~inv wx wy a] runs the two independent
+    solves [solve_in ~inv_diag:inv wx a] and [solve_in ~inv_diag:inv wy
+    a] (one matrix, two right-hand sides) side by side and returns
+    their stats in that order: the same recurrences, bitwise-identical
     results and the same registry observations per axis.  Each
     iteration computes both products in one {!Sparse.mul2} sweep (one
-    read of a shared matrix when [mx == my]) and updates each axis's
-    vectors in one fused loop; each axis stops on its own threshold and
-    the other carries on alone.  Raises [Invalid_argument] as
-    {!solve_in} does, or when the matrices differ in dimension. *)
+    read of [a]) and updates each axis's vectors in one fused loop;
+    each axis stops on its own threshold and the other carries on
+    alone.  Raises [Invalid_argument] as {!solve_in} does. *)
 val solve2_in :
   ?tol:float ->
   ?max_iter:int ->
-  inv_x:float array ->
-  inv_y:float array ->
+  inv:float array ->
   workspace ->
   workspace ->
-  Sparse.t ->
   Sparse.t ->
   stats * stats

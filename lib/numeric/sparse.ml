@@ -44,8 +44,6 @@ let add_sym b i j v =
   add b i j v;
   if i <> j then add b j i v
 
-let clear b = b.len <- 0
-
 let add_diag b i v = add b i i v
 
 let finalize b =
@@ -171,32 +169,6 @@ let seal pat =
   done;
   if !zero then compact_zeros pat else pat.p_matrix
 
-let refill pat b =
-  let sl = pat.sl in
-  if b.bn <> pat.pn || b.len <> sl.s_len then
-    invalid_arg "Sparse.refill: builder does not match pattern";
-  Array.fill sl.s_values 0 (Array.length sl.s_values) 0.;
-  for k = 0 to sl.s_len - 1 do
-    let s = sl.s_slot.(k) in
-    sl.s_values.(s) <- sl.s_values.(s) +. b.bv.(k)
-  done;
-  seal pat
-
-(* Triplet k sits at (i, j) iff its slot lies in CSR row i at column j. *)
-let pattern_matches pat b =
-  let sl = pat.sl in
-  b.bn = pat.pn && b.len = sl.s_len
-  &&
-  let ok = ref true in
-  let k = ref 0 in
-  while !ok && !k < b.len do
-    let s = sl.s_slot.(!k) and i = b.bi.(!k) in
-    if s < sl.s_indptr.(i) || s >= sl.s_indptr.(i + 1) || sl.s_indices.(s) <> b.bj.(!k)
-    then ok := false;
-    incr k
-  done;
-  !ok
-
 let compile b =
   let n = b.bn in
   let len = b.len in
@@ -254,7 +226,12 @@ let compile b =
     done
   done;
   row_start.(n) <- !w;
+  (* Scatter the values in triplet order, as every later pass does
+     through [slots]. *)
   let values = Array.make !w 0. in
+  for k = 0 to len - 1 do
+    values.(slot.(k)) <- values.(slot.(k)) +. b.bv.(k)
+  done;
   let col = Array.sub col_buf 0 !w in
   let pat =
     {
@@ -265,9 +242,8 @@ let compile b =
       p_matrix = { n; row_start; col; value = values };
     }
   in
-  (pat, refill pat b)
+  (pat, seal pat)
 
-let pattern_nnz pat = Array.length pat.p_matrix.col
 
 let dim m = m.n
 
@@ -301,37 +277,29 @@ let mul m x y =
       (fun r0 r1 -> mul_rows m x y r0 r1)
   else mul_rows m x y 0 m.n
 
-(* Two products in one row sweep.  A shared matrix is read once, each
-   row feeding both accumulators; two matrices are swept row by row
-   side by side.  Either way every output keeps [mul_rows]'s
-   accumulation order. *)
-let mul2_rows a xa ya b xb yb r0 r1 =
-  if a == b then
-    for i = r0 to r1 - 1 do
-      let acc_a = ref 0. and acc_b = ref 0. in
-      for p = a.row_start.(i) to a.row_start.(i + 1) - 1 do
-        let v = a.value.(p) and c = a.col.(p) in
-        acc_a := !acc_a +. (v *. xa.(c));
-        acc_b := !acc_b +. (v *. xb.(c))
-      done;
-      ya.(i) <- !acc_a;
-      yb.(i) <- !acc_b
-    done
-  else begin
-    mul_rows a xa ya r0 r1;
-    mul_rows b xb yb r0 r1
-  end
+(* Two products in one row sweep: each row is read once and feeds both
+   accumulators, each keeping [mul_rows]'s accumulation order. *)
+let mul2_rows m xa ya xb yb r0 r1 =
+  for i = r0 to r1 - 1 do
+    let acc_a = ref 0. and acc_b = ref 0. in
+    for p = m.row_start.(i) to m.row_start.(i + 1) - 1 do
+      let v = m.value.(p) and c = m.col.(p) in
+      acc_a := !acc_a +. (v *. xa.(c));
+      acc_b := !acc_b +. (v *. xb.(c))
+    done;
+    ya.(i) <- !acc_a;
+    yb.(i) <- !acc_b
+  done
 
-let mul2 a xa ya b xb yb =
-  assert (b.n = a.n);
-  assert (Array.length xa = a.n && Array.length ya = a.n);
-  assert (Array.length xb = a.n && Array.length yb = a.n);
-  if a.n >= mul_par_threshold && Parallel.num_domains () > 1 then
+let mul2 m xa ya xb yb =
+  assert (Array.length xa = m.n && Array.length ya = m.n);
+  assert (Array.length xb = m.n && Array.length yb = m.n);
+  if m.n >= mul_par_threshold && Parallel.num_domains () > 1 then
     Parallel.parallel_range
-      ~chunk:(max 128 (a.n / (4 * Parallel.num_domains ())))
-      ~work:a.row_start.(a.n) ~lo:0 ~hi:a.n
-      (fun r0 r1 -> mul2_rows a xa ya b xb yb r0 r1)
-  else mul2_rows a xa ya b xb yb 0 a.n
+      ~chunk:(max 128 (m.n / (4 * Parallel.num_domains ())))
+      ~work:m.row_start.(m.n) ~lo:0 ~hi:m.n
+      (fun r0 r1 -> mul2_rows m xa ya xb yb r0 r1)
+  else mul2_rows m xa ya xb yb 0 m.n
 
 let diagonal_into m d =
   if Array.length d <> m.n then

@@ -30,40 +30,24 @@ val add_sym : builder -> int -> int -> float -> unit
 (** [add_diag b i v] adds [v] to the diagonal entry (i, i). *)
 val add_diag : builder -> int -> float -> unit
 
-(** [clear b] empties the builder (capacity is kept), ready for the next
-    assembly pass over the same structure. *)
-val clear : builder -> unit
-
 (** [finalize b] sums duplicates, drops explicit zeros and freezes the
     builder into CSR form.  The builder may be reused afterwards. *)
 val finalize : builder -> t
 
 (** Frozen symbolic structure of one builder state: the merged CSR
     sparsity pattern plus the triplet→slot permutation (in {!finalize}'s
-    exact accumulation order).  The clique-model placement matrix keeps
-    the same pattern across every Kraftwerk transformation — only the
-    values change — so the sort-and-dedup of {!finalize} is paid once
-    and each later iteration runs the O(nnz) {!refill} instead. *)
+    exact accumulation order).  The placement matrix keeps the same
+    pattern across every Kraftwerk transformation — only the values
+    change — so the sort-and-dedup of {!finalize} is paid once and each
+    later iteration scatters its values through {!slots} and {!seal}
+    instead. *)
 type pattern
 
 (** [compile b] performs one finalize-equivalent pass, returning the
     frozen pattern together with the assembled matrix.  The matrix is
-    bitwise-identical to [finalize b].  The pattern shares no storage
-    with [b]. *)
+    bitwise-identical to [finalize b] and, like {!seal}'s, aliases the
+    pattern's storage.  The pattern shares no storage with [b]. *)
 val compile : builder -> pattern * t
-
-(** [refill pat b] scatters the builder's value stream, in triplet
-    order, into the pattern's value slots — bitwise-identical to
-    [finalize b] (including the rare exact-zero cancellation, which
-    compacts; see {!seal}).
-
-    The returned matrix {e aliases} the pattern's storage: it is
-    invalidated by the next [refill] on the same pattern.  The builder
-    must carry the same (i, j) triplet sequence the pattern was compiled
-    from; only the lengths are checked here — callers verify structure
-    with {!pattern_matches} when it can drift.  Raises
-    [Invalid_argument] on a length/dimension mismatch. *)
-val refill : pattern -> builder -> t
 
 (** The per-triplet view of a pattern, for an assembler that replays its
     triplet stream itself instead of going through a {!builder}:
@@ -71,7 +55,7 @@ val refill : pattern -> builder -> t
     [s = s_slot.(k)] lies in CSR row i ([s_indptr.(i) <= s <
     s_indptr.(i + 1)]) with [s_indices.(s) = j], and accumulates into
     [s_values.(s)].  Zeroing [s_values] and adding each triplet's value
-    in stream order is exactly what {!refill} does, so {!seal} then
+    in stream order is exactly what {!compile} does, so {!seal} then
     yields the matrix {!finalize} would have built — the allocation-free
     steady state of the QP assembly, whose per-element loop cannot call
     into this module without boxing every float. *)
@@ -87,18 +71,10 @@ type slots = private {
 val slots : pattern -> slots
 
 (** [seal pat] is the matrix of the values currently in the pattern's
-    slots: the pattern's own CSR (aliasing its storage, like {!refill})
-    or, when some slot sums to exactly zero, a compacted fresh copy —
+    slots: the pattern's own CSR (aliasing its storage, invalidated by
+    the next scatter into the same pattern) or, when some slot sums to exactly zero, a compacted fresh copy —
     as {!finalize} drops such entries. *)
 val seal : pattern -> t
-
-(** [pattern_matches pat b] is true when the builder holds exactly the
-    (i, j) triplet sequence the pattern was compiled from (values are
-    free), read off the CSR as in {!slots}.  O(len) integer comparisons. *)
-val pattern_matches : pattern -> builder -> bool
-
-(** [pattern_nnz pat] is the merged slot count (explicit zeros kept). *)
-val pattern_nnz : pattern -> int
 
 (** [dim m] is the row (= column) count. *)
 val dim : t -> int
@@ -117,14 +93,12 @@ val mul : t -> float array -> float array -> unit
     tests). *)
 val mul_seq : t -> float array -> float array -> unit
 
-(** [mul2 a xa ya b xb yb] writes [a * xa] into [ya] and [b * xb] into
+(** [mul2 m xa ya xb yb] writes [m * xa] into [ya] and [m * xb] into
     [yb] in one row sweep, row-chunked across the pool exactly like
-    {!mul}.  When [a] and [b] are physically equal (the clique model's
-    shared matrix) each row is read once for both products.  Both
-    outputs are bitwise-identical to two {!mul_seq} calls.  [a] and [b]
-    must have the same dimension. *)
+    {!mul}: each row is read once for both products.  Both outputs are
+    bitwise-identical to two {!mul_seq} calls. *)
 val mul2 :
-  t -> float array -> float array -> t -> float array -> float array -> unit
+  t -> float array -> float array -> float array -> float array -> unit
 
 (** [diagonal m] is a fresh array of the diagonal entries (zero where the
     diagonal is not stored). *)

@@ -27,8 +27,8 @@ type iteration = {
   kernel_cache_hits : int;  (** Poisson kernel-spectrum cache, this iteration *)
   kernel_cache_misses : int;
   assembly_reused : bool;
-      (** this transformation refilled every cached sparsity pattern
-          instead of recompiling *)
+      (** this transformation reused the cached sparsity pattern (or
+          the cached values) instead of recompiling *)
   pattern_rebuilds : int;
       (** cumulative symbolic recompiles of the QP assembly so far,
           including the initial compile *)
@@ -96,7 +96,7 @@ val strip_volatile : Json.t -> Json.t
 
 (** Fields recording process-local cache provenance rather than the
     mathematical trajectory: a resumed run recompiles its QP assembly on
-    the first transformation where the uninterrupted run refilled a
+    the first transformation where the uninterrupted run reused its
     cached pattern, and the FFT kernel-spectrum cache hits or misses
     depending on which runs shared the process before, so these (and
     only these) legitimately differ across a checkpoint/resume boundary

@@ -3,22 +3,18 @@ type t = {
   var_of_cell : int array; (* -1 for fixed cells *)
   cell_of_var : int array;
   n_movable : int;
-  mx : Numeric.Sparse.t; (* x-axis matrix *)
-  my : Numeric.Sparse.t; (* y-axis matrix (== mx for the clique model) *)
+  m : Numeric.Sparse.t; (* C, shared by the x and y systems *)
   dx : float array; (* constant term of the x system *)
   dy : float array;
   mean_edge_weight : float;
-  (* Jacobi preconditioners, owned by the assembly and computed in the
-     numeric phase (plain arrays — Lazy is not domain-safe).  [None]
-     marks a non-positive diagonal; the error surfaces at solve time so
-     building a never-solved singular system stays error-free. *)
-  inv_dx : float array option;
-  inv_dy : float array option;
+  (* The Jacobi preconditioner of C, owned by the assembly and computed
+     in the numeric phase (a plain array — Lazy is not domain-safe).
+     [None] marks a non-positive diagonal; the error surfaces at solve
+     time so building a never-solved singular system stays error-free. *)
+  inv_diag : float array option;
   cg_x : Numeric.Cg.workspace; (* the assembly's solve buffers, per axis *)
   cg_y : Numeric.Cg.workspace;
 }
-
-type net_model = Clique | Bound2bound
 
 let index_map (c : Netlist.Circuit.t) =
   let n = Netlist.Circuit.num_cells c in
@@ -33,19 +29,8 @@ let index_map (c : Netlist.Circuit.t) =
     c.Netlist.Circuit.cells;
   (var_of_cell, !count)
 
-(* One matrix side of a cached assembly: the triplet builder of a
-   recording pass, incident-weight sums, the frozen pattern of the
-   last recorded structure, and the stream position of a direct pass. *)
-type axis = {
-  mutable ab : Numeric.Sparse.builder;
-  incident : float array;
-  mutable pat : Numeric.Sparse.pattern option;
-  mutable next : int;
-}
-
 type assembly = {
   a_circuit : Netlist.Circuit.t;
-  a_model : net_model;
   a_cap : int;
   a_var_of_cell : int array;
   a_cell_of_var : int array;
@@ -53,18 +38,18 @@ type assembly = {
   a_sampled : Model.edge array array;
       (* by net index: the edges Model.iter_edges samples for a net above
          the cap (they depend only on the net), empty otherwise *)
-  axx : axis; (* the only matrix under Clique — the axes share C *)
-  axy : axis option; (* Some only under Bound2bound *)
+  incident : float array; (* each variable's summed spring weight *)
+  mutable pat : Numeric.Sparse.pattern option; (* of the last recorded pass *)
+  mutable next : int; (* stream position of a direct pass *)
   adx : float array; (* d-vector scratch, aliased by the emitted {!t} *)
   ady : float array;
-  inv_x : float array; (* preconditioner storage *)
-  inv_y : float array; (* == inv_x under Clique *)
+  inv : float array; (* preconditioner storage *)
   a_cg_x : Numeric.Cg.workspace; (* one per axis of the two-axis PCG *)
   a_cg_y : Numeric.Cg.workspace;
   pre_dx : float array; (* d before the hold term, as the last pass left it *)
   pre_dy : float array;
-  (* The value cache.  [cached] is the system of the last full clique
-     pass at the quadratic scale; the [key_*] arrays hold copies of the
+  (* The value cache.  [cached] is the system of the last full pass at
+     the quadratic scale; the [key_*] arrays hold copies of the
      other inputs that decided its values.  While they match bit for
      bit, a rebuild re-applies only the hold term of d. *)
   mutable cached : t option;
@@ -76,38 +61,28 @@ type assembly = {
   mutable pattern_rebuilds : int;
 }
 
-let make_axis n =
-  {
-    ab = Numeric.Sparse.builder n;
-    incident = Array.make n 0.;
-    pat = None;
-    next = 0;
-  }
-
-let assembly (c : Netlist.Circuit.t) ?(clique_cap = 16) ?(model = Clique) () =
+let assembly (c : Netlist.Circuit.t) ?(clique_cap = 16) () =
   let var_of_cell, n = index_map c in
   let cell_of_var = Array.make (max 1 n) 0 in
   Array.iteri (fun id v -> if v >= 0 then cell_of_var.(v) <- id) var_of_cell;
-  let inv_x = Array.make n 0. in
   let sampled n =
-    if model = Clique && Netlist.Circuit.degree c n > clique_cap then
+    if Netlist.Circuit.degree c n > clique_cap then
       Array.of_list (Model.edges ~cap:clique_cap c n)
     else [||]
   in
   {
     a_circuit = c;
-    a_model = model;
     a_cap = clique_cap;
     a_var_of_cell = var_of_cell;
     a_cell_of_var = cell_of_var;
     a_n = n;
     a_sampled = Array.init (Netlist.Circuit.num_nets c) sampled;
-    axx = make_axis n;
-    axy = (match model with Clique -> None | Bound2bound -> Some (make_axis n));
+    incident = Array.make n 0.;
+    pat = None;
+    next = 0;
     adx = Array.make n 0.;
     ady = Array.make n 0.;
-    inv_x;
-    inv_y = (match model with Clique -> inv_x | Bound2bound -> Array.make n 0.);
+    inv = Array.make n 0.;
     a_cg_x = Numeric.Cg.workspace n;
     a_cg_y = Numeric.Cg.workspace n;
     pre_dx = Array.make n 0.;
@@ -127,34 +102,35 @@ let assembly_stats asm = (asm.reused, asm.pattern_rebuilds)
    compiled from. *)
 exception Drift
 
-(* Where a pass sends its triplets.  A recording pass ([None]) appends
-   them to the axis builder.  A direct pass ([Some slots], the clique
-   steady state) adds each value straight into the slot the cached
-   pattern assigns to that stream position, once that slot is checked
-   to sit at (i, j): a slot then receives its values in stream
-   order, which is the order [Sparse.refill] adds them, so the sums are
-   bitwise those of a recorded pass. *)
-let[@inline] emit a direct i j v =
-  match direct with
-  | None -> Numeric.Sparse.add a.ab i j v
-  | Some (sl : Numeric.Sparse.slots) ->
-    let k = a.next in
+(* Where a pass sends its triplets.  A recording pass appends them to
+   a builder.  A direct pass (the steady state) adds each value straight
+   into the slot the cached pattern assigns to that stream position,
+   once that slot is checked to sit at (i, j): a slot then receives its
+   values in stream order, which is the order [Sparse.compile] adds
+   them, so the sums are bitwise those of a recorded pass. *)
+type sink = Record of Numeric.Sparse.builder | Scatter of Numeric.Sparse.slots
+
+let[@inline] emit asm sink i j v =
+  match sink with
+  | Record b -> Numeric.Sparse.add b i j v
+  | Scatter sl ->
+    let k = asm.next in
     let s = if k < sl.s_len then sl.s_slot.(k) else -1 in
     if s < sl.s_indptr.(i) || s >= sl.s_indptr.(i + 1) || sl.s_indices.(s) <> j then
       raise_notrace Drift;
     sl.s_values.(s) <- sl.s_values.(s) +. v;
-    a.next <- k + 1
+    asm.next <- k + 1
 
 (* The clique spring of one pin pair, [w] being the model weight times
    the net weight: scales it, emits it and returns the scaled weight, or
    0. when the pair adds no spring (non-positive weight, or both pins on
-   one cell).  Clique weights are axis-independent, so the matrix term is
+   one cell).  Spring weights are axis-independent, so the matrix term is
    emitted once and only the constant terms split between the x and y
    systems.  Contributions follow the half-gradient convention (the
    common factor 2 is dropped throughout).  Inlined into the net loop:
    it reads the pin table and coordinates directly and passes no float
    across a call. *)
-let[@inline] clique_spring asm direct ~edge_scale ~px ~py pa pb w =
+let[@inline] clique_spring asm sink ~edge_scale ~px ~py pa pb w =
   let c = asm.a_circuit in
   let pin_dx = c.Netlist.Circuit.pin_dx and pin_dy = c.Netlist.Circuit.pin_dy in
   let ca = c.Netlist.Circuit.pin_cell.(pa) and cb = c.Netlist.Circuit.pin_cell.(pb) in
@@ -167,29 +143,29 @@ let[@inline] clique_spring asm direct ~edge_scale ~px ~py pa pb w =
       w *. Weights.linearize ~eps ~dist:(sqrt ((dx ** 2.) +. (dy ** 2.)))
   in
   if w > 0. && ca <> cb then begin
-    let a = asm.axx and ddx = asm.adx and ddy = asm.ady in
+    let incident = asm.incident and ddx = asm.adx and ddy = asm.ady in
     let va = asm.a_var_of_cell.(ca) and vb = asm.a_var_of_cell.(cb) in
     if va >= 0 && vb >= 0 then begin
-      a.incident.(va) <- a.incident.(va) +. w;
-      a.incident.(vb) <- a.incident.(vb) +. w;
-      emit a direct va va w;
-      emit a direct vb vb w;
-      emit a direct va vb (-.w);
-      emit a direct vb va (-.w);
+      incident.(va) <- incident.(va) +. w;
+      incident.(vb) <- incident.(vb) +. w;
+      emit asm sink va va w;
+      emit asm sink vb vb w;
+      emit asm sink va vb (-.w);
+      emit asm sink vb va (-.w);
       ddx.(va) <- ddx.(va) +. (w *. (pin_dx.(pa) -. pin_dx.(pb)));
       ddx.(vb) <- ddx.(vb) +. (w *. (pin_dx.(pb) -. pin_dx.(pa)));
       ddy.(va) <- ddy.(va) +. (w *. (pin_dy.(pa) -. pin_dy.(pb)));
       ddy.(vb) <- ddy.(vb) +. (w *. (pin_dy.(pb) -. pin_dy.(pa)))
     end
     else if va >= 0 then begin
-      a.incident.(va) <- a.incident.(va) +. w;
-      emit a direct va va w;
+      incident.(va) <- incident.(va) +. w;
+      emit asm sink va va w;
       ddx.(va) <- ddx.(va) +. (w *. (pin_dx.(pa) -. (px.(cb) +. pin_dx.(pb))));
       ddy.(va) <- ddy.(va) +. (w *. (pin_dy.(pa) -. (py.(cb) +. pin_dy.(pb))))
     end
     else if vb >= 0 then begin
-      a.incident.(vb) <- a.incident.(vb) +. w;
-      emit a direct vb vb w;
+      incident.(vb) <- incident.(vb) +. w;
+      emit asm sink vb vb w;
       ddx.(vb) <- ddx.(vb) +. (w *. (pin_dx.(pb) -. (px.(ca) +. pin_dx.(pa))));
       ddy.(vb) <- ddy.(vb) +. (w *. (pin_dy.(pb) -. (py.(ca) +. pin_dy.(pa))))
     end;
@@ -200,7 +176,7 @@ let[@inline] clique_spring asm direct ~edge_scale ~px ~py pa pb w =
 (* The clique model's springs: nets in order, each net's pin pairs in
    Model.iter_edges order — every pair i < j with weight 1/k up to the
    cap, the recorded sample above it.  Returns the mean spring weight. *)
-let stream_clique asm direct ~edge_scale ~px ~py ~net_weights =
+let stream_clique asm sink ~edge_scale ~px ~py ~net_weights =
   let start = asm.a_circuit.Netlist.Circuit.net_start in
   let total = ref 0. and count = ref 0 in
   for ni = 0 to Netlist.Circuit.num_nets asm.a_circuit - 1 do
@@ -211,7 +187,7 @@ let stream_clique asm direct ~edge_scale ~px ~py ~net_weights =
         let w = 1. /. float_of_int (e - s) *. net_w in
         for i = s to e - 1 do
           for j = i + 1 to e - 1 do
-            let w = clique_spring asm direct ~edge_scale ~px ~py i j w in
+            let w = clique_spring asm sink ~edge_scale ~px ~py i j w in
             if w > 0. then begin
               total := !total +. w;
               incr count
@@ -224,7 +200,7 @@ let stream_clique asm direct ~edge_scale ~px ~py ~net_weights =
         for e = 0 to Array.length edges - 1 do
           let edge = edges.(e) in
           let w =
-            clique_spring asm direct ~edge_scale ~px ~py edge.Model.pin_a
+            clique_spring asm sink ~edge_scale ~px ~py edge.Model.pin_a
               edge.Model.pin_b (edge.Model.weight *. net_w)
           in
           if w > 0. then begin
@@ -237,60 +213,7 @@ let stream_clique asm direct ~edge_scale ~px ~py ~net_weights =
   done;
   if !count = 0 then 1. else !total /. float_of_int !count
 
-(* The Bound2Bound springs, always recorded: their structure follows the
-   boundary pins, which change hands between passes.  One spring term
-   w · (pa_pos − pb_pos)² along one axis, where pos = cell coordinate +
-   pin offset (or an absolute position for fixed cells).  Returns the
-   mean spring weight over both axes. *)
-let stream_b2b asm ay ~px ~py ~net_weights =
-  let var_of_cell = asm.a_var_of_cell in
-  let c = asm.a_circuit in
-  let cell = c.Netlist.Circuit.pin_cell in
-  let pin_x k = px.(cell.(k)) +. c.Netlist.Circuit.pin_dx.(k) in
-  let pin_y k = py.(cell.(k)) +. c.Netlist.Circuit.pin_dy.(k) in
-  let off_x k = c.Netlist.Circuit.pin_dx.(k)
-  and off_y k = c.Netlist.Circuit.pin_dy.(k) in
-  let total_x = ref 0. and count_x = ref 0 in
-  let total_y = ref 0. and count_y = ref 0 in
-  let spring a d total count coord off pa pb w =
-    if w > 0. && cell.(pa) <> cell.(pb) then begin
-      total := !total +. w;
-      incr count;
-      let va = var_of_cell.(cell.(pa)) and vb = var_of_cell.(cell.(pb)) in
-      match (va >= 0, vb >= 0) with
-      | true, true ->
-        a.incident.(va) <- a.incident.(va) +. w;
-        a.incident.(vb) <- a.incident.(vb) +. w;
-        emit a None va va w;
-        emit a None vb vb w;
-        emit a None va vb (-.w);
-        emit a None vb va (-.w);
-        d.(va) <- d.(va) +. (w *. (off pa -. off pb));
-        d.(vb) <- d.(vb) +. (w *. (off pb -. off pa))
-      | true, false ->
-        a.incident.(va) <- a.incident.(va) +. w;
-        emit a None va va w;
-        d.(va) <- d.(va) +. (w *. (off pa -. coord pb))
-      | false, true ->
-        a.incident.(vb) <- a.incident.(vb) +. w;
-        emit a None vb vb w;
-        d.(vb) <- d.(vb) +. (w *. (off pb -. coord pa))
-      | false, false -> ()
-    end
-  in
-  for n = 0 to Netlist.Circuit.num_nets c - 1 do
-    let net_w = net_weights.(n) in
-    if net_w > 0. then begin
-      B2b.iter_edges ~coord:pin_x c n (fun pa pb w ->
-          spring asm.axx asm.adx total_x count_x pin_x off_x pa pb (w *. net_w));
-      B2b.iter_edges ~coord:pin_y c n (fun pa pb w ->
-          spring ay asm.ady total_y count_y pin_y off_y pa pb (w *. net_w))
-    end
-  done;
-  let ne = !count_x + !count_y in
-  if ne = 0 then 1. else (!total_x +. !total_y) /. float_of_int ne
-
-(* A builder for one clique recording pass, sized so it never grows: at
+(* A builder for one recording pass, sized so it never grows: at
    most four triplets per spring (k(k−1)/2 springs for a net up to the
    cap, its sample above), then an anchor and a hold diagonal per
    variable. *)
@@ -313,14 +236,9 @@ let apply_hold asm ~(placement : Netlist.Placement.t) ~mean_w ~hold ~hold_at =
     let hx = hp.Netlist.Placement.x and hy = hp.Netlist.Placement.y in
     for v = 0 to n - 1 do
       let id = asm.a_cell_of_var.(v) in
-      let hwx = hold *. Float.max asm.axx.incident.(v) mean_w in
-      asm.adx.(v) <- asm.pre_dx.(v) -. (hwx *. hx.(id));
-      let hwy =
-        match asm.axy with
-        | None -> hwx
-        | Some ay -> hold *. Float.max ay.incident.(v) mean_w
-      in
-      asm.ady.(v) <- asm.pre_dy.(v) -. (hwy *. hy.(id))
+      let hw = hold *. Float.max asm.incident.(v) mean_w in
+      asm.adx.(v) <- asm.pre_dx.(v) -. (hw *. hx.(id));
+      asm.ady.(v) <- asm.pre_dy.(v) -. (hw *. hy.(id))
     done
   end
   else begin
@@ -328,32 +246,22 @@ let apply_hold asm ~(placement : Netlist.Placement.t) ~mean_w ~hold ~hold_at =
     Array.blit asm.pre_dy 0 asm.ady 0 n
   end
 
-(* One assembly pass: every spring of the net model, then the anchor
-   springs, then the hold springs, into the builders ([direct = None]) or
-   the cached clique pattern's slots.  Returns the mean edge weight. *)
-let stream asm direct ~(placement : Netlist.Placement.t) ~net_weights ~edge_scale
+(* One assembly pass: every clique spring, then the anchor springs, then
+   the hold springs, into a builder or the cached pattern's slots.
+   Returns the mean edge weight. *)
+let stream asm sink ~(placement : Netlist.Placement.t) ~net_weights ~edge_scale
     ~anchor_weight ~hold ~hold_at =
   let n = asm.a_n in
-  let reset a =
-    Numeric.Sparse.clear a.ab;
-    Array.fill a.incident 0 n 0.;
-    a.next <- 0
-  in
-  reset asm.axx;
-  (match asm.axy with Some a -> reset a | None -> ());
-  (match direct with
-  | Some (sl : Numeric.Sparse.slots) ->
-    Array.fill sl.s_values 0 (Array.length sl.s_values) 0.
-  | None -> ());
+  Array.fill asm.incident 0 n 0.;
+  asm.next <- 0;
+  (match sink with
+  | Scatter sl -> Array.fill sl.s_values 0 (Array.length sl.s_values) 0.
+  | Record _ -> ());
   Array.fill asm.adx 0 n 0.;
   Array.fill asm.ady 0 n 0.;
   let px = placement.Netlist.Placement.x
   and py = placement.Netlist.Placement.y in
-  let mean_w =
-    match asm.axy with
-    | None -> stream_clique asm direct ~edge_scale ~px ~py ~net_weights
-    | Some ay -> stream_b2b asm ay ~px ~py ~net_weights
-  in
+  let mean_w = stream_clique asm sink ~edge_scale ~px ~py ~net_weights in
   (* Anchor springs to the region centre, scaled off the mean edge
      weight so the relative strength is size-independent. *)
   let aw = anchor_weight *. mean_w in
@@ -361,9 +269,8 @@ let stream asm direct ~(placement : Netlist.Placement.t) ~net_weights ~edge_scal
   let cx = (r.Geometry.Rect.x_lo +. r.Geometry.Rect.x_hi) /. 2.
   and cy = (r.Geometry.Rect.y_lo +. r.Geometry.Rect.y_hi) /. 2. in
   for v = 0 to n - 1 do
-    emit asm.axx direct v v aw;
+    emit asm sink v v aw;
     asm.adx.(v) <- asm.adx.(v) -. (aw *. cx);
-    (match asm.axy with Some ay -> emit ay None v v aw | None -> ());
     asm.ady.(v) <- asm.ady.(v) -. (aw *. cy)
   done;
   (* Hold springs: damp the step by pulling each cell toward where it is
@@ -373,94 +280,61 @@ let stream asm direct ~(placement : Netlist.Placement.t) ~net_weights ~edge_scal
   Array.blit asm.ady 0 asm.pre_dy 0 n;
   if hold > 0. then
     for v = 0 to n - 1 do
-      emit asm.axx direct v v (hold *. Float.max asm.axx.incident.(v) mean_w);
-      match asm.axy with
-      | None -> ()
-      | Some ay -> emit ay None v v (hold *. Float.max ay.incident.(v) mean_w)
+      emit asm sink v v (hold *. Float.max asm.incident.(v) mean_w)
     done;
   apply_hold asm ~placement ~mean_w ~hold ~hold_at;
-  (match direct with
-  | Some sl when asm.axx.next <> sl.Numeric.Sparse.s_len -> raise_notrace Drift
+  (match sink with
+  | Scatter sl when asm.next <> sl.Numeric.Sparse.s_len -> raise_notrace Drift
   | _ -> ());
   mean_w
 
 (* A full pass: every spring, anchor and hold term streamed into the
-   matrices and d vectors. *)
+   matrix and d vectors. *)
 let full_pass asm ~placement ~net_weights ~edge_scale ~anchor_weight ~hold
     ~hold_at =
-  let pass direct =
-    stream asm direct ~placement ~net_weights ~edge_scale ~anchor_weight ~hold
+  let pass sink =
+    stream asm sink ~placement ~net_weights ~edge_scale ~anchor_weight ~hold
       ~hold_at
   in
-  (* Numeric freeze of a recorded pass: replay values through the cached
-     pattern when the triplet stream is structurally unchanged, otherwise
-     pay one symbolic compile and cache the new pattern.  A clique pass
-     records only without a pattern or after a drift: it always compiles. *)
-  let freeze (a : axis) =
-    match a.pat with
-    | Some pat
-      when asm.a_model = Bound2bound && Numeric.Sparse.pattern_matches pat a.ab
-      ->
-      (true, Numeric.Sparse.refill pat a.ab)
-    | _ ->
-      let pat, m = Numeric.Sparse.compile a.ab in
-      a.pat <- Some pat;
-      (false, m)
-  in
-  (* A clique builder holds storage for one recording pass only: every
-     later pass scatters into the pattern's slots. *)
+  (* A recording pass pays one symbolic compile and caches the new
+     pattern.  Its builder holds storage for that pass only: every later
+     pass scatters into the pattern's slots.  The timer [qp/refill]
+     covers the freeze step of either pass (the compile here, [seal]
+     below); perfbench reports it as [qp.refill_ms]. *)
   let recorded () =
-    let clique = asm.a_model = Clique in
-    if clique then asm.axx.ab <- clique_builder asm;
-    let mean_w = pass None in
-    let (hit_x, mx), ry =
-      Obs.Timer.time "qp/refill" (fun () ->
-          let rx = freeze asm.axx in
-          (rx, Option.map freeze asm.axy))
-    in
-    if clique then asm.axx.ab <- Numeric.Sparse.builder ~capacity:0 asm.a_n;
-    match ry with
-    | None -> (mean_w, hit_x, mx, mx)
-    | Some (hit_y, my) -> (mean_w, hit_x && hit_y, mx, my)
+    let b = clique_builder asm in
+    let mean_w = pass (Record b) in
+    let pat, m = Obs.Timer.time "qp/refill" (fun () -> Numeric.Sparse.compile b) in
+    asm.pat <- Some pat;
+    asm.pattern_rebuilds <- asm.pattern_rebuilds + 1;
+    (mean_w, m)
   in
-  (* The clique structure is fixed by the circuit and the sign of the
-     net weights, so once a pattern exists the pass scatters straight
-     into it; a drifted structure (a net weight reaching zero) falls back
-     to recording.  B2B always records. *)
-  let mean_w, hit, mx, my =
-    match (asm.a_model, asm.axx.pat) with
-    | Clique, Some pat -> (
-      match pass (Some (Numeric.Sparse.slots pat)) with
+  (* The structure is fixed by the circuit and the sign of the net
+     weights, so once a pattern exists the pass scatters straight into
+     it; a drifted structure (a net weight reaching zero) falls back to
+     recording. *)
+  let mean_w, m =
+    match asm.pat with
+    | Some pat -> (
+      match pass (Scatter (Numeric.Sparse.slots pat)) with
       | mean_w ->
         let m = Obs.Timer.time "qp/refill" (fun () -> Numeric.Sparse.seal pat) in
-        (mean_w, true, m, m)
+        asm.reused <- asm.reused + 1;
+        (mean_w, m)
       | exception Drift -> recorded ())
-    | _ -> recorded ()
-  in
-  if hit then asm.reused <- asm.reused + 1
-  else asm.pattern_rebuilds <- asm.pattern_rebuilds + 1;
-  let inv_dx =
-    if Numeric.Cg.inv_diagonal_into mx asm.inv_x then Some asm.inv_x else None
-  in
-  let inv_dy =
-    match asm.axy with
-    | None -> inv_dx
-    | Some _ ->
-      if Numeric.Cg.inv_diagonal_into my asm.inv_y then Some asm.inv_y
-      else None
+    | None -> recorded ()
   in
   {
     circuit = asm.a_circuit;
     var_of_cell = asm.a_var_of_cell;
     cell_of_var = asm.a_cell_of_var;
     n_movable = asm.a_n;
-    mx;
-    my;
+    m;
     dx = asm.adx;
     dy = asm.ady;
     mean_edge_weight = mean_w;
-    inv_dx;
-    inv_dy;
+    inv_diag =
+      (if Numeric.Cg.inv_diagonal_into m asm.inv then Some asm.inv else None);
     cg_x = asm.a_cg_x;
     cg_y = asm.a_cg_y;
   }
@@ -487,7 +361,7 @@ let same_fixed asm coords key =
   done;
   !ok
 
-(* Under the clique model at the quadratic scale, the matrix, the
+(* At the quadratic scale, the matrix, the
    incident sums, the mean edge weight and d before its hold term are
    decided by the net weights, [anchor_weight], [hold] and the fixed
    cells' coordinates alone: the movable cells enter only through the
@@ -529,16 +403,15 @@ let rebuild (asm : assembly) ~(placement : Netlist.Placement.t) ~net_weights
       full_pass asm ~placement ~net_weights ~edge_scale ~anchor_weight ~hold
         ~hold_at
     in
-    if quadratic && asm.a_model = Clique then begin
+    if quadratic then begin
       remember asm ~placement ~net_weights ~anchor_weight ~hold;
       asm.cached <- Some t
     end;
     t
 
 let build (c : Netlist.Circuit.t) ~placement ~net_weights ~edge_scale
-    ?(clique_cap = 16) ?(anchor_weight = 1e-6) ?(hold = 0.) ?hold_at
-    ?(model = Clique) () =
-  let asm = assembly c ~clique_cap ~model () in
+    ?(clique_cap = 16) ?(anchor_weight = 1e-6) ?(hold = 0.) ?hold_at () =
+  let asm = assembly c ~clique_cap () in
   rebuild asm ~placement ~net_weights ~edge_scale ~anchor_weight ~hold ?hold_at
     ()
 
@@ -550,9 +423,7 @@ let variable_of_cell t id =
   let v = t.var_of_cell.(id) in
   if v >= 0 then Some v else None
 
-let matrix t = t.mx
-
-let matrix_y t = t.my
+let matrix t = t.m
 
 let constant_terms t = (t.dx, t.dy)
 
@@ -582,17 +453,14 @@ let solve ?tol t ~(placement : Netlist.Placement.t) ~ex ~ey =
   (* A [None] preconditioner means the assembly saw a non-positive
      diagonal; re-derive it here so the canonical Cg error surfaces at
      solve time, exactly as the old lazy computation did. *)
-  let force m = function
-    | Some d -> d
-    | None -> Numeric.Cg.inv_diagonal m
+  let inv =
+    match t.inv_diag with Some d -> d | None -> Numeric.Cg.inv_diagonal t.m
   in
-  let inv_dx = force t.mx t.inv_dx and inv_dy = force t.my t.inv_dy in
   (* The axes are independent SPD systems; one two-axis PCG solves both,
-     sweeping the shared clique matrix once per iteration. *)
+     sweeping the shared matrix once per iteration. *)
   let sx, sy =
     Obs.Timer.time "qp/solve" (fun () ->
-        Numeric.Cg.solve2_in ?tol ~inv_x:inv_dx ~inv_y:inv_dy t.cg_x t.cg_y
-          t.mx t.my)
+        Numeric.Cg.solve2_in ?tol ~inv t.cg_x t.cg_y t.m)
   in
   if Obs.Registry.enabled () then begin
     Obs.Registry.observe "qp/cg_iterations"
@@ -610,8 +478,7 @@ let solve ?tol t ~(placement : Netlist.Placement.t) ~ex ~ey =
 let residual_force t ~placement ~ex ~ey =
   let x0, y0 = gather t placement in
   let rx = Array.make t.n_movable 0. and ry = Array.make t.n_movable 0. in
-  Numeric.Sparse.mul t.mx x0 rx;
-  Numeric.Sparse.mul t.my y0 ry;
+  Numeric.Sparse.mul2 t.m x0 rx y0 ry;
   let acc = ref 0. in
   for v = 0 to t.n_movable - 1 do
     let fx = rx.(v) +. t.dx.(v) +. ex.(v) in

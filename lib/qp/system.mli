@@ -1,10 +1,12 @@
 (** Assembly and solution of the extended placement equation
     C·p + d + e = 0 (paper, eq. 3).
 
+    Nets expand into the paper's clique model (§2.1, {!Model}).
     Variables exist only for movable cells; fixed cells and pin offsets
     contribute to the constant vector d.  The x and y systems share the
-    matrix C (weights do not depend on axis), so one assembly serves
-    both axes of one two-axis PCG solve.
+    matrix C and its Jacobi preconditioner (clique weights do not depend
+    on axis), so one assembly serves both axes of one two-axis PCG
+    solve.
 
     A tiny anchor spring from every movable cell to the region centre
     (weight [anchor_weight] relative to the mean net weight) keeps C
@@ -12,13 +14,6 @@
     fixed cell. *)
 
 type t
-
-(** Which spring expansion nets use.  [Clique] is the paper's model
-    (§2.1); [Bound2bound] is the 2008 Bound2Bound refinement whose
-    quadratic objective matches the half perimeter at the linearisation
-    point — an extension benched as ablation A6.  B2B weights depend on
-    the axis, so the x and y systems then differ. *)
-type net_model = Clique | Bound2bound
 
 (** [index_map circuit] maps cell id → variable index for movable cells
     ([-1] for fixed), with the movable count. *)
@@ -28,47 +23,42 @@ val index_map : Netlist.Circuit.t -> int array * int
     sparsity {!Numeric.Sparse.pattern}, the d vectors (and d before its
     hold term), the Jacobi preconditioner storage, one
     {!Numeric.Cg.workspace} per axis, the edges sampled for nets above
-    the clique cap, the value cache of {!rebuild} and the triplet
-    builders — under [Clique] holding storage only during a recording
-    pass, sized from the circuit so it never grows.  Keyed by circuit,
-    net model and clique cap at creation; every {!rebuild} against it
-    re-emits at most the numeric values (the per-iteration work
-    Kraftwerk repeats ~200 times), paying the symbolic sort-and-merge
-    once. *)
+    the clique cap and the value cache of {!rebuild}.  A recording
+    pass's triplet builder lives for that pass only, sized from the
+    circuit so it never grows.  Keyed by circuit and clique cap at
+    creation; every {!rebuild} against it re-emits at most the numeric
+    values (the per-iteration work Kraftwerk repeats ~200 times), paying
+    the symbolic sort-and-merge once. *)
 type assembly
 
-(** [assembly circuit ?clique_cap ?model ()] allocates the cached
-    assembly state.  Under [Clique] the axes share one matrix
-    (clique weights are axis-independent), halving matrix assembly. *)
-val assembly :
-  Netlist.Circuit.t -> ?clique_cap:int -> ?model:net_model -> unit -> assembly
+(** [assembly circuit ?clique_cap ()] allocates the cached assembly
+    state. *)
+val assembly : Netlist.Circuit.t -> ?clique_cap:int -> unit -> assembly
 
 (** [rebuild asm ~placement ~net_weights ~edge_scale ?anchor_weight
     ?hold ?hold_at ()] re-assembles the system at the given placement
     through the cached state — same semantics and bitwise-identical
-    matrices as {!build} with the assembly's model and cap.
+    matrices as {!build} with the assembly's cap.
 
-    Under the clique model at the {!Weights.Quadratic} scale the values
-    themselves are cached: the matrix, incident sums, mean edge weight
+    At the {!Weights.Quadratic} scale the values themselves are
+    cached: the matrix, incident sums, mean edge weight
     and d before its hold term depend only on the net weights,
     [anchor_weight], [hold] and the fixed cells' coordinates.  While all
     of these are bitwise equal to the last full pass's, a rebuild only
     re-applies the hold term [d(v) −= hw·hold_at(v)] and returns that
     pass's system, O(cells + nets) with no spring streamed.
 
-    Otherwise a full pass runs.  Under the clique model the structure
-    depends only on the circuit and on which nets have a positive
-    weight, so once the first pass has compiled its pattern every later
-    pass scatters each value straight into its matrix slot
-    ({!Numeric.Sparse.slots}) and allocates nothing per net or edge; a
-    pass whose structure drifted (a net weight reached zero) is recorded
-    again and recompiled.  Bound2Bound records every pass
-    and refills the cached pattern when the triplet stream kept its
-    structure ({!Numeric.Sparse.refill}).  Recompiles are counted (see
-    {!assembly_stats}; a value-cache hit counts as reused).
+    Otherwise a full pass runs.  The structure depends only on the
+    circuit and on which nets have a positive weight, so once the first
+    pass has compiled its pattern every later pass scatters each value
+    straight into its matrix slot ({!Numeric.Sparse.slots}) and
+    allocates nothing per net or edge; a pass whose structure drifted
+    (a net weight reached zero) is recorded again and recompiled.
+    Recompiles are counted (see {!assembly_stats}; a value-cache hit
+    counts as reused).
 
     The returned system {e aliases} the assembly's storage (matrix
-    values, d vectors, preconditioners, the solve buffers): it is
+    values, d vectors, preconditioner, the solve buffers): it is
     invalidated by the next [rebuild] on the same assembly. *)
 val rebuild :
   assembly ->
@@ -82,9 +72,9 @@ val rebuild :
   t
 
 (** [assembly_stats asm] is [(reused, pattern_rebuilds)]: how many
-    {!rebuild} passes refilled every cached pattern vs. how many had to
-    recompile at least one (the first pass always counts as a
-    recompile). *)
+    {!rebuild} passes reused the cached pattern (or the cached values)
+    vs. how many had to record and compile a new one (the first pass
+    always counts as a recompile). *)
 val assembly_stats : assembly -> int * int
 
 (** [build circuit ~placement ~net_weights ~edge_scale ?clique_cap
@@ -119,7 +109,6 @@ val build :
   ?anchor_weight:float ->
   ?hold:float ->
   ?hold_at:Netlist.Placement.t ->
-  ?model:net_model ->
   unit ->
   t
 
@@ -131,8 +120,8 @@ val build :
     {!Numeric.Cg.solve} default, [1e-8]) — the placer loosens it while
     density overflow is still high and tightens it as the placement
     converges.  Both axes run in one {!Numeric.Cg.solve2_in} over the
-    assembly's own CG workspaces: one matrix sweep per iteration serves
-    both axes (the clique model's shared C is read once), each axis
+    assembly's own CG workspaces: one sweep of the shared C per
+    iteration serves both axes, each axis
     stops on its own threshold, and a solve allocates nothing per cell.
     Returns CG statistics for the x and y solves. *)
 val solve :
@@ -156,16 +145,12 @@ val mean_edge_weight : t -> float
     [None] for fixed cells. *)
 val variable_of_cell : t -> int -> int option
 
-(** [matrix t] exposes the assembled x-axis C for tests (identical to
-    the y-axis matrix under the clique model). *)
+(** [matrix t] exposes the assembled C, shared by both axes, for
+    tests. *)
 val matrix : t -> Numeric.Sparse.t
 
-(** [matrix_y t] is the y-axis C: {!matrix} itself under the clique
-    model, its own matrix under {!Bound2bound}.  For tests. *)
-val matrix_y : t -> Numeric.Sparse.t
-
 (** [constant_terms t] is [(dx, dy)], the constant vectors d of eq. (3)
-    by variable index.  They alias the assembly like the matrices.  For
+    by variable index.  They alias the assembly like the matrix.  For
     tests. *)
 val constant_terms : t -> float array * float array
 

@@ -17,7 +17,6 @@ let () =
       ("circuitgen", Test_gen.suite);
       ("metrics", Test_metrics.suite);
       ("qp", Test_qp.suite);
-      ("qp.b2b", Test_b2b.suite);
       ("density", Test_density.suite);
       ("kraftwerk", Test_placer.suite);
       ("kraftwerk.cluster", Test_cluster.suite);

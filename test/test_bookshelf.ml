@@ -127,10 +127,13 @@ let test_hand_written_benchmark () =
         c.Netlist.Circuit.pin_dx.(c.Netlist.Circuit.net_start.(0) + 1))
 
 (* One bad number per input file: [load_aux] must return a typed error
-   naming that file, never a circuit with NaN in it nor an exception. *)
+   naming that file (and, for a size, the node), never a circuit with
+   NaN or a made-up size in it nor an exception. *)
 let bad_inputs =
   [
     (".nodes width nan", "t.nodes", "a 8 16\n", "a nan 16\n", "non-finite");
+    (".nodes width -8", "t.nodes", "a 8 16\n", "a -8 16\n", "node a: negative width");
+    (".nodes width 0", "t.nodes", "a 8 16\n", "a 0 16\n", "node a: zero width");
     (".nets offset nan", "t.nets", "b I : 1 2", "b I : nan 2", "non-finite");
     (".pl coordinate inf", "t.pl", "b 30 16", "b inf 16", "non-finite");
     (".scl row height 0", "t.scl", "Height : 16", "Height : 0", "row height");
@@ -146,16 +149,18 @@ let find_sub text sub =
   in
   go 0
 
+(* A [hand_written] edit: the first [before] in file [target] becomes
+   [after]. *)
+let replace target before after name text =
+  match find_sub text before with
+  | Some i when name = target ->
+    let rest = i + String.length before in
+    String.sub text 0 i ^ after ^ String.sub text rest (String.length text - rest)
+  | _ -> text
+
 let test_bad_input (_, target, before, after, reason) () =
   with_tempdir (fun dir ->
-      let edit name text =
-        match find_sub text before with
-        | Some i when name = target ->
-          let rest = i + String.length before in
-          String.sub text 0 i ^ after
-          ^ String.sub text rest (String.length text - rest)
-        | _ -> text
-      in
+      let edit = replace target before after in
       match Netlist.Bookshelf.load_aux (hand_written ~edit dir) with
       | Ok _ -> Alcotest.failf "%s: loaded" target
       | Error e ->
@@ -164,6 +169,15 @@ let test_bad_input (_, target, before, after, reason) () =
           (Filename.basename e.Netlist.Bookshelf.file);
         Alcotest.(check bool) ("reason of " ^ msg) true
           (find_sub msg reason <> None))
+
+(* A fixed I/O pin may be written as a point. *)
+let test_zero_size_terminal () =
+  with_tempdir (fun dir ->
+      let edit = replace "t.nodes" "pad1 4 4 terminal" "pad1 0 0 terminal" in
+      let c, _ = bs_exn (Netlist.Bookshelf.load_aux (hand_written ~edit dir)) in
+      let pad = c.Netlist.Circuit.cells.(2) in
+      Alcotest.(check bool) "pad fixed" true pad.Netlist.Cell.fixed;
+      Alcotest.(check (float 0.)) "pad width" 1e-3 pad.Netlist.Cell.width)
 
 let test_missing_file_rejected () =
   with_tempdir (fun dir ->
@@ -196,6 +210,7 @@ let suite =
     Alcotest.test_case "terminals fixed" `Quick test_terminals_roundtrip_fixed;
     Alcotest.test_case "driver preserved" `Quick test_driver_preserved;
     Alcotest.test_case "hand-written benchmark" `Quick test_hand_written_benchmark;
+    Alcotest.test_case "zero-size terminal" `Quick test_zero_size_terminal;
     Alcotest.test_case "missing file" `Quick test_missing_file_rejected;
     Alcotest.test_case "placeable after load" `Quick test_placeable_after_load;
   ]

@@ -47,7 +47,8 @@ let read_lines file =
 
 (* Deterministic payload of a trace's iteration records: volatile fields
    (timings, pool facts) and cache-provenance fields (a resumed run
-   recompiles where the uninterrupted run refilled) stripped. *)
+   recompiles where the uninterrupted run reused its pattern)
+   stripped. *)
 let iteration_payloads file =
   read_lines file
   |> List.filter_map (fun line ->
@@ -115,56 +116,52 @@ let test_checkpoint_digest_guards () =
   let pool = { config with Kraftwerk.Config.domains = Some 2 } in
   ignore (ok_or_fail (Engine.Checkpoint.restore cp pool circuit))
 
+(* The config digests of the presets, pinned: a checkpoint resumes only
+   while the fingerprint renders every field as it did when the
+   checkpoint was written (the net model as the literal [model=clique],
+   the Poisson evaluator as [solver=fft]). *)
+let test_checkpoint_digest_pins () =
+  List.iter
+    (fun (name, config, digest) ->
+      Alcotest.(check string) name digest (Engine.Checkpoint.config_digest config))
+    [
+      ("standard", Kraftwerk.Config.standard, "db2091fd799365f5f6bc5afa4289957c");
+      ("fast", Kraftwerk.Config.fast, "4960d63116d694c399449b57f30b5f71");
+      ("effort 9", Kraftwerk.Config.effort 9, "5aa2fc59d773d3f8e63024dd872e8708");
+    ]
+
 (* The core property (§2.2: the accumulated ~e vectors make mid-run
-   state restartable), for both net models and pools {1, 2, 4}: cutting
-   a run at a checkpoint and restoring yields bitwise the placement and
-   forces of the uninterrupted run. *)
-let test_resume_bitwise_models_pools () =
+   state restartable), for pools {1, 2, 4}: cutting a run at a
+   checkpoint and restoring yields bitwise the placement and forces of
+   the uninterrupted run. *)
+let test_resume_bitwise_pools () =
   let circuit, p0 = ok_or_fail (Engine.Source.load (source ())) in
   let total = 10 and cut = 4 in
   List.iter
-    (fun model ->
-      List.iter
-        (fun pool ->
-          let tag =
-            Printf.sprintf "%s/pool%d"
-              (match model with
-              | Qp.System.Clique -> "clique"
-              | Qp.System.Bound2bound -> "b2b")
-              pool
-          in
-          let config =
-            {
-              Kraftwerk.Config.fast with
-              Kraftwerk.Config.net_model = model;
-              domains = Some pool;
-            }
-          in
-          let reference = Kraftwerk.Placer.init config circuit p0 in
-          ignore (Kraftwerk.Placer.continue_run reference ~max_steps:total);
-          let first = Kraftwerk.Placer.init config circuit p0 in
-          ignore (Kraftwerk.Placer.continue_run first ~max_steps:cut);
-          let file = temp ".json" in
-          Engine.Checkpoint.save file (Engine.Checkpoint.of_state first);
-          let cp = ok_or_fail (Engine.Checkpoint.load file) in
-          Sys.remove file;
-          let resumed = ok_or_fail (Engine.Checkpoint.restore cp config circuit) in
-          ignore
-            (Kraftwerk.Placer.continue_run resumed ~max_steps:(total - cut));
-          Alcotest.(check int)
-            (tag ^ ": iteration")
-            reference.Kraftwerk.Placer.iteration
-            resumed.Kraftwerk.Placer.iteration;
-          same_placement
-            (tag ^ ": placement")
-            reference.Kraftwerk.Placer.placement
-            resumed.Kraftwerk.Placer.placement;
-          same_float_array (tag ^ ": ex") reference.Kraftwerk.Placer.ex
-            resumed.Kraftwerk.Placer.ex;
-          same_float_array (tag ^ ": ey") reference.Kraftwerk.Placer.ey
-            resumed.Kraftwerk.Placer.ey)
-        [ 1; 2; 4 ])
-    [ Qp.System.Clique; Qp.System.Bound2bound ]
+    (fun pool ->
+      let tag = Printf.sprintf "pool%d" pool in
+      let config = { Kraftwerk.Config.fast with Kraftwerk.Config.domains = Some pool } in
+      let reference = Kraftwerk.Placer.init config circuit p0 in
+      ignore (Kraftwerk.Placer.continue_run reference ~max_steps:total);
+      let first = Kraftwerk.Placer.init config circuit p0 in
+      ignore (Kraftwerk.Placer.continue_run first ~max_steps:cut);
+      let file = temp ".json" in
+      Engine.Checkpoint.save file (Engine.Checkpoint.of_state first);
+      let cp = ok_or_fail (Engine.Checkpoint.load file) in
+      Sys.remove file;
+      let resumed = ok_or_fail (Engine.Checkpoint.restore cp config circuit) in
+      ignore (Kraftwerk.Placer.continue_run resumed ~max_steps:(total - cut));
+      Alcotest.(check int)
+        (tag ^ ": iteration")
+        reference.Kraftwerk.Placer.iteration resumed.Kraftwerk.Placer.iteration;
+      same_placement
+        (tag ^ ": placement")
+        reference.Kraftwerk.Placer.placement resumed.Kraftwerk.Placer.placement;
+      same_float_array (tag ^ ": ex") reference.Kraftwerk.Placer.ex
+        resumed.Kraftwerk.Placer.ex;
+      same_float_array (tag ^ ": ey") reference.Kraftwerk.Placer.ey
+        resumed.Kraftwerk.Placer.ey)
+    [ 1; 2; 4 ]
 
 let same_controller tag (a : Kraftwerk.Controller.t)
     (b : Kraftwerk.Controller.t) =
@@ -1347,8 +1344,10 @@ let suite =
       test_checkpoint_round_trip;
     Alcotest.test_case "checkpoint digest guards" `Quick
       test_checkpoint_digest_guards;
-    Alcotest.test_case "resume is bitwise for both net models, pools 1/2/4"
-      `Slow test_resume_bitwise_models_pools;
+    Alcotest.test_case "checkpoint digest pins" `Quick
+      test_checkpoint_digest_pins;
+    Alcotest.test_case "resume bitwise, pools 1/2/4" `Slow
+      test_resume_bitwise_pools;
     Alcotest.test_case "resume is bitwise with the controller active" `Slow
       test_resume_bitwise_controller_active;
     Alcotest.test_case "engine resume matches uninterrupted run" `Slow

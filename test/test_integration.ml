@@ -264,6 +264,10 @@ let test_bench_cli_usage () =
       [ "--domains"; "0" ];
       [ "--domains"; "x" ];
       [ "--table"; "one" ];
+      [ "--table"; "9" ];
+      [ "--experiment"; "net-model" ];
+      (* Names are checked while parsing: table 1 never starts. *)
+      [ "--table"; "1"; "--experiment"; "bogus" ];
       [ "--engine" ];
       [ "--serve" ];
       [ "--frobnicate" ];

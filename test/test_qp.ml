@@ -271,60 +271,49 @@ let test_rebuild_matches_build () =
       List.iter
         (fun domains ->
           Numeric.Parallel.set_num_domains domains;
+          let asm = Qp.System.assembly circuit () in
           List.iter
-            (fun (model, mname) ->
-              let asm = Qp.System.assembly circuit ~model () in
-              List.iter
-                (fun seed ->
-                  let name part =
-                    Printf.sprintf "%s/%s d=%d seed=%d" mname part domains seed
-                  in
-                  let p = random_placement seed in
-                  let fresh =
-                    Qp.System.build circuit ~placement:p ~net_weights:nw
-                      ~edge_scale:Qp.Weights.Quadratic ~model ()
-                  in
-                  let cached =
-                    Qp.System.rebuild asm ~placement:p ~net_weights:nw
-                      ~edge_scale:Qp.Weights.Quadratic ()
-                  in
-                  Alcotest.(check bool) (name "matrix") true
-                    (bits_equal_mat (Qp.System.matrix fresh)
-                       (Qp.System.matrix cached));
-                  let zeros = Array.make (Qp.System.num_movable fresh) 0. in
-                  let pf = Netlist.Placement.copy p
-                  and pc = Netlist.Placement.copy p in
-                  ignore
-                    (Qp.System.solve fresh ~placement:pf ~ex:zeros ~ey:zeros);
-                  ignore
-                    (Qp.System.solve cached ~placement:pc ~ex:zeros ~ey:zeros);
-                  Alcotest.(check bool) (name "solution x") true
-                    (bits_equal_arr pf.Netlist.Placement.x
-                       pc.Netlist.Placement.x);
-                  Alcotest.(check bool) (name "solution y") true
-                    (bits_equal_arr pf.Netlist.Placement.y
-                       pc.Netlist.Placement.y))
-                [ 3; 4; 5 ];
-              let reused, rebuilds = Qp.System.assembly_stats asm in
-              Alcotest.(check int)
-                (mname ^ " rebuild passes accounted") 3 (reused + rebuilds);
-              if model = Qp.System.Clique then
-                (* Clique structure never drifts: only the first pass may
-                   compile, the rest must take the refill path. *)
-                Alcotest.(check int) "clique compiles once" 1 rebuilds)
-            [ (Qp.System.Clique, "clique"); (Qp.System.Bound2bound, "b2b") ])
+            (fun seed ->
+              let name part = Printf.sprintf "%s d=%d seed=%d" part domains seed in
+              let p = random_placement seed in
+              let fresh =
+                Qp.System.build circuit ~placement:p ~net_weights:nw
+                  ~edge_scale:Qp.Weights.Quadratic ()
+              in
+              let cached =
+                Qp.System.rebuild asm ~placement:p ~net_weights:nw
+                  ~edge_scale:Qp.Weights.Quadratic ()
+              in
+              Alcotest.(check bool) (name "matrix") true
+                (bits_equal_mat (Qp.System.matrix fresh)
+                   (Qp.System.matrix cached));
+              let zeros = Array.make (Qp.System.num_movable fresh) 0. in
+              let pf = Netlist.Placement.copy p
+              and pc = Netlist.Placement.copy p in
+              ignore (Qp.System.solve fresh ~placement:pf ~ex:zeros ~ey:zeros);
+              ignore (Qp.System.solve cached ~placement:pc ~ex:zeros ~ey:zeros);
+              Alcotest.(check bool) (name "solution x") true
+                (bits_equal_arr pf.Netlist.Placement.x pc.Netlist.Placement.x);
+              Alcotest.(check bool) (name "solution y") true
+                (bits_equal_arr pf.Netlist.Placement.y pc.Netlist.Placement.y))
+            [ 3; 4; 5 ];
+          let reused, rebuilds = Qp.System.assembly_stats asm in
+          Alcotest.(check int) "rebuild passes accounted" 3 (reused + rebuilds);
+          (* The structure never drifts here: only the first pass may
+             compile, the rest must scatter into its pattern. *)
+          Alcotest.(check int) "compiles once" 1 rebuilds)
         [ 1; 2; 4 ])
 
 (* --- independent assembly oracle ---------------------------------------- *)
 
 (* The placement equation written out from its definition, sharing no
-   code with System's assembly beyond the net models: every net's edges
-   come from Model.iter_edges (clique) or B2b.iter_edges (per axis) and
-   go into a plain triplet builder — each spring's two diagonal terms,
-   then its off-diagonal pair — followed by the anchor springs and the
-   hold springs, one Sparse.finalize per axis.  That triplet order is the
-   documented accumulation order, so System must reproduce the matrix,
-   the d vectors and the mean edge weight bit for bit. *)
+   code with System's assembly beyond the net model: every net's edges
+   come from Model.iter_edges and go into a plain triplet builder — each
+   spring's two diagonal terms, then its off-diagonal pair — followed by
+   the anchor springs and the hold springs, one Sparse.finalize.  That
+   triplet order is the documented accumulation order, so System must
+   reproduce the matrix, the d vectors and the mean edge weight bit for
+   bit. *)
 
 type scale = Quadratic | Linearize of float
 
@@ -332,64 +321,9 @@ let api_scale = function
   | Quadratic -> Qp.Weights.Quadratic
   | Linearize eps -> Qp.Weights.Linearize eps
 
-type ref_axis = {
-  rb : Numeric.Sparse.builder;
-  rd : float array;
-  rinc : float array;
-  mutable rtotal : float;
-  mutable rcount : int;
-}
-
-let ref_axis n =
-  {
-    rb = Numeric.Sparse.builder n;
-    rd = Array.make n 0.;
-    rinc = Array.make n 0.;
-    rtotal = 0.;
-    rcount = 0;
-  }
-
-(* One spring of weight [w] on one axis; [off_*] are the pin offsets,
-   [abs_*] the absolute pin positions (used when the other end is fixed).
-   [d2] is the other axis's d vector under the clique model, where one
-   matrix serves both axes. *)
-let ref_spring a ?d2 ~var_of_cell ~cell_a ~cell_b ~off_a ~off_b ~abs_a ~abs_b
-    ?(off2 = (0., 0., 0., 0.)) w =
-  if w > 0. && cell_a <> cell_b then begin
-    a.rtotal <- a.rtotal +. w;
-    a.rcount <- a.rcount + 1;
-    let o2a, o2b, abs2a, abs2b = off2 in
-    let va = var_of_cell.(cell_a) and vb = var_of_cell.(cell_b) in
-    let d2_add v x = match d2 with Some d -> d.(v) <- d.(v) +. x | None -> () in
-    if va >= 0 && vb >= 0 then begin
-      a.rinc.(va) <- a.rinc.(va) +. w;
-      a.rinc.(vb) <- a.rinc.(vb) +. w;
-      Numeric.Sparse.add a.rb va va w;
-      Numeric.Sparse.add a.rb vb vb w;
-      Numeric.Sparse.add a.rb va vb (-.w);
-      Numeric.Sparse.add a.rb vb va (-.w);
-      a.rd.(va) <- a.rd.(va) +. (w *. (off_a -. off_b));
-      a.rd.(vb) <- a.rd.(vb) +. (w *. (off_b -. off_a));
-      d2_add va (w *. (o2a -. o2b));
-      d2_add vb (w *. (o2b -. o2a))
-    end
-    else if va >= 0 then begin
-      a.rinc.(va) <- a.rinc.(va) +. w;
-      Numeric.Sparse.add a.rb va va w;
-      a.rd.(va) <- a.rd.(va) +. (w *. (off_a -. abs_b));
-      d2_add va (w *. (o2a -. abs2b))
-    end
-    else if vb >= 0 then begin
-      a.rinc.(vb) <- a.rinc.(vb) +. w;
-      Numeric.Sparse.add a.rb vb vb w;
-      a.rd.(vb) <- a.rd.(vb) +. (w *. (off_b -. abs_a));
-      d2_add vb (w *. (o2b -. abs2a))
-    end
-  end
-
-(* Returns (matrix x, matrix y, dx, dy, mean edge weight). *)
+(* Returns (matrix, dx, dy, mean edge weight). *)
 let reference_system c ~(placement : Netlist.Placement.t) ~net_weights ~scale
-    ~cap ~model ~anchor_weight ~hold ?hold_at () =
+    ~cap ~anchor_weight ~hold ?hold_at () =
   let var_of_cell, n = Qp.System.index_map c in
   let cell_of_var = Array.make n 0 in
   Array.iteri (fun id v -> if v >= 0 then cell_of_var.(v) <- id) var_of_cell;
@@ -399,88 +333,88 @@ let reference_system c ~(placement : Netlist.Placement.t) ~net_weights ~scale
   and off_y k = c.Netlist.Circuit.pin_dy.(k) in
   let pin_x k = px.(cell.(k)) +. off_x k in
   let pin_y k = py.(cell.(k)) +. off_y k in
-  let ax = ref_axis n in
-  let ay = match model with Qp.System.Clique -> None | _ -> Some (ref_axis n) in
-  let dy_clique = Array.make n 0. in
+  let b = Numeric.Sparse.builder n in
+  let dx = Array.make n 0. and dy = Array.make n 0. in
+  let inc = Array.make n 0. in
+  let total = ref 0. and count = ref 0 in
+  (* One spring of weight [w] between pins [pa] and [pb]: a pin of a
+     fixed cell enters d at its absolute position. *)
+  let spring pa pb w =
+    if w > 0. && cell.(pa) <> cell.(pb) then begin
+      total := !total +. w;
+      incr count;
+      let va = var_of_cell.(cell.(pa)) and vb = var_of_cell.(cell.(pb)) in
+      if va >= 0 && vb >= 0 then begin
+        inc.(va) <- inc.(va) +. w;
+        inc.(vb) <- inc.(vb) +. w;
+        Numeric.Sparse.add b va va w;
+        Numeric.Sparse.add b vb vb w;
+        Numeric.Sparse.add b va vb (-.w);
+        Numeric.Sparse.add b vb va (-.w);
+        dx.(va) <- dx.(va) +. (w *. (off_x pa -. off_x pb));
+        dx.(vb) <- dx.(vb) +. (w *. (off_x pb -. off_x pa));
+        dy.(va) <- dy.(va) +. (w *. (off_y pa -. off_y pb));
+        dy.(vb) <- dy.(vb) +. (w *. (off_y pb -. off_y pa))
+      end
+      else if va >= 0 then begin
+        inc.(va) <- inc.(va) +. w;
+        Numeric.Sparse.add b va va w;
+        dx.(va) <- dx.(va) +. (w *. (off_x pa -. pin_x pb));
+        dy.(va) <- dy.(va) +. (w *. (off_y pa -. pin_y pb))
+      end
+      else if vb >= 0 then begin
+        inc.(vb) <- inc.(vb) +. w;
+        Numeric.Sparse.add b vb vb w;
+        dx.(vb) <- dx.(vb) +. (w *. (off_x pb -. pin_x pa));
+        dy.(vb) <- dy.(vb) +. (w *. (off_y pb -. pin_y pa))
+      end
+    end
+  in
   for net = 0 to Netlist.Circuit.num_nets c - 1 do
     let nw = net_weights.(net) in
     if nw > 0. then
-      match ay with
-      | None ->
-        Qp.Model.iter_edges ~cap c net (fun pa pb w_raw ->
-            let s =
-              match scale with
-              | Quadratic -> 1.
-              | Linearize eps ->
-                Qp.Weights.linearize ~eps
-                  ~dist:
-                    (sqrt
-                       (((pin_x pa -. pin_x pb) ** 2.)
-                       +. ((pin_y pa -. pin_y pb) ** 2.)))
-            in
-            ref_spring ax ~d2:dy_clique ~var_of_cell
-              ~cell_a:cell.(pa) ~cell_b:cell.(pb)
-              ~off_a:(off_x pa) ~off_b:(off_x pb)
-              ~abs_a:(pin_x pa) ~abs_b:(pin_x pb)
-              ~off2:(off_y pa, off_y pb, pin_y pa, pin_y pb)
-              (w_raw *. nw *. s))
-      | Some ay ->
-        let axis a coord off =
-          Qp.B2b.iter_edges ~coord c net (fun pa pb w ->
-              ref_spring a ~var_of_cell ~cell_a:cell.(pa) ~cell_b:cell.(pb)
-                ~off_a:(off pa) ~off_b:(off pb)
-                ~abs_a:(coord pa) ~abs_b:(coord pb) (w *. nw))
-        in
-        axis ax pin_x off_x;
-        axis ay pin_y off_y
+      Qp.Model.iter_edges ~cap c net (fun pa pb w_raw ->
+          let s =
+            match scale with
+            | Quadratic -> 1.
+            | Linearize eps ->
+              Qp.Weights.linearize ~eps
+                ~dist:
+                  (sqrt
+                     (((pin_x pa -. pin_x pb) ** 2.)
+                     +. ((pin_y pa -. pin_y pb) ** 2.)))
+          in
+          spring pa pb (w_raw *. nw *. s))
   done;
-  let mean =
-    match ay with
-    | None -> if ax.rcount = 0 then 1. else ax.rtotal /. float_of_int ax.rcount
-    | Some ay ->
-      let ne = ax.rcount + ay.rcount in
-      if ne = 0 then 1. else (ax.rtotal +. ay.rtotal) /. float_of_int ne
-  in
-  let dy = match ay with None -> dy_clique | Some ay -> ay.rd in
+  let mean = if !count = 0 then 1. else !total /. float_of_int !count in
   let aw = anchor_weight *. mean in
   let cx, cy = Geometry.Rect.center c.Netlist.Circuit.region in
   for v = 0 to n - 1 do
-    Numeric.Sparse.add ax.rb v v aw;
-    ax.rd.(v) <- ax.rd.(v) -. (aw *. cx);
-    (match ay with Some ay -> Numeric.Sparse.add ay.rb v v aw | None -> ());
+    Numeric.Sparse.add b v v aw;
+    dx.(v) <- dx.(v) -. (aw *. cx);
     dy.(v) <- dy.(v) -. (aw *. cy)
   done;
   if hold > 0. then begin
     let h = Option.value hold_at ~default:placement in
     for v = 0 to n - 1 do
       let id = cell_of_var.(v) in
-      let hwx = hold *. Float.max ax.rinc.(v) mean in
-      Numeric.Sparse.add ax.rb v v hwx;
-      ax.rd.(v) <- ax.rd.(v) -. (hwx *. h.Netlist.Placement.x.(id));
-      let hwy =
-        match ay with
-        | None -> hwx
-        | Some ay ->
-          let hwy = hold *. Float.max ay.rinc.(v) mean in
-          Numeric.Sparse.add ay.rb v v hwy;
-          hwy
-      in
-      dy.(v) <- dy.(v) -. (hwy *. h.Netlist.Placement.y.(id))
+      let hw = hold *. Float.max inc.(v) mean in
+      Numeric.Sparse.add b v v hw;
+      dx.(v) <- dx.(v) -. (hw *. h.Netlist.Placement.x.(id));
+      dy.(v) <- dy.(v) -. (hw *. h.Netlist.Placement.y.(id))
     done
   end;
-  let mx = Numeric.Sparse.finalize ax.rb in
-  let my = match ay with None -> mx | Some ay -> Numeric.Sparse.finalize ay.rb in
-  (mx, my, ax.rd, dy, mean)
+  (Numeric.Sparse.finalize b, dx, dy, mean)
 
 let bits_equal_sparse a b =
   Numeric.Sparse.nnz a = Numeric.Sparse.nnz b && bits_equal_mat a b
 
-(* One cached assembly per (pool, model, cap) replays a sequence that
+(* One cached assembly per (pool, clique cap) replays a sequence that
    exercises the steady state (same structure, new values), the hold
    springs at the placer's weight and at explicit targets, the
    linearised scale, and structural drift from zero and underflowing
    net weights, then the return to the original structure.  Its tail
-   walks the clique value cache's key one input at a time: a repeat
+   walks the value cache's key one input at a time: a repeat
    that may reuse the values, then a move of one fixed cell along x
    alone, then along y alone, then a change of [anchor_weight] alone,
    then new hold targets alone.  Every step
@@ -556,13 +490,13 @@ let test_assembly_oracle () =
         (fun domains ->
           Numeric.Parallel.set_num_domains domains;
           List.iter
-            (fun (model, cap, mname) ->
-              let asm = Qp.System.assembly circuit ~clique_cap:cap ~model () in
+            (fun cap ->
+              let asm = Qp.System.assembly circuit ~clique_cap:cap () in
               List.iter
                 (fun (seed, net_weights, scale, hold, hold_seed, anchor_weight,
                       moves) ->
                   let name part =
-                    Printf.sprintf "%s d=%d seed=%d anchor=%g moves=%d %s" mname
+                    Printf.sprintf "cap %d d=%d seed=%d anchor=%g moves=%d %s" cap
                       domains seed anchor_weight moves part
                   in
                   let placement = random_placement seed in
@@ -575,13 +509,11 @@ let test_assembly_oracle () =
                       ~edge_scale:(api_scale scale) ~anchor_weight ~hold ?hold_at
                       ()
                   in
-                  let check_against what (mx, my, dx, dy, mean) =
+                  let check_against what (m, dx, dy, mean) =
                     let name part = name (what ^ " " ^ part) in
                     let sdx, sdy = Qp.System.constant_terms sys in
-                    Alcotest.(check bool) (name "matrix x") true
-                      (bits_equal_sparse mx (Qp.System.matrix sys));
-                    Alcotest.(check bool) (name "matrix y") true
-                      (bits_equal_sparse my (Qp.System.matrix_y sys));
+                    Alcotest.(check bool) (name "matrix") true
+                      (bits_equal_sparse m (Qp.System.matrix sys));
                     Alcotest.(check bool) (name "dx") true (bits_equal_arr dx sdx);
                     Alcotest.(check bool) (name "dy") true (bits_equal_arr dy sdy);
                     Alcotest.(check bool) (name "mean edge weight") true
@@ -590,25 +522,20 @@ let test_assembly_oracle () =
                   in
                   check_against "oracle"
                     (reference_system circuit ~placement ~net_weights ~scale ~cap
-                       ~model ~anchor_weight ~hold ?hold_at ());
+                       ~anchor_weight ~hold ?hold_at ());
                   let fresh =
                     Qp.System.build circuit ~placement ~net_weights
                       ~edge_scale:(api_scale scale) ~clique_cap:cap ~anchor_weight
-                      ~hold ?hold_at ~model ()
+                      ~hold ?hold_at ()
                   in
                   let fdx, fdy = Qp.System.constant_terms fresh in
                   check_against "build"
                     ( Qp.System.matrix fresh,
-                      Qp.System.matrix_y fresh,
                       fdx,
                       fdy,
                       Qp.System.mean_edge_weight fresh ))
                 steps)
-            [
-              (Qp.System.Clique, 16, "clique cap 16");
-              (Qp.System.Clique, 4, "clique cap 4");
-              (Qp.System.Bound2bound, 16, "b2b");
-            ])
+            [ 16; 4 ])
         [ 1; 2; 4 ])
 
 (* --- steady-state allocation ------------------------------------------- *)
@@ -756,7 +683,7 @@ let suite =
     Alcotest.test_case "index map" `Quick test_index_map;
     Alcotest.test_case "weights module" `Quick test_weights_module;
     QCheck_alcotest.to_alcotest prop_solution_is_minimum;
-    Alcotest.test_case "rebuild = build, both models, pools 1/2/4" `Quick
+    Alcotest.test_case "rebuild = build, pools 1/2/4" `Quick
       test_rebuild_matches_build;
     Alcotest.test_case "assembly oracle, every rebuild input, pools 1/2/4"
       `Quick test_assembly_oracle;

@@ -116,182 +116,116 @@ let bits_equal_mat a b =
            ra rb)
        da db
 
+(* A stream of triplets, kept by the test so it can both record it into
+   a builder and replay it through a compiled pattern. *)
+let record ?capacity n stream =
+  let b = Numeric.Sparse.builder ?capacity n in
+  Array.iter (fun (i, j, v) -> Numeric.Sparse.add b i j v) stream;
+  b
+
+(* The refill path of the QP assembly: zero the pattern's slots, add
+   each triplet's value at the slot of its stream position (checking
+   that slot sits at the triplet's (i, j)), then seal. *)
+let refill pat stream =
+  let sl = Numeric.Sparse.slots pat in
+  Alcotest.(check int) "stream length" sl.s_len (Array.length stream);
+  Array.fill sl.s_values 0 (Array.length sl.s_values) 0.;
+  Array.iteri
+    (fun k (i, j, v) ->
+      let s = sl.s_slot.(k) in
+      if s < sl.s_indptr.(i) || s >= sl.s_indptr.(i + 1) || sl.s_indices.(s) <> j
+      then Alcotest.failf "triplet %d is not at (%d, %d)" k i j;
+      sl.s_values.(s) <- sl.s_values.(s) +. v)
+    stream;
+  Numeric.Sparse.seal pat
+
 let prop_refill_bitwise =
   QCheck.Test.make ~count:300
     ~name:"refill through cached pattern = finalize, bitwise"
     QCheck.(pair triplets_gen small_nat)
     (fun (ts, seed) ->
       QCheck.assume (ts <> []);
-      let b = Numeric.Sparse.builder 8 in
-      List.iter (fun (i, j, v) -> Numeric.Sparse.add b i j v) ts;
+      let first = Array.of_list ts in
+      let b = record 8 first in
       let pat, m0 = Numeric.Sparse.compile b in
       let ok0 = bits_equal_mat m0 (Numeric.Sparse.finalize b) in
       (* Same (i,j) stream, fresh values — including exact zeros, to
          exercise the cancellation-compaction parity path. *)
       let rng = Numeric.Rng.create seed in
-      Numeric.Sparse.clear b;
-      List.iter
-        (fun (i, j, _) ->
-          let v =
-            if Numeric.Rng.int rng 4 = 0 then 0.
-            else Numeric.Rng.uniform rng (-5.) 5.
-          in
-          Numeric.Sparse.add b i j v)
-        ts;
+      let second =
+        Array.map
+          (fun (i, j, _) ->
+            let v =
+              if Numeric.Rng.int rng 4 = 0 then 0.
+              else Numeric.Rng.uniform rng (-5.) 5.
+            in
+            (i, j, v))
+          first
+      in
       ok0
-      && Numeric.Sparse.pattern_matches pat b
-      && bits_equal_mat (Numeric.Sparse.refill pat b) (Numeric.Sparse.finalize b))
-
-let test_pattern_mismatch () =
-  let b = Numeric.Sparse.builder 4 in
-  Numeric.Sparse.add b 0 1 1.;
-  Numeric.Sparse.add b 2 3 2.;
-  let pat, _ = Numeric.Sparse.compile b in
-  Alcotest.(check bool) "same stream matches" true
-    (Numeric.Sparse.pattern_matches pat b);
-  Numeric.Sparse.add b 1 1 3.;
-  Alcotest.(check bool) "longer stream rejected" false
-    (Numeric.Sparse.pattern_matches pat b);
-  Numeric.Sparse.clear b;
-  Numeric.Sparse.add b 0 1 1.;
-  Numeric.Sparse.add b 3 2 2.;
-  Alcotest.(check bool) "swapped indices rejected" false
-    (Numeric.Sparse.pattern_matches pat b)
-
-(* The structural check reads the pattern's CSR rather than a copy of
-   the compiled stream's (i, j).  Here the test keeps that copy itself:
-   after one mutation of a random stream — a triplet moved to another
-   slot of its row, to a new column or to another row, swapped with its
-   neighbour, the stream truncated or extended — [pattern_matches] must
-   agree with comparing the stream against the copy. *)
-let prop_pattern_matches_copy =
-  QCheck.Test.make ~count:600
-    ~name:"pattern_matches = comparison with a copy of the compiled stream"
-    QCheck.(triple triplets_gen (int_bound 5) small_nat)
-    (fun (ts, mutation, r) ->
-      let n = 8 in
-      let b = Numeric.Sparse.builder n in
-      let load stream =
-        Numeric.Sparse.clear b;
-        Array.iter (fun (i, j) -> Numeric.Sparse.add b i j 1.) stream
-      in
-      let copy = Array.of_list (List.map (fun (i, j, _) -> (i, j)) ts) in
-      load copy;
-      let pat, _ = Numeric.Sparse.compile b in
-      let len = Array.length copy in
-      let k = r mod len in
-      let i, j = copy.(k) in
-      let other x = (x + 1 + (r mod (n - 1))) mod n in
-      let m = Array.copy copy in
-      let mutated =
-        match mutation with
-        | 0 ->
-          let row_cols =
-            Array.to_list copy
-            |> List.filter_map (fun (i', j') ->
-                   if i' = i && j' <> j then Some j' else None)
-          in
-          if row_cols <> [] then
-            m.(k) <- (i, List.nth row_cols (r mod List.length row_cols));
-          m
-        | 1 ->
-          m.(k) <- (i, other j);
-          m
-        | 2 ->
-          m.(k) <- (other i, j);
-          m
-        | 3 ->
-          if k + 1 < len then begin
-            m.(k) <- m.(k + 1);
-            m.(k + 1) <- (i, j)
-          end;
-          m
-        | 4 -> Array.sub copy 0 k
-        | _ -> Array.append copy [| copy.(k) |]
-      in
-      load mutated;
-      Numeric.Sparse.pattern_matches pat b = (mutated = copy))
+      && bits_equal_mat (refill pat second)
+           (Numeric.Sparse.finalize (record 8 second)))
 
 (* A recording assembler sizes its builder once and drops it after
-   compiling; the pattern keeps working for later streams, which a
-   builder of no capacity records by doubling from 16. *)
+   compiling; the pattern keeps working for later streams. *)
 let test_builder_capacity () =
-  let fill b =
-    Numeric.Sparse.add b 0 1 2.;
-    Numeric.Sparse.add b 1 2 1.;
-    Numeric.Sparse.add b 0 1 3.;
-    b
-  in
-  let b = fill (Numeric.Sparse.builder ~capacity:2 3) in
-  let pat, m = Numeric.Sparse.compile b in
+  let stream = [| (0, 1, 2.); (1, 2, 1.); (0, 1, 3.) |] in
+  let pat, m = Numeric.Sparse.compile (record ~capacity:2 3 stream) in
   Alcotest.check approx "grown past the capacity" 5. (Numeric.Sparse.entry m 0 1);
-  let b = fill (Numeric.Sparse.builder ~capacity:0 3) in
+  let again = Array.map (fun (i, j, v) -> (i, j, 2. *. v)) stream in
   Alcotest.(check bool) "pattern outlives its builder" true
-    (Numeric.Sparse.pattern_matches pat b);
-  Alcotest.(check bool) "refill from a capacity-0 builder" true
-    (bits_equal_mat (Numeric.Sparse.refill pat b) (Numeric.Sparse.finalize b))
+    (bits_equal_mat (refill pat again)
+       (Numeric.Sparse.finalize (record ~capacity:0 3 again)))
 
 let test_refill_cancellation () =
-  let b = Numeric.Sparse.builder 3 in
-  Numeric.Sparse.add b 0 1 2.;
-  Numeric.Sparse.add b 0 1 3.;
-  Numeric.Sparse.add b 1 2 1.;
-  let pat, m = Numeric.Sparse.compile b in
+  let pat, m =
+    Numeric.Sparse.compile (record 3 [| (0, 1, 2.); (0, 1, 3.); (1, 2, 1.) |])
+  in
   Alcotest.(check int) "initial nnz" 2 (Numeric.Sparse.nnz m);
-  Numeric.Sparse.clear b;
-  Numeric.Sparse.add b 0 1 2.;
-  Numeric.Sparse.add b 0 1 (-2.);
-  Numeric.Sparse.add b 1 2 5.;
-  let m2 = Numeric.Sparse.refill pat b in
+  let m2 = refill pat [| (0, 1, 2.); (0, 1, -2.); (1, 2, 5.) |] in
   Alcotest.(check int) "cancelled slot dropped" 1 (Numeric.Sparse.nnz m2);
   Alcotest.check approx "survivor" 5. (Numeric.Sparse.entry m2 1 2);
   (* The pattern survives a compaction: a later refill with
      non-cancelling values restores the full slot set. *)
-  Numeric.Sparse.clear b;
-  Numeric.Sparse.add b 0 1 1.;
-  Numeric.Sparse.add b 0 1 1.;
-  Numeric.Sparse.add b 1 2 4.;
-  let m3 = Numeric.Sparse.refill pat b in
+  let m3 = refill pat [| (0, 1, 1.); (0, 1, 1.); (1, 2, 4.) |] in
   Alcotest.(check int) "slots restored" 2 (Numeric.Sparse.nnz m3);
   Alcotest.check approx "(0,1)" 2. (Numeric.Sparse.entry m3 0 1)
 
 let test_refill_parallel_domains () =
-  (* Large enough to cross the parallel refill threshold; the result
-     must be bitwise-identical to the sequential finalize at any pool
-     size. *)
+  (* Large enough for the parallel product; the compiled and refilled
+     matrices must be bitwise-identical to the sequential finalize at
+     any pool size. *)
   let n = 700 and m = 8000 in
   let rng = Numeric.Rng.create 11 in
   let ti = Array.init m (fun _ -> Numeric.Rng.int rng n) in
   let tj = Array.init m (fun _ -> Numeric.Rng.int rng n) in
-  let b = Numeric.Sparse.builder n in
-  let fill seed =
-    Numeric.Sparse.clear b;
+  let stream seed =
     let vr = Numeric.Rng.create seed in
-    for k = 0 to m - 1 do
-      Numeric.Sparse.add_sym b ti.(k) tj.(k) (Numeric.Rng.uniform vr (-2.) 2.)
-    done;
-    for i = 0 to n - 1 do
-      Numeric.Sparse.add_diag b i (Numeric.Rng.uniform vr 0.5 4.)
-    done
+    let sym =
+      Array.init m (fun k -> (ti.(k), tj.(k), Numeric.Rng.uniform vr (-2.) 2.))
+      |> Array.to_list
+      |> List.concat_map (fun (i, j, v) -> if i = j then [ (i, j, v) ] else [ (i, j, v); (j, i, v) ])
+    in
+    let diag = List.init n (fun i -> (i, i, Numeric.Rng.uniform vr 0.5 4.)) in
+    Array.of_list (sym @ diag)
   in
-  fill 1;
-  let pat, _ = Numeric.Sparse.compile b in
-  fill 2;
-  let reference = Numeric.Sparse.finalize b in
+  let first = stream 1 and second = stream 2 in
+  let reference = Numeric.Sparse.finalize (record n second) in
   Fun.protect
     ~finally:(fun () -> Numeric.Parallel.set_num_domains 1)
     (fun () ->
       List.iter
         (fun d ->
           Numeric.Parallel.set_num_domains d;
+          let pat, m1 = Numeric.Sparse.compile (record n first) in
           Alcotest.(check bool)
-            (Printf.sprintf "pattern holds at %d domains" d)
+            (Printf.sprintf "compile at %d domains" d)
             true
-            (Numeric.Sparse.pattern_matches pat b);
+            (bits_equal_mat m1 (Numeric.Sparse.finalize (record n first)));
           Alcotest.(check bool)
             (Printf.sprintf "bitwise at %d domains" d)
             true
-            (bits_equal_mat (Numeric.Sparse.refill pat b) reference))
+            (bits_equal_mat (refill pat second) reference))
         [ 1; 2; 4 ])
 
 let suite =
@@ -307,12 +241,10 @@ let suite =
     Alcotest.test_case "builder growth" `Quick test_builder_reuse_growth;
     QCheck_alcotest.to_alcotest prop_mul_matches_dense;
     QCheck_alcotest.to_alcotest prop_sym_builder_symmetric;
-    Alcotest.test_case "pattern mismatch detection" `Quick test_pattern_mismatch;
     Alcotest.test_case "refill cancellation parity" `Quick
       test_refill_cancellation;
     Alcotest.test_case "refill across domain pools" `Quick
       test_refill_parallel_domains;
     QCheck_alcotest.to_alcotest prop_refill_bitwise;
-    QCheck_alcotest.to_alcotest prop_pattern_matches_copy;
     Alcotest.test_case "builder capacity" `Quick test_builder_capacity;
   ]
