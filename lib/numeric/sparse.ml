@@ -5,40 +5,17 @@ type t = {
   value : float array;
 }
 
-type builder = {
-  bn : int;
-  mutable bi : int array;
-  mutable bj : int array;
-  mutable bv : float array;
-  mutable len : int;
-}
+(* The reference assembler's triplets, newest first. *)
+type builder = { bn : int; mutable triplets : (int * int * float) list }
 
-let builder ?(capacity = 16) n =
+let builder n =
   if n < 0 then invalid_arg "Sparse.builder: negative dimension";
-  let ints () = Array.make capacity 0 in
-  { bn = n; bi = ints (); bj = ints (); bv = Array.make capacity 0.; len = 0 }
-
-let ensure_capacity b =
-  if b.len = Array.length b.bi then begin
-    let cap = max 16 (2 * Array.length b.bi) in
-    let grow a fill =
-      let a' = Array.make cap fill in
-      Array.blit a 0 a' 0 b.len;
-      a'
-    in
-    b.bi <- grow b.bi 0;
-    b.bj <- grow b.bj 0;
-    b.bv <- grow b.bv 0.
-  end
+  { bn = n; triplets = [] }
 
 let add b i j v =
   if i < 0 || i >= b.bn || j < 0 || j >= b.bn then
     invalid_arg "Sparse.add: index out of range";
-  ensure_capacity b;
-  b.bi.(b.len) <- i;
-  b.bj.(b.len) <- j;
-  b.bv.(b.len) <- v;
-  b.len <- b.len + 1
+  b.triplets <- (i, j, v) :: b.triplets
 
 let add_sym b i j v =
   add b i j v;
@@ -47,36 +24,30 @@ let add_sym b i j v =
 let add_diag b i v = add b i i v
 
 let finalize b =
-  let n = b.bn in
-  (* Count entries per row, prefix-sum into row_start, then scatter.
-     Duplicates are merged afterwards by compacting sorted rows. *)
-  let count = Array.make (n + 1) 0 in
-  for k = 0 to b.len - 1 do
-    count.(b.bi.(k) + 1) <- count.(b.bi.(k) + 1) + 1
-  done;
+  let n = b.bn and ts = Array.of_list (List.rev b.triplets) in
+  let len = Array.length ts in
+  (* Bucket the triplets by row, in triplet order. *)
+  let row_start = Array.make (n + 1) 0 in
+  Array.iter (fun (i, _, _) -> row_start.(i + 1) <- row_start.(i + 1) + 1) ts;
   for i = 1 to n do
-    count.(i) <- count.(i) + count.(i - 1)
+    row_start.(i) <- row_start.(i) + row_start.(i - 1)
   done;
-  let row_start = Array.copy count in
-  let col = Array.make b.len 0 in
-  let value = Array.make b.len 0. in
+  let col = Array.make len 0 and value = Array.make len 0. in
   let cursor = Array.copy row_start in
-  for k = 0 to b.len - 1 do
-    let i = b.bi.(k) in
-    let p = cursor.(i) in
-    col.(p) <- b.bj.(k);
-    value.(p) <- b.bv.(k);
-    cursor.(i) <- p + 1
-  done;
-  (* Sort each row by column (insertion sort: rows are short) and merge
-     duplicates in place. *)
-  let out_col = Array.make b.len 0 in
-  let out_val = Array.make b.len 0. in
-  let out_start = Array.make (n + 1) 0 in
+  Array.iter
+    (fun (i, j, v) ->
+      let p = cursor.(i) in
+      col.(p) <- j;
+      value.(p) <- v;
+      cursor.(i) <- p + 1)
+    ts;
+  (* Sort each row by column (stable insertion sort: rows are short),
+     then sum each run of equal columns in triplet order, compacting in
+     place and dropping sums of exactly zero. *)
   let w = ref 0 in
   for i = 0 to n - 1 do
-    out_start.(i) <- !w;
-    let lo = row_start.(i) and hi = cursor.(i) in
+    let lo = row_start.(i) and hi = row_start.(i + 1) in
+    row_start.(i) <- !w;
     for p = lo + 1 to hi - 1 do
       let c = col.(p) and v = value.(p) in
       let q = ref p in
@@ -97,30 +68,23 @@ let finalize b =
         incr p
       done;
       if !acc <> 0. then begin
-        out_col.(!w) <- c;
-        out_val.(!w) <- !acc;
+        col.(!w) <- c;
+        value.(!w) <- !acc;
         incr w
       end
     done
   done;
-  out_start.(n) <- !w;
-  {
-    n;
-    row_start = out_start;
-    col = Array.sub out_col 0 !w;
-    value = Array.sub out_val 0 !w;
-  }
+  row_start.(n) <- !w;
+  { n; row_start; col = Array.sub col 0 !w; value = Array.sub value 0 !w }
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic/numeric split: a [pattern] freezes the CSR structure and the
-   triplet→slot map of one builder state so later assemblies with the
-   same (i, j) stream skip the sort-and-dedup entirely and only scatter
-   values.  [finalize] sums a slot's triplets in triplet order (the
-   per-row sort is stable), so scattering the stream in triplet order
-   reproduces its sums bit for bit. *)
+   triplet→slot map of one (i, j) stream, so every assembly of that
+   stream only scatters values.  [finalize] sums a slot's triplets in
+   triplet order (the per-row sort is stable), so scattering the stream
+   in triplet order reproduces its sums bit for bit. *)
 
 type slots = {
-  s_len : int;
   s_slot : int array;
   s_indptr : int array;
   s_indices : int array;
@@ -136,30 +100,16 @@ type pattern = {
 let slots pat = pat.sl
 
 (* [finalize] drops merged entries that sum to exactly zero; the frozen
-   structure cannot, so on the (rare) cancellation we compact into a
-   fresh CSR to stay bitwise-identical to a from-scratch finalize. *)
+   structure cannot, so on the (rare) cancellation the slots go through
+   [finalize] once more — one add per slot, so the same bits. *)
 let compact_zeros pat =
-  let n = pat.pn and m = pat.p_matrix in
-  let keep = ref 0 in
-  for s = 0 to Array.length m.value - 1 do
-    if m.value.(s) <> 0. then incr keep
-  done;
-  let row_start = Array.make (n + 1) 0 in
-  let col = Array.make !keep 0 in
-  let value = Array.make !keep 0. in
-  let w = ref 0 in
-  for i = 0 to n - 1 do
-    row_start.(i) <- !w;
+  let m = pat.p_matrix and b = builder pat.pn in
+  for i = 0 to pat.pn - 1 do
     for s = m.row_start.(i) to m.row_start.(i + 1) - 1 do
-      if m.value.(s) <> 0. then begin
-        col.(!w) <- m.col.(s);
-        value.(!w) <- m.value.(s);
-        incr w
-      end
+      add b i m.col.(s) m.value.(s)
     done
   done;
-  row_start.(n) <- !w;
-  { n; row_start; col; value }
+  finalize b
 
 let seal pat =
   let v = pat.sl.s_values in
@@ -169,81 +119,119 @@ let seal pat =
   done;
   if !zero then compact_zeros pat else pat.p_matrix
 
-let compile b =
-  let n = b.bn in
-  let len = b.len in
-  (* Two stable counting passes over the triplet indices, by column and
-     then by row, leave each row's triplets sorted by column with equal
-     columns in triplet order — the accumulation order [finalize]'s
-     stable per-row sort gives.  [cursor] serves both passes. *)
-  let cursor = Array.make (n + 1) 0 in
-  for k = 0 to len - 1 do
-    cursor.(b.bj.(k) + 1) <- cursor.(b.bj.(k) + 1) + 1
+(* The shape recorder: a pass's (i, j) stream, replayed twice with no
+   value kept.  [count] tallies each row's triplets; the first [place]
+   turns the tallies into row segments, then each [place] writes its
+   column into its row's segment and that position into the slot map;
+   [pattern] merges each segment's columns into the row's slots. *)
+type shape = {
+  sh_n : int;
+  sh_start : int array; (* n + 1 row tallies, then segment starts *)
+  mutable sh_cursor : int array; (* each row's next segment position *)
+  mutable sh_col : int array; (* each placed triplet's column, by segment *)
+  mutable sh_slot : int array; (* triplet → segment position, then slot *)
+  mutable sh_len : int; (* triplets counted *)
+  mutable sh_placed : int; (* triplets placed; -1 while counting *)
+}
+
+let shape n =
+  if n < 0 then invalid_arg "Sparse.shape: negative dimension";
+  { sh_n = n; sh_start = Array.make (n + 1) 0; sh_cursor = [||]; sh_col = [||];
+    sh_slot = [||]; sh_len = 0; sh_placed = -1 }
+
+let count sh i =
+  if sh.sh_placed >= 0 then invalid_arg "Sparse.count: the shape is being placed";
+  if i < 0 || i >= sh.sh_n then invalid_arg "Sparse.count: row out of range";
+  sh.sh_start.(i + 1) <- sh.sh_start.(i + 1) + 1;
+  sh.sh_len <- sh.sh_len + 1
+
+let start_placing sh =
+  for i = 1 to sh.sh_n do
+    sh.sh_start.(i) <- sh.sh_start.(i) + sh.sh_start.(i - 1)
   done;
-  for i = 1 to n do
-    cursor.(i) <- cursor.(i) + cursor.(i - 1)
-  done;
-  let by_col = Array.make len 0 in
-  for k = 0 to len - 1 do
-    let c = b.bj.(k) in
-    by_col.(cursor.(c)) <- k;
-    cursor.(c) <- cursor.(c) + 1
-  done;
-  let tri_start = Array.make (n + 1) 0 in
-  for k = 0 to len - 1 do
-    tri_start.(b.bi.(k) + 1) <- tri_start.(b.bi.(k) + 1) + 1
-  done;
-  for i = 1 to n do
-    tri_start.(i) <- tri_start.(i) + tri_start.(i - 1)
-  done;
-  Array.blit tri_start 0 cursor 0 (n + 1);
-  let tof = Array.make len 0 in
-  for p = 0 to len - 1 do
-    let k = by_col.(p) in
-    let r = b.bi.(k) in
-    tof.(cursor.(r)) <- k;
-    cursor.(r) <- cursor.(r) + 1
-  done;
-  (* Merge runs of equal columns into slots, recording each triplet's
-     slot by its original index.  [tof] holds every triplet index once,
-     so the merge overwrites all of [by_col]: it becomes the slot map. *)
-  let slot = by_col in
-  let row_start = Array.make (n + 1) 0 in
-  let col_buf = Array.make len 0 in
-  let w = ref 0 in
-  for i = 0 to n - 1 do
-    row_start.(i) <- !w;
-    let hi = tri_start.(i + 1) in
-    let p = ref tri_start.(i) in
-    while !p < hi do
-      let c = b.bj.(tof.(!p)) in
-      col_buf.(!w) <- c;
-      while !p < hi && b.bj.(tof.(!p)) = c do
-        slot.(tof.(!p)) <- !w;
-        incr p
+  sh.sh_cursor <- Array.sub sh.sh_start 0 sh.sh_n;
+  sh.sh_col <- Array.make sh.sh_len 0;
+  sh.sh_slot <- Array.make sh.sh_len 0;
+  sh.sh_placed <- 0
+
+let place sh i j =
+  if sh.sh_placed < 0 then start_placing sh;
+  if i < 0 || i >= sh.sh_n || j < 0 || j >= sh.sh_n then
+    invalid_arg "Sparse.place: index out of range";
+  let p = sh.sh_cursor.(i) in
+  if p = sh.sh_start.(i + 1) then
+    invalid_arg "Sparse.place: more triplets in a row than counted";
+  sh.sh_col.(p) <- j;
+  sh.sh_slot.(sh.sh_placed) <- p;
+  sh.sh_cursor.(i) <- p + 1;
+  sh.sh_placed <- sh.sh_placed + 1
+
+(* Sorts [a.(lo)] … [a.(hi - 1)]: insertion sort for a fine level's
+   short rows; a coarse level's long rows, where insertion would turn
+   quadratic, go through [Array.sort]. *)
+let sort_range (a : int array) lo hi =
+  if hi - lo > 32 then begin
+    let row = Array.sub a lo (hi - lo) in
+    Array.sort Int.compare row;
+    Array.blit row 0 a lo (hi - lo)
+  end
+  else
+    for p = lo + 1 to hi - 1 do
+      let c = a.(p) in
+      let q = ref p in
+      while !q > lo && a.(!q - 1) > c do
+        a.(!q) <- a.(!q - 1);
+        decr q
       done;
-      incr w
+      a.(!q) <- c
+    done
+
+let pattern sh =
+  if sh.sh_placed < 0 then start_placing sh;
+  if sh.sh_placed <> sh.sh_len then
+    invalid_arg "Sparse.pattern: fewer triplets placed than counted";
+  let n = sh.sh_n and start = sh.sh_start and seg = sh.sh_col in
+  (* [mark] holds per column the last row it was met in (first sweep),
+     then its slot in the current row (second sweep; an older row's
+     slots lie below the current row's). *)
+  let mark = Array.make n (-1) in
+  let row_start = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    row_start.(i + 1) <- row_start.(i);
+    for p = start.(i) to start.(i + 1) - 1 do
+      if mark.(seg.(p)) <> i then begin
+        mark.(seg.(p)) <- i;
+        row_start.(i + 1) <- row_start.(i + 1) + 1
+      end
     done
   done;
-  row_start.(n) <- !w;
-  (* Scatter the values in triplet order, as every later pass does
-     through [slots]. *)
-  let values = Array.make !w 0. in
-  for k = 0 to len - 1 do
-    values.(slot.(k)) <- values.(slot.(k)) +. b.bv.(k)
+  let col = Array.make row_start.(n) 0 in
+  Array.fill mark 0 n (-1);
+  for i = 0 to n - 1 do
+    let lo = row_start.(i) and w = ref row_start.(i) in
+    for p = start.(i) to start.(i + 1) - 1 do
+      if mark.(seg.(p)) < lo then begin
+        mark.(seg.(p)) <- !w;
+        col.(!w) <- seg.(p);
+        incr w
+      end
+    done;
+    sort_range col lo !w;
+    for s = lo to !w - 1 do
+      mark.(col.(s)) <- s
+    done;
+    for p = start.(i) to start.(i + 1) - 1 do
+      seg.(p) <- mark.(seg.(p))
+    done
   done;
-  let col = Array.sub col_buf 0 !w in
-  let pat =
-    {
-      pn = n;
-      sl =
-        { s_len = len; s_slot = slot; s_indptr = row_start; s_indices = col;
-          s_values = values };
-      p_matrix = { n; row_start; col; value = values };
-    }
-  in
-  (pat, seal pat)
-
+  let slot = sh.sh_slot in
+  for k = 0 to sh.sh_len - 1 do
+    slot.(k) <- seg.(slot.(k))
+  done;
+  let value = Array.make row_start.(n) 0. in
+  { pn = n;
+    sl = { s_slot = slot; s_indptr = row_start; s_indices = col; s_values = value };
+    p_matrix = { n; row_start; col; value } }
 
 let dim m = m.n
 

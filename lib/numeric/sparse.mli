@@ -3,9 +3,12 @@
     The quadratic placement objective (paper, eq. 1) yields a symmetric
     positive-definite matrix C whose off-diagonal entries are the negated
     clique edge weights and whose diagonal accumulates all incident weights.
-    Matrices are assembled through a mutable {!builder} that accepts
-    duplicate coordinate entries (they are summed) and then frozen into an
-    immutable CSR {!t} for fast matrix-vector products. *)
+    A matrix is assembled either through a mutable {!builder} that
+    accepts duplicate coordinate entries (they are summed) and then
+    freezes into an immutable CSR {!t} — the reference assembler — or,
+    when the same (i, j) stream is assembled again and again, through a
+    {!pattern} recorded once by a {!shape} and filled through {!slots}
+    and {!seal}. *)
 
 (** Frozen CSR matrix. *)
 type t
@@ -13,10 +16,9 @@ type t
 (** Mutable assembly buffer. *)
 type builder
 
-(** [builder ?capacity n] is an empty builder for an [n]×[n] matrix with
-    room for [capacity] triplets (default 16) before it starts doubling.
-    Raises [Invalid_argument] if [n] or [capacity] is negative. *)
-val builder : ?capacity:int -> int -> builder
+(** [builder n] is an empty builder for an [n]×[n] matrix.  Raises
+    [Invalid_argument] if [n] is negative. *)
+val builder : int -> builder
 
 (** [add b i j v] adds [v] to entry (i, j).  Symmetry is the caller's
     responsibility: call it for both (i, j) and (j, i), or use
@@ -34,34 +36,48 @@ val add_diag : builder -> int -> float -> unit
     builder into CSR form.  The builder may be reused afterwards. *)
 val finalize : builder -> t
 
-(** Frozen symbolic structure of one builder state: the merged CSR
-    sparsity pattern plus the triplet→slot permutation (in {!finalize}'s
-    exact accumulation order).  The placement matrix keeps the same
-    pattern across every Kraftwerk transformation — only the values
-    change — so the sort-and-dedup of {!finalize} is paid once and each
-    later iteration scatters its values through {!slots} and {!seal}
-    instead. *)
+(** Frozen symbolic structure of one triplet stream: the merged CSR
+    sparsity pattern plus the triplet→slot map.  The placement matrix
+    keeps one pattern across every Kraftwerk transformation, so it is
+    recorded once and each assembly scatters its values through
+    {!slots} and {!seal}. *)
 type pattern
 
-(** [compile b] performs one finalize-equivalent pass, returning the
-    frozen pattern together with the assembled matrix.  The matrix is
-    bitwise-identical to [finalize b] and, like {!seal}'s, aliases the
-    pattern's storage.  The pattern shares no storage with [b]. *)
-val compile : builder -> pattern * t
+(** The recorder of a pattern: it keeps no value and one transient int
+    per triplet.  The stream is replayed twice, first {!count}ing each
+    triplet's row, then {!place}-ing each (row, column) in the same
+    order; {!pattern} merges each row's columns into its slots. *)
+type shape
+
+(** [shape n] is an empty recorder for an [n]×[n] pattern. *)
+val shape : int -> shape
+
+(** [count sh i] tallies one triplet in row [i]; not after a {!place}. *)
+val count : shape -> int -> unit
+
+(** [place sh i j] places the stream's next triplet at (i, j); the first
+    call sizes the recorder from the tallies.  A row placed more often
+    than counted raises [Invalid_argument]. *)
+val place : shape -> int -> int -> unit
+
+(** [pattern sh] is the pattern of the placed stream, with every slot
+    value zero: each row's distinct columns, ascending, are its slots,
+    and the k-th {!place} maps to the slot of its (i, j).  It takes over
+    the recorder's storage, which is then spent.  Raises
+    [Invalid_argument] if fewer triplets were placed than counted. *)
+val pattern : shape -> pattern
 
 (** The per-triplet view of a pattern, for an assembler that replays its
-    triplet stream itself instead of going through a {!builder}:
-    triplet [k] of the compiled stream sits at (i, j) iff its slot
+    triplet stream itself: triplet [k] sits at (i, j) iff its slot
     [s = s_slot.(k)] lies in CSR row i ([s_indptr.(i) <= s <
     s_indptr.(i + 1)]) with [s_indices.(s) = j], and accumulates into
     [s_values.(s)].  Zeroing [s_values] and adding each triplet's value
-    in stream order is exactly what {!compile} does, so {!seal} then
-    yields the matrix {!finalize} would have built — the allocation-free
-    steady state of the QP assembly, whose per-element loop cannot call
-    into this module without boxing every float. *)
+    in stream order sums every slot in {!finalize}'s order, so {!seal}
+    then yields the matrix {!finalize} would have built — the
+    allocation-free steady state of the QP assembly, whose per-element
+    loop cannot call into this module without boxing every float. *)
 type slots = private {
-  s_len : int;  (** triplet count of the compiled stream *)
-  s_slot : int array;  (** triplet → slot *)
+  s_slot : int array;  (** triplet → slot; its length is the stream's *)
   s_indptr : int array;  (** the pattern's CSR row starts (length n + 1) *)
   s_indices : int array;  (** the pattern's CSR column of each slot *)
   s_values : float array;  (** the pattern's value storage, CSR order *)
@@ -72,8 +88,9 @@ val slots : pattern -> slots
 
 (** [seal pat] is the matrix of the values currently in the pattern's
     slots: the pattern's own CSR (aliasing its storage, invalidated by
-    the next scatter into the same pattern) or, when some slot sums to exactly zero, a compacted fresh copy —
-    as {!finalize} drops such entries. *)
+    the next scatter into the same pattern) or, when some slot sums to
+    exactly zero, a compacted fresh copy — as {!finalize} drops such
+    entries. *)
 val seal : pattern -> t
 
 (** [dim m] is the row (= column) count. *)

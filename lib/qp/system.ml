@@ -99,23 +99,28 @@ let assembly (c : Netlist.Circuit.t) ?(clique_cap = 16) () =
 let assembly_stats asm = (asm.reused, asm.pattern_rebuilds)
 
 (* A direct pass met a triplet other than the one its pattern was
-   compiled from. *)
+   recorded from. *)
 exception Drift
 
-(* Where a pass sends its triplets.  A recording pass appends them to
-   a builder.  A direct pass (the steady state) adds each value straight
-   into the slot the cached pattern assigns to that stream position,
-   once that slot is checked to sit at (i, j): a slot then receives its
-   values in stream order, which is the order [Sparse.compile] adds
-   them, so the sums are bitwise those of a recorded pass. *)
-type sink = Record of Numeric.Sparse.builder | Scatter of Numeric.Sparse.slots
+(* Where a pass sends its triplets.  A pattern is recorded by streaming
+   the pass twice with no value kept: [Count] tallies each triplet's
+   row, [Place] lays out its (row, column).  A direct pass [Scatter]
+   adds each value straight into the slot the pattern assigns to that
+   stream position, once that slot is checked to sit at (i, j): a slot
+   then receives its values in stream order, the order [Sparse.finalize]
+   sums them in, so the sums are bitwise those of the reference. *)
+type sink =
+  | Count of Numeric.Sparse.shape
+  | Place of Numeric.Sparse.shape
+  | Scatter of Numeric.Sparse.slots
 
 let[@inline] emit asm sink i j v =
   match sink with
-  | Record b -> Numeric.Sparse.add b i j v
+  | Count sh -> Numeric.Sparse.count sh i
+  | Place sh -> Numeric.Sparse.place sh i j
   | Scatter sl ->
     let k = asm.next in
-    let s = if k < sl.s_len then sl.s_slot.(k) else -1 in
+    let s = if k < Array.length sl.s_slot then sl.s_slot.(k) else -1 in
     if s < sl.s_indptr.(i) || s >= sl.s_indptr.(i + 1) || sl.s_indices.(s) <> j then
       raise_notrace Drift;
     sl.s_values.(s) <- sl.s_values.(s) +. v;
@@ -126,10 +131,10 @@ let[@inline] emit asm sink i j v =
    0. when the pair adds no spring (non-positive weight, or both pins on
    one cell).  Spring weights are axis-independent, so the matrix term is
    emitted once and only the constant terms split between the x and y
-   systems.  Contributions follow the half-gradient convention (the
-   common factor 2 is dropped throughout).  Inlined into the net loop:
-   it reads the pin table and coordinates directly and passes no float
-   across a call. *)
+   systems; a recording pass, which keeps no value, skips them.
+   Contributions follow the half-gradient convention (the common factor
+   2 is dropped throughout).  Inlined into the net loop: it reads the pin
+   table and coordinates directly and passes no float across a call. *)
 let[@inline] clique_spring asm sink ~edge_scale ~px ~py pa pb w =
   let c = asm.a_circuit in
   let pin_dx = c.Netlist.Circuit.pin_dx and pin_dy = c.Netlist.Circuit.pin_dy in
@@ -145,30 +150,33 @@ let[@inline] clique_spring asm sink ~edge_scale ~px ~py pa pb w =
   if w > 0. && ca <> cb then begin
     let incident = asm.incident and ddx = asm.adx and ddy = asm.ady in
     let va = asm.a_var_of_cell.(ca) and vb = asm.a_var_of_cell.(cb) in
+    if va >= 0 then emit asm sink va va w;
+    if vb >= 0 then emit asm sink vb vb w;
     if va >= 0 && vb >= 0 then begin
-      incident.(va) <- incident.(va) +. w;
-      incident.(vb) <- incident.(vb) +. w;
-      emit asm sink va va w;
-      emit asm sink vb vb w;
       emit asm sink va vb (-.w);
-      emit asm sink vb va (-.w);
-      ddx.(va) <- ddx.(va) +. (w *. (pin_dx.(pa) -. pin_dx.(pb)));
-      ddx.(vb) <- ddx.(vb) +. (w *. (pin_dx.(pb) -. pin_dx.(pa)));
-      ddy.(va) <- ddy.(va) +. (w *. (pin_dy.(pa) -. pin_dy.(pb)));
-      ddy.(vb) <- ddy.(vb) +. (w *. (pin_dy.(pb) -. pin_dy.(pa)))
-    end
-    else if va >= 0 then begin
-      incident.(va) <- incident.(va) +. w;
-      emit asm sink va va w;
-      ddx.(va) <- ddx.(va) +. (w *. (pin_dx.(pa) -. (px.(cb) +. pin_dx.(pb))));
-      ddy.(va) <- ddy.(va) +. (w *. (pin_dy.(pa) -. (py.(cb) +. pin_dy.(pb))))
-    end
-    else if vb >= 0 then begin
-      incident.(vb) <- incident.(vb) +. w;
-      emit asm sink vb vb w;
-      ddx.(vb) <- ddx.(vb) +. (w *. (pin_dx.(pb) -. (px.(ca) +. pin_dx.(pa))));
-      ddy.(vb) <- ddy.(vb) +. (w *. (pin_dy.(pb) -. (py.(ca) +. pin_dy.(pa))))
+      emit asm sink vb va (-.w)
     end;
+    (match sink with
+    | Count _ | Place _ -> ()
+    | Scatter _ ->
+      if va >= 0 && vb >= 0 then begin
+        incident.(va) <- incident.(va) +. w;
+        incident.(vb) <- incident.(vb) +. w;
+        ddx.(va) <- ddx.(va) +. (w *. (pin_dx.(pa) -. pin_dx.(pb)));
+        ddx.(vb) <- ddx.(vb) +. (w *. (pin_dx.(pb) -. pin_dx.(pa)));
+        ddy.(va) <- ddy.(va) +. (w *. (pin_dy.(pa) -. pin_dy.(pb)));
+        ddy.(vb) <- ddy.(vb) +. (w *. (pin_dy.(pb) -. pin_dy.(pa)))
+      end
+      else if va >= 0 then begin
+        incident.(va) <- incident.(va) +. w;
+        ddx.(va) <- ddx.(va) +. (w *. (pin_dx.(pa) -. (px.(cb) +. pin_dx.(pb))));
+        ddy.(va) <- ddy.(va) +. (w *. (pin_dy.(pa) -. (py.(cb) +. pin_dy.(pb))))
+      end
+      else if vb >= 0 then begin
+        incident.(vb) <- incident.(vb) +. w;
+        ddx.(vb) <- ddx.(vb) +. (w *. (pin_dx.(pb) -. (px.(ca) +. pin_dx.(pa))));
+        ddy.(vb) <- ddy.(vb) +. (w *. (pin_dy.(pb) -. (py.(ca) +. pin_dy.(pa))))
+      end);
     w
   end
   else 0.
@@ -213,20 +221,6 @@ let stream_clique asm sink ~edge_scale ~px ~py ~net_weights =
   done;
   if !count = 0 then 1. else !total /. float_of_int !count
 
-(* A builder for one recording pass, sized so it never grows: at
-   most four triplets per spring (k(k−1)/2 springs for a net up to the
-   cap, its sample above), then an anchor and a hold diagonal per
-   variable. *)
-let clique_builder asm =
-  let springs = ref 0 in
-  for ni = 0 to Netlist.Circuit.num_nets asm.a_circuit - 1 do
-    let k = Netlist.Circuit.degree asm.a_circuit ni in
-    springs :=
-      !springs
-      + if k <= asm.a_cap then k * (k - 1) / 2 else Array.length asm.a_sampled.(ni)
-  done;
-  Numeric.Sparse.builder ~capacity:((4 * !springs) + (2 * asm.a_n)) asm.a_n
-
 (* The hold springs' d terms: d = d_pre − hw·hold_at, hw being the
    cell's hold spring weight, or d = d_pre when there is no hold. *)
 let apply_hold asm ~(placement : Netlist.Placement.t) ~mean_w ~hold ~hold_at =
@@ -247,16 +241,12 @@ let apply_hold asm ~(placement : Netlist.Placement.t) ~mean_w ~hold ~hold_at =
   end
 
 (* One assembly pass: every clique spring, then the anchor springs, then
-   the hold springs, into a builder or the cached pattern's slots.
+   the hold springs, into a recorder or the cached pattern's slots.
    Returns the mean edge weight. *)
 let stream asm sink ~(placement : Netlist.Placement.t) ~net_weights ~edge_scale
     ~anchor_weight ~hold ~hold_at =
   let n = asm.a_n in
   Array.fill asm.incident 0 n 0.;
-  asm.next <- 0;
-  (match sink with
-  | Scatter sl -> Array.fill sl.s_values 0 (Array.length sl.s_values) 0.
-  | Record _ -> ());
   Array.fill asm.adx 0 n 0.;
   Array.fill asm.ady 0 n 0.;
   let px = placement.Netlist.Placement.x
@@ -283,9 +273,6 @@ let stream asm sink ~(placement : Netlist.Placement.t) ~net_weights ~edge_scale
       emit asm sink v v (hold *. Float.max asm.incident.(v) mean_w)
     done;
   apply_hold asm ~placement ~mean_w ~hold ~hold_at;
-  (match sink with
-  | Scatter sl when asm.next <> sl.Numeric.Sparse.s_len -> raise_notrace Drift
-  | _ -> ());
   mean_w
 
 (* A full pass: every spring, anchor and hold term streamed into the
@@ -296,33 +283,41 @@ let full_pass asm ~placement ~net_weights ~edge_scale ~anchor_weight ~hold
     stream asm sink ~placement ~net_weights ~edge_scale ~anchor_weight ~hold
       ~hold_at
   in
-  (* A recording pass pays one symbolic compile and caches the new
-     pattern.  Its builder holds storage for that pass only: every later
-     pass scatters into the pattern's slots.  The timer [qp/refill]
-     covers the freeze step of either pass (the compile here, [seal]
-     below); perfbench reports it as [qp.refill_ms]. *)
-  let recorded () =
-    let b = clique_builder asm in
-    let mean_w = pass (Record b) in
-    let pat, m = Obs.Timer.time "qp/refill" (fun () -> Numeric.Sparse.compile b) in
+  (* A recording streams the pass twice into a recorder that is local
+     to it and caches the new pattern; the values come from the direct
+     pass that follows, as on every later pass.  The timer [qp/refill]
+     covers the freeze steps (the pattern's merge, [seal]); perfbench
+     reports it as [qp.refill_ms]. *)
+  let record () =
+    let sh = Numeric.Sparse.shape asm.a_n in
+    ignore (pass (Count sh));
+    ignore (pass (Place sh));
+    let pat = Obs.Timer.time "qp/refill" (fun () -> Numeric.Sparse.pattern sh) in
     asm.pat <- Some pat;
     asm.pattern_rebuilds <- asm.pattern_rebuilds + 1;
-    (mean_w, m)
+    pat
+  in
+  let scatter pat =
+    let sl = Numeric.Sparse.slots pat in
+    Array.fill sl.s_values 0 (Array.length sl.s_values) 0.;
+    asm.next <- 0;
+    let mean_w = pass (Scatter sl) in
+    if asm.next <> Array.length sl.s_slot then raise_notrace Drift;
+    (mean_w, Obs.Timer.time "qp/refill" (fun () -> Numeric.Sparse.seal pat))
   in
   (* The structure is fixed by the circuit and the sign of the net
      weights, so once a pattern exists the pass scatters straight into
-     it; a drifted structure (a net weight reaching zero) falls back to
-     recording. *)
+     it; a drifted structure (a net weight reaching zero) is recorded
+     again. *)
   let mean_w, m =
     match asm.pat with
     | Some pat -> (
-      match pass (Scatter (Numeric.Sparse.slots pat)) with
-      | mean_w ->
-        let m = Obs.Timer.time "qp/refill" (fun () -> Numeric.Sparse.seal pat) in
+      match scatter pat with
+      | r ->
         asm.reused <- asm.reused + 1;
-        (mean_w, m)
-      | exception Drift -> recorded ())
-    | None -> recorded ()
+        r
+      | exception Drift -> scatter (record ()))
+    | None -> scatter (record ())
   in
   {
     circuit = asm.a_circuit;
@@ -418,10 +413,6 @@ let build (c : Netlist.Circuit.t) ~placement ~net_weights ~edge_scale
 let mean_edge_weight t = t.mean_edge_weight
 
 let num_movable t = t.n_movable
-
-let variable_of_cell t id =
-  let v = t.var_of_cell.(id) in
-  if v >= 0 then Some v else None
 
 let matrix t = t.m
 

@@ -23,12 +23,13 @@ val index_map : Netlist.Circuit.t -> int array * int
     sparsity {!Numeric.Sparse.pattern}, the d vectors (and d before its
     hold term), the Jacobi preconditioner storage, one
     {!Numeric.Cg.workspace} per axis, the edges sampled for nets above
-    the clique cap and the value cache of {!rebuild}.  A recording
-    pass's triplet builder lives for that pass only, sized from the
-    circuit so it never grows.  Keyed by circuit and clique cap at
-    creation; every {!rebuild} against it re-emits at most the numeric
-    values (the per-iteration work Kraftwerk repeats ~200 times), paying
-    the symbolic sort-and-merge once. *)
+    the clique cap and the value cache of {!rebuild}.  A pattern is
+    recorded by streaming the pass twice into a {!Numeric.Sparse.shape}
+    local to that recording, which keeps no value and one transient int
+    per triplet.  Keyed by circuit and clique cap at creation; every
+    {!rebuild} against it re-emits at most the numeric values (the
+    per-iteration work Kraftwerk repeats ~200 times), paying the
+    symbolic sort-and-merge once. *)
 type assembly
 
 (** [assembly circuit ?clique_cap ()] allocates the cached assembly
@@ -50,12 +51,12 @@ val assembly : Netlist.Circuit.t -> ?clique_cap:int -> unit -> assembly
 
     Otherwise a full pass runs.  The structure depends only on the
     circuit and on which nets have a positive weight, so once the first
-    pass has compiled its pattern every later pass scatters each value
+    pass has recorded its pattern every pass scatters each value
     straight into its matrix slot ({!Numeric.Sparse.slots}) and
     allocates nothing per net or edge; a pass whose structure drifted
-    (a net weight reached zero) is recorded again and recompiled.
-    Recompiles are counted (see {!assembly_stats}; a value-cache hit
-    counts as reused).
+    (a net weight reached zero) records the pattern again.  Recordings
+    are counted (see {!assembly_stats}; a value-cache hit counts as
+    reused).
 
     The returned system {e aliases} the assembly's storage (matrix
     values, d vectors, preconditioner, the solve buffers): it is
@@ -73,8 +74,8 @@ val rebuild :
 
 (** [assembly_stats asm] is [(reused, pattern_rebuilds)]: how many
     {!rebuild} passes reused the cached pattern (or the cached values)
-    vs. how many had to record and compile a new one (the first pass
-    always counts as a recompile). *)
+    vs. how many had to record a new one (the first pass always
+    records). *)
 val assembly_stats : assembly -> int * int
 
 (** [build circuit ~placement ~net_weights ~edge_scale ?clique_cap
@@ -140,10 +141,6 @@ val num_movable : t -> int
     forces stay commensurate with the wire-length forces whether or not
     linearisation rescaled them. *)
 val mean_edge_weight : t -> float
-
-(** [variable_of_cell t id] is the variable index of a movable cell, or
-    [None] for fixed cells. *)
-val variable_of_cell : t -> int -> int option
 
 (** [matrix t] exposes the assembled C, shared by both axes, for
     tests. *)

@@ -249,7 +249,7 @@ let test_cli_removed_flags () =
 (* A bad bench flag value is a usage error (exit 1), as is any flag the
    harness does not take, with no exception escaping. *)
 let test_bench_cli_usage () =
-  let exe = "../bench/main.exe" in
+  let exe = Test_server.repo_file "bench/main.exe" in
   List.iter
     (fun args ->
       let what = String.concat " " args in
@@ -355,7 +355,7 @@ let test_gate_trace () =
    stopped early names its reason, and the final legalized HPWL stays
    within 1% of the committed baseline. *)
 let test_gate_effort () =
-  let baseline = get "fract" (get "efforts" (read_json "../BENCH_place.json")) in
+  let baseline = get "fract" (get "efforts" (read_json (Test_server.repo_file "BENCH_place.json"))) in
   List.iter
     (fun e ->
       let recs =
@@ -393,7 +393,7 @@ let test_gate_effort () =
    15% routed overflow, and a fresh primary1 run stays within 5% of the
    committed routed overflow. *)
 let test_gate_routability () =
-  let rows = get "routability" (read_json "../BENCH_place.json") in
+  let rows = get "routability" (read_json (Test_server.repo_file "BENCH_place.json")) in
   List.iter
     (fun profile ->
       let row = get profile rows in
@@ -440,7 +440,7 @@ let test_gate_routability () =
    multilevel V-cycle row, and some row reached a million cells. *)
 let test_gate_mega_rows () =
   let rows =
-    match get "rows" (read_json "../BENCH_mega.json") with
+    match get "rows" (read_json (Test_server.repo_file "BENCH_mega.json")) with
     | J.Arr rows -> rows
     | _ -> Alcotest.fail "rows is not an array"
   in

@@ -239,13 +239,16 @@ let temp_sock () =
    (the runtime's restriction is sticky), and exec'ing the binary tests
    exactly what production runs.  [create_process] uses posix_spawn, so
    live domains are fine. *)
-let place_exe () =
-  let candidates =
-    [ "../bin/place.exe"; "_build/default/bin/place.exe"; "bin/place.exe" ]
-  in
+(* A file of the repository by its path from the root, found whether the
+   suite runs under [dune test] (from _build/default/test) or from the
+   repository root. *)
+let repo_file path =
+  let candidates = [ "../" ^ path; "_build/default/" ^ path; path ] in
   match List.find_opt Sys.file_exists candidates with
   | Some p -> p
-  | None -> Alcotest.fail "place.exe not built"
+  | None -> Alcotest.failf "%s not found (not built?)" path
+
+let place_exe () = repo_file "bin/place.exe"
 
 let spawn_server args =
   let exe = place_exe () in
