@@ -28,10 +28,10 @@ type iteration = {
   kernel_cache_misses : int;
   assembly_reused : bool;
       (** this transformation reused the cached sparsity pattern (or
-          the cached values) instead of recompiling *)
+          the cached values) instead of recording a new one *)
   pattern_rebuilds : int;
-      (** cumulative symbolic recompiles of the QP assembly so far,
-          including the initial compile *)
+      (** cumulative pattern recordings of the QP assembly so far,
+          including the initial one *)
   cg_tolerance : float;
       (** relative CG tolerance the solves used this transformation —
           the adaptive schedule loosens it while overflow is high *)
@@ -95,7 +95,7 @@ val volatile_fields : string list
 val strip_volatile : Json.t -> Json.t
 
 (** Fields recording process-local cache provenance rather than the
-    mathematical trajectory: a resumed run recompiles its QP assembly on
+    mathematical trajectory: a resumed run re-records its QP pattern on
     the first transformation where the uninterrupted run reused its
     cached pattern, and the FFT kernel-spectrum cache hits or misses
     depending on which runs shared the process before, so these (and

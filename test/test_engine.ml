@@ -47,7 +47,7 @@ let read_lines file =
 
 (* Deterministic payload of a trace's iteration records: volatile fields
    (timings, pool facts) and cache-provenance fields (a resumed run
-   recompiles where the uninterrupted run reused its pattern)
+   re-records where the uninterrupted run reused its pattern)
    stripped. *)
 let iteration_payloads file =
   read_lines file
