@@ -578,15 +578,18 @@ let multilevel () =
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks (A1, A3 and kernel costs)                 *)
 
+(* The host's core count, recorded beside every committed timing so
+   that numbers are compared like with like; every kernel runs on one
+   domain whatever it is. *)
+let cores () = Domain.recommended_domain_count ()
+
 (* Machine-readable kernel timings, so later PRs inherit a perf
    trajectory.  Written next to wherever the bench runs. *)
 let write_kernels_json path rows =
   let oc = open_out path in
   Printf.fprintf oc
-    "{\n  \"git\": %S,\n  \"domains\": %d,\n  \"scale\": %g,\n  \"kernels_ns\": {\n"
-    (git_revision ())
-    (Numeric.Parallel.num_domains ())
-    !scale;
+    "{\n  \"git\": %S,\n  \"cores\": %d,\n  \"scale\": %g,\n  \"kernels_ns\": {\n"
+    (git_revision ()) (cores ()) !scale;
   let n = List.length rows in
   List.iteri
     (fun i (name, est) ->
@@ -601,7 +604,6 @@ let write_kernels_json path rows =
   in
   let speedups =
     [
-      ("spmv_pool", ratio "kernels/spmv-seq-primary1" "kernels/spmv-pool-primary1");
       ( "fft_kernel_cache",
         ratio "kernels/poisson-fft-48-cold" "kernels/poisson-fft-48-warm" );
       ( "qp_refill",
@@ -621,7 +623,7 @@ let write_kernels_json path rows =
 let micro_run () =
   print_endline "";
   print_endline "Micro-benchmarks (bechamel): numerical kernels";
-  Printf.printf "domain pool: %d domain(s)\n" (Numeric.Parallel.num_domains ());
+  Printf.printf "host: %d core(s)\n" (cores ());
   let open Bechamel in
   let density_grid n =
     let rng = Numeric.Rng.create 5 in
@@ -638,9 +640,9 @@ let micro_run () =
       ~edge_scale:Qp.Weights.Quadratic ()
   in
   let n_mov = Qp.System.num_movable system in
-  (* Pooled vs sequential SpMV on the real placement matrix, and cold
-     vs warm FFT force field (kernel-spectrum cache): the before/after
-     pairs behind BENCH_kernels.json's speedup entries. *)
+  (* SpMV on the real placement matrix, and cold vs warm FFT force
+     field (kernel-spectrum cache): the before/after pair behind
+     BENCH_kernels.json's fft_kernel_cache speedup. *)
   let spmv_m = Qp.System.matrix system in
   let spmv_x =
     Array.init (Numeric.Sparse.dim spmv_m) (fun i ->
@@ -649,9 +651,7 @@ let micro_run () =
   let spmv_y = Array.make (Numeric.Sparse.dim spmv_m) 0. in
   let tests =
     [
-      Test.make ~name:"spmv-seq-primary1"
-        (Staged.stage (fun () -> Numeric.Sparse.mul_seq spmv_m spmv_x spmv_y));
-      Test.make ~name:"spmv-pool-primary1"
+      Test.make ~name:"spmv-primary1"
         (Staged.stage (fun () -> Numeric.Sparse.mul spmv_m spmv_x spmv_y));
       Test.make ~name:"poisson-fft-48-cold"
         (Staged.stage (fun () ->
@@ -905,7 +905,7 @@ let place_bench () =
     Obs.Json.Obj
       [
         ("git", Obs.Json.Str (git_revision ()));
-        ("domains", Obs.Json.Num (float_of_int (Numeric.Parallel.num_domains ())));
+        ("cores", Obs.Json.Num (float_of_int (cores ())));
         ("scale", Obs.Json.Num !scale);
         ("efforts", Obs.Json.Obj efforts);
         ("routability", Obs.Json.Obj routability);
@@ -1032,7 +1032,7 @@ let write_mega_json path rows =
     Obs.Json.Obj
       [
         ("git", Obs.Json.Str (git_revision ()));
-        ("domains", Obs.Json.Num (float_of_int (Numeric.Parallel.num_domains ())));
+        ("cores", Obs.Json.Num (float_of_int (cores ())));
         ("scale", Obs.Json.Num !scale);
         ("seed", Obs.Json.Num (float_of_int !seed));
         ( "note",
@@ -1060,8 +1060,7 @@ let write_mega_json path rows =
    [--mega] (optionally with [--scale] to shrink for smoke tests). *)
 let mega_bench () =
   print_endline "";
-  Printf.printf "Mega scaling suite (scale %g, %d domain(s))\n" !scale
-    (Numeric.Parallel.num_domains ());
+  Printf.printf "Mega scaling suite (scale %g, %d core(s))\n" !scale (cores ());
   Printf.printf "%-9s | %9s | %-10s | %7s | %6s | %10s | %9s | %8s\n"
     "profile" "cells" "flow" "grid" "iters" "ms/iter" "hpwl" "rss MB";
   let rows = ref [] in
@@ -1169,7 +1168,7 @@ let experiments =
 let usage () =
   Printf.printf
     "usage: main.exe [--table %s] [--experiment %s] [--micro] [--place] \
-     [--mega] [--scale S] [--seed N] [--domains D]\n"
+     [--mega] [--scale S] [--seed N]\n"
     (String.concat "|" (List.map (fun (n, _) -> string_of_int n) tables))
     (String.concat "|" (List.map fst experiments));
   exit 1
@@ -1191,14 +1190,6 @@ let () =
       parse rest
     | "--seed" :: v :: rest ->
       seed := value int_of_string_opt v;
-      parse rest
-    | "--domains" :: v :: rest ->
-      (* Applies to every suite: the pool is process-global and each
-         emitted JSON records the resulting num_domains. *)
-      Numeric.Parallel.set_num_domains
-        (value int_of_string_opt
-           ~ok:(fun d -> d >= 1 && d <= Numeric.Parallel.max_domains)
-           v);
       parse rest
     | "--table" :: v :: rest ->
       want_tables :=

@@ -99,7 +99,7 @@ let cmd_generate profile scale seed output =
     (Netlist.Circuit.num_cells c) (Netlist.Circuit.num_nets c) output
 
 let cmd_run circuit_file profile scale seed flow mode effort goal verbose
-    output svg domains trace =
+    output svg trace =
   let c, p0 = load_or_generate ~circuit_file ~profile ~scale ~seed in
   (* [mode], [effort] and [goal] arrive through Cmdliner enum convs, so a
      bad flag is a usage error with a clean exit code before this
@@ -107,12 +107,6 @@ let cmd_run circuit_file profile scale seed flow mode effort goal verbose
   let timing = goal = Engine.Objective.Timing in
   let obj = Engine.Objective.make ~goal ~mode ?effort () in
   let config = Engine.Objective.config obj in
-  let config = { config with Kraftwerk.Config.domains } in
-  (* Non-Kraftwerk flows never reach Placer.init; apply the pool size
-     here so their kernels (Gordian's QP solves, density maps) see it. *)
-  (match domains with
-  | Some d -> Numeric.Parallel.set_num_domains d
-  | None -> ());
   (* Telemetry: a JSONL sink receiving one record per placement
      transformation (any flow built on Kraftwerk.Placer emits them),
      plus a final summary record written after the printed metrics. *)
@@ -259,9 +253,6 @@ let parse_address s =
    drain.  --transcript copies the whole conversation to a file. *)
 let cmd_serve concurrency domains transcript listen max_pending
     max_conns request_timeout idle_timeout drain_grace =
-  (match domains with
-  | Some d -> Numeric.Parallel.set_num_domains d
-  | None -> ());
   match listen with
   | Some addr_str -> (
     let address = parse_address addr_str in
@@ -299,7 +290,7 @@ let cmd_serve concurrency domains transcript listen max_pending
       echo line
     in
     let sched =
-      Engine.Scheduler.create ~concurrency ?domains ~on_event:emit_event ()
+      Engine.Scheduler.create ~concurrency ~domains ~on_event:emit_event ()
     in
     Engine.Protocol.serve ~echo sched stdin stdout;
     Option.iter close_out transcript_oc
@@ -384,9 +375,6 @@ let cmd_metrics to_addr =
 (* [place batch]: submit every job spec of a JSONL file, run them all,
    and write one result line per job (submission order). *)
 let cmd_batch jobs_file concurrency domains output =
-  (match domains with
-  | Some d -> Numeric.Parallel.set_num_domains d
-  | None -> ());
   let specs =
     In_channel.with_open_text jobs_file (fun ic ->
         let rec read acc lineno =
@@ -411,7 +399,7 @@ let cmd_batch jobs_file concurrency domains output =
     Printf.eprintf "%s: no job specs\n" jobs_file;
     exit 1
   end;
-  let sched = Engine.Scheduler.create ~concurrency ?domains () in
+  let sched = Engine.Scheduler.create ~concurrency ~domains () in
   let ids = List.map (fun spec -> (Engine.Scheduler.submit sched spec, spec)) specs in
   Engine.Scheduler.drain sched;
   Engine.Scheduler.stop sched;
@@ -454,18 +442,32 @@ let cmd_profiles () =
 
 open Cmdliner
 
-(* --domains outside the pool's range is a usage error naming the
-   range, not a backtrace from Parallel or a silent clamp. *)
-let domains_conv =
+(* Engine and server limits outside their range are usage errors naming
+   the range, not an Invalid_argument from the scheduler or a server
+   running with a nonsense bound. *)
+let int_conv ~range ok =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 && n <= Numeric.Parallel.max_domains -> Ok n
+    | Some n when ok n -> Ok n
     | _ ->
-      Error
-        (Printf.sprintf "invalid value '%s', expected an integer in 1..%d" s
-           Numeric.Parallel.max_domains)
+      Error (Printf.sprintf "invalid value '%s', expected an integer %s" s range)
   in
   Arg.conv' ~docv:"N" (parse, Format.pp_print_int)
+
+let positive_int = int_conv ~range:">= 1" (fun n -> n >= 1)
+
+let domains_conv =
+  let max = Engine.Scheduler.max_workers in
+  int_conv ~range:(Printf.sprintf "in 1..%d" max) (fun n -> n >= 1 && n <= max)
+
+let seconds_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x >= 0. -> Ok x
+    | _ ->
+      Error (Printf.sprintf "invalid value '%s', expected a finite number >= 0" s)
+  in
+  Arg.conv' ~docv:"SECONDS" (parse, Format.pp_print_float)
 
 let profile_arg =
   Arg.(value & opt (some string) None & info [ "profile" ] ~doc:"Benchmark profile name.")
@@ -548,13 +550,6 @@ let run_cmd =
   let svg =
     Arg.(value & opt (some string) None & info [ "svg" ] ~doc:"Render the placement to an SVG file.")
   in
-  let domains =
-    Arg.(value & opt (some domains_conv) None
-         & info [ "domains" ]
-             ~doc:"Domain-pool size for parallel kernels (1 = exact \
-                   sequential reproducibility; default: KRAFTWERK_DOMAINS \
-                   or the hardware core count).")
-  in
   let trace =
     Arg.(value & opt (some string) None
          & info [ "trace" ]
@@ -566,25 +561,24 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Place a circuit and report metrics")
     Term.(const cmd_run $ circuit $ profile_arg $ scale_arg $ seed_arg $ flow
           $ mode $ effort_arg $ objective_arg $ verbose $ output
-          $ svg $ domains $ trace)
+          $ svg $ trace)
 
 let profiles_cmd =
   Cmd.v (Cmd.info "profiles" ~doc:"List benchmark profiles")
     Term.(const cmd_profiles $ const ())
 
 let concurrency_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt positive_int 1
        & info [ "concurrency" ]
            ~doc:"Jobs interleaved at once (transformation granularity).")
 
 let engine_domains_arg =
-  Arg.(value & opt (some domains_conv) None
+  Arg.(value & opt domains_conv 1
        & info [ "domains" ]
-           ~doc:"Domain-pool lanes split between concurrent jobs \
-                 (default: KRAFTWERK_DOMAINS or the hardware core count). \
-                 Above 1, min(concurrency, N) worker domains run job \
-                 slices with work stealing; job trajectories are \
-                 bitwise-identical either way.")
+           ~doc:"Worker domains: above 1, min(concurrency, N) worker \
+                 domains run job slices with work stealing; at 1 (the \
+                 default) the coordinator runs them.  Job trajectories \
+                 are bitwise-identical either way.")
 
 let serve_cmd =
   let transcript =
@@ -602,32 +596,32 @@ let serve_cmd =
                    127.0.0.1.")
   in
   let max_pending =
-    Arg.(value & opt int 64
+    Arg.(value & opt positive_int 64
          & info [ "max-pending" ]
              ~doc:"Admission bound: submits beyond this many queued jobs \
                    receive a typed overloaded error with a retry hint \
                    (socket mode).")
   in
   let max_conns =
-    Arg.(value & opt int 128
+    Arg.(value & opt positive_int 128
          & info [ "max-conns" ]
              ~doc:"Connection bound; excess connections are refused with \
                    an error line, never dropped silently (socket mode).")
   in
   let request_timeout =
-    Arg.(value & opt float 300.
+    Arg.(value & opt seconds_conv 300.
          & info [ "request-timeout" ]
              ~doc:"Seconds a wait/drain request may stay parked before it \
                    is answered with a not_terminal error (socket mode).")
   in
   let idle_timeout =
-    Arg.(value & opt float 0.
+    Arg.(value & opt seconds_conv 0.
          & info [ "idle-timeout" ]
              ~doc:"Close connections idle this many seconds with nothing \
                    outstanding; 0 disables (socket mode).")
   in
   let drain_grace =
-    Arg.(value & opt float 30.
+    Arg.(value & opt seconds_conv 30.
          & info [ "drain-grace" ]
              ~doc:"On SIGTERM/SIGINT/shutdown, seconds to let in-flight \
                    jobs finish before they are cancelled down to legal \

@@ -24,25 +24,10 @@ val auto_bins : Netlist.Circuit.t -> int * int
 val demand :
   Netlist.Circuit.t -> Netlist.Placement.t -> nx:int -> ny:int -> Geometry.Grid2.t
 
-(** The per-cell contribution slots of the parallel splat, reused by
-    every splat of one placement run. *)
-type contributions
-
-(** [contributions ()] is empty {!contributions}; they grow to the
-    circuit on the first parallel splat and are reused by every later
-    one. *)
-val contributions : unit -> contributions
-
-(** [demand_into ?contributions circuit placement g] is {!demand} written into
-    [g], a grid over the circuit's region, which is zeroed first: the
-    placer's per-transformation splat, allocation-free in its steady
-    state.  Circuits of at least 4096 cells splat in two passes across
-    the domain pool — per-cell contributions in parallel into
-    [contributions] (fresh ones when omitted), then the additions in cell
-    order — which
-    is bitwise-identical to the sequential splat. *)
+(** [demand_into circuit placement g] is {!demand} written into [g], a
+    grid over the circuit's region, which is zeroed first: the placer's
+    per-transformation splat, allocation-free in its steady state. *)
 val demand_into :
-  ?contributions:contributions ->
   Netlist.Circuit.t ->
   Netlist.Placement.t ->
   Geometry.Grid2.t ->

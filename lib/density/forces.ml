@@ -63,40 +63,32 @@ let at_cells ?buffers:bufs (c : Netlist.Circuit.t) (p : Netlist.Placement.t)
   let fx = b.bfx and fy = b.bfy in
   (* Bilinear reads of both field components on the bin-centre lattice —
      Grid2.sample's arithmetic, inlined so that a cell costs no call and
-     shares its stencil between the two components.  Each movable cell
-     owns its force slot, so sampling chunks across the domain pool with
-     bitwise-identical results. *)
+     shares its stencil between the two components. *)
   let x0 = region.Geometry.Rect.x_lo and y0 = region.Geometry.Rect.y_lo in
   let cells = c.Netlist.Circuit.cells in
   let px = p.Netlist.Placement.x and py = p.Netlist.Placement.y in
-  let sample_range i0 i1 =
-    for i = i0 to i1 - 1 do
-      let id = cells.(i).Netlist.Cell.id in
-      let v = var_of_cell.(id) in
-      if v >= 0 then begin
-        let sx = ((px.(id) -. x0) /. hx) -. 0.5 in
-        let sy = ((py.(id) -. y0) /. hy) -. 0.5 in
-        let ix0 = clamp_int (int_of_float (Float.floor sx)) 0 (nx - 1) in
-        let iy0 = clamp_int (int_of_float (Float.floor sy)) 0 (ny - 1) in
-        let ix1 = clamp_int (ix0 + 1) 0 (nx - 1) in
-        let iy1 = clamp_int (iy0 + 1) 0 (ny - 1) in
-        let tx = clamp_float (sx -. float_of_int ix0) 0. 1. in
-        let ty = clamp_float (sy -. float_of_int iy0) 0. 1. in
-        let i00 = (iy0 * nx) + ix0 and i10 = (iy0 * nx) + ix1 in
-        let i01 = (iy1 * nx) + ix0 and i11 = (iy1 * nx) + ix1 in
-        let top = ffx.(i00) +. (tx *. (ffx.(i10) -. ffx.(i00))) in
-        let bot = ffx.(i01) +. (tx *. (ffx.(i11) -. ffx.(i01))) in
-        fx.(v) <- top +. (ty *. (bot -. top));
-        let top = ffy.(i00) +. (tx *. (ffy.(i10) -. ffy.(i00))) in
-        let bot = ffy.(i01) +. (tx *. (ffy.(i11) -. ffy.(i01))) in
-        fy.(v) <- top +. (ty *. (bot -. top))
-      end
-    done
-  in
-  let ncells = Array.length cells in
-  if ncells >= 2048 && Numeric.Parallel.num_domains () > 1 then
-    Numeric.Parallel.parallel_range ~lo:0 ~hi:ncells sample_range
-  else sample_range 0 ncells;
+  for i = 0 to Array.length cells - 1 do
+    let id = cells.(i).Netlist.Cell.id in
+    let v = var_of_cell.(id) in
+    if v >= 0 then begin
+      let sx = ((px.(id) -. x0) /. hx) -. 0.5 in
+      let sy = ((py.(id) -. y0) /. hy) -. 0.5 in
+      let ix0 = clamp_int (int_of_float (Float.floor sx)) 0 (nx - 1) in
+      let iy0 = clamp_int (int_of_float (Float.floor sy)) 0 (ny - 1) in
+      let ix1 = clamp_int (ix0 + 1) 0 (nx - 1) in
+      let iy1 = clamp_int (iy0 + 1) 0 (ny - 1) in
+      let tx = clamp_float (sx -. float_of_int ix0) 0. 1. in
+      let ty = clamp_float (sy -. float_of_int iy0) 0. 1. in
+      let i00 = (iy0 * nx) + ix0 and i10 = (iy0 * nx) + ix1 in
+      let i01 = (iy1 * nx) + ix0 and i11 = (iy1 * nx) + ix1 in
+      let top = ffx.(i00) +. (tx *. (ffx.(i10) -. ffx.(i00))) in
+      let bot = ffx.(i01) +. (tx *. (ffx.(i11) -. ffx.(i01))) in
+      fx.(v) <- top +. (ty *. (bot -. top));
+      let top = ffy.(i00) +. (tx *. (ffy.(i10) -. ffy.(i00))) in
+      let bot = ffy.(i01) +. (tx *. (ffy.(i11) -. ffy.(i01))) in
+      fy.(v) <- top +. (ty *. (bot -. top))
+    end
+  done;
   (* Normalise by the field maximum over the whole grid, not over cell
      centres: at the §4.2 initial placement every cell sits at the region
      centre where the field vanishes by symmetry, and dividing by that

@@ -20,9 +20,7 @@ let version = 4
 (* Digests                                                              *)
 
 (* A canonical rendering of every config field that affects the
-   trajectory.  [domains] is deliberately excluded: the kernels are
-   bitwise-deterministic for any pool size, so a checkpoint taken at
-   --domains 4 resumes exactly at --domains 1.  The literals
+   trajectory.  [domains] is excluded: nothing reads it.  The literals
    [solver=fft] and [model=clique] stand for the Poisson evaluator and
    the net model the placer always uses; they stay so existing
    checkpoints keep their digest. *)

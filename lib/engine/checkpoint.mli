@@ -50,8 +50,8 @@ val version : int
 
 (** [config_digest config] is a stable hex digest over every
     {!Kraftwerk.Config.t} field — two configs with equal digests produce
-    the same trajectory from the same state (the [domains] field is
-    excluded: results are bitwise domain-count-independent). *)
+    the same trajectory from the same state (the [domains] field, which
+    nothing reads, is excluded). *)
 val config_digest : Kraftwerk.Config.t -> string
 
 val circuit_digest : Netlist.Circuit.t -> string

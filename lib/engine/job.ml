@@ -9,7 +9,6 @@ type spec = {
   objective : Objective.t;
   priority : int;
   deadline : float option;
-  domains : int option;
   max_steps : int option;
   start : start;
   checkpoint : string option;
@@ -18,14 +17,13 @@ type spec = {
 }
 
 let spec ~source ?(objective = Objective.default) ?(priority = 0) ?deadline
-    ?domains ?max_steps ?(start = Fresh) ?checkpoint ?(checkpoint_every = 25)
+    ?max_steps ?(start = Fresh) ?checkpoint ?(checkpoint_every = 25)
     ?trace () =
   {
     source;
     objective;
     priority;
     deadline;
-    domains;
     max_steps;
     start;
     checkpoint;
@@ -97,7 +95,6 @@ let spec_to_json s =
         ("objective", Objective.to_json s.objective);
         ("priority", int_ s.priority);
         ("deadline_s", opt num s.deadline);
-        ("domains", opt int_ s.domains);
         ("max_steps", opt int_ s.max_steps);
         ( "resume_from",
           match s.start with Resume f -> Str f | _ -> Null );
@@ -154,7 +151,6 @@ let spec_of_json v =
   in
   let* priority = field_opt_int v "priority" in
   let* deadline = field_opt_num v "deadline_s" in
-  let* domains = field_opt_int v "domains" in
   let* max_steps = field_opt_int v "max_steps" in
   let* resume_from = field_opt_str v "resume_from" in
   let* warm_start = field_opt_str v "warm_start" in
@@ -177,14 +173,6 @@ let spec_of_json v =
     | Some d when d < 0. -> Error "job: deadline_s must be >= 0"
     | _ -> Ok ()
   in
-  let* () =
-    match domains with
-    | Some d when d < 1 || d > Numeric.Parallel.max_domains ->
-      Error
-        (Printf.sprintf "job: domains must be in 1..%d"
-           Numeric.Parallel.max_domains)
-    | _ -> Ok ()
-  in
   let* trace = field_opt_str v "trace" in
   Ok
     {
@@ -192,7 +180,6 @@ let spec_of_json v =
       objective;
       priority = Option.value priority ~default:0;
       deadline;
-      domains;
       max_steps;
       start;
       checkpoint;

@@ -43,10 +43,6 @@ type spec = {
       (** wall-clock budget in seconds from job start; on expiry the job
           returns its best-so-far placement, greedily legalised, with
           status [Cancelled] — never an error *)
-  domains : int option;
-      (** domain-pool lanes while this job's transformations run, in
-          [1..Numeric.Parallel.max_domains]; [None] accepts the
-          scheduler's partition of the pool *)
   max_steps : int option;
       (** cap on the {e total} placer iteration counter (so a resumed
           job counts steps done before its checkpoint); [None] defers
@@ -67,7 +63,6 @@ val spec :
   ?objective:Objective.t ->
   ?priority:int ->
   ?deadline:float ->
-  ?domains:int ->
   ?max_steps:int ->
   ?start:start ->
   ?checkpoint:string ->

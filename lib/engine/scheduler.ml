@@ -85,7 +85,6 @@ type shard_metric = {
 
 type t = {
   concurrency : int;
-  base_domains : int;
   workers : int;  (* worker domains; 0 = the coordinator runs the loop *)
   on_event : event -> unit;  (* invoked only on the coordinator domain *)
   mutable next_id : int;
@@ -279,10 +278,7 @@ let fixed_positions_of circuit (p : Netlist.Placement.t) =
    status (or, via [validate_spec], refuses them at submit time). *)
 let start_running (spec : Job.spec) =
   let* circuit, p0 = Source.load spec.Job.source in
-  (* The scheduler owns the pool; the config must not repartition it. *)
-  let config =
-    { (Job.config_of_spec spec) with Kraftwerk.Config.domains = None }
-  in
+  let config = Job.config_of_spec spec in
   let crit_fresh () =
     if Job.timing spec then
       Some (Timing.Criticality.create (Netlist.Circuit.num_nets circuit))
@@ -630,15 +626,6 @@ let slice_body t entry run =
    the round-robin. *)
 let home t id = (id - 1) mod Array.length t.queues
 
-(* Lane budget of every slice: the spec's pin, else an equal split of
-   the base budget across the workers (all of it for the coordinator).
-   Applied with a domain-local pin, so no slice ever resizes the
-   process-wide pool. *)
-let lanes t entry =
-  match entry.spec.Job.domains with
-  | Some d -> d
-  | None -> max 1 (t.base_domains / max 1 t.workers)
-
 type work = Slice of entry | Claim of entry | Nothing
 
 (* Pick work for [shard], [t.lock] held: claim the best queued job while
@@ -711,9 +698,7 @@ let exec_slice t shard entry =
   (match entry.run with
   | None -> finish_failed t entry "scheduler: running job lost its state"
   | Some run -> (
-    try
-      Numeric.Parallel.with_lanes (lanes t entry) (fun () ->
-          slice_body t entry run)
+    try slice_body t entry run
     with exn -> finish_failed t entry (Printexc.to_string exn)));
   let dt = Unix.gettimeofday () -. t0 in
   Obs.Registry.observe "sched/slice_s" dt;
@@ -756,21 +741,16 @@ let worker t shard () =
 (* ------------------------------------------------------------------ *)
 (* Construction, stepping, cancellation                                 *)
 
-let create ?(concurrency = 1) ?domains ?(on_event = fun _ -> ()) () =
+let max_workers = 64
+
+let create ?(concurrency = 1) ?(domains = 1) ?(on_event = fun _ -> ()) () =
   if concurrency < 1 then invalid_arg "Scheduler.create: concurrency < 1";
-  let base_domains =
-    match domains with
-    | Some d ->
-      if d < 1 then invalid_arg "Scheduler.create: domains < 1";
-      d
-    | None -> Numeric.Parallel.num_domains ()
-  in
-  (* An explicit multi-lane budget asks for worker domains, one per lane
-     up to the concurrency (a worker without a runnable job would idle);
+  if domains < 1 || domains > max_workers then
+    invalid_arg "Scheduler.create: domains outside 1..max_workers";
+  (* More than one domain asks for worker domains, one per domain up to
+     the concurrency (a worker without a runnable job would idle);
      otherwise the caller's domain runs the loop. *)
-  let workers =
-    match domains with Some d when d > 1 -> min 64 (min concurrency d) | _ -> 0
-  in
+  let workers = if domains > 1 then min concurrency domains else 0 in
   let notify =
     if workers = 0 then None
     else begin
@@ -783,7 +763,6 @@ let create ?(concurrency = 1) ?domains ?(on_event = fun _ -> ()) () =
   let t =
     {
       concurrency;
-      base_domains;
       workers;
       on_event;
       next_id = 0;

@@ -16,12 +16,10 @@
     sequence and stealing changes only {e when} a slice runs, never what
     it computes.
 
-    Every job's trajectory is bitwise-identical to a solo run: the
-    {!Numeric.Parallel} combinators are deterministic for any lane
-    count, and there is one lane rule — every slice runs under a
-    {!Numeric.Parallel.with_lanes} pin of the job's own [domains]
-    budget, else [max 1 (base_domains / max 1 workers)].  The
-    process-wide pool is never resized.
+    Every job's trajectory is bitwise-identical to a solo run: its
+    slices run in sequence on whichever domain owns it, and every
+    numeric kernel runs on that one domain.  Worker domains are the only
+    parallelism: they run different jobs at once, never parts of one.
 
     Lifecycle events are queued and delivered on the coordinator by
     {!pump} (or {!step}/{!drain}/{!cancel}, which pump) — never from a
@@ -55,13 +53,15 @@ type event =
   | Checkpointed of id * string  (** checkpoint file written *)
   | Finished of id * Job.status  (** terminal status *)
 
+(** Largest [domains] {!create} accepts (64). *)
+val max_workers : int
+
 (** [create ()] — [concurrency] is the number of jobs running at once
-    (default 1); [domains] is the lane budget split between them
-    (default: the current {!Numeric.Parallel.num_domains}); [on_event]
-    observes lifecycle transitions.  An explicit [domains > 1] spawns
-    [min concurrency domains] worker domains (at most 64), held until
-    {!stop}; otherwise there are zero workers and {!step} runs the loop
-    on the caller. *)
+    (default 1); [on_event] observes lifecycle transitions.  [domains]
+    (default 1) above 1 spawns [min concurrency domains] worker domains,
+    held until {!stop}; at 1 there are zero workers and {!step} runs the
+    loop on the caller.  Raises [Invalid_argument] when [concurrency < 1]
+    or [domains] is outside [1..max_workers]. *)
 val create :
   ?concurrency:int -> ?domains:int -> ?on_event:(event -> unit) -> unit -> t
 

@@ -29,12 +29,10 @@ type t = {
   grid : (int * int) option;
       (** density-grid bins (nx, ny); [None] picks automatically *)
   domains : int option;
-      (** domain-pool size for the parallel kernels.  [None] defers to
-          the [KRAFTWERK_DOMAINS] environment variable / hardware
-          default; [Some 1] forces exact sequential execution (results
-          are bitwise-reproducible at any setting, but [1] also takes
-          the historical single-core code paths).  Applied by
-          {!Placer.init} via {!Numeric.Parallel.set_num_domains}. *)
+      (** read by nothing: every kernel runs on the calling domain.  It
+          stays only because the perfbench replay (perfbench/tool.ml)
+          sets it, and goes with that replay in ROADMAP item 3's
+          [benchmark] PR. *)
   cg_tol : float;
       (** tight relative CG tolerance used once the placement has nearly
           converged (default 1e-8) *)

@@ -1,7 +1,6 @@
 (* The density-side buffers of one state, reused by every
    transformation (the QP side lives in the assembly). *)
 type work = {
-  splat : Density.Density_map.contributions;
   forces : Density.Forces.buffers;
   extra_sum : Geometry.Grid2.t; (* hook demand + target map, when both run *)
 }
@@ -82,11 +81,6 @@ let fresh_route_target (config : Config.t) circuit =
    passes a checkpoint's, which is validated and copied. *)
 let make ?(telemetry_level = 0) ?ex ?ey ?net_weights ?controller ?route_target
     ?(iteration = 0) config circuit placement =
-  (* Pin the pool size before any kernel runs so the whole run uses one
-     setting; None leaves the KRAFTWERK_DOMAINS / hardware default. *)
-  (match config.Config.domains with
-  | Some d -> Numeric.Parallel.set_num_domains d
-  | None -> ());
   let var_of_cell, n_movable = Qp.System.index_map circuit in
   let saved ~what n fill = function
     | None -> Array.make n fill
@@ -131,7 +125,6 @@ let make ?(telemetry_level = 0) ?ex ?ey ?net_weights ?controller ?route_target
     demand = Density.Density_map.demand circuit placement ~nx ~ny;
     work =
       {
-        splat = Density.Density_map.contributions ();
         forces =
           Density.Forces.buffers circuit.Netlist.Circuit.region ~nx ~ny
             ~n_movable;
@@ -196,9 +189,6 @@ let transform ?(hooks = no_hooks) state =
     else Obs.Timer.time ("placer/" ^ name) f
   in
   let cache_hits0, cache_misses0 = Numeric.Poisson.kernel_cache_stats () in
-  let pool_tasks0 =
-    if collecting then (Obs.Registry.get "pool/tasks").Obs.Stat.total else 0.
-  in
   let prev =
     if collecting then Some (Netlist.Placement.copy state.placement) else None
   in
@@ -317,8 +307,8 @@ let transform ?(hooks = no_hooks) state =
      overflow and the next transformation's forces all read it. *)
   let hpwl, empty_square_area =
     timed "metrics" (fun () ->
-        Density.Density_map.demand_into ~contributions:state.work.splat state.circuit
-          state.placement state.demand;
+        Density.Density_map.demand_into state.circuit state.placement
+          state.demand;
         ( Metrics.Wirelength.hpwl state.circuit state.placement,
           Density.Stop.largest_empty_square_area state.demand ))
   in
@@ -354,7 +344,6 @@ let transform ?(hooks = no_hooks) state =
   in
   if collecting then begin
     let cache_hits1, cache_misses1 = Numeric.Poisson.kernel_cache_stats () in
-    let pool_tasks1 = (Obs.Registry.get "pool/tasks").Obs.Stat.total in
     let max_force, mean_force =
       force_stats ~ref_weight:drive forces state.n_movable
     in
@@ -383,8 +372,6 @@ let transform ?(hooks = no_hooks) state =
         assembly_reused = reused1 > reused0;
         pattern_rebuilds;
         cg_tolerance = tol;
-        domains = Numeric.Parallel.num_domains ();
-        pool_tasks = int_of_float (pool_tasks1 -. pool_tasks0);
         penalty;
         lb_hpwl = report.hpwl;
         ub_hpwl = report.ub_hpwl;

@@ -119,8 +119,7 @@ let workspace ~prows ~pcols =
     w
 
 (* Small per-domain scratch pairs (rfft packing, column gathers), keyed
-   by length.  Looked up inside parallel chunk bodies, so each executing
-   domain transparently gets its own. *)
+   by length, so jobs on different worker domains never share one. *)
 let pair_key : (int, float array * float array) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 4)
 
@@ -175,21 +174,16 @@ let forward_real ~prows ~pcols ~hw ~src ~src_rows ~src_cols ~dr ~di =
   let rp = Fft.rplan pcols in
   let cp = Fft.plan prows in
   let m = pcols / 2 in
-  Parallel.parallel_range ~lo:0 ~hi:src_rows
-    ~work:(src_rows * pcols * 12)
-    (fun a b ->
-      let zre, zim = scratch_pair m in
-      for r = a to b - 1 do
-        Fft.rfft_into rp ~src ~soff:(r * src_cols) ~count:src_cols ~outr:dr
-          ~outi:di ~ooff:(r * hw) ~zre ~zim
-      done);
+  let zre, zim = scratch_pair m in
+  for r = 0 to src_rows - 1 do
+    Fft.rfft_into rp ~src ~soff:(r * src_cols) ~count:src_cols ~outr:dr
+      ~outi:di ~ooff:(r * hw) ~zre ~zim
+  done;
   if src_rows < prows then begin
     Array.fill dr (src_rows * hw) ((prows - src_rows) * hw) 0.;
     Array.fill di (src_rows * hw) ((prows - src_rows) * hw) 0.
   end;
-  Parallel.parallel_range ~lo:0 ~hi:hw
-    ~work:(hw * prows * 12)
-    (batched_col_fft cp ~inverse:false ~prows ~width:hw ~re:dr ~im:di)
+  batched_col_fft cp ~inverse:false ~prows ~width:hw ~re:dr ~im:di 0 hw
 
 let build_kernel ~rows ~cols ~hx ~hy =
   let prows = Fft.next_pow2 (2 * rows) in
@@ -267,43 +261,38 @@ let fft_force_field ?out ~rows ~cols ~hx ~hy density =
      multiplies beats streaming four extra planes.  Both halves only
      read dr/di and write disjoint slots of the row, so one pass fills
      a whole Z row while it is hot in cache. *)
-  Parallel.parallel_range ~lo:0 ~hi:prows
-    ~work:(prows * pcols * 12)
-    (fun a b ->
-      for u = a to b - 1 do
-        let ko = u * hw and zo = u * pcols in
-        for v = 0 to half do
-          let drv = dr.(ko + v) and div = di.(ko + v) in
-          let xr = kxr.(ko + v) and xi = kxi.(ko + v) in
-          let yr = kyr.(ko + v) and yi = kyi.(ko + v) in
-          let pxr = (drv *. xr) -. (div *. xi) in
-          let pxi = (drv *. xi) +. (div *. xr) in
-          let pyr = (drv *. yr) -. (div *. yi) in
-          let pyi = (drv *. yi) +. (div *. yr) in
-          zr.(zo + v) <- pxr -. pyi;
-          zi.(zo + v) <- pxi +. pyr
-        done;
-        let u' = if u = 0 then 0 else prows - u in
-        let ko = u' * hw in
-        for v = half + 1 to pcols - 1 do
-          let v' = pcols - v in
-          let drv = dr.(ko + v') and div = di.(ko + v') in
-          let xr = kxr.(ko + v') and xi = kxi.(ko + v') in
-          let yr = kyr.(ko + v') and yi = kyi.(ko + v') in
-          let pxr = (drv *. xr) -. (div *. xi) in
-          let pxi = (drv *. xi) +. (div *. xr) in
-          let pyr = (drv *. yr) -. (div *. yi) in
-          let pyi = (drv *. yi) +. (div *. yr) in
-          (* Z(u,v) = conj(F̂x(u',v')) + i·conj(F̂y(u',v')) *)
-          zr.(zo + v) <- pxr +. pyi;
-          zi.(zo + v) <- -.pxi +. pyr
-        done
-      done);
+  for u = 0 to prows - 1 do
+    let ko = u * hw and zo = u * pcols in
+    for v = 0 to half do
+      let drv = dr.(ko + v) and div = di.(ko + v) in
+      let xr = kxr.(ko + v) and xi = kxi.(ko + v) in
+      let yr = kyr.(ko + v) and yi = kyi.(ko + v) in
+      let pxr = (drv *. xr) -. (div *. xi) in
+      let pxi = (drv *. xi) +. (div *. xr) in
+      let pyr = (drv *. yr) -. (div *. yi) in
+      let pyi = (drv *. yi) +. (div *. yr) in
+      zr.(zo + v) <- pxr -. pyi;
+      zi.(zo + v) <- pxi +. pyr
+    done;
+    let u' = if u = 0 then 0 else prows - u in
+    let ko = u' * hw in
+    for v = half + 1 to pcols - 1 do
+      let v' = pcols - v in
+      let drv = dr.(ko + v') and div = di.(ko + v') in
+      let xr = kxr.(ko + v') and xi = kxi.(ko + v') in
+      let yr = kyr.(ko + v') and yi = kyi.(ko + v') in
+      let pxr = (drv *. xr) -. (div *. xi) in
+      let pxi = (drv *. xi) +. (div *. xr) in
+      let pyr = (drv *. yr) -. (div *. yi) in
+      let pyi = (drv *. yi) +. (div *. yr) in
+      (* Z(u,v) = conj(F̂x(u',v')) + i·conj(F̂y(u',v')) *)
+      zr.(zo + v) <- pxr +. pyi;
+      zi.(zo + v) <- -.pxi +. pyr
+    done
+  done;
   let cp = Fft.plan prows in
   let cpc = Fft.plan pcols in
-  Parallel.parallel_range ~lo:0 ~hi:pcols
-    ~work:(pcols * prows * 12)
-    (batched_col_fft cp ~inverse:true ~prows ~width:pcols ~re:zr ~im:zi);
+  batched_col_fft cp ~inverse:true ~prows ~width:pcols ~re:zr ~im:zi 0 pcols;
   let f =
     match out with
     | Some f ->
@@ -318,14 +307,11 @@ let fft_force_field ?out ~rows ~cols ~hx ~hy density =
   in
   (* Inverse row pass over the needed rows only, in place, then unpack:
      fx is the real part of Z, fy the imaginary part. *)
-  Parallel.parallel_range ~lo:0 ~hi:rows
-    ~work:(rows * pcols * 12)
-    (fun a b ->
-      for r = a to b - 1 do
-        Fft.cfft cpc ~inverse:true zr zi (r * pcols);
-        Array.blit zr (r * pcols) f.fx (r * cols) cols;
-        Array.blit zi (r * pcols) f.fy (r * cols) cols
-      done);
+  for r = 0 to rows - 1 do
+    Fft.cfft cpc ~inverse:true zr zi (r * pcols);
+    Array.blit zr (r * pcols) f.fx (r * cols) cols;
+    Array.blit zi (r * pcols) f.fy (r * cols) cols
+  done;
   f
 
 let sor_potential ~rows ~cols ~hx ~hy ?(omega = 1.8) ?(tol = 1e-7) ?(max_iter = 10_000)

@@ -46,8 +46,8 @@ val direct_force_field :
     scratch is domain-local and keyed by padded geometry, so a loop
     re-evaluating a fixed grid allocates nothing after its first call
     when [out] is supplied.  [out] must match [rows]/[cols] and is
-    returned filled.  Results are bitwise-identical for any domain-pool
-    size and with or without [out]. *)
+    returned filled.  Results are bitwise-identical with or without
+    [out]. *)
 val fft_force_field :
   ?out:field ->
   rows:int ->

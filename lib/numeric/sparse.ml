@@ -237,8 +237,10 @@ let dim m = m.n
 
 let nnz m = Array.length m.col
 
-let mul_rows m x y r0 r1 =
-  for i = r0 to r1 - 1 do
+(* Each row keeps one sequential accumulation order. *)
+let mul m x y =
+  assert (Array.length x = m.n && Array.length y = m.n);
+  for i = 0 to m.n - 1 do
     let acc = ref 0. in
     for p = m.row_start.(i) to m.row_start.(i + 1) - 1 do
       acc := !acc +. (m.value.(p) *. x.(m.col.(p)))
@@ -246,29 +248,12 @@ let mul_rows m x y r0 r1 =
     y.(i) <- !acc
   done
 
-let mul_seq m x y =
-  assert (Array.length x = m.n && Array.length y = m.n);
-  mul_rows m x y 0 m.n
-
-(* Rows are independent and each keeps its sequential accumulation
-   order, so the row-chunked parallel product is bitwise-identical to
-   [mul_seq] for any domain count.  Small systems stay on the caller:
-   below the threshold task overhead swamps the work. *)
-let mul_par_threshold = 512
-
-let mul m x y =
-  assert (Array.length x = m.n && Array.length y = m.n);
-  if m.n >= mul_par_threshold && Parallel.num_domains () > 1 then
-    Parallel.parallel_range
-      ~chunk:(max 128 (m.n / (4 * Parallel.num_domains ())))
-      ~work:m.row_start.(m.n) ~lo:0 ~hi:m.n
-      (fun r0 r1 -> mul_rows m x y r0 r1)
-  else mul_rows m x y 0 m.n
-
 (* Two products in one row sweep: each row is read once and feeds both
-   accumulators, each keeping [mul_rows]'s accumulation order. *)
-let mul2_rows m xa ya xb yb r0 r1 =
-  for i = r0 to r1 - 1 do
+   accumulators, each keeping [mul]'s accumulation order. *)
+let mul2 m xa ya xb yb =
+  assert (Array.length xa = m.n && Array.length ya = m.n);
+  assert (Array.length xb = m.n && Array.length yb = m.n);
+  for i = 0 to m.n - 1 do
     let acc_a = ref 0. and acc_b = ref 0. in
     for p = m.row_start.(i) to m.row_start.(i + 1) - 1 do
       let v = m.value.(p) and c = m.col.(p) in
@@ -278,16 +263,6 @@ let mul2_rows m xa ya xb yb r0 r1 =
     ya.(i) <- !acc_a;
     yb.(i) <- !acc_b
   done
-
-let mul2 m xa ya xb yb =
-  assert (Array.length xa = m.n && Array.length ya = m.n);
-  assert (Array.length xb = m.n && Array.length yb = m.n);
-  if m.n >= mul_par_threshold && Parallel.num_domains () > 1 then
-    Parallel.parallel_range
-      ~chunk:(max 128 (m.n / (4 * Parallel.num_domains ())))
-      ~work:m.row_start.(m.n) ~lo:0 ~hi:m.n
-      (fun r0 r1 -> mul2_rows m xa ya xb yb r0 r1)
-  else mul2_rows m xa ya xb yb 0 m.n
 
 let diagonal_into m d =
   if Array.length d <> m.n then

@@ -99,21 +99,13 @@ val dim : t -> int
 (** [nnz m] is the number of stored entries. *)
 val nnz : t -> int
 
-(** [mul m x y] writes [m * x] into [y].  Large products are row-chunked
-    across the {!Parallel} domain pool; each row keeps its sequential
-    accumulation order, so the result is bitwise-identical to
-    {!mul_seq} for any domain count. *)
+(** [mul m x y] writes [m * x] into [y]; each row accumulates in
+    stored order. *)
 val mul : t -> float array -> float array -> unit
 
-(** [mul_seq m x y] is {!mul} pinned to the calling domain — the
-    reference sequential product (used by benchmarks and determinism
-    tests). *)
-val mul_seq : t -> float array -> float array -> unit
-
 (** [mul2 m xa ya xb yb] writes [m * xa] into [ya] and [m * xb] into
-    [yb] in one row sweep, row-chunked across the pool exactly like
-    {!mul}: each row is read once for both products.  Both outputs are
-    bitwise-identical to two {!mul_seq} calls. *)
+    [yb] in one row sweep: each row is read once for both products.
+    Both outputs are bitwise-identical to two {!mul} calls. *)
 val mul2 :
   t -> float array -> float array -> float array -> float array -> unit
 

@@ -1,6 +1,6 @@
 (* Global named-metric store.  Disabled by default: every recording
    entry point loads one atomic bool and returns, so instrumented hot
-   paths (CG, the domain pool, the FFT cache) pay nothing unless a
+   paths (CG, the FFT cache) pay nothing unless a
    caller opted in.  When enabled, updates take a single process-wide
    mutex — recording sites are coarse (per solve, per batch, per phase),
    never per element, so contention is negligible. *)

@@ -17,8 +17,6 @@ type iteration = {
   assembly_reused : bool;
   pattern_rebuilds : int;
   cg_tolerance : float;
-  domains : int;
-  pool_tasks : int;
   penalty : float;
   lb_hpwl : float;
   ub_hpwl : float option;
@@ -43,9 +41,9 @@ type summary = {
 
 (* Schema 5 is the only one parsed; bump it (and the writers) on any
    field change. *)
-let schema_version = 5
+let schema_version = 6
 
-let volatile_fields = [ "phases"; "domains"; "pool_tasks"; "wall_time"; "counters" ]
+let volatile_fields = [ "phases"; "wall_time"; "counters" ]
 
 let strip_volatile = function
   | Json.Obj fields ->
@@ -96,8 +94,6 @@ let iteration_to_json r =
       ("assembly_reused", Json.Bool r.assembly_reused);
       ("pattern_rebuilds", int_ r.pattern_rebuilds);
       ("cg_tolerance", num r.cg_tolerance);
-      ("domains", int_ r.domains);
-      ("pool_tasks", int_ r.pool_tasks);
       ("penalty", num r.penalty);
       ("lb_hpwl", num r.lb_hpwl);
       ( "ub_hpwl",
@@ -203,8 +199,6 @@ let iteration_of_json obj =
   in
   let* pattern_rebuilds = field_int obj "pattern_rebuilds" in
   let* cg_tolerance = field_num obj "cg_tolerance" in
-  let* domains = field_int obj "domains" in
-  let* pool_tasks = field_int obj "pool_tasks" in
   let* penalty = field_num obj "penalty" in
   let* lb_hpwl = field_num obj "lb_hpwl" in
   let* ub_hpwl = field_opt_num obj "ub_hpwl" in
@@ -248,8 +242,6 @@ let iteration_of_json obj =
       assembly_reused;
       pattern_rebuilds;
       cg_tolerance;
-      domains;
-      pool_tasks;
       penalty;
       lb_hpwl;
       ub_hpwl;

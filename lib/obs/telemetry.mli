@@ -35,8 +35,6 @@ type iteration = {
   cg_tolerance : float;
       (** relative CG tolerance the solves used this transformation —
           the adaptive schedule loosens it while overflow is high *)
-  domains : int;  (** domain-pool size (volatile) *)
-  pool_tasks : int;  (** pool tasks executed this iteration (volatile) *)
   penalty : float;
       (** density-force multiplier the convergence controller applied
           this transformation *)
@@ -80,10 +78,10 @@ type summary = {
   counters : (string * Stat.t) list;  (** registry snapshot (volatile) *)
 }
 
-(** Version stamped into every record as ["schema"] (5); bump on any
+(** Version stamped into every record as ["schema"] (6); bump on any
     field change.  {!iteration_of_json} and {!summary_of_json} parse this
     schema only: a record of any other schema is an [Error]
-    ["unsupported schema version N (this build reads 5)"]. *)
+    ["unsupported schema version N (this build reads 6)"]. *)
 val schema_version : int
 
 (** Fields excluded from determinism comparisons: timings and

@@ -4,7 +4,7 @@ module J = Obs.Json
 type config = {
   address : Address.t;
   concurrency : int;
-  domains : int option;
+  domains : int;
   max_pending : int;
   max_conns : int;
   request_timeout_s : float;
@@ -18,7 +18,7 @@ let config address =
   {
     address;
     concurrency = 2;
-    domains = None;
+    domains = 1;
     max_pending = 64;
     max_conns = 128;
     request_timeout_s = 300.;
@@ -516,7 +516,7 @@ let run cfg =
        indirection closes the cycle. *)
     let handler = ref (fun (_ : Engine.Scheduler.event) -> ()) in
     let sched =
-      Engine.Scheduler.create ~concurrency:cfg.concurrency ?domains:cfg.domains
+      Engine.Scheduler.create ~concurrency:cfg.concurrency ~domains:cfg.domains
         ~on_event:(fun e -> !handler e)
         ()
     in

@@ -36,11 +36,11 @@
 type config = {
   address : Address.t;
   concurrency : int;  (** jobs interleaved by the scheduler *)
-  domains : int option;
-      (** lane budget, as in {!Engine.Scheduler.create}: above 1 it
-          spawns worker domains, and the poll loop only services
+  domains : int;
+      (** worker domains, as in {!Engine.Scheduler.create}: above 1 the
+          workers run the jobs, and the poll loop only services
           connections and pumps lifecycle events (the scheduler's notify
-          pipe joins the poll set); otherwise the loop steps jobs itself
+          pipe joins the poll set); at 1 the loop steps jobs itself
           between polls *)
   max_pending : int;  (** admission bound on queued jobs *)
   max_conns : int;  (** beyond this, connections are refused politely *)
@@ -53,7 +53,7 @@ type config = {
   transcript : string option;  (** copy every protocol line to this file *)
 }
 
-(** [config address] — the defaults: concurrency 2, no lane budget (the
+(** [config address] — the defaults: concurrency 2, one domain (the
     loop steps jobs itself), admission bound 64 pending jobs, 128 connections, 300 s
     request timeout, idle timeout off, 30 s drain grace. *)
 val config : Address.t -> config

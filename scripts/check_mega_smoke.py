@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
-"""Check the traces of the multilevel mega smoke.
+"""Check the trace of the multilevel mega smoke.
 
-Usage: python3 scripts/check_mega_smoke.py REFERENCE.jsonl OTHER.jsonl
+Usage: python3 scripts/check_mega_smoke.py TRACE.jsonl
 
-Both files are `place run --flow multilevel --trace` outputs of the same
-job, REFERENCE at --domains 1 and OTHER at another pool size.  Each run
-must have coarsened, descended level by level to the flat netlist and
-legalized without overlap; each level must have compiled its QP
-pattern once and reused the assembly on every later iteration; the two
-runs must agree bitwise on the final HPWL and on the iteration count.
+TRACE is the `place run --flow multilevel --trace` output of one job.
+The run must have coarsened, descended level by level to the flat
+netlist and legalized without overlap; each level must have compiled
+its QP pattern once and reused the assembly on every later iteration.
 Exits non-zero on the first failed check.
 """
 
@@ -42,16 +40,11 @@ def check_run(path):
 
 
 def main(argv):
-    if len(argv) != 3:
+    if len(argv) != 2:
         sys.exit(__doc__.strip().splitlines()[2])
-    reference, other = check_run(argv[1]), check_run(argv[2])
-    # JSON floats are %.17g, so equality here is bitwise equality.
-    assert reference["final_hpwl"] == other["final_hpwl"], \
-        (reference["final_hpwl"], other["final_hpwl"])
-    assert reference["iterations"] == other["iterations"]
-    print(f"mega smoke OK: {reference['iterations']} iterations, "
-          f"final hpwl {reference['final_hpwl']:.6g}, "
-          "bitwise equal across pool sizes")
+    summary = check_run(argv[1])
+    print(f"mega smoke OK: {summary['iterations']} iterations, "
+          f"final hpwl {summary['final_hpwl']:.6g}")
 
 
 if __name__ == "__main__":

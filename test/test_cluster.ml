@@ -258,24 +258,16 @@ let test_finish_straight_down_legal_seating () =
       Alcotest.(check (float 1e-9)) "fixed y" py p.Netlist.Placement.y.(id))
     pads
 
-(* The V-cycle is bitwise-deterministic for any domain-pool size. *)
+(* The V-cycle run on a worker domain, with that domain's own scratch,
+   is bitwise the run on the calling domain. *)
 let test_multilevel_bitwise_across_domains () =
   let circuit, pads, p0 = build () in
-  Fun.protect
-    ~finally:(fun () -> Numeric.Parallel.set_num_domains 1)
-    (fun () ->
-      let place pool =
-        let config =
-          { deep_config with Kraftwerk.Config.domains = Some pool }
-        in
-        Kraftwerk.Cluster.place_multilevel config circuit ~fixed_positions:pads
-          (Netlist.Placement.copy p0)
-      in
-      let reference = place 1 in
-      List.iter
-        (fun pool ->
-          same_placement (Printf.sprintf "pool %d" pool) reference (place pool))
-        [ 2; 4 ])
+  let place () =
+    Kraftwerk.Cluster.place_multilevel deep_config circuit ~fixed_positions:pads
+      (Netlist.Placement.copy p0)
+  in
+  let reference = place () in
+  same_placement "worker domain" reference (Domain.join (Domain.spawn place))
 
 (* A different clustering seed changes the hierarchy (the seed is a real
    input), while the same seed reproduces it. *)
@@ -344,7 +336,7 @@ let suite =
       test_vcycle_steps_match_place_multilevel;
     Alcotest.test_case "finish straight down seats every cell" `Quick
       test_finish_straight_down_legal_seating;
-    Alcotest.test_case "V-cycle bitwise across domain pools" `Slow
+    Alcotest.test_case "V-cycle bitwise across domains" `Slow
       test_multilevel_bitwise_across_domains;
     Alcotest.test_case "clustering seed is a real input" `Slow
       test_multilevel_seed_sensitivity;

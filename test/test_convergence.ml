@@ -37,9 +37,7 @@ let the_run : run Lazy.t =
          (Circuitgen.Profiles.params ~scale:1.0 prof ~seed:42)
      in
      let p0 = Circuitgen.Gen.initial_placement circuit pads in
-     let config =
-       { Kraftwerk.Config.standard with Kraftwerk.Config.domains = Some 1 }
-     in
+     let config = Kraftwerk.Config.standard in
      Numeric.Poisson.clear_kernel_cache ();
      Obs.Registry.set_enabled true;
      Obs.Registry.reset ();

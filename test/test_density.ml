@@ -329,38 +329,6 @@ let test_overflow_ratio_extremes () =
   Alcotest.(check (float 1e-9)) "uniform lattice has no overflow" 0. spread;
   Alcotest.(check bool) "spreading reduces overflow" true (spread < clumped)
 
-(* The parallel two-pass splat engages from 4096 cells on a pool of two
-   or more; it must add exactly what the sequential splat adds. *)
-let test_demand_bitwise_across_pools () =
-  let prof = Circuitgen.Profiles.find "biomed" in
-  let c, _ = Circuitgen.Gen.generate (Circuitgen.Profiles.params prof ~seed:5) in
-  Alcotest.(check bool) "above the parallel threshold" true
-    (Netlist.Circuit.num_cells c >= 4096);
-  let rng = Numeric.Rng.create 11 in
-  let r = c.Netlist.Circuit.region in
-  let p = Netlist.Placement.create c in
-  for i = 0 to Netlist.Circuit.num_cells c - 1 do
-    p.Netlist.Placement.x.(i) <-
-      Numeric.Rng.uniform rng r.Geometry.Rect.x_lo r.Geometry.Rect.x_hi;
-    p.Netlist.Placement.y.(i) <-
-      Numeric.Rng.uniform rng r.Geometry.Rect.y_lo r.Geometry.Rect.y_hi
-  done;
-  let splat pool =
-    Numeric.Parallel.set_num_domains pool;
-    Array.map Int64.bits_of_float (Geometry.Grid2.values (demand c p))
-  in
-  Fun.protect
-    ~finally:(fun () -> Numeric.Parallel.set_num_domains 1)
-    (fun () ->
-      let reference = splat 1 in
-      List.iter
-        (fun pool ->
-          Alcotest.(check bool)
-            (Printf.sprintf "pool %d bitwise" pool)
-            true
-            (splat pool = reference))
-        [ 2; 4 ])
-
 (* Words allocated by [f], counted as minor + major − promoted (arrays
    above 256 words skip the minor heap). *)
 let allocated_by f =
@@ -390,68 +358,46 @@ let scattered_biomed () =
   done;
   (c, p)
 
-(* The placer's splat (in place, contribution slots reused) adds exactly what
-   Grid2.splat_rect adds per cell rectangle, cell by cell: on the
-   automatic grid and on one fine enough that cells cover more bins
-   than the parallel path's per-cell slots, at pools 1/2/4. *)
+(* The placer's splat (in place) adds exactly what Grid2.splat_rect adds
+   per cell rectangle, cell by cell: on the automatic grid and on one
+   four times finer, where cells cover many bins. *)
 let test_demand_matches_splat_rect () =
   let c, p = scattered_biomed () in
   let region = c.Netlist.Circuit.region in
   let anx, any = Density.Density_map.auto_bins c in
-  Fun.protect
-    ~finally:(fun () -> Numeric.Parallel.set_num_domains 1)
-    (fun () ->
-      List.iter
-        (fun (nx, ny) ->
-          let reference = Geometry.Grid2.create region ~nx ~ny in
-          Array.iter
-            (fun (cl : Netlist.Cell.t) ->
-              if cl.Netlist.Cell.kind <> Netlist.Cell.Pad then
-                Geometry.Grid2.splat_rect reference
-                  (Netlist.Placement.cell_rect c p cl.Netlist.Cell.id)
-                  (Netlist.Cell.area cl))
-            c.Netlist.Circuit.cells;
-          let bits g = Array.map Int64.bits_of_float (Geometry.Grid2.values g) in
-          let g = Geometry.Grid2.create region ~nx ~ny in
-          let contributions = Density.Density_map.contributions () in
-          List.iter
-            (fun pool ->
-              Numeric.Parallel.set_num_domains pool;
-              (* Twice: the second splat reuses a dirty grid and slots. *)
-              for pass = 1 to 2 do
-                Density.Density_map.demand_into ~contributions c p g;
-                Alcotest.(check bool)
-                  (Printf.sprintf "%dx%d pool %d pass %d" nx ny pool pass)
-                  true
-                  (bits g = bits reference)
-              done)
-            [ 1; 2; 4 ])
-        [ (anx, any); (4 * anx, 4 * any) ])
+  List.iter
+    (fun (nx, ny) ->
+      let reference = Geometry.Grid2.create region ~nx ~ny in
+      Array.iter
+        (fun (cl : Netlist.Cell.t) ->
+          if cl.Netlist.Cell.kind <> Netlist.Cell.Pad then
+            Geometry.Grid2.splat_rect reference
+              (Netlist.Placement.cell_rect c p cl.Netlist.Cell.id)
+              (Netlist.Cell.area cl))
+        c.Netlist.Circuit.cells;
+      let bits g = Array.map Int64.bits_of_float (Geometry.Grid2.values g) in
+      let g = Geometry.Grid2.create region ~nx ~ny in
+      (* Twice: the second splat reuses a dirty grid. *)
+      for pass = 1 to 2 do
+        Density.Density_map.demand_into c p g;
+        Alcotest.(check bool)
+          (Printf.sprintf "%dx%d pass %d" nx ny pass)
+          true
+          (bits g = bits reference)
+      done)
+    [ (anx, any); (4 * anx, 4 * any) ]
 
 (* Steady-state allocation of the splat into a reused grid: a few words
-   per call, not per cell or bin — sequentially and, with its slots
-   warm, through the two-pass parallel path. *)
+   per call, not per cell or bin. *)
 let test_splat_allocation () =
   let c, p = scattered_biomed () in
   let nx, ny = Density.Density_map.auto_bins c in
   let g = Geometry.Grid2.create c.Netlist.Circuit.region ~nx ~ny in
-  let contributions = Density.Density_map.contributions () in
-  Fun.protect
-    ~finally:(fun () -> Numeric.Parallel.set_num_domains 1)
-    (fun () ->
-      List.iter
-        (fun (pool, budget) ->
-          Numeric.Parallel.set_num_domains pool;
-          Density.Density_map.demand_into ~contributions c p g;
-          let words =
-            allocated_by (fun () -> Density.Density_map.demand_into ~contributions c p g)
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "pool %d: splat allocates %.0f words, budget %d"
-               pool words budget)
-            true
-            (words <= float_of_int budget))
-        [ (1, 64); (2, 256) ])
+  Density.Density_map.demand_into c p g;
+  let words = allocated_by (fun () -> Density.Density_map.demand_into c p g) in
+  Alcotest.(check bool)
+    (Printf.sprintf "splat allocates %.0f words, budget 64" words)
+    true (words <= 64.)
 
 (* Forces through reused buffers are the same bits as through fresh
    ones, and a steady-state call allocates a few words, not a grid or a
@@ -487,7 +433,6 @@ let test_forces_buffers () =
       Array.map Int64.bits_of_float f.Density.Forces.fy,
       Int64.bits_of_float f.Density.Forces.scale )
   in
-  Numeric.Parallel.set_num_domains 1;
   let fresh = bits (forces ()) in
   Alcotest.(check bool) "buffered = fresh" true (bits (forces ~buffers ()) = fresh);
   Alcotest.(check bool) "again, reused" true (bits (forces ~buffers ()) = fresh);
@@ -530,11 +475,9 @@ let suite =
       test_stop_oscillating_terminates;
     Alcotest.test_case "overflow ratio extremes" `Quick
       test_overflow_ratio_extremes;
-    Alcotest.test_case "demand = per-cell splat_rect, pools 1/2/4" `Quick
+    Alcotest.test_case "demand = per-cell splat_rect, auto and fine grids" `Quick
       test_demand_matches_splat_rect;
     Alcotest.test_case "splat allocation" `Quick test_splat_allocation;
     Alcotest.test_case "forces through reused buffers" `Quick
       test_forces_buffers;
-    Alcotest.test_case "demand bitwise across pools" `Quick
-      test_demand_bitwise_across_pools;
   ]

@@ -39,9 +39,7 @@ let run_one profile effort =
     Circuitgen.Gen.generate (Circuitgen.Profiles.params ~scale:1.0 prof ~seed:42)
   in
   let p0 = Circuitgen.Gen.initial_placement circuit pads in
-  let config =
-    { (Kraftwerk.Config.effort effort) with Kraftwerk.Config.domains = Some 1 }
-  in
+  let config = Kraftwerk.Config.effort effort in
   Numeric.Poisson.clear_kernel_cache ();
   Obs.Registry.set_enabled true;
   Obs.Registry.reset ();

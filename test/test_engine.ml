@@ -3,7 +3,7 @@
    The load-bearing property is bitwise restartability: a job resumed
    from a checkpoint must follow exactly the trajectory the
    uninterrupted run follows — same placement bits, same telemetry
-   tail — for both net models and any domain-pool size.  The scheduler
+   tail — on the calling domain or on any worker domain.  The scheduler
    tests additionally pin the cooperative semantics: interleaving
    preserves solo trajectories, deadlines and cancellation degrade to a
    legal placement instead of raising, and the ECO warm-start path is
@@ -46,7 +46,7 @@ let read_lines file =
   List.rev !lines
 
 (* Deterministic payload of a trace's iteration records: volatile fields
-   (timings, pool facts) and cache-provenance fields (a resumed run
+   (timings) and cache-provenance fields (a resumed run
    re-records where the uninterrupted run reused its pattern)
    stripped. *)
 let iteration_payloads file =
@@ -110,11 +110,7 @@ let test_checkpoint_digest_guards () =
   let rewired = Kraftwerk.Eco.rewire circuit rng ~fraction:0.5 in
   (match Engine.Checkpoint.restore cp config rewired with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "restore accepted a different circuit");
-  (* ...but the pool size is not part of the semantics (results are
-     bitwise domain-count-independent). *)
-  let pool = { config with Kraftwerk.Config.domains = Some 2 } in
-  ignore (ok_or_fail (Engine.Checkpoint.restore cp pool circuit))
+  | Ok _ -> Alcotest.fail "restore accepted a different circuit")
 
 (* The config digests of the presets, pinned: a checkpoint resumes only
    while the fingerprint renders every field as it did when the
@@ -131,37 +127,28 @@ let test_checkpoint_digest_pins () =
     ]
 
 (* The core property (§2.2: the accumulated ~e vectors make mid-run
-   state restartable), for pools {1, 2, 4}: cutting a run at a
-   checkpoint and restoring yields bitwise the placement and forces of
-   the uninterrupted run. *)
-let test_resume_bitwise_pools () =
+   state restartable): cutting a run at a checkpoint and restoring
+   yields bitwise the placement and forces of the uninterrupted run. *)
+let test_resume_bitwise () =
   let circuit, p0 = ok_or_fail (Engine.Source.load (source ())) in
   let total = 10 and cut = 4 in
-  List.iter
-    (fun pool ->
-      let tag = Printf.sprintf "pool%d" pool in
-      let config = { Kraftwerk.Config.fast with Kraftwerk.Config.domains = Some pool } in
-      let reference = Kraftwerk.Placer.init config circuit p0 in
-      ignore (Kraftwerk.Placer.continue_run reference ~max_steps:total);
-      let first = Kraftwerk.Placer.init config circuit p0 in
-      ignore (Kraftwerk.Placer.continue_run first ~max_steps:cut);
-      let file = temp ".json" in
-      Engine.Checkpoint.save file (Engine.Checkpoint.of_state first);
-      let cp = ok_or_fail (Engine.Checkpoint.load file) in
-      Sys.remove file;
-      let resumed = ok_or_fail (Engine.Checkpoint.restore cp config circuit) in
-      ignore (Kraftwerk.Placer.continue_run resumed ~max_steps:(total - cut));
-      Alcotest.(check int)
-        (tag ^ ": iteration")
-        reference.Kraftwerk.Placer.iteration resumed.Kraftwerk.Placer.iteration;
-      same_placement
-        (tag ^ ": placement")
-        reference.Kraftwerk.Placer.placement resumed.Kraftwerk.Placer.placement;
-      same_float_array (tag ^ ": ex") reference.Kraftwerk.Placer.ex
-        resumed.Kraftwerk.Placer.ex;
-      same_float_array (tag ^ ": ey") reference.Kraftwerk.Placer.ey
-        resumed.Kraftwerk.Placer.ey)
-    [ 1; 2; 4 ]
+  let config = Kraftwerk.Config.fast in
+  let reference = Kraftwerk.Placer.init config circuit p0 in
+  ignore (Kraftwerk.Placer.continue_run reference ~max_steps:total);
+  let first = Kraftwerk.Placer.init config circuit p0 in
+  ignore (Kraftwerk.Placer.continue_run first ~max_steps:cut);
+  let file = temp ".json" in
+  Engine.Checkpoint.save file (Engine.Checkpoint.of_state first);
+  let cp = ok_or_fail (Engine.Checkpoint.load file) in
+  Sys.remove file;
+  let resumed = ok_or_fail (Engine.Checkpoint.restore cp config circuit) in
+  ignore (Kraftwerk.Placer.continue_run resumed ~max_steps:(total - cut));
+  Alcotest.(check int) "iteration" reference.Kraftwerk.Placer.iteration
+    resumed.Kraftwerk.Placer.iteration;
+  same_placement "placement" reference.Kraftwerk.Placer.placement
+    resumed.Kraftwerk.Placer.placement;
+  same_float_array "ex" reference.Kraftwerk.Placer.ex resumed.Kraftwerk.Placer.ex;
+  same_float_array "ey" reference.Kraftwerk.Placer.ey resumed.Kraftwerk.Placer.ey
 
 let same_controller tag (a : Kraftwerk.Controller.t)
     (b : Kraftwerk.Controller.t) =
@@ -197,66 +184,62 @@ let same_controller tag (a : Kraftwerk.Controller.t)
 let test_resume_bitwise_controller_active () =
   let circuit, p0 = ok_or_fail (Engine.Source.load (source ())) in
   let total = 12 and cut = 5 in
-  List.iter
-    (fun pool ->
-      let tag = Printf.sprintf "controller/pool%d" pool in
-      let config =
-        {
-          Kraftwerk.Config.fast with
-          Kraftwerk.Config.domains = Some pool;
-          legalize_every = 3;
-          penalty_initial = 0.9;
-          penalty_update = 1.05;
-          penalty_max = 1.2;
-          stop_gap = 0.;
-          stop_stall = 0;
-        }
-      in
-      let reference = Kraftwerk.Placer.init config circuit p0 in
-      ignore (Kraftwerk.Placer.continue_run reference ~max_steps:total);
-      let first = Kraftwerk.Placer.init config circuit p0 in
-      ignore (Kraftwerk.Placer.continue_run first ~max_steps:cut);
-      (* The cut must land mid-schedule: envelope history already
-         recorded, penalty strictly between its initial value and cap. *)
-      let fc = first.Kraftwerk.Placer.controller in
-      Alcotest.(check bool)
-        (tag ^ ": probe taken before the cut")
-        true
-        (fc.Kraftwerk.Controller.ub_evals >= 1);
-      Alcotest.(check bool)
-        (tag ^ ": penalty mid-ramp at the cut")
-        true
-        (fc.Kraftwerk.Controller.penalty > 0.9
-        && fc.Kraftwerk.Controller.penalty < 1.2);
-      let file = temp ".json" in
-      Engine.Checkpoint.save file (Engine.Checkpoint.of_state first);
-      let cp = ok_or_fail (Engine.Checkpoint.load file) in
-      Sys.remove file;
-      let resumed = ok_or_fail (Engine.Checkpoint.restore cp config circuit) in
-      same_controller (tag ^ ": at the cut") fc
-        resumed.Kraftwerk.Placer.controller;
-      ignore (Kraftwerk.Placer.continue_run resumed ~max_steps:(total - cut));
-      Alcotest.(check int)
-        (tag ^ ": iteration")
-        reference.Kraftwerk.Placer.iteration
-        resumed.Kraftwerk.Placer.iteration;
-      same_placement
-        (tag ^ ": placement")
-        reference.Kraftwerk.Placer.placement
-        resumed.Kraftwerk.Placer.placement;
-      same_float_array (tag ^ ": ex") reference.Kraftwerk.Placer.ex
-        resumed.Kraftwerk.Placer.ex;
-      same_float_array (tag ^ ": ey") reference.Kraftwerk.Placer.ey
-        resumed.Kraftwerk.Placer.ey;
-      Alcotest.(check bool)
-        (tag ^ ": envelope probed after the cut")
-        true
-        (reference.Kraftwerk.Placer.controller.Kraftwerk.Controller.ub_evals
-        >= 2);
-      same_controller (tag ^ ": at the end")
-        reference.Kraftwerk.Placer.controller
-        resumed.Kraftwerk.Placer.controller)
-    [ 1; 2; 4 ]
+  let tag = "controller" in
+  let config =
+    {
+      Kraftwerk.Config.fast with
+      Kraftwerk.Config.legalize_every = 3;
+      penalty_initial = 0.9;
+      penalty_update = 1.05;
+      penalty_max = 1.2;
+      stop_gap = 0.;
+      stop_stall = 0;
+    }
+  in
+  let reference = Kraftwerk.Placer.init config circuit p0 in
+  ignore (Kraftwerk.Placer.continue_run reference ~max_steps:total);
+  let first = Kraftwerk.Placer.init config circuit p0 in
+  ignore (Kraftwerk.Placer.continue_run first ~max_steps:cut);
+  (* The cut must land mid-schedule: envelope history already
+     recorded, penalty strictly between its initial value and cap. *)
+  let fc = first.Kraftwerk.Placer.controller in
+  Alcotest.(check bool)
+    (tag ^ ": probe taken before the cut")
+    true
+    (fc.Kraftwerk.Controller.ub_evals >= 1);
+  Alcotest.(check bool)
+    (tag ^ ": penalty mid-ramp at the cut")
+    true
+    (fc.Kraftwerk.Controller.penalty > 0.9
+    && fc.Kraftwerk.Controller.penalty < 1.2);
+  let file = temp ".json" in
+  Engine.Checkpoint.save file (Engine.Checkpoint.of_state first);
+  let cp = ok_or_fail (Engine.Checkpoint.load file) in
+  Sys.remove file;
+  let resumed = ok_or_fail (Engine.Checkpoint.restore cp config circuit) in
+  same_controller (tag ^ ": at the cut") fc
+    resumed.Kraftwerk.Placer.controller;
+  ignore (Kraftwerk.Placer.continue_run resumed ~max_steps:(total - cut));
+  Alcotest.(check int)
+    (tag ^ ": iteration")
+    reference.Kraftwerk.Placer.iteration
+    resumed.Kraftwerk.Placer.iteration;
+  same_placement
+    (tag ^ ": placement")
+    reference.Kraftwerk.Placer.placement
+    resumed.Kraftwerk.Placer.placement;
+  same_float_array (tag ^ ": ex") reference.Kraftwerk.Placer.ex
+    resumed.Kraftwerk.Placer.ex;
+  same_float_array (tag ^ ": ey") reference.Kraftwerk.Placer.ey
+    resumed.Kraftwerk.Placer.ey;
+  Alcotest.(check bool)
+    (tag ^ ": envelope probed after the cut")
+    true
+    (reference.Kraftwerk.Placer.controller.Kraftwerk.Controller.ub_evals
+    >= 2);
+  same_controller (tag ^ ": at the end")
+    reference.Kraftwerk.Placer.controller
+    resumed.Kraftwerk.Placer.controller
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler                                                           *)
@@ -1182,7 +1165,7 @@ let test_spec_json_round_trip () =
       ~objective:
         (fast ~goal:Engine.Objective.Timing ~effort:4
            ~flow:Engine.Job.Multilevel ())
-      ~priority:3 ~deadline:1.5 ~domains:2 ~max_steps:9
+      ~priority:3 ~deadline:1.5 ~max_steps:9
       ~start:(Engine.Job.Resume "ck.json")
       ~checkpoint:"out.json" ~checkpoint_every:7 ~trace:"t.jsonl" ()
   in
@@ -1193,7 +1176,16 @@ let test_spec_json_round_trip () =
       | Error e -> Alcotest.failf "spec does not round-trip: %s" e
       | Ok s' ->
         Alcotest.(check bool) "spec round-trips structurally" true (s = s'))
-    [ full; minimal ]
+    [ full; minimal ];
+  (* A "domains" key from an older client is ignored like any unknown
+     key. *)
+  match
+    Engine.Job.spec_of_json
+      (Obs.Json.Obj
+         [ ("circuit", Obs.Json.Str "a.ckt"); ("domains", Obs.Json.Num 2.) ])
+  with
+  | Ok s -> Alcotest.(check bool) "domains ignored" true (s = minimal)
+  | Error e -> Alcotest.failf "spec with domains rejected: %s" e
 
 let parse_request line =
   match Obs.Json.of_string line with
@@ -1311,33 +1303,6 @@ let test_workers_claim_before_slices () =
   Alcotest.(check int) "all jobs started before any finished" 3
     (started_before_finish 0 (List.rev !events))
 
-(* Lane budgets are slice-local pins: draining jobs with different
-   budgets — one unpinned, one pinned above the pool — leaves the
-   process-wide pool size as it was, with or without workers. *)
-let test_drain_keeps_pool_size () =
-  Fun.protect
-    ~finally:(fun () -> Numeric.Parallel.set_num_domains 1)
-    (fun () ->
-      Numeric.Parallel.set_num_domains 2;
-      List.iter
-        (fun domains ->
-          let sched = Engine.Scheduler.create ~concurrency:2 ?domains () in
-          List.iter
-            (fun (seed, pin) ->
-              ignore
-                (Engine.Scheduler.submit sched
-                   (Engine.Job.spec ~source:(source ~seed ())
-                      ~objective:(fast ()) ?domains:pin ~max_steps:3 ())))
-            [ (41, None); (42, Some 3) ];
-          Engine.Scheduler.drain sched;
-          Engine.Scheduler.stop sched;
-          Alcotest.(check int)
-            (Printf.sprintf "pool size after drain (%d workers)"
-               (Engine.Scheduler.workers sched))
-            2
-            (Numeric.Parallel.num_domains ()))
-        [ None; Some 2 ])
-
 let suite =
   [
     Alcotest.test_case "checkpoint save/load round-trip" `Quick
@@ -1346,8 +1311,7 @@ let suite =
       test_checkpoint_digest_guards;
     Alcotest.test_case "checkpoint digest pins" `Quick
       test_checkpoint_digest_pins;
-    Alcotest.test_case "resume bitwise, pools 1/2/4" `Slow
-      test_resume_bitwise_pools;
+    Alcotest.test_case "resume bitwise" `Slow test_resume_bitwise;
     Alcotest.test_case "resume is bitwise with the controller active" `Slow
       test_resume_bitwise_controller_active;
     Alcotest.test_case "engine resume matches uninterrupted run" `Slow
@@ -1391,6 +1355,4 @@ let suite =
       test_protocol_session;
     Alcotest.test_case "workers claim queued jobs before slices" `Slow
       test_workers_claim_before_slices;
-    Alcotest.test_case "drain leaves the pool size unchanged" `Slow
-      test_drain_keeps_pool_size;
   ]

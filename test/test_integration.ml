@@ -191,40 +191,48 @@ let contains s sub =
   in
   go 0
 
-(* Out-of-range --domains is a Cmdliner usage error (exit 124) that
-   names the range, before any command runs: no Invalid_argument
-   backtrace for 0, no silent clamp above the pool's maximum. *)
+(* Out-of-range engine and server limits are Cmdliner usage errors
+   (exit 124) that name the range, before any command runs: no
+   Invalid_argument from the scheduler, no silent clamp above the
+   worker cap, no server running with a negative bound or a NaN
+   timeout. *)
 let test_cli_domains_range () =
-  let range = Printf.sprintf "1..%d" Numeric.Parallel.max_domains in
+  let workers = Printf.sprintf "1..%d" Engine.Scheduler.max_workers in
+  let listen = [ "serve"; "--listen"; "unix:/nonexistent/place.sock" ] in
   List.iter
-    (fun args ->
+    (fun (range, args) ->
       let what = String.concat " " args in
       let code, _, err = run_place args in
+      (* Cmdliner wraps long messages: compare with the breaks undone. *)
+      let err =
+        String.split_on_char '\n' err
+        |> List.concat_map (String.split_on_char ' ')
+        |> List.filter (( <> ) "")
+        |> String.concat " "
+      in
       Alcotest.(check int) (what ^ ": usage error") 124 code;
       Alcotest.(check bool) (what ^ ": names the range") true
         (contains err range);
       Alcotest.(check bool) (what ^ ": no backtrace") false
         (contains err "Invalid_argument"))
     [
-      [ "run"; "--profile"; "fract"; "--domains"; "0" ];
-      [ "run"; "--profile"; "fract"; "--domains"; "500" ];
-      [ "serve"; "--domains"; "0" ];
-      [ "batch"; "--domains"; "129"; "/dev/null" ];
-    ];
-  (* A job spec carried by submit/serve/batch is held to the same range. *)
-  let spec =
-    Engine.Job.spec
-      ~source:(Engine.Source.Profile { name = "fract"; scale = 0.5; seed = 1 })
-      ~domains:500 ()
-  in
-  match Engine.Job.spec_of_json (Engine.Job.spec_to_json spec) with
-  | Ok _ -> Alcotest.fail "job spec with domains 500 accepted"
-  | Error msg ->
-    Alcotest.(check bool) "job spec names the range" true (contains msg range)
+      (workers, [ "serve"; "--domains"; "0" ]);
+      (workers, [ "serve"; "--domains"; "65" ]);
+      (workers, [ "batch"; "--domains"; "129"; "/dev/null" ]);
+      (">= 1", [ "serve"; "--concurrency"; "0" ]);
+      (">= 1", [ "batch"; "--concurrency"; "0"; "/dev/null" ]);
+      (">= 1", listen @ [ "--max-conns=-1" ]);
+      (">= 1", listen @ [ "--max-pending=-1" ]);
+      ("finite number >= 0", listen @ [ "--request-timeout=-1" ]);
+      ("finite number >= 0", listen @ [ "--request-timeout=inf" ]);
+      ("finite number >= 0", listen @ [ "--drain-grace=-5" ]);
+      ("finite number >= 0", listen @ [ "--idle-timeout=nan" ]);
+    ]
 
-(* The protocol has one version, the objective one way in and the
-   worker count one rule: the removed --proto, --timing and --shards
-   flags are Cmdliner usage errors. *)
+(* The protocol has one version, the objective one way in, the worker
+   count one rule and the kernels one domain: the removed --proto,
+   --timing, --shards and run --domains flags are Cmdliner usage
+   errors. *)
 let test_cli_removed_flags () =
   (* An existing jobs file, so the unknown flag is the only error. *)
   let jobs = Filename.temp_file "place_cli" ".jsonl" in
@@ -244,6 +252,7 @@ let test_cli_removed_flags () =
           [ "submit"; "--to"; "unix:/x"; "--profile"; "fract"; "--timing" ];
           [ "serve"; "--shards"; "0" ];
           [ "batch"; jobs; "--shards"; "2" ];
+          [ "run"; "--profile"; "fract"; "--domains"; "1" ];
         ])
 
 (* A bad bench flag value is a usage error (exit 1), as is any flag the
@@ -261,13 +270,12 @@ let test_bench_cli_usage () =
     [
       [ "--scale"; "abc" ];
       [ "--seed"; "1.5" ];
-      [ "--domains"; "0" ];
-      [ "--domains"; "x" ];
       [ "--table"; "one" ];
       [ "--table"; "9" ];
       [ "--experiment"; "net-model" ];
       (* Names are checked while parsing: table 1 never starts. *)
       [ "--table"; "1"; "--experiment"; "bogus" ];
+      [ "--domains"; "1" ];
       [ "--engine" ];
       [ "--serve" ];
       [ "--frobnicate" ];
@@ -319,16 +327,16 @@ let traced_run args =
       if code <> 0 then Alcotest.failf "place run exited %d: %s" code err;
       read_jsonl trace)
 
-(* A flat wirelength run's trace: schema 5, the congestion loop dark,
+(* A flat wirelength run's trace: schema 6, the congestion loop dark,
    level 0, the clique pattern compiled once then refilled, the CG
    tolerance inside its band, and a summary that counts the records. *)
 let test_gate_trace () =
   let recs =
     traced_run
-      [ "--profile"; "fract"; "--scale"; "0.5"; "--seed"; "42"; "--domains"; "1" ]
+      [ "--profile"; "fract"; "--scale"; "0.5"; "--seed"; "42" ]
   in
   Alcotest.(check bool) "non-empty trace" true (recs <> []);
-  List.iter (fun r -> Alcotest.(check int) "schema" 5 (int_of_float (num "schema" r))) recs;
+  List.iter (fun r -> Alcotest.(check int) "schema" 6 (int_of_float (num "schema" r))) recs;
   let iters = List.filteri (fun i _ -> i < List.length recs - 1) recs in
   let summary = List.nth recs (List.length recs - 1) in
   List.iteri
@@ -362,13 +370,13 @@ let test_gate_effort () =
         traced_run
           [
             "--profile"; "fract"; "--scale"; "1.0"; "--seed"; "42";
-            "--domains"; "1"; "--effort"; e;
+            "--effort"; e;
           ]
       in
       let at what = Printf.sprintf "effort %s: %s" e what in
       let summary = List.nth recs (List.length recs - 1) in
       Alcotest.(check string) (at "summary") "summary" (str "record" summary);
-      Alcotest.(check (float 0.)) (at "schema") 5. (num "schema" summary);
+      Alcotest.(check (float 0.)) (at "schema") 6. (num "schema" summary);
       let iters = int_of_float (num "iterations" summary) in
       if e = "9" then
         Alcotest.(check bool) (at "under 250 iterations") true (iters < 250);
@@ -416,7 +424,7 @@ let test_gate_routability () =
     run_place
       [
         "run"; "--profile"; "primary1"; "--scale"; "1.0"; "--seed"; "42";
-        "--domains"; "1"; "--objective"; "routability";
+        "--objective"; "routability";
       ]
   in
   if code <> 0 then Alcotest.failf "place run exited %d: %s" code err;

@@ -280,8 +280,6 @@ let sample_iteration step =
     assembly_reused = true;
     pattern_rebuilds = 1;
     cg_tolerance = 1e-6;
-    domains = 2;
-    pool_tasks = 12;
     penalty = 1.1;
     lb_hpwl = 123.5 +. float_of_int step;
     ub_hpwl = (if step mod 2 = 0 then Some (140. +. float_of_int step) else None);
@@ -310,7 +308,7 @@ let prop_iteration_roundtrip =
     ~name:"iteration records round-trip through JSONL text"
     QCheck.(
       pair
-        (array_of_size (Gen.return 6) small_nat)
+        (array_of_size (Gen.return 5) small_nat)
         (array_of_size (Gen.return 13) finite_float))
     (fun (is, fs) ->
       let probed = is.(0) mod 2 = 0 in
@@ -334,8 +332,6 @@ let prop_iteration_roundtrip =
           assembly_reused = is.(4) mod 2 = 0;
           pattern_rebuilds = is.(3);
           cg_tolerance = Float.abs fs.(9);
-          domains = 1 + (is.(5) mod 8);
-          pool_tasks = is.(5);
           penalty = Float.abs fs.(11);
           lb_hpwl = fs.(0);
           ub_hpwl = (if probed then Some fs.(12) else None);
@@ -391,6 +387,14 @@ let v4_only_fields = [ "level" ]
 let v5_only_fields =
   [ "congest_strength"; "est_overflow"; "target_area"; "target_clamped" ]
 
+(* Schema 5 records also carried the kernel pool's size and task count,
+   which schema 6 dropped. *)
+let with_pool_fields = function
+  | Obs.Json.Obj fields ->
+    Obs.Json.Obj
+      (fields @ [ ("domains", Obs.Json.Num 2.); ("pool_tasks", Obs.Json.Num 12.) ])
+  | _ -> Alcotest.fail "iteration json is not an object"
+
 let downgrade_to schema drop = function
   | Obs.Json.Obj fields ->
     Obs.Json.Obj
@@ -421,9 +425,9 @@ let test_iteration_schema_rejected () =
     Alcotest.(check bool) what true
       (Result.is_error (Obs.Telemetry.iteration_of_json v))
   in
-  (* Records as the schema 1-4 placers wrote them (each lacks the fields
+  (* Records as the schema 1-5 placers wrote them (each lacks the fields
      later schemas added), and the current fields under an old or a
-     future number: only schema 5 parses. *)
+     future number: only schema 6 parses. *)
   rejected "schema 1 record"
     (downgrade_to 1.
        (v2_only_fields @ v3_only_fields @ v4_only_fields @ v5_only_fields)
@@ -436,11 +440,13 @@ let test_iteration_schema_rejected () =
     (downgrade_to 3. (v4_only_fields @ v5_only_fields) current);
   rejected "schema 4 record" (downgrade_to 4. v5_only_fields current);
   rejected "schema 4 with every field" (with_schema 4. current);
-  rejected "schema 6" (with_schema 6. current);
+  rejected "schema 5 record" (with_schema 5. (with_pool_fields current));
+  rejected "schema 5 with every field" (with_schema 5. current);
+  rejected "schema 7" (with_schema 7. current);
   rejected "no schema" (without "schema" current);
   Alcotest.(check bool) "typed message" true
-    (Obs.Telemetry.iteration_of_json (downgrade_to 4. v5_only_fields current)
-    = Error "unsupported schema version 4 (this build reads 5)");
+    (Obs.Telemetry.iteration_of_json (with_schema 5. (with_pool_fields current))
+    = Error "unsupported schema version 5 (this build reads 6)");
   (* A current-schema record missing a field is a validation error
      (ub_hpwl/gap/est_overflow excepted: absence means "not probed"). *)
   List.iter
@@ -454,8 +460,8 @@ let test_iteration_schema_rejected () =
 let test_summary_schema_rejected () =
   let current = Obs.Telemetry.summary_to_json sample_summary in
   (match Obs.Telemetry.summary_of_json current with
-  | Ok s -> Alcotest.(check int) "schema 5 parses" 42 s.Obs.Telemetry.iterations
-  | Error e -> Alcotest.failf "schema 5 summary rejected: %s" e);
+  | Ok s -> Alcotest.(check int) "schema 6 parses" 42 s.Obs.Telemetry.iterations
+  | Error e -> Alcotest.failf "schema 6 summary rejected: %s" e);
   List.iter
     (fun (what, v) ->
       Alcotest.(check bool) what true
@@ -463,7 +469,8 @@ let test_summary_schema_rejected () =
     [
       ("schema 2 summary", with_schema 2. (without "stop_reason" current));
       ("schema 4 summary", with_schema 4. current);
-      ("schema 6 summary", with_schema 6. current);
+      ("schema 5 summary", with_schema 5. current);
+      ("schema 7 summary", with_schema 7. current);
       ("summary without schema", without "schema" current);
     ]
 
@@ -554,7 +561,7 @@ let suite =
     Alcotest.test_case "summary round-trip" `Quick test_summary_roundtrip;
     Alcotest.test_case "iteration validation rejects" `Quick
       test_iteration_validation_rejects;
-    Alcotest.test_case "iteration schema other than 5 rejected" `Quick
+    Alcotest.test_case "iteration schema other than 6 rejected" `Quick
       test_iteration_schema_rejected;
     Alcotest.test_case "summary other schema rejected" `Quick
       test_summary_schema_rejected;

@@ -162,7 +162,6 @@ let allocated_by f =
    than the circuit has cells. *)
 let test_transform_allocation () =
   let circuit, p0 = build ~name:"primary1" () in
-  Numeric.Parallel.set_num_domains 1;
   let state = Kraftwerk.Placer.init Kraftwerk.Config.standard circuit p0 in
   for _ = 1 to 3 do
     ignore (Kraftwerk.Placer.transform state)

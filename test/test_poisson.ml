@@ -114,7 +114,7 @@ let test_size_mismatch () =
       ignore (Numeric.Poisson.fft_force_field ~rows:4 ~cols:4 ~hx:1. ~hy:1. (Array.make 3 0.)))
 
 (* ------------------------------------------------------------------ *)
-(* FFT path: parity with direct summation, ?out, pools                  *)
+(* FFT path: parity with direct summation, ?out, domains                *)
 
 let random_density rng rows cols =
   Array.init (rows * cols) (fun _ -> Numeric.Rng.uniform rng (-2.) 2.)
@@ -181,26 +181,26 @@ let test_out_bitwise_equivalent () =
   Alcotest.(check bool) "aliases out" true
     (reused.Numeric.Poisson.fx == out.Numeric.Poisson.fx)
 
-(* Results are bitwise-identical for any domain-pool size. *)
-let test_real_bitwise_across_pools () =
+(* A job on a worker domain gets that domain's own scratch planes and
+   the shared kernel cache: its field is the calling domain's bits, from
+   a cold cache (one build) and a warm one (one hit). *)
+let test_real_bitwise_across_domains () =
   let rows = 48 and cols = 48 in
   let rng = Numeric.Rng.create 13 in
   let density = random_density rng rows cols in
-  Fun.protect
-    ~finally:(fun () -> Numeric.Parallel.set_num_domains 1)
-    (fun () ->
-      Numeric.Parallel.set_num_domains 1;
-      let reference =
-        Numeric.Poisson.fft_force_field ~rows ~cols ~hx:1. ~hy:1. density
-      in
-      List.iter
-        (fun pool ->
-          Numeric.Parallel.set_num_domains pool;
-          let f =
-            Numeric.Poisson.fft_force_field ~rows ~cols ~hx:1. ~hy:1. density
-          in
-          fields_bitwise (Printf.sprintf "pool %d" pool) reference f)
-        [ 2; 4 ])
+  let field () = Numeric.Poisson.fft_force_field ~rows ~cols ~hx:1. ~hy:1. density in
+  let reference = field () in
+  let cold, warm, stats =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Numeric.Poisson.clear_kernel_cache ();
+           let cold = field () in
+           let warm = field () in
+           (cold, warm, Numeric.Poisson.kernel_cache_stats ())))
+  in
+  fields_bitwise "cold" reference cold;
+  fields_bitwise "warm" reference warm;
+  Alcotest.(check (pair int int)) "one build, one hit" (1, 1) stats
 
 (* The satellite fix under test: a fixed-grid loop hitting the warm
    kernel cache with a caller-supplied [out] must not allocate per call.
@@ -284,8 +284,8 @@ let suite =
       test_fft_matches_direct_shapes;
     Alcotest.test_case "?out is bitwise equivalent" `Quick
       test_out_bitwise_equivalent;
-    Alcotest.test_case "real path bitwise across pools" `Quick
-      test_real_bitwise_across_pools;
+    Alcotest.test_case "real path bitwise across domains" `Quick
+      test_real_bitwise_across_domains;
     Alcotest.test_case "warm fixed-grid loop is allocation-free" `Quick
       test_warm_loop_allocation_free;
     QCheck_alcotest.to_alcotest prop_fft_direct_agree_grids;

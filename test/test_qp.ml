@@ -265,44 +265,37 @@ let test_rebuild_matches_build () =
       circuit.Netlist.Circuit.cells;
     p
   in
-  Fun.protect
-    ~finally:(fun () -> Numeric.Parallel.set_num_domains 1)
-    (fun () ->
-      List.iter
-        (fun domains ->
-          Numeric.Parallel.set_num_domains domains;
-          let asm = Qp.System.assembly circuit () in
-          List.iter
-            (fun seed ->
-              let name part = Printf.sprintf "%s d=%d seed=%d" part domains seed in
-              let p = random_placement seed in
-              let fresh =
-                Qp.System.build circuit ~placement:p ~net_weights:nw
-                  ~edge_scale:Qp.Weights.Quadratic ()
-              in
-              let cached =
-                Qp.System.rebuild asm ~placement:p ~net_weights:nw
-                  ~edge_scale:Qp.Weights.Quadratic ()
-              in
-              Alcotest.(check bool) (name "matrix") true
-                (bits_equal_mat (Qp.System.matrix fresh)
-                   (Qp.System.matrix cached));
-              let zeros = Array.make (Qp.System.num_movable fresh) 0. in
-              let pf = Netlist.Placement.copy p
-              and pc = Netlist.Placement.copy p in
-              ignore (Qp.System.solve fresh ~placement:pf ~ex:zeros ~ey:zeros);
-              ignore (Qp.System.solve cached ~placement:pc ~ex:zeros ~ey:zeros);
-              Alcotest.(check bool) (name "solution x") true
-                (bits_equal_arr pf.Netlist.Placement.x pc.Netlist.Placement.x);
-              Alcotest.(check bool) (name "solution y") true
-                (bits_equal_arr pf.Netlist.Placement.y pc.Netlist.Placement.y))
-            [ 3; 4; 5 ];
-          let reused, rebuilds = Qp.System.assembly_stats asm in
-          Alcotest.(check int) "rebuild passes accounted" 3 (reused + rebuilds);
-          (* The structure never drifts here: only the first pass may
-             record, the rest must scatter into its pattern. *)
-          Alcotest.(check int) "records once" 1 rebuilds)
-        [ 1; 2; 4 ])
+  let asm = Qp.System.assembly circuit () in
+  List.iter
+    (fun seed ->
+      let name part = Printf.sprintf "%s seed=%d" part seed in
+      let p = random_placement seed in
+      let fresh =
+        Qp.System.build circuit ~placement:p ~net_weights:nw
+          ~edge_scale:Qp.Weights.Quadratic ()
+      in
+      let cached =
+        Qp.System.rebuild asm ~placement:p ~net_weights:nw
+          ~edge_scale:Qp.Weights.Quadratic ()
+      in
+      Alcotest.(check bool) (name "matrix") true
+        (bits_equal_mat (Qp.System.matrix fresh)
+           (Qp.System.matrix cached));
+      let zeros = Array.make (Qp.System.num_movable fresh) 0. in
+      let pf = Netlist.Placement.copy p
+      and pc = Netlist.Placement.copy p in
+      ignore (Qp.System.solve fresh ~placement:pf ~ex:zeros ~ey:zeros);
+      ignore (Qp.System.solve cached ~placement:pc ~ex:zeros ~ey:zeros);
+      Alcotest.(check bool) (name "solution x") true
+        (bits_equal_arr pf.Netlist.Placement.x pc.Netlist.Placement.x);
+      Alcotest.(check bool) (name "solution y") true
+        (bits_equal_arr pf.Netlist.Placement.y pc.Netlist.Placement.y))
+    [ 3; 4; 5 ];
+  let reused, rebuilds = Qp.System.assembly_stats asm in
+  Alcotest.(check int) "rebuild passes accounted" 3 (reused + rebuilds);
+  (* The structure never drifts here: only the first pass may
+     record, the rest must scatter into its pattern. *)
+  Alcotest.(check int) "records once" 1 rebuilds
 
 (* --- independent assembly oracle ---------------------------------------- *)
 
@@ -409,7 +402,7 @@ let reference_system c ~(placement : Netlist.Placement.t) ~net_weights ~scale
 let bits_equal_sparse a b =
   Numeric.Sparse.nnz a = Numeric.Sparse.nnz b && bits_equal_mat a b
 
-(* One cached assembly per (pool, clique cap) replays a sequence that
+(* One cached assembly per clique cap replays a sequence that
    exercises the steady state (same structure, new values), the hold
    springs at the placer's weight and at explicit targets, the
    linearised scale, and structural drift from zero and underflowing
@@ -478,60 +471,53 @@ let assembly_oracle label circuit p0 =
       (List.init (Netlist.Circuit.num_nets circuit) (Netlist.Circuit.degree circuit))
   in
   Alcotest.(check bool) "a net above the small clique cap" true (max_degree > 4);
-  Fun.protect
-    ~finally:(fun () -> Numeric.Parallel.set_num_domains 1)
-    (fun () ->
+  List.iter
+    (fun cap ->
+      let asm = Qp.System.assembly circuit ~clique_cap:cap () in
       List.iter
-        (fun domains ->
-          Numeric.Parallel.set_num_domains domains;
-          List.iter
-            (fun cap ->
-              let asm = Qp.System.assembly circuit ~clique_cap:cap () in
-              List.iter
-                (fun (seed, net_weights, scale, hold, hold_seed, anchor_weight,
-                      moves) ->
-                  let name part =
-                    Printf.sprintf "%s cap %d d=%d seed=%d anchor=%g moves=%d %s"
-                      label cap domains seed anchor_weight moves part
-                  in
-                  let placement = random_placement seed in
-                  let shift (a : float array) = a.(fixed_id) <- a.(fixed_id) +. 3. in
-                  if moves >= 1 then shift placement.Netlist.Placement.x;
-                  if moves >= 2 then shift placement.Netlist.Placement.y;
-                  let hold_at = Option.map random_placement hold_seed in
-                  let sys =
-                    Qp.System.rebuild asm ~placement ~net_weights
-                      ~edge_scale:(api_scale scale) ~anchor_weight ~hold ?hold_at
-                      ()
-                  in
-                  let check_against what (m, dx, dy, mean) =
-                    let name part = name (what ^ " " ^ part) in
-                    let sdx, sdy = Qp.System.constant_terms sys in
-                    Alcotest.(check bool) (name "matrix") true
-                      (bits_equal_sparse m (Qp.System.matrix sys));
-                    Alcotest.(check bool) (name "dx") true (bits_equal_arr dx sdx);
-                    Alcotest.(check bool) (name "dy") true (bits_equal_arr dy sdy);
-                    Alcotest.(check bool) (name "mean edge weight") true
-                      (Int64.bits_of_float mean
-                      = Int64.bits_of_float (Qp.System.mean_edge_weight sys))
-                  in
-                  check_against "oracle"
-                    (reference_system circuit ~placement ~net_weights ~scale ~cap
-                       ~anchor_weight ~hold ?hold_at ());
-                  let fresh =
-                    Qp.System.build circuit ~placement ~net_weights
-                      ~edge_scale:(api_scale scale) ~clique_cap:cap ~anchor_weight
-                      ~hold ?hold_at ()
-                  in
-                  let fdx, fdy = Qp.System.constant_terms fresh in
-                  check_against "build"
-                    ( Qp.System.matrix fresh,
-                      fdx,
-                      fdy,
-                      Qp.System.mean_edge_weight fresh ))
-                steps)
-            [ 16; 4 ])
-        [ 1; 2; 4 ])
+        (fun (seed, net_weights, scale, hold, hold_seed, anchor_weight,
+              moves) ->
+          let name part =
+            Printf.sprintf "%s cap %d seed=%d anchor=%g moves=%d %s"
+              label cap seed anchor_weight moves part
+          in
+          let placement = random_placement seed in
+          let shift (a : float array) = a.(fixed_id) <- a.(fixed_id) +. 3. in
+          if moves >= 1 then shift placement.Netlist.Placement.x;
+          if moves >= 2 then shift placement.Netlist.Placement.y;
+          let hold_at = Option.map random_placement hold_seed in
+          let sys =
+            Qp.System.rebuild asm ~placement ~net_weights
+              ~edge_scale:(api_scale scale) ~anchor_weight ~hold ?hold_at
+              ()
+          in
+          let check_against what (m, dx, dy, mean) =
+            let name part = name (what ^ " " ^ part) in
+            let sdx, sdy = Qp.System.constant_terms sys in
+            Alcotest.(check bool) (name "matrix") true
+              (bits_equal_sparse m (Qp.System.matrix sys));
+            Alcotest.(check bool) (name "dx") true (bits_equal_arr dx sdx);
+            Alcotest.(check bool) (name "dy") true (bits_equal_arr dy sdy);
+            Alcotest.(check bool) (name "mean edge weight") true
+              (Int64.bits_of_float mean
+              = Int64.bits_of_float (Qp.System.mean_edge_weight sys))
+          in
+          check_against "oracle"
+            (reference_system circuit ~placement ~net_weights ~scale ~cap
+               ~anchor_weight ~hold ?hold_at ());
+          let fresh =
+            Qp.System.build circuit ~placement ~net_weights
+              ~edge_scale:(api_scale scale) ~clique_cap:cap ~anchor_weight
+              ~hold ?hold_at ()
+          in
+          let fdx, fdy = Qp.System.constant_terms fresh in
+          check_against "build"
+            ( Qp.System.matrix fresh,
+              fdx,
+              fdy,
+              Qp.System.mean_edge_weight fresh ))
+        steps)
+    [ 16; 4 ]
 
 (* fract with one movable cell turned into a hub: 200 more nets of 2 to
    12 pins, each on the hub and on cells drawn at random (a cell drawn
@@ -602,7 +588,6 @@ let test_rebuild_solve_allocation () =
     Qp.System.rebuild asm ~placement:p ~net_weights:nw
       ~edge_scale:Qp.Weights.Quadratic ~hold:1.0 ()
   in
-  Numeric.Parallel.set_num_domains 1;
   ignore (rebuild ());
   let words = allocated_by rebuild in
   Alcotest.(check bool)
@@ -677,7 +662,6 @@ let test_assembly_storage () =
       (Qp.System.rebuild asm ~placement:p ~net_weights
          ~edge_scale:Qp.Weights.Quadratic ~hold:1.0 ())
   in
-  Numeric.Parallel.set_num_domains 1;
   let triplets = float_of_int (clique_triplets circuit) in
   let major () =
     let _, _, major = Gc.counters () in
@@ -718,9 +702,9 @@ let suite =
     Alcotest.test_case "index map" `Quick test_index_map;
     Alcotest.test_case "weights module" `Quick test_weights_module;
     QCheck_alcotest.to_alcotest prop_solution_is_minimum;
-    Alcotest.test_case "rebuild = build, pools 1/2/4" `Quick
+    Alcotest.test_case "rebuild = build" `Quick
       test_rebuild_matches_build;
-    Alcotest.test_case "assembly oracle, every rebuild input, pools 1/2/4"
+    Alcotest.test_case "assembly oracle, every rebuild input"
       `Quick test_assembly_oracle;
     Alcotest.test_case "rebuild and solve allocation" `Quick
       test_rebuild_solve_allocation;

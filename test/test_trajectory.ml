@@ -45,7 +45,7 @@ let add_report b (r : Kraftwerk.Placer.step_report) =
   add_opt b r.Kraftwerk.Placer.gap
 
 (* Every deterministic field of a telemetry record (everything but the
-   volatile timings, pool facts and kernel-cache counters). *)
+   volatile timings and the kernel-cache counters). *)
 let add_record b (it : Obs.Telemetry.iteration) =
   let module T = Obs.Telemetry in
   add_int b it.T.step;
