@@ -142,11 +142,11 @@ let scratch_pair len =
    column-at-a-time loop for any batch width. *)
 let col_batch = 8
 
-let batched_col_fft cp ~inverse ~prows ~width ~re ~im a b =
+let batched_col_fft cp ~inverse ~prows ~width ~re ~im =
   let colr, coli = scratch_pair (col_batch * prows) in
-  let v = ref a in
-  while !v < b do
-    let w = Stdlib.min col_batch (b - !v) in
+  let v = ref 0 in
+  while !v < width do
+    let w = Stdlib.min col_batch (width - !v) in
     for u = 0 to prows - 1 do
       let base = (u * width) + !v in
       for k = 0 to w - 1 do
@@ -183,7 +183,7 @@ let forward_real ~prows ~pcols ~hw ~src ~src_rows ~src_cols ~dr ~di =
     Array.fill dr (src_rows * hw) ((prows - src_rows) * hw) 0.;
     Array.fill di (src_rows * hw) ((prows - src_rows) * hw) 0.
   end;
-  batched_col_fft cp ~inverse:false ~prows ~width:hw ~re:dr ~im:di 0 hw
+  batched_col_fft cp ~inverse:false ~prows ~width:hw ~re:dr ~im:di
 
 let build_kernel ~rows ~cols ~hx ~hy =
   let prows = Fft.next_pow2 (2 * rows) in
@@ -292,7 +292,7 @@ let fft_force_field ?out ~rows ~cols ~hx ~hy density =
   done;
   let cp = Fft.plan prows in
   let cpc = Fft.plan pcols in
-  batched_col_fft cp ~inverse:true ~prows ~width:pcols ~re:zr ~im:zi 0 pcols;
+  batched_col_fft cp ~inverse:true ~prows ~width:pcols ~re:zr ~im:zi;
   let f =
     match out with
     | Some f ->

@@ -4,9 +4,8 @@
 
     All scalar metrics are plain numbers so the module stays independent
     of the netlist layer; the placer computes them and fills the record.
-    Fields listed in {!volatile_fields} (timings and
-    execution-environment facts) legitimately differ between runs of the
-    same placement; everything else is deterministic and is compared
+    Fields listed in {!volatile_fields} (timings and the registry
+    snapshot) legitimately differ between runs of the same placement; everything else is deterministic and is compared
     bitwise by the regression tests. *)
 
 type iteration = {
@@ -84,8 +83,8 @@ type summary = {
     ["unsupported schema version N (this build reads 6)"]. *)
 val schema_version : int
 
-(** Fields excluded from determinism comparisons: timings and
-    pool-configuration facts. *)
+(** Fields excluded from determinism comparisons: the timings and the
+    registry snapshot ([phases], [wall_time], [counters]). *)
 val volatile_fields : string list
 
 (** [strip_volatile json] removes {!volatile_fields} from a record

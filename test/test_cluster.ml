@@ -336,7 +336,7 @@ let suite =
       test_vcycle_steps_match_place_multilevel;
     Alcotest.test_case "finish straight down seats every cell" `Quick
       test_finish_straight_down_legal_seating;
-    Alcotest.test_case "V-cycle bitwise across domains" `Slow
+    Alcotest.test_case "V-cycle bitwise across domains: spawned = calling" `Slow
       test_multilevel_bitwise_across_domains;
     Alcotest.test_case "clustering seed is a real input" `Slow
       test_multilevel_seed_sensitivity;
