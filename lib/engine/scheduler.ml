@@ -101,6 +101,8 @@ type t = {
   stats : shard_stats array;
   created_at : float;
   mutable live : bool;
+  mutable opened : bool;
+      (* workers take no work before the coordinator's first [pump] *)
   mutable worker_domains : unit Domain.t array;
   mutable notify : (Unix.file_descr * Unix.file_descr) option;
 }
@@ -134,6 +136,14 @@ let emit t ev =
    (coordinator) domain, one at a time, so an event a handler causes is
    still delivered after the ones queued before it. *)
 let pump t =
+  (* The first pump lets the workers in: jobs submitted before it are
+     all queued when they first look, so all are claimed (priority, then
+     submission order) before any slice runs, as with the coordinator
+     alone.  Only the coordinator writes [opened]. *)
+  if not t.opened then
+    with_lock t (fun () ->
+        t.opened <- true;
+        Condition.broadcast t.cond);
   (match t.notify with
   | None -> ()
   | Some (r, _) -> (
@@ -731,10 +741,16 @@ let rec work t shard =
     Mutex.lock t.lock;
     true
 
+(* [work] releases the lock around a claimed job's start, and a worker
+   can stay blocked on the lock for the whole of another worker's run,
+   so [stop] may have cleared [live] since the loop test: re-check it
+   before sleeping, or the worker sleeps through the last broadcast and
+   [stop]'s [Domain.join] waits forever. *)
 let worker t shard () =
   Mutex.lock t.lock;
   while t.live do
-    if not (work t shard) then Condition.wait t.cond t.lock
+    if (not (t.opened && work t shard)) && t.live then
+      Condition.wait t.cond t.lock
   done;
   Mutex.unlock t.lock
 
@@ -777,6 +793,7 @@ let create ?(concurrency = 1) ?(domains = 1) ?(on_event = fun _ -> ()) () =
             { steals = 0; slices = 0; busy_s = 0.; max_slice_s = 0. });
       created_at = Unix.gettimeofday ();
       live = true;
+      opened = false;
       worker_domains = [||];
       notify;
     }

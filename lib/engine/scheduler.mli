@@ -59,9 +59,11 @@ val max_workers : int
 (** [create ()] — [concurrency] is the number of jobs running at once
     (default 1); [on_event] observes lifecycle transitions.  [domains]
     (default 1) above 1 spawns [min concurrency domains] worker domains,
-    held until {!stop}; at 1 there are zero workers and {!step} runs the
-    loop on the caller.  Raises [Invalid_argument] when [concurrency < 1]
-    or [domains] is outside [1..max_workers]. *)
+    held until {!stop}, which take no work before the first {!pump}
+    (so jobs submitted before it all start before any slice runs); at 1
+    there are zero workers and {!step} runs the loop on the caller.
+    Raises [Invalid_argument] when [concurrency < 1] or [domains] is
+    outside [1..max_workers]. *)
 val create :
   ?concurrency:int -> ?domains:int -> ?on_event:(event -> unit) -> unit -> t
 

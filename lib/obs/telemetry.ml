@@ -39,7 +39,7 @@ type summary = {
   counters : (string * Stat.t) list;
 }
 
-(* Schema 5 is the only one parsed; bump it (and the writers) on any
+(* Schema 6 is the only one parsed; bump it (and the writers) on any
    field change. *)
 let schema_version = 6
 

@@ -8,6 +8,7 @@ let () =
       ("numeric.fft", Test_fft.suite);
       ("numeric.poisson", Test_poisson.suite);
       ("numeric.rng", Test_rng.suite);
+      ("numeric.parallel", Test_parallel.suite);
       ("geometry.rect", Test_rect.suite);
       ("geometry.grid2", Test_grid2.suite);
       ("netlist", Test_netlist.suite);

@@ -447,6 +447,23 @@ let test_forces_buffers () =
            ~buffers:(Density.Forces.buffers r ~nx ~ny ~n_movable:(n_movable + 1))
            c p ~demand ~var_of_cell ~n_movable ~k_param:0.2 ()))
 
+(* The splat on two worker domains at once, each into its own grid, is
+   the calling domain's splat bit for bit. *)
+let test_demand_bitwise_across_domains () =
+  let c, p = scattered_biomed () in
+  let nx, ny = Density.Density_map.auto_bins c in
+  let splat () =
+    let g = Geometry.Grid2.create c.Netlist.Circuit.region ~nx ~ny in
+    Density.Density_map.demand_into c p g;
+    Array.map Int64.bits_of_float (Geometry.Grid2.values g)
+  in
+  let reference = splat () in
+  List.iteri
+    (fun w bits ->
+      Alcotest.(check bool) (Printf.sprintf "worker %d bitwise" w) true
+        (bits = reference))
+    (List.init 2 (fun _ -> Domain.spawn splat) |> List.map Domain.join)
+
 let suite =
   [
     Alcotest.test_case "density sums to zero" `Quick test_density_sums_to_zero;
@@ -480,4 +497,6 @@ let suite =
     Alcotest.test_case "splat allocation" `Quick test_splat_allocation;
     Alcotest.test_case "forces through reused buffers" `Quick
       test_forces_buffers;
+    Alcotest.test_case "demand bitwise across domains" `Quick
+      test_demand_bitwise_across_domains;
   ]

@@ -110,7 +110,11 @@ let test_checkpoint_digest_guards () =
   let rewired = Kraftwerk.Eco.rewire circuit rng ~fraction:0.5 in
   (match Engine.Checkpoint.restore cp config rewired with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "restore accepted a different circuit")
+  | Ok _ -> Alcotest.fail "restore accepted a different circuit");
+  (* ...but the inert [Config.domains] field is not part of the
+     semantics (results are the same bits on any domain). *)
+  let pinned = { config with Kraftwerk.Config.domains = Some 2 } in
+  ignore (ok_or_fail (Engine.Checkpoint.restore cp pinned circuit))
 
 (* The config digests of the presets, pinned: a checkpoint resumes only
    while the fingerprint renders every field as it did when the
@@ -1176,16 +1180,54 @@ let test_spec_json_round_trip () =
       | Error e -> Alcotest.failf "spec does not round-trip: %s" e
       | Ok s' ->
         Alcotest.(check bool) "spec round-trips structurally" true (s = s'))
-    [ full; minimal ];
-  (* A "domains" key from an older client is ignored like any unknown
-     key. *)
-  match
-    Engine.Job.spec_of_json
-      (Obs.Json.Obj
-         [ ("circuit", Obs.Json.Str "a.ckt"); ("domains", Obs.Json.Num 2.) ])
-  with
-  | Ok s -> Alcotest.(check bool) "domains ignored" true (s = minimal)
-  | Error e -> Alcotest.failf "spec with domains rejected: %s" e
+    [ full; minimal ]
+
+(* A "domains" key from an older client is ignored like any unknown
+   key: a job's kernels run on one domain whatever it asks for. *)
+let test_spec_ignores_domains () =
+  let minimal = Engine.Job.spec ~source:(Engine.Source.File "a.ckt") () in
+  List.iter
+    (fun d ->
+      match
+        Engine.Job.spec_of_json
+          (Obs.Json.Obj
+             [ ("circuit", Obs.Json.Str "a.ckt"); ("domains", Obs.Json.Num d) ])
+      with
+      | Ok s ->
+        Alcotest.(check bool) (Printf.sprintf "domains %g ignored" d) true
+          (s = minimal)
+      | Error e -> Alcotest.failf "spec with domains %g rejected: %s" d e)
+    [ 1.; 2.; 500. ]
+
+(* [domains] is the worker count: min(concurrency, domains) worker
+   domains above 1, the caller alone at 1; outside 1..max_workers, or
+   with no concurrency slot, creation is refused. *)
+let test_scheduler_workers_range () =
+  List.iter
+    (fun (concurrency, domains, expected) ->
+      let sched = Engine.Scheduler.create ~concurrency ?domains () in
+      let workers = Engine.Scheduler.workers sched in
+      Engine.Scheduler.stop sched;
+      Alcotest.(check int)
+        (Printf.sprintf "concurrency %d, domains %s" concurrency
+           (match domains with Some d -> string_of_int d | None -> "default"))
+        expected workers)
+    [
+      (3, None, 0);
+      (3, Some 1, 0);
+      (3, Some 2, 2);
+      (2, Some Engine.Scheduler.max_workers, 2);
+      (1, Some 4, 1);
+    ];
+  List.iter
+    (fun (concurrency, domains) ->
+      match Engine.Scheduler.create ~concurrency ~domains () with
+      | exception Invalid_argument _ -> ()
+      | sched ->
+        Engine.Scheduler.stop sched;
+        Alcotest.failf "created with concurrency %d, domains %d" concurrency
+          domains)
+    [ (1, 0); (1, Engine.Scheduler.max_workers + 1); (0, 1); (0, 2) ]
 
 let parse_request line =
   match Obs.Json.of_string line with
@@ -1349,6 +1391,10 @@ let suite =
     Alcotest.test_case "checkpoint versions other than 4 rejected" `Quick
       test_checkpoint_other_versions_rejected;
     Alcotest.test_case "spec json round-trip" `Quick test_spec_json_round_trip;
+    Alcotest.test_case "spec ignores a domains key" `Quick
+      test_spec_ignores_domains;
+    Alcotest.test_case "scheduler worker count and range" `Quick
+      test_scheduler_workers_range;
     Alcotest.test_case "protocol request parsing" `Quick
       test_protocol_request_parsing;
     Alcotest.test_case "protocol submit/drain/result session" `Quick

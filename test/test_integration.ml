@@ -492,10 +492,39 @@ let suite =
     Alcotest.test_case "bench cli usage" `Quick test_bench_cli_usage;
   ]
 
+(* The committed kernel bench records the host's core count, one SpMV
+   row (every kernel runs on one domain) and a finite time per kernel. *)
+let test_gate_kernel_rows () =
+  let bench = read_json (Test_server.repo_file "BENCH_kernels.json") in
+  let cores = num "cores" bench in
+  Alcotest.(check bool) "cores is a positive integer" true
+    (cores >= 1. && Float.is_integer cores);
+  Alcotest.(check bool) "no pool size" true (J.member "domains" bench = None);
+  let kernels =
+    match get "kernels_ns" bench with
+    | J.Obj fields -> fields
+    | _ -> Alcotest.fail "kernels_ns is not an object"
+  in
+  List.iter
+    (fun (name, v) ->
+      match v with
+      | J.Num ns when Float.is_finite ns && ns > 0. -> ()
+      | _ -> Alcotest.failf "%s: not a positive finite time" name)
+    kernels;
+  Alcotest.(check bool) "spmv-primary1 row" true
+    (List.mem_assoc "kernels/spmv-primary1" kernels);
+  Alcotest.(check (list string)) "no pooled SpMV rows" []
+    (List.filter
+       (fun name -> contains name "spmv-seq" || contains name "spmv-pool")
+       (List.map fst kernels));
+  Alcotest.(check bool) "no pool speedup" true
+    (J.member "spmv_pool" (get "speedups" bench) = None)
+
 let gates =
   [
     Alcotest.test_case "trace smoke" `Quick test_gate_trace;
     Alcotest.test_case "effort matrix" `Quick test_gate_effort;
     Alcotest.test_case "routability" `Quick test_gate_routability;
     Alcotest.test_case "BENCH_mega.json rows" `Quick test_gate_mega_rows;
+    Alcotest.test_case "BENCH_kernels.json rows" `Quick test_gate_kernel_rows;
   ]

@@ -486,6 +486,17 @@ let test_strip_volatile () =
     (Obs.Json.member "hpwl" stripped <> None
     && Obs.Json.member "step" stripped <> None)
 
+(* Schema 6 dropped the kernel pool's size and task count: a record
+   carries neither. *)
+let test_iteration_no_pool_fields () =
+  let j = Obs.Telemetry.iteration_to_json (sample_iteration 2) in
+  Alcotest.(check bool) "schema 6" true
+    (Obs.Json.member "schema" j = Some (Obs.Json.Num 6.));
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (f ^ " absent") true (Obs.Json.member f j = None))
+    [ "domains"; "pool_tasks" ]
+
 (* --- sinks ------------------------------------------------------------ *)
 
 let test_sink_collecting () =
@@ -566,6 +577,8 @@ let suite =
     Alcotest.test_case "summary other schema rejected" `Quick
       test_summary_schema_rejected;
     Alcotest.test_case "strip_volatile" `Quick test_strip_volatile;
+    Alcotest.test_case "iteration records carry no pool fields" `Quick
+      test_iteration_no_pool_fields;
     Alcotest.test_case "collecting sink" `Quick test_sink_collecting;
     Alcotest.test_case "jsonl sink" `Quick test_sink_jsonl;
   ]

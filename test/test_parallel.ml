@@ -1,8 +1,9 @@
-(* Tests for the Numeric.Parallel domain pool and for the bitwise
-   determinism of every kernel routed through it: the same inputs must
-   produce bit-for-bit identical outputs whether the pool has 1, 2 or 4
-   domains, and the pooled paths must match the historical sequential
-   code exactly. *)
+(* Bitwise determinism across domains.  Every numeric kernel runs on
+   the domain that calls it, and served jobs run on the scheduler's
+   worker domains: a kernel or a whole placer run must produce the same
+   bits on a worker domain as on the calling domain, also while another
+   worker runs the same work at the same time (each domain has its own
+   scratch planes; the FFT kernel cache is shared). *)
 
 let check_bitwise name a b =
   Alcotest.(check int) (name ^ ": length") (Array.length a) (Array.length b);
@@ -12,73 +13,12 @@ let check_bitwise name a b =
         Alcotest.failf "%s: element %d differs: %h vs %h" name i x b.(i))
     a
 
-(* Every test leaves the pool at size 1 so the rest of the suite keeps
-   the historical sequential behaviour. *)
-let with_domains n f =
-  Numeric.Parallel.set_num_domains n;
-  Fun.protect ~finally:(fun () -> Numeric.Parallel.set_num_domains 1) f
-
-let domain_counts = [ 1; 2; 4 ]
+(* [f ()] on [n] worker domains started together, results in order. *)
+let on_workers n f =
+  List.init n (fun _ -> Domain.spawn f) |> List.map Domain.join
 
 (* ------------------------------------------------------------------ *)
-(* Pool combinators                                                    *)
-
-let test_parallel_range_covers_range () =
-  List.iter
-    (fun d ->
-      with_domains d (fun () ->
-          List.iter
-            (fun n ->
-              let hits = Array.make n 0 in
-              Numeric.Parallel.parallel_range ~chunk:7 ~lo:0 ~hi:n (fun a b ->
-                  for i = a to b - 1 do
-                    hits.(i) <- hits.(i) + 1
-                  done);
-              Array.iteri
-                (fun i h ->
-                  if h <> 1 then
-                    Alcotest.failf "d=%d n=%d: index %d visited %d times" d n
-                      i h)
-                hits)
-            [ 0; 1; 6; 7; 8; 100; 1023 ];
-          (* A task's exception reaches the caller, and the pool survives
-             it. *)
-          Alcotest.check_raises "chunk raises" (Failure "boom") (fun () ->
-              Numeric.Parallel.parallel_range ~chunk:7 ~lo:0 ~hi:100
-                (fun a b -> if a <= 14 && 14 < b then failwith "boom"));
-          let hits = Array.make 100 0 in
-          Numeric.Parallel.parallel_range ~chunk:7 ~lo:0 ~hi:100 (fun a b ->
-              for i = a to b - 1 do
-                hits.(i) <- hits.(i) + 1
-              done);
-          Alcotest.(check bool) "alive after exn" true
-            (Array.for_all (( = ) 1) hits)))
-    domain_counts
-
-let test_set_num_domains_validates () =
-  Alcotest.check_raises "zero rejected"
-    (Invalid_argument "Parallel.set_num_domains: need at least one domain")
-    (fun () -> Numeric.Parallel.set_num_domains 0)
-
-let test_env_variable () =
-  let saved = Sys.getenv_opt "KRAFTWERK_DOMAINS" in
-  Fun.protect
-    ~finally:(fun () ->
-      (match saved with
-      | Some v -> Unix.putenv "KRAFTWERK_DOMAINS" v
-      | None -> Unix.putenv "KRAFTWERK_DOMAINS" "");
-      Numeric.Parallel.set_num_domains 1)
-    (fun () ->
-      Unix.putenv "KRAFTWERK_DOMAINS" "3";
-      Numeric.Parallel.reset ();
-      Alcotest.(check int) "env respected" 3 (Numeric.Parallel.num_domains ());
-      Unix.putenv "KRAFTWERK_DOMAINS" "1";
-      Numeric.Parallel.reset ();
-      Alcotest.(check int) "env=1 sequential" 1
-        (Numeric.Parallel.num_domains ()))
-
-(* ------------------------------------------------------------------ *)
-(* SpMV determinism                                                    *)
+(* SpMV                                                                *)
 
 let random_spd_matrix rng n =
   let b = Numeric.Sparse.builder n in
@@ -93,25 +33,36 @@ let random_spd_matrix rng n =
   Numeric.Sparse.finalize b
 
 let test_spmv_bitwise () =
+  let n = 777 in
   let rng = Numeric.Rng.create 77 in
-  (* 777 rows clears the SpMV parallel threshold (512). *)
-  let m = random_spd_matrix rng 777 in
-  let x = Array.init 777 (fun i -> Numeric.Rng.uniform rng (-1.) 1. +. float_of_int i) in
-  let y_ref = Array.make 777 0. in
-  Numeric.Sparse.mul_seq m x y_ref;
-  List.iter
-    (fun d ->
-      with_domains d (fun () ->
-          let y = Array.make 777 nan in
-          Numeric.Sparse.mul m x y;
-          check_bitwise (Printf.sprintf "spmv d=%d" d) y_ref y))
-    domain_counts
+  let m = random_spd_matrix rng n in
+  let xa = Array.init n (fun i -> Numeric.Rng.uniform rng (-1.) 1. +. float_of_int i) in
+  let xb = Array.init n (fun _ -> Numeric.Rng.uniform rng (-1.) 1.) in
+  let products () =
+    let ya = Array.make n nan and yb = Array.make n nan in
+    let za = Array.make n nan and zb = Array.make n nan in
+    Numeric.Sparse.mul m xa ya;
+    Numeric.Sparse.mul m xb yb;
+    Numeric.Sparse.mul2 m xa za xb zb;
+    (ya, yb, za, zb)
+  in
+  let ya, yb, za, zb = products () in
+  check_bitwise "mul2 a = mul" ya za;
+  check_bitwise "mul2 b = mul" yb zb;
+  List.iteri
+    (fun w (wa, wb, va, vb) ->
+      let tag s = Printf.sprintf "worker %d %s" w s in
+      check_bitwise (tag "mul a") ya wa;
+      check_bitwise (tag "mul b") yb wb;
+      check_bitwise (tag "mul2 a") ya va;
+      check_bitwise (tag "mul2 b") yb vb)
+    (on_workers 2 products)
 
 (* ------------------------------------------------------------------ *)
-(* Force-field determinism                                             *)
+(* Force field                                                         *)
 
-(* The FFT force field of a cold and a warm kernel cache must be the
-   domains=1 bits on every pool size, with exactly one kernel build. *)
+(* The FFT force field on two worker domains at once, each building or
+   hitting the shared kernel cache, is the calling domain's field. *)
 let test_force_field_bitwise () =
   let rng = Numeric.Rng.create 11 in
   List.iter
@@ -122,110 +73,97 @@ let test_force_field_bitwise () =
       let field () =
         Numeric.Poisson.fft_force_field ~rows ~cols ~hx:1.5 ~hy:0.75 density
       in
-      let reference = with_domains 1 field in
-      List.iter
-        (fun d ->
-          with_domains d (fun () ->
-              Numeric.Poisson.clear_kernel_cache ();
-              let cold = field () in
-              let warm = field () in
-              let tag s =
-                Printf.sprintf "%dx%d d=%d %s" rows cols d s
-              in
-              check_bitwise (tag "cold fx") reference.Numeric.Poisson.fx
-                cold.Numeric.Poisson.fx;
-              check_bitwise (tag "cold fy") reference.Numeric.Poisson.fy
-                cold.Numeric.Poisson.fy;
-              check_bitwise (tag "warm fx") reference.Numeric.Poisson.fx
-                warm.Numeric.Poisson.fx;
-              check_bitwise (tag "warm fy") reference.Numeric.Poisson.fy
-                warm.Numeric.Poisson.fy;
-              let hits, misses = Numeric.Poisson.kernel_cache_stats () in
-              Alcotest.(check (pair int int))
-                (tag "cache stats") (1, 1) (hits, misses)))
-        domain_counts)
+      Numeric.Poisson.clear_kernel_cache ();
+      let reference = field () in
+      Numeric.Poisson.clear_kernel_cache ();
+      List.iteri
+        (fun w (cold, warm) ->
+          let tag s = Printf.sprintf "%dx%d worker %d %s" rows cols w s in
+          check_bitwise (tag "cold fx") reference.Numeric.Poisson.fx
+            cold.Numeric.Poisson.fx;
+          check_bitwise (tag "cold fy") reference.Numeric.Poisson.fy
+            cold.Numeric.Poisson.fy;
+          check_bitwise (tag "warm fx") reference.Numeric.Poisson.fx
+            warm.Numeric.Poisson.fx;
+          check_bitwise (tag "warm fy") reference.Numeric.Poisson.fy
+            warm.Numeric.Poisson.fy)
+        (on_workers 2 (fun () ->
+             let cold = field () in
+             (cold, field ()))))
     [ (7, 13); (17, 29) ]
 
 (* ------------------------------------------------------------------ *)
 (* Whole-placer determinism                                            *)
 
-let test_placer_trajectory_bitwise () =
+let fract () =
   let prof = Circuitgen.Profiles.find "fract" in
   let circuit, pads =
     Circuitgen.Gen.generate (Circuitgen.Profiles.params ~scale:1.0 prof ~seed:21)
   in
-  let p0 = Circuitgen.Gen.initial_placement circuit pads in
+  (circuit, Circuitgen.Gen.initial_placement circuit pads)
+
+(* A run on a worker domain, and one there with the inert
+   [Config.domains] set, follow the calling domain's trajectory bit for
+   bit, two workers at once. *)
+let test_placer_trajectory_bitwise () =
+  let circuit, p0 = fract () in
   let config =
     { Kraftwerk.Config.standard with Kraftwerk.Config.max_iterations = 15 }
   in
-  let run domains =
-    let state, reports =
-      Kraftwerk.Placer.run
-        { config with Kraftwerk.Config.domains = Some domains }
-        circuit p0
-    in
+  let run config () =
+    let state, reports = Kraftwerk.Placer.run config circuit p0 in
     ( Array.of_list (List.map (fun r -> r.Kraftwerk.Placer.hpwl) reports),
       state.Kraftwerk.Placer.placement )
   in
-  Fun.protect
-    ~finally:(fun () -> Numeric.Parallel.set_num_domains 1)
-    (fun () ->
-      let traj1, p1 = run 1 in
-      let traj4, p4 = run 4 in
-      Alcotest.(check bool) "took steps" true (Array.length traj1 > 0);
-      check_bitwise "hpwl trajectory" traj1 traj4;
-      check_bitwise "final x" p1.Netlist.Placement.x p4.Netlist.Placement.x;
-      check_bitwise "final y" p1.Netlist.Placement.y p4.Netlist.Placement.y)
+  let traj, p = run config () in
+  Alcotest.(check bool) "took steps" true (Array.length traj > 0);
+  let pinned = { config with Kraftwerk.Config.domains = Some 4 } in
+  List.iter
+    (fun (tag, (traj', p')) ->
+      check_bitwise (tag ^ ": hpwl trajectory") traj traj';
+      check_bitwise (tag ^ ": final x") p.Netlist.Placement.x
+        p'.Netlist.Placement.x;
+      check_bitwise (tag ^ ": final y") p.Netlist.Placement.y
+        p'.Netlist.Placement.y)
+    (List.combine [ "worker"; "worker, domains = 4" ]
+       (List.map Domain.join
+          [ Domain.spawn (run config); Domain.spawn (run pinned) ]))
 
-(* The full telemetry trace — not just the HPWL trajectory — must be
-   bitwise identical for any pool size once the volatile fields
-   (timings, pool facts) are stripped: every recorded metric comes out
-   of kernels that are deterministic across domain counts. *)
+(* The full telemetry trace, volatile fields stripped, is the calling
+   domain's trace on a worker domain: with every cache-provenance field
+   from a cold kernel cache, and without them for two workers at once
+   (they share the cache, so which of them builds a kernel is timing). *)
 let test_telemetry_trace_bitwise () =
-  let prof = Circuitgen.Profiles.find "fract" in
-  let circuit, pads =
-    Circuitgen.Gen.generate (Circuitgen.Profiles.params ~scale:1.0 prof ~seed:21)
-  in
-  let p0 = Circuitgen.Gen.initial_placement circuit pads in
+  let circuit, p0 = fract () in
   let config =
     { Kraftwerk.Config.standard with Kraftwerk.Config.max_iterations = 10 }
   in
-  let run domains =
-    (* The kernel-spectrum cache persists across runs in one process;
-       clear it so cache hit/miss records match between runs too. *)
-    Numeric.Poisson.clear_kernel_cache ();
+  let trace () =
     let sink, read = Obs.Sink.collecting () in
     Obs.Sink.with_sink sink (fun () ->
-        ignore
-          (Kraftwerk.Placer.run
-             { config with Kraftwerk.Config.domains = Some domains }
-             circuit p0));
+        ignore (Kraftwerk.Placer.run config circuit p0));
     let records, _ = read () in
     List.map
-      (fun r ->
-        Obs.Json.to_string
-          (Obs.Telemetry.strip_volatile (Obs.Telemetry.iteration_to_json r)))
+      (fun r -> Obs.Telemetry.strip_volatile (Obs.Telemetry.iteration_to_json r))
       records
   in
-  Fun.protect
-    ~finally:(fun () -> Numeric.Parallel.set_num_domains 1)
-    (fun () ->
-      let reference = run 1 in
-      Alcotest.(check bool) "collected records" true (reference <> []);
-      List.iter
-        (fun d ->
-          Alcotest.(check (list string))
-            (Printf.sprintf "telemetry trace d=%d" d)
-            reference (run d))
-        [ 2; 4 ])
+  let text = List.map Obs.Json.to_string in
+  let settled = List.map (fun r -> Obs.Json.to_string (Obs.Telemetry.strip_provenance r)) in
+  Numeric.Poisson.clear_kernel_cache ();
+  let reference = trace () in
+  Alcotest.(check bool) "collected records" true (reference <> []);
+  Numeric.Poisson.clear_kernel_cache ();
+  let worker = Domain.join (Domain.spawn trace) in
+  Alcotest.(check (list string)) "worker trace" (text reference) (text worker);
+  List.iteri
+    (fun w t ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "concurrent worker %d trace" w)
+        (settled reference) (settled t))
+    (on_workers 2 trace)
 
 let suite =
   [
-    Alcotest.test_case "parallel_range covers range" `Quick
-      test_parallel_range_covers_range;
-    Alcotest.test_case "set_num_domains validates" `Quick
-      test_set_num_domains_validates;
-    Alcotest.test_case "KRAFTWERK_DOMAINS env" `Quick test_env_variable;
     Alcotest.test_case "SpMV bitwise across domains" `Quick test_spmv_bitwise;
     Alcotest.test_case "force field bitwise across domains" `Quick
       test_force_field_bitwise;
