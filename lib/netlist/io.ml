@@ -24,29 +24,80 @@ let kind_of_string = function
   | "pad" -> Cell.Pad
   | s -> failwith ("unknown cell kind: " ^ s)
 
+external format_float : string -> float -> string = "caml_format_float"
+
+(* The writers build their text in one buffer and hand it to the channel
+   a chunk at a time.  A float is Printf's [%.17g] without the format
+   interpreter: [caml_format_float] is the conversion Printf ends in, so
+   the bytes are the same (the [.ckt]/[.pos] MD5 pins of test_trajectory
+   hold them), and an int is [Int.to_string], which is Printf's [%d]. *)
+let chunk = 65536
+
+let add_float buf v = Buffer.add_string buf (format_float "%.17g" v)
+
+let add_int buf i = Buffer.add_string buf (Int.to_string i)
+
+let writing oc f =
+  let buf = Buffer.create chunk in
+  let end_line () =
+    Buffer.add_char buf '\n';
+    if Buffer.length buf >= chunk then begin
+      Buffer.output_buffer oc buf;
+      Buffer.clear buf
+    end
+  in
+  f buf end_line;
+  Buffer.output_buffer oc buf
+
 let write_circuit oc (c : Circuit.t) =
-  Printf.fprintf oc "circuit %s\n" c.Circuit.name;
-  let r = c.Circuit.region in
-  Printf.fprintf oc "region %.17g %.17g %.17g %.17g\n" r.Geometry.Rect.x_lo
-    r.Geometry.Rect.y_lo r.Geometry.Rect.x_hi r.Geometry.Rect.y_hi;
-  Printf.fprintf oc "rowheight %.17g\n" c.Circuit.row_height;
-  Array.iter
-    (fun (cl : Cell.t) ->
-      Printf.fprintf oc "cell %s %.17g %.17g %s %d %d %.17g %.17g\n" cl.Cell.name
-        cl.Cell.width cl.Cell.height (kind_to_string cl.Cell.kind)
-        (if cl.Cell.fixed then 1 else 0)
-        (if cl.Cell.sequential then 1 else 0)
-        cl.Cell.delay cl.Cell.power)
-    c.Circuit.cells;
-  Array.iteri
-    (fun n name ->
-      Printf.fprintf oc "net %s" name;
-      for k = c.Circuit.net_start.(n) to c.Circuit.net_start.(n + 1) - 1 do
-        Printf.fprintf oc " %d:%.17g:%.17g" c.Circuit.pin_cell.(k)
-          c.Circuit.pin_dx.(k) c.Circuit.pin_dy.(k)
-      done;
-      output_char oc '\n')
-    c.Circuit.net_name
+  writing oc (fun buf end_line ->
+      let word s =
+        Buffer.add_char buf ' ';
+        Buffer.add_string buf s
+      and num v =
+        Buffer.add_char buf ' ';
+        add_float buf v
+      in
+      Buffer.add_string buf "circuit";
+      word c.Circuit.name;
+      end_line ();
+      let r = c.Circuit.region in
+      Buffer.add_string buf "region";
+      num r.Geometry.Rect.x_lo;
+      num r.Geometry.Rect.y_lo;
+      num r.Geometry.Rect.x_hi;
+      num r.Geometry.Rect.y_hi;
+      end_line ();
+      Buffer.add_string buf "rowheight";
+      num c.Circuit.row_height;
+      end_line ();
+      Array.iter
+        (fun (cl : Cell.t) ->
+          Buffer.add_string buf "cell";
+          word cl.Cell.name;
+          num cl.Cell.width;
+          num cl.Cell.height;
+          word (kind_to_string cl.Cell.kind);
+          word (if cl.Cell.fixed then "1" else "0");
+          word (if cl.Cell.sequential then "1" else "0");
+          num cl.Cell.delay;
+          num cl.Cell.power;
+          end_line ())
+        c.Circuit.cells;
+      Array.iteri
+        (fun n name ->
+          Buffer.add_string buf "net";
+          word name;
+          for k = c.Circuit.net_start.(n) to c.Circuit.net_start.(n + 1) - 1 do
+            Buffer.add_char buf ' ';
+            add_int buf c.Circuit.pin_cell.(k);
+            Buffer.add_char buf ':';
+            add_float buf c.Circuit.pin_dx.(k);
+            Buffer.add_char buf ':';
+            add_float buf c.Circuit.pin_dy.(k)
+          done;
+          end_line ())
+        c.Circuit.net_name)
 
 (* Wraps the result-returning readers: [Malformed] and the [Failure]s of
    the numeric conversions both become typed errors, and so does a
@@ -145,9 +196,17 @@ let read_circuit_exn ic =
 let read_circuit ic = reading (fun () -> read_circuit_exn ic)
 
 let write_placement oc (p : Placement.t) =
-  Array.iteri
-    (fun i x -> Printf.fprintf oc "pos %d %.17g %.17g\n" i x p.Placement.y.(i))
-    p.Placement.x
+  writing oc (fun buf end_line ->
+      Array.iteri
+        (fun i x ->
+          Buffer.add_string buf "pos ";
+          add_int buf i;
+          Buffer.add_char buf ' ';
+          add_float buf x;
+          Buffer.add_char buf ' ';
+          add_float buf p.Placement.y.(i);
+          end_line ())
+        p.Placement.x)
 
 let read_placement_exn ic ~num_cells =
   let x = Array.make num_cells 0. and y = Array.make num_cells 0. in
@@ -164,6 +223,7 @@ let read_placement_exn ic ~num_cells =
          | [ "pos"; i; px; py ] ->
            let i = int_of_string i in
            if i < 0 || i >= num_cells then fail "cell index out of range";
+           if seen.(i) then fail (Printf.sprintf "repeated cell %d" i);
            x.(i) <- finite px;
            y.(i) <- finite py;
            seen.(i) <- true

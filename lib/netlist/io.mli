@@ -31,7 +31,9 @@ val error_message : error -> string
     unparsable text raise [Failure].  Also {!Bookshelf}'s number check. *)
 val finite : string -> float
 
-(** [write_circuit oc circuit] prints the circuit. *)
+(** [write_circuit oc circuit] prints the circuit.  Numbers are written
+    as Printf's [%d] and [%.17g] would write them, so a float reads back
+    to the same bits. *)
 val write_circuit : out_channel -> Circuit.t -> unit
 
 (** [read_circuit ic] parses a circuit.  Malformed input is an [Error]
@@ -46,7 +48,9 @@ val read_circuit : in_channel -> (Circuit.t, error) result
 val write_placement : out_channel -> Placement.t -> unit
 
 (** [read_placement ic ~num_cells] parses a placement with exactly
-    [num_cells] entries, all finite. *)
+    [num_cells] entries, all finite: a missing cell, or a second [pos]
+    line for one cell (the error names the repeat's line), is an
+    [Error]. *)
 val read_placement : in_channel -> num_cells:int -> (Placement.t, error) result
 
 (** File-based conveniences.  The loaders also turn an unreadable file

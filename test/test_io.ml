@@ -137,6 +137,32 @@ let test_valid_lines_load () =
       close_out oc;
       ignore (io_exn (Netlist.Io.load_circuit file)))
 
+(* A second [pos] line for one cell is refused at the repeat's line
+   rather than overriding the first, both by the reader and by a served
+   job's source, which loads the [.pos] sidecar beside its circuit. *)
+let test_placement_repeated_cell_rejected () =
+  with_temp (fun ckt ->
+      let pos = ckt ^ ".pos" in
+      let write file text =
+        let oc = open_out file in
+        output_string oc text;
+        close_out oc
+      in
+      write ckt (String.concat "\n" valid_lines);
+      write pos "pos 0 1.0 2.0\npos 1 3.0 4.0\npos 0 5.0 6.0\n";
+      Fun.protect
+        ~finally:(fun () -> Sys.remove pos)
+        (fun () ->
+          let expected = pos ^ ":3: repeated cell 0" in
+          (match Netlist.Io.load_placement pos ~num_cells:2 with
+           | Ok _ -> Alcotest.fail "reader accepted a repeated pos line"
+           | Error e ->
+             Alcotest.(check string) "reader" expected
+               (Netlist.Io.error_message e));
+          match Engine.Source.load (Engine.Source.File ckt) with
+          | Ok _ -> Alcotest.fail "source accepted a repeated pos line"
+          | Error msg -> Alcotest.(check string) "source" expected msg))
+
 let test_hpwl_preserved_by_roundtrip () =
   let c = sample_circuit () in
   let p = Netlist.Placement.centered c ~fixed_positions:[] in
@@ -152,6 +178,8 @@ let suite =
     Alcotest.test_case "circuit roundtrip" `Quick test_circuit_roundtrip;
     Alcotest.test_case "placement roundtrip" `Quick test_placement_roundtrip;
     Alcotest.test_case "placement missing cell" `Quick test_placement_missing_cell_rejected;
+    Alcotest.test_case "placement repeated cell" `Quick
+      test_placement_repeated_cell_rejected;
     Alcotest.test_case "malformed circuit" `Quick test_malformed_circuit_rejected;
     Alcotest.test_case "missing region" `Quick test_missing_region_rejected;
     Alcotest.test_case "hpwl preserved" `Quick test_hpwl_preserved_by_roundtrip;

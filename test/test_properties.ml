@@ -191,6 +191,92 @@ let prop_io_fuzz_never_raises =
           Out_channel.with_open_text file (fun oc -> output_string oc text);
           match Netlist.Io.load_circuit file with Ok _ | Error _ -> true))
 
+(* Floats that stress a [%.17g] writer: any bit pattern (NaNs with
+   payloads included), signed zeros and subnormals, the infinities, and
+   integral values from either side of 1e15, where [Obs.Json] switches
+   from [%.0f] to [%.17g], up to 1e17. *)
+let adversarial_float =
+  let open QCheck.Gen in
+  let signed g = map2 (fun neg v -> if neg then -.v else v) bool g in
+  frequency
+    [
+      (3, map Int64.float_of_bits ui64);
+      ( 1,
+        oneofl
+          [ 0.; -0.; Float.infinity; Float.neg_infinity; Float.nan; 5e-324;
+            Float.min_float; Float.max_float; 1e15; Float.pred 1e15; 1e17 ] );
+      (2, signed (map (fun b -> Int64.(float_of_bits (shift_right_logical b 12))) ui64));
+      (2, signed (map (fun e -> Float.round (10. ** e)) (float_range 15. 17.)));
+      (1, signed (map (fun k -> 1e15 +. (0.5 *. float_of_int k)) (int_range (-9) 9)));
+    ]
+
+let adversarial_floats =
+  QCheck.make
+    ~print:(fun a -> String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a)))
+    QCheck.Gen.(array_size (int_range 1 64) adversarial_float)
+
+(* What [f oc v] writes to a file. *)
+let written f v =
+  let file = Filename.temp_file "prop_bytes" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc -> f oc v);
+      In_channel.with_open_bin file In_channel.input_all)
+
+let prop_float_text_is_printf =
+  QCheck.Test.make ~count:200 ~name:"float text is Printf's %.17g, byte for byte"
+    adversarial_floats (fun a ->
+      let p = { Netlist.Placement.x = a; y = Array.map Float.neg a } in
+      written Netlist.Io.write_placement p = written Io_oracle.write_placement p
+      && Array.for_all
+           (fun v -> Obs.Json.to_string (Obs.Json.Num v) = Io_oracle.json_number v)
+           a)
+
+let byte_circuit = lazy (fst (gen_circuit ~seed:5 ~scale:0.2 "fract"))
+
+(* The circuit with pin offsets, cell sizes, delays and powers drawn
+   from the finite adversarial values (sizes made positive). *)
+let with_values (c : Netlist.Circuit.t) values =
+  let k = ref 0 in
+  let next () =
+    let v = values.(!k mod Array.length values) in
+    incr k;
+    v
+  in
+  let size () = match Float.abs (next ()) with 0. -> 5e-324 | v -> v in
+  let cells =
+    Array.map
+      (fun (cl : Netlist.Cell.t) ->
+        let width = size () in
+        let height = size () in
+        let delay = next () in
+        { cl with Netlist.Cell.width; height; delay; power = next () })
+      c.Netlist.Circuit.cells
+  in
+  let nets =
+    Array.map
+      (fun (n : Netlist.Net.t) ->
+        let pins =
+          Array.map
+            (fun (p : Netlist.Net.pin) ->
+              let dx = next () in
+              { p with Netlist.Net.dx; dy = next () })
+            n.Netlist.Net.pins
+        in
+        { n with Netlist.Net.pins })
+      (Netlist.Circuit.nets c)
+  in
+  Netlist.Circuit.make ~name:c.Netlist.Circuit.name ~cells ~nets
+    ~region:c.Netlist.Circuit.region ~row_height:c.Netlist.Circuit.row_height
+
+let prop_circuit_text_is_printf =
+  QCheck.Test.make ~count:30 ~name:"circuit text is the Printf writer's, byte for byte"
+    adversarial_floats (fun a ->
+      let finite = Array.map (fun v -> if Float.is_finite v then v else 0.5) a in
+      let c = with_values (Lazy.force byte_circuit) finite in
+      written Netlist.Io.write_circuit c = written Io_oracle.write_circuit c)
+
 let prop_annealer_accounting =
   QCheck.Test.make ~count:5 ~name:"annealer final_hpwl matches recomputed HPWL"
     QCheck.small_int (fun seed ->
@@ -281,4 +367,6 @@ let suite =
       prop_cluster_members_partition;
       prop_domino_never_worsens;
       prop_io_fuzz_never_raises;
+      prop_float_text_is_printf;
+      prop_circuit_text_is_printf;
     ]

@@ -166,18 +166,37 @@ let circuit_goldens =
     (("mega100k", 0.15), "119a744ffde06ff627d250206561fd8e");
   ]
 
-let circuit_digest (name, scale) =
-  let circuit, _, _ = profile ~scale ~seed:1 name in
-  let file = Filename.temp_file "served" ".ckt" in
+(* The [.pos] sidecar perfbench writes beside each circuit: the initial
+   placement, saved with [Io.save_placement]. *)
+let placement_goldens =
+  [
+    (("primary1", 1.0), "fc26ee4f5965d554c0665030afcdc9ec");
+    (("mega100k", 0.15), "8c8f93ab606cd144f2044dfae09acab8");
+  ]
+
+let file_digest ext save =
+  let file = Filename.temp_file "served" ext in
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
-      Netlist.Io.save_circuit file circuit;
+      save file;
       Digest.to_hex (Digest.file file))
+
+let circuit_digest (name, scale) =
+  let circuit, _, _ = profile ~scale ~seed:1 name in
+  file_digest ".ckt" (fun file -> Netlist.Io.save_circuit file circuit)
+
+let placement_digest (name, scale) =
+  let _, _, placement = profile ~scale ~seed:1 name in
+  file_digest ".pos" (fun file -> Netlist.Io.save_placement file placement)
 
 let test_circuit_golden key () =
   Alcotest.(check string) (fst key) (List.assoc key circuit_goldens)
     (circuit_digest key)
+
+let test_placement_golden key () =
+  Alcotest.(check string) (fst key) (List.assoc key placement_goldens)
+    (placement_digest key)
 
 let suite =
   List.map
@@ -190,3 +209,9 @@ let suite =
           (Printf.sprintf "served circuit %s@%g" name scale)
           `Slow (test_circuit_golden key))
       circuit_goldens
+  @ List.map
+      (fun (((name, scale) as key), _) ->
+        Alcotest.test_case
+          (Printf.sprintf "served placement %s@%g" name scale)
+          `Slow (test_placement_golden key))
+      placement_goldens
