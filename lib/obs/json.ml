@@ -40,13 +40,12 @@ let escape_to buf s =
 
 external format_float : string -> float -> string = "caml_format_float"
 
-(* %.17g guarantees float → text → float round-trips exactly; trim to
-   the integer form when exact so step counts read naturally.  The C
-   conversion is the one Printf's [%.0f]/[%.17g] end in, called without
-   the format interpreter: the bytes are Printf's. *)
-let number_to_string v =
-  if Float.is_integer v && Float.abs v < 1e15 then format_float "%.0f" v
-  else format_float "%.17g" v
+(* %.17g guarantees float → text → float round-trips exactly, and
+   prints every integral value below 1e17 without a point or an
+   exponent, so step counts read naturally.  The C conversion is the
+   one Printf's [%.17g] ends in, called without the format
+   interpreter: the bytes are Printf's. *)
+let number_to_string v = format_float "%.17g" v
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"

@@ -1,9 +1,11 @@
-(* The graph successive-shortest-paths solver that [Numeric.Mincostflow]
-   ran before its assignment went dense, kept as the differential
-   oracle: the dense solver must choose exactly what this graph run
-   chooses, ties included.  Forward-star adjacency (newest edge first),
-   Bellman–Ford in edge-insertion order, Dijkstra on a binary heap with
-   1e-12 tolerances and the reduced cost clamped at zero. *)
+(* A generic min-cost-flow solver on an explicit graph, kept as the
+   reference for [Numeric.Mincostflow]: successive shortest paths with
+   forward-star adjacency (newest edge first), Bellman–Ford in
+   edge-insertion order, and Dijkstra on a binary heap with 1e-12
+   tolerances and the reduced cost clamped at zero.  It shares no code
+   with the dense Kuhn–Munkres solver, so agreeing on the optimal total
+   is independent evidence; among tied optima the two may choose
+   differently. *)
 
 type t = {
   n : int;

@@ -64,11 +64,14 @@ let test_assignment_ties_hang_regression () =
       a
   done
 
-(* The dense solver against the graph run it replaced (Mcf_oracle):
-   identical choices on random square and rectangular matrices whose
-   costs come from a few integers, some negative, so that optimal
-   assignments tie and only the edge and heap order decides. *)
-let test_assignment_matches_graph_oracle () =
+(* The dense solver against the graph solver kept in Mcf_oracle, on
+   random square and rectangular matrices whose costs come from a few
+   integers, some negative, so that many optimal assignments tie.  The
+   two may pick different optima; the dense one must return a valid
+   injection whose total is the oracle's exactly (integer costs sum
+   without rounding), and the same choice in a reused workspace as in
+   a fresh one. *)
+let test_assignment_optimal_vs_graph_oracle () =
   let rng = Numeric.Rng.create 2024 in
   let ws = Mcf.workspace () in
   for case = 1 to 1200 do
@@ -83,12 +86,40 @@ let test_assignment_matches_graph_oracle () =
           Array.init objects (fun _ ->
               float_of_int (low + Numeric.Rng.int rng levels)))
     in
-    let expect = Mcf_oracle.assignment ~costs in
+    let total a = Array.fold_left ( +. ) 0. (Array.mapi (fun i j -> costs.(i).(j)) a) in
+    let expect = total (Mcf_oracle.assignment ~costs) in
     let fresh = Mcf.assignment ~costs and reused = Mcf.assign ws ~costs in
-    if fresh <> expect || reused <> expect then
-      Alcotest.failf "case %d (%dx%d): dense solver chose differently" case
-        agents objects
+    if reused <> fresh then
+      Alcotest.failf "case %d (%dx%d): reused workspace chose differently" case
+        agents objects;
+    let taken = Array.make objects false in
+    Array.iter
+      (fun j ->
+        if j < 0 || j >= objects || taken.(j) then
+          Alcotest.failf "case %d (%dx%d): not an injection" case agents objects;
+        taken.(j) <- true)
+      fresh;
+    if total fresh <> expect then
+      Alcotest.failf "case %d (%dx%d): total %g, oracle %g" case agents objects
+        (total fresh) expect
   done
+
+(* No complete finite-cost assignment: [Failure], and the workspace
+   still solves the next problem. *)
+let test_assignment_infeasible () =
+  let inf = Float.infinity in
+  let ws = Mcf.workspace () in
+  List.iter
+    (fun costs ->
+      match Mcf.assign ws ~costs with
+      | _ -> Alcotest.fail "accepted an infeasible matrix"
+      | exception Failure _ -> ())
+    [
+      [| [| 1.; 2. |]; [| inf; inf |] |];
+      [| [| 1.; inf; 3. |]; [| 2.; inf; 1. |]; [| 4.; inf; 2. |] |];
+    ];
+  Alcotest.(check (array int)) "workspace reusable" [| 1; 0 |]
+    (Mcf.assign ws ~costs:[| [| 5.; 1.; 9. |]; [| 1.; 5.; 9. |] |])
 
 (* --- Domino --- *)
 
@@ -176,8 +207,9 @@ let suite =
     Alcotest.test_case "assignment vs brute force" `Quick test_assignment_optimal_vs_bruteforce;
     Alcotest.test_case "assignment rectangular" `Quick test_assignment_rectangular;
     Alcotest.test_case "assignment tie regression" `Quick test_assignment_ties_hang_regression;
-    Alcotest.test_case "assignment = graph oracle" `Quick
-      test_assignment_matches_graph_oracle;
+    Alcotest.test_case "assignment optimal vs graph oracle" `Quick
+      test_assignment_optimal_vs_graph_oracle;
+    Alcotest.test_case "assignment infeasible" `Quick test_assignment_infeasible;
     Alcotest.test_case "flow pass" `Quick test_flow_pass_improves_and_stays_legal;
     Alcotest.test_case "reorder pass" `Quick test_reorder_pass_improves_and_stays_legal;
     Alcotest.test_case "run until dry" `Quick test_run_stops_when_dry;

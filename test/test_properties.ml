@@ -192,9 +192,10 @@ let prop_io_fuzz_never_raises =
           match Netlist.Io.load_circuit file with Ok _ | Error _ -> true))
 
 (* Floats that stress a [%.17g] writer: any bit pattern (NaNs with
-   payloads included), signed zeros and subnormals, the infinities, and
-   integral values from either side of 1e15, where [Obs.Json] switches
-   from [%.0f] to [%.17g], up to 1e17. *)
+   payloads included), signed zeros and subnormals, the infinities,
+   small integers such as step counts, and integral values from either
+   side of 1e15, where the reference JSON writer switches from [%.0f]
+   to [%.17g], up to 1e17. *)
 let adversarial_float =
   let open QCheck.Gen in
   let signed g = map2 (fun neg v -> if neg then -.v else v) bool g in
@@ -206,6 +207,7 @@ let adversarial_float =
           [ 0.; -0.; Float.infinity; Float.neg_infinity; Float.nan; 5e-324;
             Float.min_float; Float.max_float; 1e15; Float.pred 1e15; 1e17 ] );
       (2, signed (map (fun b -> Int64.(float_of_bits (shift_right_logical b 12))) ui64));
+      (1, signed (map float_of_int (int_range 0 1_000_000)));
       (2, signed (map (fun e -> Float.round (10. ** e)) (float_range 15. 17.)));
       (1, signed (map (fun k -> 1e15 +. (0.5 *. float_of_int k)) (int_range (-9) 9)));
     ]
