@@ -723,6 +723,14 @@ let micro_run () =
              Timing.Sta.analyse Timing.Params.default circuit placed));
       Test.make ~name:"hpwl-primary1"
         (Staged.stage (fun () -> Metrics.Wirelength.hpwl circuit placed));
+      Test.make ~name:"float-text-primary1"
+        (Staged.stage
+           (* primary1's .ckt text into a buffer with room: mostly the
+              %.17g text of its sizes, delays, powers and pin offsets. *)
+           (let buf = Buffer.create (1 lsl 20) in
+            fun () ->
+              Buffer.clear buf;
+              Netlist.Io.add_circuit buf circuit));
       Test.make ~name:"assignment-16x16"
         (Staged.stage
            (let rng = Numeric.Rng.create 9 in

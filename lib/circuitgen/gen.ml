@@ -78,7 +78,7 @@ let generate p =
     let power = Numeric.Rng.uniform rng 0.2e-5 2e-5 in
     cells :=
       Netlist.Cell.make ~id:i
-        ~name:(Printf.sprintf "c%d" i)
+        ~name:("c" ^ string_of_int i)
         ~width:widths.(i) ~height:row_height ~kind:Netlist.Cell.Standard
         ~sequential ~delay ~power ()
       :: !cells
@@ -88,7 +88,7 @@ let generate p =
       let i = p.num_cells + k in
       cells :=
         Netlist.Cell.make ~id:i
-          ~name:(Printf.sprintf "b%d" k)
+          ~name:("b" ^ string_of_int k)
           ~width:w ~height:h ~kind:Netlist.Cell.Block ~sequential:false
           ~delay:0.5e-9
           ~power:(Numeric.Rng.uniform rng 0.5e-3 2e-3)
@@ -111,7 +111,7 @@ let generate p =
     in
     cells :=
       Netlist.Cell.make ~id:i
-        ~name:(Printf.sprintf "p%d" k)
+        ~name:("p" ^ string_of_int k)
         ~width:row_height ~height:row_height ~kind:Netlist.Cell.Pad ()
       :: !cells;
     pad_positions := (i, (px, py)) :: !pad_positions
@@ -130,7 +130,7 @@ let generate p =
        acyclic; pads sort after cells but are sequential endpoints
        anyway.  Cells count as connected only if the net survives the
        dedup (a "net" whose pins all landed on one cell is dropped). *)
-    let members = List.sort_uniq compare members in
+    let members = List.sort_uniq Int.compare members in
     match members with
     | [] | [ _ ] -> ()
     | _ ->
@@ -158,7 +158,7 @@ let generate p =
       let c = max 0 (min (p.num_cells - 1) (anchor + Numeric.Rng.int rng (2 * span) - span)) in
       members := c :: !members
     done;
-    push_net (Printf.sprintf "pad_n%d" k) !members
+    push_net ("pad_n" ^ string_of_int k) !members
   done;
   (* Huge nets (> 60 pins) to exercise the STA degree cutoff. *)
   for k = 0 to p.huge_nets - 1 do
@@ -167,7 +167,7 @@ let generate p =
     for _ = 1 to d do
       members := Numeric.Rng.int rng n_internal :: !members
     done;
-    push_net (Printf.sprintf "huge%d" k) !members
+    push_net ("huge" ^ string_of_int k) !members
   done;
   (* Rentian random nets: index-local windows of three scales. *)
   let budget = max 0 (p.num_nets - !num_nets) in
@@ -186,14 +186,14 @@ let generate p =
       let c = max 0 (min (n_internal - 1) (center + off)) in
       members := c :: !members
     done;
-    push_net (Printf.sprintf "n%d" k) !members
+    push_net ("n" ^ string_of_int k) !members
   done;
   (* Chain any still-isolated internal cells so the placement matrix has
      no floating components. *)
   for i = 0 to n_internal - 1 do
     if not connected.(i) then begin
       let other = if i = 0 then 1 else i - 1 in
-      push_net (Printf.sprintf "fix%d" i) [ i; other ]
+      push_net ("fix" ^ string_of_int i) [ i; other ]
     end
   done;
   let nets = Array.of_list (List.rev !nets) in

@@ -24,18 +24,12 @@ let kind_of_string = function
   | "pad" -> Cell.Pad
   | s -> failwith ("unknown cell kind: " ^ s)
 
-external format_float : string -> float -> string = "caml_format_float"
-
 (* The writers build their text in one buffer and hand it to the channel
-   a chunk at a time.  A float is Printf's [%.17g] without the format
-   interpreter: [caml_format_float] is the conversion Printf ends in, so
-   the bytes are the same (the [.ckt]/[.pos] MD5 pins of test_trajectory
-   hold them), and an int is [Int.to_string], which is Printf's [%d]. *)
+   a chunk at a time.  Numbers go straight into the buffer through
+   [Numtext], whose bytes are Printf's [%d] and [%.17g] (the [.ckt]/[.pos]
+   MD5 pins of test_trajectory hold them), so a float reads back to the
+   same bits. *)
 let chunk = 65536
-
-let add_float buf v = Buffer.add_string buf (format_float "%.17g" v)
-
-let add_int buf i = Buffer.add_string buf (Int.to_string i)
 
 let writing oc f =
   let buf = Buffer.create chunk in
@@ -49,55 +43,59 @@ let writing oc f =
   f buf end_line;
   Buffer.output_buffer oc buf
 
-let write_circuit oc (c : Circuit.t) =
-  writing oc (fun buf end_line ->
-      let word s =
+(* The circuit's text into [buf], [end_line] ending each line. *)
+let circuit_text buf end_line (c : Circuit.t) =
+  let word s =
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf s
+  and num v =
+    Buffer.add_char buf ' ';
+    Numtext.add_float buf v
+  in
+  Buffer.add_string buf "circuit";
+  word c.Circuit.name;
+  end_line ();
+  let r = c.Circuit.region in
+  Buffer.add_string buf "region";
+  num r.Geometry.Rect.x_lo;
+  num r.Geometry.Rect.y_lo;
+  num r.Geometry.Rect.x_hi;
+  num r.Geometry.Rect.y_hi;
+  end_line ();
+  Buffer.add_string buf "rowheight";
+  num c.Circuit.row_height;
+  end_line ();
+  Array.iter
+    (fun (cl : Cell.t) ->
+      Buffer.add_string buf "cell";
+      word cl.Cell.name;
+      num cl.Cell.width;
+      num cl.Cell.height;
+      word (kind_to_string cl.Cell.kind);
+      word (if cl.Cell.fixed then "1" else "0");
+      word (if cl.Cell.sequential then "1" else "0");
+      num cl.Cell.delay;
+      num cl.Cell.power;
+      end_line ())
+    c.Circuit.cells;
+  Array.iteri
+    (fun n name ->
+      Buffer.add_string buf "net";
+      word name;
+      for k = c.Circuit.net_start.(n) to c.Circuit.net_start.(n + 1) - 1 do
         Buffer.add_char buf ' ';
-        Buffer.add_string buf s
-      and num v =
-        Buffer.add_char buf ' ';
-        add_float buf v
-      in
-      Buffer.add_string buf "circuit";
-      word c.Circuit.name;
-      end_line ();
-      let r = c.Circuit.region in
-      Buffer.add_string buf "region";
-      num r.Geometry.Rect.x_lo;
-      num r.Geometry.Rect.y_lo;
-      num r.Geometry.Rect.x_hi;
-      num r.Geometry.Rect.y_hi;
-      end_line ();
-      Buffer.add_string buf "rowheight";
-      num c.Circuit.row_height;
-      end_line ();
-      Array.iter
-        (fun (cl : Cell.t) ->
-          Buffer.add_string buf "cell";
-          word cl.Cell.name;
-          num cl.Cell.width;
-          num cl.Cell.height;
-          word (kind_to_string cl.Cell.kind);
-          word (if cl.Cell.fixed then "1" else "0");
-          word (if cl.Cell.sequential then "1" else "0");
-          num cl.Cell.delay;
-          num cl.Cell.power;
-          end_line ())
-        c.Circuit.cells;
-      Array.iteri
-        (fun n name ->
-          Buffer.add_string buf "net";
-          word name;
-          for k = c.Circuit.net_start.(n) to c.Circuit.net_start.(n + 1) - 1 do
-            Buffer.add_char buf ' ';
-            add_int buf c.Circuit.pin_cell.(k);
-            Buffer.add_char buf ':';
-            add_float buf c.Circuit.pin_dx.(k);
-            Buffer.add_char buf ':';
-            add_float buf c.Circuit.pin_dy.(k)
-          done;
-          end_line ())
-        c.Circuit.net_name)
+        Numtext.add_int buf c.Circuit.pin_cell.(k);
+        Buffer.add_char buf ':';
+        Numtext.add_float buf c.Circuit.pin_dx.(k);
+        Buffer.add_char buf ':';
+        Numtext.add_float buf c.Circuit.pin_dy.(k)
+      done;
+      end_line ())
+    c.Circuit.net_name
+
+let write_circuit oc c = writing oc (fun buf end_line -> circuit_text buf end_line c)
+
+let add_circuit buf c = circuit_text buf (fun () -> Buffer.add_char buf '\n') c
 
 (* Wraps the result-returning readers: [Malformed] and the [Failure]s of
    the numeric conversions both become typed errors, and so does a
@@ -200,11 +198,11 @@ let write_placement oc (p : Placement.t) =
       Array.iteri
         (fun i x ->
           Buffer.add_string buf "pos ";
-          add_int buf i;
+          Numtext.add_int buf i;
           Buffer.add_char buf ' ';
-          add_float buf x;
+          Numtext.add_float buf x;
           Buffer.add_char buf ' ';
-          add_float buf p.Placement.y.(i);
+          Numtext.add_float buf p.Placement.y.(i);
           end_line ())
         p.Placement.x)
 

@@ -32,9 +32,12 @@ val error_message : error -> string
 val finite : string -> float
 
 (** [write_circuit oc circuit] prints the circuit.  Numbers are written
-    as Printf's [%d] and [%.17g] would write them, so a float reads back
-    to the same bits. *)
+    as Printf's [%d] and [%.17g] would write them ({!Numtext}), so a
+    float reads back to the same bits. *)
 val write_circuit : out_channel -> Circuit.t -> unit
+
+(** [add_circuit buf circuit] appends the text {!write_circuit} prints. *)
+val add_circuit : Buffer.t -> Circuit.t -> unit
 
 (** [read_circuit ic] parses a circuit.  Malformed input is an [Error]
     carrying the line number: an unparsable or non-finite number, a net

@@ -38,22 +38,15 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
-external format_float : string -> float -> string = "caml_format_float"
-
-(* %.17g guarantees float → text → float round-trips exactly, and
-   prints every integral value below 1e17 without a point or an
-   exponent, so step counts read naturally.  The C conversion is the
-   one Printf's [%.17g] ends in, called without the format
-   interpreter: the bytes are Printf's. *)
-let number_to_string v = format_float "%.17g" v
-
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num v ->
-    (* NaN/∞ have no JSON encoding; degrade to null rather than emit an
-       unparsable document. *)
-    if Float.is_finite v then Buffer.add_string buf (number_to_string v)
+    (* [%.17g] (see [Numtext]) reads back to the same bits and prints
+       every integral value below 1e17 without a point or an exponent, so
+       step counts read naturally.  NaN/∞ have no JSON encoding; degrade
+       to null rather than emit an unparsable document. *)
+    if Float.is_finite v then Numtext.add_float buf v
     else Buffer.add_string buf "null"
   | Str s -> escape_to buf s
   | Arr items ->
@@ -176,8 +169,11 @@ let of_string s =
     while !pos < n && num_char s.[!pos] do
       advance ()
     done;
+    (* Only a magnitude past [max_float] reads as non-finite: the text
+       cannot spell NaN or an infinity. *)
     match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> Num v
+    | Some v when Float.is_finite v -> Num v
+    | Some _ -> error "number out of range"
     | None -> error "invalid number"
   in
   let rec parse_value () =

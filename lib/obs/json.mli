@@ -2,8 +2,8 @@
     emit the telemetry trace as JSONL and to read it back in tests and
     analysis scripts without an external dependency.
 
-    Numbers are stored as floats and written with round-trip precision
-    ([%.17g], or the exact integer form when integral), so
+    Numbers are stored as floats and written as [%.17g] writes them
+    ({!Numtext}; integral values below 1e17 without a point), so
     [of_string (to_string v)] reproduces [v] bit-for-bit for finite
     numbers.  NaN and infinities have no JSON encoding and are written
     as [null]. *)
@@ -31,5 +31,7 @@ val to_int : t -> int option
     JSONL-safe — never contains an unescaped newline. *)
 val to_string : t -> string
 
-(** [of_string s] parses one complete JSON document. *)
+(** [of_string s] parses one complete JSON document.  A number whose
+    magnitude overflows a float (such as [1e999]) is an [Error]
+    ("number out of range at offset ..."), never an infinite [Num]. *)
 val of_string : string -> (t, string) result

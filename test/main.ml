@@ -11,6 +11,7 @@ let () =
       ("numeric.parallel", Test_parallel.suite);
       ("geometry.rect", Test_rect.suite);
       ("geometry.grid2", Test_grid2.suite);
+      ("numtext", Test_numtext.suite);
       ("netlist", Test_netlist.suite);
       ("netlist.io", Test_io.suite);
       ("netlist.bookshelf", Test_bookshelf.suite);

@@ -1125,6 +1125,32 @@ let test_checkpoint_robustness () =
         ])
     (robustness_fixtures ())
 
+(* A coordinate that overflows to infinity in the file is a typed load
+   error, not an infinite cell position after restore. *)
+let test_checkpoint_number_out_of_range () =
+  let circuit, p0 = ok_or_fail (Engine.Source.load (source ())) in
+  let state = Kraftwerk.Placer.init Kraftwerk.Config.fast circuit p0 in
+  ignore (Kraftwerk.Placer.continue_run state ~max_steps:2);
+  let file = temp ".json" in
+  Engine.Checkpoint.save file (Engine.Checkpoint.of_state state);
+  let text = read_file file in
+  Sys.remove file;
+  let key = {|"x":[|} in
+  let start =
+    match Test_bookshelf.find_sub text key with
+    | Some i -> i + String.length key
+    | None -> Alcotest.fail "no x array in the checkpoint"
+  in
+  let stop = String.index_from text start ',' in
+  let edited =
+    String.sub text 0 start ^ "1e999" ^ String.sub text stop (String.length text - stop)
+  in
+  match load_text edited with
+  | Ok _ -> Alcotest.fail "checkpoint with x = 1e999 loaded"
+  | Error e ->
+    Alcotest.(check bool) ("typed message: " ^ e) true
+      (String.starts_with ~prefix:"checkpoint: number out of range" e)
+
 (* One live version: the current file stamped "version":3 is refused by
    load with a typed message, and a job resuming from it ends Failed. *)
 let test_checkpoint_other_versions_rejected () =
@@ -1388,6 +1414,8 @@ let suite =
       test_routability_reduces_routed_overflow;
     Alcotest.test_case "checkpoint robustness: cuts and bad lengths" `Slow
       test_checkpoint_robustness;
+    Alcotest.test_case "checkpoint number out of range rejected" `Quick
+      test_checkpoint_number_out_of_range;
     Alcotest.test_case "checkpoint versions other than 4 rejected" `Quick
       test_checkpoint_other_versions_rejected;
     Alcotest.test_case "spec json round-trip" `Quick test_spec_json_round_trip;

@@ -239,6 +239,23 @@ let test_json_to_int_range () =
       (Obs.Json.Null, None);
     ]
 
+(* A number past max_float is refused, not read as an infinity that the
+   writer would print back as null. *)
+let test_json_number_out_of_range () =
+  List.iter
+    (fun text ->
+      match Obs.Json.of_string text with
+      | Ok v -> Alcotest.failf "%s read as %s" text (Obs.Json.to_string v)
+      | Error e ->
+        Alcotest.(check bool) (text ^ ": " ^ e) true
+          (String.starts_with ~prefix:"number out of range" e))
+    [ "[1e999, -1e999]"; "[-1e999]"; "1.8e308"; {|{"x":[0.5,1e400]}|} ];
+  Alcotest.(check bool) "max_float reads" true
+    (Obs.Json.of_string "1.7976931348623157e308"
+    = Ok (Obs.Json.Num Float.max_float));
+  Alcotest.(check bool) "underflow reads as zero" true
+    (Obs.Json.of_string "1e-999" = Ok (Obs.Json.Num 0.))
+
 let test_json_corner_cases () =
   let ok s = Result.is_ok (Obs.Json.of_string s) in
   Alcotest.(check bool) "escaped string" true
@@ -567,6 +584,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_number_roundtrip_bitwise;
     Alcotest.test_case "json corner cases" `Quick test_json_corner_cases;
+    Alcotest.test_case "json number out of range" `Quick
+      test_json_number_out_of_range;
     Alcotest.test_case "json to_int range" `Quick test_json_to_int_range;
     QCheck_alcotest.to_alcotest prop_iteration_roundtrip;
     Alcotest.test_case "summary round-trip" `Quick test_summary_roundtrip;
