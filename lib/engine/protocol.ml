@@ -133,7 +133,7 @@ let event_to_json ~ev e =
     | Scheduler.Started id -> [ ("event", Str "started"); ("id", int_ id) ]
     | Scheduler.Checkpointed (id, file) ->
       [ ("event", Str "checkpointed"); ("id", int_ id); ("file", Str file) ]
-    | Scheduler.Finished (id, status) ->
+    | Scheduler.Finished (id, status, _) ->
       [
         ("event", Str "finished");
         ("id", int_ id);

@@ -39,7 +39,14 @@
 
     Per-job telemetry goes through a private {!Obs.Sink} installed only
     for the duration of that job's slices, so concurrent traces never
-    interleave. *)
+    interleave.
+
+    A terminal job keeps only its {!result}: its placements go to
+    [on_event] with its [Finished] event, and its running state is
+    dropped.  When no other job is running, the domain that finished it
+    then runs one full major collection ([Gc.full_major]), so the next
+    job does not grow the heap while this one's garbage is still
+    uncollected. *)
 
 type t
 
@@ -47,11 +54,26 @@ type t
     (1, 2, …). *)
 type id = int
 
+(** The placements behind a terminal job's result, handed once to
+    [on_event] with its [Finished] event. *)
+type final = {
+  global : Netlist.Placement.t;
+      (** the final {e global} (pre-legalisation) placement; for the ECO
+          path and for tests comparing trajectories bitwise *)
+  legal : Netlist.Placement.t;
+      (** the legalised placement behind the reported metrics (the
+          Tetris best-so-far for cancelled jobs, the full pipeline's
+          output for completed ones) *)
+}
+
 type event =
   | Submitted of id
   | Started of id
   | Checkpointed of id * string  (** checkpoint file written *)
-  | Finished of id * Job.status  (** terminal status *)
+  | Finished of id * Job.status * final option
+      (** terminal status, with the placements when the job produced
+          them ([None] for a failed job or one cancelled while
+          queued) *)
 
 (** Largest [domains] {!create} accepts (64). *)
 val max_workers : int
@@ -134,16 +156,6 @@ val status : t -> id -> Job.status option
 
 (** [result t id] — the terminal report, once [terminal (status t id)]. *)
 val result : t -> id -> Job.result option
-
-(** [placement t id] — the final {e global} (pre-legalisation) placement
-    of a terminal job that produced one; for the ECO path and for tests
-    comparing trajectories bitwise. *)
-val placement : t -> id -> Netlist.Placement.t option
-
-(** [legalized t id] — the legalised placement behind a terminal job's
-    reported metrics (the Tetris best-so-far for cancelled jobs, the full
-    pipeline's output for completed ones). *)
-val legalized : t -> id -> Netlist.Placement.t option
 
 (** [jobs t] — every submitted job with its current status, in
     submission order. *)

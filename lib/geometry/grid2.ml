@@ -58,10 +58,13 @@ let clamp_int (v : int) lo hi = if v < lo then lo else if v > hi then hi else v
 
 let clamp_float (v : float) lo hi = if v < lo then lo else if v > hi then hi else v
 
+(* The bin of coordinate [x] along one axis, clamped to the grid. *)
+let[@inline] bin_of ~lo ~pitch ~n x =
+  clamp_int (int_of_float (Float.floor ((x -. lo) /. pitch))) 0 (n - 1)
+
 let locate g x y =
-  let ix = int_of_float (Float.floor ((x -. g.region.Rect.x_lo) /. g.dx)) in
-  let iy = int_of_float (Float.floor ((y -. g.region.Rect.y_lo) /. g.dy)) in
-  (clamp_int ix 0 (g.nx - 1), clamp_int iy 0 (g.ny - 1))
+  ( bin_of ~lo:g.region.Rect.x_lo ~pitch:g.dx ~n:g.nx x,
+    bin_of ~lo:g.region.Rect.y_lo ~pitch:g.dy ~n:g.ny y )
 
 let sample g x y =
   (* Bilinear interpolation on the bin-centre lattice. *)
@@ -79,39 +82,64 @@ let sample g x y =
   let bot = v01 +. (tx *. (v11 -. v01)) in
   top +. (ty *. (bot -. top))
 
+(* The bin holding point ([x], [y]): [locate] without its pair. *)
+let[@inline] bin_index g x y =
+  index g
+    (bin_of ~lo:g.region.Rect.x_lo ~pitch:g.dx ~n:g.nx x)
+    (bin_of ~lo:g.region.Rect.y_lo ~pitch:g.dy ~n:g.ny y)
+
+(* Allocation-free: the clip, the centre and every bin's overlap are
+   plain floats, computed with the operations, in the order, that
+   [Rect.intersection], [Rect.area], [Rect.center] and
+   [Rect.overlap_area] against [bin_rect] use, so the bins receive the
+   same bits. *)
 let splat_rect g rect v =
-  let f i dv = g.values.(i) <- g.values.(i) +. dv in
-  match Rect.intersection rect g.region with
-  | None ->
-    if Rect.area rect = 0. then begin
-      (* Degenerate rectangle: splat into its centre bin if inside. *)
-      let cx, cy = Rect.center rect in
-      if Rect.contains g.region cx cy then begin
-        let ix, iy = locate g cx cy in
-        f (index g ix iy) v
-      end
+  let r = g.region and values = g.values in
+  let x_lo = Float.max rect.Rect.x_lo r.Rect.x_lo
+  and x_hi = Float.min rect.Rect.x_hi r.Rect.x_hi in
+  let y_lo = Float.max rect.Rect.y_lo r.Rect.y_lo
+  and y_hi = Float.min rect.Rect.y_hi r.Rect.y_hi in
+  let total_area =
+    (rect.Rect.x_hi -. rect.Rect.x_lo) *. (rect.Rect.y_hi -. rect.Rect.y_lo)
+  in
+  let cx = (rect.Rect.x_lo +. rect.Rect.x_hi) /. 2.
+  and cy = (rect.Rect.y_lo +. rect.Rect.y_hi) /. 2. in
+  if not (x_lo < x_hi && y_lo < y_hi) then begin
+    (* Degenerate rectangle: splat into its centre bin if inside. *)
+    if total_area = 0. && cx >= r.Rect.x_lo && cx <= r.Rect.x_hi
+       && cy >= r.Rect.y_lo && cy <= r.Rect.y_hi
+    then begin
+      let i = bin_index g cx cy in
+      values.(i) <- values.(i) +. v
     end
-  | Some clipped ->
-    let total_area = Rect.area rect in
-    if total_area = 0. then begin
-      let cx, cy = Rect.center rect in
-      let ix, iy = locate g cx cy in
-      f (index g ix iy) v
-    end
-    else begin
-      let ix_lo, iy_lo = locate g clipped.Rect.x_lo clipped.Rect.y_lo in
-      (* Upper corner is exclusive-ish: nudge inward to pick the right bin. *)
-      let eps_x = g.dx *. 1e-9 and eps_y = g.dy *. 1e-9 in
-      let ix_hi, iy_hi =
-        locate g (clipped.Rect.x_hi -. eps_x) (clipped.Rect.y_hi -. eps_y)
-      in
-      for iy = iy_lo to iy_hi do
-        for ix = ix_lo to ix_hi do
-          let ov = Rect.overlap_area clipped (bin_rect g ix iy) in
-          if ov > 0. then f (index g ix iy) (v *. ov /. total_area)
-        done
+  end
+  else if total_area = 0. then begin
+    let i = bin_index g cx cy in
+    values.(i) <- values.(i) +. v
+  end
+  else begin
+    let ix_lo = bin_of ~lo:r.Rect.x_lo ~pitch:g.dx ~n:g.nx x_lo
+    and iy_lo = bin_of ~lo:r.Rect.y_lo ~pitch:g.dy ~n:g.ny y_lo in
+    (* Upper corner is exclusive-ish: nudge inward to pick the right bin. *)
+    let ix_hi = bin_of ~lo:r.Rect.x_lo ~pitch:g.dx ~n:g.nx (x_hi -. (g.dx *. 1e-9))
+    and iy_hi = bin_of ~lo:r.Rect.y_lo ~pitch:g.dy ~n:g.ny (y_hi -. (g.dy *. 1e-9)) in
+    for iy = iy_lo to iy_hi do
+      (* The row's overlap height, then each bin's overlap width. *)
+      let by_lo = r.Rect.y_lo +. (float_of_int iy *. g.dy) in
+      let oy_lo = Float.max y_lo by_lo and oy_hi = Float.min y_hi (by_lo +. g.dy) in
+      for ix = ix_lo to ix_hi do
+        let bx_lo = r.Rect.x_lo +. (float_of_int ix *. g.dx) in
+        let ox_lo = Float.max x_lo bx_lo and ox_hi = Float.min x_hi (bx_lo +. g.dx) in
+        if ox_lo < ox_hi && oy_lo < oy_hi then begin
+          let ov = (ox_hi -. ox_lo) *. (oy_hi -. oy_lo) in
+          if ov > 0. then begin
+            let i = index g ix iy in
+            values.(i) <- values.(i) +. (v *. ov /. total_area)
+          end
+        end
       done
-    end
+    done
+  end
 
 let fold f init g =
   let acc = ref init in

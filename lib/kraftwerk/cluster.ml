@@ -340,7 +340,13 @@ let descend r =
     Placer.init ~telemetry_level:(l - 1)
       (level_config r.run_config ~level:(l - 1))
       fine fine_p;
-  r.level_steps <- 0
+  r.level_steps <- 0;
+  (* The coarser level's placer state is garbage now, and the live set
+     is at its smallest before the finer stage's first transformation.
+     Left to the major GC's pace, that garbage is still uncollected
+     while the finer stage allocates its own, and the two together set
+     the run's peak RSS. *)
+  Gc.full_major ()
 
 let level_done r = r.level_steps >= level_budget r || Placer.converged r.state
 

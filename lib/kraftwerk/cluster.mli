@@ -86,7 +86,9 @@ val level_config : Config.t -> level:int -> Config.t
 
 (** An in-flight V-cycle: the hierarchy plus the current stage's placer
     state.  Stages count {e down} from [depth hierarchy] (coarsest) to 0
-    (flat). *)
+    (flat).  Every descent ends with one full major collection
+    ([Gc.full_major]): the coarser level's placer state has just become
+    garbage, and the live set is small. *)
 type run
 
 val total_levels : run -> int

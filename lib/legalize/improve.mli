@@ -2,7 +2,9 @@
     of the paper's final placer.
 
     Two move classes, both exact-legality-preserving:
-    - {e equal-width swaps} between nearby standard cells;
+    - {e equal-width swaps}: each pass, every movable standard cell tries
+      four partners drawn uniformly from all movable standard cells of
+      its width, anywhere on the chip (not only nearby ones);
     - {e in-segment slides} that re-centre a cell inside the free gap
       between its row neighbours at the wire-length-optimal x.
 

@@ -193,7 +193,7 @@ let fire_idle_waiters st =
 let on_event st e =
   broadcast_event st e;
   match e with
-  | Engine.Scheduler.Finished (id, status) ->
+  | Engine.Scheduler.Finished (id, status, _) ->
     Obs.Registry.incr "server/jobs_finished";
     fire_waiters_for_job st id status
   | _ -> ()

@@ -1,17 +1,30 @@
 #!/usr/bin/env python3
-"""Check the trace of the multilevel mega smoke.
+"""Check the trace and the peak memory of the multilevel mega smoke.
 
-Usage: python3 scripts/check_mega_smoke.py TRACE.jsonl
+Usage: python3 scripts/check_mega_smoke.py TRACE.jsonl [-- PLACE_RUN...]
 
 TRACE is the `place run --flow multilevel --trace` output of one job.
 The run must have coarsened, descended level by level to the flat
 netlist and legalized without overlap; each level must have compiled
 its QP pattern once and reused the assembly on every later iteration.
-Exits non-zero on the first failed check.
+
+Given a command after `--` (a `place run` that writes TRACE), the script
+runs it first, passing its output through, and also checks the run's
+peak resident set (the child's `ru_maxrss`) against MAX_KIB_PER_CELL
+times the `cells` count it prints.  Exits non-zero on the first failed
+check.
 """
 
 import json
+import resource
+import subprocess
 import sys
+
+# Peak RSS ceiling per cell.  The CI command (mega100k at scale 1.0,
+# seed 42, multilevel fast, traced; 102,500 cells) peaks at 3.42 KiB
+# per cell on a 2-vCPU Linux host with OCaml 5.1.1 (3.56 without the
+# collections at V-cycle descents); the ceiling leaves 11% headroom.
+MAX_KIB_PER_CELL = 3.8
 
 
 def check_run(path):
@@ -39,12 +52,39 @@ def check_run(path):
     return summary
 
 
+def run_place(cmd):
+    """Run CMD, echo its output, and return (cells, peak RSS in KiB)."""
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
+    sys.stdout.write(proc.stdout)
+    sys.stdout.flush()
+    assert proc.returncode == 0, f"{cmd[0]} exited {proc.returncode}"
+    cells = [int(l.split()[1]) for l in proc.stdout.splitlines()
+             if l.startswith("cells ")]
+    assert len(cells) == 1, "no `cells` line in the run's output"
+    # Linux reports ru_maxrss in KiB; the run is this script's only child.
+    return cells[0], resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+
+
 def main(argv):
-    if len(argv) != 2:
+    args = argv[1:]
+    cmd = []
+    if "--" in args:
+        k = args.index("--")
+        args, cmd = args[:k], args[k + 1:]
+    if len(args) != 1 or ("--" in argv and not cmd):
         sys.exit(__doc__.strip().splitlines()[2])
-    summary = check_run(argv[1])
+    rss = run_place(cmd) if cmd else None
+    summary = check_run(args[0])
     print(f"mega smoke OK: {summary['iterations']} iterations, "
           f"final hpwl {summary['final_hpwl']:.6g}")
+    if rss:
+        cells, kib = rss
+        per_cell = kib / cells
+        assert per_cell <= MAX_KIB_PER_CELL, \
+            (f"peak RSS {kib} KiB is {per_cell:.2f} KiB per cell, "
+             f"ceiling {MAX_KIB_PER_CELL}")
+        print(f"mega smoke memory OK: peak RSS {kib / 1024:.1f} MiB, "
+              f"{per_cell:.2f} KiB per cell (ceiling {MAX_KIB_PER_CELL})")
 
 
 if __name__ == "__main__":

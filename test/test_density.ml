@@ -399,6 +399,22 @@ let test_splat_allocation () =
     (Printf.sprintf "splat allocates %.0f words, budget 64" words)
     true (words <= 64.)
 
+(* [Grid2.splat_rect] allocates nothing per bin: a rectangle over 1,600
+   bins of a 64x64 grid costs what a one-bin rectangle costs. *)
+let test_splat_rect_allocation () =
+  let region = Geometry.Rect.make ~x_lo:0. ~y_lo:0. ~x_hi:64. ~y_hi:64. in
+  let g = Geometry.Grid2.create region ~nx:64 ~ny:64 in
+  let splat rect = allocated_by (fun () -> Geometry.Grid2.splat_rect g rect 3.) in
+  let one = Geometry.Rect.make ~x_lo:5.25 ~y_lo:7.5 ~x_hi:5.75 ~y_hi:7.75 in
+  let many = Geometry.Rect.make ~x_lo:10.5 ~y_lo:3.25 ~x_hi:49.5 ~y_hi:42.75 in
+  ignore (splat many);
+  let w_one = splat one and w_many = splat many in
+  Alcotest.(check bool)
+    (Printf.sprintf "1600 bins allocate %.0f words, one bin %.0f, budget 8"
+       w_many w_one)
+    true
+    (w_many = w_one && w_many <= 8.)
+
 (* Forces through reused buffers are the same bits as through fresh
    ones, and a steady-state call allocates a few words, not a grid or a
    force vector. *)
@@ -495,6 +511,7 @@ let suite =
     Alcotest.test_case "demand = per-cell splat_rect, auto and fine grids" `Quick
       test_demand_matches_splat_rect;
     Alcotest.test_case "splat allocation" `Quick test_splat_allocation;
+    Alcotest.test_case "splat_rect allocation" `Quick test_splat_rect_allocation;
     Alcotest.test_case "forces through reused buffers" `Quick
       test_forces_buffers;
     Alcotest.test_case "demand bitwise across domains" `Quick

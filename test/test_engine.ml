@@ -258,9 +258,25 @@ let job_result sched id =
   | Some r -> r
   | None -> Alcotest.failf "job %d has no result" id
 
-let job_placement sched id =
-  match Engine.Scheduler.placement sched id with
-  | Some p -> p
+(* A scheduler keeps no finished placement: each job hands its own to
+   [on_event] once, with its [Finished] event.  [scheduler] records
+   them by job id for the checks below. *)
+let scheduler ?concurrency ?domains ?(on_event = ignore) () =
+  let finals = Hashtbl.create 8 in
+  let on_event e =
+    (match e with
+    | Engine.Scheduler.Finished (id, _, Some f) -> Hashtbl.replace finals id f
+    | _ -> ());
+    on_event e
+  in
+  (Engine.Scheduler.create ?concurrency ?domains ~on_event (), finals)
+
+let legalized finals id =
+  Option.map (fun f -> f.Engine.Scheduler.legal) (Hashtbl.find_opt finals id)
+
+let job_placement finals id =
+  match Hashtbl.find_opt finals id with
+  | Some f -> f.Engine.Scheduler.global
   | None -> Alcotest.failf "job %d has no placement" id
 
 (* Same property through the engine: a job finished at its checkpoint,
@@ -269,7 +285,7 @@ let job_placement sched id =
 let test_engine_resume_matches_uninterrupted () =
   let ck = temp ".json" and tb = temp ".jsonl" and tc = temp ".jsonl" in
   let src = source () in
-  let sched = Engine.Scheduler.create () in
+  let sched, finals = scheduler () in
   let a =
     submit_and_drain sched
       (Engine.Job.spec ~source:src ~objective:(fast ()) ~max_steps:5
@@ -290,8 +306,8 @@ let test_engine_resume_matches_uninterrupted () =
   let rb = job_result sched b and rc = job_result sched c in
   Alcotest.(check int) "same total iterations" rc.Engine.Job.iterations
     rb.Engine.Job.iterations;
-  same_placement "global placement" (job_placement sched c)
-    (job_placement sched b);
+  same_placement "global placement" (job_placement finals c)
+    (job_placement finals b);
   Alcotest.(check bool) "legalised hpwl bitwise equal" true
     (bits rb.Engine.Job.hpwl = bits rc.Engine.Job.hpwl);
   Alcotest.(check bool) "improvement deltas bitwise equal" true
@@ -312,7 +328,7 @@ let test_engine_resume_matches_uninterrupted () =
 let test_engine_resume_timing_driven () =
   let ck = temp ".json" in
   let src = source ~seed:11 () in
-  let sched = Engine.Scheduler.create () in
+  let sched, finals = scheduler () in
   let _ =
     submit_and_drain sched
       (Engine.Job.spec ~source:src
@@ -331,13 +347,13 @@ let test_engine_resume_timing_driven () =
          ~objective:(fast ~goal:Engine.Objective.Timing ())
          ~max_steps:8 ())
   in
-  same_placement "timing-driven placement" (job_placement sched c)
-    (job_placement sched b);
+  same_placement "timing-driven placement" (job_placement finals c)
+    (job_placement finals b);
   Sys.remove ck
 
 let test_deadline_degrades_to_legal () =
   let circuit, _ = ok_or_fail (Engine.Source.load (source ())) in
-  let sched = Engine.Scheduler.create () in
+  let sched, finals = scheduler () in
   let id =
     submit_and_drain sched
       (Engine.Job.spec ~source:(source ()) ~objective:(fast ()) ~deadline:0.0
@@ -348,7 +364,7 @@ let test_deadline_degrades_to_legal () =
     (Engine.Job.status_to_string r.Engine.Job.status);
   Alcotest.(check bool) "deadline expired" true r.Engine.Job.deadline_expired;
   Alcotest.(check bool) "reported legal" true r.Engine.Job.legal;
-  match Engine.Scheduler.legalized sched id with
+  match legalized finals id with
   | None -> Alcotest.fail "no legalised placement"
   | Some lp ->
     Alcotest.(check bool) "passes Legalize.Check" true
@@ -360,7 +376,7 @@ let test_deadline_degrades_to_legal () =
 let test_cancel_checkpoint_resume () =
   let ck = temp ".json" in
   let circuit, _ = ok_or_fail (Engine.Source.load (source ())) in
-  let sched = Engine.Scheduler.create () in
+  let sched, finals = scheduler () in
   let a =
     Engine.Scheduler.submit sched
       (Engine.Job.spec ~source:(source ()) ~objective:(fast ()) ~max_steps:10
@@ -376,7 +392,7 @@ let test_cancel_checkpoint_resume () =
     (Engine.Job.status_to_string ra.Engine.Job.status);
   Alcotest.(check bool) "not via deadline" false ra.Engine.Job.deadline_expired;
   Alcotest.(check bool) "best-so-far is legal" true ra.Engine.Job.legal;
-  (match Engine.Scheduler.legalized sched a with
+  (match legalized finals a with
   | Some lp ->
     Alcotest.(check bool) "passes Legalize.Check" true
       (Legalize.Check.is_legal circuit lp)
@@ -393,8 +409,8 @@ let test_cancel_checkpoint_resume () =
       (Engine.Job.spec ~source:(source ()) ~objective:(fast ()) ~max_steps:10
          ())
   in
-  same_placement "resumed-after-cancel placement" (job_placement sched c)
-    (job_placement sched b);
+  same_placement "resumed-after-cancel placement" (job_placement finals c)
+    (job_placement finals b);
   Sys.remove ck
 
 (* ECO through the engine: a Warm start on an edited circuit is the same
@@ -417,7 +433,7 @@ let test_eco_job_matches_direct_replace () =
     Kraftwerk.Eco.replace config c2 base.Kraftwerk.Placer.placement
       ~max_steps:6
   in
-  let sched = Engine.Scheduler.create () in
+  let sched, finals = scheduler () in
   let id =
     submit_and_drain sched
       (Engine.Job.spec ~source:(Engine.Source.File ckt) ~objective:(fast ())
@@ -426,7 +442,7 @@ let test_eco_job_matches_direct_replace () =
   let r = job_result sched id in
   Alcotest.(check string) "eco job done" "done"
     (Engine.Job.status_to_string r.Engine.Job.status);
-  same_placement "eco placement" direct (job_placement sched id);
+  same_placement "eco placement" direct (job_placement finals id);
   List.iter Sys.remove [ ck; ckt ]
 
 (* Interleaving K jobs must not perturb any of their trajectories. *)
@@ -439,14 +455,14 @@ let test_concurrent_interleaving_preserves_trajectories () =
   let solo =
     List.map
       (fun seed ->
-        let sched = Engine.Scheduler.create () in
+        let sched, finals = scheduler () in
         let id = submit_and_drain sched (spec seed) in
-        job_placement sched id)
+        job_placement finals id)
       seeds
   in
   let events = ref [] in
-  let sched =
-    Engine.Scheduler.create ~concurrency:3 ~domains:4
+  let sched, finals =
+    scheduler ~concurrency:3 ~domains:4
       ~on_event:(fun e -> events := e :: !events)
       ()
   in
@@ -471,7 +487,7 @@ let test_concurrent_interleaving_preserves_trajectories () =
       same_placement
         (Printf.sprintf "seed %d" seed)
         (List.nth solo (i + 0))
-        (job_placement sched id))
+        (job_placement finals id))
     (List.combine seeds ids)
 
 (* ------------------------------------------------------------------ *)
@@ -496,9 +512,9 @@ let test_sharded_matches_solo () =
   let solo =
     List.map2
       (fun seed trace ->
-        let sched = Engine.Scheduler.create () in
+        let sched, finals = scheduler () in
         let id = submit_and_drain sched (spec ~trace seed) in
-        (job_placement sched id, job_result sched id))
+        (job_placement finals id, job_result sched id))
       seeds solo_traces
   in
   List.iter
@@ -506,8 +522,8 @@ let test_sharded_matches_solo () =
       let tag fmt = Printf.ksprintf (fun s -> s) fmt in
       let traces = List.map (fun _ -> temp ".jsonl") seeds in
       let events = ref [] in
-      let sched =
-        Engine.Scheduler.create ~concurrency:6 ~domains
+      let sched, finals =
+        scheduler ~concurrency:6 ~domains
           ~on_event:(fun e -> events := e :: !events)
           ()
       in
@@ -538,7 +554,7 @@ let test_sharded_matches_solo () =
           let st = pos (fun e -> e = Engine.Scheduler.Started id) in
           let fin =
             pos (function
-              | Engine.Scheduler.Finished (i, _) -> i = id
+              | Engine.Scheduler.Finished (i, _, _) -> i = id
               | _ -> false)
           in
           Alcotest.(check bool)
@@ -552,7 +568,7 @@ let test_sharded_matches_solo () =
           let r = job_result sched id in
           same_placement
             (tag "domains=%d seed=%d: placement" domains seed)
-            solo_p (job_placement sched id);
+            solo_p (job_placement finals id);
           Alcotest.(check bool)
             (tag "domains=%d seed=%d: legalised metrics bitwise" domains seed)
             true
@@ -586,13 +602,13 @@ let test_forced_stealing_bitwise () =
   let solo =
     List.map
       (fun seed ->
-        let sched = Engine.Scheduler.create () in
+        let sched, finals = scheduler () in
         let id = submit_and_drain sched (long seed) in
-        job_placement sched id)
+        job_placement finals id)
       [ 21; 22 ]
   in
   let rec attempt n =
-    let sched = Engine.Scheduler.create ~concurrency:3 ~domains:2 () in
+    let sched, finals = scheduler ~concurrency:3 ~domains:2 () in
     let a = Engine.Scheduler.submit sched (long 21) in
     let _ =
       Engine.Scheduler.submit sched
@@ -603,8 +619,8 @@ let test_forced_stealing_bitwise () =
     Engine.Scheduler.drain sched;
     let metrics = Engine.Scheduler.shard_metrics sched in
     Engine.Scheduler.stop sched;
-    same_placement "stolen job a" (List.nth solo 0) (job_placement sched a);
-    same_placement "stolen job b" (List.nth solo 1) (job_placement sched b);
+    same_placement "stolen job a" (List.nth solo 0) (job_placement finals a);
+    same_placement "stolen job b" (List.nth solo 1) (job_placement finals b);
     let total_steals =
       List.fold_left (fun acc m -> acc + m.Engine.Scheduler.m_steals) 0 metrics
     in
@@ -638,18 +654,16 @@ let test_sharded_resume_with_effort () =
       ?start ?checkpoint ?trace ()
   in
   let t0 = temp ".jsonl" in
-  let solo_sched = Engine.Scheduler.create () in
+  let solo_sched, solo_finals = scheduler () in
   let s = submit_and_drain solo_sched (spec ~max_steps:14 ~trace:t0 ()) in
-  let solo_p = job_placement solo_sched s
+  let solo_p = job_placement solo_finals s
   and solo_r = job_result solo_sched s in
   let solo_payloads = iteration_payloads t0 in
   List.iter
     (fun domains ->
       let tag fmt = Printf.ksprintf (fun s -> s) fmt in
       let ck = temp ".json" and tr = temp ".jsonl" in
-      let sched =
-        Engine.Scheduler.create ~concurrency:4 ~domains ()
-      in
+      let sched, finals = scheduler ~concurrency:4 ~domains () in
       let a = submit_and_drain sched (spec ~max_steps:7 ~checkpoint:ck ()) in
       Alcotest.(check string)
         (tag "domains=%d: prefix job done" domains)
@@ -666,7 +680,7 @@ let test_sharded_resume_with_effort () =
         solo_r.Engine.Job.iterations rb.Engine.Job.iterations;
       same_placement
         (tag "domains=%d: global placement" domains)
-        solo_p (job_placement sched b);
+        solo_p (job_placement finals b);
       Alcotest.(check bool)
         (tag "domains=%d: legalised hpwl bitwise" domains)
         true
@@ -696,7 +710,7 @@ let test_sharded_cancel_deadline_legal () =
   let long_source = Engine.Source.Profile { name = "primary1"; scale = 1.0; seed = 7 } in
   let circuit, _ = ok_or_fail (Engine.Source.load long_source) in
   let circuit5, _ = ok_or_fail (Engine.Source.load (source ~seed:5 ())) in
-  let sched = Engine.Scheduler.create ~concurrency:2 ~domains:2 () in
+  let sched, finals = scheduler ~concurrency:2 ~domains:2 () in
   let a =
     Engine.Scheduler.submit sched
       (Engine.Job.spec ~source:long_source ~objective:(fast ~effort:9 ())
@@ -731,7 +745,7 @@ let test_sharded_cancel_deadline_legal () =
   List.iter
     (fun (tag, c, id, r) ->
       Alcotest.(check bool) (tag ^ " reported legal") true r.Engine.Job.legal;
-      match Engine.Scheduler.legalized sched id with
+      match legalized finals id with
       | Some lp ->
         Alcotest.(check bool)
           (tag ^ " passes Legalize.Check")
@@ -768,7 +782,7 @@ let test_multilevel_job_matches_direct () =
       ~fixed_positions:(fixed_positions_of circuit p0)
       (Netlist.Placement.copy p0)
   in
-  let sched = Engine.Scheduler.create () in
+  let sched, finals = scheduler () in
   let id =
     submit_and_drain sched
       (Engine.Job.spec ~source:src
@@ -779,7 +793,7 @@ let test_multilevel_job_matches_direct () =
   Alcotest.(check string) "multilevel job done" "done"
     (Engine.Job.status_to_string r.Engine.Job.status);
   Alcotest.(check bool) "took iterations" true (r.Engine.Job.iterations > 0);
-  same_placement "multilevel global placement" direct (job_placement sched id)
+  same_placement "multilevel global placement" direct (job_placement finals id)
 
 (* Multilevel checkpoints carry the stage coordinates and only restore
    through the multilevel path. *)
@@ -840,9 +854,9 @@ let test_multilevel_resume_bitwise_shards () =
       ~objective:(fast ~flow:Engine.Job.Multilevel ())
       ?start ?checkpoint ?max_steps ()
   in
-  let solo_sched = Engine.Scheduler.create () in
+  let solo_sched, solo_finals = scheduler () in
   let s = submit_and_drain solo_sched (mspec ()) in
-  let solo_p = job_placement solo_sched s in
+  let solo_p = job_placement solo_finals s in
   let solo_r = job_result solo_sched s in
   Alcotest.(check bool) "solo ran long enough to cut twice" true
     (solo_r.Engine.Job.iterations > 10);
@@ -852,9 +866,7 @@ let test_multilevel_resume_bitwise_shards () =
       List.iter
         (fun (cut_name, cut) ->
           let ck = temp ".json" in
-          let sched =
-            Engine.Scheduler.create ~concurrency:4 ~domains ()
-          in
+          let sched, finals = scheduler ~concurrency:4 ~domains () in
           let a = submit_and_drain sched (mspec ~checkpoint:ck ~max_steps:cut ()) in
           Alcotest.(check string)
             (tag "domains=%d %s: prefix done" domains cut_name)
@@ -874,7 +886,7 @@ let test_multilevel_resume_bitwise_shards () =
             (Engine.Job.status_to_string rb.Engine.Job.status);
           same_placement
             (tag "domains=%d %s: placement" domains cut_name)
-            solo_p (job_placement sched b);
+            solo_p (job_placement finals b);
           Alcotest.(check bool)
             (tag "domains=%d %s: legalised hpwl bitwise" domains cut_name)
             true
@@ -902,9 +914,9 @@ let test_congestion_resume_bitwise_shards () =
   let cspec ?start ?checkpoint ?max_steps () =
     Engine.Job.spec ~source:src ~objective:obj ?start ?checkpoint ?max_steps ()
   in
-  let solo = Engine.Scheduler.create () in
+  let solo, solo_finals = scheduler () in
   let s = submit_and_drain solo (cspec ~max_steps:12 ()) in
-  let solo_p = job_placement solo s in
+  let solo_p = job_placement solo_finals s in
   let solo_r = job_result solo s in
   Alcotest.(check string) "solo done" "done"
     (Engine.Job.status_to_string solo_r.Engine.Job.status);
@@ -914,9 +926,7 @@ let test_congestion_resume_bitwise_shards () =
     (fun domains ->
       let tag fmt = Printf.ksprintf (fun s -> s) fmt in
       let ck = temp ".json" in
-      let sched =
-        Engine.Scheduler.create ~concurrency:4 ~domains ()
-      in
+      let sched, finals = scheduler ~concurrency:4 ~domains () in
       let a = submit_and_drain sched (cspec ~checkpoint:ck ~max_steps:5 ()) in
       Alcotest.(check string)
         (tag "domains=%d: prefix done" domains)
@@ -940,7 +950,7 @@ let test_congestion_resume_bitwise_shards () =
       let rb = job_result sched b in
       Engine.Scheduler.stop sched;
       same_placement (tag "domains=%d: placement" domains) solo_p
-        (job_placement sched b);
+        (job_placement finals b);
       Alcotest.(check bool)
         (tag "domains=%d: legalised hpwl bitwise" domains)
         true
@@ -964,7 +974,7 @@ let ok_or_fail_route = function
 let test_routability_reduces_routed_overflow () =
   let src = Engine.Source.Profile { name = "primary1"; scale = 1.0; seed = 7 } in
   let run goal =
-    let sched = Engine.Scheduler.create () in
+    let sched, finals = scheduler () in
     let id =
       submit_and_drain sched
         (Engine.Job.spec ~source:src ~objective:(Engine.Objective.make ~goal ())
@@ -978,7 +988,7 @@ let test_routability_reduces_routed_overflow () =
     let circuit, p0 = ok_or_fail (Engine.Source.load src) in
     ignore p0;
     let lp =
-      match Engine.Scheduler.legalized sched id with
+      match legalized finals id with
       | Some lp -> lp
       | None -> Alcotest.fail "no legalised placement"
     in
@@ -1371,6 +1381,36 @@ let test_workers_claim_before_slices () =
   Alcotest.(check int) "all jobs started before any finished" 3
     (started_before_finish 0 (List.rev !events))
 
+(* A finished job keeps only its result.  Thirty fract jobs through one
+   scheduler: the live heap after a full collection grows by about an
+   entry and a result record per job (60 words), not by the job's two
+   placements as well (600 words per job when they were kept). *)
+let test_finished_jobs_keep_only_results () =
+  let sched = Engine.Scheduler.create () in
+  let job () =
+    ignore
+      (submit_and_drain sched
+         (Engine.Job.spec
+            ~source:(Engine.Source.Profile { name = "fract"; scale = 1.0; seed = 7 })
+            ~objective:(fast ()) ~max_steps:3 ()))
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  job ();
+  let first = live_words () in
+  for _ = 2 to 30 do
+    job ()
+  done;
+  let per_job = float_of_int (live_words () - first) /. 29. in
+  (* [sched] must outlive the second count. *)
+  Alcotest.(check int) "thirty jobs" 30 (List.length (Engine.Scheduler.jobs sched));
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap grows %.0f words per finished job, budget %d"
+       per_job 150)
+    true (per_job <= 150.)
+
 let suite =
   [
     Alcotest.test_case "checkpoint save/load round-trip" `Quick
@@ -1429,4 +1469,6 @@ let suite =
       test_protocol_session;
     Alcotest.test_case "workers claim queued jobs before slices" `Slow
       test_workers_claim_before_slices;
+    Alcotest.test_case "finished jobs keep only their results" `Quick
+      test_finished_jobs_keep_only_results;
   ]
