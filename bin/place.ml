@@ -576,9 +576,9 @@ let engine_domains_arg =
   Arg.(value & opt domains_conv 1
        & info [ "domains" ]
            ~doc:"Worker domains: above 1, min(concurrency, N) worker \
-                 domains run job slices with work stealing; at 1 (the \
-                 default) the coordinator runs them.  Job trajectories \
-                 are bitwise-identical either way.")
+                 domains run job slices from one shared run queue; at 1 \
+                 (the default) the coordinator runs them.  Job \
+                 trajectories are bitwise-identical either way.")
 
 let serve_cmd =
   let transcript =

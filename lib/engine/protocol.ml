@@ -142,9 +142,9 @@ let event_to_json ~ev e =
   in
   Obj (fields @ [ ("ev", int_ ev) ])
 
-(* Scheduler shape and per-worker counters: the queue-depth / steal /
-   busy-fraction numbers that tell an operator whether the worker
-   domains are actually load-balancing. *)
+(* Scheduler shape and per-worker counters: the slice and busy-fraction
+   numbers that tell an operator whether the worker domains share the
+   load. *)
 let scheduler_json sched =
   let shard_rows =
     List.map
@@ -152,8 +152,6 @@ let scheduler_json sched =
         Obj
           [
             ("shard", int_ m.Scheduler.shard);
-            ("queue_depth", int_ m.Scheduler.queue_depth);
-            ("steals", int_ m.Scheduler.m_steals);
             ("slices", int_ m.Scheduler.m_slices);
             ("busy_s", Num m.Scheduler.m_busy_s);
             ("busy_frac", Num m.Scheduler.m_busy_frac);

@@ -120,9 +120,8 @@ val event_to_json : ev:int -> Scheduler.event -> Obs.Json.t
 
 (** [metrics_fields sched] — the [metrics] response payload: whether
     the {!Obs.Registry} is recording, the scheduler shape (worker count
-    as ["shards"], queued/running jobs, per-shard queue depth / steal /
-    slice / busy counters — [per_shard] is empty with zero workers),
-    plus a
+    as ["shards"], queued/running jobs, per-worker slice / busy
+    counters — [per_shard] is empty with zero workers), plus a
     name → stat object dump of the registry snapshot. *)
 val metrics_fields : Scheduler.t -> (string * Obs.Json.t) list
 

@@ -67,7 +67,6 @@ type entry = {
 }
 
 type shard_stats = {
-  mutable steals : int;
   mutable slices : int;
   mutable busy_s : float;
   mutable max_slice_s : float;
@@ -75,8 +74,6 @@ type shard_stats = {
 
 type shard_metric = {
   shard : int;
-  queue_depth : int;
-  m_steals : int;
   m_slices : int;
   m_busy_s : float;
   m_busy_frac : float;
@@ -87,16 +84,19 @@ type t = {
   concurrency : int;
   workers : int;  (* worker domains; 0 = the coordinator runs the loop *)
   on_event : event -> unit;  (* invoked only on the coordinator domain *)
-  mutable next_id : int;
+  mutable next_id : int;  (* ids are 1..next_id, in submission order *)
   entries : (id, entry) Hashtbl.t;
-  mutable order : id list;  (* submission order *)
-  (* [lock] guards every mutable field above plus the queues, pending
+  mutable waiting : entry list;
+      (* queued jobs in claim order: priority descending, then
+         submission *)
+  mutable running : int;  (* jobs claimed and not yet terminal *)
+  (* [lock] guards every mutable field above plus the run queue, pending
      events and stats; slices and finishing passes run outside it.
      [cond] is broadcast whenever work or an event becomes available
      (and on stop). *)
   lock : Mutex.t;
   cond : Condition.t;
-  queues : id Queue.t array;  (* one run queue per worker, or just one *)
+  runq : entry Queue.t;  (* started jobs, one slice each in turn *)
   pending : event Queue.t;  (* events awaiting delivery by [pump] *)
   stats : shard_stats array;
   created_at : float;
@@ -166,23 +166,31 @@ let notify_fd t = Option.map fst t.notify
 
 let workers t = t.workers
 
+(* Insert [e], the newest job, into the claim order: behind every
+   waiting job of the same or a higher priority. *)
+let rec insert_waiting e = function
+  | w :: rest when w.spec.Job.priority >= e.spec.Job.priority ->
+    w :: insert_waiting e rest
+  | rest -> e :: rest
+
 let submit t spec =
   let id =
     with_lock t (fun () ->
         t.next_id <- t.next_id + 1;
-        let id = t.next_id in
-        Hashtbl.replace t.entries id
+        let e =
           {
-            id;
+            id = t.next_id;
             spec;
             status = Job.Queued;
             run = None;
             res = None;
             cancel_requested = false;
-          };
-        t.order <- t.order @ [ id ];
+          }
+        in
+        Hashtbl.replace t.entries e.id e;
+        t.waiting <- insert_waiting e t.waiting;
         Condition.broadcast t.cond;
-        id)
+        e.id)
   in
   (* Submission happens on the coordinator, so the event is dispatched
      synchronously: subscribers see [Submitted] before [submit]
@@ -200,26 +208,16 @@ let result t id =
 
 let jobs t =
   with_lock t (fun () ->
-      List.map (fun id -> (id, (Hashtbl.find t.entries id).status)) t.order)
+      List.init t.next_id (fun i ->
+          (i + 1, (Hashtbl.find t.entries (i + 1)).status)))
 
-let busy_locked t =
-  List.exists
-    (fun id -> not (Job.terminal (Hashtbl.find t.entries id).status))
-    t.order
+let busy_locked t = t.running > 0 || t.waiting <> []
 
 let busy t = with_lock t (fun () -> busy_locked t)
 
-let count_status_locked t p =
-  List.fold_left
-    (fun acc id -> if p (Hashtbl.find t.entries id).status then acc + 1 else acc)
-    0 t.order
+let queued t = with_lock t (fun () -> List.length t.waiting)
 
-let queued t = with_lock t (fun () -> count_status_locked t (( = ) Job.Queued))
-
-let running_locked t =
-  count_status_locked t (fun s -> s = Job.Running || s = Job.Checkpointed)
-
-let running t = with_lock t (fun () -> running_locked t)
+let running t = with_lock t (fun () -> t.running)
 
 let shard_metrics t =
   with_lock t (fun () ->
@@ -228,8 +226,6 @@ let shard_metrics t =
           let s = t.stats.(i) in
           {
             shard = i;
-            queue_depth = Queue.length t.queues.(i);
-            m_steals = s.steals;
             m_slices = s.slices;
             m_busy_s = s.busy_s;
             m_busy_frac = s.busy_s /. uptime;
@@ -273,74 +269,57 @@ let fixed_positions_of circuit (p : Netlist.Placement.t) =
                  p.Netlist.Placement.y.(cl.Netlist.Cell.id) ) )
          else None)
 
+(* Where a job's placer state comes from. *)
+type origin = Initial of Netlist.Placement.t | Restore of Checkpoint.t
+
 (* Materialise a spec into live placer state.  Bad sources and
    checkpoints are typed [Error]s; the caller turns them into a [Failed]
    status (or, via [validate_spec], refuses them at submit time). *)
 let start_running (spec : Job.spec) =
   let* circuit, p0 = Source.load spec.Job.source in
   let config = Job.config_of_spec spec in
-  let crit_fresh () =
-    if Job.timing spec then
-      Some (Timing.Criticality.create (Netlist.Circuit.num_nets circuit))
-    else None
-  in
-  let* exec, crit, steps0 =
-    match (Job.flow spec, spec.Job.start) with
-    | Job.Flat, Job.Fresh ->
-      Ok (Flat (Kraftwerk.Placer.init config circuit p0), crit_fresh (), 0)
-    | Job.Flat, Job.Resume file ->
+  (* A resume restores the whole placer state from its checkpoint; a
+     warm start (the ECO shape) takes only the checkpointed placement,
+     with fresh forces, as the circuit may differ from the checkpointed
+     one. *)
+  let* origin =
+    match spec.Job.start with
+    | Job.Fresh -> Ok (Initial p0)
+    | Job.Resume file ->
       let* cp = Checkpoint.load file in
-      let* state = Checkpoint.restore cp config circuit in
-      let crit =
-        if Job.timing spec then
-          Some
-            (match cp.Checkpoint.criticality with
-            | Some a -> Timing.Criticality.of_array a
-            | None ->
-              Timing.Criticality.create (Netlist.Circuit.num_nets circuit))
-        else None
-      in
-      Ok (Flat state, crit, 0)
-    | Job.Flat, Job.Warm file ->
-      (* ECO shape: only the checkpointed placement, fresh forces — the
-         circuit may differ from the checkpointed one. *)
+      Ok (Restore cp)
+    | Job.Warm file ->
       let* cp = Checkpoint.load file in
       let* p =
         Checkpoint.placement cp ~num_cells:(Netlist.Circuit.num_cells circuit)
       in
-      Ok (Flat (Kraftwerk.Placer.init config circuit p), crit_fresh (), 0)
-    | Job.Multilevel, Job.Fresh ->
-      let fixed = fixed_positions_of circuit p0 in
-      Ok
-        ( Multi (Kraftwerk.Cluster.start config circuit ~fixed_positions:fixed p0),
-          crit_fresh (),
-          0 )
-    | Job.Multilevel, Job.Resume file ->
-      let* cp = Checkpoint.load file in
+      Ok (Initial p)
+  in
+  let crit =
+    if Job.timing spec then
+      Some
+        (match origin with
+        | Restore { Checkpoint.criticality = Some a; _ } ->
+          Timing.Criticality.of_array a
+        | _ -> Timing.Criticality.create (Netlist.Circuit.num_nets circuit))
+    else None
+  in
+  let* exec, steps0 =
+    match (Job.flow spec, origin) with
+    | Job.Flat, Initial p ->
+      Ok (Flat (Kraftwerk.Placer.init config circuit p), 0)
+    | Job.Flat, Restore cp ->
+      let* state = Checkpoint.restore cp config circuit in
+      Ok (Flat state, 0)
+    | Job.Multilevel, Initial p ->
+      let fixed_positions = fixed_positions_of circuit p in
+      Ok (Multi (Kraftwerk.Cluster.start config circuit ~fixed_positions p), 0)
+    | Job.Multilevel, Restore cp ->
       let fixed = fixed_positions_of circuit p0 in
       let* run =
         Checkpoint.restore_multilevel cp config circuit ~fixed_positions:fixed
       in
-      let crit =
-        if Job.timing spec then
-          Some
-            (match cp.Checkpoint.criticality with
-            | Some a -> Timing.Criticality.of_array a
-            | None ->
-              Timing.Criticality.create (Netlist.Circuit.num_nets circuit))
-        else None
-      in
-      Ok (Multi run, crit, cp.Checkpoint.iteration)
-    | Job.Multilevel, Job.Warm file ->
-      let* cp = Checkpoint.load file in
-      let* p =
-        Checkpoint.placement cp ~num_cells:(Netlist.Circuit.num_cells circuit)
-      in
-      let fixed = fixed_positions_of circuit p in
-      Ok
-        ( Multi (Kraftwerk.Cluster.start config circuit ~fixed_positions:fixed p),
-          crit_fresh (),
-          0 )
+      Ok (Multi run, cp.Checkpoint.iteration)
   in
   let hooks =
     match crit with
@@ -445,11 +424,12 @@ let finish t entry ?final (result : Job.result) =
      also finds the event to pump. *)
   let alone =
     with_lock t (fun () ->
+        if not (Job.terminal entry.status) then t.running <- t.running - 1;
         entry.status <- result.Job.status;
         entry.res <- Some result;
         entry.run <- None;
         enqueue_event t (Finished (entry.id, result.Job.status, final));
-        running_locked t = 0)
+        t.running = 0)
   in
   poke t;
   (* The job's circuit, placer state and V-cycle hierarchy are garbage
@@ -633,80 +613,36 @@ let slice_body t entry run =
     | _ -> ()
   end
 
-(* Home queue: fixed by job id alone, so where a job's slices queue is a
-   pure function of submission order, independent of timing.  Stealing
-   borrows one slice at a time; the job re-queues at home afterwards.
-   With zero workers there is one queue, and re-queueing at its tail is
-   the round-robin. *)
-let home t id = (id - 1) mod Array.length t.queues
-
 type work = Slice of entry | Claim of entry | Nothing
 
-(* Pick work for [shard], [t.lock] held: claim the best queued job while
-   a concurrency slot is free (priority, then submission order), else
-   pop the shard's own queue, else steal a slice scanning the other
-   queues in a fixed order.  A claim queues the job's [Started] event
-   under the lock, so it precedes every event of work picked after it.
-   Terminal ids found in a queue (a job cancelled while queued never
-   gets there, but be defensive) are dropped. *)
-let take_work t shard =
-  let claimable =
-    if running_locked t >= t.concurrency then None
-    else
-      List.fold_left
-        (fun best id ->
-          let e = Hashtbl.find t.entries id in
-          if e.status <> Job.Queued then best
-          else
-            match best with
-            | Some b when b.spec.Job.priority >= e.spec.Job.priority -> best
-            | _ -> Some e)
-        None t.order
-  in
-  let rec pop q =
-    match Queue.take_opt q with
-    | None -> None
-    | Some id ->
-      let e = Hashtbl.find t.entries id in
-      if Job.terminal e.status || e.run = None then pop q else Some e
-  in
-  let n = Array.length t.queues in
-  let rec scan k =
-    if k >= n then None
-    else
-      match pop t.queues.((shard + k) mod n) with
-      | Some e -> Some e
-      | None -> scan (k + 1)
-  in
-  match claimable with
-  | Some e ->
+(* Pick work, [t.lock] held: claim the first waiting job (priority,
+   then submission order) while a concurrency slot is free, else pop
+   the run queue.  A claim queues the job's [Started] event under the
+   lock, so it precedes every event of work picked after it. *)
+let take_work t =
+  match t.waiting with
+  | e :: rest when t.running < t.concurrency ->
+    t.waiting <- rest;
+    t.running <- t.running + 1;
     e.status <- Job.Running;
     enqueue_event t (Started e.id);
     Claim e
-  | None -> (
-    match pop t.queues.(shard) with
-    | Some e -> Slice e
-    | None -> (
-      match scan 1 with
-      | Some e ->
-        let s = t.stats.(shard) in
-        s.steals <- s.steals + 1;
-        Slice e
-      | None -> Nothing))
+  | _ -> (
+    match Queue.take_opt t.runq with Some e -> Slice e | None -> Nothing)
 
-(* Materialise a claimed job and queue it at home. *)
+(* Materialise a claimed job and queue it for its first slice. *)
 let start_job t entry =
   match start_running entry.spec with
   | Ok run ->
     with_lock t (fun () ->
         entry.run <- Some run;
-        Queue.add entry.id t.queues.(home t entry.id);
+        Queue.add entry t.runq;
         Condition.broadcast t.cond)
   | Error msg -> finish_failed t entry msg
   | exception exn -> finish_failed t entry (Printexc.to_string exn)
 
 (* Run one slice outside the lock, then account for it and re-queue the
-   job at its home if it is still live. *)
+   job at the tail if it is still live: the round-robin. *)
 let exec_slice t shard entry =
   let t0 = Unix.gettimeofday () in
   (match entry.run with
@@ -721,8 +657,7 @@ let exec_slice t shard entry =
       s.slices <- s.slices + 1;
       s.busy_s <- s.busy_s +. dt;
       if dt > s.max_slice_s then s.max_slice_s <- dt;
-      if not (Job.terminal entry.status) then
-        Queue.add entry.id t.queues.(home t entry.id);
+      if not (Job.terminal entry.status) then Queue.add entry t.runq;
       (* Wake a waiting [step] even when the job finished: the finish
          already queued its event. *)
       Condition.broadcast t.cond)
@@ -731,7 +666,7 @@ let exec_slice t shard entry =
    every job a free slot allows, then run one slice.  False when no
    slice was left to run. *)
 let rec work t shard =
-  match take_work t shard with
+  match take_work t with
   | Nothing -> false
   | Claim entry ->
     Mutex.unlock t.lock;
@@ -787,14 +722,15 @@ let create ?(concurrency = 1) ?(domains = 1) ?(on_event = fun _ -> ()) () =
       on_event;
       next_id = 0;
       entries = Hashtbl.create 16;
-      order = [];
+      waiting = [];
+      running = 0;
       lock = Mutex.create ();
       cond = Condition.create ();
-      queues = Array.init (max 1 workers) (fun _ -> Queue.create ());
+      runq = Queue.create ();
       pending = Queue.create ();
       stats =
         Array.init (max 1 workers) (fun _ ->
-            { steals = 0; slices = 0; busy_s = 0.; max_slice_s = 0. });
+            { slices = 0; busy_s = 0.; max_slice_s = 0. });
       created_at = Unix.gettimeofday ();
       live = true;
       opened = false;
@@ -853,6 +789,7 @@ let cancel t id =
           (* Never started: no placement to report.  Settle the whole
              terminal state atomically so a concurrent worker can
              neither claim it nor observe a half-finished entry. *)
+          t.waiting <- List.filter (fun w -> w != e) t.waiting;
           e.status <- Job.Cancelled;
           e.res <- Some (empty_result Job.Cancelled);
           enqueue_event t (Finished (id, Job.Cancelled, None));
@@ -865,5 +802,9 @@ let cancel t id =
   cancelled
 
 let cancel_all t =
-  let ids = with_lock t (fun () -> t.order) in
-  List.fold_left (fun acc id -> if cancel t id then acc + 1 else acc) 0 ids
+  let n = with_lock t (fun () -> t.next_id) in
+  let cancelled = ref 0 in
+  for id = 1 to n do
+    if cancel t id then incr cancelled
+  done;
+  !cancelled

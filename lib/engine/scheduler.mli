@@ -5,16 +5,14 @@
     [concurrency] of them run at once.  The loop claims and starts a
     queued job whenever a concurrency slot is free, and otherwise runs
     one {e slice} — a single placement transformation, or the finishing
-    pass — of a running job, taken from its own run queue or stolen
-    from another.  A job's home queue is fixed by its id
-    ([(id - 1) mod queues]); after a slice the job re-queues at the
-    tail of its home.  With [n > 0] worker domains there are [n] queues
-    and each worker runs the loop on its own; with zero workers there is
-    one queue and {!step} runs the loop on the calling domain, where
-    re-queueing at the tail is the round-robin.  Either way a job is
-    owned by exactly one domain at a time, so its slices execute in
-    sequence and stealing changes only {e when} a slice runs, never what
-    it computes.
+    pass — of the running job at the head of the one run queue; after
+    the slice the job re-queues at its tail, which is the round-robin.
+    With [n > 0] worker domains each worker runs the loop on its own
+    over that shared queue; with zero workers {!step} runs it on the
+    calling domain.  Either way a job is owned by exactly one domain at
+    a time (the one that popped it), so its slices execute in sequence,
+    and which domain runs a slice changes only {e when} it runs, never
+    what it computes.
 
     Every job's trajectory is bitwise-identical to a solo run: its
     slices run in sequence on whichever domain owns it, and every
@@ -109,11 +107,9 @@ val notify_fd : t -> Unix.file_descr option
     progress: {!step} returns false from then on.  Idempotent. *)
 val stop : t -> unit
 
-(** Per-shard scheduler counters, for the [metrics] surfaces. *)
+(** Per-worker scheduler counters, for the [metrics] surfaces. *)
 type shard_metric = {
-  shard : int;
-  queue_depth : int;  (** jobs queued on this shard right now *)
-  m_steals : int;  (** slices this worker stole from other shards *)
+  shard : int;  (** worker index *)
   m_slices : int;  (** slices this worker executed *)
   m_busy_s : float;  (** wall time spent executing slices *)
   m_busy_frac : float;  (** busy_s over scheduler uptime *)

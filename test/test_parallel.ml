@@ -162,6 +162,78 @@ let test_telemetry_trace_bitwise () =
         (settled reference) (settled t))
     (on_workers 2 trace)
 
+(* Where a served job's next transformation runs is the scheduler's
+   choice, so a placer state must carry its trajectory from domain to
+   domain.  A flat run and a small V-cycle take every other
+   transformation on a freshly spawned domain and every other on the
+   calling one; the HPWL after each transformation and the final
+   placement must be the bits of the run that stays on the calling
+   domain. *)
+let test_state_migration_bitwise () =
+  let circuit, p0 = fract () in
+  let config =
+    { Kraftwerk.Config.fast with Kraftwerk.Config.max_iterations = 12 }
+  in
+  (* Transformation [i] runs on the calling domain for even [i], on a
+     new domain for odd [i] when [migrate]. *)
+  let on_domain ~migrate i f =
+    if migrate && i mod 2 = 1 then Domain.join (Domain.spawn f) else f ()
+  in
+  let flat ~migrate =
+    let state = Kraftwerk.Placer.init config circuit p0 in
+    let rec go i hpwls =
+      if i >= 12 || Kraftwerk.Placer.converged state then
+        (Array.of_list (List.rev hpwls), state.Kraftwerk.Placer.placement)
+      else
+        let r =
+          on_domain ~migrate i (fun () -> Kraftwerk.Placer.transform state)
+        in
+        go (i + 1) (r.Kraftwerk.Placer.hpwl :: hpwls)
+    in
+    go 0 []
+  in
+  let vcycle ~migrate =
+    let config = { config with Kraftwerk.Config.ml_threshold = 40 } in
+    let fixed =
+      Array.to_list circuit.Netlist.Circuit.cells
+      |> List.filter_map (fun (cl : Netlist.Cell.t) ->
+             let id = cl.Netlist.Cell.id in
+             if cl.Netlist.Cell.fixed then
+               Some
+                 (id, (p0.Netlist.Placement.x.(id), p0.Netlist.Placement.y.(id)))
+             else None)
+    in
+    let run =
+      Kraftwerk.Cluster.start config circuit ~fixed_positions:fixed
+        (Netlist.Placement.copy p0)
+    in
+    Alcotest.(check bool) "the V-cycle has a coarse level" true
+      (Kraftwerk.Cluster.total_levels run > 1);
+    let rec go i hpwls =
+      if not (on_domain ~migrate i (fun () -> Kraftwerk.Cluster.step run)) then
+        (Array.of_list (List.rev hpwls), Kraftwerk.Cluster.finish run)
+      else
+        let s = Kraftwerk.Cluster.current_state run in
+        go (i + 1)
+          (Metrics.Wirelength.hpwl s.Kraftwerk.Placer.circuit
+             s.Kraftwerk.Placer.placement
+          :: hpwls)
+    in
+    go 0 []
+  in
+  List.iter
+    (fun (name, run) ->
+      let traj, p = run ~migrate:false in
+      let traj', p' = run ~migrate:true in
+      Alcotest.(check bool) (name ^ ": took several steps") true
+        (Array.length traj > 2);
+      check_bitwise (name ^ ": hpwl trajectory") traj traj';
+      check_bitwise (name ^ ": final x") p.Netlist.Placement.x
+        p'.Netlist.Placement.x;
+      check_bitwise (name ^ ": final y") p.Netlist.Placement.y
+        p'.Netlist.Placement.y)
+    [ ("flat", flat); ("v-cycle", vcycle) ]
+
 let suite =
   [
     Alcotest.test_case "SpMV bitwise across domains" `Quick test_spmv_bitwise;
@@ -171,4 +243,7 @@ let suite =
       test_placer_trajectory_bitwise;
     Alcotest.test_case "telemetry trace bitwise across domains" `Slow
       test_telemetry_trace_bitwise;
+    Alcotest.test_case
+      "a placer state migrating between domains every transformation stays bitwise"
+      `Slow test_state_migration_bitwise;
   ]
