@@ -713,6 +713,25 @@ let micro_run () =
               ignore (Kraftwerk.Placer.transform state)
             done;
             fun () -> Kraftwerk.Placer.transform state));
+      Test.make ~name:"cluster-hierarchy-primary1"
+        (Staged.stage
+           (* The V-cycle's coarsening pass alone: affinity rows,
+              FirstChoice and the coarse circuit, three levels deep at
+              threshold 40. *)
+           (let config =
+              { Kraftwerk.Config.standard with Kraftwerk.Config.ml_threshold = 40 }
+            in
+            let fixed_positions =
+              Array.to_list circuit.Netlist.Circuit.cells
+              |> List.filter_map (fun (cl : Netlist.Cell.t) ->
+                     let id = cl.Netlist.Cell.id in
+                     if cl.Netlist.Cell.fixed then
+                       Some
+                         (id, (p0.Netlist.Placement.x.(id), p0.Netlist.Placement.y.(id)))
+                     else None)
+            in
+            fun () ->
+              Kraftwerk.Cluster.build_hierarchy config circuit ~fixed_positions));
       Test.make ~name:"density-map-primary1"
         (Staged.stage (fun () ->
              let nx, ny = Density.Density_map.auto_bins circuit in

@@ -5,38 +5,111 @@ type clustering = {
   coarse_fixed : (int * (float * float)) list;
 }
 
-(* Pairwise connectivity between movable standard cells: clique weight
-   1/k summed over shared nets (big nets skipped — they carry little
-   clustering signal and cost k²). *)
+(* Pairwise connectivity between movable standard cells, as compressed
+   rows: cell [i]'s neighbours are [nbr.(e)] for [e] from [row.(i)] to
+   [row.(i+1) - 1], in the order they were first met, and [weight.(e)]
+   is the clique weight 1/k summed over shared nets in net order (big
+   nets skipped — they carry little clustering signal and cost k²). *)
+type affinity = { row : int array; nbr : int array; weight : float array }
+
+let max_affinity_degree = 16
+
 let build_affinity (c : Netlist.Circuit.t) ~clusterable =
-  let adj : (int, float) Hashtbl.t array =
-    Array.init (Netlist.Circuit.num_cells c) (fun _ -> Hashtbl.create 4)
+  let n = Netlist.Circuit.num_cells c in
+  let net_start = c.Netlist.Circuit.net_start
+  and pin_cell = c.Netlist.Circuit.pin_cell in
+  (* [visit i f] calls [f j k] once per net of at most 16 pins that
+     clusterable cells [i] and [j <> i] share: nets in ascending id (a
+     cell's repeated pins on one net list the net repeatedly, next to
+     each other), and within a net the distinct cells in pin order; [k]
+     is the net's pin count.  [net_mark.(j) = visit_id] once [j] is
+     seen on the net being visited. *)
+  let net_mark = Array.make n (-1) and visit_id = ref 0 in
+  let visit i f =
+    let nets = c.Netlist.Circuit.cell_nets.(i) in
+    for p = 0 to Array.length nets - 1 do
+      let net = nets.(p) in
+      let s = net_start.(net) and e = net_start.(net + 1) in
+      if (p = 0 || nets.(p - 1) <> net) && e - s <= max_affinity_degree then begin
+        incr visit_id;
+        for q = s to e - 1 do
+          let j = pin_cell.(q) in
+          if j <> i && clusterable.(j) && net_mark.(j) <> !visit_id then begin
+            net_mark.(j) <- !visit_id;
+            f j (e - s)
+          end
+        done
+      end
+    done
   in
-  for n = 0 to Netlist.Circuit.num_nets c - 1 do
-    let k = Netlist.Circuit.degree c n in
-    if k <= 16 then begin
-      let cells =
-        Netlist.Circuit.net_cells c n |> List.filter (fun id -> clusterable.(id))
-      in
-      let w = 1. /. float_of_int k in
-      let rec pairs = function
-        | [] -> ()
-        | a :: rest ->
-          List.iter
-            (fun b ->
-              let bump x y =
-                let prev = try Hashtbl.find adj.(x) y with Not_found -> 0. in
-                Hashtbl.replace adj.(x) y (prev +. w)
-              in
-              bump a b;
-              bump b a)
-            rest;
-          pairs rest
-      in
-      pairs cells
+  (* Rows are sized in a counting pass, then filled.  [row_mark.(j) = i]
+     once [j] has an entry in [i]'s row, at [slot.(j)] in the filling
+     pass. *)
+  let row = Array.make (n + 1) 0 in
+  let row_mark = Array.make n (-1) in
+  for i = 0 to n - 1 do
+    let m = ref 0 in
+    if clusterable.(i) then
+      visit i (fun j _ ->
+          if row_mark.(j) <> i then begin
+            row_mark.(j) <- i;
+            incr m
+          end);
+    row.(i + 1) <- row.(i) + !m
+  done;
+  let nbr = Array.make row.(n) 0 and weight = Array.make row.(n) 0. in
+  let slot = Array.make n 0 in
+  Array.fill row_mark 0 n (-1);
+  for i = 0 to n - 1 do
+    if clusterable.(i) then begin
+      let next = ref row.(i) in
+      visit i (fun j k ->
+          if row_mark.(j) <> i then begin
+            row_mark.(j) <- i;
+            slot.(j) <- !next;
+            nbr.(!next) <- j;
+            incr next
+          end;
+          let e = slot.(j) in
+          weight.(e) <- weight.(e) +. (1. /. float_of_int k))
     end
   done;
-  adj
+  { row; nbr; weight }
+
+(* FirstChoice breaks a tie between equally heavy neighbours the way
+   the per-cell [Hashtbl] this replaced enumerated them, so clusterings
+   stay what they were: buckets in ascending order, and within a bucket
+   the most recently first-inserted neighbour first.  A table that
+   started at 16 buckets and holds [m] keys had doubled to the least
+   [16 * 2^r] buckets with [m <= 2 * buckets].  [entry_first a ~m e e']
+   is true when row entry [e] (neighbour [a.nbr.(e)]) comes before
+   [e'] in that order; entries of a row are in first-insertion order. *)
+let entry_first a ~m e e' =
+  let buckets = ref 16 in
+  while m > 2 * !buckets do
+    buckets := 2 * !buckets
+  done;
+  let bucket e = Hashtbl.hash a.nbr.(e) land (!buckets - 1) in
+  let b = bucket e and b' = bucket e' in
+  b < b' || (b = b' && e > e')
+
+(* Sort [a.(0 .. len-1)] ascending in place. *)
+let sort_prefix (a : int array) len =
+  if len <= 32 then
+    for x = 1 to len - 1 do
+      let v = a.(x) in
+      let y = ref (x - 1) in
+      while !y >= 0 && a.(!y) > v do
+        a.(!y + 1) <- a.(!y);
+        decr y
+      done;
+      a.(!y + 1) <- v
+    done
+  else begin
+    let s = Array.sub a 0 len in
+    Array.sort Int.compare s;
+    Array.blit s 0 a 0 len
+  end
 
 let cluster ?(seed = 1) ?max_cluster_area (c : Netlist.Circuit.t)
     ~fixed_positions =
@@ -67,31 +140,33 @@ let cluster ?(seed = 1) ?max_cluster_area (c : Netlist.Circuit.t)
   Array.iter
     (fun i ->
       let gi = find i in
-      let best = ref None and best_w = ref 0. in
-      Hashtbl.iter
-        (fun j w ->
-          let gj = find j in
-          if gj <> gi && w > !best_w && area.(gi) +. area.(gj) <= max_cluster_area
+      let s = adj.row.(i) and m = adj.row.(i + 1) - adj.row.(i) in
+      let best = ref (-1) and best_w = ref 0. in
+      for e = s to s + m - 1 do
+        let w = adj.weight.(e) in
+        if w >= !best_w then begin
+          let gj = find adj.nbr.(e) in
+          if gj <> gi && area.(gi) +. area.(gj) <= max_cluster_area
+             && (w > !best_w || (!best >= 0 && entry_first adj ~m e !best))
           then begin
             best_w := w;
-            best := Some gj
-          end)
-        adj.(i);
-      match !best with
-      | Some gj ->
+            best := e
+          end
+        end
+      done;
+      if !best >= 0 then begin
+        let gj = find adj.nbr.(!best) in
         group.(gi) <- gj;
         area.(gj) <- area.(gj) +. area.(gi)
-      | None -> ())
+      end)
     order;
   (* Compact cluster ids, build coarse cells. *)
   let coarse_id = Array.make n (-1) in
   let next = ref 0 in
-  let members_rev = ref [] in
   for i = 0 to n - 1 do
     let root = find i in
     if coarse_id.(root) = -1 then begin
       coarse_id.(root) <- !next;
-      members_rev := [] :: !members_rev;
       incr next
     end;
     coarse_id.(i) <- coarse_id.(root)
@@ -128,33 +203,48 @@ let cluster ?(seed = 1) ?max_cluster_area (c : Netlist.Circuit.t)
             ~width:(total_area /. rh) ~height:rh ~kind:Netlist.Cell.Standard
             ~sequential ~power ())
   in
-  (* Coarse nets: flat nets with ≥ 2 distinct clusters. *)
+  (* Coarse nets: flat nets with ≥ 2 distinct clusters, in flat net
+     order.  [net_mark.(cid) = net] once [cid] is in [ids]. *)
+  let num_nets = Netlist.Circuit.num_nets c in
+  let net_start = c.Netlist.Circuit.net_start
+  and pin_cell = c.Netlist.Circuit.pin_cell in
+  let max_degree = ref 0 in
+  for net = 0 to num_nets - 1 do
+    max_degree := Stdlib.max !max_degree (Netlist.Circuit.degree c net)
+  done;
+  let ids = Array.make !max_degree 0 in
+  let net_mark = Array.make !next (-1) in
   let coarse_nets = ref [] and coarse_net_count = ref 0 in
-  for n = 0 to Netlist.Circuit.num_nets c - 1 do
-    let clusters =
-      Netlist.Circuit.net_cells c n |> List.map (fun id -> coarse_id.(id))
-      |> List.sort_uniq compare
-    in
-    match clusters with
-    | _ :: _ :: _ ->
+  for net = 0 to num_nets - 1 do
+    let k = ref 0 in
+    for q = net_start.(net) to net_start.(net + 1) - 1 do
+      let cid = coarse_id.(pin_cell.(q)) in
+      if net_mark.(cid) <> net then begin
+        net_mark.(cid) <- net;
+        ids.(!k) <- cid;
+        incr k
+      end
+    done;
+    if !k >= 2 then begin
       (* Preserve driver-first ordering: the driver cell's cluster
-         leads. *)
-      let driver_cluster =
-        coarse_id.(c.Netlist.Circuit.pin_cell.(c.Netlist.Circuit.net_start.(n)))
-      in
-      let ordered =
-        driver_cluster :: List.filter (fun x -> x <> driver_cluster) clusters
-      in
-      let pins =
-        List.map (fun cid -> { Netlist.Net.cell = cid; dx = 0.; dy = 0. }) ordered
-        |> Array.of_list
-      in
+         leads, the others follow in ascending id. *)
+      sort_prefix ids !k;
+      let driver = coarse_id.(pin_cell.(net_start.(net))) in
+      let pin cid = { Netlist.Net.cell = cid; dx = 0.; dy = 0. } in
+      let pins = Array.make !k (pin driver) in
+      let p = ref 1 in
+      for x = 0 to !k - 1 do
+        if ids.(x) <> driver then begin
+          pins.(!p) <- pin ids.(x);
+          incr p
+        end
+      done;
       coarse_nets :=
         Netlist.Net.make ~id:!coarse_net_count
-          ~name:c.Netlist.Circuit.net_name.(n) pins
+          ~name:c.Netlist.Circuit.net_name.(net) pins
         :: !coarse_nets;
       incr coarse_net_count
-    | [] | [ _ ] -> ()
+    end
   done;
   let coarse =
     Netlist.Circuit.make

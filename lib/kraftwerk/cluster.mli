@@ -8,9 +8,10 @@
     and the flat netlist is seeded from the cluster placement and
     refined with a few transformations.
 
-    Clusters aggregate area (width = area / row height, height = one row
-    height per row of area) and inherit the union of their members'
-    connectivity; pads and fixed cells are never clustered. *)
+    Clusters aggregate area (width = area / row height, height = one
+    row height, whatever the area) and inherit the union of their
+    members' connectivity; pads, blocks and fixed cells are never
+    clustered. *)
 
 type clustering = {
   coarse : Netlist.Circuit.t;  (** the cluster-level circuit *)
@@ -22,10 +23,21 @@ type clustering = {
 }
 
 (** [cluster ?seed ?max_cluster_area circuit ~fixed_positions] builds one
-    level of clustering: each movable cell greedily merges with its most
-    strongly connected neighbour (clique-weight sum over shared nets)
-    while the merged area stays below [max_cluster_area] (default 6×
-    the average cell area).  Fixed cells map to singleton coarse cells. *)
+    level of clustering: each movable standard cell, in an order shuffled
+    by [seed], greedily merges with its most strongly connected
+    neighbour's cluster while the merged area stays below
+    [max_cluster_area] (default 6× the average cell area).  Connection
+    strength is the clique weight [1/k] summed over the nets of [k] pins
+    the two cells share; nets of more than 16 pins carry no weight.  A
+    tie between equally heavy neighbours goes to the one a [Hashtbl]
+    filled with the neighbours in first-seen order (nets ascending, pins
+    in order) would enumerate first: the lower bucket
+    [Hashtbl.hash j land (nb - 1)], then the later first insertion, with
+    [nb] the least [16 * 2^r] holding the cell's [m] neighbours at
+    [m <= 2 * nb].  Fixed cells, pads and blocks map to singleton coarse
+    cells.  A coarse net is kept for every flat net spanning at least
+    two clusters: the driver's cluster first, the others in ascending
+    id. *)
 val cluster :
   ?seed:int ->
   ?max_cluster_area:float ->

@@ -1,4 +1,4 @@
-(* Small array helpers shared by the test suites. *)
+(* Small helpers shared by the test suites. *)
 
 (* [max_abs_diff a b] is the infinity norm of [a - b]. *)
 let max_abs_diff a b =
@@ -33,3 +33,14 @@ let net_circuit nets =
   Netlist.Circuit.make ~name:"nets" ~cells ~nets
     ~region:(Geometry.Rect.make ~x_lo:0. ~y_lo:0. ~x_hi:100. ~y_hi:100.)
     ~row_height:1.
+
+(* Words allocated by [f], counted as minor + major − promoted (arrays
+   above 256 words skip the minor heap). *)
+let allocated_by f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  ignore (Sys.opaque_identity (f ()));
+  words () -. w0

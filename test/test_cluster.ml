@@ -316,6 +316,204 @@ let test_multilevel_telemetry_levels () =
          (l, s))
        (max_level, 0) records)
 
+(* Coarsening builds its affinity rows and coarse nets in flat arrays:
+   primary1's three-level hierarchy allocates 70.0 words per flat pin
+   (275.9 with a hash table per cell and per net).  The budget leaves
+   14% headroom. *)
+let test_hierarchy_build_allocation () =
+  let circuit, pads, _ = build ~scale:1.0 ~seed:1 () in
+  let depth = ref 0 in
+  let words =
+    Helpers.allocated_by (fun () ->
+        let h =
+          Kraftwerk.Cluster.build_hierarchy deep_config circuit
+            ~fixed_positions:pads
+        in
+        depth := Kraftwerk.Cluster.depth h)
+  in
+  Alcotest.(check int) "three levels" 3 !depth;
+  let per_pin = words /. float_of_int (Netlist.Circuit.num_pins circuit) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per pin, budget 80" per_pin)
+    true (per_pin < 80.)
+
+(* ------------------------------------------------------------------ *)
+(* Flat-array clustering against the Hashtbl oracle                     *)
+
+(* [cluster] must reproduce [Cluster_oracle.cluster] bit for bit: the
+   map, the members, the coarse fixed positions and every field of the
+   coarse circuit.  Returns the clustering, to chain levels. *)
+let check_matches_oracle tag ?seed ?max_cluster_area circuit ~fixed_positions =
+  let got =
+    Kraftwerk.Cluster.cluster ?seed ?max_cluster_area circuit ~fixed_positions
+  and want =
+    Cluster_oracle.cluster ?seed ?max_cluster_area circuit ~fixed_positions
+  in
+  let same what a b =
+    if Marshal.to_string a [ Marshal.No_sharing ]
+       <> Marshal.to_string b [ Marshal.No_sharing ]
+    then Alcotest.failf "%s: %s differs from the oracle" tag what
+  in
+  same "cluster_of" got.Kraftwerk.Cluster.cluster_of want.Cluster_oracle.cluster_of;
+  same "members" got.Kraftwerk.Cluster.members want.Cluster_oracle.members;
+  same "coarse_fixed" got.Kraftwerk.Cluster.coarse_fixed
+    want.Cluster_oracle.coarse_fixed;
+  let g = got.Kraftwerk.Cluster.coarse and w = want.Cluster_oracle.coarse in
+  let open Netlist.Circuit in
+  same "coarse name" g.name w.name;
+  same "coarse cells" g.cells w.cells;
+  same "coarse net_start" g.net_start w.net_start;
+  same "coarse pin_cell" g.pin_cell w.pin_cell;
+  same "coarse pin_dx" g.pin_dx w.pin_dx;
+  same "coarse pin_dy" g.pin_dy w.pin_dy;
+  same "coarse net_name" g.net_name w.net_name;
+  same "coarse cell_nets" g.cell_nets w.cell_nets;
+  same "coarse region" g.region w.region;
+  same "coarse row_height" g.row_height w.row_height;
+  got
+
+(* Cluster a generated circuit level after level, as [build_hierarchy]
+   does, checking every level: the coarse levels carry the clusters
+   with many neighbours. *)
+let oracle_levels name scale =
+  let circuit, pads, _ = build ~name ~scale ~seed:1 () in
+  let rec go level c fixed =
+    let tag = Printf.sprintf "%s@%g level %d" name scale level in
+    let t = check_matches_oracle tag ~seed:(level + 1) c ~fixed_positions:fixed in
+    let fine_n = Netlist.Circuit.num_cells c
+    and coarse_n = Netlist.Circuit.num_cells t.Kraftwerk.Cluster.coarse in
+    if level < 5 && coarse_n * 20 < fine_n * 19 then
+      go (level + 1) t.Kraftwerk.Cluster.coarse t.Kraftwerk.Cluster.coarse_fixed
+  in
+  go 0 circuit pads
+
+let test_oracle_generated () =
+  oracle_levels "fract" 1.0;
+  oracle_levels "primary1" 1.0;
+  oracle_levels "mega100k" 0.02
+
+(* A random circuit of unit-height cells meant to provoke ties between
+   equally heavy neighbours: widths from a short list, two-pin nets
+   only when [two_pin], hub cells with 33 to 300 two-pin neighbours,
+   nets of 16 and 17 pins, repeated pins of one cell on a net, pads
+   and fixed standard cells. *)
+let random_circuit seed =
+  let st = Random.State.make [| seed |] in
+  let int k = Random.State.int st k in
+  let n = 20 + int 150 in
+  let two_pin = seed mod 3 = 0 in
+  let cells =
+    Array.init n (fun id ->
+        let name = Printf.sprintf "c%d" id in
+        let width = [| 1.; 1.; 2.; 3. |].(int 4) in
+        match int 20 with
+        | 0 -> Netlist.Cell.make ~id ~name ~width ~height:1. ~kind:Netlist.Cell.Pad ()
+        | 1 -> Netlist.Cell.make ~id ~name ~width ~height:1. ~fixed:true ()
+        | 2 -> Netlist.Cell.make ~id ~name ~width:4. ~height:3. ~kind:Netlist.Cell.Block ()
+        | _ -> Netlist.Cell.make ~id ~name ~width ~height:1. ())
+  in
+  let nets = ref [] in
+  let add cells_of_pins =
+    let pins =
+      List.mapi
+        (fun k cell -> { Netlist.Net.cell; dx = float_of_int k; dy = 0. })
+        cells_of_pins
+    in
+    nets := pins :: !nets
+  in
+  for _ = 1 to n + int (2 * n) do
+    let degree =
+      if two_pin then 2
+      else [| 2; 2; 2; 3; 3; 4; 5; 16; 17; 2 + int 20 |].(int 10)
+    in
+    let pins = List.init degree (fun _ -> int n) in
+    (* Now and then a cell repeats on the net at another offset. *)
+    let pins = if int 8 = 0 then List.hd pins :: pins else pins in
+    add pins
+  done;
+  for _ = 1 to int 3 do
+    let hub = int n in
+    for _ = 1 to 33 + int 268 do
+      add [ hub; int n ]
+    done
+  done;
+  let nets =
+    List.rev !nets
+    |> List.mapi (fun id pins ->
+           Netlist.Net.make ~id ~name:(Printf.sprintf "n%d" id) (Array.of_list pins))
+    |> Array.of_list
+  in
+  let circuit =
+    Netlist.Circuit.make ~name:(Printf.sprintf "random%d" seed) ~cells ~nets
+      ~region:(Geometry.Rect.make ~x_lo:0. ~y_lo:0. ~x_hi:200. ~y_hi:100.)
+      ~row_height:1.
+  in
+  let fixed_positions =
+    Array.to_list cells
+    |> List.filter (fun (cl : Netlist.Cell.t) -> cl.Netlist.Cell.fixed)
+    |> List.map (fun (cl : Netlist.Cell.t) ->
+           (cl.Netlist.Cell.id, (float_of_int (int 200), float_of_int (int 100))))
+  in
+  (circuit, fixed_positions)
+
+let check_random_against_oracle seed =
+  let circuit, fixed_positions = random_circuit seed in
+  let tag = Printf.sprintf "random circuit %d" seed in
+  (* The default area cap and a loose one that lets hubs keep merging. *)
+  ignore (check_matches_oracle tag ~seed circuit ~fixed_positions);
+  ignore
+    (check_matches_oracle (tag ^ ", loose cap") ~seed:(seed + 1)
+       ~max_cluster_area:40. circuit ~fixed_positions)
+
+(* A hub with [k] two-pin neighbours of equal weight, across 16
+   (k ≤ 32), 32, 64, 128 or 256 buckets.  The neighbours pair up over
+   heavier nets and a pair fills the area cap, so when the hub's turn
+   comes every still unpaired neighbour is a feasible candidate and the
+   tie order alone picks one. *)
+let test_oracle_hub_ties () =
+  List.iter
+    (fun k ->
+      let cells =
+        Array.init (k + 1) (fun id ->
+            Netlist.Cell.make ~id ~name:(Printf.sprintf "c%d" id) ~width:1.
+              ~height:1. ())
+      in
+      let pin cell = { Netlist.Net.cell; dx = 0.; dy = 0. } in
+      let hub_nets = List.init k (fun leaf -> [| pin 0; pin (leaf + 1) |]) in
+      let pair_nets =
+        List.init (3 * (k / 2)) (fun x ->
+            let a = 1 + (2 * (x / 3)) in
+            [| pin a; pin (a + 1) |])
+      in
+      let nets =
+        Array.of_list (hub_nets @ pair_nets)
+        |> Array.mapi (fun id pins ->
+               Netlist.Net.make ~id ~name:(Printf.sprintf "n%d" id) pins)
+      in
+      let circuit =
+        Netlist.Circuit.make ~name:"hub" ~cells ~nets
+          ~region:(Geometry.Rect.make ~x_lo:0. ~y_lo:0. ~x_hi:100. ~y_hi:100.)
+          ~row_height:1.
+      in
+      for seed = 1 to 30 do
+        ignore
+          (check_matches_oracle
+             (Printf.sprintf "hub of %d, seed %d" k seed)
+             ~seed ~max_cluster_area:2. circuit ~fixed_positions:[])
+      done)
+    [ 20; 34; 40; 66; 100; 130; 300 ]
+
+let test_oracle_random_circuits () =
+  for seed = 0 to 59 do
+    check_random_against_oracle seed
+  done
+
+let prop_matches_oracle =
+  QCheck.Test.make ~count:100 ~name:"clustering equals the Hashtbl oracle"
+    QCheck.small_nat (fun seed ->
+      check_random_against_oracle (1000 + seed);
+      true)
+
 let suite =
   [
     Alcotest.test_case "partitions cells" `Quick test_cluster_partitions_cells;
@@ -342,4 +540,13 @@ let suite =
       test_multilevel_seed_sensitivity;
     Alcotest.test_case "telemetry carries the V-cycle stage" `Slow
       test_multilevel_telemetry_levels;
+    Alcotest.test_case "hierarchy build allocation" `Quick
+      test_hierarchy_build_allocation;
+    Alcotest.test_case "equals the Hashtbl oracle: fract, primary1, mega100k"
+      `Quick test_oracle_generated;
+    Alcotest.test_case "equals the Hashtbl oracle: hub ties" `Quick
+      test_oracle_hub_ties;
+    Alcotest.test_case "equals the Hashtbl oracle: random circuits" `Quick
+      test_oracle_random_circuits;
+    QCheck_alcotest.to_alcotest prop_matches_oracle;
   ]

@@ -493,8 +493,8 @@ let suite =
   ]
 
 (* The committed kernel bench records the host's core count, one SpMV
-   row (every kernel runs on one domain), the .ckt text row and a finite
-   time per kernel. *)
+   row (every kernel runs on one domain), the .ckt text row, the
+   coarsening row and a finite time per kernel. *)
 let test_gate_kernel_rows () =
   let bench = read_json (Test_server.repo_file "BENCH_kernels.json") in
   let cores = num "cores" bench in
@@ -516,6 +516,8 @@ let test_gate_kernel_rows () =
     (List.mem_assoc "kernels/spmv-primary1" kernels);
   Alcotest.(check bool) "float-text-primary1 row" true
     (List.mem_assoc "kernels/float-text-primary1" kernels);
+  Alcotest.(check bool) "cluster-hierarchy-primary1 row" true
+    (List.mem_assoc "kernels/cluster-hierarchy-primary1" kernels);
   Alcotest.(check (list string)) "no pooled SpMV rows" []
     (List.filter
        (fun name -> contains name "spmv-seq" || contains name "spmv-pool")

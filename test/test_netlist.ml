@@ -75,6 +75,87 @@ let test_net_validation () =
     (Invalid_argument "Net.make: duplicate pin") (fun () ->
       ignore (Netlist.Net.make ~id:0 ~name:"n" [| pin 0; pin 0 |]))
 
+(* Duplicate pins are judged under [compare] equality on (cell, dx, dy),
+   as the [Hashtbl] check they replaced judged them: [-0.] equals [0.]
+   and NaN equals NaN, on short nets (pairwise check) and long ones
+   (sorted check) alike. *)
+let pad_pins k = List.init k (fun x -> { Netlist.Net.cell = 10 + x; dx = 0.; dy = 0. })
+
+let raises_duplicate pins =
+  match Netlist.Net.make ~id:0 ~name:"n" (Array.of_list pins) with
+  | _ -> false
+  | exception Invalid_argument msg when msg = "Net.make: duplicate pin" -> true
+
+let test_net_duplicate_signed_zero () =
+  List.iter
+    (fun filler ->
+      let tag what = Printf.sprintf "%s, %d pins" what (filler + 2) in
+      let p dx dy = { Netlist.Net.cell = 0; dx; dy } in
+      Alcotest.(check bool) (tag "-0. dx equals 0.") true
+        (raises_duplicate ((p 0. 1. :: pad_pins filler) @ [ p (-0.) 1. ]));
+      Alcotest.(check bool) (tag "-0. dy equals 0.") true
+        (raises_duplicate ((p 1. (-0.) :: pad_pins filler) @ [ p 1. 0. ]));
+      Alcotest.(check bool) (tag "0. and 1. differ") false
+        (raises_duplicate ((p 0. 0. :: pad_pins filler) @ [ p 1. 0. ])))
+    [ 0; 1; 20 ]
+
+let test_net_duplicate_nan () =
+  List.iter
+    (fun filler ->
+      let tag what = Printf.sprintf "%s, %d pins" what (filler + 2) in
+      let p dx dy = { Netlist.Net.cell = 0; dx; dy } in
+      Alcotest.(check bool) (tag "NaN dx equals NaN") true
+        (raises_duplicate ((p nan 0. :: pad_pins filler) @ [ p (-.nan) 0. ]));
+      Alcotest.(check bool) (tag "NaN dy equals NaN") true
+        (raises_duplicate ((p 2. nan :: pad_pins filler) @ [ p 2. nan ]));
+      Alcotest.(check bool) (tag "NaN and 0. differ") false
+        (raises_duplicate ((p nan 0. :: pad_pins filler) @ [ p 0. 0. ]));
+      Alcotest.(check bool) (tag "NaN on other cells differ") false
+        (raises_duplicate
+           ((p nan nan :: pad_pins filler) @ [ { Netlist.Net.cell = 1; dx = nan; dy = nan } ])))
+    [ 0; 1; 20 ]
+
+(* [Net.make] agrees with a [Hashtbl] of (cell, dx, dy) keys on random
+   pin lists drawn from few cells and offsets, -0. and NaN among them. *)
+let prop_net_duplicates_as_hashtbl =
+  QCheck.Test.make ~count:300 ~name:"Net.make duplicates are the Hashtbl's"
+    QCheck.small_nat (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let offsets = [| 0.; -0.; 1.; nan; -.nan |] in
+      let k = 2 + Random.State.int st 40 in
+      let pins =
+        List.init k (fun _ ->
+            { Netlist.Net.cell = Random.State.int st (1 + (k / 2));
+              dx = offsets.(Random.State.int st 5);
+              dy = offsets.(Random.State.int st 5) })
+      in
+      let seen = Hashtbl.create k in
+      let expected =
+        List.exists
+          (fun (p : Netlist.Net.pin) ->
+            let key = (p.Netlist.Net.cell, p.Netlist.Net.dx, p.Netlist.Net.dy) in
+            Hashtbl.mem seen key || (Hashtbl.add seen key (); false))
+          pins
+      in
+      raises_duplicate pins = expected)
+
+(* A long net's check sorts one k-sized index array in place: with the
+   heap sort's two-word exceptions it stays under 5 words per pin, where
+   the [Hashtbl] check took 9.4 (200 pins). *)
+let test_net_make_allocation () =
+  let k = 200 in
+  let pins =
+    Array.init k (fun x ->
+        { Netlist.Net.cell = x mod 50; dx = float_of_int (x / 50); dy = 0. })
+  in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Netlist.Net.make ~id:0 ~name:"n" pins));
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for %d pins" words k)
+    true
+    (words < float_of_int (5 * k))
+
 let test_net_same_cell_distinct_offsets () =
   (* Two pins on the same cell at different offsets are legitimate. *)
   let c = Helpers.net_circuit [| [| (0, -1., 0.); (0, 1., 0.) |] |] in
@@ -186,6 +267,12 @@ let suite =
     Alcotest.test_case "net accessors" `Quick test_net_accessors;
     Alcotest.test_case "net validation" `Quick test_net_validation;
     Alcotest.test_case "net same-cell pins" `Quick test_net_same_cell_distinct_offsets;
+    Alcotest.test_case "net duplicate: -0. equals 0." `Quick
+      test_net_duplicate_signed_zero;
+    Alcotest.test_case "net duplicate: NaN equals NaN" `Quick
+      test_net_duplicate_nan;
+    QCheck_alcotest.to_alcotest prop_net_duplicates_as_hashtbl;
+    Alcotest.test_case "Net.make allocation" `Quick test_net_make_allocation;
     Alcotest.test_case "circuit counts" `Quick test_circuit_counts;
     Alcotest.test_case "circuit areas" `Quick test_circuit_areas;
     Alcotest.test_case "circuit incidence" `Quick test_circuit_incidence;
