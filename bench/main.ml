@@ -732,6 +732,17 @@ let micro_run () =
             in
             fun () ->
               Kraftwerk.Cluster.build_hierarchy config circuit ~fixed_positions));
+      Test.make ~name:"finishing-primary1"
+        (Staged.stage
+           (* The final placer after Abacus: Improve then Domino on a
+              fresh copy of the legal placement each run. *)
+           (let legal =
+              (Legalize.Abacus.legalize circuit placed ()).Legalize.Abacus.placement
+            in
+            fun () ->
+              let p = Netlist.Placement.copy legal in
+              ignore (Legalize.Improve.run circuit p);
+              Legalize.Domino.run circuit p));
       Test.make ~name:"density-map-primary1"
         (Staged.stage (fun () ->
              let nx, ny = Density.Density_map.auto_bins circuit in

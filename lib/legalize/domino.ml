@@ -23,49 +23,64 @@ let validate config =
   if config.neighborhood_cols < 1 then fail "neighborhood_cols" ">= 1";
   if config.passes < 0 then fail "passes" ">= 0"
 
-let movable_standard (c : Netlist.Circuit.t) =
-  Array.to_list c.Netlist.Circuit.cells
-  |> List.filter (fun (cl : Netlist.Cell.t) ->
-         Netlist.Cell.movable cl && cl.Netlist.Cell.kind = Netlist.Cell.Standard)
-
 (* -------------------------------------------------------------- *)
 (* Flow reassignment                                               *)
 
-let flow config mcf (c : Netlist.Circuit.t) (p : Netlist.Placement.t) =
+(* The buffers of a pass or run: the ids of the movable standard cells,
+   ascending, and two net sets on one pair of stamps, [group] for the
+   nets of a whole group or window and [own] for those of one cell. *)
+type buffers = { movable : int array; group : Nets.set; own : Nets.set }
+
+let buffers (c : Netlist.Circuit.t) =
+  let movable =
+    Array.to_list c.Netlist.Circuit.cells
+    |> List.filter_map (fun (cl : Netlist.Cell.t) ->
+           if Netlist.Cell.movable cl && cl.Netlist.Cell.kind = Netlist.Cell.Standard
+           then Some cl.Netlist.Cell.id
+           else None)
+    |> Array.of_list
+  in
+  let stamps = Nets.stamps c in
+  { movable; group = Nets.set stamps; own = Nets.set stamps }
+
+let flow config mcf buf (c : Netlist.Circuit.t) (p : Netlist.Placement.t) =
   let x = p.Netlist.Placement.x and y = p.Netlist.Placement.y in
+  let cells = c.Netlist.Circuit.cells in
   let region = c.Netlist.Circuit.region in
-  let group_nets = Nets.set c and own_nets = Nets.set c in
   let moves = ref 0 and gain = ref 0. in
   (* Group cells by (width class, neighbourhood tile). *)
   let tile_h = float_of_int config.neighborhood_rows *. c.Netlist.Circuit.row_height in
   let tile_w = Geometry.Rect.width region /. float_of_int config.neighborhood_cols in
-  let groups = Hashtbl.create 64 in
-  List.iter
-    (fun (cl : Netlist.Cell.t) ->
-      let id = cl.Netlist.Cell.id in
-      let tx = int_of_float ((x.(id) -. region.Geometry.Rect.x_lo) /. tile_w) in
-      let ty = int_of_float ((y.(id) -. region.Geometry.Rect.y_lo) /. tile_h) in
-      let key = (int_of_float (cl.Netlist.Cell.width *. 1000.), tx, ty) in
-      let prev = try Hashtbl.find groups key with Not_found -> [] in
-      Hashtbl.replace groups key (id :: prev))
-    (movable_standard c);
-  (* Reused across groups: the slots of the current group and one cost
-     matrix per group size. *)
+  let movable = buf.movable in
+  let g =
+    Groups.by_key ~size:64 (Array.length movable) (fun i ->
+        let id = movable.(i) in
+        let tx = int_of_float ((x.(id) -. region.Geometry.Rect.x_lo) /. tile_w) in
+        let ty = int_of_float ((y.(id) -. region.Geometry.Rect.y_lo) /. tile_h) in
+        (int_of_float (cells.(id).Netlist.Cell.width *. 1000.), tx, ty))
+  in
+  (* Reused across groups: the group's cells not yet in a run, the
+     current run, the slots of the current chunk, its total before and
+     after the permutation, and one cost matrix per chunk size. *)
+  let pending = Array.make (Array.length movable) 0 in
+  let ids = Array.make (Array.length movable) 0 in
   let slot_x = Array.make config.max_group 0. in
   let slot_y = Array.make config.max_group 0. in
+  let total = Array.make 2 0. in
   let cost_matrices = Array.make (config.max_group + 1) [||] in
   (* The cells [ids.(off) … ids.(off + n − 1)] permute over their own
      slots. *)
-  let process ids off n =
+  let process off n =
     if n >= 2 then begin
-      Nets.clear group_nets;
+      Nets.clear buf.group;
       for i = 0 to n - 1 do
         let id = ids.(off + i) in
         slot_x.(i) <- x.(id);
         slot_y.(i) <- y.(id);
-        Nets.add_cell group_nets id
+        Nets.add_cell buf.group id
       done;
-      let before = Nets.hpwl group_nets p in
+      Nets.freeze buf.group p;
+      Nets.hpwl_into buf.group p total 0;
       (* Separable cost: cell i at slot j with all other cells at their
          current positions. *)
       if Array.length cost_matrices.(n) = 0 then
@@ -73,13 +88,14 @@ let flow config mcf (c : Netlist.Circuit.t) (p : Netlist.Placement.t) =
       let costs = cost_matrices.(n) in
       for i = 0 to n - 1 do
         let id = ids.(off + i) in
-        Nets.clear own_nets;
-        Nets.add_cell own_nets id;
+        Nets.clear buf.own;
+        Nets.add_cell buf.own id;
+        Nets.freeze buf.own p;
         let row = costs.(i) in
         for j = 0 to n - 1 do
           x.(id) <- slot_x.(j);
           y.(id) <- slot_y.(j);
-          row.(j) <- Nets.hpwl own_nets p
+          Nets.hpwl_into buf.own p row j
         done;
         x.(id) <- slot_x.(i);
         y.(id) <- slot_y.(i)
@@ -94,10 +110,10 @@ let flow config mcf (c : Netlist.Circuit.t) (p : Netlist.Placement.t) =
         x.(id) <- slot_x.(j);
         y.(id) <- slot_y.(j)
       done;
-      let after = Nets.hpwl group_nets p in
-      if after < before -. 1e-9 && !changed > 0 then begin
+      Nets.hpwl_into buf.group p total 1;
+      if total.(1) < total.(0) -. 1e-9 && !changed > 0 then begin
         moves := !moves + !changed;
-        gain := !gain +. (before -. after)
+        gain := !gain +. (total.(0) -. total.(1))
       end
       else
         for i = 0 to n - 1 do
@@ -107,22 +123,44 @@ let flow config mcf (c : Netlist.Circuit.t) (p : Netlist.Placement.t) =
         done
     end
   in
-  Hashtbl.iter
-    (fun _ group ->
-      (* Split oversized groups so the assignment stays small. *)
-      let ids = Array.of_list group in
+  for o = 0 to Array.length g.Groups.order - 1 do
+    let s = g.Groups.start.(g.Groups.order.(o)) in
+    let rest = ref (g.Groups.start.(g.Groups.order.(o) + 1) - s) in
+    for k = 0 to !rest - 1 do
+      pending.(k) <- movable.(g.Groups.items.(s + k))
+    done;
+    (* Runs of one exact width, in the order each width is first seen;
+       a run keeps the group's order.  Cells whose widths only share a
+       width class never trade slots. *)
+    while !rest > 0 do
+      let w = Int64.bits_of_float cells.(pending.(0)).Netlist.Cell.width in
+      let n = ref 0 and kept = ref 0 in
+      for k = 0 to !rest - 1 do
+        let id = pending.(k) in
+        if Int64.bits_of_float cells.(id).Netlist.Cell.width = w then begin
+          ids.(!n) <- id;
+          incr n
+        end
+        else begin
+          pending.(!kept) <- id;
+          incr kept
+        end
+      done;
+      rest := !kept;
+      (* Split oversized runs so the assignment stays small. *)
       let off = ref 0 in
-      while !off < Array.length ids do
-        let n = min config.max_group (Array.length ids - !off) in
-        process ids !off n;
-        off := !off + n
-      done)
-    groups;
+      while !off < !n do
+        let chunk = min config.max_group (!n - !off) in
+        process !off chunk;
+        off := !off + chunk
+      done
+    done
+  done;
   (!moves, !gain)
 
 let flow_pass ?(config = default_config) c p =
   validate config;
-  flow config (Numeric.Mincostflow.workspace ()) c p
+  flow config (Numeric.Mincostflow.workspace ()) (buffers c) c p
 
 (* -------------------------------------------------------------- *)
 (* Window reordering                                               *)
@@ -141,12 +179,23 @@ let rec permutations = function
 let permutation_table w =
   Array.of_list (List.map Array.of_list (permutations (List.init w Fun.id)))
 
-let reorder config perms ~obstacles (c : Netlist.Circuit.t)
+(* Packs the window [arr.(base) …] from [left_edge] in [order]. *)
+let[@inline] place_order x (cells : Netlist.Cell.t array) arr base order ~left_edge =
+  let cursor = ref left_edge in
+  for k = 0 to Array.length order - 1 do
+    let id = arr.(base + order.(k)) in
+    let width = cells.(id).Netlist.Cell.width in
+    x.(id) <- !cursor +. (width /. 2.);
+    cursor := !cursor +. width
+  done
+
+let reorder config perms buf ~obstacles (c : Netlist.Circuit.t)
     (p : Netlist.Placement.t) =
   let x = p.Netlist.Placement.x and y = p.Netlist.Placement.y in
+  let cells = c.Netlist.Circuit.cells in
   let all_obstacles =
     obstacles
-    @ (Array.to_list c.Netlist.Circuit.cells
+    @ (Array.to_list cells
       |> List.filter_map (fun (cl : Netlist.Cell.t) ->
              if cl.Netlist.Cell.fixed && cl.Netlist.Cell.kind <> Netlist.Cell.Pad
              then Some (Netlist.Placement.cell_rect c p cl.Netlist.Cell.id)
@@ -167,16 +216,17 @@ let reorder config perms ~obstacles (c : Netlist.Circuit.t)
     band_lo := Array.of_list (List.map (fun (o : Geometry.Rect.t) -> o.Geometry.Rect.x_lo) meets);
     band_hi := Array.of_list (List.map (fun (o : Geometry.Rect.t) -> o.Geometry.Rect.x_hi) meets)
   in
-  let set = Nets.set c in
+  let set = buf.group in
+  let total = Array.make 2 0. in
   let improved = ref 0 and gain = ref 0. in
   (* Row membership from current y. *)
   let nrows = max 1 (Netlist.Circuit.num_rows c) in
   let rows = Array.make nrows [] in
-  List.iter
-    (fun (cl : Netlist.Cell.t) ->
-      let r = Rows.row_of_y c y.(cl.Netlist.Cell.id) in
-      rows.(r) <- cl :: rows.(r))
-    (movable_standard c);
+  Array.iter
+    (fun id ->
+      let r = Rows.row_of_y c y.(id) in
+      rows.(r) <- id :: rows.(r))
+    buf.movable;
   let w = config.window in
   let original = Array.make w 0. in
   (* Two sweeps of disjoint windows (offset 0 and w/2) cover every
@@ -185,17 +235,14 @@ let reorder config perms ~obstacles (c : Netlist.Circuit.t)
      legal. *)
   let sweep offset row_cells =
     let arr = Array.of_list row_cells in
-    Array.sort
-      (fun (a : Netlist.Cell.t) b ->
-        Float.compare x.(a.Netlist.Cell.id) x.(b.Netlist.Cell.id))
-      arr;
+    Array.sort (fun a b -> Float.compare x.(a) x.(b)) arr;
     let i = ref offset in
     while !i + w <= Array.length arr do
       let base = !i in
       let first = arr.(base) and last = arr.(base + w - 1) in
-      let left_edge = x.(first.Netlist.Cell.id) -. (first.Netlist.Cell.width /. 2.) in
-      let right_edge = x.(last.Netlist.Cell.id) +. (last.Netlist.Cell.width /. 2.) in
-      let row_y = y.(first.Netlist.Cell.id) in
+      let left_edge = x.(first) -. (cells.(first).Netlist.Cell.width /. 2.) in
+      let right_edge = x.(last) +. (cells.(last).Netlist.Cell.width /. 2.) in
+      let row_y = y.(first) in
       (* A window straddling an obstacle must not be repacked: the
          packed order could land a cell inside the obstacle. *)
       if row_y <> !band_y then refresh_band row_y;
@@ -208,36 +255,30 @@ let reorder config perms ~obstacles (c : Netlist.Circuit.t)
       if not !blocked then begin
         Nets.clear set;
         for k = 0 to w - 1 do
-          let id = arr.(base + k).Netlist.Cell.id in
+          let id = arr.(base + k) in
           Nets.add_cell set id;
           original.(k) <- x.(id)
         done;
-        let place_order order =
-          let cursor = ref left_edge in
-          for k = 0 to w - 1 do
-            let cl = arr.(base + order.(k)) in
-            x.(cl.Netlist.Cell.id) <- !cursor +. (cl.Netlist.Cell.width /. 2.);
-            cursor := !cursor +. cl.Netlist.Cell.width
-          done
-        in
-        let before = Nets.hpwl set p in
+        Nets.freeze set p;
+        Nets.hpwl_into set p total 0;
+        let before = total.(0) in
         let best_cost = ref before and best_order = ref (-1) in
         for q = 0 to Array.length perms - 1 do
-          place_order perms.(q);
-          let cost = Nets.hpwl set p in
-          if cost < !best_cost -. 1e-9 then begin
-            best_cost := cost;
+          place_order x cells arr base perms.(q) ~left_edge;
+          Nets.hpwl_into set p total 1;
+          if total.(1) < !best_cost -. 1e-9 then begin
+            best_cost := total.(1);
             best_order := q
           end
         done;
         if !best_order >= 0 then begin
-          place_order perms.(!best_order);
+          place_order x cells arr base perms.(!best_order) ~left_edge;
           incr improved;
           gain := !gain +. (before -. !best_cost)
         end
         else
           for k = 0 to w - 1 do
-            x.(arr.(base + k).Netlist.Cell.id) <- original.(k)
+            x.(arr.(base + k)) <- original.(k)
           done
       end;
       i := base + w
@@ -252,19 +293,20 @@ let reorder config perms ~obstacles (c : Netlist.Circuit.t)
 
 let reorder_pass ?(config = default_config) ?(obstacles = []) c p =
   validate config;
-  reorder config (permutation_table config.window) ~obstacles c p
+  reorder config (permutation_table config.window) (buffers c) ~obstacles c p
 
 let run ?(config = default_config) ?(obstacles = []) c p =
   validate config;
   (* Per-run buffers: sharded workers run Domino concurrently. *)
   let perms = permutation_table config.window in
   let mcf = Numeric.Mincostflow.workspace () in
+  let buf = buffers c in
   let moves = ref 0 and gain = ref 0. in
   let continue = ref true and pass = ref 0 in
   while !continue && !pass < config.passes do
     incr pass;
-    let m1, g1 = flow config mcf c p in
-    let m2, g2 = reorder config perms ~obstacles c p in
+    let m1, g1 = flow config mcf buf c p in
+    let m2, g2 = reorder config perms buf ~obstacles c p in
     moves := !moves + m1 + m2;
     gain := !gain +. g1 +. g2;
     if g1 +. g2 < 1e-9 then continue := false

@@ -4,9 +4,13 @@
     Two legality-preserving optimisation passes over a legal placement:
 
     - {e flow reassignment}: within a spatial neighbourhood, the cells of
-      one width class and the slots they currently occupy form an
+      one exact width and the slots they currently occupy form an
       assignment problem solved exactly by min-cost flow; cells permute
-      onto the slot set that minimises (separable) wire length.
+      onto the slot set that minimises (separable) wire length.  Cells
+      are grouped by width class ([int_of_float (width *. 1000.)]) and
+      tile, and each group is split into runs of one exact width, in
+      the order each width is first seen, before it is cut into
+      assignments of at most [max_group] cells.
     - {e window reordering}: along each row, every window of [window]
       consecutive cells is repacked in the best of all orderings
       (exhaustive over ≤ window! permutations), capturing the
@@ -21,7 +25,7 @@
 type config = {
   neighborhood_rows : int;  (** rows per flow-reassignment tile, ≥ 1 *)
   neighborhood_cols : int;  (** tiles per row direction, ≥ 1 *)
-  max_group : int;  (** assignment-size cap per width class per tile, ≥ 1 *)
+  max_group : int;  (** assignment-size cap per width run per tile, ≥ 1 *)
   window : int;  (** cells per reorder window, 1..8 (window! orderings each) *)
   passes : int;  (** ≥ 0 *)
 }

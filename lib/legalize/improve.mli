@@ -2,14 +2,18 @@
     of the paper's final placer.
 
     Two move classes, both exact-legality-preserving:
-    - {e equal-width swaps}: each pass, every movable standard cell tries
-      four partners drawn uniformly from all movable standard cells of
-      its width, anywhere on the chip (not only nearby ones);
+    - {e equal-width swaps}: each pass, every movable standard cell draws
+      four partners uniformly from all movable standard cells of its
+      width class ([int_of_float (width *. 1000.)]), anywhere on the chip
+      (not only nearby ones).  A partner is tried only if its width is
+      exactly equal, bit for bit: swapping cells of near-equal widths
+      could push one past a neighbour or the region edge;
     - {e in-segment slides} that re-centre a cell inside the free gap
       between its row neighbours at the wire-length-optimal x.
 
     Moves are accepted when the summed HPWL of the affected nets
-    improves.  Deterministic given the seed. *)
+    improves; each move is priced by {!Nets}' frozen evaluation.
+    Deterministic given the seed. *)
 
 (** [run ?seed ?passes ?obstacles circuit placement] mutates [placement];
     returns the number of accepted moves and the HPWL improvement.

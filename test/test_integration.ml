@@ -518,6 +518,8 @@ let test_gate_kernel_rows () =
     (List.mem_assoc "kernels/float-text-primary1" kernels);
   Alcotest.(check bool) "cluster-hierarchy-primary1 row" true
     (List.mem_assoc "kernels/cluster-hierarchy-primary1" kernels);
+  Alcotest.(check bool) "finishing-primary1 row" true
+    (List.mem_assoc "kernels/finishing-primary1" kernels);
   Alcotest.(check (list string)) "no pooled SpMV rows" []
     (List.filter
        (fun name -> contains name "spmv-seq" || contains name "spmv-pool")
