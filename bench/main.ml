@@ -40,17 +40,6 @@ let build_profile name =
   let circuit, pads = Circuitgen.Gen.generate params in
   (prof, circuit, Circuitgen.Gen.initial_placement circuit pads)
 
-(* The common final placement applied to every flow's global placement:
-   Abacus legalisation, swap/slide improvement, then the Domino-like
-   network-flow detailed placement (the same role Domino plays in the
-   paper's reported results). *)
-let finalize circuit global =
-  let rep = Legalize.Abacus.legalize circuit global () in
-  let p = rep.Legalize.Abacus.placement in
-  ignore (Legalize.Improve.run circuit p);
-  ignore (Legalize.Domino.run circuit p);
-  p
-
 (* Annealer budgets shrink on the biggest circuits so the harness stays
    laptop-scale; the CPU column reports what was actually spent. *)
 let annealer_config circuit =
@@ -68,18 +57,18 @@ let run_kraftwerk ?(config = Kraftwerk.Config.standard) circuit p0 =
         let state, _ = Kraftwerk.Placer.run config circuit p0 in
         state.Kraftwerk.Placer.placement)
   in
-  { wl = Metrics.Wirelength.hpwl circuit (finalize circuit global); cpu }
+  { wl = Metrics.Wirelength.hpwl circuit (Legalize.Finish.run circuit global).Legalize.Finish.placement; cpu }
 
 let run_gordian circuit p0 =
   let (global, cpu) = time (fun () -> fst (Baselines.Gordian.place circuit p0)) in
-  { wl = Metrics.Wirelength.hpwl circuit (finalize circuit global); cpu }
+  { wl = Metrics.Wirelength.hpwl circuit (Legalize.Finish.run circuit global).Legalize.Finish.placement; cpu }
 
 let run_annealer circuit p0 =
   let config = annealer_config circuit in
   let (global, cpu) =
     time (fun () -> fst (Baselines.Annealer.place ~config circuit p0))
   in
-  { wl = Metrics.Wirelength.hpwl circuit (finalize circuit global); cpu }
+  { wl = Metrics.Wirelength.hpwl circuit (Legalize.Finish.run circuit global).Legalize.Finish.placement; cpu }
 
 (* ------------------------------------------------------------------ *)
 (* Tables 1 and 2: wire length and CPU across the nine circuits        *)
@@ -502,7 +491,8 @@ let linearization () =
       let run cfg =
         let state, reports = Kraftwerk.Placer.run cfg circuit p0 in
         ( Metrics.Wirelength.hpwl circuit
-            (finalize circuit state.Kraftwerk.Placer.placement),
+            (Legalize.Finish.run circuit state.Kraftwerk.Placer.placement)
+              .Legalize.Finish.placement,
           List.length reports )
       in
       let qwl, qs = run Kraftwerk.Config.standard in
@@ -560,13 +550,15 @@ let multilevel () =
       let (flat, flat_cpu) =
         time (fun () ->
             let state, _ = Kraftwerk.Placer.run Kraftwerk.Config.standard circuit p0 in
-            finalize circuit state.Kraftwerk.Placer.placement)
+            (Legalize.Finish.run circuit state.Kraftwerk.Placer.placement)
+              .Legalize.Finish.placement)
       in
       let (ml, ml_cpu) =
         time (fun () ->
-            finalize circuit
-              (Kraftwerk.Cluster.place_multilevel Kraftwerk.Config.standard
-                 circuit ~fixed_positions:pads p0))
+            (Legalize.Finish.run circuit
+               (Kraftwerk.Cluster.place_multilevel Kraftwerk.Config.standard
+                  circuit ~fixed_positions:pads p0))
+              .Legalize.Finish.placement)
       in
       let flat_wl = Metrics.Wirelength.hpwl circuit flat in
       let ml_wl = Metrics.Wirelength.hpwl circuit ml in
@@ -858,7 +850,7 @@ let instrumented_run config circuit p0 =
   (state, records, cpu)
 
 (* Per-effort convergence rows: iterations-to-converge, the stop
-   criterion that fired and the finalized (Abacus+Improve+Domino) HPWL
+   criterion that fired and the final placer's (Legalize.Finish) HPWL
    the integration suite's effort gate checks regressions against. *)
 let effort_entries circuit p0 =
   List.map
@@ -867,7 +859,7 @@ let effort_entries circuit p0 =
       let state, records, cpu = instrumented_run config circuit p0 in
       let global = state.Kraftwerk.Placer.placement in
       let legalized =
-        Metrics.Wirelength.hpwl circuit (finalize circuit global)
+        Metrics.Wirelength.hpwl circuit (Legalize.Finish.run circuit global).Legalize.Finish.placement
       in
       let num v = Obs.Json.Num v in
       ( string_of_int e,
@@ -894,7 +886,10 @@ let effort_entries circuit p0 =
 let routability_entries circuit p0 =
   let run config =
     let state, _ = Kraftwerk.Placer.run config circuit p0 in
-    let lp = finalize circuit state.Kraftwerk.Placer.placement in
+    let lp =
+      (Legalize.Finish.run circuit state.Kraftwerk.Placer.placement)
+        .Legalize.Finish.placement
+    in
     let hpwl = Metrics.Wirelength.hpwl circuit lp in
     match
       Route.Grouter.route circuit lp (Kraftwerk.Placer.route_spec config circuit)

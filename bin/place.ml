@@ -16,11 +16,12 @@ type flow =
   | Flow_annealer
   | Flow_floorplan
 
-let log_steps verbose (r : Kraftwerk.Placer.step_report) =
-  if verbose then
-    Printf.eprintf "step %3d  hpwl %.4g  empty %.4g  cg %d\n%!"
-      r.Kraftwerk.Placer.step r.Kraftwerk.Placer.hpwl
-      r.Kraftwerk.Placer.empty_square_area r.Kraftwerk.Placer.cg_iterations
+let flow_name = function
+  | Flow_kraftwerk -> "kraftwerk"
+  | Flow_multilevel -> "multilevel"
+  | Flow_gordian -> "gordian"
+  | Flow_annealer -> "annealer"
+  | Flow_floorplan -> "floorplan"
 
 (* Operational errors — unreadable files, malformed inputs, unknown
    profiles, unreachable servers — exit 2 with one stderr line; no
@@ -32,61 +33,62 @@ let die fmt =
       exit 2)
     fmt
 
-let io_ok = function
-  | Ok v -> v
-  | Error e -> die "%s" (Netlist.Io.error_message e)
-
 let find_profile name =
   match Circuitgen.Profiles.find name with
   | prof -> prof
   | exception Not_found -> die "unknown profile %S (try: place profiles)" name
 
-let load_or_generate ~circuit_file ~profile ~scale ~seed =
-  match (circuit_file, profile) with
-  | Some file, _ when Filename.check_suffix file ".aux" -> (
-    (* Bookshelf benchmark. *)
-    match Netlist.Bookshelf.load_aux file with
-    | Ok cp -> cp
-    | Error e -> die "%s" (Netlist.Bookshelf.error_message e))
-  | Some file, _ ->
-    let c = io_ok (Netlist.Io.load_circuit file) in
-    (* Fixed cells keep the coordinates stored next to the circuit file
-       if present, else the pad ring must be re-derived; the generated
-       format keeps pads at their ring positions via a sidecar file. *)
-    let side = file ^ ".pos" in
-    let p =
-      if Sys.file_exists side then
-        io_ok
-          (Netlist.Io.load_placement side
-             ~num_cells:(Netlist.Circuit.num_cells c))
-      else Netlist.Placement.create c
-    in
-    (c, p)
-  | None, Some name ->
-    let prof = find_profile name in
-    let params = Circuitgen.Profiles.params ~scale prof ~seed in
-    let c, fixed = Circuitgen.Gen.generate params in
-    (c, Circuitgen.Gen.initial_placement c fixed)
-  | None, None -> die "either --circuit or --profile is required"
+(* The job spec a [run] or [submit] command line describes. *)
+let job_spec ~circuit_file ~profile ~scale ~seed ~goal ~mode ?effort ~flow
+    ?priority ?deadline ?max_steps ?trace () =
+  let source =
+    match (circuit_file, profile) with
+    | Some file, _ -> Engine.Source.File file
+    | None, Some name -> Engine.Source.Profile { name; scale; seed }
+    | None, None -> die "either --circuit or --profile is required"
+  in
+  Engine.Job.spec ~source
+    ~objective:(Engine.Objective.make ~goal ~mode ?effort ~flow ())
+    ?priority ?deadline ?max_steps ?trace ()
 
-(* Returns (hpwl, overlap) so the trace summary can record exactly the
-   printed values. *)
-let report_metrics c placement ~timing =
-  let hpwl = Metrics.Wirelength.hpwl c placement in
-  let overlap = Metrics.Overlap.overlap_ratio c placement in
-  Printf.printf "cells        %d\n" (Netlist.Circuit.num_cells c);
-  Printf.printf "nets         %d\n" (Netlist.Circuit.num_nets c);
-  Printf.printf "hpwl         %.6g\n" hpwl;
-  Printf.printf "overlap      %.4f\n" overlap;
-  Printf.printf "legal        %b\n" (Legalize.Check.is_legal c placement);
-  if timing then begin
-    let sta = Timing.Sta.analyse Timing.Params.default c placement in
-    Printf.printf "longest path %.4g ns\n" (sta.Timing.Sta.max_delay *. 1e9);
-    List.iter
-      (fun path -> Format.printf "%a" (Timing.Paths.pp_path c) path)
-      (Timing.Paths.critical ~k:3 Timing.Params.default c placement)
-  end;
-  (hpwl, overlap)
+let load source =
+  match Engine.Source.load source with
+  | Ok cp -> cp
+  | Error msg -> die "%s" msg
+
+(* A Kraftwerk flow is one engine job, run to completion on the calling
+   domain (a scheduler with no worker domains, as [place batch] runs
+   it).  Returns the job's circuit, legal placement and result.  The
+   job's own circuit is garbage once it ends, so the report's is loaded
+   again from the same deterministic source: holding the first one in
+   the [Finished] event would keep it alive through the scheduler's
+   end-of-job collection, which sets a server's peak. *)
+let place_job spec =
+  let legal = ref None in
+  let on_event = function
+    | Engine.Scheduler.Finished (_, _, Some f) ->
+      legal := Some f.Engine.Scheduler.legal
+    | _ -> ()
+  in
+  let sched = Engine.Scheduler.create ~on_event () in
+  let id = Engine.Scheduler.submit sched spec in
+  Engine.Scheduler.drain sched;
+  Engine.Scheduler.stop sched;
+  match (Engine.Scheduler.result sched id, !legal) with
+  | Some ({ Engine.Job.status = Engine.Job.Done; _ } as r), Some legal ->
+    (fst (load spec.Engine.Job.source), legal, r)
+  | Some { Engine.Job.status = Engine.Job.Failed msg; _ }, _ -> die "%s" msg
+  | _ -> die "job %d ended without a placement" id
+
+(* A baseline flow: [place] runs a global placer and the final placer
+   on the source's circuit, timed as the engine times a job. *)
+let place_baseline spec place =
+  let c, p0 = load spec.Engine.Job.source in
+  let t0 = Unix.gettimeofday () in
+  let fin = place c p0 in
+  let r = Engine.Job.completed spec.Engine.Job.objective c fin in
+  (c, fin.Legalize.Finish.placement,
+   { r with Engine.Job.wall_s = Unix.gettimeofday () -. t0 })
 
 let cmd_generate profile scale seed output =
   let prof = find_profile profile in
@@ -98,134 +100,74 @@ let cmd_generate profile scale seed output =
   Printf.printf "wrote %s (%d cells, %d nets) and %s.pos\n" output
     (Netlist.Circuit.num_cells c) (Netlist.Circuit.num_nets c) output
 
-let cmd_run circuit_file profile scale seed flow mode effort goal verbose
-    output svg trace =
-  let c, p0 = load_or_generate ~circuit_file ~profile ~scale ~seed in
+let cmd_run circuit_file profile scale seed flow mode effort goal output svg
+    trace =
   (* [mode], [effort] and [goal] arrive through Cmdliner enum convs, so a
      bad flag is a usage error with a clean exit code before this
      function runs. *)
-  let timing = goal = Engine.Objective.Timing in
-  let obj = Engine.Objective.make ~goal ~mode ?effort () in
-  let config = Engine.Objective.config obj in
-  (* Telemetry: a JSONL sink receiving one record per placement
-     transformation (any flow built on Kraftwerk.Placer emits them),
-     plus a final summary record written after the printed metrics. *)
-  let trace_state =
-    match trace with
-    | None -> None
-    | Some file ->
-      let oc = open_out file in
-      Obs.Registry.set_enabled true;
-      Obs.Registry.reset ();
-      let base = Obs.Sink.jsonl oc in
-      let iters = ref 0 in
-      Obs.Sink.install
-        {
-          base with
-          Obs.Sink.on_iteration =
-            (fun r ->
-              incr iters;
-              base.Obs.Sink.on_iteration r);
-        };
-      Some (file, oc, iters)
+  let spec =
+    job_spec ~circuit_file ~profile ~scale ~seed ~goal ~mode ?effort
+      ~flow:(if flow = Flow_multilevel then Engine.Job.Multilevel else Engine.Job.Flat)
+      ?trace ()
   in
-  let t0 = Unix.gettimeofday () in
-  let stop_reason = ref None in
-  let global =
+  let c, final, r =
     match flow with
-    | Flow_kraftwerk ->
-      if timing then
-        (Timing.Driven.optimize config c p0).Timing.Driven.placement
-      else begin
-        let hooks =
-          { Kraftwerk.Placer.no_hooks with
-            Kraftwerk.Placer.on_step = Some (log_steps verbose) }
-        in
-        let state, _ = Kraftwerk.Placer.run ~hooks config c p0 in
-        stop_reason :=
-          Option.map Kraftwerk.Controller.reason_to_string
-            (Kraftwerk.Placer.stop_reason state);
-        state.Kraftwerk.Placer.placement
-      end
-    | Flow_multilevel ->
-      (* Fixed positions are whatever the initial placement pins. *)
-      let fixed =
-        Array.to_list c.Netlist.Circuit.cells
-        |> List.filter_map (fun (cl : Netlist.Cell.t) ->
-               if cl.Netlist.Cell.fixed then
-                 Some
-                   (cl.Netlist.Cell.id,
-                    (p0.Netlist.Placement.x.(cl.Netlist.Cell.id),
-                     p0.Netlist.Placement.y.(cl.Netlist.Cell.id)))
-               else None)
-      in
-      Kraftwerk.Cluster.place_multilevel config c ~fixed_positions:fixed p0
-    | Flow_gordian -> fst (Baselines.Gordian.place c p0)
+    | Flow_kraftwerk | Flow_multilevel ->
+      (* The trace summary's counters come from the registry. *)
+      if trace <> None then Obs.Registry.set_enabled true;
+      place_job spec
+    | Flow_gordian | Flow_annealer | Flow_floorplan when trace <> None ->
+      die "--trace records Kraftwerk transformations: use --flow kraftwerk \
+           or multilevel"
+    | Flow_gordian ->
+      place_baseline spec (fun c p0 ->
+          Legalize.Finish.run c (fst (Baselines.Gordian.place c p0)))
     | Flow_annealer ->
-      if timing then (Baselines.Timing_sa.place c p0).Baselines.Timing_sa.placement
-      else fst (Baselines.Annealer.place c p0)
-    | Flow_floorplan -> (
-      match Floorplan.Mixed.place config c p0 with
-      | Ok r -> r.Floorplan.Mixed.placement
-      | Error msg -> die "%s" msg)
+      place_baseline spec (fun c p0 ->
+          Legalize.Finish.run c
+            (if goal = Engine.Objective.Timing then
+               (Baselines.Timing_sa.place c p0).Baselines.Timing_sa.placement
+             else fst (Baselines.Annealer.place c p0)))
+    | Flow_floorplan ->
+      let config = Engine.Objective.config spec.Engine.Job.objective in
+      place_baseline spec (fun c p0 ->
+          match Floorplan.Mixed.place config c p0 with
+          | Ok r -> r.Floorplan.Mixed.finish
+          | Error msg -> die "%s" msg)
   in
-  let final, passes =
-    if flow = Flow_floorplan then (global, None)
-    else begin
-      let rep = Legalize.Abacus.legalize c global () in
-      let lp = rep.Legalize.Abacus.placement in
-      let improve_moves, improve_delta = Legalize.Improve.run c lp in
-      let domino_moves, domino_delta = Legalize.Domino.run c lp in
-      (lp, Some (improve_moves, improve_delta, domino_moves, domino_delta))
-    end
-  in
-  let t1 = Unix.gettimeofday () in
-  let flow_name =
-    match flow with
-    | Flow_kraftwerk -> "kraftwerk"
-    | Flow_multilevel -> "multilevel"
-    | Flow_gordian -> "gordian"
-    | Flow_annealer -> "annealer"
-    | Flow_floorplan -> "floorplan"
-  in
-  Printf.printf "flow         %s (%s mode, %s objective)\n" flow_name
+  Printf.printf "flow         %s (%s mode, %s objective)\n" (flow_name flow)
     (Engine.Objective.mode_to_string mode)
     (Engine.Objective.goal_to_string goal);
-  Printf.printf "cpu          %.2f s\n" (t1 -. t0);
-  (match passes with
-  | Some (im, idelta, dm, ddelta) ->
-    Printf.printf "improve      %d moves, hpwl -%.6g\n" im idelta;
-    Printf.printf "domino       %d moves, hpwl -%.6g\n" dm ddelta
-  | None -> ());
-  let final_hpwl, final_overlap = report_metrics c final ~timing in
-  (* Routability runs are validated with the actual global router, on
-     the same grid spec the in-loop estimator used. *)
-  (if Engine.Objective.routed_validation obj && flow <> Flow_floorplan then
-     let gspec = Kraftwerk.Placer.route_spec config c in
-     match Route.Grouter.route c final gspec with
-     | Ok r ->
-       Printf.printf "routed ovfl  %.6g (max %.6g)\n"
-         r.Route.Grouter.total_overflow r.Route.Grouter.max_overflow;
-       Printf.printf "routed wl    %.6g\n" r.Route.Grouter.total_wirelength
-     | Error e ->
-       Printf.printf "routed ovfl  unavailable (%s)\n"
-         (Route.Grid_spec.error_message e));
-  (match trace_state with
-  | Some (file, oc, iters) ->
-    Obs.Sink.summary
-      {
-        Obs.Telemetry.iterations = !iters;
-        converged = !iters < config.Kraftwerk.Config.max_iterations;
-        final_hpwl;
-        final_overlap;
-        wall_time = t1 -. t0;
-        stop_reason = !stop_reason;
-        counters = Obs.Registry.snapshot ();
-      };
-    Obs.Sink.clear ();
-    close_out oc;
+  Printf.printf "cpu          %.2f s\n" r.Engine.Job.wall_s;
+  if flow <> Flow_floorplan then begin
+    Printf.printf "improve      %d moves, hpwl -%.6g\n" r.Engine.Job.improve_moves
+      r.Engine.Job.improve_delta;
+    Printf.printf "domino       %d moves, hpwl -%.6g\n" r.Engine.Job.domino_moves
+      r.Engine.Job.domino_delta
+  end;
+  Printf.printf "cells        %d\n" (Netlist.Circuit.num_cells c);
+  Printf.printf "nets         %d\n" (Netlist.Circuit.num_nets c);
+  Printf.printf "hpwl         %.6g\n" r.Engine.Job.hpwl;
+  Printf.printf "overlap      %.4f\n" r.Engine.Job.overlap;
+  Printf.printf "legal        %b\n" r.Engine.Job.legal;
+  if goal = Engine.Objective.Timing then begin
+    let sta = Timing.Sta.analyse Timing.Params.default c final in
+    Printf.printf "longest path %.4g ns\n" (sta.Timing.Sta.max_delay *. 1e9);
+    List.iter
+      (fun path -> Format.printf "%a" (Timing.Paths.pp_path c) path)
+      (Timing.Paths.critical ~k:3 Timing.Params.default c final)
+  end;
+  (if Engine.Objective.routed_validation spec.Engine.Job.objective then
+     match (r.Engine.Job.routed_overflow, r.Engine.Job.routed_max_overflow,
+            r.Engine.Job.routed_wirelength) with
+     | Some total, Some worst, Some wl ->
+       Printf.printf "routed ovfl  %.6g (max %.6g)\n" total worst;
+       Printf.printf "routed wl    %.6g\n" wl
+     | _ -> print_endline "routed ovfl  unavailable (unusable routing grid)");
+  (match trace with
+  | Some file ->
     Printf.printf "trace        written to %s (%d iteration records)\n" file
-      !iters
+      r.Engine.Job.iterations
   | None -> ());
   (match output with
   | Some file ->
@@ -312,15 +254,8 @@ let client_ok = function
    awaited job failed, 2 on operational errors. *)
 let cmd_submit to_addr circuit_file profile scale seed mode flow effort goal
     priority deadline max_steps wait =
-  let source =
-    match (circuit_file, profile) with
-    | Some file, _ -> Engine.Source.File file
-    | None, Some name -> Engine.Source.Profile { name; scale; seed }
-    | None, None -> die "either --circuit or --profile is required"
-  in
   let spec =
-    Engine.Job.spec ~source
-      ~objective:(Engine.Objective.make ~goal ~mode ?effort ~flow ())
+    job_spec ~circuit_file ~profile ~scale ~seed ~goal ~mode ?effort ~flow
       ~priority ?deadline ?max_steps ()
   in
   let cl = client_connect to_addr in
@@ -506,8 +441,17 @@ let effort_arg =
                  tolerance, density-grid size, legalization cadence and \
                  the LB/UB stop gap (5 = standard).  Overrides --mode.")
 
+let scale_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0. && x <= 1. -> Ok x
+    | _ -> Error (Printf.sprintf "invalid value '%s', expected a number in (0, 1]" s)
+  in
+  Arg.conv' ~docv:"SCALE" (parse, Format.pp_print_float)
+
 let scale_arg =
-  Arg.(value & opt float 1.0 & info [ "scale" ] ~doc:"Shrink factor for quick runs (0,1].")
+  Arg.(value & opt scale_conv 1.0
+       & info [ "scale" ] ~doc:"Shrink factor for quick runs, in (0, 1].")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Generator seed.")
 
@@ -543,7 +487,6 @@ let run_cmd =
                                  gordian, annealer or floorplan.")
   in
   let mode = mode_arg in
-  let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log steps.") in
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Save placement.")
   in
@@ -560,7 +503,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Place a circuit and report metrics")
     Term.(const cmd_run $ circuit $ profile_arg $ scale_arg $ seed_arg $ flow
-          $ mode $ effort_arg $ objective_arg $ verbose $ output
+          $ mode $ effort_arg $ objective_arg $ output
           $ svg $ trace)
 
 let profiles_cmd =

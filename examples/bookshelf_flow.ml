@@ -37,10 +37,10 @@ let () =
 
   (* Place the reloaded circuit. *)
   let state, _ = Kraftwerk.Placer.run Kraftwerk.Config.standard circuit' p0 in
-  let rep = Legalize.Abacus.legalize circuit' state.Kraftwerk.Placer.placement () in
-  let final = rep.Legalize.Abacus.placement in
-  ignore (Legalize.Improve.run circuit' final);
-  ignore (Legalize.Domino.run circuit' final);
+  let final =
+    (Legalize.Finish.run circuit' state.Kraftwerk.Placer.placement)
+      .Legalize.Finish.placement
+  in
   Printf.printf "placed: hpwl %.4g, legal %b\n"
     (Metrics.Wirelength.hpwl circuit' final)
     (Legalize.Check.is_legal circuit' final);

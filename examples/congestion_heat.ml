@@ -1,6 +1,8 @@
-(* Congestion- and heat-driven placement (paper §5): the supply/demand
-   density hook feeds a routing-congestion or temperature map back into
-   the force field, so the placement and the map converge together.
+(* Congestion- and heat-driven placement (paper §5): a routing-congestion
+   or temperature map is read as extra density demand, so the placement
+   and the map converge together.  Congestion runs through the closed
+   routability loop ([Kraftwerk.Config.routability]); heat through the
+   placer's extra-density hook.
 
      dune exec examples/congestion_heat.exe *)
 
@@ -25,21 +27,12 @@ let () =
     (Metrics.Wirelength.hpwl circuit plain)
     plain_cong.Route.Congest.total_overflow plain_heat.Route.Heat.peak;
 
-  (* Congestion-driven: inject the overflow map as extra demand. *)
-  let cong_hooks =
-    { Kraftwerk.Placer.no_hooks with
-      Kraftwerk.Placer.extra_density =
-        Some
-          (fun c p ~nx ~ny ->
-            match
-              Route.Congest.extra_density ~strength:1.0 c p
-                (Route.Grid_spec.make ~nx ~ny ())
-            with
-            | Ok g -> g
-            | Error _ -> None) }
-  in
+  (* Congestion-driven: the closed routability loop, which folds the
+     estimated overflow into persistent per-bin density targets. *)
   let state, _ =
-    Kraftwerk.Placer.run ~hooks:cong_hooks Kraftwerk.Config.standard circuit initial
+    Kraftwerk.Placer.run
+      (Kraftwerk.Config.routability Kraftwerk.Config.standard)
+      circuit initial
   in
   let cong_placed = state.Kraftwerk.Placer.placement in
   let cong = est_ok (Route.Congest.estimate circuit cong_placed spec) in

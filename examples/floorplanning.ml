@@ -37,7 +37,8 @@ let () =
   Printf.printf "final  hpwl   %.4g (blocks moved %.1f total during snapping)\n"
     result.Floorplan.Mixed.hpwl_final result.Floorplan.Mixed.block_displacement;
   Printf.printf "cells displaced %.1f on average during legalisation\n"
-    (result.Floorplan.Mixed.cell_report.Legalize.Abacus.total_displacement
+    (result.Floorplan.Mixed.finish.Legalize.Finish.abacus
+       .Legalize.Abacus.total_displacement
     /. float_of_int (Netlist.Circuit.num_movable circuit));
 
   (* Blocks must not overlap each other after the flow. *)

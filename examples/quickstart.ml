@@ -1,5 +1,5 @@
 (* Quickstart: generate a small circuit, run the force-directed global
-   placer, legalise, and print quality metrics at each stage.
+   placer, run the final placer, and print quality metrics at each stage.
 
      dune exec examples/quickstart.exe *)
 
@@ -29,12 +29,15 @@ let () =
     (Metrics.Wirelength.hpwl circuit global)
     (Metrics.Overlap.overlap_ratio circuit global);
 
-  (* 4. Final placement: Abacus legalisation + local improvement. *)
-  let rep = Legalize.Abacus.legalize circuit global () in
-  let final = rep.Legalize.Abacus.placement in
-  let moves, gain = Legalize.Improve.run circuit final in
+  (* 4. The final placer: Abacus legalisation, then the Improve and
+     Domino local-improvement passes. *)
+  let fin = Legalize.Finish.run circuit global in
+  let final = fin.Legalize.Finish.placement in
   Printf.printf
-    "legalised: hpwl %.4g (max displacement %.1f), improvement pass: %d moves, -%.4g hpwl\n"
+    "final: hpwl %.4g (max legalisation displacement %.1f), improve %d moves \
+     -%.4g, domino %d moves -%.4g\n"
     (Metrics.Wirelength.hpwl circuit final)
-    rep.Legalize.Abacus.max_displacement moves gain;
+    fin.Legalize.Finish.abacus.Legalize.Abacus.max_displacement
+    fin.Legalize.Finish.improve_moves fin.Legalize.Finish.improve_delta
+    fin.Legalize.Finish.domino_moves fin.Legalize.Finish.domino_delta;
   Printf.printf "legal: %b\n" (Legalize.Check.is_legal circuit final)

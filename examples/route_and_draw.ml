@@ -10,12 +10,12 @@ let () =
   let circuit, pads = Circuitgen.Gen.generate params in
   let initial = Circuitgen.Gen.initial_placement circuit pads in
 
-  (* Place and legalise. *)
+  (* Place, then run the final placer. *)
   let state, _ = Kraftwerk.Placer.run Kraftwerk.Config.standard circuit initial in
-  let rep = Legalize.Abacus.legalize circuit state.Kraftwerk.Placer.placement () in
-  let placement = rep.Legalize.Abacus.placement in
-  ignore (Legalize.Improve.run circuit placement);
-  ignore (Legalize.Domino.run circuit placement);
+  let placement =
+    (Legalize.Finish.run circuit state.Kraftwerk.Placer.placement)
+      .Legalize.Finish.placement
+  in
 
   (* Route on a coarse grid and report. *)
   let nx, ny = Density.Density_map.auto_bins circuit in

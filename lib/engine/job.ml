@@ -76,6 +76,34 @@ type result = {
 
 let config_of_spec s = Objective.config s.objective
 
+let completed objective c (fin : Legalize.Finish.t) =
+  let lp = fin.Legalize.Finish.placement in
+  let routed =
+    if Objective.routed_validation objective then
+      let gspec = Kraftwerk.Placer.route_spec (Objective.config objective) c in
+      Result.to_option (Route.Grouter.route c lp gspec)
+    else None
+  in
+  let field f = Option.map f routed in
+  {
+    status = Done;
+    iterations = 0;
+    converged = true;
+    hpwl = Metrics.Wirelength.hpwl c lp;
+    overlap = Metrics.Overlap.overlap_ratio c lp;
+    legal = Legalize.Check.is_legal c lp;
+    improve_moves = fin.Legalize.Finish.improve_moves;
+    improve_delta = fin.Legalize.Finish.improve_delta;
+    domino_moves = fin.Legalize.Finish.domino_moves;
+    domino_delta = fin.Legalize.Finish.domino_delta;
+    routed_overflow = field (fun r -> r.Route.Grouter.total_overflow);
+    routed_max_overflow = field (fun r -> r.Route.Grouter.max_overflow);
+    routed_wirelength = field (fun r -> r.Route.Grouter.total_wirelength);
+    deadline_expired = false;
+    wall_s = 0.;
+    checkpoint_written = None;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                 *)
 

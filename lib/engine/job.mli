@@ -115,6 +115,18 @@ type result = {
   checkpoint_written : string option;
 }
 
+(** [completed objective circuit fin] is the report of a job whose
+    global placement went through the final placer as [fin]
+    ({!Legalize.Finish.run}): status [Done], the metrics of [fin]'s
+    placement, each pass's moves and delta, and, when [objective] asks
+    for {!Objective.routed_validation}, the {!Route.Grouter} routing of
+    that placement on the grid the in-loop estimator used (no routed
+    fields when the grid is unusable).  Iterations and wall time are 0,
+    [converged] is true and no checkpoint is named: the caller sets
+    what its run knows. *)
+val completed :
+  Objective.t -> Netlist.Circuit.t -> Legalize.Finish.t -> result
+
 (** [config_of_spec spec] is the placer configuration the spec's
     objective selects ({!Objective.config}). *)
 val config_of_spec : spec -> Kraftwerk.Config.t

@@ -257,8 +257,7 @@ let validate_spec (spec : Job.spec) =
   Objective.validate spec.Job.objective
 
 (* Fixed positions as the multilevel flow wants them: whatever the
-   initial placement pins (exactly what [place run --flow multilevel]
-   passes, so engine and CLI trajectories agree). *)
+   initial placement pins. *)
 let fixed_positions_of circuit (p : Netlist.Placement.t) =
   Array.to_list circuit.Netlist.Circuit.cells
   |> List.filter_map (fun (cl : Netlist.Cell.t) ->
@@ -470,50 +469,22 @@ let finish_failed t entry msg =
   in
   finish t entry { (empty_result (Job.Failed msg)) with Job.wall_s = wall }
 
-(* Completed job: the full final-placement pipeline, with the
-   improvement deltas of each pass surfaced in the result. *)
+(* Completed job: the final placer, with the improvement deltas of
+   each pass surfaced in the result; routability-goal jobs validate the
+   final legal placement with the global router ([Job.completed]). *)
 let finish_done t entry run ~converged =
   (match entry.spec.Job.checkpoint with
   | Some file -> write_checkpoint t entry run file
   | None -> ());
   let c = run.circuit in
   let global = exec_final_placement c run.exec in
-  (* Abacus legalises a copy: [global] stays the global placement. *)
-  let rep = Legalize.Abacus.legalize c global () in
-  let lp = rep.Legalize.Abacus.placement in
-  let improve_moves, improve_delta = Legalize.Improve.run c lp in
-  let domino_moves, domino_delta = Legalize.Domino.run c lp in
-  (* Routability-goal jobs validate the final legal placement with the
-     actual global router, on the same grid spec the in-loop estimator
-     used, and surface the routed overflow in the result. *)
-  let routed_overflow, routed_max_overflow, routed_wirelength =
-    if Objective.routed_validation entry.spec.Job.objective then
-      let config = Job.config_of_spec entry.spec in
-      let gspec = Kraftwerk.Placer.route_spec config c in
-      match Route.Grouter.route c lp gspec with
-      | Ok r ->
-        ( Some r.Route.Grouter.total_overflow,
-          Some r.Route.Grouter.max_overflow,
-          Some r.Route.Grouter.total_wirelength )
-      | Error _ -> (None, None, None)
-    else (None, None, None)
-  in
-  finish t entry ~final:{ global; legal = lp }
+  let fin = Legalize.Finish.run c global in
+  let r = Job.completed entry.spec.Job.objective c fin in
+  finish t entry ~final:{ global; legal = fin.Legalize.Finish.placement }
     {
-      Job.status = Job.Done;
-      iterations = exec_iterations run;
+      r with
+      Job.iterations = exec_iterations run;
       converged;
-      hpwl = Metrics.Wirelength.hpwl c lp;
-      overlap = Metrics.Overlap.overlap_ratio c lp;
-      legal = Legalize.Check.is_legal c lp;
-      improve_moves;
-      improve_delta;
-      domino_moves;
-      domino_delta;
-      routed_overflow;
-      routed_max_overflow;
-      routed_wirelength;
-      deadline_expired = false;
       wall_s = Unix.gettimeofday () -. run.started_at;
       checkpoint_written = run.checkpoint_written;
     }

@@ -31,9 +31,9 @@
     transformation boundaries.  A cancelled or deadline-expired job
     degrades gracefully: its best-so-far placement is greedily legalised
     ({!Legalize.Tetris}) and reported with status [Cancelled] — never an
-    exception.  A completed job gets the full final-placement pipeline
-    ({!Legalize.Abacus}, then {!Legalize.Improve} and {!Legalize.Domino},
-    whose deltas are reported).
+    exception.  A completed job gets the final placer
+    ({!Legalize.Finish.run}: Abacus, then Improve and Domino, whose
+    deltas are reported).
 
     Per-job telemetry goes through a private {!Obs.Sink} installed only
     for the duration of that job's slices, so concurrent traces never
@@ -60,7 +60,7 @@ type final = {
           path and for tests comparing trajectories bitwise *)
   legal : Netlist.Placement.t;
       (** the legalised placement behind the reported metrics (the
-          Tetris best-so-far for cancelled jobs, the full pipeline's
+          Tetris best-so-far for cancelled jobs, the final placer's
           output for completed ones) *)
 }
 

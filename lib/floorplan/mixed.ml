@@ -3,7 +3,7 @@ type result = {
   block_displacement : float;
   hpwl_global : float;
   hpwl_final : float;
-  cell_report : Legalize.Abacus.report;
+  finish : Legalize.Finish.t;
 }
 
 let block_rects (c : Netlist.Circuit.t) p =
@@ -132,15 +132,13 @@ let place config (c : Netlist.Circuit.t) placement =
   let ( let* ) = Result.bind in
   let* block_displacement = legalize_blocks c gp in
   let obstacles = List.map snd (block_rects c gp) in
-  let cell_report = Legalize.Abacus.legalize c gp ~extra_obstacles:obstacles () in
-  let final = cell_report.Legalize.Abacus.placement in
-  ignore (Legalize.Improve.run ~obstacles c final);
-  ignore (Legalize.Domino.run ~obstacles c final);
+  let finish = Legalize.Finish.run ~obstacles c gp in
+  let final = finish.Legalize.Finish.placement in
   Ok
     {
       placement = final;
       block_displacement;
       hpwl_global;
       hpwl_final = Metrics.Wirelength.hpwl c final;
-      cell_report;
+      finish;
     }

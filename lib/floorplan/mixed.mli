@@ -14,7 +14,9 @@ type result = {
       (** total distance blocks moved during snapping/shoving *)
   hpwl_global : float;  (** before block snapping and legalisation *)
   hpwl_final : float;
-  cell_report : Legalize.Abacus.report;
+  finish : Legalize.Finish.t;
+      (** the final placer's report: Abacus, Improve and Domino around
+          the blocks *)
 }
 
 (** [block_rects circuit placement] is the rectangles of all movable
@@ -33,7 +35,8 @@ val legalize_blocks :
 
 (** [place config circuit placement] is the full mixed flow: Kraftwerk
     global placement (blocks and cells together), block legalisation,
-    then Abacus cell legalisation with the blocks as obstacles.  [Error]
+    then the final placer ({!Legalize.Finish.run}) with the blocks as
+    obstacles.  [Error]
     when the blocks do not fit the region ({!legalize_blocks}). *)
 val place :
   Kraftwerk.Config.t ->

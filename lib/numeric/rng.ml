@@ -1,19 +1,28 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in a mutable byte word, not a [mutable int64]
+   field: writing an [int64] field boxes the new value on every draw,
+   while [Bytes.set_int64_ne] stores it raw. *)
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.mul (Int64.of_int (seed + 1)) golden }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.mul (Int64.of_int (seed + 1)) golden)
 
-let next t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let copy = Bytes.copy
+
+(* Inlined into each draw below, so its result is never boxed. *)
+let[@inline always] next t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = next t }
+let split t = of_state (next t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: non-positive bound";

@@ -48,27 +48,3 @@ let estimate ?(via_factor = default_via_factor) c p spec =
   match Grid_spec.validate spec c.Netlist.Circuit.region with
   | Error _ as e -> e
   | Ok () -> Ok (estimate_unchecked ~via_factor c p spec)
-
-let extra_density ?(via_factor = default_via_factor) ~strength c p spec =
-  match Grid_spec.validate spec c.Netlist.Circuit.region with
-  | Error _ as e -> e
-  | Ok () ->
-    let est = estimate_unchecked ~via_factor c p spec in
-    if est.total_overflow <= 0. then Ok None
-    else begin
-      let nx = spec.Grid_spec.nx and ny = spec.Grid_spec.ny in
-      let g = Geometry.Grid2.create c.Netlist.Circuit.region ~nx ~ny in
-      let dx = Geometry.Grid2.dx g and dy = Geometry.Grid2.dy g in
-      (* Convert overflow (wire length) into an equivalent blocked area so
-         it adds to the cell-area demand: overflow × pitch ≈ area the
-         missing tracks would occupy.  The extra demand is clamped at one
-         full bin area — a bin can at most be declared completely blocked
-         — so the effective strength saturates once
-         strength × overflow × pitch reaches dx·dy. *)
-      Geometry.Grid2.map_inplace
-        (fun ix iy _ ->
-          let o = Geometry.Grid2.get est.overflow ix iy in
-          Float.min (strength *. o *. spec.Grid_spec.wire_pitch) (dx *. dy))
-        g;
-      Ok (Some g)
-    end

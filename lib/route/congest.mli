@@ -3,10 +3,10 @@
 
     Each net's expected horizontal and vertical wiring is spread uniformly
     over its bounding box; comparing demand against per-bin track capacity
-    yields an overflow map.  Fed back through the placer's extra-density
-    hook — or, closed-loop, through {!Target} — over-congested bins read
-    as extra demand, so the same supply/demand machinery that spreads
-    cells also spreads wiring.
+    yields an overflow map.  Fed back through the closed routability
+    loop ({!Target}), over-congested bins read as extra demand, so the
+    same supply/demand machinery that spreads cells also spreads
+    wiring.
 
     The grid geometry and wire pitch come from a shared {!Grid_spec};
     degenerate specs are rejected up front instead of silently producing
@@ -32,19 +32,3 @@ val estimate :
   Netlist.Placement.t ->
   Grid_spec.t ->
   (t, Grid_spec.error) result
-
-(** [extra_density ?via_factor ~strength] is a placer hook: over-congested
-    bins contribute [strength × overflow × wire_pitch] extra area demand,
-    clamped per bin at one full bin area (a bin can at most read as
-    completely blocked).  [strength] in (0, 1] scales linearly; larger
-    values saturate against the clamp on heavily overflowing bins.
-    [Ok None] when nothing overflows.  The closed congestion loop
-    ({!Target}) reports how often the clamp fires through the placer's
-    telemetry. *)
-val extra_density :
-  ?via_factor:float ->
-  strength:float ->
-  Netlist.Circuit.t ->
-  Netlist.Placement.t ->
-  Grid_spec.t ->
-  (Geometry.Grid2.t option, Grid_spec.error) result

@@ -1,10 +1,10 @@
 (** Persistent per-bin density targets derived from congestion overflow —
     the state of the closed routability loop.
 
-    Where {!Congest.extra_density} is a one-shot reactive hook (fresh
-    estimate, fresh extra demand, every call), a target map {e persists}
-    between refreshes: every refresh folds the current overflow estimate
-    into the map with an exponential decay,
+    Where a one-shot reactive map (a fresh {!Congest.estimate} turned
+    into fresh extra demand at every call) forgets the past, a target
+    map {e persists} between refreshes: every refresh folds the current
+    overflow estimate into the map with an exponential decay,
 
     {v target'(b) = min(decay · target(b) + strength · overflow(b) · pitch,
                     bin_area) v}

@@ -27,11 +27,7 @@ let profiles = [ "fract"; "primary1" ]
 let efforts = [ 1; 5; 9 ]
 
 let finalize circuit global =
-  let rep = Legalize.Abacus.legalize circuit global () in
-  let p = rep.Legalize.Abacus.placement in
-  ignore (Legalize.Improve.run circuit p);
-  ignore (Legalize.Domino.run circuit p);
-  p
+  (Legalize.Finish.run circuit global).Legalize.Finish.placement
 
 let run_one profile effort =
   let prof = Circuitgen.Profiles.find profile in

@@ -9,10 +9,7 @@ let build ?(name = "fract") ?(seed = 71) () =
   (circuit, Circuitgen.Gen.initial_placement circuit pads)
 
 let finalize circuit global =
-  let rep = Legalize.Abacus.legalize circuit global () in
-  let p = rep.Legalize.Abacus.placement in
-  ignore (Legalize.Improve.run circuit p);
-  p
+  (Legalize.Finish.run circuit global).Legalize.Finish.placement
 
 let test_kraftwerk_full_flow () =
   let circuit, p0 = build () in
@@ -117,30 +114,24 @@ let test_requirement_mode_is_exact () =
     Alcotest.(check bool) "not met ⇒ ran out of steps" true
       (r.Timing.Driven.final_delay > target)
 
-let test_congestion_hook_changes_placement () =
+(* The placer's extra-density hook feeds back: a heat map read as extra
+   demand moves the cells off the plain run's placement. *)
+let test_heat_hook_changes_placement () =
   let circuit, p0 = build () in
   let hooks =
     { Kraftwerk.Placer.no_hooks with
       Kraftwerk.Placer.extra_density =
         Some
-          (fun c p ~nx ~ny ->
-            match
-              Route.Congest.extra_density ~strength:2. c p
-                (Route.Grid_spec.make ~nx ~ny ())
-            with
-            | Ok g -> g
-            | Error _ -> None) }
+          (fun c p ~nx ~ny -> Route.Heat.extra_density ~strength:1. c p ~nx ~ny) }
   in
   let plain, _ = Kraftwerk.Placer.run Kraftwerk.Config.standard circuit p0 in
   let driven, _ = Kraftwerk.Placer.run ~hooks Kraftwerk.Config.standard circuit p0 in
-  (* The hook feeds back: placements differ (unless there was never any
-     overflow, in which case they agree exactly — accept both but check
-     the run completed sanely). *)
   let d =
     Netlist.Placement.displacement plain.Kraftwerk.Placer.placement
       driven.Kraftwerk.Placer.placement
   in
-  Alcotest.(check bool) "finite" true (Float.is_finite d)
+  Alcotest.(check bool) (Printf.sprintf "displacement %g > 0" d) true
+    (Float.is_finite d && d > 0.)
 
 let test_eco_preserves_relative_placement () =
   let circuit, p0 = build ~name:"primary1" () in
@@ -227,12 +218,17 @@ let test_cli_domains_range () =
       ("finite number >= 0", listen @ [ "--request-timeout=inf" ]);
       ("finite number >= 0", listen @ [ "--drain-grace=-5" ]);
       ("finite number >= 0", listen @ [ "--idle-timeout=nan" ]);
+      ("in (0, 1]", [ "generate"; "--profile"; "fract"; "--scale"; "0" ]);
+      ("in (0, 1]", [ "run"; "--profile"; "fract"; "--scale"; "1.5" ]);
+      ("in (0, 1]", [ "run"; "--profile"; "fract"; "--scale"; "nan" ]);
+      ( "in (0, 1]",
+        [ "submit"; "--to"; "unix:/x"; "--profile"; "fract"; "--scale=-1" ] );
     ]
 
 (* The protocol has one version, the objective one way in, the worker
-   count one rule and the kernels one domain: the removed --proto,
-   --timing, --shards and run --domains flags are Cmdliner usage
-   errors. *)
+   count one rule, the kernels one domain and the step log one place
+   (the trace): the removed --proto, --timing, --shards, run --domains
+   and run -v/--verbose flags are Cmdliner usage errors. *)
 let test_cli_removed_flags () =
   (* An existing jobs file, so the unknown flag is the only error. *)
   let jobs = Filename.temp_file "place_cli" ".jsonl" in
@@ -253,7 +249,112 @@ let test_cli_removed_flags () =
           [ "serve"; "--shards"; "0" ];
           [ "batch"; jobs; "--shards"; "2" ];
           [ "run"; "--profile"; "fract"; "--domains"; "1" ];
+          [ "run"; "--profile"; "fract"; "-v" ];
+          [ "run"; "--profile"; "fract"; "--verbose" ];
         ])
+
+(* The report lines [place run --profile fract --seed 42 ARGS] prints,
+   minus the timing-dependent [cpu] line. *)
+let run_report args =
+  let args = [ "run"; "--profile"; "fract"; "--seed"; "42" ] @ args in
+  let code, out, err = run_place args in
+  if code <> 0 then
+    Alcotest.failf "%s exited %d: %s" (String.concat " " args) code err;
+  String.split_on_char '\n' out
+
+(* [place run]'s printed results on fract, seed 42, for the four shapes
+   of a Kraftwerk run, pinned to the values the CLI printed when it ran
+   its own copy of the job pipeline: running it as an engine job must
+   not move them. *)
+let test_cli_run_pins () =
+  List.iter
+    (fun (args, expected) ->
+      let lines = run_report args in
+      List.iter
+        (fun line ->
+          Alcotest.(check bool)
+            (Printf.sprintf "[%s] prints %S" (String.concat " " args) line)
+            true (List.mem line lines))
+        expected)
+    [
+      ( [],
+        [
+          "improve      27 moves, hpwl -588.75";
+          "domino       65 moves, hpwl -1182.16";
+          "hpwl         11875.1"; "overlap      0.0000"; "legal        true";
+        ] );
+      ( [ "--flow"; "multilevel"; "--mode"; "fast" ],
+        [
+          "improve      40 moves, hpwl -775.727";
+          "domino       64 moves, hpwl -1446.15";
+          "hpwl         13575"; "overlap      0.0000"; "legal        true";
+        ] );
+      ( [ "--objective"; "timing" ],
+        [
+          "improve      45 moves, hpwl -1458.28";
+          "domino       76 moves, hpwl -1650.59";
+          "hpwl         13763.2"; "overlap      0.0000"; "legal        true";
+        ] );
+      ( [ "--objective"; "routability" ],
+        [
+          "improve      36 moves, hpwl -741.142";
+          "domino       58 moves, hpwl -1008.62";
+          "hpwl         12585.5"; "overlap      0.0000"; "legal        true";
+          "routed ovfl  0 (max 0)"; "routed wl    21329.7";
+        ] );
+    ]
+
+(* [place run] and [place batch] place one spec the same way: the
+   multilevel flow keeps the timing goal's net reweighting. *)
+let test_cli_run_equals_batch () =
+  let jobs = Filename.temp_file "place_cli" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove jobs)
+    (fun () ->
+      Out_channel.with_open_text jobs (fun oc ->
+          output_string oc
+            {|{"profile":"fract","scale":1,"seed":42,"objective":{"goal":"timing","flow":"multilevel"}}|};
+          output_char oc '\n');
+      let code, out, err = run_place [ "batch"; jobs ] in
+      if code <> 0 then Alcotest.failf "batch exited %d: %s" code err;
+      let batch_hpwl =
+        match Obs.Json.of_string (String.trim out) with
+        | Ok v -> (
+          match Option.bind (Obs.Json.member "result" v) (Obs.Json.member "hpwl") with
+          | Some (Obs.Json.Num h) -> h
+          | _ -> Alcotest.failf "no result hpwl in %s" out)
+        | Error e -> Alcotest.failf "bad batch line %s: %s" out e
+      in
+      let lines =
+        run_report [ "--flow"; "multilevel"; "--objective"; "timing" ]
+      in
+      Alcotest.(check bool) "run prints the batch job's hpwl" true
+        (List.mem (Printf.sprintf "hpwl         %.6g" batch_hpwl) lines))
+
+(* A malformed circuit file is one operational error line naming the
+   file and line, exit 2, for an engine flow and a baseline flow. *)
+let test_cli_malformed_circuit () =
+  let ckt = Filename.temp_file "malformed" ".ckt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove ckt)
+    (fun () ->
+      Out_channel.with_open_text ckt (fun oc ->
+          output_string oc
+            "circuit x\nregion 0 0 100 100\nrowheight 16\n\
+             cell a 8 16 standard 0 0 1e-10 1e-05\n\
+             cell b 8 16 standard 0 0 1e-10 1e-05\nnet n 0:0:0\n");
+      List.iter
+        (fun flow ->
+          let code, _, err = run_place [ "run"; "--circuit"; ckt; "--flow"; flow ] in
+          let what = "--flow " ^ flow in
+          Alcotest.(check int) (what ^ ": exit 2") 2 code;
+          match String.split_on_char '\n' err with
+          | [ line; "" ] ->
+            let prefix = Printf.sprintf "place: %s:6: " ckt in
+            Alcotest.(check string) (what ^ ": names file and line") prefix
+              (String.sub line 0 (min (String.length line) (String.length prefix)))
+          | _ -> Alcotest.failf "%s: expected one stderr line, got %S" what err)
+        [ "kraftwerk"; "multilevel"; "gordian" ])
 
 (* A bad bench flag value is a usage error (exit 1), as is any flag the
    harness does not take, with no exception escaping. *)
@@ -485,10 +586,13 @@ let suite =
     Alcotest.test_case "io + place roundtrip" `Quick test_save_place_load_place_roundtrip;
     Alcotest.test_case "timing driven e2e" `Slow test_timing_driven_end_to_end;
     Alcotest.test_case "requirement exact" `Slow test_requirement_mode_is_exact;
-    Alcotest.test_case "congestion hook" `Quick test_congestion_hook_changes_placement;
+    Alcotest.test_case "heat hook changes placement" `Quick test_heat_hook_changes_placement;
     Alcotest.test_case "eco relative order" `Slow test_eco_preserves_relative_placement;
     Alcotest.test_case "cli domains range" `Quick test_cli_domains_range;
     Alcotest.test_case "cli removed flags" `Quick test_cli_removed_flags;
+    Alcotest.test_case "cli run pins" `Quick test_cli_run_pins;
+    Alcotest.test_case "cli run equals batch" `Quick test_cli_run_equals_batch;
+    Alcotest.test_case "cli malformed circuit" `Quick test_cli_malformed_circuit;
     Alcotest.test_case "bench cli usage" `Quick test_bench_cli_usage;
   ]
 

@@ -64,33 +64,6 @@ let test_overflow_when_many_nets_cross_one_bin () =
   Alcotest.(check bool) "max ≤ total" true
     (est.Route.Congest.max_overflow <= est.Route.Congest.total_overflow +. 1e-9)
 
-let test_extra_density_none_when_clean () =
-  let c = circuit_of [| (4., 4.); (4., 4.) |] [| [| 0; 1 |] |] in
-  let p = { Netlist.Placement.x = [| 8.; 56. |]; y = [| 30.; 34. |] } in
-  Alcotest.(check bool) "no hook output" true
-    (Route.Congest.extra_density ~strength:1. c p spec8 = Ok None)
-
-let test_extra_density_bounded_by_bin_area () =
-  let n = 40 in
-  let cells = Array.init (2 * n) (fun _ -> (2., 2.)) in
-  let nets = Array.init n (fun i -> [| i; n + i |]) in
-  let c = circuit_of cells nets in
-  let p =
-    {
-      Netlist.Placement.x = Array.init (2 * n) (fun i -> if i < n then 4. else 60.);
-      y = Array.init (2 * n) (fun _ -> 32.);
-    }
-  in
-  match Route.Congest.extra_density ~strength:10. c p spec8 with
-  | Error e -> Alcotest.fail (Route.Grid_spec.error_message e)
-  | Ok None -> Alcotest.fail "expected congestion"
-  | Ok (Some g) ->
-    let bin_area = Geometry.Grid2.dx g *. Geometry.Grid2.dy g in
-    Geometry.Grid2.fold
-      (fun () _ _ v ->
-        Alcotest.(check bool) "≤ bin area" true (v <= bin_area +. 1e-9))
-      () g
-
 (* --- grid specs: degenerate grids are typed errors, not NaN --- *)
 
 let test_grid_spec_zero_bins () =
@@ -243,8 +216,6 @@ let suite =
     Alcotest.test_case "demand from bbox" `Quick test_demand_proportional_to_bbox;
     Alcotest.test_case "no overflow sparse" `Quick test_no_overflow_for_sparse_design;
     Alcotest.test_case "overflow when crowded" `Quick test_overflow_when_many_nets_cross_one_bin;
-    Alcotest.test_case "hook none when clean" `Quick test_extra_density_none_when_clean;
-    Alcotest.test_case "hook bounded" `Quick test_extra_density_bounded_by_bin_area;
     Alcotest.test_case "grid spec: zero bins" `Quick test_grid_spec_zero_bins;
     Alcotest.test_case "grid spec: zero capacity" `Quick
       test_grid_spec_zero_capacity;
