@@ -753,6 +753,19 @@ let micro_run () =
             fun () ->
               Buffer.clear buf;
               Netlist.Io.add_circuit buf circuit));
+      Test.make ~name:"netlist-load-primary1"
+        (Staged.stage
+           (* What a served job pays to read its input: primary1's .ckt
+              and its .pos sidecar, as Io writes them. *)
+           (let file = Filename.temp_file "bench_load" ".ckt" in
+            let pos = file ^ ".pos" in
+            at_exit (fun () -> List.iter Sys.remove [ file; pos ]);
+            Netlist.Io.save_circuit file circuit;
+            Netlist.Io.save_placement pos placed;
+            let cells = Netlist.Circuit.num_cells circuit in
+            fun () ->
+              ( Netlist.Io.load_circuit file,
+                Netlist.Io.load_placement pos ~num_cells:cells )));
       Test.make ~name:"assignment-16x16"
         (Staged.stage
            (let rng = Numeric.Rng.create 9 in

@@ -149,7 +149,7 @@ let controller_to_json (c : Kraftwerk.Controller.t) =
       ("penalty", Num c.Kraftwerk.Controller.penalty);
       ( "since_legalize",
         Num (float_of_int c.Kraftwerk.Controller.since_legalize) );
-      ("lb", Num c.Kraftwerk.Controller.lb);
+      ("lb", Num (Kraftwerk.Controller.lb c));
       ("ub", fin c.Kraftwerk.Controller.ub);
       ("ub_min", fin c.Kraftwerk.Controller.ub_min);
       ("gap", fin c.Kraftwerk.Controller.gap);

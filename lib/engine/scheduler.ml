@@ -254,7 +254,24 @@ let validate_spec (spec : Job.spec) =
     | Some n when n < 0 -> Error "spec: max_steps must be non-negative"
     | _ -> Ok ()
   in
+  let* () =
+    match spec.Job.trace with
+    | Some file ->
+      let dir = Filename.dirname file in
+      if Sys.file_exists dir && Sys.is_directory dir then Ok ()
+      else Error (Printf.sprintf "spec: no such directory for trace %s" file)
+    | None -> Ok ()
+  in
   Objective.validate spec.Job.objective
+
+(* A [Sys_error]'s reason without the leading ["FILE: "] it often
+   carries. *)
+let sys_reason file reason =
+  let prefix = file ^ ": " in
+  if String.starts_with ~prefix reason then
+    String.sub reason (String.length prefix)
+      (String.length reason - String.length prefix)
+  else reason
 
 (* Fixed positions as the multilevel flow wants them: whatever the
    initial placement pins. *)
@@ -336,21 +353,27 @@ let start_running (spec : Job.spec) =
     | None -> Kraftwerk.Placer.no_hooks
   in
   let iters_emitted = ref 0 in
-  let sink, trace_oc =
+  let* sink, trace_oc =
     match spec.Job.trace with
-    | None -> (None, None)
-    | Some file ->
-      let oc = open_out file in
-      let base = Obs.Sink.jsonl oc in
-      ( Some
-          {
-            base with
-            Obs.Sink.on_iteration =
-              (fun r ->
-                incr iters_emitted;
-                base.Obs.Sink.on_iteration r);
-          },
-        Some oc )
+    | None -> Ok (None, None)
+    | Some file -> (
+      match open_out file with
+      | exception Sys_error reason ->
+        Error
+          (Printf.sprintf "trace: cannot open %s: %s" file
+             (sys_reason file reason))
+      | oc ->
+        let base = Obs.Sink.jsonl oc in
+        Ok
+          ( Some
+              {
+                base with
+                Obs.Sink.on_iteration =
+                  (fun r ->
+                    incr iters_emitted;
+                    base.Obs.Sink.on_iteration r);
+              },
+            Some oc ))
   in
   Ok
     {
@@ -610,6 +633,7 @@ let start_job t entry =
         Queue.add entry t.runq;
         Condition.broadcast t.cond)
   | Error msg -> finish_failed t entry msg
+  | exception Sys_error reason -> finish_failed t entry ("start: " ^ reason)
   | exception exn -> finish_failed t entry (Printexc.to_string exn)
 
 (* Run one slice outside the lock, then account for it and re-queue the

@@ -121,16 +121,18 @@ val shard_metrics : t -> shard_metric list
 
 (** [validate_spec spec] is the submit-time admission check: the source
     names a known profile or an existing file, resume/warm checkpoints
-    exist, budgets are sane.  Deliberately cheap (existence, not full
-    parses) so a front end can refuse a bad spec before queuing it — the
-    protocol's [bad_spec] response.  Problems that only show up when the
+    exist, a trace file's directory exists, budgets are sane.
+    Deliberately cheap (existence, not full parses) so a front end can
+    refuse a bad spec before queuing it — the protocol's [bad_spec]
+    response.  Problems that only show up when the
     job materialises (a file that parses wrong, a checkpoint digest
     mismatch) still surface as a [Failed] status at start. *)
 val validate_spec : Job.spec -> (unit, string) result
 
 (** [submit t spec] enqueues a job and returns its id.  The spec is
-    validated lazily: source or checkpoint problems surface as a
-    [Failed] status when the job would start.  Call {!validate_spec}
+    validated lazily: source or checkpoint problems, or a trace file
+    that cannot be opened ([trace: cannot open FILE: REASON]), surface
+    as a [Failed] status when the job would start.  Call {!validate_spec}
     first to reject obviously bad specs synchronously. *)
 val submit : t -> Job.spec -> id
 

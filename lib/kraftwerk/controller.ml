@@ -34,7 +34,8 @@ type congest = {
 type t = {
   mutable penalty : float;
   mutable since_legalize : int;
-  mutable lb : float;
+  mutable lb_known : float;
+  mutable lb_due : (unit -> float) option;
   mutable ub : float;
   mutable ub_min : float;
   mutable gap : float;
@@ -60,7 +61,8 @@ let create (config : Config.t) =
   {
     penalty = config.Config.penalty_initial;
     since_legalize = 0;
-    lb = 0.;
+    lb_known = 0.;
+    lb_due = None;
     ub = Float.nan;
     ub_min = Float.infinity;
     gap = Float.nan;
@@ -71,7 +73,21 @@ let create (config : Config.t) =
     congest = fresh_congest config;
   }
 
-let copy t = { t with congest = { t.congest with strength = t.congest.strength } }
+(* A deferred lower bound is the HPWL of the placement as the last
+   transformation left it; the placer replaces the thunk before it moves
+   that placement again, so evaluating it at any read gives the bits an
+   eager evaluation would have. *)
+let lb t =
+  match t.lb_due with
+  | None -> t.lb_known
+  | Some f ->
+    t.lb_known <- f ();
+    t.lb_due <- None;
+    t.lb_known
+
+let copy t =
+  ignore (lb t);
+  { t with congest = { t.congest with strength = t.congest.strength } }
 
 (* Resuming a checkpoint must reproduce the exact multiplier the
    uninterrupted run would carry: the penalty is restored verbatim, never
@@ -83,7 +99,8 @@ let restore ~penalty ~since_legalize ~lb ~ub ~ub_min ~gap ~gap_min ~ub_evals
   {
     penalty;
     since_legalize;
-    lb;
+    lb_known = lb;
+    lb_due = None;
     ub;
     ub_min;
     gap;
@@ -106,7 +123,11 @@ let restore_congest ~strength ~since_refresh ~refreshes ~est_overflow
     clamped_bins;
   }
 
-let observe_lb t hpwl = t.lb <- hpwl
+let observe_lb t hpwl =
+  t.lb_known <- hpwl;
+  t.lb_due <- None
+
+let defer_lb t f = t.lb_due <- Some f
 
 let advance_penalty t (config : Config.t) =
   t.penalty <-

@@ -41,7 +41,12 @@ type t = {
   mutable penalty : float;  (** current density-force multiplier *)
   mutable since_legalize : int;
       (** iterations since the last UB snapshot *)
-  mutable lb : float;  (** latest quadratic-solution HPWL *)
+  mutable lb_known : float;
+      (** {!lb} as last evaluated: [0.] before the first transformation;
+          stale while [lb_due] is set *)
+  mutable lb_due : (unit -> float) option;
+      (** the deferred evaluation of the latest quadratic-solution HPWL,
+          set by {!defer_lb}; {!lb} runs it once *)
   mutable ub : float;  (** latest legalized HPWL; nan before the first *)
   mutable ub_min : float;
       (** best legalized HPWL that beat the previous best by at least
@@ -60,7 +65,8 @@ type t = {
     {!Config.penalty_initial} and no envelope history. *)
 val create : Config.t -> t
 
-(** [copy t] is an independent mutable copy. *)
+(** [copy t] is an independent mutable copy, with a deferred lower
+    bound evaluated first. *)
 val copy : t -> t
 
 (** [restore ...] rebuilds a controller verbatim from checkpointed
@@ -95,9 +101,21 @@ val restore_congest :
   clamped_bins:int ->
   congest
 
+(** [lb t] is the lower bound: the HPWL of the quadratic solution the
+    latest transformation left, [0.] before the first, or the restored
+    value until the next.  A deferred bound ({!defer_lb}) is evaluated
+    here, once; read the bound only through this function. *)
+val lb : t -> float
+
 (** [observe_lb t hpwl] records the quadratic-solution HPWL of the
     current iteration. *)
 val observe_lb : t -> float -> unit
+
+(** [defer_lb t f] records that the current iteration's lower bound is
+    [f ()], evaluated on the first {!lb} (or {!copy}).  [f] must read
+    the placement the transformation left, and the caller must defer or
+    observe again before it moves that placement. *)
+val defer_lb : t -> (unit -> float) -> unit
 
 (** [advance_penalty t config] applies one multiplicative step of the
     penalty schedule, saturating at {!Config.penalty_max}. *)

@@ -3,6 +3,7 @@
 type work = {
   forces : Density.Forces.buffers;
   extra_sum : Geometry.Grid2.t; (* hook demand + target map, when both run *)
+  hpwl : unit -> float; (* the placement's HPWL, for a deferred lower bound *)
 }
 
 type state = {
@@ -28,7 +29,7 @@ type state = {
 
 type step_report = {
   step : int;
-  hpwl : float;
+  hpwl : float option;
   empty_square_area : float;
   force_scale : float;
   cg_iterations : int;
@@ -129,6 +130,7 @@ let make ?(telemetry_level = 0) ?ex ?ey ?net_weights ?controller ?route_target
           Density.Forces.buffers circuit.Netlist.Circuit.region ~nx ~ny
             ~n_movable;
         extra_sum = Geometry.Grid2.create circuit.Netlist.Circuit.region ~nx ~ny;
+        hpwl = (fun () -> Metrics.Wirelength.hpwl circuit placement);
       };
   }
 
@@ -304,20 +306,29 @@ let transform ?(hooks = no_hooks) state =
   Netlist.Placement.clamp_to_region state.circuit state.placement;
   state.iteration <- state.iteration + 1;
   (* The one splat of the new placement: the stop check, the telemetry
-     overflow and the next transformation's forces all read it. *)
+     overflow and the next transformation's forces all read it.  The
+     HPWL (the envelope's lower bound) is computed only for a reader in
+     this step: the UB probe, a sink or an [on_step] observer; otherwise
+     the controller evaluates it when the bound is read, from this same
+     placement. *)
+  let probe = Controller.legalization_due ctrl cfg in
   let hpwl, empty_square_area =
     timed "metrics" (fun () ->
         Density.Density_map.demand_into state.circuit state.placement
           state.demand;
-        ( Metrics.Wirelength.hpwl state.circuit state.placement,
+        ( (if probe || collecting || Option.is_some hooks.on_step then
+             Some (Metrics.Wirelength.hpwl state.circuit state.placement)
+           else None),
           Density.Stop.largest_empty_square_area state.demand ))
   in
-  Controller.observe_lb ctrl hpwl;
+  (match hpwl with
+  | Some h -> Controller.observe_lb ctrl h
+  | None -> Controller.defer_lb ctrl state.work.hpwl);
   let ub, gap =
-    if Controller.legalization_due ctrl cfg then
+    if probe then
       match timed "legalize" (fun () -> ub_snapshot state) with
       | Some ub ->
-        Controller.observe_ub ctrl ~lb:hpwl ~ub;
+        Controller.observe_ub ctrl ~lb:(Controller.lb ctrl) ~ub;
         (Some ub, Some ctrl.Controller.gap)
       | None ->
         (* An unlegalizable snapshot carries no envelope information;
@@ -355,7 +366,7 @@ let transform ?(hooks = no_hooks) state =
     Obs.Sink.iteration
       {
         Obs.Telemetry.step = state.iteration;
-        hpwl = report.hpwl;
+        hpwl = Controller.lb ctrl;
         quadratic = Metrics.Wirelength.quadratic state.circuit state.placement;
         overflow = Density.Density_map.overflow state.circuit state.demand;
         empty_square_area = report.empty_square_area;
@@ -373,7 +384,7 @@ let transform ?(hooks = no_hooks) state =
         pattern_rebuilds;
         cg_tolerance = tol;
         penalty;
-        lb_hpwl = report.hpwl;
+        lb_hpwl = Controller.lb ctrl;
         ub_hpwl = report.ub_hpwl;
         gap = report.gap;
         level = state.telemetry_level;

@@ -21,8 +21,10 @@ type state = {
   n_movable : int;
   placement : Netlist.Placement.t;
       (** written only by {!transform} while the state is in use, so
-          that [demand] describes it; hooks read it.  A caller done
-          with the state may take the placement over and mutate it *)
+          that [demand] and a deferred {!Controller.lb} describe it;
+          hooks read it.  A caller done with the state may take the
+          placement over and mutate it, after reading anything of the
+          controller it still needs *)
   ex : float array;  (** accumulated additional x-forces, by variable *)
   ey : float array;
   net_weights : float array;  (** mutable contents, indexed by net id *)
@@ -54,7 +56,12 @@ type state = {
 (** Per-transformation report. *)
 type step_report = {
   step : int;
-  hpwl : float;  (** half-perimeter wire length after the solve *)
+  hpwl : float option;
+      (** half-perimeter wire length after the solve, computed only where
+          this step has a reader: [Some] on a UB-probe step, with an
+          {!Obs.Sink} installed or with an [on_step] hook, [None]
+          otherwise.  {!Controller.lb} of [state.controller] gives the
+          same bits on any step, computing them on demand. *)
   empty_square_area : float;  (** stopping-criterion measure *)
   force_scale : float;  (** the k applied this transformation *)
   cg_iterations : int;  (** x- and y-solve iterations combined *)
@@ -142,7 +149,9 @@ val restore :
     timings also accumulate in the {!Obs.Registry} under
     ["placer/assemble" | "placer/density" | "placer/solve" |
     "placer/metrics"].  With no sink installed none of these metrics
-    are computed. *)
+    are computed.  Without a sink, an [on_step] hook or a UB probe due,
+    the global HPWL is not computed either: the report's [hpwl] is
+    [None] and {!Controller.lb} evaluates it on demand. *)
 val transform : ?hooks:hooks -> state -> step_report
 
 (** [converged state] is true when any stop criterion is satisfied: the

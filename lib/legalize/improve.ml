@@ -127,7 +127,10 @@ let run ?(seed = 1) ?(passes = 3) ?(obstacles = []) (c : Netlist.Circuit.t)
         done;
         let width = cells.(ia).Netlist.Cell.width in
         let hw = width /. 2. in
-        if !hi -. !lo >= width -. 1e-9 then begin
+        (* A cell snug in its gap has nowhere to go: every candidate is
+           its own position to within 1e-9, so only a gap wider than the
+           cell by more than that is priced. *)
+        if !hi -. !lo > width +. 1e-9 then begin
           Nets.clear nets;
           Nets.add_cell nets ia;
           Nets.freeze nets p;

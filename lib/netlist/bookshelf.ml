@@ -15,25 +15,41 @@ let guard file f =
   | Failure reason | Invalid_argument reason | Sys_error reason ->
     raise (Bs { file; reason })
 
-let tokens line =
-  String.split_on_char ' ' (String.map (fun c -> if c = '\t' then ' ' else c) line)
-  |> List.filter (fun s -> s <> "")
-
-let is_comment line =
-  let t = String.trim line in
-  String.length t = 0 || t.[0] = '#' || (String.length t >= 4 && String.sub t 0 4 = "UCLA")
-
+(* A file's non-blank lines, read in one pass ({!Scan}): whether each is
+   a comment ([#] or a [UCLA] header) and its fields, the runs of
+   characters other than space and tab. *)
 let read_lines file =
+  let lines = ref [] in
+  let line s _ a b =
+    if a < b then begin
+      let comment =
+        s.[a] = '#' || (b - a >= 4 && Scan.equals s a (a + 4) "UCLA")
+      in
+      let fields = ref [] and k = ref b in
+      while !k > a do
+        let e = !k in
+        while !k > a && s.[!k - 1] <> ' ' && s.[!k - 1] <> '\t' do
+          decr k
+        done;
+        if !k < e then fields := String.sub s !k (e - !k) :: !fields;
+        while !k > a && (s.[!k - 1] = ' ' || s.[!k - 1] = '\t') do
+          decr k
+        done
+      done;
+      lines := (comment, !fields) :: !lines
+    end
+  in
   let ic = open_in file in
   Fun.protect
     ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
+    (fun () -> Scan.iter_lines ic line);
+  List.rev !lines
+
+(* The fields of every line that is not a comment. *)
+let records file =
+  List.filter_map
+    (fun (comment, fields) -> if comment then None else Some fields)
+    (read_lines file)
 
 (* --- .nodes --- *)
 
@@ -54,15 +70,13 @@ let node nname w h terminal =
 let parse_nodes file =
   let nodes = ref [] in
   List.iter
-    (fun line ->
-      if not (is_comment line) then
-        match tokens line with
-        | [ "NumNodes"; ":"; _ ] | [ "NumTerminals"; ":"; _ ] -> ()
-        | [ name; w; h ] -> nodes := node name w h false :: !nodes
-        | [ name; w; h; "terminal" ] -> nodes := node name w h true :: !nodes
-        | [] -> ()
-        | tok :: _ -> fail "bad .nodes line near %S" tok)
-    (read_lines file);
+    (function
+      | [ "NumNodes"; ":"; _ ] | [ "NumTerminals"; ":"; _ ] -> ()
+      | [ name; w; h ] -> nodes := node name w h false :: !nodes
+      | [ name; w; h; "terminal" ] -> nodes := node name w h true :: !nodes
+      | [] -> ()
+      | tok :: _ -> fail "bad .nodes line near %S" tok)
+    (records file);
   List.rev !nodes
 
 (* --- .scl --- *)
@@ -87,22 +101,20 @@ let parse_scl file =
     | _ -> ()
   in
   List.iter
-    (fun line ->
-      if not (is_comment line) then
-        match tokens line with
-        | "CoreRow" :: _ -> ()
-        | [ "Coordinate"; ":"; v ] -> cur_y := Some (Io.finite v)
-        | [ "Height"; ":"; v ] -> cur_h := Some (Io.finite v)
-        | [ "Sitespacing"; ":"; v ] -> cur_spacing := Io.finite v
-        | "SubrowOrigin" :: ":" :: origin :: rest ->
-          cur_origin := Some (Io.finite origin);
-          (match rest with
-          | [ "NumSites"; ":"; n ] -> cur_sites := Some (Io.finite n)
-          | _ -> ())
+    (function
+      | "CoreRow" :: _ -> ()
+      | [ "Coordinate"; ":"; v ] -> cur_y := Some (Io.finite v)
+      | [ "Height"; ":"; v ] -> cur_h := Some (Io.finite v)
+      | [ "Sitespacing"; ":"; v ] -> cur_spacing := Io.finite v
+      | "SubrowOrigin" :: ":" :: origin :: rest ->
+        cur_origin := Some (Io.finite origin);
+        (match rest with
         | [ "NumSites"; ":"; n ] -> cur_sites := Some (Io.finite n)
-        | [ "End" ] -> flush ()
         | _ -> ())
-    (read_lines file);
+      | [ "NumSites"; ":"; n ] -> cur_sites := Some (Io.finite n)
+      | [ "End" ] -> flush ()
+      | _ -> ())
+    (records file);
   List.rev !rows
 
 (* --- .pl --- *)
@@ -110,13 +122,11 @@ let parse_scl file =
 let parse_pl file =
   let places = Hashtbl.create 1024 in
   List.iter
-    (fun line ->
-      if not (is_comment line) then
-        match tokens line with
-        | name :: x :: y :: _ when name <> "NumNodes" ->
-          Hashtbl.replace places name (Io.finite x, Io.finite y)
-        | _ -> ())
-    (read_lines file);
+    (function
+      | name :: x :: y :: _ when name <> "NumNodes" ->
+        Hashtbl.replace places name (Io.finite x, Io.finite y)
+      | _ -> ())
+    (records file);
   places
 
 (* --- .nets --- *)
@@ -135,26 +145,24 @@ let parse_nets file =
     end
   in
   List.iter
-    (fun line ->
-      if not (is_comment line) then
-        match tokens line with
-        | [ "NumNets"; ":"; _ ] | [ "NumPins"; ":"; _ ] -> ()
-        | "NetDegree" :: ":" :: _ :: rest ->
-          flush ();
-          cur_open := true;
-          cur_name :=
-            (match rest with name :: _ -> name | [] -> Printf.sprintf "net%d" (List.length !nets))
-        | name :: dir :: rest when !cur_open ->
-          let dx, dy =
-            match rest with
-            | [ ":"; dx; dy ] -> (Io.finite dx, Io.finite dy)
-            | [] -> (0., 0.)
-            | _ -> fail "bad pin line for net %s" !cur_name
-          in
-          cur_pins := (name, dir = "O", dx, dy) :: !cur_pins
-        | [] -> ()
-        | tok :: _ -> fail "unexpected token %S" tok)
-    (read_lines file);
+    (function
+      | [ "NumNets"; ":"; _ ] | [ "NumPins"; ":"; _ ] -> ()
+      | "NetDegree" :: ":" :: _ :: rest ->
+        flush ();
+        cur_open := true;
+        cur_name :=
+          (match rest with name :: _ -> name | [] -> Printf.sprintf "net%d" (List.length !nets))
+      | name :: dir :: rest when !cur_open ->
+        let dx, dy =
+          match rest with
+          | [ ":"; dx; dy ] -> (Io.finite dx, Io.finite dy)
+          | [] -> (0., 0.)
+          | _ -> fail "bad pin line for net %s" !cur_name
+        in
+        cur_pins := (name, dir = "O", dx, dy) :: !cur_pins
+      | [] -> ()
+      | tok :: _ -> fail "unexpected token %S" tok)
+    (records file);
   flush ();
   List.rev !nets
 
@@ -162,12 +170,10 @@ let parse_nets file =
 
 let parse_aux file =
   let dir = Filename.dirname file in
-  let line =
-    match List.filter (fun l -> String.trim l <> "") (read_lines file) with
-    | [] -> fail "empty aux"
-    | l :: _ -> l
+  let fields =
+    match read_lines file with [] -> fail "empty aux" | (_, f) :: _ -> f
   in
-  let files = tokens line |> List.filter (fun t -> String.contains t '.') in
+  let files = List.filter (fun t -> String.contains t '.') fields in
   let find ext =
     match List.find_opt (fun f -> Filename.check_suffix f ext) files with
     | Some f -> Filename.concat dir f

@@ -11,16 +11,38 @@ type t = {
   cell_nets : int array array;
 }
 
-let make ~name ~cells ~nets ~region ~row_height =
-  if row_height <= 0. then invalid_arg "Circuit.make: non-positive row height";
-  if Geometry.Rect.area region <= 0. then
-    invalid_arg "Circuit.make: empty region";
+let check_shape ~who ~cells ~region ~row_height =
+  if row_height <= 0. then invalid_arg (who ^ ": non-positive row height");
+  if Geometry.Rect.area region <= 0. then invalid_arg (who ^ ": empty region");
   Array.iteri
     (fun i (c : Cell.t) ->
-      if c.Cell.id <> i then invalid_arg "Circuit.make: cell id out of order")
-    cells;
+      if c.Cell.id <> i then invalid_arg (who ^ ": cell id out of order"))
+    cells
+
+(* The circuit around a checked pin table, with its cell→nets incidence:
+   a cell on several pins of one net records the net once per pin —
+   consumers dedupe if needed, and multiplicity matters for the clique
+   weights anyway. *)
+let assemble ~name ~cells ~net_start ~pin_cell ~pin_dx ~pin_dy ~net_name
+    ~region ~row_height =
   let n = Array.length cells in
   let counts = Array.make n 0 in
+  Array.iter (fun cl -> counts.(cl) <- counts.(cl) + 1) pin_cell;
+  let cell_nets = Array.map (fun c -> Array.make c 0) counts in
+  let cursor = Array.make n 0 in
+  for i = 0 to Array.length net_name - 1 do
+    for k = net_start.(i) to net_start.(i + 1) - 1 do
+      let cl = pin_cell.(k) in
+      cell_nets.(cl).(cursor.(cl)) <- i;
+      cursor.(cl) <- cursor.(cl) + 1
+    done
+  done;
+  { name; cells; net_start; pin_cell; pin_dx; pin_dy; net_name; region;
+    row_height; cell_nets }
+
+let make ~name ~cells ~nets ~region ~row_height =
+  check_shape ~who:"Circuit.make" ~cells ~region ~row_height;
+  let n = Array.length cells in
   let net_start = Array.make (Array.length nets + 1) 0 in
   Array.iteri
     (fun i (net : Net.t) ->
@@ -28,34 +50,52 @@ let make ~name ~cells ~nets ~region ~row_height =
       Array.iter
         (fun (p : Net.pin) ->
           if p.Net.cell < 0 || p.Net.cell >= n then
-            invalid_arg "Circuit.make: pin references unknown cell";
-          counts.(p.Net.cell) <- counts.(p.Net.cell) + 1)
+            invalid_arg "Circuit.make: pin references unknown cell")
         net.Net.pins;
       net_start.(i + 1) <- net_start.(i) + Array.length net.Net.pins)
     nets;
   let total = net_start.(Array.length nets) in
   let pin_cell = Array.make total 0 in
   let pin_dx = Array.make total 0. and pin_dy = Array.make total 0. in
-  let cell_nets = Array.map (fun c -> Array.make c 0) counts in
-  let cursor = Array.make n 0 in
   Array.iteri
     (fun i (net : Net.t) ->
       Array.iteri
         (fun j (p : Net.pin) ->
-          let k = net_start.(i) + j and cl = p.Net.cell in
-          pin_cell.(k) <- cl;
+          let k = net_start.(i) + j in
+          pin_cell.(k) <- p.Net.cell;
           pin_dx.(k) <- p.Net.dx;
-          pin_dy.(k) <- p.Net.dy;
-          (* A cell may carry several pins of one net; record the net
-             once per pin — consumers dedupe if needed, and multiplicity
-             matters for the clique weights anyway. *)
-          cell_nets.(cl).(cursor.(cl)) <- i;
-          cursor.(cl) <- cursor.(cl) + 1)
+          pin_dy.(k) <- p.Net.dy)
         net.Net.pins)
     nets;
   let net_name = Array.map (fun (net : Net.t) -> net.Net.name) nets in
-  { name; cells; net_start; pin_cell; pin_dx; pin_dy; net_name; region;
-    row_height; cell_nets }
+  assemble ~name ~cells ~net_start ~pin_cell ~pin_dx ~pin_dy ~net_name ~region
+    ~row_height
+
+let of_pins ~name ~cells ~net_start ~pin_cell ~pin_dx ~pin_dy ~net_name
+    ~region ~row_height =
+  let who = "Circuit.of_pins" in
+  check_shape ~who ~cells ~region ~row_height;
+  let nets = Array.length net_name and total = Array.length pin_cell in
+  if
+    Array.length net_start <> nets + 1
+    || net_start.(0) <> 0
+    || net_start.(nets) <> total
+    || Array.length pin_dx <> total
+    || Array.length pin_dy <> total
+  then invalid_arg (who ^ ": inconsistent pin table");
+  let n = Array.length cells in
+  Array.iter
+    (fun cl ->
+      if cl < 0 || cl >= n then invalid_arg (who ^ ": pin references unknown cell"))
+    pin_cell;
+  for i = 0 to nets - 1 do
+    if net_start.(i + 1) < net_start.(i) then
+      invalid_arg (who ^ ": inconsistent pin table");
+    Net.check_pins ~cell:pin_cell ~dx:pin_dx ~dy:pin_dy net_start.(i)
+      net_start.(i + 1)
+  done;
+  assemble ~name ~cells ~net_start ~pin_cell ~pin_dx ~pin_dy ~net_name ~region
+    ~row_height
 
 let num_cells c = Array.length c.cells
 

@@ -35,6 +35,24 @@ val make :
   row_height:float ->
   t
 
+(** [of_pins ~name ~cells ~net_start ~pin_cell ~pin_dx ~pin_dy ~net_name
+    ~region ~row_height] adopts a pin table built elsewhere (the text
+    reader's), without copying it: the same checks as {!make}, with
+    {!Net.check_pins} on every net, then the cell→nets incidence.
+    Raises [Invalid_argument] as {!make} does, and on a pin table whose
+    lengths or [net_start] do not agree. *)
+val of_pins :
+  name:string ->
+  cells:Cell.t array ->
+  net_start:int array ->
+  pin_cell:int array ->
+  pin_dx:float array ->
+  pin_dy:float array ->
+  net_name:string array ->
+  region:Geometry.Rect.t ->
+  row_height:float ->
+  t
+
 val num_cells : t -> int
 
 val num_nets : t -> int

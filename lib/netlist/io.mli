@@ -16,7 +16,22 @@
 
     Readers return a typed {!error} instead of raising, so front ends
     (the CLI, the serve protocol's [bad_spec] responses) can report a
-    malformed file without catching exceptions. *)
+    malformed file without catching exceptions.
+
+    The readers read their input a large window at a time and scan it
+    once by index ({!Scan}): no line is split into token lists, and the
+    pin table fills flat arrays that {!Circuit.of_pins} adopts.  Numbers are
+    read in place and exactly, to the bits [float_of_string] and
+    [int_of_string] give ({!Numtext.float_of_sub}: Clinger's fast path,
+    then Eisel–Lemire, then [float_of_string] itself where both
+    decline), so a file {!write_circuit} wrote reads back to the same
+    bits.  The error contract is the line-splitting reader's, unchanged:
+    lines are numbered as [input_line] splits them and trimmed as
+    [String.trim] trims them, fields are separated by single spaces,
+    and on a line with several faults the same one is reported (a
+    [region] or [cell] line's fields are checked right to left, a net's
+    pins left to right, each pin's colon count first, then its cell,
+    then [dy], then [dx]). *)
 
 type error = {
   file : string option;  (** source file, when reading from one *)
@@ -27,8 +42,9 @@ type error = {
 (** [error_message e] — ["file:line: reason"] with the parts present. *)
 val error_message : error -> string
 
-(** [finite s] is the finite float [s] spells; NaN, the infinities and
-    unparsable text raise [Failure].  Also {!Bookshelf}'s number check. *)
+(** [finite s] is the finite float [s] spells, read exactly as
+    [float_of_string] reads it; NaN, the infinities and unparsable text
+    raise [Failure].  Also {!Bookshelf}'s number check. *)
 val finite : string -> float
 
 (** [write_circuit oc circuit] prints the circuit.  Numbers are written
@@ -39,11 +55,12 @@ val write_circuit : out_channel -> Circuit.t -> unit
 (** [add_circuit buf circuit] appends the text {!write_circuit} prints. *)
 val add_circuit : Buffer.t -> Circuit.t -> unit
 
-(** [read_circuit ic] parses a circuit.  Malformed input is an [Error]
-    carrying the line number: an unparsable or non-finite number, a net
-    of fewer than two pins or with a repeated pin, a negative or unknown
-    cell index, a non-positive cell size or row height, an inverted or
-    empty region. *)
+(** [read_circuit ic] parses a circuit from the rest of [ic] (seekable
+    or not).  Malformed input is an [Error] carrying the line number: an
+    unparsable or non-finite number, a net of fewer than two pins or
+    with a repeated pin, a negative or unknown cell index, a
+    non-positive cell size or row height, an inverted or empty
+    region. *)
 val read_circuit : in_channel -> (Circuit.t, error) result
 
 (** [write_placement oc placement] prints one [pos <id> <x> <y>] line per

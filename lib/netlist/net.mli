@@ -19,3 +19,9 @@ type t = {
     fewer than two pins are given or two pins repeat the same cell at the
     same offset. *)
 val make : id:int -> name:string -> pin array -> t
+
+(** [check_pins ~cell ~dx ~dy lo hi] applies {!make}'s checks, with its
+    [Invalid_argument] messages, to the pins [lo .. hi - 1] of a flat
+    pin table. *)
+val check_pins :
+  cell:int array -> dx:float array -> dy:float array -> int -> int -> unit

@@ -250,3 +250,249 @@ let add_float buf v =
   end
   else if not (a >= 0x1p-1019 && a <= Float.max_float && add_grisu buf v) then
     Buffer.add_string buf (format_float "%.17g" v)
+
+(* ------------------------------------------------------------------ *)
+(* Reading                                                             *)
+
+(* The exact powers of ten a double holds, for Clinger's fast path. *)
+let exact_pow10 =
+  [|
+    1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12;
+    1e13; 1e14; 1e15; 1e16; 1e17; 1e18; 1e19; 1e20; 1e21; 1e22;
+  |]
+
+(* The high 64 bits of the unsigned product [a · b], exact. *)
+let[@inline] umul_high a b =
+  let open Int64 in
+  let m32 = 0xFFFF_FFFFL in
+  let ah = shift_right_logical a 32 and al = logand a m32 in
+  let bh = shift_right_logical b 32 and bl = logand b m32 in
+  let hh = mul ah bh and lh = mul al bh and hl = mul ah bl and ll = mul al bl in
+  let mid =
+    add (add (shift_right_logical ll 32) (logand hl m32)) (logand lh m32)
+  in
+  add
+    (add (add hh (shift_right_logical hl 32)) (shift_right_logical lh 32))
+    (shift_right_logical mid 32)
+
+(* The leading zero bits of a non-zero [x], by halving steps. *)
+let[@inline] clz64 x =
+  let n = ref 0 and x = ref x in
+  if Int64.shift_right_logical !x 32 = 0L then begin
+    n := 32;
+    x := Int64.shift_left !x 32
+  end;
+  if Int64.shift_right_logical !x 48 = 0L then begin
+    n := !n + 16;
+    x := Int64.shift_left !x 16
+  end;
+  if Int64.shift_right_logical !x 56 = 0L then begin
+    n := !n + 8;
+    x := Int64.shift_left !x 8
+  end;
+  if Int64.shift_right_logical !x 60 = 0L then begin
+    n := !n + 4;
+    x := Int64.shift_left !x 4
+  end;
+  if Int64.shift_right_logical !x 62 = 0L then begin
+    n := !n + 2;
+    x := Int64.shift_left !x 2
+  end;
+  if Int64.shift_right_logical !x 63 = 0L then n := !n + 1;
+  !n
+
+(* [a < b] as unsigned 64-bit integers. *)
+let[@inline] ult a b = Int64.add a Int64.min_int < Int64.add b Int64.min_int
+
+(* Eisel–Lemire (Lemire, "Number Parsing at a Gigabyte per Second",
+   2021, as fast_float implements it): the double nearest to w · 10^q
+   for a non-zero unsigned 64-bit [w] and [q] within the table, or NaN
+   when the truncated 128-bit product cannot decide the rounding.  The
+   product of w (normalised to its top bit) with the table's 5^q keeps
+   55 significant bits after a shift of 9 or 10; a second product with
+   the low half is taken when the first leaves the 9 bits below them
+   all ones.  A low word of all ones is still undecided outside
+   q ∈ [-27, 55], where 5^q is not exact in 128 bits; that case, never
+   reached by 19-digit inputs in the published analysis, is declined
+   instead of trusted.  Halfway cases round to even, and only arise for
+   q ∈ [-4, 23], where the product is exact. *)
+let[@inline] eisel_lemire w q =
+  let lz = clz64 w in
+  let w = Int64.shift_left w lz in
+  let i = 2 * (q - Pow5.smallest) in
+  let hi = ref (umul_high w Pow5.table.(i)) in
+  let lo = ref (Int64.mul w Pow5.table.(i)) in
+  if Int64.logand !hi 0x1FFL = 0x1FFL then begin
+    let carry = umul_high w Pow5.table.(i + 1) in
+    let lo' = Int64.add !lo carry in
+    if ult lo' carry then hi := Int64.add !hi 1L;
+    lo := lo'
+  end;
+  let hi = !hi and lo = !lo in
+  if lo = -1L && (q < -27 || q > 55) then Float.nan
+  else begin
+    let upper = Int64.to_int (Int64.shift_right_logical hi 63) in
+    let shift = upper + 9 in
+    (* Below 2^55: a native int from here on. *)
+    let m = Int64.to_int (Int64.shift_right_logical hi shift) in
+    let e = ((217706 * q) asr 16) + 63 + upper - lz + 1023 in
+    if e <= 0 then begin
+      (* Subnormal, or rounding up to the least normal. *)
+      let s = 1 - e in
+      let m = if s >= 62 then 0 else m lsr s in
+      let m = (m + (m land 1)) lsr 1 in
+      let e = if m < 1 lsl 52 then 0 else 1 in
+      Int64.float_of_bits (Int64.of_int (m lor (e lsl 52)))
+    end
+    else begin
+      let m =
+        if
+          not (ult 1L lo)
+          && q >= -4 && q <= 23 && m land 3 = 1
+          && Int64.shift_left (Int64.of_int m) shift = hi
+        then m land lnot 1
+        else m
+      in
+      let m = (m + (m land 1)) lsr 1 in
+      let m, e = if m >= 1 lsl 53 then (1 lsl 52, e + 1) else (m, e) in
+      if e >= 0x7FF then Float.infinity
+      else
+        Int64.float_of_bits
+          (Int64.logor
+             (Int64.of_int (m land lnot (1 lsl 52)))
+             (Int64.shift_left (Int64.of_int e) 52))
+    end
+  end
+
+let[@inline] is_digit s k =
+  let c = String.unsafe_get s k in
+  c >= '0' && c <= '9'
+
+let[@inline] digit s k = Char.code (String.unsafe_get s k) - 48
+
+(* Whether the eight bytes from [k] are all digits, and their value
+   (SWAR: pairs, then quads, then the eight, as fast_float reads them). *)
+let[@inline] eight_digits v =
+  let open Int64 in
+  logor
+    (logand v 0xF0F0_F0F0_F0F0_F0F0L)
+    (shift_right_logical (logand (add v 0x0606_0606_0606_0606L) 0xF0F0_F0F0_F0F0_F0F0L) 4)
+  = 0x3333_3333_3333_3333L
+
+let[@inline] eight_value v =
+  let open Int64 in
+  let v = sub v 0x3030_3030_3030_3030L in
+  let v = add (mul v 10L) (shift_right_logical v 8) in
+  let mask = 0x0000_00FF_0000_00FFL in
+  to_int
+    (shift_right_logical
+       (add
+          (mul (logand v mask) 0x000F_4240_0000_0064L)
+          (mul (logand (shift_right_logical v 16) mask) 0x0000_2710_0000_0001L))
+       32)
+
+(* The decimal number at [s.[i]], read up to [j] or to the first byte
+   that cannot continue it: an optional sign, digits with an optional
+   point among them (at least one digit, at most 19 significant ones),
+   an optional [e] or [E] exponent with a sign and one to five digits.
+   Its value, exactly rounded, goes to [a.(slot)] and the result is the
+   index after it; -1 (nothing stored) for any other text. *)
+let scan_float s i j a slot =
+  let k = ref i in
+  let neg = !k < j && String.unsafe_get s !k = '-' in
+  if !k < j && (neg || String.unsafe_get s !k = '+') then incr k;
+  (* The first 18 significant digits in [w] ([nd] of them), the 19th in
+     [d19]; a 20th declines.  [point] is the index after the point. *)
+  let w = ref 0 and nd = ref 0 and d19 = ref 0 and point = ref (-1) in
+  let start = !k and ok = ref true in
+  while
+    !k < j
+    && (is_digit s !k || (String.unsafe_get s !k = '.' && !point < 0))
+  do
+    if String.unsafe_get s !k = '.' then point := !k + 1
+    else if
+      !point >= 0 && !nd > 0 && !nd <= 10 && !k + 8 <= j
+      && eight_digits (String.get_int64_le s !k)
+    then begin
+      w := (!w * 100_000_000) + eight_value (String.get_int64_le s !k);
+      nd := !nd + 8;
+      k := !k + 7
+    end
+    else begin
+      let d = digit s !k in
+      if !nd < 18 then begin
+        if !nd > 0 || d > 0 then begin
+          w := (!w * 10) + d;
+          incr nd
+        end
+      end
+      else if !nd = 18 then begin
+        d19 := d;
+        incr nd
+      end
+      else ok := false
+    end;
+    incr k
+  done;
+  let digits = if !point < 0 then !k - start else !k - start - 1 in
+  let exp = ref (if !point < 0 then 0 else !point - !k) in
+  if !k < j && (String.unsafe_get s !k = 'e' || String.unsafe_get s !k = 'E')
+  then begin
+    incr k;
+    let eneg = !k < j && String.unsafe_get s !k = '-' in
+    if !k < j && (eneg || String.unsafe_get s !k = '+') then incr k;
+    let e = ref 0 and f = !k in
+    while !k < j && is_digit s !k do
+      e := (!e * 10) + digit s !k;
+      incr k
+    done;
+    if !k = f || !k - f > 5 then ok := false;
+    exp := if eneg then !exp - !e else !exp + !e
+  end;
+  if not (!ok && digits > 0) then -1
+  else begin
+    let q = !exp in
+    let v =
+      if !nd = 0 then 0.
+      else if !nd <= 18 && !w <= 1 lsl 53 && q >= -22 && q <= 22 then
+        (* Clinger's fast path: both factors exact, one rounding. *)
+        if q >= 0 then Float.of_int !w *. Array.unsafe_get exact_pow10 q
+        else Float.of_int !w /. Array.unsafe_get exact_pow10 (-q)
+      else if q < Pow5.smallest then 0.
+      else if q > Pow5.largest then Float.infinity
+      else
+        eisel_lemire
+          (if !nd = 19 then
+             Int64.add (Int64.mul (Int64.of_int !w) 10L) (Int64.of_int !d19)
+           else Int64.of_int !w)
+          q
+    in
+    Array.unsafe_set a slot (if neg then -.v else v);
+    !k
+  end
+
+let scan_float s i j a slot =
+  if i < 0 || j > String.length s || slot < 0 || slot >= Array.length a then
+    invalid_arg "Numtext.scan_float";
+  scan_float s i j a slot
+
+let float_of_sub s i j =
+  if i < 0 || j > String.length s then invalid_arg "Numtext.float_of_sub";
+  let a = [| 0. |] in
+  if scan_float s i j a 0 = j then Array.unsafe_get a 0
+  else float_of_string (String.sub s i (j - i))
+
+let int_of_sub s i j =
+  if i < 0 || j > String.length s then invalid_arg "Numtext.int_of_sub";
+  let neg = i < j && String.unsafe_get s i = '-' in
+  let k = if neg then i + 1 else i in
+  if k < j && j - k <= 18 then begin
+    let v = ref 0 and k = ref k in
+    while !k < j && digit s !k >= 0 && digit s !k <= 9 do
+      v := (!v * 10) + digit s !k;
+      incr k
+    done;
+    if !k = j then if neg then - !v else !v
+    else int_of_string (String.sub s i (j - i))
+  end
+  else int_of_string (String.sub s i (j - i))

@@ -94,6 +94,35 @@ let test_checkpoint_round_trip () =
   same_float_array "restored ey" state.Kraftwerk.Placer.ey
     restored.Kraftwerk.Placer.ey
 
+(* A transformation off the UB probe leaves its HPWL (the controller's
+   lower bound) uncomputed; a checkpoint written there must still carry
+   the HPWL of the placement it saves, bit for bit, and a restore must
+   hand that same value back. *)
+let test_checkpoint_lb_off_probe () =
+  let circuit, p0 = ok_or_fail (Engine.Source.load (source ())) in
+  let config = { Kraftwerk.Config.fast with Kraftwerk.Config.legalize_every = 3 } in
+  let state = Kraftwerk.Placer.init config circuit p0 in
+  let reports = Kraftwerk.Placer.continue_run state ~max_steps:4 in
+  let last = List.nth reports (List.length reports - 1) in
+  Alcotest.(check int) "four steps" 4 last.Kraftwerk.Placer.step;
+  Alcotest.(check bool) "step 4 carries no hpwl" true
+    (last.Kraftwerk.Placer.hpwl = None);
+  let file = temp ".json" in
+  Engine.Checkpoint.save file (Engine.Checkpoint.of_state state);
+  let cp = ok_or_fail (Engine.Checkpoint.load file) in
+  Sys.remove file;
+  let saved =
+    Metrics.Wirelength.hpwl circuit
+      { Netlist.Placement.x = cp.Engine.Checkpoint.x; y = cp.Engine.Checkpoint.y }
+  in
+  let lb = Kraftwerk.Controller.lb cp.Engine.Checkpoint.controller in
+  if bits lb <> bits saved then
+    Alcotest.failf "checkpoint lb %h, hpwl of its placement %h" lb saved;
+  let restored = ok_or_fail (Engine.Checkpoint.restore cp config circuit) in
+  let lb' = Kraftwerk.Controller.lb restored.Kraftwerk.Placer.controller in
+  if bits lb' <> bits saved then
+    Alcotest.failf "restored lb %h, saved %h" lb' saved
+
 let test_checkpoint_digest_guards () =
   let circuit, p0 = ok_or_fail (Engine.Source.load (source ())) in
   let config = Kraftwerk.Config.fast in
@@ -161,7 +190,7 @@ let same_controller tag (a : Kraftwerk.Controller.t)
       Alcotest.failf "%s: controller %s differs: %h vs %h" tag name x y
   in
   fbit "penalty" a.Kraftwerk.Controller.penalty b.Kraftwerk.Controller.penalty;
-  fbit "lb" a.Kraftwerk.Controller.lb b.Kraftwerk.Controller.lb;
+  fbit "lb" (Kraftwerk.Controller.lb a) (Kraftwerk.Controller.lb b);
   fbit "ub" a.Kraftwerk.Controller.ub b.Kraftwerk.Controller.ub;
   fbit "ub_min" a.Kraftwerk.Controller.ub_min b.Kraftwerk.Controller.ub_min;
   fbit "gap" a.Kraftwerk.Controller.gap b.Kraftwerk.Controller.gap;
@@ -1423,6 +1452,8 @@ let suite =
       test_checkpoint_round_trip;
     Alcotest.test_case "checkpoint digest guards" `Quick
       test_checkpoint_digest_guards;
+    Alcotest.test_case "checkpoint lower bound off the probe" `Quick
+      test_checkpoint_lb_off_probe;
     Alcotest.test_case "checkpoint digest pins" `Quick
       test_checkpoint_digest_pins;
     Alcotest.test_case "resume bitwise" `Slow test_resume_bitwise;

@@ -356,6 +356,16 @@ let test_cli_malformed_circuit () =
           | _ -> Alcotest.failf "%s: expected one stderr line, got %S" what err)
         [ "kraftwerk"; "multilevel"; "gordian" ])
 
+(* A trace file that cannot be opened fails the job with one typed
+   line, not an OCaml exception's constructor text. *)
+let test_cli_unopenable_trace () =
+  let trace = "/nonexistent/x.jsonl" in
+  let code, _, err = run_place [ "run"; "--profile"; "fract"; "--trace"; trace ] in
+  Alcotest.(check int) "exit 2" 2 code;
+  Alcotest.(check string) "one typed line"
+    (Printf.sprintf "place: trace: cannot open %s: No such file or directory\n" trace)
+    err
+
 (* A bad bench flag value is a usage error (exit 1), as is any flag the
    harness does not take, with no exception escaping. *)
 let test_bench_cli_usage () =
@@ -593,6 +603,7 @@ let suite =
     Alcotest.test_case "cli run pins" `Quick test_cli_run_pins;
     Alcotest.test_case "cli run equals batch" `Quick test_cli_run_equals_batch;
     Alcotest.test_case "cli malformed circuit" `Quick test_cli_malformed_circuit;
+    Alcotest.test_case "cli unopenable trace" `Quick test_cli_unopenable_trace;
     Alcotest.test_case "bench cli usage" `Quick test_bench_cli_usage;
   ]
 

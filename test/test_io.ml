@@ -173,6 +173,89 @@ let test_hpwl_preserved_by_roundtrip () =
         (Metrics.Wirelength.hpwl c p)
         (Metrics.Wirelength.hpwl c' p))
 
+(* The reader takes its input from a pipe as from a file: the text is
+   read to its end without seeking. *)
+let test_pipe_reads_as_file () =
+  let c = sample_circuit () in
+  with_temp (fun file ->
+      Netlist.Io.save_circuit file c;
+      let ic = Unix.open_process_in ("cat " ^ Filename.quote file) in
+      let piped =
+        Fun.protect
+          ~finally:(fun () -> ignore (Unix.close_process_in ic))
+          (fun () -> io_exn (Netlist.Io.read_circuit ic))
+      in
+      let text c =
+        let b = Buffer.create 4096 in
+        Netlist.Io.add_circuit b c;
+        Buffer.contents b
+      in
+      Alcotest.(check string) "same circuit"
+        (text (io_exn (Netlist.Io.load_circuit file)))
+        (text piped))
+
+(* Words allocated by [load_circuit] on primary1, per pin: the string of
+   the file, the growable pin table and the cells.  The line-splitting
+   reader allocated 105 to 108 words per pin here (token lists, a boxed
+   float per number, [Net.t] records copied into the table); the
+   scanner about 45. *)
+let test_load_allocation () =
+  let prof = Circuitgen.Profiles.find "primary1" in
+  let c, _ =
+    Circuitgen.Gen.generate (Circuitgen.Profiles.params ~scale:1.0 prof ~seed:1)
+  in
+  with_temp (fun file ->
+      Netlist.Io.save_circuit file c;
+      let words () =
+        let minor, promoted, major = Gc.counters () in
+        minor +. major -. promoted
+      in
+      ignore (io_exn (Netlist.Io.load_circuit file));
+      let w0 = words () in
+      ignore (Sys.opaque_identity (io_exn (Netlist.Io.load_circuit file)));
+      let per_pin =
+        (words () -. w0) /. float_of_int (Netlist.Circuit.num_pins c)
+      in
+      if per_pin > 60. then
+        Alcotest.failf "load_circuit allocated %.1f words per pin (budget 60)"
+          per_pin)
+
+(* Input read a window at a time: a file several windows long, with one
+   net line longer than the window, reads as the line-splitting reader
+   kept in test/io_oracle.ml reads it, from a file and from a pipe. *)
+let test_long_lines_and_windows () =
+  let prof = Circuitgen.Profiles.find "primary1" in
+  let c, _ =
+    Circuitgen.Gen.generate (Circuitgen.Profiles.params ~scale:1.0 prof ~seed:3)
+  in
+  let b = Buffer.create (1 lsl 20) in
+  Netlist.Io.add_circuit b c;
+  Buffer.add_string b "net wide";
+  let n = Netlist.Circuit.num_cells c in
+  for i = 0 to 19_999 do
+    Printf.bprintf b " %d:%.17g:-0.5" (i mod n) (float_of_int i /. 3.)
+  done;
+  Buffer.add_string b "\nnet tail 0:1:2 1:2:3";
+  let text c =
+    let b = Buffer.create 4096 in
+    Netlist.Io.add_circuit b c;
+    Buffer.contents b
+  in
+  with_temp (fun file ->
+      Out_channel.with_open_bin file (fun oc -> Buffer.output_buffer oc b);
+      let expected =
+        text (io_exn (In_channel.with_open_bin file Io_oracle.read_circuit))
+      in
+      Alcotest.(check string) "file" expected
+        (text (io_exn (Netlist.Io.load_circuit file)));
+      let ic = Unix.open_process_in ("cat " ^ Filename.quote file) in
+      let piped =
+        Fun.protect
+          ~finally:(fun () -> ignore (Unix.close_process_in ic))
+          (fun () -> io_exn (Netlist.Io.read_circuit ic))
+      in
+      Alcotest.(check string) "pipe" expected (text piped))
+
 let suite =
   [
     Alcotest.test_case "circuit roundtrip" `Quick test_circuit_roundtrip;
@@ -184,6 +267,9 @@ let suite =
     Alcotest.test_case "missing region" `Quick test_missing_region_rejected;
     Alcotest.test_case "hpwl preserved" `Quick test_hpwl_preserved_by_roundtrip;
     Alcotest.test_case "valid base circuit" `Quick test_valid_lines_load;
+    Alcotest.test_case "pipe reads as file" `Quick test_pipe_reads_as_file;
+    Alcotest.test_case "load allocation" `Quick test_load_allocation;
+    Alcotest.test_case "long lines and windows" `Quick test_long_lines_and_windows;
   ]
   @ List.map
       (fun (name, line, bad) ->

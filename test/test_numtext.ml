@@ -122,7 +122,36 @@ let test_no_allocation () =
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words for 4000 numbers" words)
-    true (words < 400.)
+    true (words < 400.);
+  (* Read back, space-separated, into a float array: no allocation, and
+     the same bits. *)
+  let text =
+    String.concat " "
+      (List.map
+         (fun v ->
+           let b = Buffer.create 24 in
+           Numtext.add_float b v;
+           Buffer.contents b)
+         values)
+  in
+  let n = String.length text and out = Array.make 4000 0. in
+  let at = ref 0 and k = ref 0 and ok = ref true in
+  let before = Gc.minor_words () in
+  while !ok && !at < n do
+    let e = Numtext.scan_float text !at n out !k in
+    if e < 0 then ok := false
+    else begin
+      at := e + 1;
+      incr k
+    end
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "every number read in place" true (!ok && !k = 4000);
+  Alcotest.(check bool) "same bits" true
+    (List.for_all2
+       (fun v w -> Int64.bits_of_float v = Int64.bits_of_float w)
+       values (Array.to_list out));
+  Alcotest.(check (float 0.)) "minor words reading 4000 numbers" 0. words
 
 let suite =
   [

@@ -111,9 +111,14 @@ let test_placer_trajectory_bitwise () =
     { Kraftwerk.Config.standard with Kraftwerk.Config.max_iterations = 15 }
   in
   let run config () =
-    let state, reports = Kraftwerk.Placer.run config circuit p0 in
-    ( Array.of_list (List.map (fun r -> r.Kraftwerk.Placer.hpwl) reports),
-      state.Kraftwerk.Placer.placement )
+    let hpwls = ref [] in
+    let hooks =
+      { Kraftwerk.Placer.no_hooks with
+        Kraftwerk.Placer.on_step =
+          Some (fun r -> hpwls := Option.get r.Kraftwerk.Placer.hpwl :: !hpwls) }
+    in
+    let state, _ = Kraftwerk.Placer.run ~hooks config circuit p0 in
+    (Array.of_list (List.rev !hpwls), state.Kraftwerk.Placer.placement)
   in
   let traj, p = run config () in
   Alcotest.(check bool) "took steps" true (Array.length traj > 0);
@@ -185,10 +190,12 @@ let test_state_migration_bitwise () =
       if i >= 12 || Kraftwerk.Placer.converged state then
         (Array.of_list (List.rev hpwls), state.Kraftwerk.Placer.placement)
       else
-        let r =
-          on_domain ~migrate i (fun () -> Kraftwerk.Placer.transform state)
+        let lb =
+          on_domain ~migrate i (fun () ->
+              ignore (Kraftwerk.Placer.transform state);
+              Kraftwerk.Controller.lb state.Kraftwerk.Placer.controller)
         in
-        go (i + 1) (r.Kraftwerk.Placer.hpwl :: hpwls)
+        go (i + 1) (lb :: hpwls)
     in
     go 0 []
   in

@@ -68,7 +68,8 @@ let test_transform_reports_progress () =
   let r2 = Kraftwerk.Placer.transform state in
   Alcotest.(check int) "step 1" 1 r1.Kraftwerk.Placer.step;
   Alcotest.(check int) "step 2" 2 r2.Kraftwerk.Placer.step;
-  Alcotest.(check bool) "hpwl positive" true (r2.Kraftwerk.Placer.hpwl > 0.)
+  Alcotest.(check bool) "hpwl positive" true
+    (Kraftwerk.Controller.lb state.Kraftwerk.Placer.controller > 0.)
 
 let test_fast_mode_converges_in_fewer_steps () =
   let circuit, p0 = build ~name:"primary1" ~scale:0.5 () in

@@ -180,6 +180,42 @@ let test_legacy_fields_refused () =
     "objective submit transcript" expected
     (run_stdio_session objective_submit_requests)
 
+(* A trace whose directory does not exist is refused at submit; one
+   that exists but cannot be opened (here a directory) fails the job at
+   start with a typed reason. *)
+let test_unopenable_trace () =
+  Alcotest.(check (list string))
+    "submit transcript"
+    [
+      {|{"ok":false,"seq":1,"error":{"code":"bad_spec","message":"spec: no such directory for trace /nonexistent/x.jsonl"}}|};
+      {|{"ok":true,"seq":2,"shutdown":true}|};
+    ]
+    (run_stdio_session
+       [
+         {|{"cmd":"submit","seq":1,"job":{"profile":"fract","scale":0.3,"trace":"/nonexistent/x.jsonl"}}|};
+         {|{"cmd":"shutdown","seq":2}|};
+       ]);
+  let dir = Filename.get_temp_dir_name () in
+  let spec =
+    Engine.Job.spec
+      ~source:(Engine.Source.Profile { name = "fract"; scale = 0.3; seed = 1 })
+      ~trace:dir ()
+  in
+  Alcotest.(check bool) "directory passes admission" true
+    (Engine.Scheduler.validate_spec spec = Ok ());
+  let sched = Engine.Scheduler.create () in
+  let id = Engine.Scheduler.submit sched spec in
+  Engine.Scheduler.drain sched;
+  Engine.Scheduler.stop sched;
+  match Engine.Scheduler.result sched id with
+  | Some { Engine.Job.status = Engine.Job.Failed msg; _ } ->
+    let prefix = Printf.sprintf "trace: cannot open %s: " dir in
+    Alcotest.(check string) "typed reason" prefix
+      (String.sub msg 0 (min (String.length msg) (String.length prefix)));
+    Alcotest.(check bool) "no constructor text" false
+      (String.length msg >= 9 && String.sub msg 0 9 = "Sys_error")
+  | _ -> Alcotest.fail "the job did not fail"
+
 (* Every failure code render must round-trip through code_of_string. *)
 let test_codes_roundtrip () =
   List.iter
@@ -426,10 +462,15 @@ let test_eight_clients_bitwise_equal () =
 
 (* A job of about 4 s: with the 4 s drain grace below, the server stays
    up for seconds after SIGTERM, whether the grace cancels this job or
-   it finishes and the next queued one is cancelled instead. *)
+   it finishes and the next queued one is cancelled instead.  The
+   routability goal (congestion refreshes, a final Grouter route) keeps
+   it that long; under the wirelength goal industry2 places in about
+   0.5 s, short enough for both jobs to finish before the submit that
+   must be refused as shutting_down. *)
 let slow_spec i =
   Engine.Job.spec
     ~source:(Engine.Source.Profile { name = "industry2"; scale = 1.0; seed = 7 + i })
+    ~objective:(Engine.Objective.make ~goal:Engine.Objective.Routability ())
     ()
 
 (* Park a [wait] for job [id] on a fresh connection to [sock], and
@@ -891,4 +932,5 @@ let suite =
       test_sharded_server_bitwise_and_metrics;
     Alcotest.test_case "stdio serve: resume and 2 domains bitwise" `Slow
       test_stdio_serve_smoke;
+    Alcotest.test_case "protocol: unopenable trace" `Quick test_unopenable_trace;
   ]

@@ -34,9 +34,17 @@ let add_placement b (p : Netlist.Placement.t) =
   Array.iter (add_float b) p.Netlist.Placement.x;
   Array.iter (add_float b) p.Netlist.Placement.y
 
-let add_report b (r : Kraftwerk.Placer.step_report) =
+(* [hpwl] is the step's lower bound as [Controller.lb] read it right
+   after the step: a report carries its own HPWL only on a UB-probe
+   step, where the two must agree bit for bit. *)
+let add_report b ((r : Kraftwerk.Placer.step_report), hpwl) =
   add_int b r.Kraftwerk.Placer.step;
-  add_float b r.Kraftwerk.Placer.hpwl;
+  (match r.Kraftwerk.Placer.hpwl with
+  | Some h when bits h <> bits hpwl ->
+    Alcotest.failf "step %d: reported hpwl %h, lower bound %h"
+      r.Kraftwerk.Placer.step h hpwl
+  | _ -> ());
+  add_float b hpwl;
   add_float b r.Kraftwerk.Placer.empty_square_area;
   add_float b r.Kraftwerk.Placer.force_scale;
   add_int b r.Kraftwerk.Placer.cg_iterations;
@@ -66,11 +74,21 @@ let reports_digest reports (p : Netlist.Placement.t) =
   add_placement b p;
   digest b
 
+(* Stepped as [Placer.run] steps, reading each step's lower bound. *)
 let flat_run ?(hooks = fun _ -> Kraftwerk.Placer.no_hooks) config name =
   let circuit, _, p0 = profile name in
-  let state, reports =
-    Kraftwerk.Placer.run ~hooks:(hooks circuit) config circuit p0
+  let hooks = hooks circuit in
+  let state = Kraftwerk.Placer.init config circuit p0 in
+  let rec go acc =
+    if
+      state.Kraftwerk.Placer.iteration >= config.Kraftwerk.Config.max_iterations
+      || Kraftwerk.Placer.converged state
+    then List.rev acc
+    else
+      let r = Kraftwerk.Placer.transform ~hooks state in
+      go ((r, Kraftwerk.Controller.lb state.Kraftwerk.Placer.controller) :: acc)
   in
+  let reports = go [] in
   reports_digest reports state.Kraftwerk.Placer.placement
 
 let traced f =

@@ -158,7 +158,17 @@ let test_io_failures () =
          let oc = open_out f in
          output_string oc "\n";
          close_out oc;
-         Result.is_error (Netlist.Bookshelf.load_aux f)))
+         Result.is_error (Netlist.Bookshelf.load_aux f)));
+  (* A directory opens but cannot be read: a typed error naming it. *)
+  let dir = Filename.get_temp_dir_name () in
+  let names_dir = function
+    | Error e -> e.Netlist.Io.file = Some dir
+    | Ok _ -> false
+  in
+  Alcotest.(check bool) "circuit from a directory" true
+    (names_dir (Netlist.Io.load_circuit dir));
+  Alcotest.(check bool) "placement from a directory" true
+    (names_dir (Netlist.Io.load_placement dir ~num_cells:1))
 
 let suite =
   [
