@@ -5,14 +5,18 @@ let largest_empty_square_area demand =
   in
   side *. side
 
-let should_stop ?(multiplier = 4.) c demand =
-  let avg = Netlist.Circuit.average_cell_area c in
+let satisfied ?(multiplier = 4.) ~average_cell_area demand =
+  average_cell_area <= 0.
+  || largest_empty_square_area demand <= multiplier *. average_cell_area
+
+let should_stop ?multiplier c demand =
   (* No movable area means nothing can spread: stop immediately rather
      than compare against a zero threshold forever (empty netlists and
      all-fixed circuits must terminate).  A single movable cell is just
      as degenerate — there is no overlap to resolve, and the empty-square
      measure stays huge forever — so the criterion is satisfied as soon
      as the cell sits at its quadratic optimum. *)
-  avg <= 0.
-  || Netlist.Circuit.num_movable c < 2
-  || largest_empty_square_area demand <= multiplier *. avg
+  Netlist.Circuit.num_movable c < 2
+  || satisfied ?multiplier
+       ~average_cell_area:(Netlist.Circuit.average_cell_area c)
+       demand

@@ -15,3 +15,12 @@ val largest_empty_square_area : Geometry.Grid2.t -> float
     single movable cell — stop immediately (there is nothing to
     spread). *)
 val should_stop : ?multiplier:float -> Netlist.Circuit.t -> Geometry.Grid2.t -> bool
+
+(** [satisfied ?multiplier ~average_cell_area demand] is the criterion
+    of {!should_stop} for a caller that knows the circuit has at least
+    two movable cells and has computed their average area
+    ({!Netlist.Circuit.average_cell_area}) once: true when
+    [average_cell_area <= 0.] or the largest empty square is at most
+    [multiplier] times [average_cell_area]. *)
+val satisfied :
+  ?multiplier:float -> average_cell_area:float -> Geometry.Grid2.t -> bool

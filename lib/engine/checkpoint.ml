@@ -2,6 +2,7 @@ type t = {
   config_digest : string;
   circuit_digest : string;
   iteration : int;
+  steps : int;
   x : float array;
   y : float array;
   ex : float array;
@@ -14,71 +15,35 @@ type t = {
   route_target : float array option;
 }
 
-let version = 4
+let version = 5
 
 (* ------------------------------------------------------------------ *)
 (* Digests                                                              *)
 
 (* A canonical rendering of every config field that affects the
-   trajectory.  [domains] is excluded: nothing reads it.  The literals
-   [solver=fft] and [model=clique] stand for the Poisson evaluator and
-   the net model the placer always uses; they stay so existing
-   checkpoints keep their digest. *)
+   trajectory.  [domains] is excluded: nothing reads it. *)
 let config_fingerprint (c : Kraftwerk.Config.t) =
   let grid =
     match c.Kraftwerk.Config.grid with
     | Some (nx, ny) -> Printf.sprintf "%dx%d" nx ny
     | None -> "auto"
   in
-  let base =
-    Printf.sprintf
-      "k=%h;max_iter=%d;linearize=%b;cap=%d;anchor=%h;hold=%h;decay=%h;stop=%h;grid=%s;solver=fft;model=clique;tol=%h;tol_loose=%h;gscale=%h;gap=%h;stall=%d;leg=%d;pen0=%h;penu=%h;penmax=%h"
-      c.Kraftwerk.Config.k_param c.Kraftwerk.Config.max_iterations
-      c.Kraftwerk.Config.linearize c.Kraftwerk.Config.clique_cap
-      c.Kraftwerk.Config.anchor_weight c.Kraftwerk.Config.hold_weight
-      c.Kraftwerk.Config.force_decay c.Kraftwerk.Config.stop_multiplier grid
-      c.Kraftwerk.Config.cg_tol c.Kraftwerk.Config.cg_tol_loose
-      c.Kraftwerk.Config.grid_scale c.Kraftwerk.Config.stop_gap
-      c.Kraftwerk.Config.stop_stall c.Kraftwerk.Config.legalize_every
-      c.Kraftwerk.Config.penalty_initial c.Kraftwerk.Config.penalty_update
-      c.Kraftwerk.Config.penalty_max
-  in
-  (* The multilevel knobs are appended only when they leave the standard
-     values, so every pre-multilevel checkpoint's digest stays valid. *)
-  let std = Kraftwerk.Config.standard in
-  let base =
-    if
-      c.Kraftwerk.Config.ml_threshold = std.Kraftwerk.Config.ml_threshold
-      && c.Kraftwerk.Config.ml_max_levels = std.Kraftwerk.Config.ml_max_levels
-      && c.Kraftwerk.Config.ml_refine_iters
-         = std.Kraftwerk.Config.ml_refine_iters
-      && c.Kraftwerk.Config.ml_grid_scale = std.Kraftwerk.Config.ml_grid_scale
-      && c.Kraftwerk.Config.ml_seed = std.Kraftwerk.Config.ml_seed
-    then base
-    else
-      base
-      ^ Printf.sprintf ";mlt=%d;mll=%d;mlr=%d;mlg=%h;mls=%d"
-          c.Kraftwerk.Config.ml_threshold c.Kraftwerk.Config.ml_max_levels
-          c.Kraftwerk.Config.ml_refine_iters c.Kraftwerk.Config.ml_grid_scale
-          c.Kraftwerk.Config.ml_seed
-  in
-  (* Same pattern for the routability-loop knobs: pre-congestion digests
-     stay valid, and any knob change invalidates resume. *)
-  if
-    c.Kraftwerk.Config.congest_every = std.Kraftwerk.Config.congest_every
-    && c.Kraftwerk.Config.congest_strength
-       = std.Kraftwerk.Config.congest_strength
-    && c.Kraftwerk.Config.congest_update = std.Kraftwerk.Config.congest_update
-    && c.Kraftwerk.Config.congest_max = std.Kraftwerk.Config.congest_max
-    && c.Kraftwerk.Config.congest_decay = std.Kraftwerk.Config.congest_decay
-    && c.Kraftwerk.Config.congest_pitch = std.Kraftwerk.Config.congest_pitch
-  then base
-  else
-    base
-    ^ Printf.sprintf ";ce=%d;cs=%h;cu=%h;cm=%h;cd=%h;cp=%h"
-        c.Kraftwerk.Config.congest_every c.Kraftwerk.Config.congest_strength
-        c.Kraftwerk.Config.congest_update c.Kraftwerk.Config.congest_max
-        c.Kraftwerk.Config.congest_decay c.Kraftwerk.Config.congest_pitch
+  Printf.sprintf
+    "k=%h;max_iter=%d;linearize=%b;cap=%d;anchor=%h;hold=%h;decay=%h;stop=%h;grid=%s;tol=%h;tol_loose=%h;gscale=%h;gap=%h;stall=%d;leg=%d;pen0=%h;penu=%h;penmax=%h;mlt=%d;mll=%d;mlr=%d;mlg=%h;mls=%d;ce=%d;cs=%h;cu=%h;cm=%h;cd=%h;cp=%h"
+    c.Kraftwerk.Config.k_param c.Kraftwerk.Config.max_iterations
+    c.Kraftwerk.Config.linearize c.Kraftwerk.Config.clique_cap
+    c.Kraftwerk.Config.anchor_weight c.Kraftwerk.Config.hold_weight
+    c.Kraftwerk.Config.force_decay c.Kraftwerk.Config.stop_multiplier grid
+    c.Kraftwerk.Config.cg_tol c.Kraftwerk.Config.cg_tol_loose
+    c.Kraftwerk.Config.grid_scale c.Kraftwerk.Config.stop_gap
+    c.Kraftwerk.Config.stop_stall c.Kraftwerk.Config.legalize_every
+    c.Kraftwerk.Config.penalty_initial c.Kraftwerk.Config.penalty_update
+    c.Kraftwerk.Config.penalty_max c.Kraftwerk.Config.ml_threshold
+    c.Kraftwerk.Config.ml_max_levels c.Kraftwerk.Config.ml_refine_iters
+    c.Kraftwerk.Config.ml_grid_scale c.Kraftwerk.Config.ml_seed
+    c.Kraftwerk.Config.congest_every c.Kraftwerk.Config.congest_strength
+    c.Kraftwerk.Config.congest_update c.Kraftwerk.Config.congest_max
+    c.Kraftwerk.Config.congest_decay c.Kraftwerk.Config.congest_pitch
 
 let config_digest c = Digest.to_hex (Digest.string (config_fingerprint c))
 
@@ -99,14 +64,16 @@ let circuit_digest (c : Netlist.Circuit.t) =
             c.Netlist.Circuit.row_height )
           []))
 
-let of_state ?criticality ?(ml_level = 0) ?(ml_levels = 1)
-    (s : Kraftwerk.Placer.state) =
+(* The digests cover the base config and the flat circuit: the level's
+   derived config and coarse circuit are both rebuilt from them on
+   resume. *)
+let of_run ?criticality run =
+  let s = Kraftwerk.Cluster.current_state run in
   {
-    ml_level;
-    ml_levels;
-    config_digest = config_digest s.Kraftwerk.Placer.config;
-    circuit_digest = circuit_digest s.Kraftwerk.Placer.circuit;
+    config_digest = config_digest (Kraftwerk.Cluster.base_config run);
+    circuit_digest = circuit_digest (Kraftwerk.Cluster.flat_circuit run);
     iteration = s.Kraftwerk.Placer.iteration;
+    steps = Kraftwerk.Cluster.steps run;
     x = Array.copy s.Kraftwerk.Placer.placement.Netlist.Placement.x;
     y = Array.copy s.Kraftwerk.Placer.placement.Netlist.Placement.y;
     ex = Array.copy s.Kraftwerk.Placer.ex;
@@ -114,6 +81,8 @@ let of_state ?criticality ?(ml_level = 0) ?(ml_levels = 1)
     net_weights = Array.copy s.Kraftwerk.Placer.net_weights;
     criticality = Option.map Array.copy criticality;
     controller = Kraftwerk.Controller.copy s.Kraftwerk.Placer.controller;
+    ml_level = Kraftwerk.Cluster.current_level run;
+    ml_levels = Kraftwerk.Cluster.total_levels run;
     route_target =
       Option.map Route.Target.values s.Kraftwerk.Placer.route_target;
   }
@@ -171,6 +140,7 @@ let to_json t =
       ("config", Str t.config_digest);
       ("circuit", Str t.circuit_digest);
       ("iteration", Num (float_of_int t.iteration));
+      ("steps", Num (float_of_int t.steps));
       ("x", farray t.x);
       ("y", farray t.y);
       ("ex", farray t.ex);
@@ -295,6 +265,7 @@ let of_json v =
   let* config_digest = field_str v "config" in
   let* circuit_digest = field_str v "circuit" in
   let* iteration = field_int v "iteration" in
+  let* steps = field_int v "steps" in
   let* x = field_farray v "x" in
   let* y = field_farray v "y" in
   let* ex = field_farray v "ex" in
@@ -303,6 +274,13 @@ let of_json v =
   let* criticality = field_farray_opt v "criticality" in
   let* ml_level = field_int v "ml_level" in
   let* ml_levels = field_int v "ml_levels" in
+  let* () =
+    if iteration < 0 || steps < iteration then
+      Error
+        (Printf.sprintf "checkpoint: iteration %d outside 0..steps %d"
+           iteration steps)
+    else Ok ()
+  in
   let* () =
     if ml_levels < 1 || ml_level < 0 || ml_level >= ml_levels then
       Error
@@ -322,6 +300,7 @@ let of_json v =
         config_digest;
         circuit_digest;
         iteration;
+        steps;
         x;
         y;
         ex;
@@ -380,27 +359,44 @@ let check_criticality t circuit =
          (Netlist.Circuit.num_nets circuit))
   | _ -> Ok ()
 
-let restore t config circuit =
-  if t.ml_level <> 0 || t.ml_levels <> 1 then
-    Error
-      "checkpoint: multilevel checkpoint (resume it with the multilevel flow)"
-  else if t.config_digest <> config_digest config then
+(* The hierarchy is a pure function of (circuit, config), so the caller
+   rebuilds it and only the current level's placer state comes from the
+   file.  The x/ex arrays are sized for that level's circuit. *)
+let restore t config (h : Kraftwerk.Cluster.hierarchy) =
+  let circuit = h.Kraftwerk.Cluster.circuits.(0) in
+  let levels = Kraftwerk.Cluster.depth h + 1 in
+  if t.config_digest <> config_digest config then
     Error "checkpoint: config mismatch (different placer configuration)"
   else if t.circuit_digest <> circuit_digest circuit then
     Error "checkpoint: circuit mismatch (netlist changed since checkpoint)"
-  else if Array.length t.x <> Netlist.Circuit.num_cells circuit then
-    Error "checkpoint: placement length mismatch"
+  else if t.ml_levels <> levels then
+    Error
+      (Printf.sprintf
+         "checkpoint: hierarchy depth changed (checkpoint has %d levels, \
+          rebuild has %d; resume with the flow that wrote it)"
+         t.ml_levels levels)
   else
-    let* () = check_criticality t circuit in
-    let* route_target = route_target_of t config circuit in
-    match
-      Kraftwerk.Placer.restore config circuit
-        ~placement:{ Netlist.Placement.x = t.x; y = t.y }
-        ~ex:t.ex ~ey:t.ey ~net_weights:t.net_weights ~controller:t.controller
-        ?route_target ~iteration:t.iteration ()
-    with
-    | state -> Ok state
-    | exception Invalid_argument msg -> Error ("checkpoint: " ^ msg)
+    let level = t.ml_level in
+    let level_circuit = h.Kraftwerk.Cluster.circuits.(level)
+    and level_config = Kraftwerk.Cluster.level_config config ~level in
+    if Array.length t.x <> Netlist.Circuit.num_cells level_circuit then
+      Error
+        (Printf.sprintf
+           "checkpoint: level %d placement has %d cells, hierarchy level has %d"
+           level (Array.length t.x)
+           (Netlist.Circuit.num_cells level_circuit))
+    else
+      let* () = check_criticality t circuit in
+      let* route_target = route_target_of t level_config level_circuit in
+      match
+        Kraftwerk.Placer.restore ~telemetry_level:level level_config
+          level_circuit
+          ~placement:{ Netlist.Placement.x = t.x; y = t.y }
+          ~ex:t.ex ~ey:t.ey ~net_weights:t.net_weights ~controller:t.controller
+          ?route_target ~iteration:t.iteration ()
+      with
+      | state -> Ok (Kraftwerk.Cluster.resume config h ~level ~steps:t.steps state)
+      | exception Invalid_argument msg -> Error ("checkpoint: " ^ msg)
 
 let placement t ~num_cells =
   if Array.length t.x <> num_cells then
@@ -409,62 +405,3 @@ let placement t ~num_cells =
          (Array.length t.x) num_cells)
   else
     Ok { Netlist.Placement.x = Array.copy t.x; y = Array.copy t.y }
-
-(* Multilevel resume: the hierarchy is a pure function of (circuit,
-   config), so it is rebuilt here and only the current level's placer
-   state comes from the file.  The x/ex arrays are sized for the
-   checkpointed level's coarse circuit, not the flat one. *)
-let restore_multilevel t config circuit ~fixed_positions =
-  if t.config_digest <> config_digest config then
-    Error "checkpoint: config mismatch (different placer configuration)"
-  else if t.circuit_digest <> circuit_digest circuit then
-    Error "checkpoint: circuit mismatch (netlist changed since checkpoint)"
-  else
-    let* () = check_criticality t circuit in
-    match
-      Kraftwerk.Cluster.resume config circuit ~fixed_positions
-        ~level:t.ml_level ~level_steps:t.iteration
-        ~restore_state:(fun level_circuit level_config ->
-          if Array.length t.x <> Netlist.Circuit.num_cells level_circuit then
-            invalid_arg
-              (Printf.sprintf
-                 "level %d placement has %d cells, hierarchy level has %d"
-                 t.ml_level (Array.length t.x)
-                 (Netlist.Circuit.num_cells level_circuit));
-          let route_target =
-            match route_target_of t level_config level_circuit with
-            | Ok tgt -> tgt
-            | Error msg -> invalid_arg msg
-          in
-          Kraftwerk.Placer.restore ~telemetry_level:t.ml_level level_config
-            level_circuit
-            ~placement:{ Netlist.Placement.x = t.x; y = t.y }
-            ~ex:t.ex ~ey:t.ey ~net_weights:t.net_weights
-            ~controller:t.controller ?route_target ~iteration:t.iteration ())
-    with
-    | run ->
-      if Kraftwerk.Cluster.total_levels run <> t.ml_levels then
-        Error
-          (Printf.sprintf
-             "checkpoint: hierarchy depth changed (checkpoint has %d levels, \
-              rebuild has %d)"
-             t.ml_levels
-             (Kraftwerk.Cluster.total_levels run))
-      else Ok run
-    | exception Invalid_argument msg -> Error ("checkpoint: " ^ msg)
-
-let of_run ?criticality run =
-  (* The digests cover the base config and the flat circuit — the
-     level's derived config and coarse circuit are both rebuilt from
-     them on resume. *)
-  let t =
-    of_state ?criticality
-      ~ml_level:(Kraftwerk.Cluster.current_level run)
-      ~ml_levels:(Kraftwerk.Cluster.total_levels run)
-      (Kraftwerk.Cluster.current_state run)
-  in
-  {
-    t with
-    config_digest = config_digest (Kraftwerk.Cluster.base_config run);
-    circuit_digest = circuit_digest (Kraftwerk.Cluster.flat_circuit run);
-  }

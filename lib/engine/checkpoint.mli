@@ -1,11 +1,14 @@
-(** Versioned, atomic snapshots of a mid-run {!Kraftwerk.Placer.state}.
+(** Versioned, atomic snapshots of a mid-run {!Kraftwerk.Cluster.run}.
 
-    A checkpoint captures exactly the state that makes a placement
-    transformation sequence restartable: the placement, the accumulated
-    additional-force vectors ~e (§2.2 — what holds previous spreading in
-    place), the net weights, the iteration counter, and — for
-    timing-driven runs — the per-net criticalities.  Restoring all of
-    them bitwise makes the resumed trajectory bitwise-identical to the
+    A job's run is a V-cycle over a hierarchy of circuits (one level for
+    the flat flow), and a checkpoint captures exactly the state that
+    makes it restartable: the current level's placement, the
+    accumulated additional-force vectors ~e (§2.2 — what holds previous
+    spreading in place), the net weights, the level's iteration counter,
+    the run's total step count and — for timing-driven runs — the
+    per-net criticalities.  The hierarchy itself is a pure function of
+    (circuit, config) and is rebuilt on resume.  Restoring all of them
+    bitwise makes the resumed trajectory bitwise-identical to the
     uninterrupted run; digests of the config and circuit guard against
     resuming under different semantics.
 
@@ -16,13 +19,15 @@
 
     Every file carries ["version"]: {!version}.  {!load} reads that
     version only; any other is an [Error] ["checkpoint: unsupported
-    version N (this build reads 4)"].  Every field is required — an
+    version N (this build reads 5)"].  Every field is required — an
     absent optional array is written as [null]. *)
 
 type t = {
   config_digest : string;
   circuit_digest : string;
-  iteration : int;
+  iteration : int;  (** transformations of the current level *)
+  steps : int;
+      (** transformations of the whole run, at least [iteration] *)
   x : float array;  (** placement, indexed by cell id *)
   y : float array;
   ex : float array;  (** accumulated forces, indexed by QP variable *)
@@ -34,10 +39,9 @@ type t = {
           penalty is saved verbatim — recomputing it from the iteration
           count would differ in the last ulp and break bitwise resume. *)
   ml_level : int;
-      (** multilevel V-cycle stage this state belongs to; 0 = flat *)
+      (** V-cycle stage this state belongs to; 0 = flat *)
   ml_levels : int;
-      (** total stages of the V-cycle the state was taken from; 1 for
-          flat runs *)
+      (** total stages of the run's hierarchy; 1 for the flat flow *)
   route_target : float array option;
       (** row-major values of the routability loop's congestion-target
           map ({!Route.Target}); [None] when the loop is off.  The grid
@@ -45,7 +49,7 @@ type t = {
           on resume. *)
 }
 
-(** The one file version this build writes and reads (4). *)
+(** The one file version this build writes and reads (5). *)
 val version : int
 
 (** [config_digest config] is a stable hex digest over every
@@ -56,19 +60,9 @@ val config_digest : Kraftwerk.Config.t -> string
 
 val circuit_digest : Netlist.Circuit.t -> string
 
-(** [of_state ?criticality state] snapshots a placer state (copies all
-    arrays).  [ml_level]/[ml_levels] (default 0/1) tag the V-cycle stage
-    the state belongs to. *)
-val of_state :
-  ?criticality:float array ->
-  ?ml_level:int ->
-  ?ml_levels:int ->
-  Kraftwerk.Placer.state ->
-  t
-
-(** [of_run ?criticality run] snapshots the current stage of a
-    multilevel V-cycle.  The digests cover the {e base} config and the
-    {e flat} circuit — the coarse circuit and per-level config are
+(** [of_run ?criticality run] snapshots the current stage of a run
+    (copies all arrays).  The digests cover the {e base} config and the
+    {e flat} circuit — the coarse circuits and per-level configs are
     rebuilt deterministically on resume. *)
 val of_run : ?criticality:float array -> Kraftwerk.Cluster.run -> t
 
@@ -77,30 +71,21 @@ val save : string -> t -> unit
 
 val load : string -> (t, string) result
 
-(** [restore t config circuit] rebuilds the placer state, checking the
-    digests and every array length first (a malformed file is an
-    [Error], never an exception).  Rejects multilevel checkpoints
-    ([ml_level > 0] or
-    [ml_levels > 1]) — those carry a coarse-circuit state and must go
-    through {!restore_multilevel}. *)
+(** [restore t config hierarchy] resumes the run the checkpoint was
+    taken from on [hierarchy], which the caller rebuilds from the flat
+    circuit and [config] as the run's flow builds it
+    ({!Kraftwerk.Cluster.unclustered} or
+    {!Kraftwerk.Cluster.build_hierarchy}).  It checks the digests, the
+    hierarchy's depth against [ml_levels] and every array length against
+    the checkpointed level, then restores that level's placer state.  A
+    mismatch or a malformed file is an [Error], never an exception; a
+    checkpoint of the other flow is refused by the depth check unless
+    clustering made no progress, when both flows run the same one-level
+    hierarchy. *)
 val restore :
   t ->
   Kraftwerk.Config.t ->
-  Netlist.Circuit.t ->
-  (Kraftwerk.Placer.state, string) result
-
-(** [restore_multilevel t config circuit ~fixed_positions] rebuilds an
-    in-flight V-cycle: the hierarchy is reconstructed from (circuit,
-    config) — it is deterministic — and the checkpointed arrays restore
-    the current level's placer state, making the resumed trajectory
-    bitwise-identical to the uninterrupted one.  Also accepts flat
-    (level-0-of-1) checkpoints taken by a multilevel run whose
-    coarsening made no progress. *)
-val restore_multilevel :
-  t ->
-  Kraftwerk.Config.t ->
-  Netlist.Circuit.t ->
-  fixed_positions:(int * (float * float)) list ->
+  Kraftwerk.Cluster.hierarchy ->
   (Kraftwerk.Cluster.run, string) result
 
 (** [placement t ~num_cells] extracts just the placement (the ECO

@@ -14,8 +14,9 @@
     ({!Kraftwerk.Config.standard} / {!Kraftwerk.Config.fast}). *)
 type mode = Objective.mode = Standard | Fast
 
-(** Re-export of {!Objective.flow}: [Flat] is the classic single-level
-    controller loop; [Multilevel] runs the recursive {!Kraftwerk.Cluster}
+(** Re-export of {!Objective.flow}: which hierarchy the job's
+    {!Kraftwerk.Cluster.run} places.  [Flat] is the classic single-level
+    controller loop (a one-level run); [Multilevel] runs the recursive
     V-cycle (cluster to a coarse netlist, place it, then uncluster and
     refine level by level).  Both are deterministic and
     checkpoint/resume-safe. *)
@@ -25,9 +26,10 @@ type flow = Objective.flow = Flat | Multilevel
 
     - [Fresh] — the source's initial placement, ~e = 0 (a normal run).
     - [Resume file] — a {!Checkpoint} of a mid-run state of {e this}
-      job: placement, accumulated forces, net weights and iteration
-      counter restored bitwise, so the trajectory continues exactly
-      where it stopped.
+      job: placement, accumulated forces, net weights, iteration
+      counter and step count restored bitwise, so the trajectory
+      continues exactly where it stopped.  A checkpoint of the other
+      flow ends the job [Failed].
     - [Warm file] — only the {e placement} of a checkpoint, with fresh
       forces: the ECO shape (§5), re-placing an edited circuit on top of
       a converged base placement ({!Kraftwerk.Eco.replace}). *)
@@ -44,9 +46,11 @@ type spec = {
           returns its best-so-far placement, greedily legalised, with
           status [Cancelled] — never an error *)
   max_steps : int option;
-      (** cap on the {e total} placer iteration counter (so a resumed
-          job counts steps done before its checkpoint); [None] defers
-          to the mode's [max_iterations] *)
+      (** cap on the job's {e total} transformations, over every
+          V-cycle level and, for a resumed job, those before its
+          checkpoint.  It never extends the config's budgets
+          ([max_iterations], and [ml_refine_iters] per refinement
+          level): [None] leaves them alone *)
   start : start;
   checkpoint : string option;  (** checkpoint file to maintain *)
   checkpoint_every : int;
@@ -96,8 +100,12 @@ val status_to_string : status -> string
 
 type result = {
   status : status;
-  iterations : int;  (** final placer iteration counter *)
-  converged : bool;  (** stopped by §4.2, not a budget *)
+  iterations : int;
+      (** transformations of the whole run, over every V-cycle level
+          and across resumes *)
+  converged : bool;
+      (** stopped by a stop rule (§4.2's empty square or the LB/UB
+          gap), not by a budget or the [max_steps] cap *)
   hpwl : float;  (** after legalisation *)
   overlap : float;
   legal : bool;

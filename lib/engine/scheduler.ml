@@ -8,54 +8,21 @@ type event =
   | Checkpointed of id * string
   | Finished of id * Job.status * final option
 
-(* What a job executes: the flat flow is a bare placer state, the
-   multilevel flow a whole V-cycle (which owns a per-level placer state
-   internally). *)
-type exec =
-  | Flat of Kraftwerk.Placer.state
-  | Multi of Kraftwerk.Cluster.run
-
 (* Live state of a started job, dropped once the job is terminal.  Only
    the domain currently executing the job's slice touches it. *)
 type running = {
   circuit : Netlist.Circuit.t;
-  exec : exec;
+  vcycle : Kraftwerk.Cluster.run;
+      (* what the job executes: a one-level run for the flat flow *)
   hooks : Kraftwerk.Placer.hooks;
   crit : Timing.Criticality.t option;  (* timing-driven jobs *)
   sink : Obs.Sink.t option;  (* private per-job telemetry sink *)
   trace_oc : out_channel option;
   iters_emitted : int ref;
   started_at : float;
-  max_steps : int;  (* cap on the total placer iteration counter *)
-  mutable steps_taken : int;
-      (* transformations executed by this engine run; the iteration
-         count of multilevel jobs, whose per-level states reset *)
   mutable since_checkpoint : int;
   mutable checkpoint_written : string option;
 }
-
-(* The placer state currently being transformed (the current stage's
-   for a V-cycle). *)
-let exec_state = function
-  | Flat s -> s
-  | Multi r -> Kraftwerk.Cluster.current_state r
-
-(* Iterations to report: the flat flow's placer counter survives
-   checkpoint/resume by itself; a V-cycle's per-level counters reset at
-   every descent, so the engine's own step count is the honest total. *)
-let exec_iterations run =
-  match run.exec with
-  | Flat s -> s.Kraftwerk.Placer.iteration
-  | Multi _ -> run.steps_taken
-
-(* Final flat placement of a (possibly mid-flight) exec: a V-cycle
-   still sitting on a coarse level expands straight down first. *)
-let exec_final_placement circuit = function
-  | Flat s -> s.Kraftwerk.Placer.placement
-  | Multi r ->
-    let p = Kraftwerk.Cluster.finish r in
-    Netlist.Placement.clamp_to_region circuit p;
-    p
 
 type entry = {
   id : id;
@@ -273,8 +240,8 @@ let sys_reason file reason =
       (String.length reason - String.length prefix)
   else reason
 
-(* Fixed positions as the multilevel flow wants them: whatever the
-   initial placement pins. *)
+(* Fixed positions as the V-cycle's hierarchy wants them: whatever the
+   placement pins. *)
 let fixed_positions_of circuit (p : Netlist.Placement.t) =
   Array.to_list circuit.Netlist.Circuit.cells
   |> List.filter_map (fun (cl : Netlist.Cell.t) ->
@@ -320,22 +287,19 @@ let start_running (spec : Job.spec) =
         | _ -> Timing.Criticality.create (Netlist.Circuit.num_nets circuit))
     else None
   in
-  let* exec, steps0 =
-    match (Job.flow spec, origin) with
-    | Job.Flat, Initial p ->
-      Ok (Flat (Kraftwerk.Placer.init config circuit p), 0)
-    | Job.Flat, Restore cp ->
-      let* state = Checkpoint.restore cp config circuit in
-      Ok (Flat state, 0)
-    | Job.Multilevel, Initial p ->
-      let fixed_positions = fixed_positions_of circuit p in
-      Ok (Multi (Kraftwerk.Cluster.start config circuit ~fixed_positions p), 0)
-    | Job.Multilevel, Restore cp ->
-      let fixed = fixed_positions_of circuit p0 in
-      let* run =
-        Checkpoint.restore_multilevel cp config circuit ~fixed_positions:fixed
-      in
-      Ok (Multi run, cp.Checkpoint.iteration)
+  (* The one branch on the flow: the hierarchy the run places.  Fixed
+     cells stay where the placement the run starts from pins them. *)
+  let hierarchy (p : Netlist.Placement.t) =
+    match Job.flow spec with
+    | Job.Flat -> Kraftwerk.Cluster.unclustered circuit
+    | Job.Multilevel ->
+      Kraftwerk.Cluster.build_hierarchy config circuit
+        ~fixed_positions:(fixed_positions_of circuit p)
+  in
+  let* vcycle =
+    match origin with
+    | Initial p -> Ok (Kraftwerk.Cluster.of_hierarchy config (hierarchy p) p)
+    | Restore cp -> Checkpoint.restore cp config (hierarchy p0)
   in
   let hooks =
     match crit with
@@ -378,24 +342,13 @@ let start_running (spec : Job.spec) =
   Ok
     {
       circuit;
-      exec;
+      vcycle;
       hooks;
       crit;
       sink;
       trace_oc;
       iters_emitted;
       started_at = Unix.gettimeofday ();
-      max_steps =
-        (match spec.Job.max_steps with
-        | Some n -> n
-        | None -> (
-          (* A V-cycle budgets per level ([max_iterations] at the
-             coarsest stage, [ml_refine_iters] below); an engine-wide
-             cap only applies when the spec asks for one. *)
-          match exec with
-          | Flat _ -> config.Kraftwerk.Config.max_iterations
-          | Multi _ -> max_int));
-      steps_taken = steps0;
       since_checkpoint = 0;
       checkpoint_written = None;
     }
@@ -405,12 +358,7 @@ let start_running (spec : Job.spec) =
 
 let write_checkpoint t entry run file =
   let criticality = Option.map Timing.Criticality.to_array run.crit in
-  let cp =
-    match run.exec with
-    | Flat s -> Checkpoint.of_state ?criticality s
-    | Multi r -> Checkpoint.of_run ?criticality r
-  in
-  Checkpoint.save file cp;
+  Checkpoint.save file (Checkpoint.of_run ?criticality run.vcycle);
   run.since_checkpoint <- 0;
   run.checkpoint_written <- Some file;
   with_lock t (fun () ->
@@ -429,7 +377,8 @@ let close_trace run ~(result : Job.result) =
         wall_time = result.Job.wall_s;
         stop_reason =
           Option.map Kraftwerk.Controller.reason_to_string
-            (Kraftwerk.Placer.stop_reason (exec_state run.exec));
+            (Kraftwerk.Placer.stop_reason
+               (Kraftwerk.Cluster.current_state run.vcycle));
         counters = Obs.Registry.snapshot ();
       }
   | None, _ -> ());
@@ -494,19 +443,32 @@ let finish_failed t entry msg =
 
 (* Completed job: the final placer, with the improvement deltas of
    each pass surfaced in the result; routability-goal jobs validate the
-   final legal placement with the global router ([Job.completed]). *)
-let finish_done t entry run ~converged =
+   final legal placement with the global router ([Job.completed]).  A
+   job ended by its [max_steps] cap records [Max_steps] after its
+   checkpoint: the cap ends this job, not the run a resume continues.
+   The job converged when a stop rule, not a budget, ended it. *)
+let finish_done t entry run ~capped =
   (match entry.spec.Job.checkpoint with
   | Some file -> write_checkpoint t entry run file
   | None -> ());
   let c = run.circuit in
-  let global = exec_final_placement c run.exec in
+  let global = Kraftwerk.Cluster.finish run.vcycle in
+  let controller =
+    (Kraftwerk.Cluster.current_state run.vcycle).Kraftwerk.Placer.controller
+  in
+  if capped then
+    Kraftwerk.Controller.record_stop controller Kraftwerk.Controller.Max_steps;
+  let converged =
+    match controller.Kraftwerk.Controller.stop_reason with
+    | Some (Kraftwerk.Controller.Gap | Kraftwerk.Controller.Density) -> true
+    | Some Kraftwerk.Controller.Max_steps | None -> false
+  in
   let fin = Legalize.Finish.run c global in
   let r = Job.completed entry.spec.Job.objective c fin in
   finish t entry ~final:{ global; legal = fin.Legalize.Finish.placement }
     {
       r with
-      Job.iterations = exec_iterations run;
+      Job.iterations = Kraftwerk.Cluster.steps run.vcycle;
       converged;
       wall_s = Unix.gettimeofday () -. run.started_at;
       checkpoint_written = run.checkpoint_written;
@@ -524,7 +486,7 @@ let finish_degraded t entry run ~deadline_expired =
   | Some file -> write_checkpoint t entry run file
   | None -> ());
   let c = run.circuit in
-  let global = exec_final_placement c run.exec in
+  let global = Kraftwerk.Cluster.finish run.vcycle in
   (* Both legalisers work on a copy: [global] stays the global
      placement. *)
   let lp, legal =
@@ -541,7 +503,7 @@ let finish_degraded t entry run ~deadline_expired =
   finish t entry ~final:{ global; legal = lp }
     {
       Job.status = Job.Cancelled;
-      iterations = exec_iterations run;
+      iterations = Kraftwerk.Cluster.steps run.vcycle;
       converged = false;
       hpwl = Metrics.Wirelength.hpwl c lp;
       overlap = Metrics.Overlap.overlap_ratio c lp;
@@ -571,35 +533,20 @@ let slice_body t entry run =
     | None -> false
   in
   let cancelled = with_lock t (fun () -> entry.cancel_requested) in
-  let over_budget =
-    match run.exec with
-    | Flat s -> s.Kraftwerk.Placer.iteration >= run.max_steps
-    | Multi _ -> run.steps_taken >= run.max_steps
-  in
-  let done_now =
-    match run.exec with
-    | Flat s -> Kraftwerk.Placer.converged s
-    | Multi r -> Kraftwerk.Cluster.finished r
+  let capped =
+    match entry.spec.Job.max_steps with
+    | Some n -> Kraftwerk.Cluster.steps run.vcycle >= n
+    | None -> false
   in
   if cancelled || deadline_expired then
     finish_degraded t entry run ~deadline_expired
-  else if over_budget then begin
-    Kraftwerk.Controller.record_stop
-      (exec_state run.exec).Kraftwerk.Placer.controller
-      Kraftwerk.Controller.Max_steps;
-    finish_done t entry run ~converged:false
-  end
-  else if done_now then finish_done t entry run ~converged:true
+  else if capped || Kraftwerk.Cluster.finished run.vcycle then
+    finish_done t entry run ~capped
   else begin
-    let step () =
-      match run.exec with
-      | Flat s -> ignore (Kraftwerk.Placer.transform ~hooks:run.hooks s)
-      | Multi r -> ignore (Kraftwerk.Cluster.step ~hooks:run.hooks r)
-    in
+    let step () = ignore (Kraftwerk.Cluster.step ~hooks:run.hooks run.vcycle) in
     (match run.sink with
     | Some sink -> Obs.Sink.with_sink sink step
     | None -> step ());
-    run.steps_taken <- run.steps_taken + 1;
     run.since_checkpoint <- run.since_checkpoint + 1;
     match entry.spec.Job.checkpoint with
     | Some file when run.since_checkpoint >= entry.spec.Job.checkpoint_every ->

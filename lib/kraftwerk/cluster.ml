@@ -286,7 +286,8 @@ let expand t ~coarse_placement ~flat_placement =
 (* level l seeds its RNG with ml_seed + l, the placer kernels are       *)
 (* bitwise-deterministic for any domain count, and expansion is         *)
 (* closed-form — so the hierarchy can be rebuilt identically on resume  *)
-(* and a checkpoint only needs (level, done-steps, level placer state). *)
+(* and a checkpoint only needs the level, its placer state and the      *)
+(* run's step count.  A flat run is a run on a one-level hierarchy.     *)
 
 type hierarchy = {
   circuits : Netlist.Circuit.t array;
@@ -353,12 +354,21 @@ let level_config (config : Config.t) ~level =
         *. (config.Config.ml_grid_scale ** float_of_int level);
     }
 
+(* The hierarchy of a flat run: the circuit alone.  [level_fixed.(0)]
+   is read only when a coarser level expands into level 0, which a
+   one-level hierarchy never does. *)
+let unclustered (c : Netlist.Circuit.t) =
+  { circuits = [| c |]; clusterings = [||]; level_fixed = [| [] |] }
+
 type run = {
   run_config : Config.t;
   hierarchy : hierarchy;
   mutable level : int;  (* current stage, depth … 0 *)
   mutable state : Placer.state;
-  mutable level_steps : int;  (* transformations taken in this stage *)
+      (* its [iteration] counts the transformations of this stage *)
+  mutable steps : int;  (* transformations of the whole run *)
+  mutable verdict : bool option;
+      (* [level_done] of the current state, once evaluated *)
 }
 
 let total_levels r = depth r.hierarchy + 1
@@ -369,9 +379,9 @@ let flat_circuit r = r.hierarchy.circuits.(0)
 
 let current_level r = r.level
 
-let current_level_steps r = r.level_steps
-
 let current_state r = r.state
+
+let steps r = r.steps
 
 (* The coarsest stage runs the full controller loop; every refinement
    stage below it gets the (much smaller) per-level budget. *)
@@ -387,28 +397,31 @@ let init_level config h ~level =
   in
   Placer.init ~telemetry_level:level (level_config config ~level) circuit p0
 
+let make config h ~level ~steps state =
+  { run_config = config; hierarchy = h; level; state; steps; verdict = None }
+
+let resume (config : Config.t) h ~level ~steps state =
+  let d = depth h in
+  if level < 0 || level > d then
+    invalid_arg
+      (Printf.sprintf "Cluster.resume: level %d outside 0..%d" level d);
+  make config h ~level ~steps state
+
+let of_hierarchy (config : Config.t) h placement =
+  let d = depth h in
+  let state =
+    if d = 0 then
+      (* One level: the flat flow, from the caller's placement. *)
+      Placer.init config h.circuits.(0) placement
+    else init_level config h ~level:d
+  in
+  make config h ~level:d ~steps:0 state
+
+let flat config c placement = of_hierarchy config (unclustered c) placement
+
 let start (config : Config.t) (c : Netlist.Circuit.t) ~fixed_positions
     placement =
-  let h = build_hierarchy config c ~fixed_positions in
-  let d = depth h in
-  if d = 0 then
-    (* Clustering made no progress: degenerate to the flat flow from the
-       caller's placement. *)
-    {
-      run_config = config;
-      hierarchy = h;
-      level = 0;
-      state = Placer.init config c placement;
-      level_steps = 0;
-    }
-  else
-    {
-      run_config = config;
-      hierarchy = h;
-      level = d;
-      state = init_level config h ~level:d;
-      level_steps = 0;
-    }
+  of_hierarchy config (build_hierarchy config c ~fixed_positions) placement
 
 (* Expand the current level's placement one level down and switch the
    run to the finer circuit. *)
@@ -430,7 +443,7 @@ let descend r =
     Placer.init ~telemetry_level:(l - 1)
       (level_config r.run_config ~level:(l - 1))
       fine fine_p;
-  r.level_steps <- 0;
+  r.verdict <- None;
   (* The coarser level's placer state is garbage now, and the live set
      is at its smallest before the finer stage's first transformation.
      Left to the major GC's pace, that garbage is still uncollected
@@ -438,7 +451,22 @@ let descend r =
      the run's peak RSS. *)
   Gc.full_major ()
 
-let level_done r = r.level_steps >= level_budget r || Placer.converged r.state
+(* The stage's stop check, evaluated once per state of the stage: its
+   budget first (recorded as [Max_steps]), then the placer's stop rules,
+   which record their own reason. *)
+let level_done r =
+  match r.verdict with
+  | Some v -> v
+  | None ->
+    let v =
+      if r.state.Placer.iteration >= level_budget r then begin
+        Controller.record_stop r.state.Placer.controller Controller.Max_steps;
+        true
+      end
+      else Placer.converged r.state
+    in
+    r.verdict <- Some v;
+    v
 
 (* One V-cycle step: a single placement transformation, descending
    first when the current stage is finished.  Hooks reference flat-level
@@ -454,7 +482,8 @@ let rec step ?hooks r =
   else begin
     let hooks = if r.level = 0 then hooks else None in
     ignore (Placer.transform ?hooks r.state);
-    r.level_steps <- r.level_steps + 1;
+    r.steps <- r.steps + 1;
+    r.verdict <- None;
     true
   end
 
@@ -467,21 +496,6 @@ let finish r =
     descend r
   done;
   r.state.Placer.placement
-
-(* Rebuild a run at a checkpointed position: the hierarchy is a pure
-   function of (circuit, config), so only the level index, its completed
-   step count and the level placer state need restoring.  [restore_state]
-   receives the level's circuit and per-level config and returns the
-   placer state (built from checkpointed arrays). *)
-let resume (config : Config.t) (c : Netlist.Circuit.t) ~fixed_positions ~level
-    ~level_steps ~restore_state =
-  let h = build_hierarchy config c ~fixed_positions in
-  let d = depth h in
-  if level < 0 || level > d then
-    invalid_arg
-      (Printf.sprintf "Cluster.resume: level %d outside 0..%d" level d);
-  let state = restore_state h.circuits.(level) (level_config config ~level) in
-  { run_config = config; hierarchy = h; level; state; level_steps }
 
 let place_multilevel ?seed config (c : Netlist.Circuit.t) ~fixed_positions
     placement =

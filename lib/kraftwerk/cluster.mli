@@ -62,13 +62,15 @@ val expand :
     level, at most [ml_max_levels], stopping early when clustering no
     longer shrinks the netlist), place the coarsest circuit with the
     normal controller-driven loop, then uncluster and refine level by
-    level under the [ml_refine_iters] budget.
+    level under the [ml_refine_iters] budget.  The flat flow is the same
+    run on a one-level hierarchy ({!flat}): one stage, the flat circuit,
+    under the [max_iterations] budget.
 
     Trajectories are a pure function of (circuit, config): clustering at
     level [l] seeds its RNG with [ml_seed + l] and every kernel is
     bitwise-deterministic for any domain/shard count, so the hierarchy
     rebuilds identically on resume and a checkpoint only needs the level
-    index, its completed step count and the level placer state. *)
+    index, the level placer state and the run's step count. *)
 
 (** The full coarsening stack: [circuits.(0)] is the flat circuit,
     [circuits.(depth)] the coarsest. *)
@@ -77,30 +79,42 @@ type hierarchy = {
   clusterings : clustering array;
       (** [clusterings.(l)] maps [circuits.(l)] to [circuits.(l+1)] *)
   level_fixed : (int * (float * float)) list array;
-      (** fixed positions per level *)
+      (** fixed positions per level, read when a coarser level expands
+          into the level *)
 }
 
-(** Number of coarsening levels (0 when clustering made no progress). *)
+(** Number of coarsening levels (0 for a one-level hierarchy). *)
 val depth : hierarchy -> int
 
 (** [build_hierarchy config circuit ~fixed_positions] runs the recursive
-    coarsening pass alone — deterministic for a given (circuit, config). *)
+    coarsening pass alone — deterministic for a given (circuit, config).
+    Its depth is 0 when clustering makes no progress. *)
 val build_hierarchy :
   Config.t ->
   Netlist.Circuit.t ->
   fixed_positions:(int * (float * float)) list ->
   hierarchy
 
+(** [unclustered circuit] is the one-level hierarchy of the flat flow:
+    [circuit] alone, depth 0. *)
+val unclustered : Netlist.Circuit.t -> hierarchy
+
 (** The placer configuration used at [level]: level 0 is [config]
     itself; coarse levels drop an explicit grid pin and compound
     [ml_grid_scale] once per level. *)
 val level_config : Config.t -> level:int -> Config.t
 
-(** An in-flight V-cycle: the hierarchy plus the current stage's placer
-    state.  Stages count {e down} from [depth hierarchy] (coarsest) to 0
-    (flat).  Every descent ends with one full major collection
-    ([Gc.full_major]): the coarser level's placer state has just become
-    garbage, and the live set is small. *)
+(** An in-flight run: the hierarchy, the current stage's placer state
+    and the run's step count.  Stages count {e down} from
+    [depth hierarchy] (coarsest) to 0 (flat).  Every descent ends with
+    one full major collection ([Gc.full_major]): the coarser level's
+    placer state has just become garbage, and the live set is small.
+
+    A stage ends on its budget ([max_iterations] at the coarsest stage,
+    [ml_refine_iters] below it), recorded in its controller as
+    {!Controller.Max_steps}, or on a stop rule of {!Placer.converged},
+    whichever holds first; the stop check runs once per transformation
+    however often {!step} and {!finished} ask. *)
 type run
 
 val total_levels : run -> int
@@ -114,17 +128,29 @@ val flat_circuit : run -> Netlist.Circuit.t
 (** Current stage index ([0] = flat). *)
 val current_level : run -> int
 
-(** Transformations taken in the current stage. *)
-val current_level_steps : run -> int
-
 (** The current stage's placer state (against
-    [hierarchy.circuits.(current_level)]). *)
+    [hierarchy.circuits.(current_level)]); its [iteration] counts the
+    transformations of the stage. *)
 val current_state : run -> Placer.state
 
+(** Transformations of the whole run, over every stage and, for a
+    resumed run, those before its checkpoint. *)
+val steps : run -> int
+
+(** [of_hierarchy config hierarchy placement] starts a run at the
+    hierarchy's coarsest stage, from a centred placement of that stage's
+    circuit.  [placement] seeds the one stage of a one-level hierarchy
+    and is otherwise unused. *)
+val of_hierarchy : Config.t -> hierarchy -> Netlist.Placement.t -> run
+
+(** [flat config circuit placement] is the flat flow's run:
+    [of_hierarchy config (unclustered circuit) placement]. *)
+val flat : Config.t -> Netlist.Circuit.t -> Netlist.Placement.t -> run
+
 (** [start config circuit ~fixed_positions placement] builds the
-    hierarchy and the coarsest stage's placer.  [placement] is only used
-    when clustering makes no progress and the run degenerates to the
-    flat flow. *)
+    hierarchy and starts the run on it ({!of_hierarchy}).  When
+    clustering makes no progress the hierarchy has one level and the
+    run is {!flat}'s. *)
 val start :
   Config.t ->
   Netlist.Circuit.t ->
@@ -132,14 +158,14 @@ val start :
   Netlist.Placement.t ->
   run
 
-(** [step ?hooks run] advances the V-cycle by one placement
-    transformation, first expanding down a level whenever the current
-    stage has converged or exhausted its budget.  [hooks] reference
-    flat-level indices and engage only at level 0.  Returns [false] once
-    the flat level is done. *)
+(** [step ?hooks run] advances the run by one placement transformation,
+    first expanding down a level whenever the current stage is done.
+    [hooks] reference flat-level indices and engage only at level 0.
+    Returns [false], transforming nothing, once the flat level is
+    done. *)
 val step : ?hooks:Placer.hooks -> run -> bool
 
-(** True once the flat level has converged or exhausted its budget. *)
+(** True once the flat level is done. *)
 val finished : run -> bool
 
 (** [finish run] deterministically expands any remaining levels straight
@@ -147,20 +173,13 @@ val finished : run -> bool
     (used by cancelled/degraded engine finishes). *)
 val finish : run -> Netlist.Placement.t
 
-(** [resume config circuit ~fixed_positions ~level ~level_steps
-    ~restore_state] rebuilds a run mid-flight: the hierarchy is
-    reconstructed (deterministically), and [restore_state] is called
-    with the level's circuit and per-level config to rebuild the placer
-    state from checkpointed arrays.
-    @raise Invalid_argument when [level] exceeds the rebuilt depth. *)
+(** [resume config hierarchy ~level ~steps state] rebuilds a run
+    mid-flight at [level] of [hierarchy], with [state] (a placer state
+    on [hierarchy.circuits.(level)] under [level_config config ~level])
+    as the stage's state and [steps] transformations already taken.
+    @raise Invalid_argument when [level] is outside [0 .. depth]. *)
 val resume :
-  Config.t ->
-  Netlist.Circuit.t ->
-  fixed_positions:(int * (float * float)) list ->
-  level:int ->
-  level_steps:int ->
-  restore_state:(Netlist.Circuit.t -> Config.t -> Placer.state) ->
-  run
+  Config.t -> hierarchy -> level:int -> steps:int -> Placer.state -> run
 
 (** [place_multilevel ?seed config circuit ~fixed_positions placement]
     drives a whole V-cycle to completion and returns the flat placement

@@ -4,6 +4,7 @@ type work = {
   forces : Density.Forces.buffers;
   extra_sum : Geometry.Grid2.t; (* hook demand + target map, when both run *)
   hpwl : unit -> float; (* the placement's HPWL, for a deferred lower bound *)
+  average_cell_area : float; (* of the movable cells, for the stop check *)
 }
 
 type state = {
@@ -131,6 +132,11 @@ let make ?(telemetry_level = 0) ?ex ?ey ?net_weights ?controller ?route_target
             ~n_movable;
         extra_sum = Geometry.Grid2.create circuit.Netlist.Circuit.region ~nx ~ny;
         hpwl = (fun () -> Metrics.Wirelength.hpwl circuit placement);
+        (* [Netlist.Circuit.average_cell_area]'s bits, with the movable
+           count already at hand. *)
+        average_cell_area =
+          (if n_movable = 0 then 0.
+           else Netlist.Circuit.movable_area circuit /. float_of_int n_movable);
       };
   }
 
@@ -423,8 +429,8 @@ let converged state =
          true
        end
   else if
-    Density.Stop.should_stop ~multiplier:state.config.Config.stop_multiplier
-      state.circuit state.demand
+    Density.Stop.satisfied ~multiplier:state.config.Config.stop_multiplier
+      ~average_cell_area:state.work.average_cell_area state.demand
   then begin
     Controller.record_stop ctrl Controller.Density;
     true

@@ -65,28 +65,45 @@ let iteration_payloads file =
 
 let last k l = List.filteri (fun i _ -> i >= List.length l - k) l
 
+(* A job's run on a one-level hierarchy (the flat flow), [steps]
+   transformations in. *)
+let flat_run ?(steps = 0) config circuit p0 =
+  let run = Kraftwerk.Cluster.flat config circuit p0 in
+  for _ = 1 to steps do
+    ignore (Kraftwerk.Cluster.step run)
+  done;
+  run
+
+let state_of = Kraftwerk.Cluster.current_state
+
+(* Resume a flat-flow checkpoint, as a flat job does. *)
+let restore_flat cp config circuit =
+  Result.map state_of
+    (Engine.Checkpoint.restore cp config (Kraftwerk.Cluster.unclustered circuit))
+
 (* ------------------------------------------------------------------ *)
 (* Checkpoint                                                          *)
 
 let test_checkpoint_round_trip () =
   let circuit, p0 = ok_or_fail (Engine.Source.load (source ())) in
   let config = Kraftwerk.Config.fast in
-  let state = Kraftwerk.Placer.init config circuit p0 in
-  ignore (Kraftwerk.Placer.continue_run state ~max_steps:4);
-  let cp = Engine.Checkpoint.of_state state in
+  let run = flat_run ~steps:4 config circuit p0 in
+  let state = state_of run in
+  let cp = Engine.Checkpoint.of_run run in
   let file = temp ".json" in
   Engine.Checkpoint.save file cp;
   let cp' = ok_or_fail (Engine.Checkpoint.load file) in
   Sys.remove file;
   Alcotest.(check int) "iteration" state.Kraftwerk.Placer.iteration
     cp'.Engine.Checkpoint.iteration;
+  Alcotest.(check int) "steps" 4 cp'.Engine.Checkpoint.steps;
   same_float_array "x" cp.Engine.Checkpoint.x cp'.Engine.Checkpoint.x;
   same_float_array "y" cp.Engine.Checkpoint.y cp'.Engine.Checkpoint.y;
   same_float_array "ex" cp.Engine.Checkpoint.ex cp'.Engine.Checkpoint.ex;
   same_float_array "ey" cp.Engine.Checkpoint.ey cp'.Engine.Checkpoint.ey;
   same_float_array "net_weights" cp.Engine.Checkpoint.net_weights
     cp'.Engine.Checkpoint.net_weights;
-  let restored = ok_or_fail (Engine.Checkpoint.restore cp' config circuit) in
+  let restored = ok_or_fail (restore_flat cp' config circuit) in
   same_placement "restored placement" state.Kraftwerk.Placer.placement
     restored.Kraftwerk.Placer.placement;
   same_float_array "restored ex" state.Kraftwerk.Placer.ex
@@ -101,14 +118,13 @@ let test_checkpoint_round_trip () =
 let test_checkpoint_lb_off_probe () =
   let circuit, p0 = ok_or_fail (Engine.Source.load (source ())) in
   let config = { Kraftwerk.Config.fast with Kraftwerk.Config.legalize_every = 3 } in
-  let state = Kraftwerk.Placer.init config circuit p0 in
-  let reports = Kraftwerk.Placer.continue_run state ~max_steps:4 in
-  let last = List.nth reports (List.length reports - 1) in
-  Alcotest.(check int) "four steps" 4 last.Kraftwerk.Placer.step;
-  Alcotest.(check bool) "step 4 carries no hpwl" true
-    (last.Kraftwerk.Placer.hpwl = None);
+  let run = flat_run ~steps:4 config circuit p0 in
+  let state = state_of run in
+  Alcotest.(check int) "four steps" 4 state.Kraftwerk.Placer.iteration;
+  Alcotest.(check bool) "step 4 left its hpwl uncomputed" true
+    (state.Kraftwerk.Placer.controller.Kraftwerk.Controller.lb_due <> None);
   let file = temp ".json" in
-  Engine.Checkpoint.save file (Engine.Checkpoint.of_state state);
+  Engine.Checkpoint.save file (Engine.Checkpoint.of_run run);
   let cp = ok_or_fail (Engine.Checkpoint.load file) in
   Sys.remove file;
   let saved =
@@ -118,7 +134,7 @@ let test_checkpoint_lb_off_probe () =
   let lb = Kraftwerk.Controller.lb cp.Engine.Checkpoint.controller in
   if bits lb <> bits saved then
     Alcotest.failf "checkpoint lb %h, hpwl of its placement %h" lb saved;
-  let restored = ok_or_fail (Engine.Checkpoint.restore cp config circuit) in
+  let restored = ok_or_fail (restore_flat cp config circuit) in
   let lb' = Kraftwerk.Controller.lb restored.Kraftwerk.Placer.controller in
   if bits lb' <> bits saved then
     Alcotest.failf "restored lb %h, saved %h" lb' saved
@@ -126,37 +142,34 @@ let test_checkpoint_lb_off_probe () =
 let test_checkpoint_digest_guards () =
   let circuit, p0 = ok_or_fail (Engine.Source.load (source ())) in
   let config = Kraftwerk.Config.fast in
-  let state = Kraftwerk.Placer.init config circuit p0 in
-  ignore (Kraftwerk.Placer.continue_run state ~max_steps:2);
-  let cp = Engine.Checkpoint.of_state state in
+  let cp = Engine.Checkpoint.of_run (flat_run ~steps:2 config circuit p0) in
   (* A different trajectory-relevant config field must be rejected... *)
   let bad = { config with Kraftwerk.Config.k_param = 0.123 } in
-  (match Engine.Checkpoint.restore cp bad circuit with
+  (match restore_flat cp bad circuit with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "restore accepted a different config");
   (* ...a different circuit must be rejected... *)
   let rng = Numeric.Rng.create 5 in
   let rewired = Kraftwerk.Eco.rewire circuit rng ~fraction:0.5 in
-  (match Engine.Checkpoint.restore cp config rewired with
+  (match restore_flat cp config rewired with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "restore accepted a different circuit");
   (* ...but the inert [Config.domains] field is not part of the
      semantics (results are the same bits on any domain). *)
   let pinned = { config with Kraftwerk.Config.domains = Some 2 } in
-  ignore (ok_or_fail (Engine.Checkpoint.restore cp pinned circuit))
+  ignore (ok_or_fail (restore_flat cp pinned circuit))
 
 (* The config digests of the presets, pinned: a checkpoint resumes only
-   while the fingerprint renders every field as it did when the
-   checkpoint was written (the net model as the literal [model=clique],
-   the Poisson evaluator as [solver=fft]). *)
+   while the fingerprint renders every trajectory field as it did when
+   the checkpoint was written. *)
 let test_checkpoint_digest_pins () =
   List.iter
     (fun (name, config, digest) ->
       Alcotest.(check string) name digest (Engine.Checkpoint.config_digest config))
     [
-      ("standard", Kraftwerk.Config.standard, "db2091fd799365f5f6bc5afa4289957c");
-      ("fast", Kraftwerk.Config.fast, "4960d63116d694c399449b57f30b5f71");
-      ("effort 9", Kraftwerk.Config.effort 9, "5aa2fc59d773d3f8e63024dd872e8708");
+      ("standard", Kraftwerk.Config.standard, "8204dfd5b00f002881bb4efdb7c47ec9");
+      ("fast", Kraftwerk.Config.fast, "85f0b6cc99eead03b2a0d5c64c1e0c8a");
+      ("effort 9", Kraftwerk.Config.effort 9, "d1f28f264d66c139db50ab3b5d7635d3");
     ]
 
 (* The core property (§2.2: the accumulated ~e vectors make mid-run
@@ -166,18 +179,26 @@ let test_resume_bitwise () =
   let circuit, p0 = ok_or_fail (Engine.Source.load (source ())) in
   let total = 10 and cut = 4 in
   let config = Kraftwerk.Config.fast in
-  let reference = Kraftwerk.Placer.init config circuit p0 in
-  ignore (Kraftwerk.Placer.continue_run reference ~max_steps:total);
-  let first = Kraftwerk.Placer.init config circuit p0 in
-  ignore (Kraftwerk.Placer.continue_run first ~max_steps:cut);
+  let reference_run = flat_run ~steps:total config circuit p0 in
+  let reference = state_of reference_run in
+  let first = flat_run ~steps:cut config circuit p0 in
   let file = temp ".json" in
-  Engine.Checkpoint.save file (Engine.Checkpoint.of_state first);
+  Engine.Checkpoint.save file (Engine.Checkpoint.of_run first);
   let cp = ok_or_fail (Engine.Checkpoint.load file) in
   Sys.remove file;
-  let resumed = ok_or_fail (Engine.Checkpoint.restore cp config circuit) in
-  ignore (Kraftwerk.Placer.continue_run resumed ~max_steps:(total - cut));
+  let resumed_run =
+    ok_or_fail
+      (Engine.Checkpoint.restore cp config (Kraftwerk.Cluster.unclustered circuit))
+  in
+  for _ = 1 to total - cut do
+    ignore (Kraftwerk.Cluster.step resumed_run)
+  done;
+  let resumed = state_of resumed_run in
   Alcotest.(check int) "iteration" reference.Kraftwerk.Placer.iteration
     resumed.Kraftwerk.Placer.iteration;
+  Alcotest.(check int) "steps"
+    (Kraftwerk.Cluster.steps reference_run)
+    (Kraftwerk.Cluster.steps resumed_run);
   same_placement "placement" reference.Kraftwerk.Placer.placement
     resumed.Kraftwerk.Placer.placement;
   same_float_array "ex" reference.Kraftwerk.Placer.ex resumed.Kraftwerk.Placer.ex;
@@ -229,10 +250,9 @@ let test_resume_bitwise_controller_active () =
       stop_stall = 0;
     }
   in
-  let reference = Kraftwerk.Placer.init config circuit p0 in
-  ignore (Kraftwerk.Placer.continue_run reference ~max_steps:total);
-  let first = Kraftwerk.Placer.init config circuit p0 in
-  ignore (Kraftwerk.Placer.continue_run first ~max_steps:cut);
+  let reference = state_of (flat_run ~steps:total config circuit p0) in
+  let first_run = flat_run ~steps:cut config circuit p0 in
+  let first = state_of first_run in
   (* The cut must land mid-schedule: envelope history already
      recorded, penalty strictly between its initial value and cap. *)
   let fc = first.Kraftwerk.Placer.controller in
@@ -246,13 +266,19 @@ let test_resume_bitwise_controller_active () =
     (fc.Kraftwerk.Controller.penalty > 0.9
     && fc.Kraftwerk.Controller.penalty < 1.2);
   let file = temp ".json" in
-  Engine.Checkpoint.save file (Engine.Checkpoint.of_state first);
+  Engine.Checkpoint.save file (Engine.Checkpoint.of_run first_run);
   let cp = ok_or_fail (Engine.Checkpoint.load file) in
   Sys.remove file;
-  let resumed = ok_or_fail (Engine.Checkpoint.restore cp config circuit) in
+  let resumed_run =
+    ok_or_fail
+      (Engine.Checkpoint.restore cp config (Kraftwerk.Cluster.unclustered circuit))
+  in
+  let resumed = state_of resumed_run in
   same_controller (tag ^ ": at the cut") fc
     resumed.Kraftwerk.Placer.controller;
-  ignore (Kraftwerk.Placer.continue_run resumed ~max_steps:(total - cut));
+  for _ = 1 to total - cut do
+    ignore (Kraftwerk.Cluster.step resumed_run)
+  done;
   Alcotest.(check int)
     (tag ^ ": iteration")
     reference.Kraftwerk.Placer.iteration
@@ -448,9 +474,13 @@ let test_eco_job_matches_direct_replace () =
   let src = source ~seed:3 () in
   let circuit, p0 = ok_or_fail (Engine.Source.load src) in
   let config = Kraftwerk.Config.fast in
-  let base, _ = Kraftwerk.Placer.run config circuit p0 in
+  let base_run = flat_run config circuit p0 in
+  while Kraftwerk.Cluster.step base_run do
+    ()
+  done;
+  let base = state_of base_run in
   let ck = temp ".json" in
-  Engine.Checkpoint.save ck (Engine.Checkpoint.of_state base);
+  Engine.Checkpoint.save ck (Engine.Checkpoint.of_run base_run);
   let rng = Numeric.Rng.create 99 in
   let rewired = Kraftwerk.Eco.rewire circuit rng ~fraction:0.2 in
   let ckt = temp ".ckt" in
@@ -518,6 +548,57 @@ let test_concurrent_interleaving_preserves_trajectories () =
         (List.nth solo (i + 0))
         (job_placement finals id))
     (List.combine seeds ids)
+
+(* A flat job is a one-level run: through the scheduler it is the same
+   computation as [Placer.run] (here [continue_run] under the job's cap)
+   followed by [Legalize.Finish.run] — global and legal placement,
+   legalised HPWL, iterations and [converged], bit for bit.  The first
+   job stops on a rule; the second ends on its [max_steps] cap.  (No
+   preset reaches its [max_iterations] budget on the generated circuits:
+   the gap or stall rule fires first.) *)
+let test_flat_job_matches_direct () =
+  List.iter
+    (fun (tag, objective, max_steps, stops_on_rule) ->
+      let src = source () in
+      let circuit, p0 = ok_or_fail (Engine.Source.load src) in
+      let config = Engine.Objective.config objective in
+      let state = Kraftwerk.Placer.init config circuit p0 in
+      ignore
+        (Kraftwerk.Placer.continue_run state
+           ~max_steps:
+             (Option.value max_steps
+                ~default:config.Kraftwerk.Config.max_iterations));
+      let converged =
+        match Kraftwerk.Placer.stop_reason state with
+        | Some (Kraftwerk.Controller.Gap | Kraftwerk.Controller.Density) -> true
+        | Some Kraftwerk.Controller.Max_steps | None -> false
+      in
+      Alcotest.(check bool) (tag ^ ": direct run stops on a rule")
+        stops_on_rule converged;
+      let fin = Legalize.Finish.run circuit state.Kraftwerk.Placer.placement in
+      let direct = Engine.Job.completed objective circuit fin in
+      let sched, finals = scheduler () in
+      let id =
+        submit_and_drain sched
+          (Engine.Job.spec ~source:src ~objective ?max_steps ())
+      in
+      let r = job_result sched id in
+      Alcotest.(check string) (tag ^ ": done") "done"
+        (Engine.Job.status_to_string r.Engine.Job.status);
+      same_placement (tag ^ ": global placement")
+        state.Kraftwerk.Placer.placement (job_placement finals id);
+      same_placement (tag ^ ": legal placement") fin.Legalize.Finish.placement
+        (Option.get (legalized finals id));
+      Alcotest.(check bool) (tag ^ ": legalised hpwl bitwise") true
+        (bits r.Engine.Job.hpwl = bits direct.Engine.Job.hpwl);
+      Alcotest.(check int) (tag ^ ": iterations")
+        state.Kraftwerk.Placer.iteration r.Engine.Job.iterations;
+      Alcotest.(check bool) (tag ^ ": converged") converged
+        r.Engine.Job.converged)
+    [
+      ("rule", fast (), None, true);
+      ("cap", fast ~effort:9 (), Some 6, false);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Sharded scheduler                                                    *)
@@ -782,7 +863,7 @@ let test_multilevel_job_matches_direct () =
   same_placement "multilevel global placement" direct (job_placement finals id)
 
 (* Multilevel checkpoints carry the stage coordinates and only restore
-   through the multilevel path. *)
+   onto the V-cycle's hierarchy. *)
 let test_multilevel_checkpoint_guards () =
   let src = ml_source () in
   let circuit, p0 = ok_or_fail (Engine.Source.load src) in
@@ -798,20 +879,22 @@ let test_multilevel_checkpoint_guards () =
   let cp = Engine.Checkpoint.of_run run in
   Alcotest.(check bool) "mid-level cut" true
     (cp.Engine.Checkpoint.ml_level > 0 && cp.Engine.Checkpoint.ml_levels > 1);
-  (* The flat restore path must refuse a coarse-stage checkpoint... *)
-  (match Engine.Checkpoint.restore cp config circuit with
+  (* A one-level hierarchy must refuse a coarse-stage checkpoint... *)
+  (match restore_flat cp config circuit with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "flat restore accepted a multilevel checkpoint");
-  (* ...while the multilevel path rebuilds the very same stage. *)
+  (* ...while the V-cycle's hierarchy rebuilds the very same stage. *)
   let file = temp ".json" in
   Engine.Checkpoint.save file cp;
   let cp' = ok_or_fail (Engine.Checkpoint.load file) in
   Sys.remove file;
   let resumed =
     ok_or_fail
-      (Engine.Checkpoint.restore_multilevel cp' config circuit
-         ~fixed_positions:fixed)
+      (Engine.Checkpoint.restore cp' config
+         (Kraftwerk.Cluster.build_hierarchy config circuit ~fixed_positions:fixed))
   in
+  Alcotest.(check int) "same steps" (Kraftwerk.Cluster.steps run)
+    (Kraftwerk.Cluster.steps resumed);
   Alcotest.(check int) "same level"
     (Kraftwerk.Cluster.current_level run)
     (Kraftwerk.Cluster.current_level resumed);
@@ -877,12 +960,112 @@ let test_multilevel_resume_bitwise_shards () =
             (tag "domains=%d %s: legalised hpwl bitwise" domains cut_name)
             true
             (bits rb.Engine.Job.hpwl = bits solo_r.Engine.Job.hpwl);
+          Alcotest.(check int)
+            (tag "domains=%d %s: same total iterations" domains cut_name)
+            solo_r.Engine.Job.iterations rb.Engine.Job.iterations;
           Sys.remove ck)
         [
           ("coarse cut", 5);
           ("refine cut", solo_r.Engine.Job.iterations - 3);
         ])
     [ 1; 2; 4 ]
+
+(* The summary record of a job's trace. *)
+let trace_summary file =
+  match
+    List.find_map
+      (fun line ->
+        match Obs.Json.of_string line with
+        | Ok v when Obs.Json.member "record" v = Some (Obs.Json.Str "summary")
+          ->
+          Some v
+        | _ -> None)
+      (read_lines file)
+  with
+  | Some v -> v
+  | None -> Alcotest.failf "%s: no summary record" file
+
+(* A V-cycle whose flat level ends on its [ml_refine_iters] budget did
+   not converge, and says why.  primary1 at seed 1 runs 100 coarse
+   transformations, then its 60 refinement steps at level 0.  The run
+   counts its own steps: a job cut at 120 and resumed reports the 160 of
+   the uninterrupted job, and a [max_steps] cap of 130 on the resumed
+   job stops it at 130 in all. *)
+let test_vcycle_budget_and_total_steps () =
+  let src = Engine.Source.Profile { name = "primary1"; scale = 1.0; seed = 1 } in
+  let mspec ?start ?checkpoint ?max_steps ?trace () =
+    Engine.Job.spec ~source:src
+      ~objective:(Engine.Objective.make ~flow:Engine.Job.Multilevel ())
+      ?start ?checkpoint ?max_steps ?trace ()
+  in
+  let tr = temp ".jsonl" and ck = temp ".json" in
+  let sched, finals = scheduler () in
+  let solo = submit_and_drain sched (mspec ~trace:tr ()) in
+  let rs = job_result sched solo in
+  Alcotest.(check int) "solo iterations" 160 rs.Engine.Job.iterations;
+  Alcotest.(check bool) "solo did not converge" false rs.Engine.Job.converged;
+  let summary = trace_summary tr in
+  Alcotest.(check bool) "summary: not converged" true
+    (Obs.Json.member "converged" summary = Some (Obs.Json.Bool false));
+  Alcotest.(check bool) "summary: stop reason max_steps" true
+    (Obs.Json.member "stop_reason" summary = Some (Obs.Json.Str "max_steps"));
+  let cut = submit_and_drain sched (mspec ~checkpoint:ck ~max_steps:120 ()) in
+  Alcotest.(check int) "cut iterations" 120
+    (job_result sched cut).Engine.Job.iterations;
+  let cp = ok_or_fail (Engine.Checkpoint.load ck) in
+  Alcotest.(check (pair int int)) "checkpoint: level iteration and run steps"
+    (20, 120)
+    (cp.Engine.Checkpoint.iteration, cp.Engine.Checkpoint.steps);
+  let resumed = submit_and_drain sched (mspec ~start:(Engine.Job.Resume ck) ()) in
+  let rr = job_result sched resumed in
+  Alcotest.(check int) "resumed iterations" 160 rr.Engine.Job.iterations;
+  Alcotest.(check bool) "resumed did not converge" false rr.Engine.Job.converged;
+  same_placement "resumed placement" (job_placement finals solo)
+    (job_placement finals resumed);
+  let capped =
+    submit_and_drain sched
+      (mspec ~start:(Engine.Job.Resume ck) ~max_steps:130 ())
+  in
+  Alcotest.(check int) "capped resume iterations" 130
+    (job_result sched capped).Engine.Job.iterations;
+  List.iter Sys.remove [ tr; ck ]
+
+(* A checkpoint resumes only under the flow that wrote it: each flow
+   resuming the other's ends as a typed [Failed] job. *)
+let test_cross_flow_resume_fails () =
+  let src = ml_source () in
+  let spec flow ?start ?checkpoint ?max_steps () =
+    Engine.Job.spec ~source:src ~objective:(fast ~flow ()) ?start ?checkpoint
+      ?max_steps ()
+  in
+  List.iter
+    (fun (writer, reader) ->
+      let tag =
+        Engine.Objective.flow_to_string writer
+        ^ " checkpoint, "
+        ^ Engine.Objective.flow_to_string reader
+        ^ " job"
+      in
+      let ck = temp ".json" in
+      let sched = Engine.Scheduler.create () in
+      let a = submit_and_drain sched (spec writer ~checkpoint:ck ~max_steps:5 ()) in
+      Alcotest.(check string) (tag ^ ": writer done") "done"
+        (Engine.Job.status_to_string (job_result sched a).Engine.Job.status);
+      let b = submit_and_drain sched (spec reader ~start:(Engine.Job.Resume ck) ()) in
+      (match (job_result sched b).Engine.Job.status with
+      | Engine.Job.Failed msg ->
+        Alcotest.(check bool)
+          (tag ^ ": names the depth: " ^ msg)
+          true
+          (String.starts_with ~prefix:"checkpoint: hierarchy depth changed" msg)
+      | s ->
+        Alcotest.failf "%s: resumed job ended %s" tag
+          (Engine.Job.status_to_string s));
+      Sys.remove ck)
+    [
+      (Engine.Job.Flat, Engine.Job.Multilevel);
+      (Engine.Job.Multilevel, Engine.Job.Flat);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Routability loop through the engine                                 *)
@@ -1030,20 +1213,18 @@ let longer = function
   | Obs.Json.Arr items -> Obs.Json.Arr (Obs.Json.Num 0.5 :: items)
   | v -> Alcotest.failf "expected an array, got %s" (Obs.Json.to_string v)
 
-(* Real v4 checkpoints of short fast routability runs, flat and mid
+(* Real v5 checkpoints of short fast routability runs, flat and mid
    V-cycle, carrying every optional array (criticality, route_target).
    Returns the file text and the restore path that must be used. *)
 let robustness_fixtures () =
   let config = Kraftwerk.Config.routability Kraftwerk.Config.fast in
   let flat =
     let circuit, p0 = ok_or_fail (Engine.Source.load (source ())) in
-    let state = Kraftwerk.Placer.init config circuit p0 in
-    ignore (Kraftwerk.Placer.continue_run state ~max_steps:4);
+    let run = flat_run ~steps:4 config circuit p0 in
     let criticality = Array.make (Netlist.Circuit.num_nets circuit) 0.25 in
     ( "flat",
-      Engine.Checkpoint.of_state ~criticality state,
-      fun cp ->
-        Result.map ignore (Engine.Checkpoint.restore cp config circuit) )
+      Engine.Checkpoint.of_run ~criticality run,
+      fun cp -> Result.map ignore (restore_flat cp config circuit) )
   in
   let multi =
     let circuit, p0 = ok_or_fail (Engine.Source.load (ml_source ())) in
@@ -1060,8 +1241,9 @@ let robustness_fixtures () =
       Engine.Checkpoint.of_run ~criticality run,
       fun cp ->
         Result.map ignore
-          (Engine.Checkpoint.restore_multilevel cp config circuit
-             ~fixed_positions:fixed) )
+          (Engine.Checkpoint.restore cp config
+             (Kraftwerk.Cluster.build_hierarchy config circuit
+                ~fixed_positions:fixed)) )
   in
   List.map
     (fun (tag, cp, restore) ->
@@ -1118,6 +1300,7 @@ let test_checkpoint_robustness () =
           ("short x and y", [ ("x", shorter); ("y", shorter) ]);
           ("no ml_level", [ ("ml_level", fun _ -> Obs.Json.Null) ]);
           ("iteration past 2^53", [ ("iteration", fun _ -> Obs.Json.Num 1e19) ]);
+          ("steps below iteration", [ ("steps", fun _ -> Obs.Json.Num 1.) ]);
         ])
     (robustness_fixtures ())
 
@@ -1125,10 +1308,9 @@ let test_checkpoint_robustness () =
    error, not an infinite cell position after restore. *)
 let test_checkpoint_number_out_of_range () =
   let circuit, p0 = ok_or_fail (Engine.Source.load (source ())) in
-  let state = Kraftwerk.Placer.init Kraftwerk.Config.fast circuit p0 in
-  ignore (Kraftwerk.Placer.continue_run state ~max_steps:2);
+  let run = flat_run ~steps:2 Kraftwerk.Config.fast circuit p0 in
   let file = temp ".json" in
-  Engine.Checkpoint.save file (Engine.Checkpoint.of_state state);
+  Engine.Checkpoint.save file (Engine.Checkpoint.of_run run);
   let text = read_file file in
   Sys.remove file;
   let key = {|"x":[|} in
@@ -1147,14 +1329,13 @@ let test_checkpoint_number_out_of_range () =
     Alcotest.(check bool) ("typed message: " ^ e) true
       (String.starts_with ~prefix:"checkpoint: number out of range" e)
 
-(* One live version: the current file stamped "version":3 is refused by
+(* One live version: the current file stamped "version":4 is refused by
    load with a typed message, and a job resuming from it ends Failed. *)
 let test_checkpoint_other_versions_rejected () =
   let circuit, p0 = ok_or_fail (Engine.Source.load (source ())) in
-  let state = Kraftwerk.Placer.init Kraftwerk.Config.fast circuit p0 in
-  ignore (Kraftwerk.Placer.continue_run state ~max_steps:3);
+  let run = flat_run ~steps:3 Kraftwerk.Config.fast circuit p0 in
   let file = temp ".json" in
-  Engine.Checkpoint.save file (Engine.Checkpoint.of_state state);
+  Engine.Checkpoint.save file (Engine.Checkpoint.of_run run);
   let json = ok_or_fail (Obs.Json.of_string (read_file file)) in
   List.iter
     (fun v ->
@@ -1166,7 +1347,7 @@ let test_checkpoint_other_versions_rejected () =
       | Error e ->
         Alcotest.(check string) "typed message"
           (Printf.sprintf
-             "checkpoint: unsupported version %d (this build reads 4)" v)
+             "checkpoint: unsupported version %d (this build reads 5)" v)
           e);
       let sched = Engine.Scheduler.create () in
       let id =
@@ -1179,7 +1360,7 @@ let test_checkpoint_other_versions_rejected () =
       | s ->
         Alcotest.failf "job resuming a version %d checkpoint ended %s" v
           (Engine.Job.status_to_string s))
-    [ 2; 3; 5 ];
+    [ 3; 4; 6 ];
   Sys.remove file
 
 (* ------------------------------------------------------------------ *)
@@ -1491,7 +1672,7 @@ let suite =
       test_checkpoint_robustness;
     Alcotest.test_case "checkpoint number out of range rejected" `Quick
       test_checkpoint_number_out_of_range;
-    Alcotest.test_case "checkpoint versions other than 4 rejected" `Quick
+    Alcotest.test_case "checkpoint versions other than 5 rejected" `Quick
       test_checkpoint_other_versions_rejected;
     Alcotest.test_case "spec json round-trip" `Quick test_spec_json_round_trip;
     Alcotest.test_case "spec ignores a domains key" `Quick
@@ -1508,4 +1689,10 @@ let suite =
       test_finished_jobs_keep_only_results;
     Alcotest.test_case "claim order is priority then submission" `Quick
       test_claim_order_and_counters;
+    Alcotest.test_case "flat job matches direct Placer.run and Finish" `Slow
+      test_flat_job_matches_direct;
+    Alcotest.test_case "V-cycle budget end and total steps across resume"
+      `Slow test_vcycle_budget_and_total_steps;
+    Alcotest.test_case "resuming the other flow's checkpoint fails" `Slow
+      test_cross_flow_resume_fails;
   ]
