@@ -8,8 +8,10 @@
      dune exec bench/main.exe -- --scale 0.25 # shrink circuits for speed
      dune exec bench/main.exe -- --micro      # bechamel kernels only
 
-   The experiment ids (E1..E10, A1..A3) are indexed in DESIGN.md; the
-   paper-vs-measured discussion lives in EXPERIMENTS.md. *)
+   Our rows in Tables 1-4, E5, E6, E9, A5 and --place are engine jobs,
+   as [place run] places.  The experiment ids (E1..E10, A1..A3) are
+   indexed in DESIGN.md; the paper-vs-measured discussion lives in
+   EXPERIMENTS.md. *)
 
 let scale = ref 1.0
 
@@ -34,11 +36,27 @@ let git_revision () =
 (* ------------------------------------------------------------------ *)
 (* Shared flow pieces                                                  *)
 
+let source name = Engine.Source.Profile { name; scale = !scale; seed = !seed }
+
+(* A profile's circuit and initial placement, as a job on it loads
+   them. *)
 let build_profile name =
-  let prof = Circuitgen.Profiles.find name in
-  let params = Circuitgen.Profiles.params ~scale:!scale prof ~seed:!seed in
-  let circuit, pads = Circuitgen.Gen.generate params in
-  (prof, circuit, Circuitgen.Gen.initial_placement circuit pads)
+  match Engine.Source.load (source name) with
+  | Ok cp -> cp
+  | Error msg -> failwith msg
+
+(* A Kraftwerk flow on a profile is one engine job, run as [place run]
+   runs it: the job's result and the placements of its [Finished]
+   event (the global one, and the legal one behind the result's
+   metrics). *)
+let job ?(objective = Engine.Objective.default) name =
+  match
+    Engine.Scheduler.run_job (Engine.Job.spec ~source:(source name) ~objective ())
+  with
+  | ({ Engine.Job.status = Engine.Job.Done; _ } as r), Some f -> (r, f)
+  | { Engine.Job.status = Engine.Job.Failed msg; _ }, _ ->
+    failwith (name ^ ": " ^ msg)
+  | _ -> failwith (name ^ ": the job ended without a placement")
 
 (* Annealer budgets shrink on the biggest circuits so the harness stays
    laptop-scale; the CPU column reports what was actually spent. *)
@@ -51,24 +69,23 @@ let annealer_config circuit =
 
 type flow_result = { wl : float; cpu : float }
 
-let run_kraftwerk ?(config = Kraftwerk.Config.standard) circuit p0 =
-  let (global, cpu) =
-    time (fun () ->
-        let state, _ = Kraftwerk.Placer.run config circuit p0 in
-        state.Kraftwerk.Placer.placement)
-  in
-  { wl = Metrics.Wirelength.hpwl circuit (Legalize.Finish.run circuit global).Legalize.Finish.placement; cpu }
+(* Every CPU column times global plus final placement: ours is the
+   job's wall time, a baseline is timed around its global placer and
+   [Legalize.Finish.run], as [place run] times it. *)
+let run_kraftwerk ?objective name =
+  let r, _ = job ?objective name in
+  { wl = r.Engine.Job.hpwl; cpu = r.Engine.Job.wall_s }
+
+let run_baseline circuit global =
+  let fin, cpu = time (fun () -> Legalize.Finish.run circuit (global ())) in
+  { wl = Metrics.Wirelength.hpwl circuit fin.Legalize.Finish.placement; cpu }
 
 let run_gordian circuit p0 =
-  let (global, cpu) = time (fun () -> fst (Baselines.Gordian.place circuit p0)) in
-  { wl = Metrics.Wirelength.hpwl circuit (Legalize.Finish.run circuit global).Legalize.Finish.placement; cpu }
+  run_baseline circuit (fun () -> fst (Baselines.Gordian.place circuit p0))
 
 let run_annealer circuit p0 =
   let config = annealer_config circuit in
-  let (global, cpu) =
-    time (fun () -> fst (Baselines.Annealer.place ~config circuit p0))
-  in
-  { wl = Metrics.Wirelength.hpwl circuit (Legalize.Finish.run circuit global).Legalize.Finish.placement; cpu }
+  run_baseline circuit (fun () -> fst (Baselines.Annealer.place ~config circuit p0))
 
 (* ------------------------------------------------------------------ *)
 (* Tables 1 and 2: wire length and CPU across the nine circuits        *)
@@ -91,7 +108,7 @@ let compute_table1 () =
       List.map
         (fun (prof : Circuitgen.Profiles.t) ->
           let name = prof.Circuitgen.Profiles.profile_name in
-          let _, circuit, p0 = build_profile name in
+          let circuit, p0 = build_profile name in
           Printf.eprintf "[table1] %s (%d cells)...\n%!" name
             (Netlist.Circuit.num_cells circuit);
           {
@@ -101,7 +118,7 @@ let compute_table1 () =
             rows = Netlist.Circuit.num_rows circuit;
             annealer = run_annealer circuit p0;
             gordian = run_gordian circuit p0;
-            ours = run_kraftwerk circuit p0;
+            ours = run_kraftwerk name;
           })
         Circuitgen.Profiles.mcnc;
   !table1_rows
@@ -192,41 +209,40 @@ let compute_table34 () =
     table34_rows :=
       List.map
         (fun name ->
-          let _, circuit, p0 = build_profile name in
+          let circuit, p0 = build_profile name in
           Printf.eprintf "[table3/4] %s...\n%!" name;
           let tp = Timing.Params.default in
           let lower = Timing.Sta.lower_bound tp circuit in
-          let delay_of p = (Timing.Sta.analyse tp circuit p).Timing.Sta.max_delay in
-          (* Ours. *)
-          let (ours, ours_cpu) =
-            time (fun () ->
-                let state, _ =
-                  Kraftwerk.Placer.run Kraftwerk.Config.standard circuit p0
-                in
-                let plain = delay_of state.Kraftwerk.Placer.placement in
-                let opt =
-                  Timing.Driven.optimize ~params:tp Kraftwerk.Config.standard
-                    circuit p0
-                in
-                (plain, delay_of opt.Timing.Driven.placement))
+          (* Ours: a wirelength job without, a timing-goal job with;
+             each delay is measured on the job's global placement. *)
+          let delay_of (f : Engine.Scheduler.final) =
+            (Timing.Sta.analyse tp circuit f.Engine.Scheduler.global)
+              .Timing.Sta.max_delay
           in
-          (* Timing-driven annealing baseline. *)
+          let plain, plain_final = job name in
+          let driven, driven_final =
+            job
+              ~objective:(Engine.Objective.make ~goal:Engine.Objective.Timing ())
+              name
+          in
+          (* Timing-driven annealing baseline, timed with the final
+             placer as ours is. *)
           let config = annealer_config circuit in
-          let (sa, sa_cpu) =
+          let sa, sa_cpu =
             time (fun () ->
                 let r = Baselines.Timing_sa.place ~config ~params:tp circuit p0 in
-                (r.Baselines.Timing_sa.initial_delay,
-                 r.Baselines.Timing_sa.final_delay))
+                ignore (Legalize.Finish.run circuit r.Baselines.Timing_sa.placement);
+                r)
           in
           {
             tname = name;
             lower;
-            sa_without = fst sa;
-            sa_with = snd sa;
+            sa_without = sa.Baselines.Timing_sa.initial_delay;
+            sa_with = sa.Baselines.Timing_sa.final_delay;
             sa_cpu;
-            ours_without = fst ours;
-            ours_with = snd ours;
-            ours_cpu;
+            ours_without = delay_of plain_final;
+            ours_with = delay_of driven_final;
+            ours_cpu = plain.Engine.Job.wall_s +. driven.Engine.Job.wall_s;
           })
         timing_circuits;
   !table34_rows
@@ -285,9 +301,12 @@ let fast_mode () =
   let acc_wl = ref 0. and acc_sp = ref 0. and n = ref 0 in
   List.iter
     (fun name ->
-      let _, circuit, p0 = build_profile name in
-      let std = run_kraftwerk circuit p0 in
-      let fast = run_kraftwerk ~config:Kraftwerk.Config.fast circuit p0 in
+      let std = run_kraftwerk name in
+      let fast =
+        run_kraftwerk
+          ~objective:(Engine.Objective.make ~mode:Engine.Objective.Fast ())
+          name
+      in
       let dwl = 100. *. (fast.wl -. std.wl) /. std.wl in
       let sp = std.cpu /. Float.max fast.cpu 1e-9 in
       acc_wl := !acc_wl +. dwl;
@@ -308,14 +327,15 @@ let tradeoff () =
   print_endline "";
   print_endline
     "E6: timing/area trade-off — two-phase requirement mode on biomed (§5)";
-  let _, circuit, p0 = build_profile "biomed" in
+  let circuit, p0 = build_profile "biomed" in
   let tp = Timing.Params.default in
   let lower = Timing.Sta.lower_bound tp circuit in
-  (* First find the area-converged delay, then require 45 % of the
-     optimisation potential — inside what E3/E4 show is achievable. *)
-  let probe_state, _ = Kraftwerk.Placer.run Kraftwerk.Config.standard circuit p0 in
+  (* First find the area-converged delay (a wirelength job's global
+     placement), then require 45 % of the optimisation potential —
+     inside what E3/E4 show is achievable. *)
+  let _, probe = job "biomed" in
   let converged =
-    (Timing.Sta.analyse tp circuit probe_state.Kraftwerk.Placer.placement)
+    (Timing.Sta.analyse tp circuit probe.Engine.Scheduler.global)
       .Timing.Sta.max_delay
   in
   let target = converged -. (0.45 *. (converged -. lower)) in
@@ -341,7 +361,7 @@ let tradeoff () =
 let eco () =
   print_endline "";
   print_endline "E7: ECO — netlist perturbation and incremental re-placement (§5)";
-  let _, circuit, p0 = build_profile "biomed" in
+  let circuit, p0 = build_profile "biomed" in
   let state, _ = Kraftwerk.Placer.run Kraftwerk.Config.standard circuit p0 in
   let placed = state.Kraftwerk.Placer.placement in
   let rng = Numeric.Rng.create 123 in
@@ -420,13 +440,16 @@ let floorplan () =
 let congestion () =
   print_endline "";
   print_endline "E9: congestion-driven placement (§5)";
-  let _, circuit, p0 = build_profile "industry2" in
-  let run config =
-    let state, _ = Kraftwerk.Placer.run config circuit p0 in
-    let p = state.Kraftwerk.Placer.placement in
+  let circuit, _ = build_profile "industry2" in
+  let run goal =
+    let objective = Engine.Objective.make ~goal () in
+    let _, final = job ~objective "industry2" in
+    let p = final.Engine.Scheduler.global in
     (* The estimator drives the loop; the actual coarse global router
-       validates the result — both on the same grid spec. *)
-    let spec = Kraftwerk.Placer.route_spec config circuit in
+       validates the global placement — both on the same grid spec. *)
+    let spec =
+      Kraftwerk.Placer.route_spec (Engine.Objective.config objective) circuit
+    in
     let est =
       match Route.Congest.estimate circuit p spec with
       | Ok e -> e.Route.Congest.total_overflow
@@ -439,10 +462,8 @@ let congestion () =
     in
     (Metrics.Wirelength.hpwl circuit p, est, rt, rwl)
   in
-  let wl0, est0, rt0, rwl0 = run Kraftwerk.Config.standard in
-  let wl1, est1, rt1, rwl1 =
-    run (Kraftwerk.Config.routability Kraftwerk.Config.standard)
-  in
+  let wl0, est0, rt0, rwl0 = run Engine.Objective.Wirelength in
+  let wl1, est1, rt1, rwl1 = run Engine.Objective.Routability in
   Printf.printf
     "plain:             hpwl %.4g  est overflow %.4g  routed overflow %.4g  routed wl %.4g\n"
     wl0 est0 rt0 rwl0;
@@ -457,7 +478,7 @@ let congestion () =
 let heat () =
   print_endline "";
   print_endline "E10: heat-driven placement (§5)";
-  let _, circuit, p0 = build_profile "biomed" in
+  let circuit, p0 = build_profile "biomed" in
   let nx, ny = Density.Density_map.auto_bins circuit in
   let run hooks =
     let state, _ = Kraftwerk.Placer.run ?hooks Kraftwerk.Config.standard circuit p0 in
@@ -487,7 +508,7 @@ let linearization () =
     "linear wl" "steps";
   List.iter
     (fun name ->
-      let _, circuit, p0 = build_profile name in
+      let circuit, p0 = build_profile name in
       let run cfg =
         let state, reports = Kraftwerk.Placer.run cfg circuit p0 in
         ( Metrics.Wirelength.hpwl circuit
@@ -513,7 +534,7 @@ let final_placer () =
     "+domino" "tetris ref";
   List.iter
     (fun name ->
-      let _, circuit, p0 = build_profile name in
+      let circuit, p0 = build_profile name in
       let state, _ = Kraftwerk.Placer.run Kraftwerk.Config.standard circuit p0 in
       let global = state.Kraftwerk.Placer.placement in
       let abacus = (Legalize.Abacus.legalize circuit global ()).Legalize.Abacus.placement in
@@ -543,28 +564,16 @@ let multilevel () =
     "cpu" "multilevel wl" "cpu" "wl Δ%";
   List.iter
     (fun name ->
-      let prof = Circuitgen.Profiles.find name in
-      let params = Circuitgen.Profiles.params ~scale:!scale prof ~seed:!seed in
-      let circuit, pads = Circuitgen.Gen.generate params in
-      let p0 = Circuitgen.Gen.initial_placement circuit pads in
-      let (flat, flat_cpu) =
-        time (fun () ->
-            let state, _ = Kraftwerk.Placer.run Kraftwerk.Config.standard circuit p0 in
-            (Legalize.Finish.run circuit state.Kraftwerk.Placer.placement)
-              .Legalize.Finish.placement)
+      let flat = run_kraftwerk name in
+      let ml =
+        run_kraftwerk
+          ~objective:
+            (Engine.Objective.make ~flow:Engine.Objective.Multilevel ())
+          name
       in
-      let (ml, ml_cpu) =
-        time (fun () ->
-            (Legalize.Finish.run circuit
-               (Kraftwerk.Cluster.place_multilevel Kraftwerk.Config.standard
-                  circuit ~fixed_positions:pads p0))
-              .Legalize.Finish.placement)
-      in
-      let flat_wl = Metrics.Wirelength.hpwl circuit flat in
-      let ml_wl = Metrics.Wirelength.hpwl circuit ml in
       Printf.printf "%-11s | %12.4g %8.1f | %12.4g %8.1f | %+7.1f%%\n" name
-        flat_wl flat_cpu ml_wl ml_cpu
-        (100. *. (ml_wl -. flat_wl) /. flat_wl))
+        flat.wl flat.cpu ml.wl ml.cpu
+        (100. *. (ml.wl -. flat.wl) /. flat.wl))
     [ "primary1"; "struct"; "biomed" ]
 
 (* ------------------------------------------------------------------ *)
@@ -623,7 +632,7 @@ let micro_run () =
   in
   let g24 = density_grid 24 in
   let g48 = density_grid 48 in
-  let _, circuit, p0 = build_profile "primary1" in
+  let circuit, p0 = build_profile "primary1" in
   let state, _ = Kraftwerk.Placer.run Kraftwerk.Config.standard circuit p0 in
   let placed = state.Kraftwerk.Placer.placement in
   let weights = Array.make (Netlist.Circuit.num_nets circuit) 1. in
@@ -850,71 +859,71 @@ let micro () =
 
 let place_bench_profiles = [ "fract"; "primary1" ]
 
-(* One instrumented placement run: collected telemetry records, the
-   final placer state and the wall time. *)
-let instrumented_run config circuit p0 =
-  Numeric.Poisson.clear_kernel_cache ();
-  let sink, read = Obs.Sink.collecting () in
-  let ((state, _), cpu) =
-    Obs.Sink.with_sink sink (fun () ->
-        time (fun () -> Kraftwerk.Placer.run config circuit p0))
-  in
-  let records, _ = read () in
-  (state, records, cpu)
-
 (* Per-effort convergence rows: iterations-to-converge, the stop
-   criterion that fired and the final placer's (Legalize.Finish) HPWL
-   the integration suite's effort gate checks regressions against. *)
-let effort_entries circuit p0 =
+   criterion that fired (the job's stop reason) and the final placer's
+   (Legalize.Finish) HPWL the integration suite's effort gate checks
+   regressions against.  Each row is also printed. *)
+let effort_entries name circuit =
   List.map
     (fun e ->
-      let config = Kraftwerk.Config.effort e in
-      let state, records, cpu = instrumented_run config circuit p0 in
-      let global = state.Kraftwerk.Placer.placement in
-      let legalized =
-        Metrics.Wirelength.hpwl circuit (Legalize.Finish.run circuit global).Legalize.Finish.placement
+      let objective = Engine.Objective.make ~effort:e () in
+      let r, final = job ~objective name in
+      let reason =
+        Option.map Kraftwerk.Controller.reason_to_string r.Engine.Job.stop_reason
       in
+      Printf.printf "%-11s effort %d  %4d iterations  final %12.4g  (%s)\n" name
+        e r.Engine.Job.iterations r.Engine.Job.hpwl
+        (Option.value reason ~default:"budget");
       let num v = Obs.Json.Num v in
       ( string_of_int e,
         Obs.Json.Obj
           [
-            ("iterations", num (float_of_int (List.length records)));
+            ("iterations", num (float_of_int r.Engine.Job.iterations));
             ( "max_iterations",
-              num (float_of_int config.Kraftwerk.Config.max_iterations) );
-            ("wall_s", num cpu);
+              num
+                (float_of_int
+                   (Engine.Objective.config objective)
+                     .Kraftwerk.Config.max_iterations) );
+            ("wall_s", num r.Engine.Job.wall_s);
             ( "stop_reason",
-              match Kraftwerk.Placer.stop_reason state with
-              | Some r ->
-                Obs.Json.Str (Kraftwerk.Controller.reason_to_string r)
+              match reason with
+              | Some r -> Obs.Json.Str r
               | None -> Obs.Json.Null );
-            ("final_hpwl_global", num (Metrics.Wirelength.hpwl circuit global));
-            ("final_hpwl_legalized", num legalized);
+            ( "final_hpwl_global",
+              num (Metrics.Wirelength.hpwl circuit final.Engine.Scheduler.global) );
+            ("final_hpwl_legalized", num r.Engine.Job.hpwl);
           ] ))
     [ 1; 5; 9 ]
 
 (* Routability closed-loop rows: wirelength vs routability objective at
    equal effort, both legalized and validated with the actual global
-   router on the same grid spec.  The integration suite gates the routed
-   overflow of these rows like it gates HPWL. *)
-let routability_entries circuit p0 =
-  let run config =
-    let state, _ = Kraftwerk.Placer.run config circuit p0 in
-    let lp =
-      (Legalize.Finish.run circuit state.Kraftwerk.Placer.placement)
-        .Legalize.Finish.placement
-    in
-    let hpwl = Metrics.Wirelength.hpwl circuit lp in
+   router on the same grid spec (the routability job validates its own
+   result).  The integration suite gates the routed overflow of these
+   rows like it gates HPWL.  The row is also printed. *)
+let routability_entries name circuit =
+  let wl, wl_final = job name in
+  let rt, _ =
+    job
+      ~objective:(Engine.Objective.make ~goal:Engine.Objective.Routability ())
+      name
+  in
+  let wl_ovfl, wl_max =
     match
-      Route.Grouter.route circuit lp (Kraftwerk.Placer.route_spec config circuit)
+      Route.Grouter.route circuit wl_final.Engine.Scheduler.legal
+        (Kraftwerk.Placer.route_spec Kraftwerk.Config.standard circuit)
     with
-    | Ok r ->
-      (hpwl, r.Route.Grouter.total_overflow, r.Route.Grouter.max_overflow)
-    | Error _ -> (hpwl, Float.nan, Float.nan)
+    | Ok r -> (r.Route.Grouter.total_overflow, r.Route.Grouter.max_overflow)
+    | Error _ -> (Float.nan, Float.nan)
   in
-  let wl_hpwl, wl_ovfl, wl_max = run Kraftwerk.Config.standard in
-  let rt_hpwl, rt_ovfl, rt_max =
-    run (Kraftwerk.Config.routability Kraftwerk.Config.standard)
-  in
+  let routed v = Option.value v ~default:Float.nan in
+  let rt_ovfl = routed rt.Engine.Job.routed_overflow
+  and rt_max = routed rt.Engine.Job.routed_max_overflow in
+  let wl_hpwl = wl.Engine.Job.hpwl and rt_hpwl = rt.Engine.Job.hpwl in
+  let reduction = 100. *. (wl_ovfl -. rt_ovfl) /. Float.max wl_ovfl 1e-9 in
+  let delta = 100. *. (rt_hpwl -. wl_hpwl) /. wl_hpwl in
+  Printf.printf
+    "%-11s routed overflow %8.4g -> %8.4g (-%.1f%%)  hpwl %+.2f%%\n" name
+    wl_ovfl rt_ovfl reduction delta;
   let num v = Obs.Json.Num v in
   Obs.Json.Obj
     [
@@ -924,9 +933,8 @@ let routability_entries circuit p0 =
       ("routed_overflow_routability", num rt_ovfl);
       ("routed_max_overflow_wirelength", num wl_max);
       ("routed_max_overflow_routability", num rt_max);
-      ( "overflow_reduction_pct",
-        num (100. *. (wl_ovfl -. rt_ovfl) /. Float.max wl_ovfl 1e-9) );
-      ("hpwl_delta_pct", num (100. *. (rt_hpwl -. wl_hpwl) /. wl_hpwl));
+      ("overflow_reduction_pct", num reduction);
+      ("hpwl_delta_pct", num delta);
     ]
 
 let place_bench () =
@@ -935,16 +943,16 @@ let place_bench () =
   let built = List.map (fun name -> (name, build_profile name)) place_bench_profiles in
   let efforts =
     List.map
-      (fun (name, (_, circuit, p0)) ->
+      (fun (name, (circuit, _)) ->
         Printf.eprintf "[place-bench] %s effort matrix...\n%!" name;
-        (name, Obs.Json.Obj (effort_entries circuit p0)))
+        (name, Obs.Json.Obj (effort_entries name circuit)))
       built
   in
   let routability =
     List.map
-      (fun (name, (_, circuit, p0)) ->
+      (fun (name, (circuit, _)) ->
         Printf.eprintf "[place-bench] %s routability...\n%!" name;
-        (name, routability_entries circuit p0))
+        (name, routability_entries name circuit))
       built
   in
   let doc =
@@ -961,45 +969,6 @@ let place_bench () =
   output_string oc (Obs.Json.to_string doc);
   output_char oc '\n';
   close_out oc;
-  List.iter
-    (fun (name, rows) ->
-      match rows with
-      | Obs.Json.Obj rows ->
-        List.iter
-          (fun (e, row) ->
-            match
-              ( Obs.Json.member "iterations" row,
-                Obs.Json.member "final_hpwl_legalized" row,
-                Obs.Json.member "stop_reason" row )
-            with
-            | Some (Obs.Json.Num n), Some (Obs.Json.Num wl), reason ->
-              Printf.printf
-                "%-11s effort %s  %4.0f iterations  final %12.4g  (%s)\n" name
-                e n wl
-                (match reason with
-                | Some (Obs.Json.Str r) -> r
-                | _ -> "budget")
-            | _ -> ())
-          rows
-      | _ -> ())
-    efforts;
-  List.iter
-    (fun (name, row) ->
-      match
-        ( Obs.Json.member "routed_overflow_wirelength" row,
-          Obs.Json.member "routed_overflow_routability" row,
-          Obs.Json.member "overflow_reduction_pct" row,
-          Obs.Json.member "hpwl_delta_pct" row )
-      with
-      | ( Some (Obs.Json.Num wo),
-          Some (Obs.Json.Num ro),
-          Some (Obs.Json.Num red),
-          Some (Obs.Json.Num dh) ) ->
-        Printf.printf
-          "%-11s routed overflow %8.4g -> %8.4g (-%.1f%%)  hpwl %+.2f%%\n"
-          name wo ro red dh
-      | _ -> ())
-    routability;
   print_endline "wrote BENCH_place.json"
 
 (* ------------------------------------------------------------------ *)
@@ -1232,7 +1201,8 @@ let () =
   let rec parse = function
     | [] -> ()
     | "--scale" :: v :: rest ->
-      scale := value float_of_string_opt ~ok:(fun s -> s > 0. && Float.is_finite s) v;
+      (* Jobs take a profile's scale in (0, 1] only. *)
+      scale := value float_of_string_opt ~ok:(fun s -> s > 0. && s <= 1.) v;
       parse rest
     | "--seed" :: v :: rest ->
       seed := value int_of_string_opt v;

@@ -57,28 +57,18 @@ let load source =
   | Error msg -> die "%s" msg
 
 (* A Kraftwerk flow is one engine job, run to completion on the calling
-   domain (a scheduler with no worker domains, as [place batch] runs
-   it).  Returns the job's circuit, legal placement and result.  The
-   job's own circuit is garbage once it ends, so the report's is loaded
-   again from the same deterministic source: holding the first one in
-   the [Finished] event would keep it alive through the scheduler's
-   end-of-job collection, which sets a server's peak. *)
+   domain ([Engine.Scheduler.run_job]).  Returns the job's circuit,
+   legal placement and result.  The job's own circuit is garbage once it
+   ends, so the report's is loaded again from the same deterministic
+   source: holding the first one in the [Finished] event would keep it
+   alive through the scheduler's end-of-job collection, which sets a
+   server's peak. *)
 let place_job spec =
-  let legal = ref None in
-  let on_event = function
-    | Engine.Scheduler.Finished (_, _, Some f) ->
-      legal := Some f.Engine.Scheduler.legal
-    | _ -> ()
-  in
-  let sched = Engine.Scheduler.create ~on_event () in
-  let id = Engine.Scheduler.submit sched spec in
-  Engine.Scheduler.drain sched;
-  Engine.Scheduler.stop sched;
-  match (Engine.Scheduler.result sched id, !legal) with
-  | Some ({ Engine.Job.status = Engine.Job.Done; _ } as r), Some legal ->
-    (fst (load spec.Engine.Job.source), legal, r)
-  | Some { Engine.Job.status = Engine.Job.Failed msg; _ }, _ -> die "%s" msg
-  | _ -> die "job %d ended without a placement" id
+  match Engine.Scheduler.run_job spec with
+  | ({ Engine.Job.status = Engine.Job.Done; _ } as r), Some f ->
+    (fst (load spec.Engine.Job.source), f.Engine.Scheduler.legal, r)
+  | { Engine.Job.status = Engine.Job.Failed msg; _ }, _ -> die "%s" msg
+  | _ -> die "the job ended without a placement"
 
 (* A baseline flow: [place] runs a global placer and the final placer
    on the source's circuit, timed as the engine times a job. *)

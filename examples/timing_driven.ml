@@ -1,42 +1,52 @@
 (* Timing-driven placement (paper §5): optimise the longest path with
-   iterative net weighting, then meet an explicit timing requirement
-   exactly with the two-phase flow, printing the trade-off curve.
+   iterative net weighting (a timing-goal placement job), then meet an
+   explicit timing requirement exactly with the two-phase flow, printing
+   the trade-off curve.
 
      dune exec examples/timing_driven.exe *)
 
 let () =
-  let profile = Circuitgen.Profiles.find "struct" in
-  let params = Circuitgen.Profiles.params profile ~seed:7 in
-  let circuit, pads = Circuitgen.Gen.generate params in
-  let initial = Circuitgen.Gen.initial_placement circuit pads in
+  let source = Engine.Source.Profile { name = "struct"; scale = 1.; seed = 7 } in
+  let circuit, initial = Result.get_ok (Engine.Source.load source) in
   let tp = Timing.Params.default in
 
   let lower = Timing.Sta.lower_bound tp circuit in
   Printf.printf "lower bound (all nets at zero length): %.2f ns\n" (lower *. 1e9);
 
+  (* A placement job's global placement, the one timing is measured on:
+     the timing goal reweights nets by criticality before every
+     transformation. *)
+  let place goal =
+    let objective = Engine.Objective.make ~goal () in
+    match Engine.Scheduler.run_job (Engine.Job.spec ~source ~objective ()) with
+    | _, Some final -> final.Engine.Scheduler.global
+    | r, None -> failwith (Engine.Job.status_to_string r.Engine.Job.status)
+  in
+  let delay_of p = (Timing.Sta.analyse tp circuit p).Timing.Sta.max_delay in
+
   (* Plain area-driven placement as the reference. *)
-  let state, _ = Kraftwerk.Placer.run Kraftwerk.Config.standard circuit initial in
-  let plain = state.Kraftwerk.Placer.placement in
-  let plain_delay = (Timing.Sta.analyse tp circuit plain).Timing.Sta.max_delay in
+  let plain = place Engine.Objective.Wirelength in
+  let plain_delay = delay_of plain in
   Printf.printf "area-driven:  longest path %.2f ns, hpwl %.4g\n"
     (plain_delay *. 1e9)
     (Metrics.Wirelength.hpwl circuit plain);
 
   (* Continuous timing optimisation. *)
-  let opt = Timing.Driven.optimize ~params:tp Kraftwerk.Config.standard circuit initial in
+  let opt = place Engine.Objective.Timing in
+  let opt_delay = delay_of opt in
   let expl =
-    Timing.Driven.exploitation ~unoptimized:plain_delay
-      ~optimized:opt.Timing.Driven.final_delay ~lower_bound:lower
+    Timing.Driven.exploitation ~unoptimized:plain_delay ~optimized:opt_delay
+      ~lower_bound:lower
   in
   Printf.printf
     "timing-driven: longest path %.2f ns, hpwl %.4g — %.0f%% of the optimisation potential\n"
-    (opt.Timing.Driven.final_delay *. 1e9)
-    (Metrics.Wirelength.hpwl circuit opt.Timing.Driven.placement)
+    (opt_delay *. 1e9)
+    (Metrics.Wirelength.hpwl circuit opt)
     (100. *. expl);
 
   (* Two-phase requirement mode: pick a target between the two results
      and meet it exactly, recording the wire-length/delay trade-off. *)
-  let target = (plain_delay +. opt.Timing.Driven.final_delay) /. 2. in
+  let target = (plain_delay +. opt_delay) /. 2. in
   let req =
     Timing.Driven.meet_requirement ~params:tp Kraftwerk.Config.standard circuit
       initial ~target
@@ -48,7 +58,7 @@ let () =
   Printf.printf "critical paths after optimisation:\n";
   List.iter
     (fun path -> Format.printf "%a" (Timing.Paths.pp_path circuit) path)
-    (Timing.Paths.critical ~k:2 tp circuit opt.Timing.Driven.placement);
+    (Timing.Paths.critical ~k:2 tp circuit opt);
   Printf.printf "trade-off curve (step, hpwl, delay):\n";
   List.iter
     (fun (pt : Timing.Driven.trace_point) ->

@@ -59,6 +59,7 @@ type result = {
   status : status;
   iterations : int;
   converged : bool;
+  stop_reason : Kraftwerk.Controller.reason option;
   hpwl : float;
   overlap : float;
   legal : bool;
@@ -89,6 +90,7 @@ let completed objective c (fin : Legalize.Finish.t) =
     status = Done;
     iterations = 0;
     converged = true;
+    stop_reason = None;
     hpwl = Metrics.Wirelength.hpwl c lp;
     overlap = Metrics.Overlap.overlap_ratio c lp;
     legal = Legalize.Check.is_legal c lp;
@@ -223,6 +225,9 @@ let result_to_json r =
         match r.status with Failed msg -> Str msg | _ -> Null );
       ("iterations", int_ r.iterations);
       ("converged", Bool r.converged);
+      ( "stop_reason",
+        opt (fun r -> Str (Kraftwerk.Controller.reason_to_string r))
+          r.stop_reason );
       ("hpwl", num r.hpwl);
       ("overlap", num r.overlap);
       ("legal", Bool r.legal);
@@ -267,6 +272,15 @@ let result_of_json v =
   in
   let* iterations = field_int v "iterations" in
   let* converged = field_bool v "converged" in
+  let* stop_reason =
+    match member "stop_reason" v with
+    | Some (Str s) -> (
+      match Kraftwerk.Controller.reason_of_string s with
+      | Some r -> Ok (Some r)
+      | None -> Error (Printf.sprintf "result: unknown stop_reason %S" s))
+    | Some Null | None -> Ok None
+    | Some _ -> Error "result: field \"stop_reason\" is not a string"
+  in
   let* hpwl = field_num v "hpwl" in
   let* overlap = field_num v "overlap" in
   let* legal = field_bool v "legal" in
@@ -287,6 +301,7 @@ let result_of_json v =
       status;
       iterations;
       converged;
+      stop_reason;
       hpwl;
       overlap;
       legal;

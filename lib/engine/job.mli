@@ -106,6 +106,12 @@ type result = {
   converged : bool;
       (** stopped by a stop rule (§4.2's empty square or the LB/UB
           gap), not by a budget or the [max_steps] cap *)
+  stop_reason : Kraftwerk.Controller.reason option;
+      (** what stopped the run: a stop rule ([Gap], [Density]) or a
+          budget or the [max_steps] cap ([Max_steps]); [None] where
+          nothing did (a failed job, a job cancelled or out of time
+          before any stop, a baseline's report).  JSON ["gap"],
+          ["density"], ["max_steps"] or [null] *)
   hpwl : float;  (** after legalisation *)
   overlap : float;
   legal : bool;
@@ -130,8 +136,8 @@ type result = {
     for {!Objective.routed_validation}, the {!Route.Grouter} routing of
     that placement on the grid the in-loop estimator used (no routed
     fields when the grid is unusable).  Iterations and wall time are 0,
-    [converged] is true and no checkpoint is named: the caller sets
-    what its run knows. *)
+    [converged] is true, no stop reason and no checkpoint is named: the
+    caller sets what its run knows. *)
 val completed :
   Objective.t -> Netlist.Circuit.t -> Legalize.Finish.t -> result
 

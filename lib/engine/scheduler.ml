@@ -305,8 +305,9 @@ let start_running (spec : Job.spec) =
     match crit with
     | Some c ->
       (* Timing-driven jobs adapt net weights before every
-         transformation, as in Timing.Driven.optimize; the criticality
-         state lives in the running record so checkpoints carry it. *)
+         transformation (Timing.Driven.reweight, §5's optimisation
+         mode); the criticality state lives in the running record so
+         checkpoints carry it. *)
       {
         Kraftwerk.Placer.no_hooks with
         Kraftwerk.Placer.reweight =
@@ -377,8 +378,7 @@ let close_trace run ~(result : Job.result) =
         wall_time = result.Job.wall_s;
         stop_reason =
           Option.map Kraftwerk.Controller.reason_to_string
-            (Kraftwerk.Placer.stop_reason
-               (Kraftwerk.Cluster.current_state run.vcycle));
+            result.Job.stop_reason;
         counters = Obs.Registry.snapshot ();
       }
   | None, _ -> ());
@@ -418,6 +418,7 @@ let empty_result status =
     Job.status;
     iterations = 0;
     converged = false;
+    stop_reason = None;
     hpwl = 0.;
     overlap = 0.;
     legal = false;
@@ -458,8 +459,9 @@ let finish_done t entry run ~capped =
   in
   if capped then
     Kraftwerk.Controller.record_stop controller Kraftwerk.Controller.Max_steps;
+  let stop_reason = controller.Kraftwerk.Controller.stop_reason in
   let converged =
-    match controller.Kraftwerk.Controller.stop_reason with
+    match stop_reason with
     | Some (Kraftwerk.Controller.Gap | Kraftwerk.Controller.Density) -> true
     | Some Kraftwerk.Controller.Max_steps | None -> false
   in
@@ -470,6 +472,7 @@ let finish_done t entry run ~capped =
       r with
       Job.iterations = Kraftwerk.Cluster.steps run.vcycle;
       converged;
+      stop_reason;
       wall_s = Unix.gettimeofday () -. run.started_at;
       checkpoint_written = run.checkpoint_written;
     }
@@ -505,6 +508,9 @@ let finish_degraded t entry run ~deadline_expired =
       Job.status = Job.Cancelled;
       iterations = Kraftwerk.Cluster.steps run.vcycle;
       converged = false;
+      stop_reason =
+        Kraftwerk.Placer.stop_reason
+          (Kraftwerk.Cluster.current_state run.vcycle);
       hpwl = Metrics.Wirelength.hpwl c lp;
       overlap = Metrics.Overlap.overlap_ratio c lp;
       legal;
@@ -750,3 +756,12 @@ let cancel_all t =
     if cancel t id then incr cancelled
   done;
   !cancelled
+
+let run_job spec =
+  let final = ref None in
+  let on_event = function Finished (_, _, f) -> final := f | _ -> () in
+  let t = create ~on_event () in
+  let id = submit t spec in
+  drain t;
+  stop t;
+  (Option.get (result t id), !final)

@@ -57,7 +57,8 @@ type id = int
 type final = {
   global : Netlist.Placement.t;
       (** the final {e global} (pre-legalisation) placement; for the ECO
-          path and for tests comparing trajectories bitwise *)
+          path, the bench rows that measure the global placement, and
+          tests comparing trajectories bitwise *)
   legal : Netlist.Placement.t;
       (** the legalised placement behind the reported metrics (the
           Tetris best-so-far for cancelled jobs, the final placer's
@@ -182,3 +183,10 @@ val step : t -> bool
 (** [drain t] steps until no job is queued or running.  Does not stop
     worker domains — call {!stop} when done with the scheduler. *)
 val drain : t -> unit
+
+(** [run_job spec] runs one job to its end on the calling domain (a
+    scheduler with no worker domains, created, drained and stopped
+    here) and returns its result with the placements of its [Finished]
+    event ([None] when it produced none, as a failed job).  [place run]
+    and the paper's experiments place through it. *)
+val run_job : Job.spec -> Job.result * final option

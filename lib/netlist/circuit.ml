@@ -14,6 +14,8 @@ type t = {
 let check_shape ~who ~cells ~region ~row_height =
   if row_height <= 0. then invalid_arg (who ^ ": non-positive row height");
   if Geometry.Rect.area region <= 0. then invalid_arg (who ^ ": empty region");
+  if Geometry.Rect.height region < row_height then
+    invalid_arg (who ^ ": region holds no row");
   Array.iteri
     (fun i (c : Cell.t) ->
       if c.Cell.id <> i then invalid_arg (who ^ ": cell id out of order"))

@@ -25,8 +25,8 @@ type t = private {
 
 (** [make ~name ~cells ~nets ~region ~row_height] validates consistency
     (cell ids equal their indices, pin references in range, positive row
-    height), copies the nets' pins into the pin table and precomputes the
-    cell→nets incidence. *)
+    height, a region at least one row high), copies the nets' pins into
+    the pin table and precomputes the cell→nets incidence. *)
 val make :
   name:string ->
   cells:Cell.t array ->

@@ -31,26 +31,6 @@ let reweight_hook params crit trace =
       }
       :: !trace
 
-let optimize ?(params = Params.default) config circuit placement =
-  let initial_delay = (Sta.analyse params circuit placement).Sta.max_delay in
-  let crit = Criticality.create (Netlist.Circuit.num_nets circuit) in
-  let trace = ref [] in
-  let hooks =
-    { Kraftwerk.Placer.no_hooks with
-      Kraftwerk.Placer.reweight = Some (reweight_hook params crit trace) }
-  in
-  let state, _ = Kraftwerk.Placer.run ~hooks config circuit placement in
-  let final_delay =
-    (Sta.analyse params circuit state.Kraftwerk.Placer.placement).Sta.max_delay
-  in
-  {
-    placement = state.Kraftwerk.Placer.placement;
-    initial_delay;
-    final_delay;
-    trace = List.rev !trace;
-    met = true;
-  }
-
 let meet_requirement ?(params = Params.default) ?(max_extra_steps = 60) config
     circuit placement ~target =
   (* Phase 1: plain area-driven placement to convergence. *)

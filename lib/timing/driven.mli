@@ -1,9 +1,10 @@
-(** Timing-driven placement flows (paper §5).
+(** Timing-driven placement (paper §5).
 
-    {b Optimisation mode} runs the placer with a reweight hook: before
-    every placement transformation a longest-path analysis updates net
-    criticalities and multiplies net weights, steering critical nets
-    short.
+    {b Optimisation mode} is a timing-goal engine job
+    ([Engine.Objective.Timing]): the placer runs with {!reweight} as its
+    reweight hook, so before every placement transformation a
+    longest-path analysis updates net criticalities and multiplies net
+    weights, steering critical nets short.
 
     {b Requirement mode} first converges the plain area-driven placement,
     then applies weight-adapting transformations until the longest path
@@ -14,30 +15,21 @@
 (** One point of the trade-off curve. *)
 type trace_point = { at_step : int; hpwl : float; delay : float }
 
-(** Result of either flow. *)
+(** Result of the requirement mode. *)
 type result = {
   placement : Netlist.Placement.t;
   initial_delay : float;  (** longest path before timing optimisation *)
   final_delay : float;
   trace : trace_point list;  (** chronological *)
-  met : bool;  (** requirement mode: did we reach the target? *)
+  met : bool;  (** did we reach the target? *)
 }
 
 (** [reweight params crit state] is one criticality step, the body of
-    the optimisation-mode reweight hook: a longest-path analysis of
+    the reweight hook of both modes: a longest-path analysis of
     [state]'s placement, folded into [crit], then [state]'s net weights
     rescaled from it (capped at [params.max_net_weight]).  Returns the
     analysis. *)
 val reweight : Params.t -> Criticality.t -> Kraftwerk.Placer.state -> Sta.t
-
-(** [optimize ?params config circuit placement] places with continuous
-    timing-driven net weighting from the start. *)
-val optimize :
-  ?params:Params.t ->
-  Kraftwerk.Config.t ->
-  Netlist.Circuit.t ->
-  Netlist.Placement.t ->
-  result
 
 (** [meet_requirement ?params ?max_extra_steps config circuit placement
     ~target] is the two-phase flow: converge area-driven, then adapt

@@ -334,6 +334,15 @@ let job_placement finals id =
   | Some f -> f.Engine.Scheduler.global
   | None -> Alcotest.failf "job %d has no placement" id
 
+(* One job run to its end ([Engine.Scheduler.run_job]): its result and
+   the placements of its [Finished] event. *)
+let run_job spec =
+  match Engine.Scheduler.run_job spec with
+  | r, Some f -> (r, f)
+  | r, None ->
+    Alcotest.failf "job ended %s without a placement"
+      (Engine.Job.status_to_string r.Engine.Job.status)
+
 (* Same property through the engine: a job finished at its checkpoint,
    resumed, must report bitwise what the uninterrupted job reports —
    including the telemetry tail of the trace. *)
@@ -408,22 +417,17 @@ let test_engine_resume_timing_driven () =
 
 let test_deadline_degrades_to_legal () =
   let circuit, _ = ok_or_fail (Engine.Source.load (source ())) in
-  let sched, finals = scheduler () in
-  let id =
-    submit_and_drain sched
+  let r, final =
+    run_job
       (Engine.Job.spec ~source:(source ()) ~objective:(fast ()) ~deadline:0.0
          ())
   in
-  let r = job_result sched id in
   Alcotest.(check string) "status cancelled" "cancelled"
     (Engine.Job.status_to_string r.Engine.Job.status);
   Alcotest.(check bool) "deadline expired" true r.Engine.Job.deadline_expired;
   Alcotest.(check bool) "reported legal" true r.Engine.Job.legal;
-  match legalized finals id with
-  | None -> Alcotest.fail "no legalised placement"
-  | Some lp ->
-    Alcotest.(check bool) "passes Legalize.Check" true
-      (Legalize.Check.is_legal circuit lp)
+  Alcotest.(check bool) "passes Legalize.Check" true
+    (Legalize.Check.is_legal circuit final.Engine.Scheduler.legal)
 
 (* Mid-run cancellation: best-so-far legal placement, a final checkpoint
    when configured, and the checkpoint resumes to the uninterrupted
@@ -492,16 +496,14 @@ let test_eco_job_matches_direct_replace () =
     Kraftwerk.Eco.replace config c2 base.Kraftwerk.Placer.placement
       ~max_steps:6
   in
-  let sched, finals = scheduler () in
-  let id =
-    submit_and_drain sched
+  let r, final =
+    run_job
       (Engine.Job.spec ~source:(Engine.Source.File ckt) ~objective:(fast ())
          ~start:(Engine.Job.Warm ck) ~max_steps:6 ())
   in
-  let r = job_result sched id in
   Alcotest.(check string) "eco job done" "done"
     (Engine.Job.status_to_string r.Engine.Job.status);
-  same_placement "eco placement" direct (job_placement finals id);
+  same_placement "eco placement" direct final.Engine.Scheduler.global;
   List.iter Sys.remove [ ck; ckt ]
 
 (* Interleaving K jobs must not perturb any of their trajectories. *)
@@ -513,10 +515,7 @@ let test_concurrent_interleaving_preserves_trajectories () =
   let seeds = [ 1; 2; 3 ] in
   let solo =
     List.map
-      (fun seed ->
-        let sched, finals = scheduler () in
-        let id = submit_and_drain sched (spec seed) in
-        job_placement finals id)
+      (fun seed -> (snd (run_job (spec seed))).Engine.Scheduler.global)
       seeds
   in
   let events = ref [] in
@@ -577,18 +576,15 @@ let test_flat_job_matches_direct () =
         stops_on_rule converged;
       let fin = Legalize.Finish.run circuit state.Kraftwerk.Placer.placement in
       let direct = Engine.Job.completed objective circuit fin in
-      let sched, finals = scheduler () in
-      let id =
-        submit_and_drain sched
-          (Engine.Job.spec ~source:src ~objective ?max_steps ())
+      let r, final =
+        run_job (Engine.Job.spec ~source:src ~objective ?max_steps ())
       in
-      let r = job_result sched id in
       Alcotest.(check string) (tag ^ ": done") "done"
         (Engine.Job.status_to_string r.Engine.Job.status);
       same_placement (tag ^ ": global placement")
-        state.Kraftwerk.Placer.placement (job_placement finals id);
+        state.Kraftwerk.Placer.placement final.Engine.Scheduler.global;
       same_placement (tag ^ ": legal placement") fin.Legalize.Finish.placement
-        (Option.get (legalized finals id));
+        final.Engine.Scheduler.legal;
       Alcotest.(check bool) (tag ^ ": legalised hpwl bitwise") true
         (bits r.Engine.Job.hpwl = bits direct.Engine.Job.hpwl);
       Alcotest.(check int) (tag ^ ": iterations")
@@ -623,9 +619,8 @@ let test_sharded_matches_solo () =
   let solo =
     List.map2
       (fun seed trace ->
-        let sched, finals = scheduler () in
-        let id = submit_and_drain sched (spec ~trace seed) in
-        (job_placement finals id, job_result sched id))
+        let r, final = run_job (spec ~trace seed) in
+        (final.Engine.Scheduler.global, r))
       seeds solo_traces
   in
   List.iter
@@ -849,18 +844,16 @@ let test_multilevel_job_matches_direct () =
       ~fixed_positions:(fixed_positions_of circuit p0)
       (Netlist.Placement.copy p0)
   in
-  let sched, finals = scheduler () in
-  let id =
-    submit_and_drain sched
+  let r, final =
+    run_job
       (Engine.Job.spec ~source:src
          ~objective:(fast ~flow:Engine.Job.Multilevel ())
          ())
   in
-  let r = job_result sched id in
   Alcotest.(check string) "multilevel job done" "done"
     (Engine.Job.status_to_string r.Engine.Job.status);
   Alcotest.(check bool) "took iterations" true (r.Engine.Job.iterations > 0);
-  same_placement "multilevel global placement" direct (job_placement finals id)
+  same_placement "multilevel global placement" direct final.Engine.Scheduler.global
 
 (* Multilevel checkpoints carry the stage coordinates and only restore
    onto the V-cycle's hierarchy. *)
@@ -1143,24 +1136,17 @@ let ok_or_fail_route = function
 let test_routability_reduces_routed_overflow () =
   let src = Engine.Source.Profile { name = "primary1"; scale = 1.0; seed = 7 } in
   let run goal =
-    let sched, finals = scheduler () in
-    let id =
-      submit_and_drain sched
+    let r, final =
+      run_job
         (Engine.Job.spec ~source:src ~objective:(Engine.Objective.make ~goal ())
            ())
     in
-    let r = job_result sched id in
     Alcotest.(check string)
       (Engine.Objective.goal_to_string goal ^ " done")
       "done"
       (Engine.Job.status_to_string r.Engine.Job.status);
-    let circuit, p0 = ok_or_fail (Engine.Source.load src) in
-    ignore p0;
-    let lp =
-      match legalized finals id with
-      | Some lp -> lp
-      | None -> Alcotest.fail "no legalised placement"
-    in
+    let circuit, _ = ok_or_fail (Engine.Source.load src) in
+    let lp = final.Engine.Scheduler.legal in
     let spec =
       Kraftwerk.Placer.route_spec
         (Engine.Objective.config (Engine.Objective.make ~goal ()))
@@ -1627,6 +1613,89 @@ let test_finished_jobs_keep_only_results () =
        per_job 150)
     true (per_job <= 150.)
 
+(* A timing-goal job is §5's optimisation mode: [Placer.run] with
+   [Timing.Driven.reweight] as its reweight hook on a fresh criticality
+   state.  The job's global placement, iterations and stop reason equal
+   the direct run's bit for bit, and its legal HPWL is the final
+   placer's on that placement. *)
+let test_timing_job_matches_reweighted_run () =
+  let src = source ~seed:11 () in
+  let circuit, p0 = ok_or_fail (Engine.Source.load src) in
+  let objective = fast ~goal:Engine.Objective.Timing () in
+  let crit = Timing.Criticality.create (Netlist.Circuit.num_nets circuit) in
+  let hooks =
+    {
+      Kraftwerk.Placer.no_hooks with
+      Kraftwerk.Placer.reweight =
+        Some
+          (fun s -> ignore (Timing.Driven.reweight Timing.Params.default crit s));
+    }
+  in
+  let state, _ =
+    Kraftwerk.Placer.run ~hooks (Engine.Objective.config objective) circuit p0
+  in
+  let fin = Legalize.Finish.run circuit state.Kraftwerk.Placer.placement in
+  let r, final = run_job (Engine.Job.spec ~source:src ~objective ()) in
+  same_placement "timing global placement" state.Kraftwerk.Placer.placement
+    final.Engine.Scheduler.global;
+  Alcotest.(check int) "iterations" state.Kraftwerk.Placer.iteration
+    r.Engine.Job.iterations;
+  Alcotest.(check bool) "stop reason" true
+    (Kraftwerk.Placer.stop_reason state = r.Engine.Job.stop_reason);
+  Alcotest.(check bool) "legal hpwl bitwise" true
+    (bits r.Engine.Job.hpwl
+    = bits (Metrics.Wirelength.hpwl circuit fin.Legalize.Finish.placement))
+
+(* A job's result names what stopped it, in its JSON too: a stop rule,
+   the [max_steps] cap, or nothing (a job out of time before any
+   stop).  Every result reads back as it was written, and an unknown
+   reason is refused. *)
+let test_result_stop_reason () =
+  let job ?max_steps ?deadline objective =
+    fst
+      (run_job
+         (Engine.Job.spec ~source:(source ()) ~objective ?max_steps ?deadline ()))
+  in
+  let json_reason r = Obs.Json.member "stop_reason" (Engine.Job.result_to_json r) in
+  let rule = job (fast ()) in
+  Alcotest.(check bool) "rule: converged" true rule.Engine.Job.converged;
+  (match rule.Engine.Job.stop_reason with
+  | Some (Kraftwerk.Controller.Gap | Kraftwerk.Controller.Density) -> ()
+  | _ -> Alcotest.fail "rule: no stop rule named");
+  Alcotest.(check bool) "rule: json" true
+    (match json_reason rule with
+    | Some (Obs.Json.Str ("gap" | "density")) -> true
+    | _ -> false);
+  let capped = job ~max_steps:6 (fast ~effort:9 ()) in
+  Alcotest.(check bool) "cap: not converged" false capped.Engine.Job.converged;
+  Alcotest.(check bool) "cap: max_steps" true
+    (capped.Engine.Job.stop_reason = Some Kraftwerk.Controller.Max_steps);
+  Alcotest.(check bool) "cap: json" true
+    (json_reason capped = Some (Obs.Json.Str "max_steps"));
+  let expired = job ~deadline:0. (fast ()) in
+  Alcotest.(check bool) "deadline: no stop reason" true
+    (expired.Engine.Job.stop_reason = None);
+  Alcotest.(check bool) "deadline: json null" true
+    (json_reason expired = Some Obs.Json.Null);
+  List.iter
+    (fun (tag, r) ->
+      match Engine.Job.result_of_json (Engine.Job.result_to_json r) with
+      | Ok r' -> Alcotest.(check bool) (tag ^ ": round trip") true (r = r')
+      | Error e -> Alcotest.failf "%s: %s" tag e)
+    [ ("rule", rule); ("cap", capped); ("deadline", expired) ];
+  let bogus =
+    match Engine.Job.result_to_json rule with
+    | Obs.Json.Obj fields ->
+      Obs.Json.Obj
+        (List.map
+           (fun (k, v) ->
+             if k = "stop_reason" then (k, Obs.Json.Str "bogus") else (k, v))
+           fields)
+    | v -> v
+  in
+  Alcotest.(check bool) "unknown reason refused" true
+    (Result.is_error (Engine.Job.result_of_json bogus))
+
 let suite =
   [
     Alcotest.test_case "checkpoint save/load round-trip" `Quick
@@ -1695,4 +1764,8 @@ let suite =
       `Slow test_vcycle_budget_and_total_steps;
     Alcotest.test_case "resuming the other flow's checkpoint fails" `Slow
       test_cross_flow_resume_fails;
+    Alcotest.test_case "timing job matches reweighted Placer.run" `Slow
+      test_timing_job_matches_reweighted_run;
+    Alcotest.test_case "job result names its stop reason" `Quick
+      test_result_stop_reason;
   ]

@@ -73,25 +73,38 @@ let test_save_place_load_place_roundtrip () =
         (Netlist.Placement.displacement s1.Kraftwerk.Placer.placement
            s2.Kraftwerk.Placer.placement))
 
+(* A timing-goal job on struct: the longest path of its global
+   placement stays above the lower bound and beats the wirelength job's
+   (the initial placement has every cell at the region centre, so its
+   delay is a meaningless near-lower-bound number), and its final
+   placement is legal. *)
 let test_timing_driven_end_to_end () =
-  let circuit, p0 = build ~name:"struct" () in
+  let source = Engine.Source.Profile { name = "struct"; scale = 1.; seed = 71 } in
+  let circuit, _ =
+    match Engine.Source.load source with
+    | Ok cp -> cp
+    | Error msg -> Alcotest.fail msg
+  in
   let tp = Timing.Params.default in
   let lb = Timing.Sta.lower_bound tp circuit in
-  let r = Timing.Driven.optimize ~params:tp Kraftwerk.Config.standard circuit p0 in
-  Alcotest.(check bool) "final ≥ lower bound" true
-    (r.Timing.Driven.final_delay >= lb -. 1e-15);
-  (* Compare against the plain area-driven placement (the initial
-     placement has every cell at the region centre, so its delay is a
-     meaningless near-lower-bound number). *)
-  let state, _ = Kraftwerk.Placer.run Kraftwerk.Config.standard circuit p0 in
-  let plain =
-    (Timing.Sta.analyse tp circuit state.Kraftwerk.Placer.placement).Timing.Sta.max_delay
+  let run goal =
+    let objective = Engine.Objective.make ~goal () in
+    match Engine.Scheduler.run_job (Engine.Job.spec ~source ~objective ()) with
+    | r, Some f -> (r, f)
+    | _, None -> Alcotest.fail "the job produced no placement"
   in
+  let delay_of (f : Engine.Scheduler.final) =
+    (Timing.Sta.analyse tp circuit f.Engine.Scheduler.global).Timing.Sta.max_delay
+  in
+  let r, driven = run Engine.Objective.Timing in
+  let final_delay = delay_of driven in
+  Alcotest.(check bool) "final ≥ lower bound" true (final_delay >= lb -. 1e-15);
+  let _, plain = run Engine.Objective.Wirelength in
   Alcotest.(check bool) "improved vs area-driven" true
-    (r.Timing.Driven.final_delay < plain);
-  (* The final placement still legalises. *)
-  let final = finalize circuit r.Timing.Driven.placement in
-  Alcotest.(check bool) "legal" true (Legalize.Check.is_legal circuit final)
+    (final_delay < delay_of plain);
+  Alcotest.(check bool) "legal" true
+    (r.Engine.Job.legal
+    && Legalize.Check.is_legal circuit driven.Engine.Scheduler.legal)
 
 let test_requirement_mode_is_exact () =
   let circuit, p0 = build ~name:"primary1" () in
@@ -356,6 +369,46 @@ let test_cli_malformed_circuit () =
           | _ -> Alcotest.failf "%s: expected one stderr line, got %S" what err)
         [ "kraftwerk"; "multilevel"; "gordian" ])
 
+(* A circuit whose region is lower than one row is refused when it is
+   read, for an engine flow and a baseline flow alike: one typed line
+   naming the file, exit 2, never a legality check indexing a row that
+   does not exist. *)
+let test_cli_circuit_without_rows () =
+  let ckt = Filename.temp_file "norow" ".ckt" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ ckt; ckt ^ ".pos" ])
+    (fun () ->
+      let code, _, err =
+        run_place
+          [ "generate"; "--profile"; "fract"; "--scale"; "0.5"; "-o"; ckt ]
+      in
+      if code <> 0 then Alcotest.failf "generate exited %d: %s" code err;
+      let text =
+        In_channel.with_open_text ckt In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.map (fun line ->
+               if String.starts_with ~prefix:"rowheight " line then
+                 "rowheight 1e6"
+               else line)
+        |> String.concat "\n"
+      in
+      Out_channel.with_open_text ckt (fun oc -> output_string oc text);
+      List.iter
+        (fun flow ->
+          let code, _, err =
+            run_place [ "run"; "--circuit"; ckt; "--flow"; flow ]
+          in
+          let what = "--flow " ^ flow in
+          Alcotest.(check int) (what ^ ": exit 2") 2 code;
+          Alcotest.(check string) (what ^ ": one typed line")
+            (Printf.sprintf "place: %s: Circuit.of_pins: region holds no row\n"
+               ckt)
+            err)
+        [ "kraftwerk"; "multilevel"; "gordian" ])
+
 (* A trace file that cannot be opened fails the job with one typed
    line, not an OCaml exception's constructor text. *)
 let test_cli_unopenable_trace () =
@@ -380,6 +433,9 @@ let test_bench_cli_usage () =
         (contains err "exception"))
     [
       [ "--scale"; "abc" ];
+      (* Jobs take a profile's scale in (0, 1] only. *)
+      [ "--scale"; "2" ];
+      [ "--scale"; "0" ];
       [ "--seed"; "1.5" ];
       [ "--table"; "one" ];
       [ "--table"; "9" ];
@@ -425,6 +481,133 @@ let str key v =
   match get key v with
   | J.Str x -> x
   | _ -> Alcotest.failf "field %s is not a string" key
+
+(* The lines of the section [header] starts in [out], up to the next
+   blank line. *)
+let section out header =
+  let rec skip = function
+    | [] -> Alcotest.failf "no section %S" header
+    | line :: rest when String.starts_with ~prefix:header line -> take [] rest
+    | _ :: rest -> skip rest
+  and take acc = function
+    | [] | "" :: _ -> List.rev acc
+    | line :: rest -> take (line :: acc) rest
+  in
+  skip (String.split_on_char '\n' out)
+
+(* The experiments whose rows run as engine jobs, end to end at scale
+   0.1 in a fresh directory, where BENCH_place.json is written: exit 0,
+   each experiment's header and rows, and the written file's columns.
+   Tables 1 and 3 are left out: their annealing baseline takes seconds
+   even at this scale. *)
+let test_bench_engine_experiments () =
+  let exe = Test_server.repo_file "bench/main.exe" in
+  let exe =
+    if Filename.is_relative exe then Filename.concat (Sys.getcwd ()) exe
+    else exe
+  in
+  let dir = Filename.temp_dir "bench_smoke" "" in
+  let json = Filename.concat dir "BENCH_place.json" in
+  let cwd = Sys.getcwd () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      if Sys.file_exists json then Sys.remove json;
+      Sys.rmdir dir)
+    (fun () ->
+      Sys.chdir dir;
+      let code, out, err =
+        run_place ~exe
+          [
+            "--experiment"; "fast-mode"; "--experiment"; "congestion";
+            "--experiment"; "multilevel"; "--experiment"; "tradeoff";
+            "--place"; "--scale"; "0.1";
+          ]
+      in
+      if code <> 0 then Alcotest.failf "bench exited %d: %s" code err;
+      let rows_start header names =
+        let lines = section out header in
+        List.iter
+          (fun name ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: row %s" header name)
+              true
+              (List.exists
+                 (fun l -> String.starts_with ~prefix:(name ^ " ") l)
+                 lines))
+          names
+      in
+      rows_start "E5: fast mode"
+        [ "fract"; "primary1"; "struct"; "primary2"; "biomed"; "average" ];
+      rows_start "E9: congestion-driven" [ "plain:"; "congestion-driven:" ];
+      rows_start "A5: multilevel" [ "primary1"; "struct"; "biomed" ];
+      let e6 = section out "E6: timing/area" in
+      Alcotest.(check bool) "E6: requirement line" true
+        (List.exists (fun l -> contains l "met=") e6);
+      Alcotest.(check bool) "E6: trade-off rows" true
+        (List.exists
+           (fun l ->
+             match String.split_on_char ' ' l |> List.filter (( <> ) "") with
+             | step :: _ -> int_of_string_opt step <> None
+             | [] -> false)
+           e6);
+      let place = section out "Placement bench" in
+      List.iter
+        (fun profile ->
+          List.iter
+            (fun e ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s effort %s row" profile e)
+                true
+                (List.exists
+                   (fun l ->
+                     String.starts_with ~prefix:profile l
+                     && contains l ("effort " ^ e))
+                   place))
+            [ "1"; "5"; "9" ];
+          Alcotest.(check bool) (profile ^ " routability row") true
+            (List.exists
+               (fun l ->
+                 String.starts_with ~prefix:profile l
+                 && contains l "routed overflow")
+               place))
+        [ "fract"; "primary1" ];
+      Alcotest.(check bool) "says where it wrote" true
+        (contains out "wrote BENCH_place.json");
+      let bench = read_json json in
+      Alcotest.(check (float 0.)) "scale" 0.1 (num "scale" bench);
+      ignore (str "git" bench);
+      ignore (num "cores" bench);
+      List.iter
+        (fun profile ->
+          let efforts = get profile (get "efforts" bench) in
+          List.iter
+            (fun e ->
+              let row = get e efforts in
+              List.iter
+                (fun col -> ignore (num col row))
+                [
+                  "iterations"; "max_iterations"; "wall_s";
+                  "final_hpwl_global"; "final_hpwl_legalized";
+                ];
+              Alcotest.(check bool)
+                (Printf.sprintf "%s effort %s stop_reason" profile e)
+                true
+                (match get "stop_reason" row with
+                | J.Str ("gap" | "density" | "max_steps") | J.Null -> true
+                | _ -> false))
+            [ "1"; "5"; "9" ];
+          let row = get profile (get "routability" bench) in
+          List.iter
+            (fun col -> ignore (num col row))
+            [
+              "hpwl_wirelength"; "hpwl_routability";
+              "routed_overflow_wirelength"; "routed_overflow_routability";
+              "routed_max_overflow_wirelength";
+              "routed_max_overflow_routability"; "overflow_reduction_pct";
+              "hpwl_delta_pct";
+            ])
+        [ "fract"; "primary1" ])
 
 (* [place run ARGS --trace FILE]: the parsed trace records. *)
 let traced_run args =
@@ -605,6 +788,10 @@ let suite =
     Alcotest.test_case "cli malformed circuit" `Quick test_cli_malformed_circuit;
     Alcotest.test_case "cli unopenable trace" `Quick test_cli_unopenable_trace;
     Alcotest.test_case "bench cli usage" `Quick test_bench_cli_usage;
+    Alcotest.test_case "cli circuit without rows" `Quick
+      test_cli_circuit_without_rows;
+    Alcotest.test_case "bench engine experiments smoke" `Quick
+      test_bench_engine_experiments;
   ]
 
 (* The committed kernel bench records the host's core count, one SpMV

@@ -338,13 +338,7 @@ let fast_spec i =
     ~objective:(Engine.Objective.make ~mode:Engine.Objective.Fast ())
     ~max_steps:6 ()
 
-let solo_result spec =
-  let sched = Engine.Scheduler.create () in
-  let id = Engine.Scheduler.submit sched spec in
-  Engine.Scheduler.drain sched;
-  match Engine.Scheduler.result sched id with
-  | Some r -> r
-  | None -> Alcotest.fail "solo run lost its result"
+let solo_result spec = fst (Engine.Scheduler.run_job spec)
 
 (* Eight clients multiplexed onto one scheduler: every job's result must
    be bitwise what a solo run of the same spec produces — the

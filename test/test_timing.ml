@@ -191,19 +191,26 @@ let test_apply_weights_and_cap () =
 
 (* --- driven flows --- *)
 
+(* A timing-goal job's reweighting shortens the longest path of its
+   global placement against a wirelength job's on the same circuit. *)
 let test_optimize_improves_delay () =
-  let prof = Circuitgen.Profiles.find "primary1" in
-  let c, pads =
-    Circuitgen.Gen.generate (Circuitgen.Profiles.params ~scale:0.5 prof ~seed:6)
+  let source =
+    Engine.Source.Profile { name = "primary1"; scale = 0.5; seed = 6 }
   in
-  let p0 = Circuitgen.Gen.initial_placement c pads in
-  let state, _ = Kraftwerk.Placer.run Kraftwerk.Config.standard c p0 in
-  let plain =
-    (Timing.Sta.analyse params c state.Kraftwerk.Placer.placement).Timing.Sta.max_delay
+  let c, _ =
+    match Engine.Source.load source with
+    | Ok cp -> cp
+    | Error msg -> Alcotest.fail msg
   in
-  let r = Timing.Driven.optimize Kraftwerk.Config.standard c p0 in
+  let delay goal =
+    let objective = Engine.Objective.make ~goal () in
+    match Engine.Scheduler.run_job (Engine.Job.spec ~source ~objective ()) with
+    | _, Some f ->
+      (Timing.Sta.analyse params c f.Engine.Scheduler.global).Timing.Sta.max_delay
+    | _, None -> Alcotest.fail "the job produced no placement"
+  in
   Alcotest.(check bool) "optimized faster than plain" true
-    (r.Timing.Driven.final_delay < plain)
+    (delay Engine.Objective.Timing < delay Engine.Objective.Wirelength)
 
 let test_meet_requirement_flag () =
   let prof = Circuitgen.Profiles.find "fract" in
